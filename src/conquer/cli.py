@@ -53,23 +53,27 @@ class Session:
         lines.extend(f"warning: {d}" for d in diags)
         return "\n".join(lines)
 
-    def load_population_file(self, path: str) -> str:
+    def loaded_schema(self) -> Schema:
+        """The loaded schema; commands that need one fail without it."""
         if self.schema is None:
             raise ConquerError("load a schema first")
+        return self.schema
+
+    def load_population_file(self, path: str) -> str:
+        schema = self.loaded_schema()
         with open(path) as f:
             doc = json.load(f)
-        self.base_pop = load_population(self.schema, doc)
+        self.base_pop = load_population(schema, doc)
         self.derived_pop = None
         return f"population loaded: {sum(1 for _ in self.base_pop.types())} populated types"
 
     def population(self) -> Population:
-        if self.schema is None:
-            raise ConquerError("load a schema first")
+        schema = self.loaded_schema()
         if self.base_pop is None:
-            self.base_pop = Population(self.schema)
-        if self.schema.derivations:
+            self.base_pop = Population(schema)
+        if schema.derivations:
             if self.derived_pop is None:
-                self.derived_pop = P.apply_derivations(self.schema, self.base_pop)
+                self.derived_pop = P.apply_derivations(schema, self.base_pop)
             return self.derived_pop
         return self.base_pop
 
@@ -121,9 +125,7 @@ def _pick_interpretation(session: Session, result) -> Interpretation:
 def run_query(session: Session, text: str) -> str:
     """The full pipeline: parse, disambiguate, normalise, translate,
     evaluate, project, order, denote and render."""
-    schema = session.schema
-    if schema is None:
-        raise ConquerError("load a schema first")
+    schema = session.loaded_schema()
     result = disambiguate(schema, parse_list(text, schema))
     if result.ambiguous and session.ambiguity == "list":
         lines = ["ambiguous query; interpretations:"]
@@ -173,9 +175,7 @@ def run_query(session: Session, text: str) -> str:
 
 
 def cmd_macro(session: Session, definition: str) -> str:
-    schema = session.schema
-    if schema is None:
-        raise ConquerError("load a schema first")
+    schema = session.loaded_schema()
     head, sep, body = definition.partition("::=")
     if not sep:
         raise ConquerError("macro definition must use name(params) ::= body")
@@ -192,9 +192,7 @@ def cmd_macro(session: Session, definition: str) -> str:
 
 
 def cmd_derive(session: Session) -> str:
-    schema = session.schema
-    if schema is None:
-        raise ConquerError("load a schema first")
+    schema = session.loaded_schema()
     if not schema.derivations:
         return "0 derivation rules"
     session.derived_pop = None
@@ -207,9 +205,7 @@ def cmd_derive(session: Session) -> str:
 
 
 def cmd_constraints(session: Session) -> str:
-    schema = session.schema
-    if schema is None:
-        raise ConquerError("load a schema first")
+    schema = session.loaded_schema()
     if not schema.constraints:
         return "0 constraints checked"
     pop = session.population()
@@ -224,9 +220,7 @@ def cmd_constraints(session: Session) -> str:
 
 
 def cmd_dump_records(session: Session, text: str) -> str:
-    schema = session.schema
-    if schema is None:
-        raise ConquerError("load a schema first")
+    schema = session.loaded_schema()
     result = disambiguate(schema, parse_list(text, schema))
     interp = _pick_interpretation(session, result)
     records = interp.records.inf if hasattr(interp.records, "inf") else interp.records
@@ -234,18 +228,14 @@ def cmd_dump_records(session: Session, text: str) -> str:
 
 
 def cmd_dump_path(session: Session, text: str) -> str:
-    schema = session.schema
-    if schema is None:
-        raise ConquerError("load a schema first")
+    schema = session.loaded_schema()
     result = disambiguate(schema, parse_list(text, schema))
     interp = _pick_interpretation(session, result)
     return P.path_text(interp.path)
 
 
 def cmd_explain(session: Session, text: str) -> str:
-    schema = session.schema
-    if schema is None:
-        raise ConquerError("load a schema first")
+    schema = session.loaded_schema()
     result = disambiguate(schema, parse_list(text, schema))
     lines = [f"{len(result.interpretations)} interpretation(s):"]
     for i, interp in enumerate(result.interpretations):

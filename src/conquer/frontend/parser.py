@@ -815,8 +815,29 @@ class Parser:
         return out
 
 
+# The parser and the tree walks after it recurse once per nesting level, so
+# deeper nesting is refused before it can exhaust the Python stack.
+MAX_NESTING = 50
+
+
+def _check_nesting(tokens: list[Token]) -> None:
+    depth = 0
+    for t in tokens:
+        if t.kind != "punct":
+            continue
+        if t.text in "([":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested more than {MAX_NESTING} deep", line=t.line, column=t.column
+                )
+        elif t.text in ")]" and depth:
+            depth -= 1
+
+
 def parse_records(tokens: list[Token], schema: Schema) -> list:
     """All complete parses of a descriptor or condition."""
+    _check_nesting(tokens)
     parser = Parser(tokens, schema)
     results = [rec for rec, p in parser.selection(0) if p == len(tokens)]
     results += [rec for rec, p in parser.condition(0) if p == len(tokens)]
@@ -826,6 +847,7 @@ def parse_records(tokens: list[Token], schema: Schema) -> list:
 
 
 def parse_list_records(tokens: list[Token], schema: Schema) -> list:
+    _check_nesting(tokens)
     parser = Parser(tokens, schema)
     t = parser.tok(0)
     if t is not None and t.kind == "keyword" and t.text == "LIST":

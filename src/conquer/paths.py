@@ -1164,19 +1164,8 @@ class Translator:
         return ra.Project(ra.def_map(sorted(ra.sch(lp))), selected)
 
     def _path_set_op(self, p, B: frozenset) -> ra.RelExpr:
-        lp = self.path(p.left, B)
-        rp = self.path(p.right, B)
-        common = sorted(ra.sch(lp) & ra.sch(rp))
-        lc = ra.Project(ra.def_map(common), lp)
-        rc = ra.Project(ra.def_map(common), rp)
-        if isinstance(p, PathUnion):
-            core: ra.RelExpr = ra.Union(lc, rc)
-            return ra.LeftJoin(ra.LeftJoin(core, ra.Distinct(lp)), ra.Distinct(rp))
-        if isinstance(p, PathIntersect):
-            core = ra.Intersect(lc, rc)
-            return ra.Join(ra.Join(core, ra.Distinct(lp)), ra.Distinct(rp))
-        core = ra.Diff(lc, rc)
-        return ra.Join(core, ra.Distinct(lp))
+        op = {PathUnion: ra.Union, PathIntersect: ra.Intersect, PathDiff: ra.Diff}[type(p)]
+        return _set_op(op, self.path(p.left, B), self.path(p.right, B))
 
     def _func_app(self, p: FuncApp, B: frozenset) -> ra.RelExpr:
         if not p.args:
@@ -1215,13 +1204,8 @@ class Translator:
             parts.append(self._where_one(p.default, negated, B))
         out = parts[0]
         for nxt in parts[1:]:
-            out = self._combine_union(out, nxt)
+            out = _set_op(ra.Union, out, nxt)
         return out
-
-    def _combine_union(self, lp: ra.RelExpr, rp: ra.RelExpr) -> ra.RelExpr:
-        common = sorted(ra.sch(lp) & ra.sch(rp))
-        core = ra.Union(ra.Project(ra.def_map(common), lp), ra.Project(ra.def_map(common), rp))
-        return ra.LeftJoin(ra.LeftJoin(core, ra.Distinct(lp)), ra.Distinct(rp))
 
     def _confluence(self, p: Confluence, B: frozenset) -> ra.RelExpr:
         base = self.path(p.of, B)
@@ -1332,6 +1316,19 @@ class Translator:
         raise TranslateError(f"cannot translate condition {c!r}")
 
 
+def _set_op(op, lp: ra.RelExpr, rp: ra.RelExpr) -> ra.RelExpr:
+    """Union, intersection or difference (``op`` is the RA node class) of
+    two relations on their common attributes, joined back to the distinct
+    rows of each operand for the rest: outer joins for a union, and only the
+    left operand for a difference."""
+    common = ra.def_map(sorted(ra.sch(lp) & ra.sch(rp)))
+    core = op(ra.Project(common, lp), ra.Project(common, rp))
+    if op is ra.Diff:
+        return ra.Join(core, ra.Distinct(lp))
+    join = ra.LeftJoin if op is ra.Union else ra.Join
+    return join(join(core, ra.Distinct(lp)), ra.Distinct(rp))
+
+
 def _agg_operand(schema: Schema, e: SAgg, typing: Typing) -> PathExpr:
     # aggregates read the head column, so coerce simply identified entity
     # heads down to their identifying values
@@ -1340,14 +1337,6 @@ def _agg_operand(schema: Schema, e: SAgg, typing: Typing) -> PathExpr:
 
 def translate(schema: Schema, p: PathExpr, typing: Typing, bound: Iterable[AttrName] = ()) -> ra.RelExpr:
     return Translator(schema, typing).path(p, frozenset(bound))
-
-
-def translate_scalar(schema: Schema, e: PeScalar, typing: Typing, bound: Iterable[AttrName] = ()) -> ra.RaScalar:
-    return Translator(schema, typing).scalar(e, frozenset(bound))
-
-
-def translate_cond(schema: Schema, c: PeCond, typing: Typing, bound: Iterable[AttrName] = ()) -> ra.RaCond:
-    return Translator(schema, typing).cond(c, frozenset(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -1551,9 +1540,6 @@ def order_result(relation: ra.Relation, spec: Iterable[OrderKey]) -> list[ra.Tup
 # macro expansion
 
 
-_macro_fresh = itertools.count(1)
-
-
 def _subst(node: Any, mapping: dict[AttrName, Any]) -> Any:
     if isinstance(node, AttrAtom) and node.attr in mapping:
         rep = mapping[node.attr]
@@ -1588,7 +1574,8 @@ def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:
             f"macro {name!r} expects {len(macro.params)} arguments, got {len(args)}"
         )
     if fresh is None:
-        fresh = lambda: f"{FRESH_PREFIX}m{next(_macro_fresh)}"
+        counter = itertools.count(1)
+        fresh = lambda: f"{FRESH_PREFIX}m{next(counter)}"
     mapping: dict[AttrName, Any] = {}
     for param, arg in zip(macro.params, args):
         if param in mapping:
@@ -1606,14 +1593,6 @@ def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:
                 arg = Scalar(arg) if isinstance(arg, PeScalar.__args__) else CondPath(arg)
             mapping[param] = Concat(AttrAtom(fresh()), arg)
     return _subst(macro.body, mapping)
-
-
-def classify_expr(p: Any) -> str:
-    if isinstance(p, PeScalar.__args__):
-        return "scalar"
-    if isinstance(p, PeCond.__args__):
-        return "condition"
-    return "path"
 
 
 # ---------------------------------------------------------------------------

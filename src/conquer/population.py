@@ -43,10 +43,6 @@ class Population:
         return tid in self._pops
 
 
-def empty_population(schema: Schema) -> Population:
-    return Population(schema)
-
-
 def _decode_scalar(raw: Any) -> Any:
     if raw is None:
         return NULL
@@ -97,19 +93,20 @@ def load_population(schema: Schema, data: dict | str) -> Population:
     if not isinstance(data, dict):
         raise PopulationError("population document must be a JSON object")
 
-    pops: dict[TypeId, Bag] = {}
+    counts: dict[TypeId, dict[Any, int]] = {}
     for key, instances in data.items():
         tid = schema.lookup_type(key)
         if tid is None and key in schema.types:
             tid = key
         if tid is None:
             raise PopulationError(f"unknown type name {key!r} in population")
-        decoded = [decode_instance(schema, tid, raw) for raw in instances]
-        pops[tid] = pops.get(tid, Bag()).union(Bag(decoded))
+        freq = counts.setdefault(tid, {})
+        for raw in instances:
+            inst = decode_instance(schema, tid, raw)
+            freq[inst] = freq.get(inst, 0) + 1
 
-    pop = Population(schema, pops)
-    _close_population(schema, pop)
-    return pop
+    _close_population(schema, counts)
+    return Population(schema, {tid: Bag.from_counts(freq.items()) for tid, freq in counts.items()})
 
 
 def _self_and_ancestors(schema: Schema, tid: str) -> list[str]:
@@ -123,27 +120,28 @@ def _self_and_ancestors(schema: Schema, tid: str) -> list[str]:
     return out
 
 
-def _add_once(pop: Population, tid: str, value: Any) -> bool:
-    bag = pop._pops.get(tid, Bag())
-    if value in bag:
+def _add_once(counts: dict[TypeId, dict[Any, int]], tid: str, value: Any) -> bool:
+    freq = counts.setdefault(tid, {})
+    if value in freq:
         return False
-    pop._pops[tid] = bag.union(Bag([value]))
+    freq[value] = 1
     return True
 
 
-def _close_population(schema: Schema, pop: Population) -> None:
-    """Close the loaded document under the population invariants: role
-    fillers belong to their player's population, subtype instances to their
-    supertypes', and entity denotations imply their reference facts."""
+def _close_population(schema: Schema, counts: dict[TypeId, dict[Any, int]]) -> None:
+    """Close the loaded document, given as instance frequencies by type,
+    under the population invariants: role fillers belong to their player's
+    population, subtype instances to their supertypes', and entity
+    denotations imply their reference facts."""
     changed = True
     while changed:
         changed = False
         for sub, supers in schema.specialises.items():
-            for inst in list(pop.instances(sub).distinct()):
+            for inst in list(counts.get(sub, ())):
                 for sup in supers:
-                    changed |= _add_once(pop, sup, inst)
+                    changed |= _add_once(counts, sup, inst)
         for ftid, rids in schema.roles_of.items():
-            for fact in list(pop.instances(ftid).distinct()):
+            for fact in list(counts.get(ftid, ())):
                 if not isinstance(fact, FactInstance):
                     continue
                 for rid in rids:
@@ -151,19 +149,19 @@ def _close_population(schema: Schema, pop: Population) -> None:
                         continue
                     filler = fact[rid]
                     for t in _self_and_ancestors(schema, schema.player(rid)):
-                        changed |= _add_once(pop, t, filler)
-        for tid in list(pop._pops):
+                        changed |= _add_once(counts, t, filler)
+        for tid in list(counts):
             info = schema.types.get(tid)
             if info is None or info.is_value_type or info.is_relationship:
                 continue
             scheme = schema.idf.get(tid)
             if scheme is None or scheme.kind != "pairs":
                 continue
-            for inst in list(pop.instances(tid).distinct()):
+            for inst in list(counts[tid]):
                 if not isinstance(inst, EntityInstance) or len(inst.key) != len(scheme.entries):
                     continue
                 for (r, s), component in zip(scheme.entries, inst.key):
-                    changed |= _add_once(pop, schema.rel(r), FactInstance({r: inst, s: component}))
+                    changed |= _add_once(counts, schema.rel(r), FactInstance({r: inst, s: component}))
 
 
 def denote_instance(i: Any, pop: Population) -> list[Any]:

@@ -213,36 +213,6 @@ class Project:
 
 
 @dataclass(frozen=True)
-class Extend:
-    assigns: tuple
-    of: "RelExpr"
-
-    def __init__(self, assigns, of):
-        object.__setattr__(self, "assigns", _pairs(assigns))
-        object.__setattr__(self, "of", of)
-
-
-@dataclass(frozen=True)
-class Rename:
-    mapping: tuple  # (new, old) pairs
-    of: "RelExpr"
-
-    def __init__(self, mapping, of):
-        object.__setattr__(self, "mapping", _pairs(mapping))
-        object.__setattr__(self, "of", of)
-
-
-@dataclass(frozen=True)
-class DropAttrs:
-    attrs: frozenset
-    of: "RelExpr"
-
-    def __init__(self, attrs, of):
-        object.__setattr__(self, "attrs", frozenset(attrs))
-        object.__setattr__(self, "of", of)
-
-
-@dataclass(frozen=True)
 class Select:
     cond: RaCond
     of: "RelExpr"
@@ -313,13 +283,34 @@ class Literal:
 
 
 RelExpr = TUnion[
-    Project, Extend, Rename, DropAttrs, Select, TypeTable, Distinct, Group,
+    Project, Select, TypeTable, Distinct, Group,
     Join, LeftJoin, Union, Intersect, Diff, ScalarTable, Literal,
 ]
 
 
 def def_map(attrs: Iterable[AttrName]) -> dict[AttrName, RaScalar]:
     return {a: Attr(a) for a in attrs}
+
+
+# Extension, renaming and attribute removal are projections whose
+# assignments follow from the operand's header.
+
+
+def Extend(assigns, of: RelExpr) -> Project:
+    """Keep every attribute of ``of`` and add ``assigns``; later
+    assignments win."""
+    return Project({**def_map(sch(of)), **dict(assigns)}, of)
+
+
+def Rename(mapping, of: RelExpr) -> Project:
+    """Rename by (new, old) pairs; the other attributes are kept."""
+    renames = dict(mapping)
+    keep = def_map(a for a in sch(of) if a not in renames.values())
+    return Project({**keep, **{new: Attr(old) for new, old in renames.items()}}, of)
+
+
+def DropAttrs(attrs, of: RelExpr) -> Project:
+    return Project(def_map(sch(of) - frozenset(attrs)), of)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +320,6 @@ def def_map(attrs: Iterable[AttrName]) -> dict[AttrName, RaScalar]:
 def sch(e: RelExpr) -> frozenset:
     if isinstance(e, Project):
         return frozenset(a for a, _ in e.assigns)
-    if isinstance(e, Extend):
-        return sch(e.of) | frozenset(a for a, _ in e.assigns)
-    if isinstance(e, Rename):
-        olds = frozenset(old for _, old in e.mapping)
-        news = frozenset(new for new, _ in e.mapping)
-        return (sch(e.of) - olds) | news
-    if isinstance(e, DropAttrs):
-        return sch(e.of) - e.attrs
     if isinstance(e, (Select, Distinct, Group)):
         return sch(e.of)
     if isinstance(e, (TypeTable, ScalarTable)):
@@ -367,31 +350,12 @@ def evaluate(e: RelExpr, pop: Population, outer: Tup = EMPTY_TUP) -> Relation:
 def _eval_body(e: RelExpr, pop: Population, outer: Tup) -> Bag:
     if isinstance(e, Project):
         return _project(e.assigns, e.of, pop, outer)
-    if isinstance(e, Extend):
-        base = sch(e.of)
-        assigns = tuple(def_map(base).items()) + e.assigns
-        # overwrite semantics: later assignments win
-        merged: dict[AttrName, RaScalar] = {}
-        for a, expr in assigns:
-            merged[a] = expr
-        return _project(tuple(merged.items()), e.of, pop, outer)
-    if isinstance(e, Rename):
-        olds = {old for _, old in e.mapping}
-        keep = [(a, Attr(a)) for a in sch(e.of) if a not in olds]
-        assigns = tuple(keep) + tuple((new, Attr(old)) for new, old in e.mapping)
-        merged = {}
-        for a, expr in assigns:
-            merged[a] = expr
-        return _project(tuple(merged.items()), e.of, pop, outer)
-    if isinstance(e, DropAttrs):
-        keep = sch(e.of) - e.attrs
-        return _project(tuple((a, Attr(a)) for a in keep), e.of, pop, outer)
     if isinstance(e, Select):
-        out = Bag()
-        for u, n in _eval_body(e.of, pop, outer).items():
-            if is_true(eval_cond(e.cond, pop, outer.overwrite(u))):
-                out = out.union(Bag.from_counts([(u, n)]))
-        return out
+        return Bag.from_counts(
+            (u, n)
+            for u, n in _eval_body(e.of, pop, outer).items()
+            if is_true(eval_cond(e.cond, pop, outer.overwrite(u)))
+        )
     if isinstance(e, TypeTable):
         pop.schema.check_type(e.tid)
         instances = pop.instances(e.tid).to_set()
@@ -421,12 +385,11 @@ def _eval_body(e: RelExpr, pop: Population, outer: Tup) -> Bag:
 
 
 def _project(assigns: tuple, of: RelExpr, pop: Population, outer: Tup) -> Bag:
-    out = Bag()
+    rows = []
     for u, n in _eval_body(of, pop, outer).items():
         env = outer.overwrite(u)
-        tup = Tup({a: eval_scalar(expr, pop, env) for a, expr in assigns})
-        out = out.union(Bag.from_counts([(tup, n)]))
-    return out
+        rows.append((Tup({a: eval_scalar(expr, pop, env) for a, expr in assigns}), n))
+    return Bag.from_counts(rows)
 
 
 def _group(by: frozenset, of: RelExpr, pop: Population, outer: Tup) -> Bag:
@@ -436,18 +399,15 @@ def _group(by: frozenset, of: RelExpr, pop: Population, outer: Tup) -> Bag:
     if missing:
         raise EvalError(f"grouping attributes not in header: {sorted(missing)}")
     rest = header - by
-    groups: dict[Tup, dict[AttrName, Bag]] = {}
+    groups: dict[Tup, list[tuple[Tup, int]]] = {}
     for u, n in body.items():
-        key = u.restrict(by)
-        per_attr = groups.setdefault(key, {a: Bag() for a in rest})
-        for a in rest:
-            per_attr[a] = per_attr[a].union(Bag.from_counts([(u.value(a), n)]))
-    out = Bag()
-    for key, per_attr in groups.items():
-        m = {a: key.value(a) for a in by}
-        m.update({a: GroupedBag(bag) for a, bag in per_attr.items()})
-        out = out.union(Bag([Tup(m)]))
-    return out
+        groups.setdefault(u.restrict(by), []).append((u, n))
+    out = []
+    for key, rows in groups.items():
+        m = dict(key.items())
+        m.update({a: GroupedBag(Bag.from_counts((u.value(a), n) for u, n in rows)) for a in rest})
+        out.append(Tup(m))
+    return Bag(out)
 
 
 def _join(left: RelExpr, right: RelExpr, pop: Population, outer: Tup, left_outer: bool) -> Bag:
@@ -455,19 +415,17 @@ def _join(left: RelExpr, right: RelExpr, pop: Population, outer: Tup, left_outer
     rb = _eval_body(right, pop, outer)
     ls, rs = sch(left), sch(right)
     shared = ls & rs
-    right_only = rs - ls
-    out = Bag()
+    pad = Tup({a: NULL for a in rs - ls})
+    rows = []
     for u, n in lb.items():
         matched = False
         for v, m in rb.items():
             if all(u.value(a) == v.value(a) for a in shared):
                 matched = True
-                merged = u.overwrite(v)
-                out = out.union(Bag.from_counts([(merged, n * m)]))
+                rows.append((u.overwrite(v), n * m))
         if left_outer and not matched:
-            pad = Tup({a: NULL for a in right_only})
-            out = out.union(Bag.from_counts([(u.overwrite(pad), n)]))
-    return out
+            rows.append((u.overwrite(pad), n))
+    return Bag.from_counts(rows)
 
 
 # ---------------------------------------------------------------------------

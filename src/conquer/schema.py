@@ -35,10 +35,6 @@ ANY_VALUE_TYPE: TypeId = "~Any"
 FRESH_PREFIX = "~"
 
 
-def is_fresh_attr(a: AttrName) -> bool:
-    return a.startswith(FRESH_PREFIX)
-
-
 @dataclass(frozen=True)
 class TypeInfo:
     tid: TypeId
@@ -128,9 +124,6 @@ class Schema:
 
     # -- basic accessors -------------------------------------------------
 
-    def has_type(self, x: TypeId) -> bool:
-        return x in self.types
-
     def check_type(self, x: TypeId) -> None:
         if x not in self.types:
             raise SchemaError(f"unknown type {x!r}")
@@ -171,9 +164,6 @@ class Schema:
     def user_types(self) -> list[TypeId]:
         return [t for t in self.types if t not in (ANY_VALUE_TYPE,)]
 
-    def all_value_types(self) -> list[TypeId]:
-        return [t for t, info in self.types.items() if info.is_value_type]
-
     # -- name lookups ----------------------------------------------------
 
     def lookup_type(self, name: str) -> TypeId | None:
@@ -212,12 +202,6 @@ class Schema:
                         continue
                 out.append(entry)
         return out
-
-    def lookup_var(self, name: str) -> AttrName | None:
-        for a, n in self.naming.vnm.items():
-            if n == name:
-                return a
-        return None
 
     def mfix_for_roles(self, roles: tuple[RoleId, ...]) -> list[MFixEntry]:
         return [e for e in self.naming.mfix if e.roles == roles]

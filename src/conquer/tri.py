@@ -45,10 +45,6 @@ def t_implies(a: Tri, b: Tri) -> Tri:
     return t_or(t_not(a), b)
 
 
-def t_iff(a: Tri, b: Tri) -> Tri:
-    return t_and(t_implies(a, b), t_implies(b, a))
-
-
 def is_true(a: Tri) -> bool:
     """Filter semantics: UNKNOWN excludes."""
     return a is True

@@ -100,10 +100,6 @@ def _is_typeish(e: Any) -> bool:
     return isinstance(e, (P.TypeAtom, P.Denote))
 
 
-def _typeish_tid(e: Any) -> str:
-    return e.tid
-
-
 def _postfix_for(schema: Schema, e: Any) -> str | None:
     if isinstance(e, P.RoleEntry):
         return schema.naming.post.get(schema.player(e.rid))

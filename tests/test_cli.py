@@ -5,7 +5,8 @@ import json
 import pytest
 
 from conquer.cli import Session, execute, load_full_schema, main, run_query
-from conquer.errors import AmbiguityError, ConquerError
+from conquer.errors import AmbiguityError, ConquerError, ParseError
+from conquer.frontend.parser import MAX_NESTING
 from conquer.population import load_population
 from conquer.schema import load_schema
 
@@ -128,6 +129,17 @@ class TestRunQuery:
         lines = out.splitlines()
         assert lines[0].split() == ["HEAD", "|", "TAIL"]
         assert lines[-1] == "(0 rows)"
+
+    def test_deep_nesting_is_a_parse_error(self, session):
+        with pytest.raises(ParseError) as info:
+            run_query(session, "(" * 80 + "a Person" + ")" * 80)
+        assert (info.value.line, info.value.column) == (1, MAX_NESTING + 1)
+        out = run_query(session, "(" * 50 + "a Person" + ")" * 50)
+        assert out.splitlines()[-1] == "(6 rows)"
+
+    def test_needs_a_schema(self):
+        with pytest.raises(ConquerError, match="load a schema first"):
+            run_query(Session(), "a Person")
 
     def test_csv_format(self, session):
         session.out_format = "csv"

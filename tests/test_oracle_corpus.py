@@ -93,17 +93,18 @@ def gen_schema(rng: random.Random):
 POOLS = {"VA": [0, 1, 2, 3], "VB": [10, 11, 12, 13]}
 
 
-def gen_pop(rng: random.Random, schema):
+def gen_pop(rng: random.Random, schema, pools=POOLS, max_rows: int = 4):
+    """Up to ``max_rows`` instances per type, drawn from ``pools``."""
     doc: dict = {}
     for v in ("VA", "VB"):
-        k = rng.randrange(0, 5)
-        doc[schema.naming.tnm[v]] = rng.sample(POOLS[v], k)
+        k = rng.randrange(0, min(max_rows, len(pools[v])) + 1)
+        doc[schema.naming.tnm[v]] = rng.sample(pools[v], k)
     for f, (ra, rb) in ((f, schema.roles_of[f]) for f in schema.roles_of):
-        pa = POOLS[schema.player(ra)]
-        pb = POOLS[schema.player(rb)]
+        pa = pools[schema.player(ra)]
+        pb = pools[schema.player(rb)]
         combos = [(a, b) for a in pa for b in pb]
         rng.shuffle(combos)
-        doc[f] = [{ra: a, rb: b} for a, b in combos[: rng.randrange(0, 5)]]
+        doc[f] = [{ra: a, rb: b} for a, b in combos[: rng.randrange(0, max_rows + 1)]]
     return load_population(schema, doc)
 
 

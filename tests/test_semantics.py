@@ -332,6 +332,11 @@ class TestMacros:
         out = expand_macro(work_schema, "both", [arg], fresh=lambda: "~b1")
         assert out == PathUnion(Concat(AttrAtom("~b1"), arg), Concat(AttrAtom("~b1"), arg))
 
+    def test_default_fresh_names_restart_per_expansion(self, work_schema):
+        work_schema.macros["both"] = Macro("both", ("a",), PathUnion(AttrAtom("a"), AttrAtom("a")), "path")
+        first = expand_macro(work_schema, "both", [TypeAtom("Person")])
+        assert first == expand_macro(work_schema, "both", [TypeAtom("Person")])
+
     def test_arity_mismatch(self, work_schema):
         work_schema.macros["m"] = Macro("m", ("a",), AttrAtom("a"), "path")
         with pytest.raises(MacroError, match="expects 1"):
