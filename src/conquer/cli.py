@@ -155,13 +155,10 @@ def run_query(session: Session, text: str) -> str:
         translator = P.Translator(schema, typing)
         compiled = [translator.scalar(e, frozenset(relation.header)) for e in interp.projection]
         header = labels
-        rows = []
-        for t in ordered:
-            row = []
-            for c in compiled:
-                value = ra.eval_scalar(c, pop, t)
-                row.append(_cell_text(value, pop, session.null_token))
-            rows.append(row)
+        rows = [
+            [_cell_text(value, pop, session.null_token) for value in values]
+            for values in ra.eval_scalars(compiled, pop, ordered)
+        ]
     else:
         header = ["HEAD"] + [interp.vnm[a] for a in named] + ["TAIL"]
         attrs = [P.HD] + named + [P.TL]
@@ -284,6 +281,12 @@ def execute(session: Session, line: str) -> str:
     return run_query(session, line)
 
 
+def _internal_error(e: Exception) -> str:
+    """The report of an error that is not a ConquerError: a fault of the
+    engine, not of its input."""
+    return f"[internal] {type(e).__name__}: {e}"
+
+
 def repl(session: Session) -> int:
     while True:
         try:
@@ -299,6 +302,8 @@ def repl(session: Session) -> int:
                 print(output)
         except ConquerError as e:
             print(str(e))
+        except Exception as e:  # keep the REPL alive whatever went wrong
+            print(_internal_error(e))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConquerError, OSError, json.JSONDecodeError) as e:
         print(str(e), file=sys.stderr)
         return 1
+    except Exception as e:
+        print(_internal_error(e), file=sys.stderr)
+        return 1
 
     if args.query is not None:
         try:
@@ -338,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         except ConquerError as e:
             print(str(e), file=sys.stderr)
+            return 1
+        except Exception as e:
+            print(_internal_error(e), file=sys.stderr)
             return 1
 
     return repl(session)

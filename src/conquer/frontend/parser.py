@@ -815,24 +815,42 @@ class Parser:
         return out
 
 
-# The parser and the tree walks after it recurse once per nesting level, so
-# deeper nesting is refused before it can exhaust the Python stack.
+# The parser and the tree walks after it recurse once per nesting level:
+# once per bracket, and once per operator of a chain such as "x + x + x" or
+# "NOT NOT c".  Brackets nested more than MAX_NESTING deep, and trees that
+# can be more than MAX_DEPTH levels deep, are refused before they can
+# exhaust the Python stack.
 MAX_NESTING = 50
+MAX_DEPTH = 210
+
+_OPERATOR_WORDS = {"NOT", "IS", *VALUECOMP_WORDS, *SETOP_WORDS, *SETCOMP_WORDS, *LOGIC_WORDS}
 
 
 def _check_nesting(tokens: list[Token]) -> None:
-    depth = 0
+    # per open bracket level: its operators so far, and the depth of the
+    # deepest bracketed level closed inside it
+    levels = [[0, 0]]
     for t in tokens:
-        if t.kind != "punct":
-            continue
-        if t.text in "([":
-            depth += 1
-            if depth > MAX_NESTING:
+        if t.kind == "punct" and t.text in "([":
+            if len(levels) > MAX_NESTING:
                 raise ParseError(
                     f"parentheses nested more than {MAX_NESTING} deep", line=t.line, column=t.column
                 )
-        elif t.text in ")]" and depth:
-            depth -= 1
+            levels.append([0, 0])
+        elif t.kind == "punct" and t.text in ")]" and len(levels) > 1:
+            ops, inner = levels.pop()
+            levels[-1][1] = max(levels[-1][1], 1 + ops + inner)
+        elif t.kind == "symbol" or (t.kind == "keyword" and t.text in _OPERATOR_WORDS):
+            levels[-1][0] += 1
+            # a level is at most as deep as its operators plus its deepest
+            # bracket, and an open bracket may still end up the deepest
+            depth = -1
+            for ops, inner in reversed(levels):
+                depth = ops + max(inner, depth + 1)
+            if depth > MAX_DEPTH:
+                raise ParseError(
+                    f"operators nested more than {MAX_DEPTH} deep", line=t.line, column=t.column
+                )
 
 
 def parse_records(tokens: list[Token], schema: Schema) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Union as TUnion
+from typing import Any, Iterable, Iterator, Union as TUnion
 
 from .bag import Bag, bag_avg, bag_max, bag_min, bag_sum
 from .errors import EvalError
@@ -32,7 +32,7 @@ class Tup:
 
     def __init__(self, mapping: dict[AttrName, Any] | None = None):
         self._m = dict(mapping or {})
-        self._hash = hash(frozenset(self._m.items()))
+        self._hash = None  # computed when first needed: most tuples are never hashed
 
     def value(self, a: AttrName) -> Any:
         try:
@@ -51,9 +51,7 @@ class Tup:
 
     def overwrite(self, other: "Tup") -> "Tup":
         """t x u: entries of ``other`` win over entries of ``self``."""
-        m = {a: v for a, v in self._m.items() if a not in other._m}
-        m.update(other._m)
-        return Tup(m)
+        return _own({**self._m, **other._m})
 
     def items(self):
         return self._m.items()
@@ -65,11 +63,21 @@ class Tup:
         return isinstance(other, Tup) and self._m == other._m
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._m.items()))
         return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}={v!r}" for a, v in sorted(self._m.items()))
         return f"({inner})"
+
+
+def _own(m: dict[AttrName, Any]) -> Tup:
+    """A tuple that takes ``m`` over without copying it."""
+    t = Tup.__new__(Tup)
+    t._m = m
+    t._hash = None
+    return t
 
 
 EMPTY_TUP = Tup()
@@ -318,141 +326,296 @@ def DropAttrs(attrs, of: RelExpr) -> Project:
 
 
 def sch(e: RelExpr) -> frozenset:
+    return _sch(e, {})
+
+
+def _sch(e: RelExpr, known: dict[int, frozenset]) -> frozenset:
+    """The header of ``e``; ``known`` holds the headers already computed,
+    by node identity, so a shared sub-plan is visited once."""
+    h = known.get(id(e))
+    if h is not None:
+        return h
     if isinstance(e, Project):
-        return frozenset(a for a, _ in e.assigns)
-    if isinstance(e, (Select, Distinct, Group)):
-        return sch(e.of)
-    if isinstance(e, (TypeTable, ScalarTable)):
-        return frozenset({e.attr})
-    if isinstance(e, (Join, LeftJoin)):
-        return sch(e.left) | sch(e.right)
-    if isinstance(e, (Union, Intersect, Diff)):
-        ls, rs = sch(e.left), sch(e.right)
-        if ls != rs:
-            missing = sorted(ls.symmetric_difference(rs))
+        h = frozenset(a for a, _ in e.assigns)
+    elif isinstance(e, (Select, Distinct, Group)):
+        h = _sch(e.of, known)
+    elif isinstance(e, (TypeTable, ScalarTable)):
+        h = frozenset({e.attr})
+    elif isinstance(e, (Join, LeftJoin)):
+        h = _sch(e.left, known) | _sch(e.right, known)
+    elif isinstance(e, (Union, Intersect, Diff)):
+        h, rs = _sch(e.left, known), _sch(e.right, known)
+        if h != rs:
+            missing = sorted(h.symmetric_difference(rs))
             raise EvalError(f"incompatible headers: {missing}")
-        return ls
-    if isinstance(e, Literal):
-        return e.relation.header
-    raise EvalError(f"unknown relational expression {e!r}")
+    elif isinstance(e, Literal):
+        h = e.relation.header
+    else:
+        raise EvalError(f"unknown relational expression {e!r}")
+    known[id(e)] = h
+    return h
 
 
 # ---------------------------------------------------------------------------
 # Val
+#
+# Every top-level call evaluates in one private context.  The context keeps,
+# by node identity, the header of each relational expression and the outer
+# attributes each node reads (its free attributes), and memoises the results
+# of the nodes that can be reached more than once: nodes with more than one
+# parent and nodes under a per-row scalar or condition.  A result depends on
+# the outer tuple only through the free attributes, so it is computed once
+# per distinct binding of them.  The context, memo included, is dropped when
+# the call returns.
 
 
 def evaluate(e: RelExpr, pop: Population, outer: Tup = EMPTY_TUP) -> Relation:
-    header = sch(e)
-    body = _eval_body(e, pop, outer)
-    return Relation(header, body)
-
-
-def _eval_body(e: RelExpr, pop: Population, outer: Tup) -> Bag:
-    if isinstance(e, Project):
-        return _project(e.assigns, e.of, pop, outer)
-    if isinstance(e, Select):
-        return Bag.from_counts(
-            (u, n)
-            for u, n in _eval_body(e.of, pop, outer).items()
-            if is_true(eval_cond(e.cond, pop, outer.overwrite(u)))
-        )
-    if isinstance(e, TypeTable):
-        pop.schema.check_type(e.tid)
-        instances = pop.instances(e.tid).to_set()
-        return Bag.from_counts([(Tup({e.attr: i}), 1) for i, _ in instances.items()])
-    if isinstance(e, Distinct):
-        return _eval_body(e.of, pop, outer).to_set()
-    if isinstance(e, Group):
-        return _group(e.by, e.of, pop, outer)
-    if isinstance(e, Join):
-        return _join(e.left, e.right, pop, outer, left_outer=False)
-    if isinstance(e, LeftJoin):
-        return _join(e.left, e.right, pop, outer, left_outer=True)
-    if isinstance(e, (Union, Intersect, Diff)):
-        sch(e)  # header compatibility check
-        lb = _eval_body(e.left, pop, outer)
-        rb = _eval_body(e.right, pop, outer)
-        if isinstance(e, Union):
-            return lb.union(rb)
-        if isinstance(e, Intersect):
-            return lb.intersect(rb)
-        return lb.difference(rb)
-    if isinstance(e, ScalarTable):
-        return Bag([Tup({e.attr: eval_scalar(e.expr, pop, outer)})])
-    if isinstance(e, Literal):
-        return e.relation.body
-    raise EvalError(f"unknown relational expression {e!r}")
-
-
-def _project(assigns: tuple, of: RelExpr, pop: Population, outer: Tup) -> Bag:
-    rows = []
-    for u, n in _eval_body(of, pop, outer).items():
-        env = outer.overwrite(u)
-        rows.append((Tup({a: eval_scalar(expr, pop, env) for a, expr in assigns}), n))
-    return Bag.from_counts(rows)
-
-
-def _group(by: frozenset, of: RelExpr, pop: Population, outer: Tup) -> Bag:
-    body = _eval_body(of, pop, outer)
-    header = sch(of)
-    missing = by - header
-    if missing:
-        raise EvalError(f"grouping attributes not in header: {sorted(missing)}")
-    rest = header - by
-    groups: dict[Tup, list[tuple[Tup, int]]] = {}
-    for u, n in body.items():
-        groups.setdefault(u.restrict(by), []).append((u, n))
-    out = []
-    for key, rows in groups.items():
-        m = dict(key.items())
-        m.update({a: GroupedBag(Bag.from_counts((u.value(a), n) for u, n in rows)) for a in rest})
-        out.append(Tup(m))
-    return Bag(out)
-
-
-def _join(left: RelExpr, right: RelExpr, pop: Population, outer: Tup, left_outer: bool) -> Bag:
-    lb = _eval_body(left, pop, outer)
-    rb = _eval_body(right, pop, outer)
-    ls, rs = sch(left), sch(right)
-    shared = ls & rs
-    pad = Tup({a: NULL for a in rs - ls})
-    rows = []
-    for u, n in lb.items():
-        matched = False
-        for v, m in rb.items():
-            if all(u.value(a) == v.value(a) for a in shared):
-                matched = True
-                rows.append((u.overwrite(v), n * m))
-        if left_outer and not matched:
-            rows.append((u.overwrite(pad), n))
-    return Bag.from_counts(rows)
-
-
-# ---------------------------------------------------------------------------
-# Expr
-
-_ARITH = {"+", "-", "*", "/"}
+    ctx = _Context(pop, [e], per_row=False)
+    header = ctx.header(e)
+    return Relation(header, ctx.body(e, outer))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, t: Tup) -> Any:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Attr):
-        return t.value(expr.attr)
-    if isinstance(expr, AttrRole):
-        v = t.value(expr.attr)
-        if not isinstance(v, FactInstance):
-            raise EvalError(f"attribute {expr.attr!r} is not a relationship instance")
-        if expr.role not in v:
-            raise EvalError(f"relationship instance not defined for role {expr.role!r}")
-        return v[expr.role]
-    if isinstance(expr, Count):
-        return evaluate(expr.of, pop, t).body.cardinality()
-    if isinstance(expr, (Sum, Min, Max, Avg)):
-        rel = evaluate(expr.of, pop, t)
-        if expr.attr not in rel.header:
+    return _Context(pop, [expr], per_row=False).scalar(expr, t)
+
+
+def eval_cond(cond: RaCond, pop: Population, t: Tup) -> Tri:
+    return _Context(pop, [cond], per_row=False).cond(cond, t)
+
+
+def eval_scalars(exprs: list[RaScalar], pop: Population, tuples: Iterable[Tup]) -> Iterator[list[Any]]:
+    """``eval_scalar`` of every expression on each tuple in turn, all in one
+    context, so that a subquery is not evaluated again for every tuple."""
+    ctx = _Context(pop, exprs, per_row=True)
+    for t in tuples:
+        yield [ctx.scalar(e, t) for e in exprs]
+
+
+# the nodes whose results are memoised: relational expressions, and the
+# scalars and conditions that evaluate one
+_SUBQUERY = RelExpr.__args__ + (Count, Sum, Min, Max, Avg, BagCompare, Member)
+_AGGREGATES = (Count, Sum, Min, Max, Avg)
+_MISSING = object()
+
+
+def _parts(x) -> tuple[tuple, tuple]:
+    """The expressions directly inside ``x``: those evaluated against x's
+    own outer tuple, and those evaluated once per row of x's operand."""
+    if isinstance(x, Project):
+        return (x.of,), tuple(s for _, s in x.assigns)
+    if isinstance(x, Select):
+        return (x.of,), (x.cond,)
+    if isinstance(x, (Distinct, Group, Count, Sum, Min, Max, Avg, Not)):
+        return (x.of,), ()
+    if isinstance(x, (Join, LeftJoin, Union, Intersect, Diff, Compare, BagCompare, Connect)):
+        return (x.left, x.right), ()
+    if isinstance(x, Member):
+        return (x.elem, x.of), ()
+    if isinstance(x, ScalarTable):
+        return (x.expr,), ()
+    if isinstance(x, Apply):
+        return x.args, ()
+    return (), ()
+
+
+def _repeatable(roots: list, per_row: bool) -> set[int]:
+    """Ids of the subquery nodes under ``roots`` that one context can reach
+    more than once: those with more than one parent and those under a
+    per-row scalar or condition.  Each distinct node is expanded at most
+    twice, once outside and once under a per-row expression."""
+    parents: dict[int, int] = {}
+    out: set[int] = set()
+    expanded: set[tuple[int, bool]] = set()
+    stack = [(r, per_row) for r in roots]
+    while stack:
+        x, under = stack.pop()
+        k = id(x)
+        if isinstance(x, _SUBQUERY):
+            parents[k] = parents.get(k, 0) + 1
+            if under or parents[k] > 1:
+                out.add(k)
+        if (k, under) in expanded:
+            continue
+        expanded.add((k, under))
+        direct, per_row_parts = _parts(x)
+        stack.extend((c, under) for c in direct)
+        stack.extend((c, True) for c in per_row_parts)
+    return out
+
+
+class _Context:
+    def __init__(self, pop: Population, roots: list, per_row: bool):
+        self.pop = pop
+        self.roots = roots  # keeps every node alive, so no id is reused
+        self.headers: dict[int, frozenset] = {}
+        self.frees: dict[int, frozenset | None] = {}
+        self.memo: dict[tuple, Any] = {}
+        self.repeatable = _repeatable(roots, per_row)
+
+    def header(self, e: RelExpr) -> frozenset:
+        return _sch(e, self.headers)
+
+    def free(self, x) -> frozenset | None:
+        """The outer attributes that ``x`` reads; None when a header inside
+        ``x`` is invalid (``x`` is then evaluated without the memo and
+        raises where it did before)."""
+        k = id(x)
+        if k in self.frees:
+            return self.frees[k]
+        if isinstance(x, (Attr, AttrRole)):
+            f = frozenset({x.attr})
+        else:
+            direct, per_row_parts = _parts(x)
+            f, g = self._free_of(direct), self._free_of(per_row_parts)
+            if per_row_parts and g is not None:
+                try:
+                    g = g - self.header(x.of)
+                except EvalError:
+                    g = None
+            f = None if f is None or g is None else f | g
+        self.frees[k] = f
+        return f
+
+    def _free_of(self, parts) -> frozenset | None:
+        out = frozenset()
+        for p in parts:
+            f = self.free(p)
+            if f is None:
+                return None
+            out |= f
+        return out
+
+    def _cached(self, compute, x, t: Tup) -> Any:
+        """``compute(x, t)``, memoised on x and the values of t on x's free
+        attributes when x is repeatable.  A value is keyed with its type, so
+        that 1, 1.0 and Fraction(1) get entries of their own."""
+        if id(x) not in self.repeatable:
+            return compute(x, t)
+        free = self.free(x)
+        if free is None:
+            return compute(x, t)
+        m = t._m
+        key = (id(x), tuple((type(v), v) for v in (m.get(a, _MISSING) for a in free)))
+        out = self.memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = self.memo[key] = compute(x, t)
+        return out
+
+    # -- relational expressions ------------------------------------------
+
+    def body(self, e: RelExpr, outer: Tup) -> Bag:
+        return self._cached(self._body, e, outer)
+
+    def _body(self, e: RelExpr, outer: Tup) -> Bag:
+        if isinstance(e, Project):
+            scalar = self.scalar
+            return Bag.from_counts(
+                (_own({a: scalar(s, env) for a, s in e.assigns}), n) for _, n, env in self._rows(e, outer)
+            )
+        if isinstance(e, Select):
+            cond = self.cond
+            return Bag.from_counts((u, n) for u, n, env in self._rows(e, outer) if is_true(cond(e.cond, env)))
+        if isinstance(e, TypeTable):
+            self.pop.schema.check_type(e.tid)
+            return Bag.from_counts((_own({e.attr: i}), 1) for i in self.pop.instances(e.tid).distinct())
+        if isinstance(e, Distinct):
+            return self.body(e.of, outer).to_set()
+        if isinstance(e, Group):
+            return self._group(e, outer)
+        if isinstance(e, (Join, LeftJoin)):
+            return self._join(e, outer)
+        if isinstance(e, (Union, Intersect, Diff)):
+            self.header(e)  # header compatibility check
+            lb = self.body(e.left, outer)
+            rb = self.body(e.right, outer)
+            if isinstance(e, Union):
+                return lb.union(rb)
+            if isinstance(e, Intersect):
+                return lb.intersect(rb)
+            return lb.difference(rb)
+        if isinstance(e, ScalarTable):
+            return Bag([_own({e.attr: self.scalar(e.expr, outer)})])
+        if isinstance(e, Literal):
+            return e.relation.body
+        raise EvalError(f"unknown relational expression {e!r}")
+
+    def _rows(self, e: Project | Select, outer: Tup) -> Iterator[tuple[Tup, int, Tup]]:
+        """The rows of e's operand with their multiplicities, each with the
+        tuple e's scalars or condition see: the row over the outer tuple,
+        or the row alone when they read nothing of the outer tuple."""
+        rows = self.body(e.of, outer).items()
+        reads = self._free_of(_parts(e)[1])
+        if reads is not None and reads.isdisjoint(outer._m):
+            return ((u, n, u) for u, n in rows)
+        return ((u, n, outer.overwrite(u)) for u, n in rows)
+
+    def _group(self, e: Group, outer: Tup) -> Bag:
+        body = self.body(e.of, outer)
+        header = self.header(e.of)
+        missing = e.by - header
+        if missing:
+            raise EvalError(f"grouping attributes not in header: {sorted(missing)}")
+        rest = header - e.by
+        groups: dict[Tup, list[tuple[Tup, int]]] = {}
+        for u, n in body.items():
+            groups.setdefault(u.restrict(e.by), []).append((u, n))
+        out = []
+        for key, rows in groups.items():
+            m = dict(key.items())
+            m.update({a: GroupedBag(Bag.from_counts((u.value(a), n) for u, n in rows)) for a in rest})
+            out.append(_own(m))
+        return Bag(out)
+
+    def _join(self, e: Join | LeftJoin, outer: Tup) -> Bag:
+        """Hash join on the shared attributes: the right operand is indexed
+        by its values on them and probed with each left row, so the rows
+        come out in nested-loop order.  NULL matches NULL; with nothing
+        shared, every row matches every row."""
+        lb = self.body(e.left, outer)
+        rb = self.body(e.right, outer)
+        ls, rs = self.header(e.left), self.header(e.right)
+        shared = tuple(ls & rs)
+        index: dict[tuple, list[tuple[Tup, int]]] = {}
+        for v, m in rb.items():
+            index.setdefault(tuple(v.value(a) for a in shared), []).append((v, m))
+        pad = _own({a: NULL for a in rs - ls}) if isinstance(e, LeftJoin) else None
+        rows = []
+        for u, n in lb.items():
+            matches = index.get(tuple(u.value(a) for a in shared)) if index else None
+            if matches:
+                rows.extend((u.overwrite(v), n * m) for v, m in matches)
+            elif pad is not None:
+                rows.append((u.overwrite(pad), n))
+        return Bag.from_counts(rows)
+
+    # -- scalars and conditions ----------------------------------------------
+
+    def scalar(self, expr: RaScalar, t: Tup) -> Any:
+        if isinstance(expr, Attr):
+            return t.value(expr.attr)
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, AttrRole):
+            v = t.value(expr.attr)
+            if not isinstance(v, FactInstance):
+                raise EvalError(f"attribute {expr.attr!r} is not a relationship instance")
+            if expr.role not in v:
+                raise EvalError(f"relationship instance not defined for role {expr.role!r}")
+            return v[expr.role]
+        if isinstance(expr, _AGGREGATES):
+            return self._cached(self._aggregate, expr, t)
+        if isinstance(expr, Apply):
+            return _apply(expr.func, [self.scalar(a, t) for a in expr.args])
+        raise EvalError(f"unknown scalar expression {expr!r}")
+
+    def _aggregate(self, expr: Count | Sum | Min | Max | Avg, t: Tup) -> Any:
+        header = self.header(expr.of)
+        body = self.body(expr.of, t)
+        if isinstance(expr, Count):
+            return body.cardinality()
+        if expr.attr not in header:
             raise EvalError(f"unbound attribute {expr.attr!r}")
-        bag = Bag.from_counts((u.value(expr.attr), n) for u, n in rel.rows())
+        bag = Bag.from_counts((u.value(expr.attr), n) for u, n in body.items())
         if isinstance(expr, Sum):
             return bag_sum(bag)
         if isinstance(expr, Min):
@@ -460,12 +623,56 @@ def eval_scalar(expr: RaScalar, pop: Population, t: Tup) -> Any:
         if isinstance(expr, Max):
             return bag_max(bag)
         return bag_avg(bag)
-    if isinstance(expr, Apply):
-        return _apply(expr.func, [eval_scalar(a, pop, t) for a in expr.args], pop, t)
-    raise EvalError(f"unknown scalar expression {expr!r}")
+
+    def cond(self, cond: RaCond, t: Tup) -> Tri:
+        if isinstance(cond, Compare):
+            return _compare(self.scalar(cond.left, t), cond.op, self.scalar(cond.right, t))
+        if isinstance(cond, BagCompare):
+            return self._cached(self._bag_compare, cond, t)
+        if isinstance(cond, Member):
+            return self._cached(self._member, cond, t)
+        if isinstance(cond, Not):
+            return t_not(self.cond(cond.of, t))
+        if isinstance(cond, Connect):
+            a = self.cond(cond.left, t)
+            b = self.cond(cond.right, t)
+            op = {"and": t_and, "or": t_or, "xor": t_xor, "implies": t_implies}.get(cond.op)
+            if op is None:
+                raise EvalError(f"unknown connective {cond.op!r}")
+            return op(a, b)
+        raise EvalError(f"unknown condition {cond!r}")
+
+    def _bag_compare(self, cond: BagCompare, t: Tup) -> Tri:
+        self.header(cond.left)
+        lb = self.body(cond.left, t)
+        self.header(cond.right)
+        rb = self.body(cond.right, t)
+        return _bag_compare(lb, cond.op, rb)
+
+    def _member(self, cond: Member, t: Tup) -> Tri:
+        v = self.scalar(cond.elem, t)
+        if v is NULL:
+            return UNKNOWN
+        header = self.header(cond.of)
+        body = self.body(cond.of, t)
+        if cond.attr not in header:
+            raise EvalError(f"unbound attribute {cond.attr!r}")
+        saw_null = False
+        for u, _ in body.items():
+            x = u.value(cond.attr)
+            if x is NULL:
+                saw_null = True
+            elif x == v:
+                return True
+        return UNKNOWN if saw_null else False
 
 
-def _apply(func: str, args: list[Any], pop: Population, t: Tup) -> Any:
+# ---------------------------------------------------------------------------
+# Expr
+
+_ARITH = {"+", "-", "*", "/"}
+
+def _apply(func: str, args: list[Any]) -> Any:
     if func in _ARITH:
         if len(args) != 2:
             raise EvalError(f"operator {func!r} expects 2 arguments, got {len(args)}")
@@ -505,42 +712,6 @@ def _apply(func: str, args: list[Any], pop: Population, t: Tup) -> Any:
 
 # ---------------------------------------------------------------------------
 # Cond
-
-
-def eval_cond(cond: RaCond, pop: Population, t: Tup) -> Tri:
-    if isinstance(cond, Compare):
-        return _compare(
-            eval_scalar(cond.left, pop, t), cond.op, eval_scalar(cond.right, pop, t)
-        )
-    if isinstance(cond, BagCompare):
-        lb = evaluate(cond.left, pop, t).body
-        rb = evaluate(cond.right, pop, t).body
-        return _bag_compare(lb, cond.op, rb)
-    if isinstance(cond, Member):
-        v = eval_scalar(cond.elem, pop, t)
-        if v is NULL:
-            return UNKNOWN
-        rel = evaluate(cond.of, pop, t)
-        if cond.attr not in rel.header:
-            raise EvalError(f"unbound attribute {cond.attr!r}")
-        saw_null = False
-        for u, _ in rel.rows():
-            x = u.value(cond.attr)
-            if x is NULL:
-                saw_null = True
-            elif x == v:
-                return True
-        return UNKNOWN if saw_null else False
-    if isinstance(cond, Not):
-        return t_not(eval_cond(cond.of, pop, t))
-    if isinstance(cond, Connect):
-        a = eval_cond(cond.left, pop, t)
-        b = eval_cond(cond.right, pop, t)
-        op = {"and": t_and, "or": t_or, "xor": t_xor, "implies": t_implies}.get(cond.op)
-        if op is None:
-            raise EvalError(f"unknown connective {cond.op!r}")
-        return op(a, b)
-    raise EvalError(f"unknown condition {cond!r}")
 
 
 def _compare(a: Any, op: str, b: Any) -> Tri:

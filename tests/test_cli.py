@@ -1,12 +1,14 @@
 """The executable surface: session pipeline, commands, batch mode."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from conquer import cli
 from conquer.cli import Session, execute, load_full_schema, main, run_query
 from conquer.errors import AmbiguityError, ConquerError, ParseError
-from conquer.frontend.parser import MAX_NESTING
+from conquer.frontend.parser import MAX_DEPTH, MAX_NESTING
 from conquer.population import load_population
 from conquer.schema import load_schema
 
@@ -341,3 +343,81 @@ class TestBatchMode:
         code = main(["--schema", str(schema_file), "--ambiguity", "fail", "--query", "Person owns"])
         assert code == 2
         assert "ambiguous" in capsys.readouterr().err
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+DEMO_FILES = ["--schema", str(DEMO / "schema.json"), "--pop", str(DEMO / "population.json")]
+CHAIN_PREFIX = "Person who earns a Salary x WHERE (x"
+
+
+def plus_chain(terms: int) -> str:
+    return CHAIN_PREFIX + " + x" * terms + ") > 5"
+
+
+class TestDeepInput:
+    """Operator chains and negation runs too deep for the Python stack are
+    parse errors with a position; shallower ones answer."""
+
+    @pytest.fixture
+    def demo(self):
+        s = Session()
+        s.load_schema_file(str(DEMO / "schema.json"))
+        s.load_population_file(str(DEMO / "population.json"))
+        return s
+
+    def test_long_operator_chain_answers(self, demo):
+        assert run_query(demo, plus_chain(200)).splitlines()[-1] == "(6 rows)"
+        # the longest chain the limit lets through: its bracket and the
+        # comparison outside it take the other two levels
+        assert run_query(demo, plus_chain(MAX_DEPTH - 2)).splitlines()[-1] == "(6 rows)"
+
+    def test_too_long_operator_chain_is_a_parse_error(self, demo):
+        with pytest.raises(ParseError, match="nested more than") as info:
+            run_query(demo, plus_chain(250))
+        # the operator that first makes the tree too deep
+        column = len(CHAIN_PREFIX) + 4 * (MAX_DEPTH - 1) + 2
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_too_many_negations_are_a_parse_error(self, demo):
+        with pytest.raises(ParseError, match="nested more than") as info:
+            run_query(demo, "NOT " * 400 + "a Person")
+        assert (info.value.line, info.value.column) == (1, 4 * MAX_DEPTH + 1)
+        out = run_query(demo, "Person who earns a Salary x WHERE " + "NOT " * 200 + "x > 1200")
+        assert out.splitlines()[-1] == "(3 rows)"
+
+    def test_batch_mode_reports_deep_input(self, capsys):
+        assert main(DEMO_FILES + ["--query", plus_chain(250)]) == 1
+        assert capsys.readouterr().err.startswith("[parse] operators nested more than")
+        assert main(DEMO_FILES + ["--query", "NOT " * 400 + "a Person"]) == 1
+        assert capsys.readouterr().err.startswith("[parse] operators nested more than")
+        assert main(DEMO_FILES + ["--query", plus_chain(200)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "(6 rows)"
+
+
+class TestInternalErrors:
+    """An error that is not a ConquerError is reported as internal: batch
+    mode exits 1 and the REPL goes on."""
+
+    def test_batch_mode_exits_1(self, monkeypatch, capsys):
+        def broken(session, text):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(cli, "run_query", broken)
+        assert main(DEMO_FILES + ["--query", "a Person"]) == 1
+        assert capsys.readouterr().err.strip() == "[internal] RuntimeError: broken"
+
+    def test_repl_survives(self, monkeypatch, capsys):
+        lines = iter(["first", "a Person", "\\quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
+        execute = cli.execute
+
+        def flaky(session, line):
+            if line == "first":
+                raise RecursionError("maximum recursion depth exceeded")
+            return execute(session, line)
+
+        monkeypatch.setattr(cli, "execute", flaky)
+        assert main(DEMO_FILES) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "[internal] RecursionError: maximum recursion depth exceeded" in out
+        assert out[-1] == "(6 rows)"

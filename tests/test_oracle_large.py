@@ -4,7 +4,9 @@ The corpus generators of ``test_oracle_corpus`` are reused with value
 pools of eight instances per value type and up to twenty instances per
 type, so that joins, groups and selections see bags with multiplicities
 above one.  Each case also averages a numeric-headed path, so that exact
-non-integral fractions are compared too.
+non-integral fractions are compared too, and filters a variable template
+by comparing its variable with an aggregate over a path that ends in the
+same variable: a subquery that depends on the outer row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,20 @@ import random
 from fractions import Fraction
 
 from conquer.errors import TypingError
-from conquer.paths import SAgg, Scalar, infer_typing, translate
+from conquer.paths import (
+    AttrAtom,
+    CScalarComp,
+    RoleEntry,
+    SAgg,
+    Scalar,
+    SVar,
+    TypeAtom,
+    Where,
+    concat,
+    infer_typing,
+    role_exit,
+    translate,
+)
 from conquer.relalg import evaluate
 
 from .oracle import oracle_eval
@@ -30,9 +45,25 @@ def typed(schema, expr):
         return None
 
 
+def correlated(rng: random.Random, schema):
+    """``x`` over a variable template, kept where ``x`` compares with the
+    count, sum or average of a path ending in ``x``; None when no role is
+    played by the variable's type."""
+    gen = Gen(rng, schema)
+    v = rng.choice(["VA", "VB"])
+    rid = next((r for r in gen.roles if schema.player(r) == v), None)
+    if rid is None:
+        return None
+    base = concat(TypeAtom(v), AttrAtom("x"), RoleEntry(rid), role_exit(rid))
+    agg = rng.choice(["count", "sum", "avg"])
+    inner = gen.numeric_headed(2) if agg != "count" else gen.path(2, allow_vars=False)
+    op = rng.choice(["<", "<=", "=", "<>", ">=", ">"])
+    return Where([(base, CScalarComp(SVar("x"), op, SAgg(agg, concat(inner, AttrAtom("x")))))])
+
+
 def make_large_case(index: int):
-    """A schema, a population and typable expressions: a random path and
-    the average over a numeric-headed path."""
+    """A schema, a population and typable expressions: a random path, the
+    average over a numeric-headed path and a correlated filter."""
     rng = random.Random(7_000_019 * (index + 1))
     schema = gen_schema(rng)
     pop = gen_pop(rng, schema, LARGE_POOLS, max_rows=20)
@@ -40,10 +71,11 @@ def make_large_case(index: int):
     for make in (
         lambda: Gen(rng, schema).path(rng.choice([1, 2, 3])),
         lambda: Scalar(SAgg("avg", Gen(rng, schema).numeric_headed(2))),
+        lambda: correlated(rng, schema),
     ):
         for _ in range(20):
             expr = make()
-            typing = typed(schema, expr)
+            typing = expr and typed(schema, expr)
             if typing is not None:
                 exprs.append((expr, typing))
                 break
@@ -54,7 +86,7 @@ def make_large_case(index: int):
 
 def test_oracle_equivalence_large_populations():
     mismatches = []
-    multiplied = fractional = 0
+    multiplied = fractional = correlated_rows = 0
     for i in range(CASES):
         schema, pop, exprs = make_large_case(i)
         for expr, typing in exprs:
@@ -68,7 +100,11 @@ def test_oracle_equivalence_large_populations():
             fractional += any(
                 isinstance(v, Fraction) and v.denominator != 1 for t, _ in rows for _, v in t.items()
             )
+            if "x" in engine.header:  # only the correlated filter names its variable x
+                correlated_rows += len({t.value("x") for t, _ in rows}) > 1
     assert not mismatches, f"{len(mismatches)} oracle mismatches, first: {mismatches[:3]}"
-    # the corpus must actually exercise repeated rows and exact averages
+    # the corpus must actually exercise repeated rows, exact averages and
+    # subqueries evaluated for several values of the outer variable
     assert multiplied > 10
     assert fractional > 10
+    assert correlated_rows > 10

@@ -4,6 +4,7 @@ import pytest
 
 from conquer.bag import Bag
 from conquer.errors import EvalError
+from conquer.population import Population
 from conquer.relalg import (
     Apply,
     Attr,
@@ -39,6 +40,7 @@ from conquer.relalg import (
     def_map,
     eval_cond,
     eval_scalar,
+    eval_scalars,
     evaluate,
     sch,
 )
@@ -188,6 +190,39 @@ class TestJoins:
         out = evaluate(LeftJoin(left, right), pop).body
         assert out == Bag([Tup({"a": 1, "b": "x", "c": 9}), Tup({"a": 2, "b": "y", "c": NULL})])
 
+    def test_null_joins_null(self, pop):
+        left = lit(["a", "b"], (1, NULL), (2, "x"))
+        right = lit(["b", "c"], (NULL, 9), ("y", 8))
+        out = evaluate(Join(left, right), pop).body
+        assert out == Bag([Tup({"a": 1, "b": NULL, "c": 9})])
+
+    def test_multiplicities_multiply(self, pop):
+        left = lit(["a", "b"], (1, "x"), (1, "x"), (2, "y"))
+        right = lit(["b", "c"], ("x", 9), ("x", 9), ("x", 9), ("y", 8))
+        out = evaluate(Join(left, right), pop).body
+        assert out == Bag.from_counts([(Tup({"a": 1, "b": "x", "c": 9}), 6), (Tup({"a": 2, "b": "y", "c": 8}), 1)])
+
+    def test_left_join_pads_and_keeps_multiplicity(self, pop):
+        left = lit(["a", "b"], (1, "x"), (2, "y"), (2, "y"), (2, "y"))
+        right = lit(["b", "c"], ("x", 9))
+        out = evaluate(LeftJoin(left, right), pop).body
+        assert out == Bag.from_counts([(Tup({"a": 1, "b": "x", "c": 9}), 1), (Tup({"a": 2, "b": "y", "c": NULL}), 3)])
+
+    def test_nothing_shared_is_the_cross_product(self, pop):
+        left = lit(["a"], (1,), (1,), (2,))
+        right = lit(["b"], ("x",), ("y",))
+        out = evaluate(Join(left, right), pop).body
+        expected = Bag.from_counts(
+            [(Tup({"a": a, "b": b}), 2 if a == 1 else 1) for a in (1, 2) for b in ("x", "y")]
+        )
+        assert out == expected
+
+    def test_equal_numbers_of_different_types_join(self, pop):
+        left = lit(["a", "b"], (1, "x"))
+        right = lit(["a", "c"], (Fraction(1), 9), (Fraction(2), 8))
+        out = evaluate(Join(left, right), pop).body
+        assert out == Bag([Tup({"a": 1, "b": "x", "c": 9})])
+
     def test_union_family(self, pop):
         p = lit(["a"], (1,), (1,), (2,))
         q = lit(["a"], (1,), (3,))
@@ -258,3 +293,54 @@ class TestConditions:
         src = lit(["a"], (1,), (1,), (2,))
         assert evaluate(Distinct(src), pop).body == rel(["a"], (1,), (2,)).body
         assert evaluate(Distinct(Distinct(src)), pop).body == evaluate(Distinct(src), pop).body
+
+
+class TestRepeatedSubPlans:
+    """A sub-plan reached more than once in one evaluation is evaluated once
+    per distinct binding of the outer attributes it reads."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        schema = make_schema({"types": {"X": "value"}, "naming": {"tnm": {"X": "Num"}}})
+        pop = make_population(schema, {"Num": [1, 2, 3]})
+        calls = []
+        instances = Population.instances
+        monkeypatch.setattr(Population, "instances", lambda self, tid: calls.append(tid) or instances(self, tid))
+        return pop, calls
+
+    def test_correlated_subquery_shares_its_uncorrelated_part(self, counted):
+        pop, calls = counted
+        outer = lit(["a", "c"], *[(a, a % 3) for a in range(1, 10)])
+        # how many instances k are at least the outer row's c
+        sub = Select(Compare(Attr("k"), ">=", Attr("c")), TypeTable("k", "X"))
+        e = Select(Compare(Count(sub), ">", Const(2)), outer)
+        assert evaluate(e, pop).body == rel(["a", "c"], (3, 0), (6, 0), (9, 0), (1, 1), (4, 1), (7, 1)).body
+        assert len(calls) == 1
+
+    def test_shared_node_is_evaluated_once(self, counted):
+        pop, calls = counted
+        x = TypeTable("k", "X")
+        out = evaluate(Union(x, Intersect(x, x)), pop).body
+        assert out == Bag.from_counts([(Tup({"k": k}), 2) for k in (1, 2, 3)])
+        assert len(calls) == 1
+
+    def test_memo_keys_on_the_type_of_a_value(self, pop):
+        expr = Max(ScalarTable("v", Attr("a")), "v")
+        outer = [Tup({"a": 1}), Tup({"a": 1.0}), Tup({"a": Fraction(1)})]
+        values = [v for (v,) in eval_scalars([expr], pop, outer)]
+        assert values == [1, 1, 1]
+        assert [type(v) for v in values] == [int, float, Fraction]
+
+    def test_nothing_is_cached_across_evaluations(self):
+        schema = make_schema({"types": {"X": "value"}, "naming": {"tnm": {"X": "Num"}}})
+        x = TypeTable("k", "X")
+        e = Join(x, x)
+        assert evaluate(e, make_population(schema, {"Num": [1]})).body == Bag([Tup({"k": 1})])
+        assert evaluate(e, make_population(schema, {"Num": [2]})).body == Bag([Tup({"k": 2})])
+
+    def test_an_error_in_a_subquery_is_raised_every_time(self, pop):
+        sub = Select(Compare(Attr("missing"), "=", Const(1)), lit(["k"], (1,)))
+        e = Select(Compare(Count(sub), ">", Const(0)), lit(["a"], (1,), (2,)))
+        for _ in range(2):
+            with pytest.raises(EvalError, match="unbound attribute 'missing'"):
+                evaluate(e, pop)

@@ -1,0 +1,100 @@
+"""Work that must not grow with the population or with sharing in the
+plan, counted rather than timed."""
+
+from __future__ import annotations
+
+import dataclasses
+from pathlib import Path
+
+from conquer import paths as P
+from conquer import relalg as ra
+from conquer.bag import Bag
+from conquer.cli import Session, run_query
+from conquer.population import Population, load_population
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+CORRELATED = (
+    "Person who earns a Salary x AND ALSO works for a Company c "
+    "WHERE x > THE AVERAGE Salary of a Person who works for c"
+)
+
+
+def demo_session() -> Session:
+    session = Session()
+    session.load_schema_file(str(DEMO / "schema.json"))
+    session.load_population_file(str(DEMO / "population.json"))
+    return session
+
+
+def generated_session(persons: int, companies: int = 5) -> tuple[Session, int]:
+    """The demo schema with ``persons`` generated persons spread over
+    ``companies`` companies, and the number of persons who earn more than
+    their company's average."""
+    session = Session()
+    session.load_schema_file(str(DEMO / "schema.json"))
+    names = [f"p{i}" for i in range(persons)]
+    firms = [f"c{j}" for j in range(companies)]
+    salary = {p: 500 * (1 + i % 7) for i, p in enumerate(names)}
+    employer = {p: firms[i % companies] for i, p in enumerate(names)}
+    session.base_pop = load_population(session.schema, {
+        "Person": names,
+        "Company": firms,
+        "F": [{"p1": p, "p2": s} for p, s in salary.items()],
+        "G": [{"q1": p, "q2": c} for p, c in employer.items()],
+    })
+    staff = {c: [salary[p] for p in names if employer[p] == c] for c in firms}
+    above = sum(1 for p in names if salary[p] * len(staff[employer[p]]) > sum(staff[employer[p]]))
+    return session, above
+
+
+def recording(monkeypatch, owner, name: str) -> list:
+    """Record the result of every call of ``owner.name`` in the returned
+    list."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_correlated_subquery_reads_the_population_a_fixed_number_of_times(monkeypatch):
+    cases = [generated_session(n) for n in (20, 80)]
+    calls = recording(monkeypatch, Population, "instances")
+    counts = []
+    for session, above in cases:
+        calls.clear()
+        out = run_query(session, CORRELATED)
+        assert out.splitlines()[-1] == f"({above} rows)"
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def distinct_nodes(plan, kind) -> int:
+    seen: dict[int, object] = {}
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if dataclasses.is_dataclass(node) and type(node).__module__ == ra.__name__:
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+        elif isinstance(node, (tuple, list, frozenset)):
+            stack.extend(node)
+    return sum(isinstance(node, kind) for node in seen.values())
+
+
+def test_shared_intersections_are_evaluated_once_each(monkeypatch):
+    session = demo_session()
+    plans = recording(monkeypatch, P, "translate")
+    calls = recording(monkeypatch, Bag, "intersect")
+    out = run_query(session, "Person who works for a Company c" + " AND ALSO earns a Salary x" * 8)
+    assert out.splitlines()[-1] == "(6 rows)"
+    (plan,) = plans
+    intersections = distinct_nodes(plan, ra.Intersect)
+    assert 0 < intersections < 2**8 - 1
+    assert len(calls) == intersections
