@@ -451,12 +451,6 @@ def _lower_order(order: R.OrderClause | None, env: NameEnv) -> tuple:
     return tuple(keys)
 
 
-def _record_count(rec: Any) -> int:
-    from .records import _children
-
-    return 1 + sum(_record_count(c) for c in _children(rec))
-
-
 _SYMBOL_COMPARATORS = {"<", "<=", "=", "<>", ">=", ">"}
 
 
@@ -470,13 +464,12 @@ def _setwise_symbol_count(rec: Any) -> int:
 
 
 def _dedup_interpretations(schema: Schema, interps: list[Interpretation]) -> list[Interpretation]:
-    # equal path expressions can come from several record shapes (a variable
-    # absorbed into its type specification or kept separate); prefer scalar
-    # readings of shared comparator symbols, then the most compact record
-    # tree, for each distinct lowering
-    ranked = sorted(
-        interps, key=lambda i: (_setwise_symbol_count(i.records), _record_count(i.records))
-    )
+    # the parser gives one record tree per reading; the key still keeps two
+    # record trees that happen to lower alike from being offered as two
+    # readings.  Readings that take a comparator symbol as a scalar
+    # comparison come first, so the pick-first policy and the first listed
+    # reading are the scalar ones
+    ranked = sorted(interps, key=lambda i: _setwise_symbol_count(i.records))
     seen = set()
     out = []
     for i in ranked:

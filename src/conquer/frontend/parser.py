@@ -99,6 +99,11 @@ def to_scalar_record(rec: Any) -> Any | None:
     return None
 
 
+def _dedup(items: list) -> list:
+    """The items in their first-seen order, each once."""
+    return list(dict.fromkeys(items))
+
+
 class Parser:
     def __init__(self, tokens: list[Token], schema: Schema):
         self.toks = tokens
@@ -164,21 +169,12 @@ class Parser:
             return t.text
         return None
 
-    def _dedup(self, results: list) -> list:
-        seen = set()
-        out = []
-        for entry in results:
-            if entry not in seen:
-                seen.add(entry)
-                out.append(entry)
-        return out
-
     def rule(self, name: str, pos: int, fn: Callable[[int], list]) -> list:
         key = (name, pos)
         if key in self.memo:
             return self.memo[key]
         self.memo[key] = []  # cuts accidental left recursion
-        result = self._dedup(fn(pos))
+        result = _dedup(fn(pos))
         self.memo[key] = result
         return result
 
@@ -372,7 +368,16 @@ class Parser:
             out.append((unit, p))
             if final:
                 continue
+            # "Type v" is one TYPE_SPEC that carries v (see _type_spec), not
+            # a type followed by the variable v; "Type (v)" and "Type v.role"
+            # stay concatenations
+            bare = None
+            if isinstance(unit, R.TypeSpec) and unit.var_name is None and unit.denot is None:
+                bare = self.is_variable(p)
             for rest, p2 in self.concat(p):
+                first = rest.left if isinstance(rest, R.BinaryOp) and rest.op == "" else rest
+                if bare is not None and first == R.VarName(bare):
+                    continue
                 out.append((R.BinaryOp("", unit, rest), p2))
         return out
 
@@ -588,6 +593,13 @@ class Parser:
                 if p is None:
                     continue
                 self._mfix_rest(entry, 1, p, (), postfix, out)
+                # dotted disambiguation: first part.FactTypeName
+                p_dot = self.punct(p, ".")
+                if p_dot is not None:
+                    for twords, ftid in self.type_names:
+                        p2 = self.match_words(p_dot, twords)
+                        if p2 is not None and entry.rel == ftid:
+                            self._mfix_rest(entry, 1, p2, (), postfix, out)
         return out
 
     def _mfix_rest(self, entry, part_index: int, pos: int, triples: tuple, postfix, out):
@@ -762,7 +774,7 @@ class Parser:
                 out.append((R.ListStatement(projection, body, None), p1))
                 for order, p2 in self._order_clause(p1):
                     out.append((R.ListStatement(projection, body, order), p2))
-        return self._dedup(out)
+        return _dedup(out)
 
     def _projection(self, pos: int) -> list:
         out = []
@@ -861,7 +873,7 @@ def parse_records(tokens: list[Token], schema: Schema) -> list:
     results += [rec for rec, p in parser.condition(0) if p == len(tokens)]
     if not results:
         raise _parse_error(parser, tokens)
-    return _dedup_records(results)
+    return _dedup(results)
 
 
 def parse_list_records(tokens: list[Token], schema: Schema) -> list:
@@ -884,17 +896,7 @@ def parse_list_records(tokens: list[Token], schema: Schema) -> list:
                         results.append(R.ListStatement(None, rec, order))
     if not results:
         raise _parse_error(parser, tokens)
-    return _dedup_records(results)
-
-
-def _dedup_records(results: list) -> list:
-    seen = set()
-    out = []
-    for r in results:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
+    return _dedup(results)
 
 
 def _parse_error(parser: Parser, tokens: list[Token]) -> ParseError:

@@ -2,8 +2,11 @@
 
 import pytest
 
-from conquer.errors import AmbiguityError, LexError, ParseError, TranslateError
+from conquer.cli import load_full_schema
+from conquer.errors import AmbiguityError, ConquerError, LexError, ParseError, TranslateError
 from conquer.frontend import disambiguate, dump_records, parse, parse_list, tokenize
+from conquer.frontend.lower import _interpret
+from conquer.frontend.parser import parse_list_records, parse_records
 from conquer.frontend.records import Confluence, ListStatement, load_records
 from conquer.paths import (
     Abstract,
@@ -29,8 +32,11 @@ from conquer.paths import (
     role_exit,
 )
 from conquer.schema import load_schema
+from conquer.verbalise import VerbCtx, verbalise
 
 from .conftest import SALARY_DUMP, SALARY_QUERY, fig6_doc, salary_doc
+from .test_cli import eval_schema_doc, plus_chain
+from .test_roundtrip import CASES as RT_CASES, make_case as rt_make_case, rich_doc
 
 
 class TestLexer:
@@ -421,3 +427,82 @@ class TestParseErrors:
         schema = load_schema(fig6_doc("prepost"))
         with pytest.raises(ParseError, match="syntax error"):
             parse("some President WHERE", schema)
+
+
+def homonym_reading_doc() -> dict:
+    """The CLI tests' schema with a second fact type, W (Contract), that
+    is read "employs" like G (Employment)."""
+    doc = eval_schema_doc()
+    doc["types"]["W"] = "relationship"
+    doc["roles_of"]["W"] = ["w1", "w2"]
+    doc["player"].update({"w1": "Person", "w2": "Company"})
+    doc["idf"]["W"] = ["w1", "w2"]
+    doc["naming"]["tnm"].update({"G": "Employment", "W": "Contract"})
+    doc["naming"]["mfix"] += [["G", ["employs"], ["q2", "q1"]], ["W", ["employs"], ["w2", "w1"]]]
+    return doc
+
+
+class TestMixFixHomonym:
+    def test_explained_readings_parse_back(self):
+        schema = load_full_schema(homonym_reading_doc())
+        result = disambiguate(schema, parse_list("Company c employs a Person p", schema))
+        readings = sorted(i.verbalisation for i in result.interpretations)
+        assert readings == [
+            "a Company c employs.Contract a Person p",
+            "a Company c employs.Employment a Person p",
+        ]
+        for interp in result.interpretations:
+            (back,) = parse_list(interp.verbalisation, schema).interpretations
+            assert canonical(back.path) == canonical(interp.path)
+
+    def test_qualifier_must_name_the_reading_fact_type(self):
+        schema = load_full_schema(homonym_reading_doc())
+        with pytest.raises(ParseError):
+            parse_list("a Company c employs.Person a Person p", schema)
+
+
+def round_trip_texts(schema) -> list[str]:
+    """The texts that the round-trip criterion parses."""
+    texts = []
+    for i in range(RT_CASES):
+        p, typing, vnm = rt_make_case(schema, i)
+        texts.append(verbalise(p, VerbCtx(schema, typing, vnm)))
+    return texts
+
+
+CLI_QUERIES = [
+    "LIST a Salary ORDERED ASCENDING",
+    SALARY_QUERY + " ORDERED WITH x ASCENDING",
+    "LIST a Person",
+    "LIST a Salary ORDERED DESCENDING",
+    "LIST HEAD, x / 1000 OF a Person who earns a Salary x ORDERED WITH x ASCENDING",
+    "LIST a Company ORDERED ASCENDING",
+    "a Person who earns a Salary",
+    "SOME a Person who earns a Salary: 77777",
+    "Person who earns a Salary x WHERE " + "NOT " * 20 + "x > 1200",
+    plus_chain(20),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, texts, records",
+    [
+        (salary_doc, [SALARY_QUERY], parse_records),
+        (rich_doc, round_trip_texts, parse_records),
+        (eval_schema_doc, CLI_QUERIES, parse_list_records),
+        (homonym_reading_doc, ["Company c employs a Person p"], parse_list_records),
+    ],
+    ids=["criterion-07", "criterion-09", "cli", "mix-fix-homonym"],
+)
+def test_no_two_record_trees_lower_to_one_path(doc, texts, records):
+    schema = load_full_schema(doc())
+    for text in texts(schema) if callable(texts) else texts:
+        keys = []
+        for rec in records(tokenize(text), schema):
+            try:
+                interp = _interpret(schema, rec)
+            except ConquerError:
+                continue
+            keys.append((canonical(interp.path), interp.projection, interp.order))
+        assert keys, text
+        assert len(set(keys)) == len(keys), text

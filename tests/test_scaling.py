@@ -1,5 +1,5 @@
-"""Work that must not grow with the population or with sharing in the
-plan, counted rather than timed."""
+"""Work that must not grow with the population, with sharing in the plan
+or with the length of a query, counted rather than timed."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ from conquer import paths as P
 from conquer import relalg as ra
 from conquer.bag import Bag
 from conquer.cli import Session, run_query
+from conquer.frontend import parse_list, tokenize
+from conquer.frontend.parser import parse_list_records
 from conquer.population import Population, load_population
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -98,3 +100,26 @@ def test_shared_intersections_are_evaluated_once_each(monkeypatch):
     intersections = distinct_nodes(plan, ra.Intersect)
     assert 0 < intersections < 2**8 - 1
     assert len(calls) == intersections
+
+
+def record_trees(session: Session, text: str) -> int:
+    return len(parse_list_records(tokenize(text), session.schema))
+
+
+def test_and_also_chain_parses_to_one_record_tree():
+    chain = "Person who works for a Company c" + " AND ALSO earns a Salary x" * 20
+    assert record_trees(demo_session(), chain) == 1
+
+
+def test_nested_subqueries_parse_to_one_record_tree():
+    text = "a Person"
+    for _ in range(15):
+        text = f"Person who earns a Salary x WHERE x > THE COUNT OF ({text})"
+    assert record_trees(demo_session(), text) == 1
+
+
+def test_bracketed_variable_after_a_type_is_the_same_reading():
+    schema = demo_session().schema
+    (bare,) = parse_list("Person who earns a Salary x", schema).interpretations
+    (bracketed,) = parse_list("Person who earns a Salary (x)", schema).interpretations
+    assert P.canonical(bare.path) == P.canonical(bracketed.path)
