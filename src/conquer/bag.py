@@ -110,15 +110,6 @@ class Bag:
         out._freq = {e: 1 for e in self._freq}
         return out
 
-    def scaled(self, factor: int) -> "Bag":
-        if factor < 0:
-            raise ValueError("negative scale factor")
-        if factor == 0:
-            return Bag()
-        out = Bag()
-        out._freq = {e: n * factor for e, n in self._freq.items()}
-        return out
-
 
 def from_set(elements: Iterable[Any]) -> Bag:
     """Coerce a set to a bag: every element gets frequency 1."""
@@ -165,8 +156,3 @@ def bag_avg(bag: Bag) -> Any:
         return NULL
     total = sum(Fraction(e) * n for e, n in xs)
     return total / count
-
-
-def bag_card(bag: Bag) -> int:
-    """Tuple-style count: NULL elements count like any other."""
-    return bag.cardinality()

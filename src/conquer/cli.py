@@ -157,12 +157,12 @@ def run_query(session: Session, text: str) -> str:
         header = labels
         rows = [
             [_cell_text(value, pop, session.null_token) for value in values]
-            for values in ra.eval_scalars(compiled, pop, ordered)
+            for values in ra.eval_scalars(compiled, pop, relation.header, ordered)
         ]
     else:
         header = ["HEAD"] + [interp.vnm[a] for a in named] + ["TAIL"]
-        attrs = [P.HD] + named + [P.TL]
-        rows = [[_cell_text(t.value(a), pop, session.null_token) for a in attrs] for t in ordered]
+        slots = [relation.header.index(a) for a in [P.HD] + named + [P.TL]]
+        rows = [[_cell_text(t[i], pop, session.null_token) for i in slots] for t in ordered]
 
     return _render_table(header, rows, session.out_format)
 

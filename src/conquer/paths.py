@@ -1484,16 +1484,14 @@ def apply_derivations(schema: Schema, pop: Population) -> Population:
             body = translate(schema, rule.body, typing)
             projected = ra.Project({r: ra.Attr(a) for r, a in rule.role_attrs}, body)
             relation = ra.evaluate(projected, current)
-            facts = Bag.from_counts(
-                (FactInstance({r: u.value(r) for r, _ in rule.role_attrs}), n)
-                for u, n in relation.rows()
-            )
+            facts = Bag.from_counts((FactInstance(dict(zip(relation.header, u))), n) for u, n in relation.rows())
             current = current.with_population(rule.rel, facts)
         else:
             typing = infer_typing(schema, rule.body)
             body = translate(schema, rule.body, typing)
             relation = ra.evaluate(body, current)
-            heads = Bag.from_counts((u.value(HD), n) for u, n in relation.rows()).to_set()
+            i = relation.header.index(HD)
+            heads = Bag.from_counts((u[i], n) for u, n in relation.rows()).to_set()
             current = current.with_population(rule.tid, heads)
     return current
 
@@ -1512,22 +1510,22 @@ def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
 # ordering
 
 
-def order_result(relation: ra.Relation, spec: Iterable[OrderKey]) -> list[ra.Tup]:
+def order_result(relation: ra.Relation, spec: Iterable[OrderKey]) -> list[tuple]:
     spec = list(spec)
     for key in spec:
         if key.attr not in relation.header:
             raise EvalError(f"unknown order attribute {key.attr!r}")
-    rows: list[ra.Tup] = []
+    rows: list[tuple] = []
     for t, n in relation.rows():
         rows.extend([t] * n)
-    # canonical tiebreak first, then stable per-key sorts from last to first
-    rows.sort(key=lambda t: tuple(sort_key(t.value(a)) for a in sorted(relation.header)))
+    # canonical tiebreak on the row itself first, then stable per-key sorts from last to first
+    rows.sort(key=lambda t: tuple(map(sort_key, t)))
     for key in reversed(spec):
         descending = key.direction == "desc"
 
         # NULL ranks above every value: ascending puts it last, descending first
-        def keyfun(t, a=key.attr):
-            v = t.value(a)
+        def keyfun(t, i=relation.header.index(key.attr)):
+            v = t[i]
             if v is NULL:
                 return (1,)
             return (0,) + sort_key(v)

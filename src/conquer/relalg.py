@@ -1,13 +1,15 @@
 """Bag relational algebra.
 
 Expressions form a small AST; ``sch`` computes the header of an
-expression, ``evaluate`` materialises its bag of tuples against a
-population and an outer tuple (the correlated-subquery environment).
+expression, ``evaluate`` materialises its bag of rows against a
+population and an outer binding (the correlated-subquery environment).
 Scalar expressions and three-valued conditions are evaluated by
 ``eval_scalar`` and ``eval_cond``.
 
-Tuples are partial functions from attribute names to values; every
-relation's body contains tuples defined on exactly its header.
+A row is a plain tuple holding one value per attribute of its relation,
+in the order of the attribute names sorted, so relations with the same
+header share one layout.  An outer binding is a dict from attribute
+names to values.
 """
 
 from __future__ import annotations
@@ -25,75 +27,13 @@ from .values import NULL, FactInstance, GroupedBag, is_number
 AttrName = str
 
 
-class Tup:
-    """An immutable partial map from attribute names to values."""
-
-    __slots__ = ("_m", "_hash")
-
-    def __init__(self, mapping: dict[AttrName, Any] | None = None):
-        self._m = dict(mapping or {})
-        self._hash = None  # computed when first needed: most tuples are never hashed
-
-    def value(self, a: AttrName) -> Any:
-        try:
-            return self._m[a]
-        except KeyError:
-            raise EvalError(f"unbound attribute {a!r}") from None
-
-    def get(self, a: AttrName, default: Any = None) -> Any:
-        return self._m.get(a, default)
-
-    def domain(self) -> frozenset:
-        return frozenset(self._m)
-
-    def restrict(self, attrs: Iterable[AttrName]) -> "Tup":
-        return Tup({a: self.value(a) for a in attrs})
-
-    def overwrite(self, other: "Tup") -> "Tup":
-        """t x u: entries of ``other`` win over entries of ``self``."""
-        return _own({**self._m, **other._m})
-
-    def items(self):
-        return self._m.items()
-
-    def __contains__(self, a: AttrName) -> bool:
-        return a in self._m
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tup) and self._m == other._m
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._m.items()))
-        return self._hash
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{a}={v!r}" for a, v in sorted(self._m.items()))
-        return f"({inner})"
-
-
-def _own(m: dict[AttrName, Any]) -> Tup:
-    """A tuple that takes ``m`` over without copying it."""
-    t = Tup.__new__(Tup)
-    t._m = m
-    t._hash = None
-    return t
-
-
-EMPTY_TUP = Tup()
-
-
 @dataclass(frozen=True)
 class Relation:
-    header: frozenset
-    body: Bag
+    header: tuple  # attribute names, sorted
+    body: Bag  # of tuples, one value per header name in header order
 
     def rows(self):
         return self.body.items()
-
-
-def relation(header: Iterable[AttrName], tuples: Iterable[tuple[Tup, int]]) -> Relation:
-    return Relation(frozenset(header), Bag.from_counts(tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +144,13 @@ RaCond = TUnion[Compare, BagCompare, Member, Not, Connect]
 # relational expressions
 
 
-def _pairs(assigns) -> tuple:
-    if isinstance(assigns, dict):
-        return tuple(assigns.items())
-    return tuple(assigns)
-
-
 @dataclass(frozen=True)
 class Project:
-    assigns: tuple  # (attr, RaScalar) pairs
+    assigns: tuple  # (attr, RaScalar) pairs, sorted by attr: the output row's layout
     of: "RelExpr"
 
     def __init__(self, assigns, of):
-        object.__setattr__(self, "assigns", _pairs(assigns))
+        object.__setattr__(self, "assigns", tuple(sorted(dict(assigns).items())))
         object.__setattr__(self, "of", of)
 
 
@@ -349,7 +283,7 @@ def _sch(e: RelExpr, known: dict[int, frozenset]) -> frozenset:
             missing = sorted(h.symmetric_difference(rs))
             raise EvalError(f"incompatible headers: {missing}")
     elif isinstance(e, Literal):
-        h = e.relation.header
+        h = frozenset(e.relation.header)
     else:
         raise EvalError(f"unknown relational expression {e!r}")
     known[id(e)] = h
@@ -360,35 +294,41 @@ def _sch(e: RelExpr, known: dict[int, frozenset]) -> frozenset:
 # Val
 #
 # Every top-level call evaluates in one private context.  The context keeps,
-# by node identity, the header of each relational expression and the outer
-# attributes each node reads (its free attributes), and memoises the results
-# of the nodes that can be reached more than once: nodes with more than one
-# parent and nodes under a per-row scalar or condition.  A result depends on
-# the outer tuple only through the free attributes, so it is computed once
-# per distinct binding of them.  The context, memo included, is dropped when
-# the call returns.
+# by node identity, the header of each relational expression, the position
+# of each attribute in its rows and the outer attributes each node reads
+# (its free attributes), and memoises the results of the nodes that can be
+# reached more than once: nodes with more than one parent and nodes under a
+# per-row scalar or condition.  A result depends on the outer binding only
+# through the free attributes, so it is computed once per distinct binding
+# of them.  The context, memo included, is dropped when the call returns.
+#
+# Scalars and conditions read a row through its positions and fall back to
+# the outer binding; a subquery under a row sees the row's attributes over
+# the outer binding as its own outer binding.
 
 
-def evaluate(e: RelExpr, pop: Population, outer: Tup = EMPTY_TUP) -> Relation:
+def evaluate(e: RelExpr, pop: Population, outer: dict | None = None) -> Relation:
     ctx = _Context(pop, [e], per_row=False)
-    header = ctx.header(e)
-    return Relation(header, ctx.body(e, outer))
+    header = tuple(ctx.slots(e))
+    return Relation(header, ctx.body(e, outer or {}))
 
 
-def eval_scalar(expr: RaScalar, pop: Population, t: Tup) -> Any:
-    return _Context(pop, [expr], per_row=False).scalar(expr, t)
+def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
+    return _Context(pop, [expr], per_row=False).scalar(expr, (), {}, env)
 
 
-def eval_cond(cond: RaCond, pop: Population, t: Tup) -> Tri:
-    return _Context(pop, [cond], per_row=False).cond(cond, t)
+def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
+    return _Context(pop, [cond], per_row=False).cond(cond, (), {}, env)
 
 
-def eval_scalars(exprs: list[RaScalar], pop: Population, tuples: Iterable[Tup]) -> Iterator[list[Any]]:
-    """``eval_scalar`` of every expression on each tuple in turn, all in one
-    context, so that a subquery is not evaluated again for every tuple."""
+def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: Iterable[tuple]) -> Iterator[list[Any]]:
+    """``eval_scalar`` of every expression on each row of a relation with
+    this header in turn, all in one context, so that a subquery is not
+    evaluated again for every row."""
     ctx = _Context(pop, exprs, per_row=True)
-    for t in tuples:
-        yield [ctx.scalar(e, t) for e in exprs]
+    pos = {a: i for i, a in enumerate(header)}
+    for row in rows:
+        yield [ctx.scalar(e, row, pos, {}) for e in exprs]
 
 
 # the nodes whose results are memoised: relational expressions, and the
@@ -400,7 +340,7 @@ _MISSING = object()
 
 def _parts(x) -> tuple[tuple, tuple]:
     """The expressions directly inside ``x``: those evaluated against x's
-    own outer tuple, and those evaluated once per row of x's operand."""
+    own outer binding, and those evaluated once per row of x's operand."""
     if isinstance(x, Project):
         return (x.of,), tuple(s for _, s in x.assigns)
     if isinstance(x, Select):
@@ -443,17 +383,47 @@ def _repeatable(roots: list, per_row: bool) -> set[int]:
     return out
 
 
+def _read(a: AttrName, row: tuple, pos: dict, outer: dict) -> Any:
+    """The value of ``a``: the row's own, else the outer binding's."""
+    i = pos.get(a)
+    if i is not None:
+        return row[i]
+    try:
+        return outer[a]
+    except KeyError:
+        raise EvalError(f"unbound attribute {a!r}") from None
+
+
+def _binding(row: tuple, pos: dict, outer: dict) -> dict:
+    """The outer binding of a subquery evaluated under ``row``: the row's
+    attributes over the outer binding's."""
+    if not pos:
+        return outer
+    env = dict(outer)
+    env.update(zip(pos, row))
+    return env
+
+
 class _Context:
     def __init__(self, pop: Population, roots: list, per_row: bool):
         self.pop = pop
         self.roots = roots  # keeps every node alive, so no id is reused
         self.headers: dict[int, frozenset] = {}
+        self.positions: dict[int, dict[AttrName, int]] = {}
         self.frees: dict[int, frozenset | None] = {}
         self.memo: dict[tuple, Any] = {}
         self.repeatable = _repeatable(roots, per_row)
 
     def header(self, e: RelExpr) -> frozenset:
         return _sch(e, self.headers)
+
+    def slots(self, e: RelExpr) -> dict[AttrName, int]:
+        """The position of each attribute of e's header in e's rows, in
+        header order."""
+        pos = self.positions.get(id(e))
+        if pos is None:
+            pos = self.positions[id(e)] = {a: i for i, a in enumerate(sorted(self.header(e)))}
+        return pos
 
     def free(self, x) -> frozenset | None:
         """The outer attributes that ``x`` reads; None when a header inside
@@ -485,39 +455,39 @@ class _Context:
             out |= f
         return out
 
-    def _cached(self, compute, x, t: Tup) -> Any:
-        """``compute(x, t)``, memoised on x and the values of t on x's free
-        attributes when x is repeatable.  A value is keyed with its type, so
-        that 1, 1.0 and Fraction(1) get entries of their own."""
+    def _cached(self, compute, x, outer: dict) -> Any:
+        """``compute(x, outer)``, memoised on x and the values of outer on
+        x's free attributes when x is repeatable.  A value is keyed with its
+        type, so that 1, 1.0 and Fraction(1) get entries of their own."""
         if id(x) not in self.repeatable:
-            return compute(x, t)
+            return compute(x, outer)
         free = self.free(x)
         if free is None:
-            return compute(x, t)
-        m = t._m
-        key = (id(x), tuple((type(v), v) for v in (m.get(a, _MISSING) for a in free)))
+            return compute(x, outer)
+        key = (id(x), tuple((type(v), v) for v in (outer.get(a, _MISSING) for a in free)))
         out = self.memo.get(key, _MISSING)
         if out is _MISSING:
-            out = self.memo[key] = compute(x, t)
+            out = self.memo[key] = compute(x, outer)
         return out
 
     # -- relational expressions ------------------------------------------
 
-    def body(self, e: RelExpr, outer: Tup) -> Bag:
+    def body(self, e: RelExpr, outer: dict) -> Bag:
         return self._cached(self._body, e, outer)
 
-    def _body(self, e: RelExpr, outer: Tup) -> Bag:
+    def _body(self, e: RelExpr, outer: dict) -> Bag:
         if isinstance(e, Project):
-            scalar = self.scalar
-            return Bag.from_counts(
-                (_own({a: scalar(s, env) for a, s in e.assigns}), n) for _, n, env in self._rows(e, outer)
-            )
+            rows = self.body(e.of, outer).items()
+            pos, scalar = self.slots(e.of), self.scalar
+            exprs = [s for _, s in e.assigns]
+            return Bag.from_counts((tuple([scalar(s, u, pos, outer) for s in exprs]), n) for u, n in rows)
         if isinstance(e, Select):
-            cond = self.cond
-            return Bag.from_counts((u, n) for u, n, env in self._rows(e, outer) if is_true(cond(e.cond, env)))
+            rows = self.body(e.of, outer).items()
+            pos, cond = self.slots(e.of), self.cond
+            return Bag.from_counts((u, n) for u, n in rows if is_true(cond(e.cond, u, pos, outer)))
         if isinstance(e, TypeTable):
             self.pop.schema.check_type(e.tid)
-            return Bag.from_counts((_own({e.attr: i}), 1) for i in self.pop.instances(e.tid).distinct())
+            return Bag.from_counts(((i,), 1) for i in self.pop.instances(e.tid).distinct())
         if isinstance(e, Distinct):
             return self.body(e.of, outer).to_set()
         if isinstance(e, Group):
@@ -534,88 +504,88 @@ class _Context:
                 return lb.intersect(rb)
             return lb.difference(rb)
         if isinstance(e, ScalarTable):
-            return Bag([_own({e.attr: self.scalar(e.expr, outer)})])
+            return Bag([(self.scalar(e.expr, (), {}, outer),)])
         if isinstance(e, Literal):
             return e.relation.body
         raise EvalError(f"unknown relational expression {e!r}")
 
-    def _rows(self, e: Project | Select, outer: Tup) -> Iterator[tuple[Tup, int, Tup]]:
-        """The rows of e's operand with their multiplicities, each with the
-        tuple e's scalars or condition see: the row over the outer tuple,
-        or the row alone when they read nothing of the outer tuple."""
-        rows = self.body(e.of, outer).items()
-        reads = self._free_of(_parts(e)[1])
-        if reads is not None and reads.isdisjoint(outer._m):
-            return ((u, n, u) for u, n in rows)
-        return ((u, n, outer.overwrite(u)) for u, n in rows)
-
-    def _group(self, e: Group, outer: Tup) -> Bag:
+    def _group(self, e: Group, outer: dict) -> Bag:
         body = self.body(e.of, outer)
-        header = self.header(e.of)
-        missing = e.by - header
+        missing = e.by - self.header(e.of)
         if missing:
             raise EvalError(f"grouping attributes not in header: {sorted(missing)}")
-        rest = header - e.by
-        groups: dict[Tup, list[tuple[Tup, int]]] = {}
+        pos = self.slots(e.of)
+        keys = [i for a, i in pos.items() if a in e.by]
+        rest = [i for a, i in pos.items() if a not in e.by]
+        groups: dict[tuple, list[tuple[tuple, int]]] = {}
         for u, n in body.items():
-            groups.setdefault(u.restrict(e.by), []).append((u, n))
+            groups.setdefault(tuple([u[i] for i in keys]), []).append((u, n))
         out = []
-        for key, rows in groups.items():
-            m = dict(key.items())
-            m.update({a: GroupedBag(Bag.from_counts((u.value(a), n) for u, n in rows)) for a in rest})
-            out.append(_own(m))
+        for rows in groups.values():
+            row = list(rows[0][0])  # holds the group's values on the keys
+            for i in rest:
+                row[i] = GroupedBag(Bag.from_counts((u[i], n) for u, n in rows))
+            out.append(tuple(row))
         return Bag(out)
 
-    def _join(self, e: Join | LeftJoin, outer: Tup) -> Bag:
+    def _join(self, e: Join | LeftJoin, outer: dict) -> Bag:
         """Hash join on the shared attributes: the right operand is indexed
         by its values on them and probed with each left row, so the rows
         come out in nested-loop order.  NULL matches NULL; with nothing
-        shared, every row matches every row."""
+        shared, every row matches every row.  Each output value is picked
+        from the left row followed by the right row (or by NULLs, for a
+        left row that matches nothing); a shared attribute's from the left."""
         lb = self.body(e.left, outer)
         rb = self.body(e.right, outer)
-        ls, rs = self.header(e.left), self.header(e.right)
-        shared = tuple(ls & rs)
-        index: dict[tuple, list[tuple[Tup, int]]] = {}
+        lpos, rpos = self.slots(e.left), self.slots(e.right)
+        lkey = [i for a, i in lpos.items() if a in rpos]
+        rkey = [rpos[a] for a in lpos if a in rpos]
+        pick = [lpos[a] if a in lpos else len(lpos) + rpos[a] for a in self.slots(e)]
+        index: dict[tuple, list[tuple[tuple, int]]] = {}
         for v, m in rb.items():
-            index.setdefault(tuple(v.value(a) for a in shared), []).append((v, m))
-        pad = _own({a: NULL for a in rs - ls}) if isinstance(e, LeftJoin) else None
+            index.setdefault(tuple([v[i] for i in rkey]), []).append((v, m))
+        pad = (NULL,) * len(rpos) if isinstance(e, LeftJoin) else None
         rows = []
         for u, n in lb.items():
-            matches = index.get(tuple(u.value(a) for a in shared)) if index else None
+            matches = index.get(tuple([u[i] for i in lkey])) if index else None
             if matches:
-                rows.extend((u.overwrite(v), n * m) for v, m in matches)
+                for v, m in matches:
+                    w = u + v
+                    rows.append((tuple([w[i] for i in pick]), n * m))
             elif pad is not None:
-                rows.append((u.overwrite(pad), n))
+                w = u + pad
+                rows.append((tuple([w[i] for i in pick]), n))
         return Bag.from_counts(rows)
 
     # -- scalars and conditions ----------------------------------------------
 
-    def scalar(self, expr: RaScalar, t: Tup) -> Any:
+    def scalar(self, expr: RaScalar, row: tuple, pos: dict, outer: dict) -> Any:
         if isinstance(expr, Attr):
-            return t.value(expr.attr)
+            return _read(expr.attr, row, pos, outer)
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, AttrRole):
-            v = t.value(expr.attr)
+            v = _read(expr.attr, row, pos, outer)
             if not isinstance(v, FactInstance):
                 raise EvalError(f"attribute {expr.attr!r} is not a relationship instance")
             if expr.role not in v:
                 raise EvalError(f"relationship instance not defined for role {expr.role!r}")
             return v[expr.role]
         if isinstance(expr, _AGGREGATES):
-            return self._cached(self._aggregate, expr, t)
+            return self._cached(self._aggregate, expr, _binding(row, pos, outer))
         if isinstance(expr, Apply):
-            return _apply(expr.func, [self.scalar(a, t) for a in expr.args])
+            return _apply(expr.func, [self.scalar(a, row, pos, outer) for a in expr.args])
         raise EvalError(f"unknown scalar expression {expr!r}")
 
-    def _aggregate(self, expr: Count | Sum | Min | Max | Avg, t: Tup) -> Any:
+    def _aggregate(self, expr: Count | Sum | Min | Max | Avg, outer: dict) -> Any:
         header = self.header(expr.of)
-        body = self.body(expr.of, t)
+        body = self.body(expr.of, outer)
         if isinstance(expr, Count):
             return body.cardinality()
         if expr.attr not in header:
             raise EvalError(f"unbound attribute {expr.attr!r}")
-        bag = Bag.from_counts((u.value(expr.attr), n) for u, n in body.items())
+        i = self.slots(expr.of)[expr.attr]
+        bag = Bag.from_counts((u[i], n) for u, n in body.items())
         if isinstance(expr, Sum):
             return bag_sum(bag)
         if isinstance(expr, Min):
@@ -624,42 +594,43 @@ class _Context:
             return bag_max(bag)
         return bag_avg(bag)
 
-    def cond(self, cond: RaCond, t: Tup) -> Tri:
+    def cond(self, cond: RaCond, row: tuple, pos: dict, outer: dict) -> Tri:
         if isinstance(cond, Compare):
-            return _compare(self.scalar(cond.left, t), cond.op, self.scalar(cond.right, t))
+            return _compare(self.scalar(cond.left, row, pos, outer), cond.op, self.scalar(cond.right, row, pos, outer))
         if isinstance(cond, BagCompare):
-            return self._cached(self._bag_compare, cond, t)
+            return self._cached(self._bag_compare, cond, _binding(row, pos, outer))
         if isinstance(cond, Member):
-            return self._cached(self._member, cond, t)
+            return self._cached(self._member, cond, _binding(row, pos, outer))
         if isinstance(cond, Not):
-            return t_not(self.cond(cond.of, t))
+            return t_not(self.cond(cond.of, row, pos, outer))
         if isinstance(cond, Connect):
-            a = self.cond(cond.left, t)
-            b = self.cond(cond.right, t)
+            a = self.cond(cond.left, row, pos, outer)
+            b = self.cond(cond.right, row, pos, outer)
             op = {"and": t_and, "or": t_or, "xor": t_xor, "implies": t_implies}.get(cond.op)
             if op is None:
                 raise EvalError(f"unknown connective {cond.op!r}")
             return op(a, b)
         raise EvalError(f"unknown condition {cond!r}")
 
-    def _bag_compare(self, cond: BagCompare, t: Tup) -> Tri:
+    def _bag_compare(self, cond: BagCompare, outer: dict) -> Tri:
         self.header(cond.left)
-        lb = self.body(cond.left, t)
+        lb = self.body(cond.left, outer)
         self.header(cond.right)
-        rb = self.body(cond.right, t)
+        rb = self.body(cond.right, outer)
         return _bag_compare(lb, cond.op, rb)
 
-    def _member(self, cond: Member, t: Tup) -> Tri:
-        v = self.scalar(cond.elem, t)
+    def _member(self, cond: Member, outer: dict) -> Tri:
+        v = self.scalar(cond.elem, (), {}, outer)
         if v is NULL:
             return UNKNOWN
         header = self.header(cond.of)
-        body = self.body(cond.of, t)
+        body = self.body(cond.of, outer)
         if cond.attr not in header:
             raise EvalError(f"unbound attribute {cond.attr!r}")
+        i = self.slots(cond.of)[cond.attr]
         saw_null = False
         for u, _ in body.items():
-            x = u.value(cond.attr)
+            x = u[i]
             if x is NULL:
                 saw_null = True
             elif x == v:

@@ -3,8 +3,10 @@
 This walks the set-comprehension definitions of each operator directly
 with Python loops over enumerated populations, without building or
 evaluating relational algebra.  It shares only the primitive data types
-(bags, tuples, values) and the definitional abbreviation expansions with
-the engine, so agreement between the two is meaningful evidence.
+(bags and values) and the definitional abbreviation expansions with the
+engine, so agreement between the two is meaningful evidence.  Its rows are
+its own maps from attribute names to values; ``oracle_eval`` lays them out
+as the engine does only at the end.
 """
 
 from __future__ import annotations
@@ -62,12 +64,37 @@ from conquer.paths import (
     expand_subexpr,
 )
 from conquer.population import Population
-from conquer.relalg import Tup
 from conquer.schema import Schema
 from conquer.tri import UNKNOWN, is_true, t_and, t_implies, t_not, t_or, t_xor
 from conquer.values import NULL, TRUE, is_number
 
-Table = tuple[frozenset, Bag]  # header, bag of Tup
+
+class Row:
+    """An immutable map from attribute names to values."""
+
+    __slots__ = ("_m", "_hash")
+
+    def __init__(self, mapping: dict):
+        self._m = dict(mapping)
+        self._hash = hash(frozenset(self._m.items()))
+
+    def value(self, a):
+        return self._m[a]
+
+    def items(self):
+        return self._m.items()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Row) and self._m == other._m
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Row({self._m!r})"
+
+
+Table = tuple[frozenset, Bag]  # header, bag of Row
 
 
 def _rows(bag: Bag):
@@ -78,7 +105,7 @@ def _collect(rows) -> Bag:
     return Bag.from_counts(rows)
 
 
-def _drop(t: Tup, attrs) -> dict:
+def _drop(t: Row, attrs) -> dict:
     return {a: v for a, v in t.items() if a not in attrs}
 
 
@@ -115,12 +142,12 @@ class Oracle:
     def path(self, p, env: dict) -> Table:
         schema, pop = self.schema, self.pop
         if isinstance(p, TypeAtom):
-            rows = [(Tup({HD: i, TL: i}), 1) for i in pop.instances(p.tid).to_set().elements()]
+            rows = [(Row({HD: i, TL: i}), 1) for i in pop.instances(p.tid).to_set().elements()]
             return frozenset({HD, TL}), _collect(rows)
         if isinstance(p, RoleEntry):
             rows = []
             for fact in pop.instances(schema.rel(p.rid)).to_set().elements():
-                rows.append((Tup({HD: fact[p.rid], TL: fact}), 1))
+                rows.append((Row({HD: fact[p.rid], TL: fact}), 1))
             return frozenset({HD, TL}), _collect(rows)
         if isinstance(p, AttrAtom):
             return self.path(Scalar(SVar(p.attr)), env)
@@ -130,7 +157,7 @@ class Oracle:
             for t, n in _rows(body):
                 m = _drop(t, {HD, TL})
                 m[HD], m[TL] = t.value(TL), t.value(HD)
-                rows.append((Tup(m), n))
+                rows.append((Row(m), n))
             return header, _collect(rows)
         if isinstance(p, Concat):
             lh, lb = self.path(p.left, env)
@@ -143,7 +170,7 @@ class Oracle:
                         continue
                     merged = _merge(_drop(u, {TL}), _drop(v, {HD}))
                     if merged is not None:
-                        rows.append((Tup(merged), n * m))
+                        rows.append((Row(merged), n * m))
             return header, _collect(rows)
         if isinstance(p, Front):
             header, body = self.path(p.of, env)
@@ -151,7 +178,7 @@ class Oracle:
             for t, n in _rows(body):
                 m = dict(t.items())
                 m[TL] = t.value(HD)
-                rows.append((Tup(m), n))
+                rows.append((Row(m), n))
             return header, _collect(rows)
         if isinstance(p, DistinctPath):
             header, body = self.path(p.of, env)
@@ -167,7 +194,7 @@ class Oracle:
                     right[TL] = v.value(HD)
                     merged = _merge(_drop(u, {TL}), right)
                     if merged is not None:
-                        rows.append((Tup(merged), n * m))
+                        rows.append((Row(merged), n * m))
             return header, _collect(rows)
         if isinstance(p, SetCompare):
             lh, lb = self.path(p.left, env)
@@ -199,7 +226,7 @@ class Oracle:
                 for v, m in _rows(rb):
                     merged = _merge(_drop(u, {TL}), _drop(v, {HD}))
                     if merged is not None:
-                        pair_rows.append((Tup(merged), n * m))
+                        pair_rows.append((Row(merged), n * m))
             _, composed = self.path(Concat(p.left, p.right), env)
             return header, _collect(pair_rows).difference(composed)
         if isinstance(p, (PathUnion, PathIntersect, PathDiff)):
@@ -223,7 +250,7 @@ class Oracle:
                     right = _drop(v, {HD})
                     merged = _merge(_drop(u, {TL}), right)
                     if merged is not None:
-                        rows.append((Tup(merged), n * m))
+                        rows.append((Row(merged), n * m))
             return header, _collect(rows)
         if isinstance(p, Shuffle):
             header, body = self.path(p.of, env)
@@ -234,7 +261,7 @@ class Oracle:
                 m[TL] = m.pop(p.attrs[-1]) if p.attrs[-1] in m else m[HD]
                 for a in p.attrs[1:-1]:
                     m[a] = t.value(a)
-                rows.append((Tup(m), n))
+                rows.append((Row(m), n))
             out_header = frozenset({HD, TL} | set(p.attrs[1:-1]))
             return out_header, _collect(rows)
         if isinstance(p, MixFix):
@@ -247,7 +274,7 @@ class Oracle:
                 for t, n in _rows(b):
                     m = _drop(t, {HD, TL} if i < len(tables) - 1 else {HD})
                     m[f"~arg{i}"] = t.value(HD)
-                    rows.append((Tup(m), n))
+                    rows.append((Row(m), n))
                 hdr = (h - ({HD, TL} if i < len(tables) - 1 else {HD})) | {f"~arg{i}"}
                 parts.append((hdr, _collect(rows)))
             header, body = parts[0]
@@ -259,7 +286,7 @@ class Oracle:
                 vals = [t.value(a) for a in args]
                 m = {a: v for a, v in t.items() if a not in args}
                 m[HD] = _arith(p.func, vals)
-                rows.append((Tup(m), n))
+                rows.append((Row(m), n))
             return (header - set(args)) | {HD}, _collect(rows)
         if isinstance(p, Where):
             parts = [self._where_one(body, cond, env) for body, cond in p.branches]
@@ -294,7 +321,7 @@ class Oracle:
             for v, m in _rows(rb):
                 merged = _merge(dict(u.items()), dict(v.items()))
                 if merged is not None:
-                    rows.append((Tup(merged), n * m))
+                    rows.append((Row(merged), n * m))
         return lh | rh, _collect(rows)
 
     def _left_join(self, left: Table, right: Table) -> Table:
@@ -308,16 +335,16 @@ class Oracle:
                 merged = _merge(dict(u.items()), dict(v.items()))
                 if merged is not None:
                     matched = True
-                    rows.append((Tup(merged), n * m))
+                    rows.append((Row(merged), n * m))
             if not matched:
                 m2 = dict(u.items())
                 m2.update({a: NULL for a in pad})
-                rows.append((Tup(m2), n))
+                rows.append((Row(m2), n))
         return lh | rh, _collect(rows)
 
     def _project_common(self, table: Table, common) -> Table:
         _, body = table
-        rows = [(Tup({a: t.value(a) for a in common}), n) for t, n in _rows(body)]
+        rows = [(Row({a: t.value(a) for a in common}), n) for t, n in _rows(body)]
         return frozenset(common), _collect(rows)
 
     def _set_op(self, p, env: dict) -> Table:
@@ -361,16 +388,16 @@ class Oracle:
                 if is_true(self.cond(cond, env2)):
                     merged = dict(t.items())
                     merged.update(assign)
-                    out.append((Tup(merged), n))
+                    out.append((Row(merged), n))
         return header | frozenset(binders), _collect(out)
 
     def _group(self, p: GroupFn, env: dict) -> Table:
         header, body = self.path(p.of, env)
         if p.kind == "dscount":
             body = body.to_set()
-        groups: dict[Tup, list] = {}
+        groups: dict[Row, list] = {}
         for t, n in _rows(body):
-            key = Tup({a: t.value(a) for a in p.by})
+            key = Row({a: t.value(a) for a in p.by})
             groups.setdefault(key, []).append((t, n))
         rows = []
         for key, members in groups.items():
@@ -382,14 +409,14 @@ class Oracle:
                     value = bag_sum(bag.to_set())
                 else:
                     value = {"sum": bag_sum, "min": bag_min, "max": bag_max, "avg": bag_avg}[p.kind](bag)
-            rows.append((Tup({HD: value, TL: value}), 1))
+            rows.append((Row({HD: value, TL: value}), 1))
         return frozenset({HD, TL}), _collect(rows)
 
     def _scalar_path(self, e, env: dict) -> Table:
         free = sorted(attr_uses(e) - set(env))
         if not free:
             v = self.scalar(e, env)
-            return frozenset({HD, TL}), Bag([Tup({HD: v, TL: v})])
+            return frozenset({HD, TL}), Bag([Row({HD: v, TL: v})])
         assignments = [{}]
         for a in free:
             instances = _binder_instances(self.schema, self.pop, self.typing, a)
@@ -402,7 +429,7 @@ class Oracle:
             m = dict(assign)
             m[HD] = v
             m[TL] = v
-            rows.append((Tup(m), 1))
+            rows.append((Row(m), 1))
         return frozenset({HD, TL} | set(free)), _collect(rows)
 
     # -- scalars and conditions ------------------------------------------
@@ -486,5 +513,14 @@ def _arith(func, args):
     raise NotImplementedError(f"oracle function {func!r}")
 
 
-def oracle_eval(schema: Schema, pop: Population, typing, p) -> Table:
-    return Oracle(schema, pop, typing).path(p, {})
+def oracle_eval(schema: Schema, pop: Population, typing, p) -> tuple[tuple, Bag]:
+    """The value of ``p`` in the engine's layout: the header sorted, and
+    each row the tuple of its values in header order."""
+    header, body = Oracle(schema, pop, typing).path(p, {})
+    layout = tuple(sorted(header))
+    rows = []
+    for t, n in _rows(body):
+        if {a for a, _ in t.items()} != header:
+            raise AssertionError(f"oracle row {t!r} is not over its header {layout}")
+        rows.append((tuple(t.value(a) for a in layout), n))
+    return layout, _collect(rows)

@@ -56,7 +56,6 @@ from conquer.relalg import (
     Rename,
     DropAttrs,
     Sum,
-    Tup,
     evaluate,
     eval_cond,
     eval_scalar,
@@ -69,7 +68,6 @@ from conquer.relalg import (
     Min,
     Max,
     Avg,
-    EMPTY_TUP,
 )
 from conquer.schema import FactRule, load_schema
 from conquer.tri import UNKNOWN
@@ -89,7 +87,7 @@ from .conftest import (
 from .oracle import oracle_eval
 from .test_oracle_corpus import all_cases
 from .test_roundtrip import CASES as RT_CASES, make_case as rt_make_case, rich_doc
-from .util import rel
+from .util import rel, row
 from conquer.verbalise import VerbCtx, verbalise
 
 
@@ -99,7 +97,7 @@ def report(number: int, name: str, ok: bool = True):
 
 
 def tups(header, *rows):
-    return Bag([Tup(dict(zip(header, row))) for row in rows])
+    return rel(header, *rows).body
 
 
 def test_criterion_01_multiset_laws():
@@ -147,8 +145,8 @@ def test_criterion_02_relational_algebra_goldens():
     grouped = Group({"a"}, Literal(rel(["a", "b"], (1, "a"), (2, "b"), (1, "c"), (2, "b"))))
     assert evaluate(grouped, pop).body == Bag(
         [
-            Tup({"a": 1, "b": GroupedBag(Bag(["a", "c"]))}),
-            Tup({"a": 2, "b": GroupedBag(Bag(["b", "b"]))}),
+            row(a=1, b=GroupedBag(Bag(["a", "c"]))),
+            row(a=2, b=GroupedBag(Bag(["b", "b"]))),
         ]
     )
     report(2, "relational algebra goldens")
@@ -449,7 +447,7 @@ def test_criterion_10_derivations_and_constraints():
 
 def test_criterion_11_null_policy():
     pop = load_population(load_schema({"types": {}}), {})
-    t = EMPTY_TUP
+    t = {}
     n = Const(NULL)
     cases = []
 

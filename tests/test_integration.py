@@ -73,7 +73,7 @@ class TestSubtypeSelector:
     def heads(self, schema, pop, text):
         result = disambiguate(schema, parse(text, schema))
         out = run_path(schema, pop, result.interpretations[0].path)
-        return {t.value("hd") for t, _ in out.rows()}
+        return {t[out.header.index("hd")] for t, _ in out.rows()}
 
     def test_is_restricts_to_the_subtype(self, schema, pop):
         with_is = self.heads(
@@ -145,7 +145,7 @@ class TestComparisonCoercion:
         out = run_path(schema, pop, result.interpretations[0].path)
         from conquer.values import EntityInstance
 
-        heads = {t.value("hd") for t, _ in out.rows()}
+        heads = {t[out.header.index("hd")] for t, _ in out.rows()}
         assert heads == {EntityInstance("Person", ("bob",))}
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from conquer.bag import Bag
 from conquer.errors import TranslateError
 from conquer.paths import (
     AttrAtom,
@@ -41,15 +40,15 @@ from conquer.paths import (
     role_exit,
 )
 from conquer.population import load_population
-from conquer.relalg import Tup
 from conquer.schema import load_schema
 from conquer.values import TRUE, FactInstance
 
 from .conftest import chain_schema, pair_path, pairs_pop, run_path, triple_path
+from .util import rel
 
 
 def tups(header, *rows):
-    return Bag([Tup(dict(zip(header, row))) for row in rows])
+    return rel(header, *rows).body
 
 
 @pytest.fixture
@@ -243,7 +242,7 @@ class TestComplex:
         left = concat(pair_path(1), AttrAtom("x"), pair_path(2))  # (1, x=9, 5)
         right = pair_path(2)  # (9, 5), (2, 8)
         out = run_path(schema, pop, PathUnion(left, right))
-        assert out.header == frozenset({"hd", "x", "tl"})
+        assert out.header == ("hd", "tl", "x")
         assert out.body == tups(
             ["hd", "x", "tl"], (1, 9, 5), (9, NULL, 5), (2, NULL, 8)
         )
@@ -289,7 +288,7 @@ class TestStructuredOps:
         pop = pop_of(schema, F1=[(1, "a"), (2, "b")], F2=[("a", 9), ("b", 8)])
         p = triple_path(1, "x", 2)
         out = run_path(schema, pop, Shuffle(p, ["tl", "x"]))
-        assert out.header == frozenset({"hd", "tl"})
+        assert out.header == ("hd", "tl")
         assert out.body == tups(["hd", "tl"], (9, "a"), (8, "b"))
 
     def test_shuffle_needs_two_attrs(self, schema):

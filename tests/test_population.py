@@ -101,7 +101,7 @@ class TestDenotationQueries:
         pop = load_population(schema, eval_pop_doc())
         result = disambiguate(schema, parse("the Person: 'ann'", schema))
         out = run_path(schema, pop, result.interpretations[0].path)
-        heads = {t.value("hd") for t, _ in out.rows()}
+        heads = {t[out.header.index("hd")] for t, _ in out.rows()}
         assert heads == {EntityInstance("Person", ("ann",))}
 
 

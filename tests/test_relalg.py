@@ -4,6 +4,7 @@ import pytest
 
 from conquer.bag import Bag
 from conquer.errors import EvalError
+from conquer import relalg
 from conquer.population import Population
 from conquer.relalg import (
     Apply,
@@ -18,7 +19,6 @@ from conquer.relalg import (
     Diff,
     Distinct,
     DropAttrs,
-    EMPTY_TUP,
     Extend,
     Group,
     Intersect,
@@ -34,7 +34,6 @@ from conquer.relalg import (
     ScalarTable,
     Select,
     Sum,
-    Tup,
     TypeTable,
     Union,
     def_map,
@@ -47,7 +46,7 @@ from conquer.relalg import (
 from conquer.tri import UNKNOWN
 from conquer.values import NULL, FactInstance, GroupedBag
 
-from .util import empty_pop, make_population, make_schema, rel
+from .util import empty_pop, make_population, make_schema, rel, row
 
 
 def lit(header, *rows):
@@ -100,7 +99,7 @@ class TestProjectionFamily:
 
     def test_project_merges_duplicates(self, pop):
         e = Project({"a": Attr("x")}, lit(["x", "y"], (1, 10), (1, 20)))
-        assert evaluate(e, pop).body == Bag([Tup({"a": 1}), Tup({"a": 1})])
+        assert evaluate(e, pop).body == Bag([row(a=1), row(a=1)])
 
     def test_unbound_attribute(self, pop, example_p):
         e = Project({"a": Attr("nope")}, example_p)
@@ -118,45 +117,52 @@ class TestScalars:
         assert evaluate(e, pop).body == expected.body
 
     def test_const(self, pop):
-        assert eval_scalar(Const(42), pop, EMPTY_TUP) == 42
+        assert eval_scalar(Const(42), pop, {}) == 42
 
     def test_avg_weighted(self, pop):
         e = Avg(lit(["v"], (9,), (10,), (12,), (12,)), "v")
-        assert eval_scalar(e, pop, EMPTY_TUP) == Fraction(43, 4)
+        assert eval_scalar(e, pop, {}) == Fraction(43, 4)
 
     def test_count_counts_all_rows(self, pop):
         e = Count(lit(["v"], (1,), (NULL,), (2,)))
-        assert eval_scalar(e, pop, EMPTY_TUP) == 3
+        assert eval_scalar(e, pop, {}) == 3
 
     def test_aggregates_skip_nulls(self, pop):
         src = lit(["v"], (1,), (NULL,), (2,))
-        assert eval_scalar(Sum(src, "v"), pop, EMPTY_TUP) == 3
-        assert eval_scalar(Min(src, "v"), pop, EMPTY_TUP) == 1
-        assert eval_scalar(Max(src, "v"), pop, EMPTY_TUP) == 2
-        assert eval_scalar(Avg(src, "v"), pop, EMPTY_TUP) == Fraction(3, 2)
+        assert eval_scalar(Sum(src, "v"), pop, {}) == 3
+        assert eval_scalar(Min(src, "v"), pop, {}) == 1
+        assert eval_scalar(Max(src, "v"), pop, {}) == 2
+        assert eval_scalar(Avg(src, "v"), pop, {}) == Fraction(3, 2)
 
     def test_empty_aggregates_are_null(self, pop):
         src = lit(["v"])
-        assert eval_scalar(Sum(src, "v"), pop, EMPTY_TUP) is NULL
-        assert eval_scalar(Avg(src, "v"), pop, EMPTY_TUP) is NULL
+        assert eval_scalar(Sum(src, "v"), pop, {}) is NULL
+        assert eval_scalar(Avg(src, "v"), pop, {}) is NULL
+
+    def test_aggregates_call_the_module_reductions(self, pop, monkeypatch):
+        # the benchmark's self-test replaces relalg.bag_avg to check that its
+        # answer checker rejects a wrong average
+        src = lit(["v"], (1,), (2,))
+        for agg, name in ((Sum, "bag_sum"), (Min, "bag_min"), (Max, "bag_max"), (Avg, "bag_avg")):
+            monkeypatch.setattr(relalg, name, lambda bag, name=name: name)
+            assert eval_scalar(agg(src, "v"), pop, {}) == name
 
     def test_role_access(self, pop):
         fact = FactInstance({"p": 1, "q": "a"})
-        t = Tup({"a": fact})
-        assert eval_scalar(AttrRole("a", "p"), pop, t) == 1
+        assert eval_scalar(AttrRole("a", "p"), pop, {"a": fact}) == 1
         with pytest.raises(EvalError, match="not a relationship instance"):
-            eval_scalar(AttrRole("a", "p"), pop, Tup({"a": 5}))
+            eval_scalar(AttrRole("a", "p"), pop, {"a": 5})
 
     def test_scalar_table(self, pop):
         e = ScalarTable("x", Const(7))
         assert sch(e) == frozenset({"x"})
-        assert evaluate(e, pop).body == Bag([Tup({"x": 7})])
+        assert evaluate(e, pop).body == Bag([row(x=7)])
 
     def test_correlated_subquery(self, pop):
         # the outer tuple is visible inside aggregates unless shadowed
         inner = Select(Compare(Attr("k"), "=", Attr("outer_k")), lit(["k"], (1,), (2,)))
         e = Count(inner)
-        assert eval_scalar(e, pop, Tup({"outer_k": 1})) == 1
+        assert eval_scalar(e, pop, {"outer_k": 1}) == 1
 
 
 class TestGroup:
@@ -165,8 +171,8 @@ class TestGroup:
         out = evaluate(Group({"a"}, src), pop).body
         expected = Bag(
             [
-                Tup({"a": 1, "b": GroupedBag(Bag(["a", "c"]))}),
-                Tup({"a": 2, "b": GroupedBag(Bag(["b", "b"]))}),
+                row(a=1, b=GroupedBag(Bag(["a", "c"]))),
+                row(a=2, b=GroupedBag(Bag(["b", "b"]))),
             ]
         )
         assert out == expected
@@ -174,7 +180,7 @@ class TestGroup:
     def test_nulls_group_together(self, pop):
         src = lit(["a", "b"], (NULL, 1), (NULL, 2))
         out = evaluate(Group({"a"}, src), pop).body
-        assert out == Bag([Tup({"a": NULL, "b": GroupedBag(Bag([1, 2]))})])
+        assert out == Bag([row(a=NULL, b=GroupedBag(Bag([1, 2])))])
 
 
 class TestJoins:
@@ -182,38 +188,38 @@ class TestJoins:
         left = lit(["a", "b"], (1, "x"), (1, "x"))
         right = lit(["b", "c"], ("x", 9))
         out = evaluate(Join(left, right), pop).body
-        assert out == Bag.from_counts([(Tup({"a": 1, "b": "x", "c": 9}), 2)])
+        assert out == Bag.from_counts([(row(a=1, b="x", c=9), 2)])
 
     def test_left_join_pads_with_null(self, pop):
         left = lit(["a", "b"], (1, "x"), (2, "y"))
         right = lit(["b", "c"], ("x", 9))
         out = evaluate(LeftJoin(left, right), pop).body
-        assert out == Bag([Tup({"a": 1, "b": "x", "c": 9}), Tup({"a": 2, "b": "y", "c": NULL})])
+        assert out == Bag([row(a=1, b="x", c=9), row(a=2, b="y", c=NULL)])
 
     def test_null_joins_null(self, pop):
         left = lit(["a", "b"], (1, NULL), (2, "x"))
         right = lit(["b", "c"], (NULL, 9), ("y", 8))
         out = evaluate(Join(left, right), pop).body
-        assert out == Bag([Tup({"a": 1, "b": NULL, "c": 9})])
+        assert out == Bag([row(a=1, b=NULL, c=9)])
 
     def test_multiplicities_multiply(self, pop):
         left = lit(["a", "b"], (1, "x"), (1, "x"), (2, "y"))
         right = lit(["b", "c"], ("x", 9), ("x", 9), ("x", 9), ("y", 8))
         out = evaluate(Join(left, right), pop).body
-        assert out == Bag.from_counts([(Tup({"a": 1, "b": "x", "c": 9}), 6), (Tup({"a": 2, "b": "y", "c": 8}), 1)])
+        assert out == Bag.from_counts([(row(a=1, b="x", c=9), 6), (row(a=2, b="y", c=8), 1)])
 
     def test_left_join_pads_and_keeps_multiplicity(self, pop):
         left = lit(["a", "b"], (1, "x"), (2, "y"), (2, "y"), (2, "y"))
         right = lit(["b", "c"], ("x", 9))
         out = evaluate(LeftJoin(left, right), pop).body
-        assert out == Bag.from_counts([(Tup({"a": 1, "b": "x", "c": 9}), 1), (Tup({"a": 2, "b": "y", "c": NULL}), 3)])
+        assert out == Bag.from_counts([(row(a=1, b="x", c=9), 1), (row(a=2, b="y", c=NULL), 3)])
 
     def test_nothing_shared_is_the_cross_product(self, pop):
         left = lit(["a"], (1,), (1,), (2,))
         right = lit(["b"], ("x",), ("y",))
         out = evaluate(Join(left, right), pop).body
         expected = Bag.from_counts(
-            [(Tup({"a": a, "b": b}), 2 if a == 1 else 1) for a in (1, 2) for b in ("x", "y")]
+            [(row(a=a, b=b), 2 if a == 1 else 1) for a in (1, 2) for b in ("x", "y")]
         )
         assert out == expected
 
@@ -221,7 +227,23 @@ class TestJoins:
         left = lit(["a", "b"], (1, "x"))
         right = lit(["a", "c"], (Fraction(1), 9), (Fraction(2), 8))
         out = evaluate(Join(left, right), pop).body
-        assert out == Bag([Tup({"a": 1, "b": "x", "c": 9})])
+        assert out == Bag([row(a=1, b="x", c=9)])
+
+    def test_right_attribute_sorting_first_leads_the_row(self, pop):
+        # every other join test has the left attributes sorting first, which
+        # a join that concatenated its operands' rows would also pass
+        left = lit(["b", "c"], ("x", 1), ("y", 2))
+        right = lit(["a", "b"], (7, "x"), (8, "z"))
+        out = evaluate(Join(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag([(7, "x", 1)])
+
+    def test_left_join_pad_between_left_attributes(self, pop):
+        left = lit(["a", "c"], (1, "x"), (2, "y"))
+        right = lit(["b", "c"], (9, "x"))
+        out = evaluate(LeftJoin(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag([(1, 9, "x"), (2, NULL, "y")])
 
     def test_union_family(self, pop):
         p = lit(["a"], (1,), (1,), (2,))
@@ -240,49 +262,49 @@ class TestTypeTable:
         schema = make_schema({"types": {"X": "value"}, "naming": {"tnm": {"X": "Num"}}})
         pop = make_population(schema, {"Num": [1, 2, 3, 3]})
         out = evaluate(TypeTable("a", "X"), pop)
-        assert out.header == frozenset({"a"})
+        assert out.header == ("a",)
         # each instance exactly once, even when the population repeats it
-        assert out.body == Bag([Tup({"a": 1}), Tup({"a": 2}), Tup({"a": 3})])
+        assert out.body == Bag([row(a=1), row(a=2), row(a=3)])
 
     def test_empty_population(self):
         schema = make_schema({"types": {"X": "value"}})
         pop = make_population(schema, {})
         out = evaluate(TypeTable("a", "X"), pop)
-        assert out.header == frozenset({"a"})
+        assert out.header == ("a",)
         assert not out.body
 
 
 class TestConditions:
     def test_simple_compare(self, pop):
-        assert eval_cond(Compare(Const(1), "<", Const(2)), pop, EMPTY_TUP) is True
+        assert eval_cond(Compare(Const(1), "<", Const(2)), pop, {}) is True
 
     def test_null_compare_unknown(self, pop):
-        assert eval_cond(Compare(Const(NULL), "=", Const(NULL)), pop, EMPTY_TUP) is UNKNOWN
-        assert eval_cond(Compare(Const(NULL), "<", Const(2)), pop, EMPTY_TUP) is UNKNOWN
+        assert eval_cond(Compare(Const(NULL), "=", Const(NULL)), pop, {}) is UNKNOWN
+        assert eval_cond(Compare(Const(NULL), "<", Const(2)), pop, {}) is UNKNOWN
 
     def test_member(self, pop, example_p):
-        assert eval_cond(Member(Const(2), example_p, "x"), pop, EMPTY_TUP) is True
-        assert eval_cond(Member(Const(9), example_p, "x"), pop, EMPTY_TUP) is False
+        assert eval_cond(Member(Const(2), example_p, "x"), pop, {}) is True
+        assert eval_cond(Member(Const(9), example_p, "x"), pop, {}) is False
 
     def test_member_null_semantics(self, pop):
         src = lit(["a"], (1,), (NULL,))
-        assert eval_cond(Member(Const(9), src, "a"), pop, EMPTY_TUP) is UNKNOWN
-        assert eval_cond(Member(Const(1), src, "a"), pop, EMPTY_TUP) is True
+        assert eval_cond(Member(Const(9), src, "a"), pop, {}) is UNKNOWN
+        assert eval_cond(Member(Const(1), src, "a"), pop, {}) is True
 
     def test_bag_compare(self, pop):
         p = lit(["a"], (1,), (2,))
         q = lit(["a"], (1,), (2,), (2,))
-        assert eval_cond(BagCompare(p, "subeq", q), pop, EMPTY_TUP) is True
-        assert eval_cond(BagCompare(p, "sup", q), pop, EMPTY_TUP) is False
+        assert eval_cond(BagCompare(p, "subeq", q), pop, {}) is True
+        assert eval_cond(BagCompare(p, "sup", q), pop, {}) is False
 
     def test_three_valued_connectives(self, pop):
         u = Compare(Const(NULL), "=", Const(1))
         t = Compare(Const(1), "=", Const(1))
         f = Compare(Const(1), "=", Const(2))
-        assert eval_cond(Connect(u, "or", t), pop, EMPTY_TUP) is True
-        assert eval_cond(Connect(u, "and", f), pop, EMPTY_TUP) is False
-        assert eval_cond(Connect(u, "and", t), pop, EMPTY_TUP) is UNKNOWN
-        assert eval_cond(Not(u), pop, EMPTY_TUP) is UNKNOWN
+        assert eval_cond(Connect(u, "or", t), pop, {}) is True
+        assert eval_cond(Connect(u, "and", f), pop, {}) is False
+        assert eval_cond(Connect(u, "and", t), pop, {}) is UNKNOWN
+        assert eval_cond(Not(u), pop, {}) is UNKNOWN
 
     def test_select_excludes_unknown(self, pop):
         src = lit(["a"], (1,), (NULL,), (3,))
@@ -321,13 +343,13 @@ class TestRepeatedSubPlans:
         pop, calls = counted
         x = TypeTable("k", "X")
         out = evaluate(Union(x, Intersect(x, x)), pop).body
-        assert out == Bag.from_counts([(Tup({"k": k}), 2) for k in (1, 2, 3)])
+        assert out == Bag.from_counts([(row(k=k), 2) for k in (1, 2, 3)])
         assert len(calls) == 1
 
     def test_memo_keys_on_the_type_of_a_value(self, pop):
         expr = Max(ScalarTable("v", Attr("a")), "v")
-        outer = [Tup({"a": 1}), Tup({"a": 1.0}), Tup({"a": Fraction(1)})]
-        values = [v for (v,) in eval_scalars([expr], pop, outer)]
+        outer = [row(a=1), row(a=1.0), row(a=Fraction(1))]
+        values = [v for (v,) in eval_scalars([expr], pop, ("a",), outer)]
         assert values == [1, 1, 1]
         assert [type(v) for v in values] == [int, float, Fraction]
 
@@ -335,8 +357,8 @@ class TestRepeatedSubPlans:
         schema = make_schema({"types": {"X": "value"}, "naming": {"tnm": {"X": "Num"}}})
         x = TypeTable("k", "X")
         e = Join(x, x)
-        assert evaluate(e, make_population(schema, {"Num": [1]})).body == Bag([Tup({"k": 1})])
-        assert evaluate(e, make_population(schema, {"Num": [2]})).body == Bag([Tup({"k": 2})])
+        assert evaluate(e, make_population(schema, {"Num": [1]})).body == Bag([row(k=1)])
+        assert evaluate(e, make_population(schema, {"Num": [2]})).body == Bag([row(k=2)])
 
     def test_an_error_in_a_subquery_is_raised_every_time(self, pop):
         sub = Select(Compare(Attr("missing"), "=", Const(1)), lit(["k"], (1,)))

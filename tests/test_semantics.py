@@ -254,7 +254,7 @@ class TestCoercion:
         coerced = tl_coerce(work_schema, salary_of, frozenset())
         p = RelCompare(coerced, ">", Scalar(SConst(1500)))
         out = run_path(work_schema, work_pop, p)
-        heads = Bag.from_counts((t.value("hd"), n) for t, n in out.rows())
+        heads = Bag.from_counts((t[out.header.index("hd")], n) for t, n in out.rows())
         from conquer.values import EntityInstance
 
         assert heads == Bag([EntityInstance("Person", ("bob",))])
@@ -506,24 +506,24 @@ class TestOrdering:
     def test_single_key_sort(self):
         r = rel(["hd"], (3,), (1,), (2,))
         rows = order_result(r, [OrderKey("hd", "asc")])
-        assert [t.value("hd") for t in rows] == [1, 2, 3]
+        assert [t[0] for t in rows] == [1, 2, 3]
 
     def test_bag_multiplicity_expands(self):
         r = rel(["hd"], (2,), (2,), (1,))
         rows = order_result(r, [OrderKey("hd", "asc")])
-        assert [t.value("hd") for t in rows] == [1, 2, 2]
+        assert [t[0] for t in rows] == [1, 2, 2]
 
     def test_nulls_last_ascending_first_descending(self):
         r = rel(["hd"], (NULL,), (2,), (1,))
         asc = order_result(r, [OrderKey("hd", "asc")])
-        assert [t.value("hd") for t in asc] == [1, 2, NULL]
+        assert [t[0] for t in asc] == [1, 2, NULL]
         desc = order_result(r, [OrderKey("hd", "desc")])
-        assert [t.value("hd") for t in desc] == [NULL, 2, 1]
+        assert [t[0] for t in desc] == [NULL, 2, 1]
 
     def test_two_key_sort(self):
         r = rel(["hd", "x"], ("a", 1), ("b", 5), ("a", 3), ("a", 3))
         rows = order_result(r, [OrderKey("hd", "asc"), OrderKey("x", "desc")])
-        assert [(t.value("hd"), t.value("x")) for t in rows] == [
+        assert rows == [
             ("a", 3),
             ("a", 3),
             ("a", 1),

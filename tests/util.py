@@ -4,14 +4,18 @@ from __future__ import annotations
 
 from conquer.bag import Bag
 from conquer.population import Population, load_population
-from conquer.relalg import Relation, Tup
+from conquer.relalg import Relation
 from conquer.schema import Schema, load_schema
+
+
+def row(**values) -> tuple:
+    """A row written by attribute name: its values in sorted-name order."""
+    return tuple(values[a] for a in sorted(values))
 
 
 def rel(header: list[str], *rows) -> Relation:
     """Build a relation from row tuples given in header order."""
-    tuples = [Tup(dict(zip(header, row))) for row in rows]
-    return Relation(frozenset(header), Bag(tuples))
+    return Relation(tuple(sorted(header)), Bag(row(**dict(zip(header, r))) for r in rows))
 
 
 def rows_of(relation: Relation) -> Bag:
