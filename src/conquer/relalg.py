@@ -307,10 +307,9 @@ def _sch(e: RelExpr, known: dict[int, frozenset]) -> frozenset:
 # the outer binding as its own outer binding.
 
 
-def evaluate(e: RelExpr, pop: Population, outer: dict | None = None) -> Relation:
+def evaluate(e: RelExpr, pop: Population) -> Relation:
     ctx = _Context(pop, [e], per_row=False)
-    header = tuple(ctx.slots(e))
-    return Relation(header, ctx.body(e, outer or {}))
+    return Relation(tuple(ctx.slots(e)), ctx.body(e, {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
@@ -533,14 +532,16 @@ class _Context:
         by its values on them and probed with each left row, so the rows
         come out in nested-loop order.  NULL matches NULL; with nothing
         shared, every row matches every row.  Each output value is picked
-        from the left row followed by the right row (or by NULLs, for a
-        left row that matches nothing); a shared attribute's from the left."""
+        from the left row followed by the right row, a shared attribute's
+        from the right, or from the left row followed by NULLs for a left
+        row that matches nothing."""
         lb = self.body(e.left, outer)
         rb = self.body(e.right, outer)
         lpos, rpos = self.slots(e.left), self.slots(e.right)
         lkey = [i for a, i in lpos.items() if a in rpos]
         rkey = [rpos[a] for a in lpos if a in rpos]
-        pick = [lpos[a] if a in lpos else len(lpos) + rpos[a] for a in self.slots(e)]
+        pick = [len(lpos) + rpos[a] if a in rpos else lpos[a] for a in self.slots(e)]
+        pad_pick = [lpos[a] if a in lpos else len(lpos) + rpos[a] for a in self.slots(e)]
         index: dict[tuple, list[tuple[tuple, int]]] = {}
         for v, m in rb.items():
             index.setdefault(tuple([v[i] for i in rkey]), []).append((v, m))
@@ -554,7 +555,7 @@ class _Context:
                     rows.append((tuple([w[i] for i in pick]), n * m))
             elif pad is not None:
                 w = u + pad
-                rows.append((tuple([w[i] for i in pick]), n))
+                rows.append((tuple([w[i] for i in pad_pick]), n))
         return Bag.from_counts(rows)
 
     # -- scalars and conditions ----------------------------------------------

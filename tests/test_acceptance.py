@@ -96,10 +96,6 @@ def report(number: int, name: str, ok: bool = True):
     assert ok
 
 
-def tups(header, *rows):
-    return rel(header, *rows).body
-
-
 def test_criterion_01_multiset_laws():
     assert Bag(["a", "b", "a"]).union(Bag(["b", "c", "c"])) == Bag(list("aabbcc"))
     assert Bag(["a", "b", "a"]).intersect(Bag(["b", "b", "a", "c"])) == Bag(["a", "b"])
@@ -128,22 +124,24 @@ def test_criterion_02_relational_algebra_goldens():
     pop = load_population(load_schema({"types": {}}), {})
 
     project = Project({"a": Apply("+", [Attr("x"), Attr("y")]), "b": Attr("z")}, src)
-    assert evaluate(project, pop).body == tups(["a", "b"], (3, "a"), (6, "b"))
+    assert evaluate(project, pop) == rel(["a", "b"], (3, "a"), (6, "b"))
 
     extend = Extend({"a": Apply("+", [Attr("x"), Attr("y")]), "z": Apply("-", [Attr("y"), Attr("x")])}, src)
-    assert evaluate(extend, pop).body == tups(["x", "y", "z", "a"], (1, 2, 1, 3), (2, 4, 2, 6))
+    assert evaluate(extend, pop) == rel(["x", "y", "z", "a"], (1, 2, 1, 3), (2, 4, 2, 6))
 
     rename = Rename({"a": "x", "b": "y"}, src)
-    assert evaluate(rename, pop).body == tups(["a", "b", "z"], (1, 2, "a"), (2, 4, "b"))
+    assert evaluate(rename, pop) == rel(["a", "b", "z"], (1, 2, "a"), (2, 4, "b"))
 
     drop = DropAttrs({"x"}, src)
-    assert evaluate(drop, pop).body == tups(["y", "z"], (2, "a"), (4, "b"))
+    assert evaluate(drop, pop) == rel(["y", "z"], (2, "a"), (4, "b"))
 
     sums = Project({"a": Sum(src, "x"), "b": Apply("+", [Sum(src, "x"), Attr("y")])}, src)
-    assert evaluate(sums, pop).body == tups(["a", "b"], (3, 5), (3, 7))
+    assert evaluate(sums, pop) == rel(["a", "b"], (3, 5), (3, 7))
 
     grouped = Group({"a"}, Literal(rel(["a", "b"], (1, "a"), (2, "b"), (1, "c"), (2, "b"))))
-    assert evaluate(grouped, pop).body == Bag(
+    out = evaluate(grouped, pop)
+    assert out.header == ("a", "b")
+    assert out.body == Bag(
         [
             row(a=1, b=GroupedBag(Bag(["a", "c"]))),
             row(a=2, b=GroupedBag(Bag(["b", "b"]))),
@@ -160,21 +158,21 @@ def test_criterion_03_path_expression_goldens():
 
     # identity table for a type
     pop = load_population(schema, {"Val": [1, 2, 3]})
-    assert run_path(schema, pop, TypeAtom("V")).body == tups(["hd", "tl"], (1, 1), (2, 2), (3, 3))
+    assert run_path(schema, pop, TypeAtom("V")) == rel(["hd", "tl"], (1, 1), (2, 2), (3, 3))
 
     # role entry and exit
     pop = pop_of(F1=[(1, "a"), (2, "b"), (3, "c")])
     facts = [FactInstance({"f1a": h, "f1b": t}) for h, t in [(1, "a"), (2, "b"), (3, "c")]]
-    assert run_path(schema, pop, RoleEntry("f1a")).body == tups(
+    assert run_path(schema, pop, RoleEntry("f1a")) == rel(
         ["hd", "tl"], *[(h, f) for h, f in zip([1, 2, 3], facts)]
     )
-    assert run_path(schema, pop, role_exit("f1a")).body == tups(
+    assert run_path(schema, pop, role_exit("f1a")) == rel(
         ["hd", "tl"], *[(f, h) for h, f in zip([1, 2, 3], facts)]
     )
 
     # concatenation
     pop = pop_of(F1=[(1, "a"), (2, "b"), (3, "a")], F2=[("a", "k"), ("c", "l"), ("b", "l")])
-    assert run_path(schema, pop, Concat(pair_path(1), pair_path(2))).body == tups(
+    assert run_path(schema, pop, Concat(pair_path(1), pair_path(2))) == rel(
         ["hd", "tl"], (1, "k"), (2, "l"), (3, "k")
     )
 
@@ -202,16 +200,16 @@ def test_criterion_03_path_expression_goldens():
     )
     hop = Concat(RoleEntry("g1"), role_exit("g2"))
     p = concat(hop, AttrAtom("x"), Concat(RoleEntry("f2a"), role_exit("f2b")))
-    assert run_path(dup_schema, dup_pop, Front(p)).body == tups(
+    assert run_path(dup_schema, dup_pop, Front(p)) == rel(
         ["hd", "x", "tl"], ("a", 1, "a"), ("a", 3, "a"), ("b", 5, "b"), ("a", 3, "a")
     )
-    assert run_path(dup_schema, dup_pop, DistinctPath(p)).body == tups(
+    assert run_path(dup_schema, dup_pop, DistinctPath(p)) == rel(
         ["hd", "x", "tl"], ("a", 1, 2), ("a", 3, 4), ("b", 5, 6)
     )
 
     # product
     pop = pop_of(F1=[(1, 2), (3, 4)], F2=[(5, "a"), (6, "b")], F3=[("a", "c"), ("b", "d")])
-    assert run_path(schema, pop, Product(pair_path(1), triple_path(2, "x", 3))).body == tups(
+    assert run_path(schema, pop, Product(pair_path(1), triple_path(2, "x", 3))) == rel(
         ["hd", "x", "tl"], (1, "a", 5), (1, "b", 6), (3, "a", 5), (3, "b", 6)
     )
 
@@ -221,20 +219,20 @@ def test_criterion_03_path_expression_goldens():
         F2=[(1, "f"), (2, "g"), (3, "h")],
     )
     p1, p2 = pair_path(1), pair_path(2)
-    assert run_path(schema, pop, SetCompare(p1, "all_in", p2)).body == tups(
+    assert run_path(schema, pop, SetCompare(p1, "all_in", p2)) == rel(
         ["hd", "tl"], ("a", 1), ("a", 2), ("c", 1), ("c", 2), ("c", 3)
     )
-    assert run_path(schema, pop, SetCompare(p1, "includes_all", p2)).body == tups(
+    assert run_path(schema, pop, SetCompare(p1, "includes_all", p2)) == rel(
         ["hd", "tl"], ("b", 1), ("b", 2), ("b", 3), ("b", 4), ("c", 1), ("c", 2), ("c", 3)
     )
-    assert run_path(schema, pop, SetCompare(p1, "match_all", p2)).body == tups(
+    assert run_path(schema, pop, SetCompare(p1, "match_all", p2)) == rel(
         ["hd", "tl"], ("c", 1), ("c", 2), ("c", 3)
     )
 
     # missing versus concatenation
     pop = pop_of(F1=[("a", "b"), ("c", "d")], F2=[("b", 3), ("d", 4)])
-    assert run_path(schema, pop, Concat(p1, p2)).body == tups(["hd", "tl"], ("a", 3), ("c", 4))
-    assert run_path(schema, pop, MissingPath(p1, p2)).body == tups(["hd", "tl"], ("a", 4), ("c", 3))
+    assert run_path(schema, pop, Concat(p1, p2)) == rel(["hd", "tl"], ("a", 3), ("c", 4))
+    assert run_path(schema, pop, MissingPath(p1, p2)) == rel(["hd", "tl"], ("a", 4), ("c", 3))
 
     # binary comparison
     pop = pop_of(
@@ -242,7 +240,7 @@ def test_criterion_03_path_expression_goldens():
         F2=[(50, 50), (101, 101), (200, 200)],
         F3=[(50, "k"), (101, "l"), (200, "m")],
     )
-    assert run_path(schema, pop, RelCompare(pair_path(1), "<", triple_path(2, "x", 3))).body == tups(
+    assert run_path(schema, pop, RelCompare(pair_path(1), "<", triple_path(2, "x", 3))) == rel(
         ["hd", "x", "tl"], ("a", 101, "l"), ("a", 200, "m"), ("d", 200, "m")
     )
 
@@ -252,33 +250,33 @@ def test_criterion_03_path_expression_goldens():
     )
     assert run_path(
         schema, pop, FuncApp("+", [triple_path(1, "x", 2), triple_path(3, "y", 4)])
-    ).body == tups(
+    ) == rel(
         ["hd", "x", "y", "tl"], (2, "l", "s", 3), (5, "l", "t", 5), (4, "m", "s", 3), (7, "m", "t", 5)
     )
 
     # selection
     pop = pop_of(F1=[(1, 3), (6, 9)], F2=[(3, 5), (9, 8)])
     where = Where([(triple_path(1, "x", 2), CScalarComp(SVar("tl"), ">", SVar("x")))])
-    assert run_path(schema, pop, where).body == tups(["hd", "x", "tl"], (1, 3, 5))
+    assert run_path(schema, pop, where) == rel(["hd", "x", "tl"], (1, 3, 5))
 
     # fused front operators versus the plain set operators
     pop = pop_of(F1=[(1, 2), (2, 3), (2, 4), (1, 8), (3, 4)], F2=[(1, 2), (2, 9), (8, 3), (3, 1)])
-    assert run_path(schema, pop, PathIntersect(p1, p2)).body == tups(["hd", "tl"], (1, 2))
-    assert run_path(schema, pop, FrontIntersect(p1, p2)).body == tups(
+    assert run_path(schema, pop, PathIntersect(p1, p2)) == rel(["hd", "tl"], (1, 2))
+    assert run_path(schema, pop, FrontIntersect(p1, p2)) == rel(
         ["hd", "tl"], (1, 1), (2, 2), (3, 3)
     )
 
     # conditions as paths
     pop = pop_of(F1=[(1, 2)])
-    assert run_path(schema, pop, CondPath(CSome(pair_path(1)))).body == tups(["hd", "tl"], (TRUE, TRUE))
+    assert run_path(schema, pop, CondPath(CSome(pair_path(1)))) == rel(["hd", "tl"], (TRUE, TRUE))
 
     # the exact average: heads 1, 2, 8, 8 give 19/4
     pop = pop_of(F1=[(1, 9), (2, 10), (8, 12)], F2=[(8, 12)])
     union = PathUnion(pair_path(1), pair_path(2))
-    assert run_path(schema, pop, Scalar(SAgg("avg", union))).body == tups(
+    assert run_path(schema, pop, Scalar(SAgg("avg", union))) == rel(
         ["hd", "tl"], (Fraction(19, 4), Fraction(19, 4))
     )
-    assert run_path(schema, pop, Scalar(SApply("+", [SConst(1), SAgg("avg", union)]))).body == tups(
+    assert run_path(schema, pop, Scalar(SApply("+", [SConst(1), SAgg("avg", union)]))) == rel(
         ["hd", "tl"], (Fraction(23, 4), Fraction(23, 4))
     )
     report(3, "path expression goldens")
@@ -316,7 +314,7 @@ def test_criterion_06_normalisation():
         before = evaluate(translate(schema, expr, typing), pop)
         norm = normalise(schema, expr)
         after = evaluate(translate(schema, norm, infer_typing(schema, norm)), pop)
-        if before.body != after.body:
+        if before.body != after.body or (before.body and before.header != after.header):
             mismatches += 1
     # the subtype between the roles is kept: dropping it would change results
     sub_schema = load_schema(
@@ -477,7 +475,7 @@ def test_criterion_11_null_policy():
     # selection excludes unknown
     src = Literal(rel(["a"], (1,), (NULL,), (3,)))
     kept = evaluate(Select(Compare(Attr("a"), ">", Const(0)), src), pop)
-    check(15, kept.body == tups(["a"], (1,), (3,)), True)
+    check(15, kept == rel(["a"], (1,), (3,)), True)
 
     # aggregates skip NULLs; counting counts every tuple
     check(16, eval_scalar(Sum(src, "a"), pop, t), 4)

@@ -66,7 +66,7 @@ def test_concat_associativity_under_evaluation():
     p, q, r = pair_path(1), pair_path(2), pair_path(3)
     left = run_path(schema, pop, Concat(Concat(p, q), r))
     right = run_path(schema, pop, Concat(p, Concat(q, r)))
-    assert left.body == right.body
+    assert left == right
 
 
 def test_front_and_distinct_idempotent_under_evaluation():
@@ -75,10 +75,10 @@ def test_front_and_distinct_idempotent_under_evaluation():
 
     pop = load_population(schema, pairs_pop(F1=[(1, 2), (1, 3), (4, 4)]))
     p = pair_path(1)
-    assert run_path(schema, pop, Front(Front(p))).body == run_path(schema, pop, Front(p)).body
+    assert run_path(schema, pop, Front(Front(p))) == run_path(schema, pop, Front(p))
     assert (
-        run_path(schema, pop, DistinctPath(DistinctPath(p))).body
-        == run_path(schema, pop, DistinctPath(p)).body
+        run_path(schema, pop, DistinctPath(DistinctPath(p)))
+        == run_path(schema, pop, DistinctPath(p))
     )
 
 

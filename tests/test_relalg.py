@@ -68,7 +68,7 @@ class TestProjectionFamily:
     def test_project_example(self, pop, example_p):
         e = Project({"a": Apply("+", [Attr("x"), Attr("y")]), "b": Attr("z")}, example_p)
         assert sch(e) == frozenset({"a", "b"})
-        assert evaluate(e, pop).body == rel(["a", "b"], (3, "a"), (6, "b")).body
+        assert evaluate(e, pop) == rel(["a", "b"], (3, "a"), (6, "b"))
 
     def test_extend_example(self, pop, example_p):
         e = Extend(
@@ -76,30 +76,30 @@ class TestProjectionFamily:
             example_p,
         )
         expected = rel(["x", "y", "z", "a"], (1, 2, 1, 3), (2, 4, 2, 6))
-        assert evaluate(e, pop).body == expected.body
+        assert evaluate(e, pop) == expected
 
     def test_rename_example(self, pop, example_p):
         e = Rename({"a": "x", "b": "y"}, example_p)
         assert sch(e) == frozenset({"a", "b", "z"})
         expected = rel(["a", "b", "z"], (1, 2, "a"), (2, 4, "b"))
-        assert evaluate(e, pop).body == expected.body
+        assert evaluate(e, pop) == expected
 
     def test_rename_swap(self, pop):
         e = Rename({"a": "b", "b": "a"}, lit(["a", "b"], (1, 2)))
-        assert evaluate(e, pop).body == rel(["a", "b"], (2, 1)).body
+        assert evaluate(e, pop) == rel(["a", "b"], (2, 1))
 
     def test_drop_example(self, pop, example_p):
         e = DropAttrs({"x"}, example_p)
         expected = rel(["y", "z"], (2, "a"), (4, "b"))
-        assert evaluate(e, pop).body == expected.body
+        assert evaluate(e, pop) == expected
 
     def test_project_identity_defmap(self, pop, example_p):
         e = Project(def_map(["x", "y", "z"]), example_p)
-        assert evaluate(e, pop).body == example_p.relation.body
+        assert evaluate(e, pop) == example_p.relation
 
     def test_project_merges_duplicates(self, pop):
         e = Project({"a": Attr("x")}, lit(["x", "y"], (1, 10), (1, 20)))
-        assert evaluate(e, pop).body == Bag([row(a=1), row(a=1)])
+        assert evaluate(e, pop) == rel(["a"], (1,), (1,))
 
     def test_unbound_attribute(self, pop, example_p):
         e = Project({"a": Attr("nope")}, example_p)
@@ -114,7 +114,7 @@ class TestScalars:
             example_p,
         )
         expected = rel(["a", "b"], (3, 5), (3, 7))
-        assert evaluate(e, pop).body == expected.body
+        assert evaluate(e, pop) == expected
 
     def test_const(self, pop):
         assert eval_scalar(Const(42), pop, {}) == 42
@@ -156,7 +156,7 @@ class TestScalars:
     def test_scalar_table(self, pop):
         e = ScalarTable("x", Const(7))
         assert sch(e) == frozenset({"x"})
-        assert evaluate(e, pop).body == Bag([row(x=7)])
+        assert evaluate(e, pop) == rel(["x"], (7,))
 
     def test_correlated_subquery(self, pop):
         # the outer tuple is visible inside aggregates unless shadowed
@@ -168,66 +168,77 @@ class TestScalars:
 class TestGroup:
     def test_grouping_example(self, pop):
         src = lit(["a", "b"], (1, "a"), (2, "b"), (1, "c"), (2, "b"))
-        out = evaluate(Group({"a"}, src), pop).body
+        out = evaluate(Group({"a"}, src), pop)
         expected = Bag(
             [
                 row(a=1, b=GroupedBag(Bag(["a", "c"]))),
                 row(a=2, b=GroupedBag(Bag(["b", "b"]))),
             ]
         )
-        assert out == expected
+        assert out.header == ("a", "b")
+        assert out.body == expected
 
     def test_nulls_group_together(self, pop):
         src = lit(["a", "b"], (NULL, 1), (NULL, 2))
-        out = evaluate(Group({"a"}, src), pop).body
-        assert out == Bag([row(a=NULL, b=GroupedBag(Bag([1, 2])))])
+        out = evaluate(Group({"a"}, src), pop)
+        assert out.header == ("a", "b")
+        assert out.body == Bag([row(a=NULL, b=GroupedBag(Bag([1, 2])))])
 
 
 class TestJoins:
     def test_join_multiplies_frequencies(self, pop):
         left = lit(["a", "b"], (1, "x"), (1, "x"))
         right = lit(["b", "c"], ("x", 9))
-        out = evaluate(Join(left, right), pop).body
-        assert out == Bag.from_counts([(row(a=1, b="x", c=9), 2)])
+        out = evaluate(Join(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag.from_counts([(row(a=1, b="x", c=9), 2)])
 
     def test_left_join_pads_with_null(self, pop):
         left = lit(["a", "b"], (1, "x"), (2, "y"))
         right = lit(["b", "c"], ("x", 9))
-        out = evaluate(LeftJoin(left, right), pop).body
-        assert out == Bag([row(a=1, b="x", c=9), row(a=2, b="y", c=NULL)])
+        out = evaluate(LeftJoin(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag([row(a=1, b="x", c=9), row(a=2, b="y", c=NULL)])
 
     def test_null_joins_null(self, pop):
         left = lit(["a", "b"], (1, NULL), (2, "x"))
         right = lit(["b", "c"], (NULL, 9), ("y", 8))
-        out = evaluate(Join(left, right), pop).body
-        assert out == Bag([row(a=1, b=NULL, c=9)])
+        out = evaluate(Join(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag([row(a=1, b=NULL, c=9)])
 
     def test_multiplicities_multiply(self, pop):
         left = lit(["a", "b"], (1, "x"), (1, "x"), (2, "y"))
         right = lit(["b", "c"], ("x", 9), ("x", 9), ("x", 9), ("y", 8))
-        out = evaluate(Join(left, right), pop).body
-        assert out == Bag.from_counts([(row(a=1, b="x", c=9), 6), (row(a=2, b="y", c=8), 1)])
+        out = evaluate(Join(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag.from_counts([(row(a=1, b="x", c=9), 6), (row(a=2, b="y", c=8), 1)])
 
     def test_left_join_pads_and_keeps_multiplicity(self, pop):
         left = lit(["a", "b"], (1, "x"), (2, "y"), (2, "y"), (2, "y"))
         right = lit(["b", "c"], ("x", 9))
-        out = evaluate(LeftJoin(left, right), pop).body
-        assert out == Bag.from_counts([(row(a=1, b="x", c=9), 1), (row(a=2, b="y", c=NULL), 3)])
+        out = evaluate(LeftJoin(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag.from_counts([(row(a=1, b="x", c=9), 1), (row(a=2, b="y", c=NULL), 3)])
 
     def test_nothing_shared_is_the_cross_product(self, pop):
         left = lit(["a"], (1,), (1,), (2,))
         right = lit(["b"], ("x",), ("y",))
-        out = evaluate(Join(left, right), pop).body
+        out = evaluate(Join(left, right), pop)
         expected = Bag.from_counts(
             [(row(a=a, b=b), 2 if a == 1 else 1) for a in (1, 2) for b in ("x", "y")]
         )
-        assert out == expected
+        assert out.header == ("a", "b")
+        assert out.body == expected
 
     def test_equal_numbers_of_different_types_join(self, pop):
         left = lit(["a", "b"], (1, "x"))
         right = lit(["a", "c"], (Fraction(1), 9), (Fraction(2), 8))
-        out = evaluate(Join(left, right), pop).body
-        assert out == Bag([row(a=1, b="x", c=9)])
+        out = evaluate(Join(left, right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag([row(a=1, b="x", c=9)])
+        # a shared attribute takes the right row's value, as in the oracle
+        assert [type(u[0]) for u, _ in out.rows()] == [Fraction]
 
     def test_right_attribute_sorting_first_leads_the_row(self, pop):
         # every other join test has the left attributes sorting first, which
@@ -248,9 +259,9 @@ class TestJoins:
     def test_union_family(self, pop):
         p = lit(["a"], (1,), (1,), (2,))
         q = lit(["a"], (1,), (3,))
-        assert evaluate(Union(p, q), pop).body == rel(["a"], (1,), (1,), (1,), (2,), (3,)).body
-        assert evaluate(Intersect(p, q), pop).body == rel(["a"], (1,)).body
-        assert evaluate(Diff(p, q), pop).body == rel(["a"], (1,), (2,)).body
+        assert evaluate(Union(p, q), pop) == rel(["a"], (1,), (1,), (1,), (2,), (3,))
+        assert evaluate(Intersect(p, q), pop) == rel(["a"], (1,))
+        assert evaluate(Diff(p, q), pop) == rel(["a"], (1,), (2,))
 
     def test_header_mismatch(self, pop):
         with pytest.raises(EvalError, match="incompatible headers"):
@@ -309,12 +320,12 @@ class TestConditions:
     def test_select_excludes_unknown(self, pop):
         src = lit(["a"], (1,), (NULL,), (3,))
         e = Select(Compare(Attr("a"), ">", Const(0)), src)
-        assert evaluate(e, pop).body == rel(["a"], (1,), (3,)).body
+        assert evaluate(e, pop) == rel(["a"], (1,), (3,))
 
     def test_distinct(self, pop):
         src = lit(["a"], (1,), (1,), (2,))
-        assert evaluate(Distinct(src), pop).body == rel(["a"], (1,), (2,)).body
-        assert evaluate(Distinct(Distinct(src)), pop).body == evaluate(Distinct(src), pop).body
+        assert evaluate(Distinct(src), pop) == rel(["a"], (1,), (2,))
+        assert evaluate(Distinct(Distinct(src)), pop) == evaluate(Distinct(src), pop)
 
 
 class TestRepeatedSubPlans:
@@ -336,14 +347,15 @@ class TestRepeatedSubPlans:
         # how many instances k are at least the outer row's c
         sub = Select(Compare(Attr("k"), ">=", Attr("c")), TypeTable("k", "X"))
         e = Select(Compare(Count(sub), ">", Const(2)), outer)
-        assert evaluate(e, pop).body == rel(["a", "c"], (3, 0), (6, 0), (9, 0), (1, 1), (4, 1), (7, 1)).body
+        assert evaluate(e, pop) == rel(["a", "c"], (3, 0), (6, 0), (9, 0), (1, 1), (4, 1), (7, 1))
         assert len(calls) == 1
 
     def test_shared_node_is_evaluated_once(self, counted):
         pop, calls = counted
         x = TypeTable("k", "X")
-        out = evaluate(Union(x, Intersect(x, x)), pop).body
-        assert out == Bag.from_counts([(row(k=k), 2) for k in (1, 2, 3)])
+        out = evaluate(Union(x, Intersect(x, x)), pop)
+        assert out.header == ("k",)
+        assert out.body == Bag.from_counts([(row(k=k), 2) for k in (1, 2, 3)])
         assert len(calls) == 1
 
     def test_memo_keys_on_the_type_of_a_value(self, pop):
@@ -357,8 +369,8 @@ class TestRepeatedSubPlans:
         schema = make_schema({"types": {"X": "value"}, "naming": {"tnm": {"X": "Num"}}})
         x = TypeTable("k", "X")
         e = Join(x, x)
-        assert evaluate(e, make_population(schema, {"Num": [1]})).body == Bag([row(k=1)])
-        assert evaluate(e, make_population(schema, {"Num": [2]})).body == Bag([row(k=2)])
+        assert evaluate(e, make_population(schema, {"Num": [1]})) == rel(["k"], (1,))
+        assert evaluate(e, make_population(schema, {"Num": [2]})) == rel(["k"], (2,))
 
     def test_an_error_in_a_subquery_is_raised_every_time(self, pop):
         sub = Select(Compare(Attr("missing"), "=", Const(1)), lit(["k"], (1,)))
