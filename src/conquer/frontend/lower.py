@@ -513,20 +513,21 @@ def _lower_all(schema: Schema, records: list) -> ParseResult:
 def disambiguate(schema: Schema, result: ParseResult) -> ParseResult:
     """Drop structurally empty interpretations; flag multiple survivors as
     ambiguous and attach their re-verbalisations for the user to choose."""
-    survivors = []
+    # each reading's head/tail memo serves both of its checks
+    checked = []
     for interp in result.interpretations:
-        if P.head_tail_combos(schema, interp.path, interp.typing):
-            survivors.append(interp)
-    if not survivors:
+        memo: dict = {}
+        if P.head_tail_combos(schema, interp.path, interp.typing, memo):
+            checked.append((interp, memo))
+    if not checked:
         raise AmbiguityError(
             "incorrect query: every interpretation is structurally empty"
         )
     # a reading with a provably empty sub-expression loses to one without:
     # the same schema reasoning that dismisses empty queries dismisses
     # readings whose pieces can never hold instances
-    clean = [i for i in survivors if not P.has_empty_subpath(schema, i.path, i.typing)]
-    if clean:
-        survivors = clean
+    clean = [i for i, memo in checked if not P.has_empty_subpath(schema, i.path, i.typing, memo)]
+    survivors = clean or [i for i, _ in checked]
     ambiguous = len(survivors) > 1
     if ambiguous:
         from ..verbalise import verbalise_interpretation

@@ -870,10 +870,23 @@ def _scalar_result_types(schema: Schema, e: PeScalar, typing: Typing) -> set[Typ
     return {ANY_VALUE_TYPE}
 
 
-def head_tail_combos(schema: Schema, p: Any, typing: Typing) -> set:
+def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None = None) -> set:
     """All possible (start type, end type) pairs; empty means the expression
-    is structurally empty."""
-    L = lambda q: head_tail_combos(schema, q, typing)
+    is structurally empty.  ``memo`` maps the id of each sub-expression
+    already worked out, under this schema and typing, to the sub-expression
+    and its pairs; holding the sub-expression keeps a temporary expansion
+    alive, so that its id is not reused."""
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(p))
+    if hit is not None:
+        return hit[1]
+
+    def L(q):
+        out = head_tail_combos(schema, q, typing, memo)
+        memo[id(q)] = (q, out)
+        return out
+
     if isinstance(p, Empty):
         tids = list(schema.types)
         return {(u, v) for u in tids for v in tids}
@@ -986,12 +999,16 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing) -> set:
 _PATH_CLASSES = tuple(c for c in PathExpr.__args__ if c is not Empty)
 
 
-def has_empty_subpath(schema: Schema, p: Any, typing: Typing) -> bool:
-    """True when the expression or any path inside it is structurally empty."""
+def has_empty_subpath(schema: Schema, p: Any, typing: Typing, memo: dict | None = None) -> bool:
+    """True when the expression or any path inside it is structurally empty.
+    One ``head_tail_combos`` memo serves the whole walk, so each
+    sub-expression's pairs are worked out once."""
+    if memo is None:
+        memo = {}
     if isinstance(p, _PATH_CLASSES):
-        if not head_tail_combos(schema, p, typing):
+        if not head_tail_combos(schema, p, typing, memo):
             return True
-    return any(has_empty_subpath(schema, c, typing) for c in children(p))
+    return any(has_empty_subpath(schema, c, typing, memo) for c in children(p))
 
 
 def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing) -> PathExpr:

@@ -10,12 +10,17 @@ A row is a plain tuple holding one value per attribute of its relation,
 in the order of the attribute names sorted, so relations with the same
 header share one layout.  An outer binding is a dict from attribute
 names to values.
+
+Each entry point first rewrites its plan (``rewrite``): stacked
+projections fuse into one, and identity projections go.  The plans that
+``paths.translate`` builds are left as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Union as TUnion
 
 from .bag import Bag, bag_avg, bag_max, bag_min, bag_sum
@@ -291,6 +296,146 @@ def _sch(e: RelExpr, known: dict[int, frozenset]) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# Rewrite
+#
+# Before evaluation a plan is rewritten by two bag-algebra laws.  Stacked
+# projections fuse, pi_A(pi_B(x)) = pi_(A.B)(x), and a projection that keeps
+# every attribute of its operand unchanged is dropped.  ``paths.translate``
+# glues each path step on with a rename or an extension, so most of its
+# projections sit directly on another projection.  The pass memoises by
+# node identity, so a sub-plan shared by two parents stays one object, and
+# it rewrites the subquery plans inside scalars and conditions too.
+
+
+_LEAVES = (Attr, AttrRole, Const, TypeTable, Literal)
+
+
+def rewrite(x):
+    """The relational expression, scalar or condition ``x`` with its
+    stacked projections fused and its identity projections removed."""
+    return _Rewriter().node(x)
+
+
+class _Rewriter:
+    def __init__(self):
+        # id -> (node, its rewrite); holding the node keeps its id unique
+        self.done: dict[int, tuple] = {}
+        self.headers: dict[int, frozenset] = {}
+
+    def node(self, x):
+        if isinstance(x, _LEAVES):
+            return x
+        k = id(x)
+        hit = self.done.get(k)
+        if hit is not None:
+            return hit[1]
+        out = x
+        if isinstance(x, Project):
+            out = self._project(x)
+        elif isinstance(x, Select):
+            cond, of = self.node(x.cond), self.node(x.of)
+            if cond is not x.cond or of is not x.of:
+                out = Select(cond, of)
+        elif isinstance(x, (Distinct, Group, Count, Sum, Min, Max, Avg, Not)):
+            of = self.node(x.of)
+            if of is not x.of:
+                out = replace(x, of=of)
+        elif isinstance(x, (Join, LeftJoin, Union, Intersect, Diff, Compare, BagCompare, Connect)):
+            left, right = self.node(x.left), self.node(x.right)
+            if left is not x.left or right is not x.right:
+                out = replace(x, left=left, right=right)
+        elif isinstance(x, Member):
+            elem, of = self.node(x.elem), self.node(x.of)
+            if elem is not x.elem or of is not x.of:
+                out = Member(elem, of, x.attr)
+        elif isinstance(x, ScalarTable):
+            expr = self.node(x.expr)
+            if expr is not x.expr:
+                out = ScalarTable(x.attr, expr)
+        elif isinstance(x, Apply):
+            args = []
+            for a in x.args:
+                args.append(self.node(a))
+            if any(a is not b for a, b in zip(args, x.args)):
+                out = Apply(x.func, args)
+        self.done[k] = (x, out)
+        return out
+
+    def _project(self, e: Project) -> RelExpr:
+        assigns = {a: self.node(s) for a, s in e.assigns}
+        of = self.node(e.of)
+        if isinstance(of, Project):
+            fused = self._fuse(assigns, of)
+            if fused is not None:
+                assigns, of = fused, of.of
+        try:
+            header = _sch(of, self.headers)
+        except EvalError:
+            header = None
+        if header == assigns.keys() and all(isinstance(s, Attr) and s.attr == a for a, s in assigns.items()):
+            return of
+        if of is e.of and all(s is t for (_, s), t in zip(e.assigns, assigns.values())):
+            return e
+        return Project(assigns, of)
+
+    def _fuse(self, outer: dict, inner: Project) -> dict | None:
+        """The assignments of Project(outer, inner) written over inner's
+        operand, or None when the fused projection could read or raise
+        differently: ``outer`` must read only inner's attributes, through
+        attributes, roles of an attribute, constants and arithmetic, inner
+        must assign only attributes, roles and constants, and what ``outer``
+        leaves unread must be a constant or an attribute of the operand."""
+        sub = dict(inner.assigns)
+        if not all(isinstance(s, (Attr, AttrRole, Const)) for s in sub.values()):
+            return None
+        used: set = set()
+        fused = {}
+        for a, s in outer.items():
+            s = _substitute(s, sub, used)
+            if s is None:
+                return None
+            fused[a] = s
+        dropped = [s for a, s in sub.items() if a not in used and not isinstance(s, Const)]
+        if dropped:
+            try:
+                header = _sch(inner.of, self.headers)
+            except EvalError:
+                return None
+            if not all(isinstance(s, Attr) and s.attr in header for s in dropped):
+                return None
+        return fused
+
+
+def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
+    """``s`` with each attribute it reads replaced by its assignment in
+    ``sub``, adding the attributes read to ``used``; None when s reads an
+    attribute outside sub, takes a role of anything but an attribute, or
+    is not built from attributes, roles, constants and ``Apply``."""
+    if isinstance(s, Const):
+        return s
+    if isinstance(s, Attr):
+        t = sub.get(s.attr)
+        if t is not None:
+            used.add(s.attr)
+        return t
+    if isinstance(s, AttrRole):
+        t = sub.get(s.attr)
+        if not isinstance(t, Attr):
+            return None
+        used.add(s.attr)
+        return AttrRole(t.attr, s.role)
+    if isinstance(s, Apply):
+        args = []
+        for a in s.args:
+            a = _substitute(a, sub, used)
+            if a is None:
+                return None
+            args.append(a)
+        return Apply(s.func, args)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Val
 #
 # Every top-level call evaluates in one private context.  The context keeps,
@@ -308,15 +453,18 @@ def _sch(e: RelExpr, known: dict[int, frozenset]) -> frozenset:
 
 
 def evaluate(e: RelExpr, pop: Population) -> Relation:
+    e = rewrite(e)
     ctx = _Context(pop, [e], per_row=False)
     return Relation(tuple(ctx.slots(e)), ctx.body(e, {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
+    expr = rewrite(expr)
     return _Context(pop, [expr], per_row=False).scalar(expr, (), {}, env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
+    cond = rewrite(cond)
     return _Context(pop, [cond], per_row=False).cond(cond, (), {}, env)
 
 
@@ -324,6 +472,8 @@ def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: It
     """``eval_scalar`` of every expression on each row of a relation with
     this header in turn, all in one context, so that a subquery is not
     evaluated again for every row."""
+    rewriter = _Rewriter()
+    exprs = [rewriter.node(e) for e in exprs]
     ctx = _Context(pop, exprs, per_row=True)
     pos = {a: i for i, a in enumerate(header)}
     for row in rows:
@@ -479,6 +629,12 @@ class _Context:
             rows = self.body(e.of, outer).items()
             pos, scalar = self.slots(e.of), self.scalar
             exprs = [s for _, s in e.assigns]
+            if exprs and all(isinstance(s, Attr) and s.attr in pos for s in exprs):
+                # every column is moved from a slot of the operand's rows
+                get = itemgetter(*[pos[s.attr] for s in exprs])
+                if len(exprs) == 1:
+                    return Bag.from_counts(((get(u),), n) for u, n in rows)
+                return Bag.from_counts((get(u), n) for u, n in rows)
             return Bag.from_counts((tuple([scalar(s, u, pos, outer) for s in exprs]), n) for u, n in rows)
         if isinstance(e, Select):
             rows = self.body(e.of, outer).items()
@@ -607,7 +763,7 @@ class _Context:
         if isinstance(cond, Connect):
             a = self.cond(cond.left, row, pos, outer)
             b = self.cond(cond.right, row, pos, outer)
-            op = {"and": t_and, "or": t_or, "xor": t_xor, "implies": t_implies}.get(cond.op)
+            op = _CONNECTIVES.get(cond.op)
             if op is None:
                 raise EvalError(f"unknown connective {cond.op!r}")
             return op(a, b)
@@ -643,6 +799,7 @@ class _Context:
 # Expr
 
 _ARITH = {"+", "-", "*", "/"}
+_CONNECTIVES = {"and": t_and, "or": t_or, "xor": t_xor, "implies": t_implies}
 
 def _apply(func: str, args: list[Any]) -> Any:
     if func in _ARITH:

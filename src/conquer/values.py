@@ -9,7 +9,7 @@ hashable: tables are bags of tuples and tuples are bags keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -51,11 +51,19 @@ class EntityInstance:
     """Surrogate for a non-value type instance.
 
     Identity is the root type plus the denotation tuple: two surrogates are
-    the same instance exactly when both components agree.
+    the same instance exactly when both components agree.  The hash is
+    computed once, when the instance is built.
     """
 
     root: str
     key: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.root, self.key)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(render_value(k) for k in self.key)

@@ -1,5 +1,8 @@
 """Population loading, closure, and instance denotation."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from conquer.bag import Bag
@@ -50,6 +53,15 @@ class TestLoading:
             schema, {"SN": [{"sn1": ["Smith", "Ann"], "sn2": "Smith"}]}
         )
         assert EntityInstance("Person", ("Smith", "Ann")) in pop.instances("Person")
+
+    def test_entity_instances_named_twice_are_one(self):
+        schema = load_schema(person_doc())
+        pop = load_population(schema, {
+            "Person": [["Smith", "Ann"]],
+            "SN": [{"sn1": ["Smith", "Ann"], "sn2": "Smith"}],
+            "FN": [{"fn1": ["Smith", "Ann"], "fn2": "Ann"}],
+        })
+        assert list(pop.instances("Person").items()) == [(EntityInstance("Person", ("Smith", "Ann")), 1)]
 
     def test_unknown_type_rejected(self):
         schema = load_schema(person_doc())
@@ -124,3 +136,17 @@ class TestMacroCompilation:
         from conquer.paths import Front, TypeAtom
 
         assert result.interpretations[0].path == Front(TypeAtom("Person"))
+
+
+class TestEntityHash:
+    def test_equal_instances_hash_equal(self):
+        assert hash(EntityInstance("P", ("a", 1))) == hash(EntityInstance("P", ("a", 1)))
+        one, fraction_one = EntityInstance("P", (1,)), EntityInstance("P", (Fraction(1),))
+        assert one == fraction_one and hash(one) == hash(fraction_one)
+        assert len({one, fraction_one, EntityInstance("Q", (1,))}) == 2
+
+    def test_replaced_instance_hashes_like_a_fresh_one(self):
+        replaced = dataclasses.replace(EntityInstance("P", ("a",)), key=("b",))
+        assert replaced == EntityInstance("P", ("b",))
+        assert hash(replaced) == hash(EntityInstance("P", ("b",)))
+        assert repr(replaced) == "P('b')"

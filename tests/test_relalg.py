@@ -30,6 +30,7 @@ from conquer.relalg import (
     Min,
     Not,
     Project,
+    Relation,
     Rename,
     ScalarTable,
     Select,
@@ -41,6 +42,7 @@ from conquer.relalg import (
     eval_scalar,
     eval_scalars,
     evaluate,
+    rewrite,
     sch,
 )
 from conquer.tri import UNKNOWN
@@ -62,6 +64,18 @@ def pop():
 def example_p():
     # the running projection example: two rows over x, y, z
     return lit(["x", "y", "z"], (1, 2, "a"), (2, 4, "b"))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """A population of the value type X, and the list that records each
+    read of a type's instances."""
+    schema = make_schema({"types": {"X": "value"}, "naming": {"tnm": {"X": "Num"}}})
+    pop = make_population(schema, {"Num": [1, 2, 3]})
+    calls = []
+    instances = Population.instances
+    monkeypatch.setattr(Population, "instances", lambda self, tid: calls.append(tid) or instances(self, tid))
+    return pop, calls
 
 
 class TestProjectionFamily:
@@ -332,15 +346,6 @@ class TestRepeatedSubPlans:
     """A sub-plan reached more than once in one evaluation is evaluated once
     per distinct binding of the outer attributes it reads."""
 
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        schema = make_schema({"types": {"X": "value"}, "naming": {"tnm": {"X": "Num"}}})
-        pop = make_population(schema, {"Num": [1, 2, 3]})
-        calls = []
-        instances = Population.instances
-        monkeypatch.setattr(Population, "instances", lambda self, tid: calls.append(tid) or instances(self, tid))
-        return pop, calls
-
     def test_correlated_subquery_shares_its_uncorrelated_part(self, counted):
         pop, calls = counted
         outer = lit(["a", "c"], *[(a, a % 3) for a in range(1, 10)])
@@ -378,3 +383,60 @@ class TestRepeatedSubPlans:
         for _ in range(2):
             with pytest.raises(EvalError, match="unbound attribute 'missing'"):
                 evaluate(e, pop)
+
+
+class TestRewrite:
+    """``evaluate`` fuses stacked projections and drops identity projections
+    first; a fused plan gives the same relation and raises where the
+    unfused one does."""
+
+    def test_rename_extend_drop_chain_fuses(self, pop):
+        src = lit(["x", "y", "z"], (1, 2, "a"), (1, 2, "b"), (1, 2, "b"), (3, 4, "c"))
+        e = Rename({"w": "x"}, Extend({"k": Const(7), "v": Attr("y")}, DropAttrs({"z"}, src)))
+        fused = rewrite(e)
+        assert isinstance(fused, Project) and fused.of is src
+        expected = Relation(
+            ("k", "v", "w", "y"), Bag.from_counts([((7, 2, 1, 2), 3), ((7, 4, 3, 4), 1)])
+        )
+        assert evaluate(e, pop) == expected
+
+    def test_outer_role_over_inner_attribute(self, pop):
+        src = lit(["f", "n"], (FactInstance({"p": 1, "q": "a"}), 5), (FactInstance({"p": 2, "q": "b"}), 5))
+        e = Project({"v": AttrRole("g", "p"), "m": Attr("n")}, Rename({"g": "f"}, src))
+        fused = rewrite(e)
+        assert fused == Project({"v": AttrRole("f", "p"), "m": Attr("n")}, src)
+        assert evaluate(e, pop) == rel(["m", "v"], (5, 1), (5, 2))
+
+    def test_inner_constant(self, pop):
+        src = lit(["x"], (1,), (2,), (2,))
+        e = Project({"a": Attr("k"), "b": Apply("+", [Attr("x"), Attr("k")])}, Extend({"k": Const(10)}, src))
+        assert rewrite(e).of is src
+        assert evaluate(e, pop) == rel(["a", "b"], (10, 11), (10, 12), (10, 12))
+
+    def test_outer_binding_read_is_not_sent_to_the_operand(self, pop):
+        # the outer projection's `a` is the outer binding's; the inner one
+        # renames the operand's own `a` to `b`
+        inner = Rename({"b": "a"}, lit(["a"], (1,), (2,), (3,)))
+        e = Project({"s": Apply("+", [Attr("b"), Attr("a")])}, inner)
+        assert eval_scalar(Sum(e, "s"), pop, {"a": 10}) == 36
+        assert eval_scalar(Count(Select(Compare(Attr("s"), ">", Const(12)), e)), pop, {"a": 10}) == 1
+
+    def test_dropped_unbound_attribute_still_raises(self, pop):
+        inner = Project({"b": Attr("x"), "c": Attr("nope")}, lit(["x"], (1,)))
+        with pytest.raises(EvalError, match="unbound attribute 'nope'"):
+            evaluate(Project({"a": Attr("b")}, inner), pop)
+
+    def test_identity_projection_is_removed(self, pop, example_p):
+        e = Distinct(Project(def_map(["x", "y", "z"]), example_p))
+        assert rewrite(e) == Distinct(example_p)
+        assert evaluate(e, pop) == example_p.relation
+
+    def test_shared_rewritten_sub_plan_is_evaluated_once(self, counted):
+        pop, calls = counted
+        # the identity projection goes, so the shared Distinct is rebuilt
+        shared = Distinct(Project({"m": Attr("k")}, Project(def_map(["k"]), TypeTable("k", "X"))))
+        e = Union(shared, Intersect(shared, shared))
+        out = rewrite(e)
+        assert out.left is out.right.left is out.right.right
+        assert evaluate(e, pop) == Relation(("m",), Bag.from_counts([((m,), 2) for m in (1, 2, 3)]))
+        assert len(calls) == 1

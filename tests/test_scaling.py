@@ -10,7 +10,7 @@ from conquer import paths as P
 from conquer import relalg as ra
 from conquer.bag import Bag
 from conquer.cli import Session, run_query
-from conquer.frontend import parse_list, tokenize
+from conquer.frontend import disambiguate, parse_list, tokenize
 from conquer.frontend.parser import parse_list_records
 from conquer.population import Population, load_population
 
@@ -123,3 +123,40 @@ def test_bracketed_variable_after_a_type_is_the_same_reading():
     (bare,) = parse_list("Person who earns a Salary x", schema).interpretations
     (bracketed,) = parse_list("Person who earns a Salary (x)", schema).interpretations
     assert P.canonical(bare.path) == P.canonical(bracketed.path)
+
+
+def rewritten_projections(monkeypatch, text: str) -> tuple[int, int]:
+    """The distinct ``Project`` nodes of the demo query's plan as
+    ``translate`` gives it and after the evaluator's rewrite."""
+    plans = recording(monkeypatch, P, "translate")
+    run_query(demo_session(), text)
+    (plan,) = plans
+    return distinct_nodes(plan, ra.Project), distinct_nodes(ra.rewrite(plan), ra.Project)
+
+
+def test_rewrite_fuses_the_projections_of_a_two_fact_join(monkeypatch):
+    before, after = rewritten_projections(monkeypatch, "Person who works for a Company c AND ALSO earns a Salary x")
+    assert before == 38
+    assert after <= 18
+
+
+def test_rewrite_fuses_the_projections_of_a_correlated_query(monkeypatch):
+    before, after = rewritten_projections(monkeypatch, CORRELATED)
+    assert before == 65
+    assert after <= 31
+
+
+def test_disambiguation_works_out_each_sub_path_once(monkeypatch):
+    schema = demo_session().schema
+    readings = [
+        parse_list("Person who works for a Company c" + " AND ALSO earns a Salary x" * k, schema)
+        for k in (2, 4, 6, 8)
+    ]
+    calls = recording(monkeypatch, P, "head_tail_combos")
+    counts = []
+    for result in readings:
+        calls.clear()
+        disambiguate(schema, result)
+        counts.append(len(calls))
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert len(steps) == 1
