@@ -111,11 +111,6 @@ class Bag:
         return out
 
 
-def from_set(elements: Iterable[Any]) -> Bag:
-    """Coerce a set to a bag: every element gets frequency 1."""
-    return Bag(dict.fromkeys(elements))
-
-
 def _arith_elements(bag: Bag) -> list[tuple[Any, int]]:
     out = []
     for e, n in bag.items():

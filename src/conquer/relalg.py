@@ -1,10 +1,12 @@
 """Bag relational algebra.
 
-Expressions form a small AST; ``sch`` computes the header of an
-expression, ``evaluate`` materialises its bag of rows against a
-population and an outer binding (the correlated-subquery environment).
+Expressions form a small AST.  Each relational node works out its header
+(``sch``) when it is built, from its own fields and its operands'
+headers, so an ill-formed set operation or grouping is refused there;
+``evaluate`` materialises a node's bag of rows against a population.
 Scalar expressions and three-valued conditions are evaluated by
-``eval_scalar`` and ``eval_cond``.
+``eval_scalar`` and ``eval_cond`` against an outer binding (the
+correlated-subquery environment).
 
 A row is a plain tuple holding one value per attribute of its relation,
 in the order of the attribute names sorted, so relations with the same
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Union as TUnion
 
@@ -41,51 +44,102 @@ class Relation:
         return self.body.items()
 
 
+class _Node:
+    """Base of every scalar, condition and relational node."""
+
+    @cached_property
+    def free(self) -> frozenset:
+        """The outer attributes this node reads: those its parts read, less
+        the operand's attributes for the parts evaluated per row of it.
+        Worked out on first use and kept on the node."""
+        if isinstance(self, (Attr, AttrRole)):
+            return frozenset({self.attr})
+        direct, per_row_parts = _parts(self)
+        out = frozenset()
+        for p in direct:
+            out |= p.free
+        for p in per_row_parts:
+            out |= p.free.difference(self.of.slots)
+        return out
+
+
+class _Rel(_Node):
+    """Base of the relational nodes.  A node works out its header, the
+    sorted tuple of its attribute names, and ``slots``, the position of each
+    attribute in its rows, once when it is built, from its own fields and
+    its operands' headers."""
+
+    header: tuple
+    slots: dict
+
+    def __post_init__(self):
+        slots = None
+        if isinstance(self, Project):
+            header = tuple(a for a, _ in self.assigns)
+        elif isinstance(self, (Select, Distinct, Group)):
+            header, slots = self.of.header, self.of.slots
+            if isinstance(self, Group) and not self.by.issubset(slots):
+                raise EvalError(f"grouping attributes not in header: {sorted(self.by.difference(slots))}")
+        elif isinstance(self, (TypeTable, ScalarTable)):
+            header = (self.attr,)
+        elif isinstance(self, (Join, LeftJoin)):
+            header = tuple(sorted(self.left.slots.keys() | self.right.slots.keys()))
+        elif isinstance(self, (Union, Intersect, Diff)):
+            header, slots = self.left.header, self.left.slots
+            if header != self.right.header:
+                missing = sorted(set(header).symmetric_difference(self.right.header))
+                raise EvalError(f"incompatible headers: {missing}")
+        else:  # Literal
+            header = self.relation.header
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "slots", {a: i for i, a in enumerate(header)} if slots is None else slots)
+
+
 # ---------------------------------------------------------------------------
 # scalar expressions
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: Any
 
 
 @dataclass(frozen=True)
-class Attr:
+class Attr(_Node):
     attr: AttrName
 
 
 @dataclass(frozen=True)
-class AttrRole:
+class AttrRole(_Node):
     attr: AttrName
     role: str
 
 
 @dataclass(frozen=True)
-class Count:
+class Count(_Node):
     of: "RelExpr"
 
 
 @dataclass(frozen=True)
-class Sum:
-    of: "RelExpr"
-    attr: AttrName
-
-
-@dataclass(frozen=True)
-class Min:
+class Sum(_Node):
     of: "RelExpr"
     attr: AttrName
 
 
 @dataclass(frozen=True)
-class Max:
+class Min(_Node):
     of: "RelExpr"
     attr: AttrName
 
 
 @dataclass(frozen=True)
-class Avg:
+class Max(_Node):
+    of: "RelExpr"
+    attr: AttrName
+
+
+@dataclass(frozen=True)
+class Avg(_Node):
     """Sum over count, SQL-92 style: NULLs are ignored on both sides."""
 
     of: "RelExpr"
@@ -93,7 +147,7 @@ class Avg:
 
 
 @dataclass(frozen=True)
-class Apply:
+class Apply(_Node):
     func: str
     args: tuple
 
@@ -110,33 +164,33 @@ RaScalar = TUnion[Const, Attr, AttrRole, Count, Sum, Min, Max, Avg, Apply]
 
 
 @dataclass(frozen=True)
-class Compare:
+class Compare(_Node):
     left: RaScalar
     op: str  # < <= = <> >= >
     right: RaScalar
 
 
 @dataclass(frozen=True)
-class BagCompare:
+class BagCompare(_Node):
     left: "RelExpr"
     op: str  # sub subeq = <> supeq sup
     right: "RelExpr"
 
 
 @dataclass(frozen=True)
-class Member:
+class Member(_Node):
     elem: RaScalar
     of: "RelExpr"
     attr: AttrName
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     of: "RaCond"
 
 
 @dataclass(frozen=True)
-class Connect:
+class Connect(_Node):
     left: "RaCond"
     op: str  # and or xor implies
     right: "RaCond"
@@ -150,80 +204,82 @@ RaCond = TUnion[Compare, BagCompare, Member, Not, Connect]
 
 
 @dataclass(frozen=True)
-class Project:
+class Project(_Rel):
     assigns: tuple  # (attr, RaScalar) pairs, sorted by attr: the output row's layout
     of: "RelExpr"
 
     def __init__(self, assigns, of):
         object.__setattr__(self, "assigns", tuple(sorted(dict(assigns).items())))
         object.__setattr__(self, "of", of)
+        self.__post_init__()
 
 
 @dataclass(frozen=True)
-class Select:
+class Select(_Rel):
     cond: RaCond
     of: "RelExpr"
 
 
 @dataclass(frozen=True)
-class TypeTable:
+class TypeTable(_Rel):
     attr: AttrName
     tid: str
 
 
 @dataclass(frozen=True)
-class Distinct:
+class Distinct(_Rel):
     of: "RelExpr"
 
 
 @dataclass(frozen=True)
-class Group:
+class Group(_Rel):
     by: frozenset
     of: "RelExpr"
 
     def __init__(self, by, of):
         object.__setattr__(self, "by", frozenset(by))
         object.__setattr__(self, "of", of)
+        self.__post_init__()
 
 
 @dataclass(frozen=True)
-class Join:
+class Join(_Rel):
     left: "RelExpr"
     right: "RelExpr"
 
 
 @dataclass(frozen=True)
-class LeftJoin:
+class LeftJoin(_Rel):
     left: "RelExpr"
     right: "RelExpr"
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(_Rel):
     left: "RelExpr"
     right: "RelExpr"
 
 
 @dataclass(frozen=True)
-class Intersect:
+class Intersect(_Rel):
     left: "RelExpr"
     right: "RelExpr"
 
 
 @dataclass(frozen=True)
-class Diff:
+class Diff(_Rel):
     left: "RelExpr"
     right: "RelExpr"
 
 
 @dataclass(frozen=True)
-class ScalarTable:
+class ScalarTable(_Rel):
     attr: AttrName
     expr: RaScalar
 
 
 @dataclass(frozen=True)
-class Literal:
+class Literal(_Rel):
     """Leaf for a pre-materialised relation (LIST post-processing, tests)."""
 
     relation: Relation
@@ -246,53 +302,24 @@ def def_map(attrs: Iterable[AttrName]) -> dict[AttrName, RaScalar]:
 def Extend(assigns, of: RelExpr) -> Project:
     """Keep every attribute of ``of`` and add ``assigns``; later
     assignments win."""
-    return Project({**def_map(sch(of)), **dict(assigns)}, of)
+    return Project({**def_map(of.header), **dict(assigns)}, of)
 
 
 def Rename(mapping, of: RelExpr) -> Project:
     """Rename by (new, old) pairs; the other attributes are kept."""
     renames = dict(mapping)
-    keep = def_map(a for a in sch(of) if a not in renames.values())
+    keep = def_map(a for a in of.header if a not in renames.values())
     return Project({**keep, **{new: Attr(old) for new, old in renames.items()}}, of)
 
 
 def DropAttrs(attrs, of: RelExpr) -> Project:
-    return Project(def_map(sch(of) - frozenset(attrs)), of)
-
-
-# ---------------------------------------------------------------------------
-# Sch
+    drop = frozenset(attrs)
+    return Project(def_map(a for a in of.header if a not in drop), of)
 
 
 def sch(e: RelExpr) -> frozenset:
-    return _sch(e, {})
-
-
-def _sch(e: RelExpr, known: dict[int, frozenset]) -> frozenset:
-    """The header of ``e``; ``known`` holds the headers already computed,
-    by node identity, so a shared sub-plan is visited once."""
-    h = known.get(id(e))
-    if h is not None:
-        return h
-    if isinstance(e, Project):
-        h = frozenset(a for a, _ in e.assigns)
-    elif isinstance(e, (Select, Distinct, Group)):
-        h = _sch(e.of, known)
-    elif isinstance(e, (TypeTable, ScalarTable)):
-        h = frozenset({e.attr})
-    elif isinstance(e, (Join, LeftJoin)):
-        h = _sch(e.left, known) | _sch(e.right, known)
-    elif isinstance(e, (Union, Intersect, Diff)):
-        h, rs = _sch(e.left, known), _sch(e.right, known)
-        if h != rs:
-            missing = sorted(h.symmetric_difference(rs))
-            raise EvalError(f"incompatible headers: {missing}")
-    elif isinstance(e, Literal):
-        h = frozenset(e.relation.header)
-    else:
-        raise EvalError(f"unknown relational expression {e!r}")
-    known[id(e)] = h
-    return h
+    """The header of ``e`` as a set of attribute names."""
+    return frozenset(e.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +347,6 @@ class _Rewriter:
     def __init__(self):
         # id -> (node, its rewrite); holding the node keeps its id unique
         self.done: dict[int, tuple] = {}
-        self.headers: dict[int, frozenset] = {}
 
     def node(self, x):
         if isinstance(x, _LEAVES):
@@ -365,45 +391,37 @@ class _Rewriter:
         assigns = {a: self.node(s) for a, s in e.assigns}
         of = self.node(e.of)
         if isinstance(of, Project):
-            fused = self._fuse(assigns, of)
+            fused = _fuse(assigns, of)
             if fused is not None:
                 assigns, of = fused, of.of
-        try:
-            header = _sch(of, self.headers)
-        except EvalError:
-            header = None
-        if header == assigns.keys() and all(isinstance(s, Attr) and s.attr == a for a, s in assigns.items()):
+        if assigns.keys() == of.slots.keys() and all(isinstance(s, Attr) and s.attr == a for a, s in assigns.items()):
             return of
         if of is e.of and all(s is t for (_, s), t in zip(e.assigns, assigns.values())):
             return e
         return Project(assigns, of)
 
-    def _fuse(self, outer: dict, inner: Project) -> dict | None:
-        """The assignments of Project(outer, inner) written over inner's
-        operand, or None when the fused projection could read or raise
-        differently: ``outer`` must read only inner's attributes, through
-        attributes, roles of an attribute, constants and arithmetic, inner
-        must assign only attributes, roles and constants, and what ``outer``
-        leaves unread must be a constant or an attribute of the operand."""
-        sub = dict(inner.assigns)
-        if not all(isinstance(s, (Attr, AttrRole, Const)) for s in sub.values()):
+
+def _fuse(outer: dict, inner: Project) -> dict | None:
+    """The assignments of Project(outer, inner) written over inner's
+    operand, or None when the fused projection could read or raise
+    differently: ``outer`` must read only inner's attributes, through
+    attributes, roles of an attribute, constants and arithmetic, inner must
+    assign only attributes, roles and constants, and what ``outer`` leaves
+    unread must be a constant or an attribute of the operand."""
+    sub = dict(inner.assigns)
+    if not all(isinstance(s, (Attr, AttrRole, Const)) for s in sub.values()):
+        return None
+    used: set = set()
+    fused = {}
+    for a, s in outer.items():
+        s = _substitute(s, sub, used)
+        if s is None:
             return None
-        used: set = set()
-        fused = {}
-        for a, s in outer.items():
-            s = _substitute(s, sub, used)
-            if s is None:
-                return None
-            fused[a] = s
-        dropped = [s for a, s in sub.items() if a not in used and not isinstance(s, Const)]
-        if dropped:
-            try:
-                header = _sch(inner.of, self.headers)
-            except EvalError:
-                return None
-            if not all(isinstance(s, Attr) and s.attr in header for s in dropped):
-                return None
-        return fused
+        fused[a] = s
+    for a, s in sub.items():
+        if a not in used and not isinstance(s, Const) and not (isinstance(s, Attr) and s.attr in inner.of.slots):
+            return None
+    return fused
 
 
 def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
@@ -438,24 +456,21 @@ def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
 # ---------------------------------------------------------------------------
 # Val
 #
-# Every top-level call evaluates in one private context.  The context keeps,
-# by node identity, the header of each relational expression, the position
-# of each attribute in its rows and the outer attributes each node reads
-# (its free attributes), and memoises the results of the nodes that can be
-# reached more than once: nodes with more than one parent and nodes under a
-# per-row scalar or condition.  A result depends on the outer binding only
-# through the free attributes, so it is computed once per distinct binding
-# of them.  The context, memo included, is dropped when the call returns.
+# Every top-level call evaluates in one private context.  The context
+# memoises the results of the nodes that can be reached more than once:
+# nodes with more than one parent and nodes under a per-row scalar or
+# condition.  A result depends on the outer binding only through the node's
+# free attributes (``free``), so it is computed once per distinct binding of
+# them.  The context, memo included, is dropped when the call returns.
 #
-# Scalars and conditions read a row through its positions and fall back to
-# the outer binding; a subquery under a row sees the row's attributes over
-# the outer binding as its own outer binding.
+# Scalars and conditions read a row through its operand's slots and fall
+# back to the outer binding; a subquery under a row sees the row's
+# attributes over the outer binding as its own outer binding.
 
 
 def evaluate(e: RelExpr, pop: Population) -> Relation:
     e = rewrite(e)
-    ctx = _Context(pop, [e], per_row=False)
-    return Relation(tuple(ctx.slots(e)), ctx.body(e, {}))
+    return Relation(e.header, _Context(pop, [e], per_row=False).body(e, {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
@@ -557,52 +572,8 @@ class _Context:
     def __init__(self, pop: Population, roots: list, per_row: bool):
         self.pop = pop
         self.roots = roots  # keeps every node alive, so no id is reused
-        self.headers: dict[int, frozenset] = {}
-        self.positions: dict[int, dict[AttrName, int]] = {}
-        self.frees: dict[int, frozenset | None] = {}
         self.memo: dict[tuple, Any] = {}
         self.repeatable = _repeatable(roots, per_row)
-
-    def header(self, e: RelExpr) -> frozenset:
-        return _sch(e, self.headers)
-
-    def slots(self, e: RelExpr) -> dict[AttrName, int]:
-        """The position of each attribute of e's header in e's rows, in
-        header order."""
-        pos = self.positions.get(id(e))
-        if pos is None:
-            pos = self.positions[id(e)] = {a: i for i, a in enumerate(sorted(self.header(e)))}
-        return pos
-
-    def free(self, x) -> frozenset | None:
-        """The outer attributes that ``x`` reads; None when a header inside
-        ``x`` is invalid (``x`` is then evaluated without the memo and
-        raises where it did before)."""
-        k = id(x)
-        if k in self.frees:
-            return self.frees[k]
-        if isinstance(x, (Attr, AttrRole)):
-            f = frozenset({x.attr})
-        else:
-            direct, per_row_parts = _parts(x)
-            f, g = self._free_of(direct), self._free_of(per_row_parts)
-            if per_row_parts and g is not None:
-                try:
-                    g = g - self.header(x.of)
-                except EvalError:
-                    g = None
-            f = None if f is None or g is None else f | g
-        self.frees[k] = f
-        return f
-
-    def _free_of(self, parts) -> frozenset | None:
-        out = frozenset()
-        for p in parts:
-            f = self.free(p)
-            if f is None:
-                return None
-            out |= f
-        return out
 
     def _cached(self, compute, x, outer: dict) -> Any:
         """``compute(x, outer)``, memoised on x and the values of outer on
@@ -610,10 +581,7 @@ class _Context:
         type, so that 1, 1.0 and Fraction(1) get entries of their own."""
         if id(x) not in self.repeatable:
             return compute(x, outer)
-        free = self.free(x)
-        if free is None:
-            return compute(x, outer)
-        key = (id(x), tuple((type(v), v) for v in (outer.get(a, _MISSING) for a in free)))
+        key = (id(x), tuple((type(v), v) for v in (outer.get(a, _MISSING) for a in x.free)))
         out = self.memo.get(key, _MISSING)
         if out is _MISSING:
             out = self.memo[key] = compute(x, outer)
@@ -627,7 +595,7 @@ class _Context:
     def _body(self, e: RelExpr, outer: dict) -> Bag:
         if isinstance(e, Project):
             rows = self.body(e.of, outer).items()
-            pos, scalar = self.slots(e.of), self.scalar
+            pos, scalar = e.of.slots, self.scalar
             exprs = [s for _, s in e.assigns]
             if exprs and all(isinstance(s, Attr) and s.attr in pos for s in exprs):
                 # every column is moved from a slot of the operand's rows
@@ -638,7 +606,7 @@ class _Context:
             return Bag.from_counts((tuple([scalar(s, u, pos, outer) for s in exprs]), n) for u, n in rows)
         if isinstance(e, Select):
             rows = self.body(e.of, outer).items()
-            pos, cond = self.slots(e.of), self.cond
+            pos, cond = e.of.slots, self.cond
             return Bag.from_counts((u, n) for u, n in rows if is_true(cond(e.cond, u, pos, outer)))
         if isinstance(e, TypeTable):
             self.pop.schema.check_type(e.tid)
@@ -650,7 +618,6 @@ class _Context:
         if isinstance(e, (Join, LeftJoin)):
             return self._join(e, outer)
         if isinstance(e, (Union, Intersect, Diff)):
-            self.header(e)  # header compatibility check
             lb = self.body(e.left, outer)
             rb = self.body(e.right, outer)
             if isinstance(e, Union):
@@ -666,10 +633,7 @@ class _Context:
 
     def _group(self, e: Group, outer: dict) -> Bag:
         body = self.body(e.of, outer)
-        missing = e.by - self.header(e.of)
-        if missing:
-            raise EvalError(f"grouping attributes not in header: {sorted(missing)}")
-        pos = self.slots(e.of)
+        pos = e.of.slots
         keys = [i for a, i in pos.items() if a in e.by]
         rest = [i for a, i in pos.items() if a not in e.by]
         groups: dict[tuple, list[tuple[tuple, int]]] = {}
@@ -693,11 +657,11 @@ class _Context:
         row that matches nothing."""
         lb = self.body(e.left, outer)
         rb = self.body(e.right, outer)
-        lpos, rpos = self.slots(e.left), self.slots(e.right)
+        lpos, rpos = e.left.slots, e.right.slots
         lkey = [i for a, i in lpos.items() if a in rpos]
         rkey = [rpos[a] for a in lpos if a in rpos]
-        pick = [len(lpos) + rpos[a] if a in rpos else lpos[a] for a in self.slots(e)]
-        pad_pick = [lpos[a] if a in lpos else len(lpos) + rpos[a] for a in self.slots(e)]
+        pick = [len(lpos) + rpos[a] if a in rpos else lpos[a] for a in e.header]
+        pad_pick = [lpos[a] if a in lpos else len(lpos) + rpos[a] for a in e.header]
         index: dict[tuple, list[tuple[tuple, int]]] = {}
         for v, m in rb.items():
             index.setdefault(tuple([v[i] for i in rkey]), []).append((v, m))
@@ -735,13 +699,12 @@ class _Context:
         raise EvalError(f"unknown scalar expression {expr!r}")
 
     def _aggregate(self, expr: Count | Sum | Min | Max | Avg, outer: dict) -> Any:
-        header = self.header(expr.of)
         body = self.body(expr.of, outer)
         if isinstance(expr, Count):
             return body.cardinality()
-        if expr.attr not in header:
+        i = expr.of.slots.get(expr.attr)
+        if i is None:
             raise EvalError(f"unbound attribute {expr.attr!r}")
-        i = self.slots(expr.of)[expr.attr]
         bag = Bag.from_counts((u[i], n) for u, n in body.items())
         if isinstance(expr, Sum):
             return bag_sum(bag)
@@ -770,21 +733,16 @@ class _Context:
         raise EvalError(f"unknown condition {cond!r}")
 
     def _bag_compare(self, cond: BagCompare, outer: dict) -> Tri:
-        self.header(cond.left)
-        lb = self.body(cond.left, outer)
-        self.header(cond.right)
-        rb = self.body(cond.right, outer)
-        return _bag_compare(lb, cond.op, rb)
+        return _bag_compare(self.body(cond.left, outer), cond.op, self.body(cond.right, outer))
 
     def _member(self, cond: Member, outer: dict) -> Tri:
         v = self.scalar(cond.elem, (), {}, outer)
         if v is NULL:
             return UNKNOWN
-        header = self.header(cond.of)
         body = self.body(cond.of, outer)
-        if cond.attr not in header:
+        i = cond.of.slots.get(cond.attr)
+        if i is None:
             raise EvalError(f"unbound attribute {cond.attr!r}")
-        i = self.slots(cond.of)[cond.attr]
         saw_null = False
         for u, _ in body.items():
             x = u[i]

@@ -8,15 +8,15 @@ concurrent readers.
 
 Type relatedness is stored extensionally: the loader closes the declared
 specialisation hierarchy (types sharing a root are related unless an
-explicit exclusion says otherwise) and adds the reflexive and symmetric
-closure.
+explicit exclusion says otherwise), adds the reflexive and symmetric
+closure, and keeps for each type the set of the types related to it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from .errors import SchemaError
 
@@ -109,7 +109,7 @@ class Schema:
     types: dict[TypeId, TypeInfo] = field(default_factory=dict)
     roles: dict[RoleId, Role] = field(default_factory=dict)
     roles_of: dict[TypeId, tuple[RoleId, ...]] = field(default_factory=dict)
-    related_pairs: frozenset = frozenset()
+    related: dict[TypeId, frozenset] = field(default_factory=dict)  # each type to itself and its related types
     specialises: dict[TypeId, tuple[TypeId, ...]] = field(default_factory=dict)
     roots: dict[TypeId, frozenset] = field(default_factory=dict)
     idf: dict[TypeId, Idf] = field(default_factory=dict)
@@ -147,15 +147,13 @@ class Schema:
         return self.roles[p].rel
 
     def type_related(self, x: TypeId, y: TypeId) -> bool:
-        self.check_type(x)
+        related = self.related_to(x)
         self.check_type(y)
-        return x == y or (x, y) in self.related_pairs
+        return y in related
 
-    def related_to(self, x: TypeId) -> set[TypeId]:
+    def related_to(self, x: TypeId) -> frozenset:
         self.check_type(x)
-        out = {x}
-        out.update(b for (a, b) in self.related_pairs if a == x)
-        return out
+        return self.related[x]
 
     def roots_of(self, x: TypeId) -> frozenset:
         self.check_type(x)
@@ -171,37 +169,6 @@ class Schema:
             if n == name:
                 return tid
         return None
-
-    def lookup_role_entries(self, name: str, left_types: Iterable[TypeId] = ()) -> set[RoleId]:
-        candidates = {p for p, n in self.naming.pnm.items() if n == name}
-        return self._filter_roles(candidates, left_types, by_player=True)
-
-    def lookup_role_exits(self, name: str, left_types: Iterable[TypeId] = ()) -> set[RoleId]:
-        candidates = {p for p, n in self.naming.rnm.items() if n == name}
-        return self._filter_roles(candidates, left_types, by_player=False)
-
-    def _filter_roles(self, candidates: set[RoleId], left_types, by_player: bool) -> set[RoleId]:
-        left = set(left_types)
-        if not left:
-            return candidates
-        out = set()
-        for p in candidates:
-            anchor = self.player(p) if by_player else self.rel(p)
-            if any(self.type_related(anchor, t) for t in left):
-                out.add(p)
-        return out
-
-    def lookup_mfix(self, first_part: str, context_types: Iterable[TypeId] = ()) -> list[MFixEntry]:
-        context = set(context_types)
-        out = []
-        for entry in self.naming.mfix:
-            if entry.parts and entry.parts[0] == first_part:
-                if context:
-                    start = self.player(entry.roles[0])
-                    if not any(self.type_related(start, t) for t in context):
-                        continue
-                out.append(entry)
-        return out
 
     def mfix_for_roles(self, roles: tuple[RoleId, ...]) -> list[MFixEntry]:
         return [e for e in self.naming.mfix if e.roles == roles]
@@ -259,10 +226,11 @@ def validate_schema(schema: Schema) -> list[str]:
         if role.player not in schema.types:
             diags.append(f"role {rid!r} has unknown player {role.player!r}")
 
-    # relatedness must be symmetric (reflexivity is implicit in type_related)
-    for (x, y) in sorted(schema.related_pairs):
-        if (y, x) not in schema.related_pairs:
-            diags.append(f"relatedness of {x!r} and {y!r} is not symmetric")
+    # relatedness must be symmetric
+    for x in sorted(schema.related):
+        for y in sorted(schema.related[x]):
+            if x not in schema.related.get(y, ()):
+                diags.append(f"relatedness of {x!r} and {y!r} is not symmetric")
 
     # every non-value type needs a reference scheme; proper subtypes may
     # inherit the scheme of a root
@@ -439,7 +407,7 @@ def load_schema(data: dict | str) -> Schema:
         schema.specialises[sub] = tuple(supers) if isinstance(supers, list) else (supers,)
 
     schema.roots = _compute_roots(schema, data.get("roots", {}))
-    schema.related_pairs = _compute_related(schema, data.get("related", []), data.get("unrelated", []))
+    schema.related = _compute_related(schema, data.get("related", []), data.get("unrelated", []))
 
     for tid, spec in data.get("idf", {}).items():
         if not spec:
@@ -497,7 +465,7 @@ def _compute_roots(schema: Schema, explicit: dict) -> dict[TypeId, frozenset]:
     return roots
 
 
-def _compute_related(schema: Schema, extra: list, exclusions: list) -> frozenset:
+def _compute_related(schema: Schema, extra: list, exclusions: list) -> dict[TypeId, frozenset]:
     pairs: set[tuple[TypeId, TypeId]] = set()
     # same subtype hierarchy: sharing a root
     tids = list(schema.types)
@@ -520,4 +488,7 @@ def _compute_related(schema: Schema, extra: list, exclusions: list) -> frozenset
         pairs.discard((y, x))
     for tid in schema.types:
         pairs.add((tid, tid))
-    return frozenset(pairs)
+    related: dict[TypeId, set] = {}
+    for x, y in pairs:
+        related.setdefault(x, set()).add(y)
+    return {x: frozenset(ys) for x, ys in related.items()}

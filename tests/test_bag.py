@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conquer.bag import Bag, bag_avg, bag_max, bag_min, bag_sum, from_set
+from conquer.bag import Bag, bag_avg, bag_max, bag_min, bag_sum
 from conquer.values import NULL
 
 
@@ -51,9 +51,6 @@ class TestInspection:
 class TestCoercions:
     def test_to_set(self):
         assert bag("a", "a", "b", "b", "b").to_set() == bag("a", "b")
-
-    def test_from_set(self):
-        assert from_set({"a", "b"}) == bag("a", "b")
 
     def test_to_set_idempotent(self):
         n = bag(1, 1, 2, 3, 3, 3)

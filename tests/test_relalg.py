@@ -48,6 +48,7 @@ from conquer.relalg import (
 from conquer.tri import UNKNOWN
 from conquer.values import NULL, FactInstance, GroupedBag
 
+from .test_scaling import CORRELATED, demo_session, plan_objects, translated_plan
 from .util import empty_pop, make_population, make_schema, rel, row
 
 
@@ -198,6 +199,10 @@ class TestGroup:
         assert out.header == ("a", "b")
         assert out.body == Bag([row(a=NULL, b=GroupedBag(Bag([1, 2])))])
 
+    def test_grouping_attribute_outside_the_header(self):
+        with pytest.raises(EvalError, match="grouping attributes not in header"):
+            Group({"z"}, lit(["a"]))
+
 
 class TestJoins:
     def test_join_multiplies_frequencies(self, pop):
@@ -277,9 +282,10 @@ class TestJoins:
         assert evaluate(Intersect(p, q), pop) == rel(["a"], (1,))
         assert evaluate(Diff(p, q), pop) == rel(["a"], (1,), (2,))
 
-    def test_header_mismatch(self, pop):
+    def test_header_mismatch(self):
+        # refused when the node is built, before anything is evaluated
         with pytest.raises(EvalError, match="incompatible headers"):
-            evaluate(Union(lit(["a"], (1,)), lit(["b"], (1,))), pop)
+            Union(lit(["a"]), lit(["b"]))
 
 
 class TestTypeTable:
@@ -440,3 +446,26 @@ class TestRewrite:
         assert out.left is out.right.left is out.right.right
         assert evaluate(e, pop) == Relation(("m",), Bag.from_counts([((m,), 2) for m in (1, 2, 3)]))
         assert len(calls) == 1
+
+
+class TestHeaders:
+    """Every relational node carries its header and the slot of each of its
+    attributes from the moment it is built."""
+
+    @pytest.mark.parametrize("text", ["Person who works for a Company c AND ALSO earns a Salary x", CORRELATED])
+    def test_every_node_of_a_rewritten_plan(self, monkeypatch, text):
+        pop = demo_session().base_pop
+        plan = rewrite(translated_plan(monkeypatch, text))
+        nodes = [x for x in plan_objects(plan) if isinstance(x, relalg.RelExpr.__args__)]
+        evaluated = 0
+        for node in nodes:
+            assert list(node.header) == sorted(node.header)
+            assert node.slots == {a: i for i, a in enumerate(node.header)}
+            # a node inside a correlated subquery reads the outer row, so it
+            # is evaluated only as a part of its parent
+            if not node.free:
+                out = evaluate(node, pop)
+                assert out.header == node.header
+                assert all(len(u) == len(node.header) for u, _ in out.rows())
+                evaluated += 1
+        assert evaluated > len(nodes) // 2

@@ -75,7 +75,9 @@ def test_correlated_subquery_reads_the_population_a_fixed_number_of_times(monkey
     assert counts[0] == counts[1]
 
 
-def distinct_nodes(plan, kind) -> int:
+def plan_objects(plan) -> list:
+    """Every distinct object reachable from ``plan`` through the fields of
+    its nodes, sub-plans inside scalars and conditions included."""
     seen: dict[int, object] = {}
     stack = [plan]
     while stack:
@@ -87,7 +89,11 @@ def distinct_nodes(plan, kind) -> int:
             stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
         elif isinstance(node, (tuple, list, frozenset)):
             stack.extend(node)
-    return sum(isinstance(node, kind) for node in seen.values())
+    return list(seen.values())
+
+
+def distinct_nodes(plan, kind) -> int:
+    return sum(isinstance(node, kind) for node in plan_objects(plan))
 
 
 def test_shared_intersections_are_evaluated_once_each(monkeypatch):
@@ -125,12 +131,18 @@ def test_bracketed_variable_after_a_type_is_the_same_reading():
     assert P.canonical(bare.path) == P.canonical(bracketed.path)
 
 
-def rewritten_projections(monkeypatch, text: str) -> tuple[int, int]:
-    """The distinct ``Project`` nodes of the demo query's plan as
-    ``translate`` gives it and after the evaluator's rewrite."""
+def translated_plan(monkeypatch, text: str):
+    """The plan ``translate`` gives for the demo query ``text``."""
     plans = recording(monkeypatch, P, "translate")
     run_query(demo_session(), text)
     (plan,) = plans
+    return plan
+
+
+def rewritten_projections(monkeypatch, text: str) -> tuple[int, int]:
+    """The distinct ``Project`` nodes of the demo query's plan as
+    ``translate`` gives it and after the evaluator's rewrite."""
+    plan = translated_plan(monkeypatch, text)
     return distinct_nodes(plan, ra.Project), distinct_nodes(ra.rewrite(plan), ra.Project)
 
 

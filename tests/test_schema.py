@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from conquer.errors import SchemaError
 from conquer.schema import load_schema, validate_schema
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def fig_doc():
@@ -101,6 +105,11 @@ class TestValidation:
         diags = validate_schema(load_schema(doc))
         assert any("cyclic" in d for d in diags)
 
+    def test_asymmetric_relatedness(self):
+        schema = load_schema(fig_doc())
+        schema.related["A"] = schema.related["A"] | {"B"}
+        assert validate_schema(schema) == ["relatedness of 'A' and 'B' is not symmetric"]
+
     def test_reserved_type_ids(self):
         with pytest.raises(SchemaError, match="reserved"):
             load_schema({"types": {"Bool": "value"}})
@@ -135,6 +144,18 @@ class TestRelatedness:
         schema = load_schema(fig_doc())
         with pytest.raises(SchemaError, match="unknown type"):
             schema.type_related("A", "Nope")
+        with pytest.raises(SchemaError, match="unknown type"):
+            schema.related_to("Nope")
+
+    @pytest.mark.parametrize("doc", [fig_doc, lambda: (DEMO / "schema.json").read_text()], ids=["fig", "demo"])
+    def test_relatedness_agrees_both_ways(self, doc):
+        schema = load_schema(doc())
+        types = list(schema.types)
+        for x in types:
+            for y in types:
+                related = schema.type_related(x, y)
+                assert (y in schema.related_to(x)) == related
+                assert (x in schema.related_to(y)) == related
 
 
 class TestLookups:
@@ -142,27 +163,6 @@ class TestLookups:
         schema = load_schema(fig_doc())
         assert schema.lookup_type("President") == "A"
         assert schema.lookup_type("NoSuchType") is None
-
-    def test_role_entries_filtered_by_left_types(self):
-        schema = load_schema(fig_doc())
-        # p and g1 are homonyms across fact types; the left context picks p
-        assert schema.lookup_role_entries("has", {"A"}) == {"p"}
-        assert schema.lookup_role_entries("has", {"C"}) == {"g1"}
-        assert schema.lookup_role_entries("has") == {"p", "g1"}
-
-    def test_role_exits(self):
-        schema = load_schema(fig_doc())
-        assert schema.lookup_role_exits("has as") == {"q"}
-
-    def test_lookup_mfix(self):
-        doc = fig_doc()
-        doc["naming"]["mfix"] = [
-            ["F", ["has participated in an election leading in"], ["p", "q"]],
-            ["F", ["has participated in"], ["p", "r"]],
-        ]
-        schema = load_schema(doc)
-        entries = schema.lookup_mfix("has participated in")
-        assert len(entries) == 1 and entries[0].roles == ("p", "r")
 
     def test_lookup_type_roundtrip(self):
         schema = load_schema(fig_doc())
