@@ -196,8 +196,7 @@ def cmd_derive(session: Session) -> str:
     pop = session.population()
     lines = []
     for rule in schema.derivations:
-        tid = rule.rel if hasattr(rule, "rel") else rule.tid
-        lines.append(f"derived {tid}: {pop.instances(tid).cardinality()} instances")
+        lines.append(f"derived {rule.defines}: {pop.instances(rule.defines).cardinality()} instances")
     return "\n".join(lines)
 
 

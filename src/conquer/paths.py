@@ -1471,7 +1471,7 @@ def apply_derivations(schema: Schema, pop: Population) -> Population:
     rules = list(schema.derivations)
     if not rules:
         return pop
-    defined = {r.rel if isinstance(r, FactRule) else r.tid: r for r in rules}
+    defined = {r.defines: r for r in rules}
     order: list = []
     state: dict[TypeId, str] = {}
 

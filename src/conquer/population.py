@@ -109,17 +109,6 @@ def load_population(schema: Schema, data: dict | str) -> Population:
     return Population(schema, {tid: Bag.from_counts(freq.items()) for tid, freq in counts.items()})
 
 
-def _self_and_ancestors(schema: Schema, tid: str) -> list[str]:
-    out, stack = [], [tid]
-    while stack:
-        cur = stack.pop()
-        if cur in out:
-            continue
-        out.append(cur)
-        stack.extend(schema.specialises.get(cur, ()))
-    return out
-
-
 def _add_once(counts: dict[TypeId, dict[Any, int]], tid: str, value: Any) -> bool:
     freq = counts.setdefault(tid, {})
     if value in freq:
@@ -148,7 +137,7 @@ def _close_population(schema: Schema, counts: dict[TypeId, dict[Any, int]]) -> N
                     if rid not in fact:
                         continue
                     filler = fact[rid]
-                    for t in _self_and_ancestors(schema, schema.player(rid)):
+                    for t in schema.ancestors[schema.player(rid)]:
                         changed |= _add_once(counts, t, filler)
         for tid in list(counts):
             info = schema.types.get(tid)

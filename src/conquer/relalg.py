@@ -13,9 +13,21 @@ in the order of the attribute names sorted, so relations with the same
 header share one layout.  An outer binding is a dict from attribute
 names to values.
 
-Each entry point first rewrites its plan (``rewrite``): stacked
-projections fuse into one, and identity projections go.  The plans that
-``paths.translate`` builds are left as they are.
+Each entry point first rewrites its plan (``rewrite``) against the
+population's schema: stacked projections fuse into one, identity
+projections go, two projections of one type table joined on its instance
+column become one, and a join with a type table that a column's role
+filler already belongs to goes.  The plans that ``paths.translate`` builds
+are left as they are.
+
+The last rule rests on the closure invariant that ``load_population``
+establishes: every filler of a role is in the population of the role's
+player and of each of the player's supertypes.  The types a derivation rule
+defines do not keep that invariant, so the rule never drops a join with
+the table of a derived type or through a role of a derived fact type.  A
+population built by hand must keep the invariant too.  Rewriting may
+change the order in which an unordered result lists its rows, never the
+bag of rows.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from typing import Any, Iterable, Iterator, Union as TUnion
 from .bag import Bag, bag_avg, bag_max, bag_min, bag_sum
 from .errors import EvalError
 from .population import Population
+from .schema import Schema
 from .tri import UNKNOWN, Tri, is_true, t_and, t_implies, t_not, t_or, t_xor
 from .values import NULL, FactInstance, GroupedBag, is_number
 
@@ -325,28 +338,46 @@ def sch(e: RelExpr) -> frozenset:
 # ---------------------------------------------------------------------------
 # Rewrite
 #
-# Before evaluation a plan is rewritten by two bag-algebra laws.  Stacked
+# Before evaluation a plan is rewritten by bag-algebra laws.  Stacked
 # projections fuse, pi_A(pi_B(x)) = pi_(A.B)(x), and a projection that keeps
 # every attribute of its operand unchanged is dropped.  ``paths.translate``
 # glues each path step on with a rename or an extension, so most of its
-# projections sit directly on another projection.  The pass memoises by
-# node identity, so a sub-plan shared by two parents stays one object, and
-# it rewrites the subquery plans inside scalars and conditions too.
+# projections sit directly on another projection.
+#
+# Each step also joins a type table of its fact type or its player type,
+# and two join rules take most of those joins out again.  A type table
+# holds each instance once, so two projections of one type table joined on
+# its instance column are one projection of it (``_merge_self_join``).  And
+# a join with a projection that only copies a type table's column, on a
+# column whose values fill a role that type plays, keeps every row once
+# (``_Rewriter._drop_semi_join``), by the closure invariant that the module
+# docstring states.
+#
+# The pass memoises by node identity, so a sub-plan shared by two parents
+# stays one object, and it rewrites the subquery plans inside scalars and
+# conditions too.
 
 
 _LEAVES = (Attr, AttrRole, Const, TypeTable, Literal)
 
 
-def rewrite(x):
+def rewrite(x, schema: Schema):
     """The relational expression, scalar or condition ``x`` with its
-    stacked projections fused and its identity projections removed."""
-    return _Rewriter().node(x)
+    stacked projections fused, its identity projections removed, its
+    self-joins of a type table merged and its joins that only repeat a
+    role's player table removed.  ``schema`` is the schema of the
+    population that ``x`` is evaluated against."""
+    return _Rewriter(schema).node(x)
 
 
 class _Rewriter:
-    def __init__(self):
+    def __init__(self, schema: Schema):
+        self.schema = schema
+        self.derived = schema.derived_types()
         # id -> (node, its rewrite); holding the node keeps its id unique
         self.done: dict[int, tuple] = {}
+        # (id, attribute) -> (node, the types its column ranges over)
+        self.domains: dict[tuple[int, AttrName], tuple] = {}
 
     def node(self, x):
         if isinstance(x, _LEAVES):
@@ -357,7 +388,7 @@ class _Rewriter:
             return hit[1]
         out = x
         if isinstance(x, Project):
-            out = self._project(x)
+            out = self._projection({a: self.node(s) for a, s in x.assigns}, self.node(x.of), x)
         elif isinstance(x, Select):
             cond, of = self.node(x.cond), self.node(x.of)
             if cond is not x.cond or of is not x.of:
@@ -368,7 +399,10 @@ class _Rewriter:
                 out = replace(x, of=of)
         elif isinstance(x, (Join, LeftJoin, Union, Intersect, Diff, Compare, BagCompare, Connect)):
             left, right = self.node(x.left), self.node(x.right)
-            if left is not x.left or right is not x.right:
+            merged = self._join(left, right) if isinstance(x, Join) else None
+            if merged is not None:
+                out = self._projection(*merged)
+            elif left is not x.left or right is not x.right:
                 out = replace(x, left=left, right=right)
         elif isinstance(x, Member):
             elem, of = self.node(x.elem), self.node(x.of)
@@ -387,18 +421,131 @@ class _Rewriter:
         self.done[k] = (x, out)
         return out
 
-    def _project(self, e: Project) -> RelExpr:
-        assigns = {a: self.node(s) for a, s in e.assigns}
-        of = self.node(e.of)
+    def _projection(self, assigns: dict, of: RelExpr, e: Project | None = None) -> RelExpr:
+        """Project(assigns, of) fused with ``of`` when that is a projection,
+        or ``of`` itself when it is the identity; ``e`` when it is the
+        same projection."""
+        if _keeps_every_attribute(assigns, of):
+            return of
         if isinstance(of, Project):
             fused = _fuse(assigns, of)
             if fused is not None:
                 assigns, of = fused, of.of
-        if assigns.keys() == of.slots.keys() and all(isinstance(s, Attr) and s.attr == a for a, s in assigns.items()):
-            return of
-        if of is e.of and all(s is t for (_, s), t in zip(e.assigns, assigns.values())):
+                if _keeps_every_attribute(assigns, of):
+                    return of
+        if e is not None and of is e.of and all(s is t for (_, s), t in zip(e.assigns, assigns.values())):
             return e
         return Project(assigns, of)
+
+    def _join(self, left: RelExpr, right: RelExpr) -> tuple | None:
+        """The assignments and operand of one projection equal to
+        Join(left, right), or None when no join rule applies."""
+        return _merge_self_join(left, right) or self._drop_semi_join(left, right) or self._drop_semi_join(right, left)
+
+    def _drop_semi_join(self, x: RelExpr, table: RelExpr) -> tuple | None:
+        """Join(x, table) as a projection of x, when ``table`` is a type
+        table T(b, t) whose columns all copy b, the two share one attribute
+        s, and x's column s ranges over t: each row of x then matches the
+        one row of its instance and gains the table's columns as copies of
+        s."""
+        split = _table_projection(table)
+        if split is None:
+            return None
+        assigns, tt = split
+        if any(s != Attr(tt.attr) for s in assigns.values()):
+            return None
+        shared = x.slots.keys() & assigns.keys()
+        if len(shared) != 1:
+            return None
+        (s,) = shared
+        # a supertype the schema names but does not declare stays, so that
+        # its table still raises
+        if tt.tid not in self._domain(x, s) or tt.tid not in self.schema.types:
+            return None
+        return {**def_map(x.header), **{k: Attr(s) for k in assigns}}, x
+
+    def _domain(self, e: RelExpr, a: AttrName) -> frozenset:
+        """Types whose population holds every value of column ``a`` of
+        ``e``, by the population invariant; derived types are never
+        included.  Memoised on the node and the attribute."""
+        k = (id(e), a)
+        hit = self.domains.get(k)
+        if hit is not None:
+            return hit[1]
+        out = frozenset()
+        if isinstance(e, TypeTable):
+            if e.tid not in self.derived:
+                out = self.schema.ancestors.get(e.tid, frozenset()) - self.derived
+        elif isinstance(e, Project):
+            s = dict(e.assigns).get(a)
+            if isinstance(s, Attr) and s.attr in e.of.slots:
+                out = self._domain(e.of, s.attr)
+            elif isinstance(s, AttrRole) and s.attr in e.of.slots:
+                role = self.schema.roles.get(s.role)
+                if role is not None and role.rel in self._domain(e.of, s.attr):
+                    out = self.schema.ancestors[role.player] - self.derived
+        elif isinstance(e, (Select, Distinct)):
+            out = self._domain(e.of, a)
+        elif isinstance(e, Group) and a in e.by:
+            out = self._domain(e.of, a)
+        elif isinstance(e, (Join, Intersect)):
+            for side in (e.left, e.right):
+                if a in side.slots:
+                    out |= self._domain(side, a)
+        elif isinstance(e, (LeftJoin, Diff)) and a in e.left.slots:
+            out = self._domain(e.left, a)
+        elif isinstance(e, Union):
+            out = self._domain(e.left, a) & self._domain(e.right, a)
+        self.domains[k] = (e, out)
+        return out
+
+
+def _keeps_every_attribute(assigns: dict, of: RelExpr) -> bool:
+    return assigns.keys() == of.slots.keys() and all(isinstance(s, Attr) and s.attr == a for a, s in assigns.items())
+
+
+def _table_projection(e: RelExpr) -> tuple[dict, TypeTable] | None:
+    """The assignments and type table of a projection of a type table, a
+    bare type table being its identity projection; None for anything else."""
+    if isinstance(e, TypeTable):
+        return {e.attr: Attr(e.attr)}, e
+    if isinstance(e, Project) and isinstance(e.of, TypeTable):
+        return dict(e.assigns), e.of
+    return None
+
+
+def _merge_self_join(left: RelExpr, right: RelExpr) -> tuple | None:
+    """Join(Project(A, T(a)), Project(B, T(b))) over one type table T as
+    Project(A and B with b read as a, T(a)), when both sides are built from
+    their table's column, its roles and constants, one shared attribute is
+    the column on both sides and every other shared attribute is assigned
+    the same on both sides.  T holds each instance once, so each row
+    matches itself alone.  None when the join is not of that form."""
+    lsplit, rsplit = _table_projection(left), _table_projection(right)
+    if lsplit is None or rsplit is None or lsplit[1].tid != rsplit[1].tid:
+        return None
+    (lassigns, table), (rassigns, other) = lsplit, rsplit
+    col = table.attr
+    ours = {k: _on_column(s, col, col) for k, s in lassigns.items()}
+    theirs = {k: _on_column(s, other.attr, col) for k, s in rassigns.items()}
+    if None in ours.values() or None in theirs.values():
+        return None
+    shared = ours.keys() & theirs.keys()
+    if not any(ours[k] == Attr(col) for k in shared) or any(ours[k] != theirs[k] for k in shared):
+        return None
+    return {**ours, **theirs}, table
+
+
+def _on_column(s: RaScalar, col: AttrName, new: AttrName) -> RaScalar | None:
+    """``s`` read from column ``new`` instead of ``col``, when it is a
+    constant or reads ``col`` or a role of it; None otherwise."""
+    if isinstance(s, Const):
+        return s
+    if isinstance(s, Attr) and s.attr == col:
+        return Attr(new)
+    if isinstance(s, AttrRole) and s.attr == col:
+        return AttrRole(new, s.role)
+    return None
 
 
 def _fuse(outer: dict, inner: Project) -> dict | None:
@@ -469,17 +616,17 @@ def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
 
 
 def evaluate(e: RelExpr, pop: Population) -> Relation:
-    e = rewrite(e)
+    e = rewrite(e, pop.schema)
     return Relation(e.header, _Context(pop, [e], per_row=False).body(e, {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
-    expr = rewrite(expr)
+    expr = rewrite(expr, pop.schema)
     return _Context(pop, [expr], per_row=False).scalar(expr, (), {}, env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
-    cond = rewrite(cond)
+    cond = rewrite(cond, pop.schema)
     return _Context(pop, [cond], per_row=False).cond(cond, (), {}, env)
 
 
@@ -487,7 +634,7 @@ def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: It
     """``eval_scalar`` of every expression on each row of a relation with
     this header in turn, all in one context, so that a subquery is not
     evaluated again for every row."""
-    rewriter = _Rewriter()
+    rewriter = _Rewriter(pop.schema)
     exprs = [rewriter.node(e) for e in exprs]
     ctx = _Context(pop, exprs, per_row=True)
     pos = {a: i for i, a in enumerate(header)}

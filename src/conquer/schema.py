@@ -88,12 +88,20 @@ class FactRule:
     body: Any  # PathExpr
     text: str = ""
 
+    @property
+    def defines(self) -> TypeId:
+        return self.rel
+
 
 @dataclass(frozen=True)
 class TypeRule:
     tid: TypeId
     body: Any  # PathExpr
     text: str = ""
+
+    @property
+    def defines(self) -> TypeId:
+        return self.tid
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,7 @@ class Schema:
     roles_of: dict[TypeId, tuple[RoleId, ...]] = field(default_factory=dict)
     related: dict[TypeId, frozenset] = field(default_factory=dict)  # each type to itself and its related types
     specialises: dict[TypeId, tuple[TypeId, ...]] = field(default_factory=dict)
+    ancestors: dict[TypeId, frozenset] = field(default_factory=dict)  # each type to itself and its supertypes
     roots: dict[TypeId, frozenset] = field(default_factory=dict)
     idf: dict[TypeId, Idf] = field(default_factory=dict)
     naming: NamingTables = field(default_factory=NamingTables)
@@ -158,6 +167,10 @@ class Schema:
     def roots_of(self, x: TypeId) -> frozenset:
         self.check_type(x)
         return self.roots.get(x, frozenset({x}))
+
+    def derived_types(self) -> frozenset:
+        """The types that a derivation rule defines."""
+        return frozenset(r.defines for r in self.derivations)
 
     def user_types(self) -> list[TypeId]:
         return [t for t in self.types if t not in (ANY_VALUE_TYPE,)]
@@ -407,6 +420,7 @@ def load_schema(data: dict | str) -> Schema:
         schema.specialises[sub] = tuple(supers) if isinstance(supers, list) else (supers,)
 
     schema.roots = _compute_roots(schema, data.get("roots", {}))
+    schema.ancestors = _compute_ancestors(schema)
     schema.related = _compute_related(schema, data.get("related", []), data.get("unrelated", []))
 
     for tid, spec in data.get("idf", {}).items():
@@ -463,6 +477,25 @@ def _compute_roots(schema: Schema, explicit: dict) -> dict[TypeId, frozenset]:
                 stack.extend(supers)
         roots[tid] = frozenset(reached)
     return roots
+
+
+def _compute_ancestors(schema: Schema) -> dict[TypeId, frozenset]:
+    # every type the schema names: a role's player or a supertype that is
+    # not declared is only a diagnostic of ``validate_schema``
+    named = set(schema.types) | {r.player for r in schema.roles.values()}
+    for sub, supers in schema.specialises.items():
+        named.add(sub)
+        named.update(supers)
+    out: dict[TypeId, frozenset] = {}
+    for tid in named:
+        reached, stack = {tid}, [tid]
+        while stack:
+            for sup in schema.specialises.get(stack.pop(), ()):
+                if sup not in reached:
+                    reached.add(sup)
+                    stack.append(sup)
+        out[tid] = frozenset(reached)
+    return out
 
 
 def _compute_related(schema: Schema, extra: list, exclusions: list) -> dict[TypeId, frozenset]:

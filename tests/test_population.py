@@ -68,6 +68,24 @@ class TestLoading:
         with pytest.raises(PopulationError, match="unknown type"):
             load_population(schema, {"Martian": [1]})
 
+    def test_idf_role_with_undeclared_player_loads(self):
+        # "Client" is not declared: validate_schema reports it, load_schema
+        # still loads the schema, and the closure files the reference
+        # fact's filler under the name the role gives
+        doc = {
+            "types": {"Customer": "entity", "Nr": "value", "CN": "relationship"},
+            "roles_of": {"CN": ["c1", "c2"]},
+            "player": {"c1": "Client", "c2": "Nr"},
+            "idf": {"Customer": [["c1", "c2"]], "CN": ["c1", "c2"]},
+            "naming": {"tnm": {"Customer": "Customer"}},
+        }
+        schema = load_schema(doc)
+        pop = load_population(schema, {"Customer": [17]})
+        customer = EntityInstance("Customer", (17,))
+        assert FactInstance({"c1": customer, "c2": 17}) in pop.instances("CN")
+        assert list(pop.instances("Client").items()) == [(customer, 1)]
+        assert 17 in pop.instances("Nr")
+
     def test_wrong_fact_roles_rejected(self):
         schema = load_schema(person_doc())
         with pytest.raises(PopulationError, match="must fill roles"):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conquer.bag import Bag
-from conquer.errors import EvalError
+from conquer.errors import EvalError, SchemaError
 from conquer import relalg
 from conquer.population import Population
 from conquer.relalg import (
@@ -48,7 +48,7 @@ from conquer.relalg import (
 from conquer.tri import UNKNOWN
 from conquer.values import NULL, FactInstance, GroupedBag
 
-from .test_scaling import CORRELATED, demo_session, plan_objects, translated_plan
+from .test_scaling import CORRELATED, TWO_FACT_JOIN, demo_session, plan_objects, translated_plan
 from .util import empty_pop, make_population, make_schema, rel, row
 
 
@@ -391,15 +391,31 @@ class TestRepeatedSubPlans:
                 evaluate(e, pop)
 
 
+def fact_pop():
+    """Value types V and Small (a subtype of V) and the fact type G over V,
+    with the facts (1, 5), (1, 6) and (2, 5) and the Small instance 1."""
+    schema = make_schema({
+        "types": {"V": "value", "Small": "value", "G": "relationship"},
+        "specialises": {"Small": "V"},
+        "roles_of": {"G": ["q1", "q2"]},
+        "player": {"q1": "V", "q2": "V"},
+        "naming": {"tnm": {"V": "V", "Small": "Small", "G": "G"}},
+    })
+    facts = [{"q1": 1, "q2": 5}, {"q1": 1, "q2": 6}, {"q1": 2, "q2": 5}]
+    return make_population(schema, {"G": facts, "Small": [1]})
+
+
 class TestRewrite:
-    """``evaluate`` fuses stacked projections and drops identity projections
-    first; a fused plan gives the same relation and raises where the
-    unfused one does."""
+    """``evaluate`` fuses stacked projections, drops identity projections,
+    merges two projections of one type table joined on its instance column
+    and drops a join with a type table whose instances the other side's
+    column already fills a role of; a rewritten plan gives the same
+    relation and raises where the plan as built does."""
 
     def test_rename_extend_drop_chain_fuses(self, pop):
         src = lit(["x", "y", "z"], (1, 2, "a"), (1, 2, "b"), (1, 2, "b"), (3, 4, "c"))
         e = Rename({"w": "x"}, Extend({"k": Const(7), "v": Attr("y")}, DropAttrs({"z"}, src)))
-        fused = rewrite(e)
+        fused = rewrite(e, pop.schema)
         assert isinstance(fused, Project) and fused.of is src
         expected = Relation(
             ("k", "v", "w", "y"), Bag.from_counts([((7, 2, 1, 2), 3), ((7, 4, 3, 4), 1)])
@@ -409,14 +425,14 @@ class TestRewrite:
     def test_outer_role_over_inner_attribute(self, pop):
         src = lit(["f", "n"], (FactInstance({"p": 1, "q": "a"}), 5), (FactInstance({"p": 2, "q": "b"}), 5))
         e = Project({"v": AttrRole("g", "p"), "m": Attr("n")}, Rename({"g": "f"}, src))
-        fused = rewrite(e)
+        fused = rewrite(e, pop.schema)
         assert fused == Project({"v": AttrRole("f", "p"), "m": Attr("n")}, src)
         assert evaluate(e, pop) == rel(["m", "v"], (5, 1), (5, 2))
 
     def test_inner_constant(self, pop):
         src = lit(["x"], (1,), (2,), (2,))
         e = Project({"a": Attr("k"), "b": Apply("+", [Attr("x"), Attr("k")])}, Extend({"k": Const(10)}, src))
-        assert rewrite(e).of is src
+        assert rewrite(e, pop.schema).of is src
         assert evaluate(e, pop) == rel(["a", "b"], (10, 11), (10, 12), (10, 12))
 
     def test_outer_binding_read_is_not_sent_to_the_operand(self, pop):
@@ -434,7 +450,7 @@ class TestRewrite:
 
     def test_identity_projection_is_removed(self, pop, example_p):
         e = Distinct(Project(def_map(["x", "y", "z"]), example_p))
-        assert rewrite(e) == Distinct(example_p)
+        assert rewrite(e, pop.schema) == Distinct(example_p)
         assert evaluate(e, pop) == example_p.relation
 
     def test_shared_rewritten_sub_plan_is_evaluated_once(self, counted):
@@ -442,9 +458,88 @@ class TestRewrite:
         # the identity projection goes, so the shared Distinct is rebuilt
         shared = Distinct(Project({"m": Attr("k")}, Project(def_map(["k"]), TypeTable("k", "X"))))
         e = Union(shared, Intersect(shared, shared))
-        out = rewrite(e)
+        out = rewrite(e, pop.schema)
         assert out.left is out.right.left is out.right.right
         assert evaluate(e, pop) == Relation(("m",), Bag.from_counts([((m,), 2) for m in (1, 2, 3)]))
+        assert len(calls) == 1
+
+    def test_self_join_merge_keeps_multiplicities(self):
+        pop = fact_pop()
+        left = Project({"h": AttrRole("a", "q1"), "k": Attr("a")}, TypeTable("a", "G"))
+        right = Project({"t": AttrRole("b", "q2"), "k": Attr("b")}, TypeTable("b", "G"))
+        e = Project({"h": Attr("h")}, Join(left, right))
+        out = rewrite(e, pop.schema)
+        assert not any(isinstance(x, Join) for x in plan_objects(out))
+        assert evaluate(e, pop) == Relation(("h",), Bag.from_counts([((1,), 2), ((2,), 1)]))
+        assert sorted(u[0] for u, _ in evaluate(DropAttrs({"k"}, Join(left, right)), pop).rows()) == [1, 1, 2]
+
+    def test_merged_self_join_still_raises_on_a_role(self):
+        pop = fact_pop()
+        on_value = Join(
+            Project({"h": AttrRole("a", "q1"), "k": Attr("a")}, TypeTable("a", "V")),
+            Project({"k": Attr("b")}, TypeTable("b", "V")),
+        )
+        assert isinstance(rewrite(on_value, pop.schema), Project)
+        with pytest.raises(EvalError, match="not a relationship instance"):
+            evaluate(on_value, pop)
+        no_role = Join(
+            Project({"h": AttrRole("a", "nope"), "k": Attr("a")}, TypeTable("a", "G")),
+            TypeTable("k", "G"),
+        )
+        assert isinstance(rewrite(no_role, pop.schema), Project)
+        with pytest.raises(EvalError, match="not defined for role 'nope'"):
+            evaluate(no_role, pop)
+
+    def test_self_join_on_a_role_is_kept(self):
+        pop = fact_pop()
+        # facts that share their first filler: a many-to-many join
+        e = Join(
+            Project({"h": AttrRole("a", "q1"), "x": Attr("a")}, TypeTable("a", "G")),
+            Project({"h": AttrRole("b", "q1"), "y": Attr("b")}, TypeTable("b", "G")),
+        )
+        assert isinstance(rewrite(e, pop.schema), Join)
+        assert evaluate(e, pop).body.cardinality() == 5
+
+    def test_semi_join_with_a_subtype_table_is_kept(self):
+        pop = fact_pop()
+        fillers = Project({"p": AttrRole("f", "q1")}, TypeTable("f", "G"))
+        small = Join(fillers, TypeTable("p", "Small"))
+        assert isinstance(rewrite(small, pop.schema), Join)
+        assert evaluate(small, pop) == rel(["p"], (1,), (1,))
+        # the player's own table filters nothing, so its join goes
+        player = Join(TypeTable("p", "V"), fillers)
+        assert rewrite(player, pop.schema) is fillers
+        assert evaluate(player, pop) == rel(["p"], (1,), (1,), (2,))
+
+    def test_semi_join_on_a_padded_column_is_kept(self):
+        pop = fact_pop()
+        # 5 and 6 fill no first role, so their rows are padded with NULL
+        facts = Project({"a": AttrRole("f", "q1"), "p": AttrRole("f", "q2")}, TypeTable("f", "G"))
+        padded = LeftJoin(TypeTable("a", "V"), facts)
+        e = Join(padded, TypeTable("p", "V"))
+        assert isinstance(rewrite(e, pop.schema), Join)
+        assert evaluate(e, pop) == rel(["a", "p"], (1, 5), (1, 6), (2, 5))
+
+    def test_join_with_an_undeclared_supertype_still_raises(self):
+        schema = make_schema({
+            "types": {"V": "value", "G": "relationship"},
+            "specialises": {"V": "Ghost"},
+            "roles_of": {"G": ["q1", "q2"]},
+            "player": {"q1": "V", "q2": "V"},
+        })
+        pop = make_population(schema, {"G": [{"q1": 1, "q2": 2}]})
+        e = Join(Project({"p": AttrRole("f", "q1")}, TypeTable("f", "G")), TypeTable("p", "Ghost"))
+        with pytest.raises(SchemaError, match="unknown type 'Ghost'"):
+            evaluate(e, pop)
+
+    def test_merged_shared_sub_plan_is_evaluated_once(self, counted):
+        pop, calls = counted
+        shared = Join(TypeTable("k", "X"), Project({"k": Attr("j"), "m": Attr("j")}, TypeTable("j", "X")))
+        e = Union(shared, Intersect(shared, shared))
+        out = rewrite(e, pop.schema)
+        assert isinstance(out.left, Project)
+        assert out.left is out.right.left is out.right.right
+        assert evaluate(e, pop) == Relation(("k", "m"), Bag.from_counts([((v, v), 2) for v in (1, 2, 3)]))
         assert len(calls) == 1
 
 
@@ -452,10 +547,10 @@ class TestHeaders:
     """Every relational node carries its header and the slot of each of its
     attributes from the moment it is built."""
 
-    @pytest.mark.parametrize("text", ["Person who works for a Company c AND ALSO earns a Salary x", CORRELATED])
+    @pytest.mark.parametrize("text", [TWO_FACT_JOIN, CORRELATED])
     def test_every_node_of_a_rewritten_plan(self, monkeypatch, text):
         pop = demo_session().base_pop
-        plan = rewrite(translated_plan(monkeypatch, text))
+        plan = rewrite(translated_plan(monkeypatch, text), pop.schema)
         nodes = [x for x in plan_objects(plan) if isinstance(x, relalg.RelExpr.__args__)]
         evaluated = 0
         for node in nodes:

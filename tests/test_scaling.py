@@ -15,6 +15,7 @@ from conquer.frontend.parser import parse_list_records
 from conquer.population import Population, load_population
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
+TWO_FACT_JOIN = "Person who works for a Company c AND ALSO earns a Salary x"
 CORRELATED = (
     "Person who earns a Salary x AND ALSO works for a Company c "
     "WHERE x > THE AVERAGE Salary of a Person who works for c"
@@ -143,11 +144,11 @@ def rewritten_projections(monkeypatch, text: str) -> tuple[int, int]:
     """The distinct ``Project`` nodes of the demo query's plan as
     ``translate`` gives it and after the evaluator's rewrite."""
     plan = translated_plan(monkeypatch, text)
-    return distinct_nodes(plan, ra.Project), distinct_nodes(ra.rewrite(plan), ra.Project)
+    return distinct_nodes(plan, ra.Project), distinct_nodes(ra.rewrite(plan, demo_session().schema), ra.Project)
 
 
 def test_rewrite_fuses_the_projections_of_a_two_fact_join(monkeypatch):
-    before, after = rewritten_projections(monkeypatch, "Person who works for a Company c AND ALSO earns a Salary x")
+    before, after = rewritten_projections(monkeypatch, TWO_FACT_JOIN)
     assert before == 38
     assert after <= 18
 
@@ -156,6 +157,33 @@ def test_rewrite_fuses_the_projections_of_a_correlated_query(monkeypatch):
     before, after = rewritten_projections(monkeypatch, CORRELATED)
     assert before == 65
     assert after <= 31
+
+
+def schema_rewritten_plan(monkeypatch, text: str):
+    """The demo query's plan after the rewrite that ``evaluate`` makes
+    against the demo population's schema."""
+    return ra.rewrite(translated_plan(monkeypatch, text), demo_session().schema)
+
+
+def test_rewrite_drops_the_type_table_joins_of_a_two_fact_join(monkeypatch):
+    plan = schema_rewritten_plan(monkeypatch, TWO_FACT_JOIN)
+    assert distinct_nodes(plan, ra.Join) <= 2
+    assert distinct_nodes(plan, ra.TypeTable) <= 2
+    assert distinct_nodes(plan, ra.Project) <= 6
+
+
+def test_rewrite_drops_the_type_table_joins_of_a_correlated_query(monkeypatch):
+    plan = schema_rewritten_plan(monkeypatch, CORRELATED)
+    assert distinct_nodes(plan, ra.Join) <= 4
+    assert distinct_nodes(plan, ra.Project) <= 11
+
+
+def test_two_fact_join_reads_each_remaining_type_table_once(monkeypatch):
+    tables = distinct_nodes(schema_rewritten_plan(monkeypatch, TWO_FACT_JOIN), ra.TypeTable)
+    session = demo_session()
+    calls = recording(monkeypatch, Population, "instances")
+    assert run_query(session, TWO_FACT_JOIN).splitlines()[-1] == "(6 rows)"
+    assert len(calls) == tables
 
 
 def test_disambiguation_works_out_each_sub_path_once(monkeypatch):

@@ -140,6 +140,18 @@ class TestRelatedness:
         schema = load_schema(doc)
         assert schema.roots_of("M") == frozenset({"A", "B"})
 
+    def test_ancestors_of_every_named_type(self):
+        doc = fig_doc()
+        doc["types"]["Student"] = "entity"
+        doc["specialises"] = {"Student": "A", "A": "Agent"}
+        doc["player"]["p"] = "Pupil"
+        schema = load_schema(doc)
+        assert schema.ancestors["Student"] == frozenset({"Student", "A", "Agent"})
+        # an undeclared supertype and an undeclared player are named too
+        assert schema.ancestors["Agent"] == frozenset({"Agent"})
+        assert schema.ancestors["Pupil"] == frozenset({"Pupil"})
+        assert schema.ancestors["B"] == frozenset({"B"})
+
     def test_unknown_type_raises(self):
         schema = load_schema(fig_doc())
         with pytest.raises(SchemaError, match="unknown type"):

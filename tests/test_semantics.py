@@ -1,12 +1,15 @@
 """Typing inference, head/tail analysis, binding, coercion, normalisation,
 macros, derivation rules, constraints and ordering."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from conquer.bag import Bag
+from conquer.cli import Session, load_full_schema, run_query
 from conquer.errors import EvalError, MacroError, TypingError
+from conquer.frontend import disambiguate, parse_list
 from conquer.paths import (
     AttrAtom,
     ByPath,
@@ -41,13 +44,16 @@ from conquer.paths import (
     order_result,
     role_exit,
     tl_coerce,
+    translate,
 )
 from conquer.population import load_population
-from conquer.relalg import TypeTable
+from conquer.relalg import TypeTable, evaluate
 from conquer.schema import FactRule, Macro, TypeRule, load_schema
 from conquer.values import NULL
 
 from .conftest import run_path
+from .oracle import oracle_eval
+from .test_scaling import DEMO
 from .util import rel
 
 
@@ -482,6 +488,50 @@ class TestDerivations:
         pop = load_population(schema, {})
         with pytest.raises(EvalError, match="cyclic"):
             apply_derivations(schema, pop)
+
+
+class TestDerivedTypesInJoins:
+    """A derived type's population comes from its rule alone, so the
+    evaluator keeps the joins that filter by one: the derived subtype
+    HighEarner plays the first role of "mentors", whose base facts name a
+    person who earns too little, and the derived fact type "leads" gives
+    every employee a company although only bob is a Manager."""
+
+    @staticmethod
+    def session() -> Session:
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["types"].update(
+            {"HighEarner": "entity", "Manager": "entity", "M": "relationship", "L": "relationship"}
+        )
+        doc["specialises"] = {"HighEarner": "Person", "Manager": "Person"}
+        doc["roles_of"].update({"M": ["m1", "m2"], "L": ["l1", "l2"]})
+        doc["player"].update({"m1": "HighEarner", "m2": "Person", "l1": "Manager", "l2": "Company"})
+        doc["idf"].update({"M": ["m1", "m2"], "L": ["l1", "l2"]})
+        doc["naming"]["tnm"].update({"HighEarner": "HighEarner", "Manager": "Manager"})
+        doc["naming"]["mfix"] += [["M", ["mentors"], ["m1", "m2"]], ["L", ["leads"], ["l1", "l2"]]]
+        doc["derivations"] = [
+            {"type": "HighEarner", "body": "a Person who earns a Salary x WHERE x >= 2000"},
+            {"fact": "L", "roles": {"l1": "p", "l2": "c"}, "body": "a Person p who works for a Company c"},
+        ]
+        session = Session()
+        session.schema = load_full_schema(doc)
+        pop = json.loads((DEMO / "population.json").read_text())
+        pop.update(M=[{"m1": "ann", "m2": "bob"}, {"m1": "cy", "m2": "dee"}], Manager=["bob"])
+        session.base_pop = load_population(session.schema, pop)
+        return session
+
+    @pytest.mark.parametrize("text, rows", [
+        ("HighEarner who mentors a Person", ["cy   | dee"]),
+        ("Manager who leads a Company", ["bob  | acme"]),
+    ])
+    def test_answer_equals_the_oracle(self, text, rows):
+        session = self.session()
+        schema, pop = session.schema, session.population()
+        path = normalise(schema, disambiguate(schema, parse_list(text, schema)).interpretations[0].path)
+        typing = infer_typing(schema, path)
+        out = evaluate(translate(schema, path, typing), pop)
+        assert (out.header, out.body) == oracle_eval(schema, pop, typing, path)
+        assert run_query(session, text).splitlines()[2:] == rows + [f"({len(rows)} row)"]
 
 
 class TestConstraints:
