@@ -185,7 +185,7 @@ class Lowerer:
             return P.SubExpr(tuple(self.descr(i) for i in rec.items))
         if isinstance(rec, R.CoerceFunction):
             return P.Scalar(self.scalar(rec))
-        if isinstance(rec, (R.Conditioner, R.InfDescrComp, R.ScaleExprComp, R.BinCondComp, R.CondFunction, R.Negation)):
+        if isinstance(rec, R.CONDITION_KINDS):
             return P.CondPath(self.cond(rec))
         raise TranslateError(f"cannot lower {type(rec).__name__}")
 
@@ -218,8 +218,8 @@ class Lowerer:
     def subtype_glue(self, rec: R.BinaryOp) -> P.PathExpr:
         left = self.descr(rec.left)
         right = self.descr(rec.right)
-        last = {e for e in P._last_atoms(self.schema, left) if e[0] == "type"}
-        first = {e for e in P._first_atoms(self.schema, right) if e[0] == "type"}
+        last = {e for e in P._last_atoms(left) if e[0] == "type"}
+        first = {e for e in P._first_atoms(right) if e[0] == "type"}
         ok = any(
             self.schema.type_related(x[1], y[1]) for x in last for y in first
         )
@@ -230,7 +230,7 @@ class Lowerer:
     def shuffler(self, rec: R.Shuffler) -> P.PathExpr:
         self.env.push()
         try:
-            if isinstance(rec.inf, (R.Conditioner, R.InfDescrComp, R.ScaleExprComp, R.BinCondComp, R.CondFunction, R.Negation)):
+            if isinstance(rec.inf, R.CONDITION_KINDS):
                 body: P.PathExpr = P.CondPath(self.cond(rec.inf))
             else:
                 body = self.descr(rec.inf)
@@ -414,7 +414,7 @@ def lower_denotation(schema: Schema, tid: str, denot: R.Denot, env: NameEnv | No
 def lower_query(schema: Schema, rec: Any, env: NameEnv | None = None) -> tuple[P.PathExpr, NameEnv]:
     env = env or NameEnv(schema)
     lowerer = Lowerer(schema, env)
-    if isinstance(rec, (R.Conditioner, R.InfDescrComp, R.ScaleExprComp, R.BinCondComp, R.CondFunction, R.Negation)):
+    if isinstance(rec, R.CONDITION_KINDS):
         return P.CondPath(lowerer.cond(rec)), env
     return lowerer.descr(rec), env
 
@@ -457,13 +457,11 @@ _SYMBOL_COMPARATORS = {"<", "<=", "=", "<>", ">=", ">"}
 def _setwise_symbol_count(rec: Any) -> int:
     """Comparator symbols read as set comparisons; the scalar reading of the
     same symbol is preferred when both exist."""
-    from .records import InfDescrComp, _children
-
-    own = 1 if isinstance(rec, InfDescrComp) and rec.op in ("sub", "subeq", "=", "<>", "supeq", "sup") else 0
-    return own + sum(_setwise_symbol_count(c) for c in _children(rec))
+    own = 1 if isinstance(rec, R.InfDescrComp) and rec.op in ("sub", "subeq", "=", "<>", "supeq", "sup") else 0
+    return own + sum(_setwise_symbol_count(c) for c in P.children(rec, R.RECORD_KINDS))
 
 
-def _dedup_interpretations(schema: Schema, interps: list[Interpretation]) -> list[Interpretation]:
+def _dedup_interpretations(interps: list[Interpretation]) -> list[Interpretation]:
     # the parser gives one record tree per reading; the key still keeps two
     # record trees that happen to lower alike from being offered as two
     # readings.  Readings that take a comparator symbol as a scalar
@@ -502,7 +500,7 @@ def _lower_all(schema: Schema, records: list) -> ParseResult:
             interps.append(_interpret(schema, rec))
         except ConquerError as e:
             diagnostics.append(str(e))
-    interps = _dedup_interpretations(schema, interps)
+    interps = _dedup_interpretations(interps)
     if not interps:
         if diagnostics:
             raise ParseError("; ".join(sorted(set(diagnostics))))
@@ -564,7 +562,7 @@ def compile_schema_queries(schema: Schema) -> Schema:
         for rec in records:
             try:
                 lowerer = Lowerer(schema, env)
-                if isinstance(rec, (R.Conditioner, R.InfDescrComp, R.ScaleExprComp, R.BinCondComp, R.CondFunction, R.Negation)):
+                if isinstance(rec, R.CONDITION_KINDS):
                     candidate: Any = lowerer.cond(rec)
                     kind = "condition"
                 else:

@@ -2,7 +2,10 @@
 
 A parse produces a tree of these records; ``dump_records`` prints it as a
 numbered, depth-first listing with stable two-digit ids, strings quoted
-and schema object ids bare.
+and schema object ids bare.  A record's children are its fields in
+declaration order, as ``paths.children`` finds them with ``RECORD_KINDS``.
+A role access's role id, a negation's tilde and a selection's surface form
+are printed only when set, after the fields every dump has.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+from ..paths import children
 from ..values import format_number
 
 
@@ -183,59 +187,21 @@ class OrderClause:
     items: tuple = ()  # (var name, "asc" | "desc") pairs
 
 
+# every kind of record in a parse tree; ``OrderClause`` is a part of
+# ``ListStatement``, not a child record
+RECORD_KINDS = frozenset({
+    TypeSpec, Denot, RoleRef, Const, MFix, UnaryOp, BinaryOp, Shuffler, Function,
+    Selection, Confluence, GroupAcct, SubExpr, ScConst, CoerceFunction, VarName,
+    ScFunction, ScBinaryOp, Conditioner, InfDescrComp, ScaleExprComp, BinCondComp,
+    CondFunction, Negation, ListStatement,
+})
+
+# the records that parse a condition rather than a descriptor
+CONDITION_KINDS = (Conditioner, InfDescrComp, ScaleExprComp, BinCondComp, CondFunction, Negation)
+
+
 # ---------------------------------------------------------------------------
 # dumping
-
-
-def _children(r: Any) -> list:
-    if isinstance(r, TypeSpec):
-        return [r.denot] if r.denot is not None else []
-    if isinstance(r, Denot):
-        out = []
-        if r.inf is not None:
-            out.append(r.inf)
-        out.extend(r.parts)
-        return out
-    if isinstance(r, MFix):
-        return [item[2] for item in r.items]
-    if isinstance(r, UnaryOp):
-        return [r.inf]
-    if isinstance(r, (BinaryOp, ScBinaryOp)):
-        return [r.left, r.right]
-    if isinstance(r, Shuffler):
-        return [r.inf]
-    if isinstance(r, (Function, ScFunction)):
-        return list(r.args)
-    if isinstance(r, Selection):
-        out = []
-        for d, c in r.pairs:
-            out.extend([d, c])
-        if r.default is not None:
-            out.append(r.default)
-        return out
-    if isinstance(r, Confluence):
-        return [r.base] + [e[0] for e in r.elements]
-    if isinstance(r, GroupAcct):
-        return [r.inf]
-    if isinstance(r, SubExpr):
-        return list(r.items)
-    if isinstance(r, CoerceFunction):
-        return [r.inf]
-    if isinstance(r, Conditioner):
-        return [r.inf]
-    if isinstance(r, (InfDescrComp, ScaleExprComp)):
-        return [r.left, r.right]
-    if isinstance(r, BinCondComp):
-        return [r.left, r.right]
-    if isinstance(r, CondFunction):
-        return list(r.conds)
-    if isinstance(r, Negation):
-        return [r.cond]
-    if isinstance(r, ListStatement):
-        out = list(r.projection or ())
-        out.append(r.inf)
-        return out
-    return []
 
 
 def _number(root: Any) -> dict[int, tuple[int, Any]]:
@@ -243,7 +209,7 @@ def _number(root: Any) -> dict[int, tuple[int, Any]]:
 
     def walk(r):
         order.append(r)
-        for c in _children(r):
+        for c in children(r, RECORD_KINDS):
             walk(c)
 
     walk(root)
@@ -303,7 +269,8 @@ def _format(r: Any, ref) -> str:
     if isinstance(r, Selection):
         pairs = ",".join("{" + f"{ref(d)},{ref(c)}" + "}" for d, c in r.pairs)
         default = ref(r.default) if r.default is not None else "NULL"
-        return f"SELECTION({{{pairs}}}, {default})"
+        form = f", {_s(r.form)}" if r.form != "where" else ""
+        return f"SELECTION({{{pairs}}}, {default}{form})"
     if isinstance(r, Confluence):
         elems = ", ".join(f"{ref(a)}, {_s(asn)}, {_s(via)}" for a, asn, via in r.elements)
         return f"CONFLUENCE({ref(r.base)}, {{{elems}}})"
@@ -317,7 +284,8 @@ def _format(r: Any, ref) -> str:
     if isinstance(r, CoerceFunction):
         return f"COERCE_FUNCTION({_s(r.func)}, {{{ref(r.inf)}}})"
     if isinstance(r, VarName):
-        return f"VAR_NAME({_s(r.name)}, {_s(r.role_name)})"
+        rid = f", {r.rid}" if r.rid is not None else ""
+        return f"VAR_NAME({_s(r.name)}, {_s(r.role_name)}{rid})"
     if isinstance(r, ScFunction):
         return f"SC_FUNCTION({_s(r.name)}, {{{','.join(ref(a) for a in r.args)}}})"
     if isinstance(r, ScBinaryOp):
@@ -333,7 +301,8 @@ def _format(r: Any, ref) -> str:
     if isinstance(r, CondFunction):
         return f"COND_FUNCTION({_s(r.name)}, {{{','.join(ref(c) for c in r.conds)}}})"
     if isinstance(r, Negation):
-        return f"NEGATION({ref(r.cond)})"
+        tilde = ', "~"' if r.tilde else ""
+        return f"NEGATION({ref(r.cond)}{tilde})"
     if isinstance(r, ListStatement):
         proj = "{" + ",".join(ref(s) for s in r.projection) + "}" if r.projection else "NULL"
         if r.order is None:
@@ -452,7 +421,7 @@ def load_records(text: str) -> Any:
                 (build(int(a)), build(int(b)))
                 for a, b in (pair.strip()[1:-1].split(",") for pair in _split_args(inner))
             )
-            return Selection(pairs, opt_ref(args[1]), "alts_default" if args[1] != "NULL" else "where")
+            return Selection(pairs, opt_ref(args[1]), args[2].strip('"') if len(args) > 2 else "where")
         if name == "CONFLUENCE":
             inner = _split_args(args[1].strip()[1:-1])
             elements = tuple(
@@ -468,7 +437,7 @@ def load_records(text: str) -> Any:
         if name == "COERCE_FUNCTION":
             return CoerceFunction(args[0].strip('"'), build(ids(args[1])[0]))
         if name == "VAR_NAME":
-            return VarName(args[0].strip('"'), opt_str(args[1]))
+            return VarName(args[0].strip('"'), opt_str(args[1]), args[2] if len(args) > 2 else None)
         if name == "SC_FUNCTION":
             return ScFunction(args[0].strip('"'), tuple(build(i) for i in ids(args[1])))
         if name == "SC_BINARY_OP_APPLIC":
@@ -484,7 +453,7 @@ def load_records(text: str) -> Any:
         if name == "COND_FUNCTION":
             return CondFunction(args[0].strip('"'), tuple(build(i) for i in ids(args[1])))
         if name == "NEGATION":
-            return Negation(ref(args[0]))
+            return Negation(ref(args[0]), len(args) > 1)
         raise ValueError(f"unknown record {name!r}")
 
     return build(0)

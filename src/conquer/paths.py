@@ -13,12 +13,18 @@ columns, ``hd`` and ``tl``.  This module provides:
   tie free condition variables to their types,
 * normalisation rewrites, derivation-rule application, constraint
   checking, and result ordering.
+
+A node's children are its fields in declaration order: the field values
+that are nodes themselves, whether directly, in a tuple or in a pair or
+triple inside a tuple.  ``children`` and ``map_children`` read them off the
+dataclass fields, so adding a node kind needs no walker case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Union as TUnion
 
 from . import relalg as ra
@@ -409,57 +415,69 @@ def role_exit(rid: RoleId) -> PathExpr:
 # structural helpers
 
 
-def children(p: Any) -> list:
-    """All direct sub-expressions (paths, scalars, conditions, denotations)."""
-    if isinstance(p, (Empty, TypeAtom, RoleEntry, AttrAtom, SConst, SVar, SVarRole)):
-        return []
-    if isinstance(p, (Reverse, Front, DistinctPath, HdCoerce, TlCoerce)):
-        return [p.of]
-    if isinstance(p, (Concat, Product, PathUnion, PathIntersect, PathDiff,
-                      FrontUnion, FrontIntersect, FrontDiff, MissingPath, CExclusion)):
-        return [p.left, p.right]
-    if isinstance(p, (SetCompare, RelCompare, CBagComp)):
-        return [p.left, p.right]
-    if isinstance(p, CLogic):
-        return [p.left, p.right]
-    if isinstance(p, CScalarComp):
-        return [p.left, p.right]
-    if isinstance(p, (CNot, CSome)):
-        return [p.of]
-    if isinstance(p, Shuffle):
-        return [p.of]
-    if isinstance(p, MixFix):
-        return [q for _, q in p.middles]
-    if isinstance(p, (FuncApp, SApply)):
-        return list(p.args)
-    if isinstance(p, Where):
-        out = []
-        for body, cond in p.branches:
-            out.extend([body, cond])
-        if p.default is not None:
-            out.append(p.default)
-        return out
-    if isinstance(p, Confluence):
-        return [q for _, q, _ in p.elements] + [p.of]
-    if isinstance(p, GroupFn):
-        return [p.of]
-    if isinstance(p, SubExpr):
-        return list(p.items)
-    if isinstance(p, Denote):
-        return [p.den]
-    if isinstance(p, Scalar):
-        return [p.expr]
-    if isinstance(p, CondPath):
-        return [p.cond]
-    if isinstance(p, SAgg):
-        return [p.of]
-    if isinstance(p, ByPath):
-        return [p.path]
-    if isinstance(p, Abstract):
-        return []
-    if isinstance(p, Composite):
-        return list(p.parts)
-    raise TypeError(f"unknown expression {p!r}")
+# every kind of node in a path-expression tree; a node's children are the
+# field values of these kinds
+PATH_KINDS = frozenset(
+    PathExpr.__args__ + PeScalar.__args__ + PeCond.__args__ + PeDenotation.__args__
+)
+
+
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(kind))
+
+
+def children(p: Any, kinds: frozenset = PATH_KINDS) -> list:
+    """The direct sub-nodes of ``p``, in field order: each field value of one
+    of ``kinds``, whether it sits in the field itself, in a tuple field, or
+    in a pair or triple inside a tuple field."""
+    out = []
+    for name in _field_names(type(p)):
+        v = getattr(p, name)
+        if type(v) in kinds:
+            out.append(v)
+        elif type(v) is tuple:
+            for x in v:
+                if type(x) in kinds:
+                    out.append(x)
+                elif type(x) is tuple:
+                    out.extend(y for y in x if type(y) in kinds)
+    return out
+
+
+def map_children(p: Any, f, *args, kinds: frozenset = PATH_KINDS) -> Any:
+    """``p`` with ``f(c, *args)`` in place of each child ``c`` found as
+    ``children`` finds it, rebuilt with ``dataclasses.replace``; ``p`` itself
+    when ``f`` returns every child unchanged.  ``f`` is called straight from
+    these loops, so a recursive ``f`` costs two stack frames per tree level."""
+    changes = {}
+    for name in _field_names(type(p)):
+        v = getattr(p, name)
+        if type(v) in kinds:
+            w = f(v, *args)
+            if w is not v:
+                changes[name] = w
+        elif type(v) is tuple:
+            items = []
+            changed = False
+            for x in v:
+                if type(x) in kinds:
+                    w = f(x, *args)
+                    changed |= w is not x
+                    x = w
+                elif type(x) is tuple:
+                    parts = []
+                    for y in x:
+                        if type(y) in kinds:
+                            w = f(y, *args)
+                            changed |= w is not y
+                            y = w
+                        parts.append(y)
+                    x = tuple(parts)
+                items.append(x)
+            if changed:
+                changes[name] = tuple(items)
+    return replace(p, **changes) if changes else p
 
 
 def attr_uses(p: Any) -> set[AttrName]:
@@ -495,91 +513,7 @@ def canonical(p: Any) -> Any:
     if isinstance(p, Concat):
         parts = [canonical(x) for x in flatten_concat(p)]
         return concat(*parts)
-    return _rebuild(p, [canonical(c) for c in children(p)])
-
-
-def _rebuild(p: Any, kids: list) -> Any:
-    if isinstance(p, (Empty, TypeAtom, RoleEntry, AttrAtom, SConst, SVar, SVarRole, Abstract)):
-        return p
-    if isinstance(p, Reverse):
-        return Reverse(kids[0])
-    if isinstance(p, Front):
-        return Front(kids[0])
-    if isinstance(p, DistinctPath):
-        return DistinctPath(kids[0])
-    if isinstance(p, HdCoerce):
-        return HdCoerce(kids[0])
-    if isinstance(p, TlCoerce):
-        return TlCoerce(kids[0])
-    if isinstance(p, Concat):
-        return Concat(kids[0], kids[1])
-    if isinstance(p, Product):
-        return Product(kids[0], kids[1])
-    if isinstance(p, PathUnion):
-        return PathUnion(kids[0], kids[1])
-    if isinstance(p, PathIntersect):
-        return PathIntersect(kids[0], kids[1])
-    if isinstance(p, PathDiff):
-        return PathDiff(kids[0], kids[1])
-    if isinstance(p, FrontUnion):
-        return FrontUnion(kids[0], kids[1])
-    if isinstance(p, FrontIntersect):
-        return FrontIntersect(kids[0], kids[1])
-    if isinstance(p, FrontDiff):
-        return FrontDiff(kids[0], kids[1])
-    if isinstance(p, MissingPath):
-        return MissingPath(kids[0], kids[1])
-    if isinstance(p, CExclusion):
-        return CExclusion(kids[0], kids[1])
-    if isinstance(p, SetCompare):
-        return SetCompare(kids[0], p.op, kids[1])
-    if isinstance(p, RelCompare):
-        return RelCompare(kids[0], p.op, kids[1])
-    if isinstance(p, CBagComp):
-        return CBagComp(kids[0], p.op, kids[1])
-    if isinstance(p, CLogic):
-        return CLogic(kids[0], p.op, kids[1])
-    if isinstance(p, CScalarComp):
-        return CScalarComp(kids[0], p.op, kids[1])
-    if isinstance(p, CNot):
-        return CNot(kids[0])
-    if isinstance(p, CSome):
-        return CSome(kids[0])
-    if isinstance(p, Shuffle):
-        return Shuffle(kids[0], p.attrs)
-    if isinstance(p, MixFix):
-        mids = tuple((r, k) for (r, _), k in zip(p.middles, kids))
-        return MixFix(p.first, mids, p.last)
-    if isinstance(p, FuncApp):
-        return FuncApp(p.func, kids)
-    if isinstance(p, SApply):
-        return SApply(p.func, kids)
-    if isinstance(p, Where):
-        n = len(p.branches)
-        branches = tuple((kids[2 * i], kids[2 * i + 1]) for i in range(n))
-        default = kids[2 * n] if p.default is not None else None
-        return Where(branches, default, p.simple)
-    if isinstance(p, Confluence):
-        n = len(p.elements)
-        elems = tuple((a, kids[i], x) for i, (a, _, x) in enumerate(p.elements))
-        return Confluence(elems, kids[n])
-    if isinstance(p, GroupFn):
-        return GroupFn(p.kind, kids[0], p.by, p.target)
-    if isinstance(p, SubExpr):
-        return SubExpr(kids)
-    if isinstance(p, Denote):
-        return Denote(p.tid, kids[0])
-    if isinstance(p, Scalar):
-        return Scalar(kids[0])
-    if isinstance(p, CondPath):
-        return CondPath(kids[0])
-    if isinstance(p, SAgg):
-        return SAgg(p.kind, kids[0])
-    if isinstance(p, ByPath):
-        return ByPath(kids[0])
-    if isinstance(p, Composite):
-        return Composite(kids)
-    raise TypeError(f"cannot rebuild {p!r}")
+    return map_children(p, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +602,7 @@ def _flip(end: tuple) -> tuple:
     return end
 
 
-def _first_atoms(schema: Schema, p: PathExpr) -> set:
+def _first_atoms(p: PathExpr) -> set:
     if isinstance(p, TypeAtom):
         return {(_TYPE, p.tid)}
     if isinstance(p, RoleEntry):
@@ -676,24 +610,24 @@ def _first_atoms(schema: Schema, p: PathExpr) -> set:
     if isinstance(p, AttrAtom):
         return {(_ATTR, p.attr)}
     if isinstance(p, Reverse):
-        return {_flip(e) for e in _last_atoms(schema, p.of)}
+        return {_flip(e) for e in _last_atoms(p.of)}
     if isinstance(p, Concat):
-        return _first_atoms(schema, p.left)
+        return _first_atoms(p.left)
     if isinstance(p, (Front, DistinctPath, Where, HdCoerce, TlCoerce)):
         if isinstance(p, Where):
             out = set()
             for body, _ in p.branches:
-                out |= _first_atoms(schema, body)
+                out |= _first_atoms(body)
             if p.default is not None:
-                out |= _first_atoms(schema, p.default)
+                out |= _first_atoms(p.default)
             return out
-        return _first_atoms(schema, p.of)
+        return _first_atoms(p.of)
     if isinstance(p, (Product, MissingPath, SetCompare, RelCompare)):
-        return _first_atoms(schema, p.left)
+        return _first_atoms(p.left)
     if isinstance(p, (PathUnion, PathIntersect, FrontUnion, FrontIntersect)):
-        return _first_atoms(schema, p.left) | _first_atoms(schema, p.right)
+        return _first_atoms(p.left) | _first_atoms(p.right)
     if isinstance(p, (PathDiff, FrontDiff)):
-        return _first_atoms(schema, p.left)
+        return _first_atoms(p.left)
     if isinstance(p, Shuffle):
         return {(_ATTR, p.attrs[0])}
     if isinstance(p, MixFix):
@@ -701,47 +635,47 @@ def _first_atoms(schema: Schema, p: PathExpr) -> set:
     if isinstance(p, SubExpr):
         out = set()
         for q in p.items:
-            out |= _first_atoms(schema, q)
+            out |= _first_atoms(q)
         return out
     if isinstance(p, Denote):
         return {(_TYPE, p.tid)}
     if isinstance(p, Confluence):
-        return _first_atoms(schema, p.of)
+        return _first_atoms(p.of)
     return set()
 
 
-def _last_atoms(schema: Schema, p: PathExpr) -> set:
+def _last_atoms(p: PathExpr) -> set:
     if isinstance(p, (TypeAtom, RoleEntry, AttrAtom)):
-        return _first_atoms(schema, p)
+        return _first_atoms(p)
     if isinstance(p, Reverse):
-        return {_flip(e) for e in _first_atoms(schema, p.of)}
+        return {_flip(e) for e in _first_atoms(p.of)}
     if isinstance(p, Concat):
-        return _last_atoms(schema, p.right)
+        return _last_atoms(p.right)
     if isinstance(p, (DistinctPath, Where, HdCoerce, TlCoerce)):
         if isinstance(p, Where):
             out = set()
             for body, _ in p.branches:
-                out |= _last_atoms(schema, body)
+                out |= _last_atoms(body)
             if p.default is not None:
-                out |= _last_atoms(schema, p.default)
+                out |= _last_atoms(p.default)
             return out
-        return _last_atoms(schema, p.of)
+        return _last_atoms(p.of)
     if isinstance(p, Front):
-        return _first_atoms(schema, p.of)
+        return _first_atoms(p.of)
     if isinstance(p, Product):
-        return _first_atoms(schema, p.right)
+        return _first_atoms(p.right)
     if isinstance(p, SetCompare):
-        return _last_atoms(schema, p.left)
+        return _last_atoms(p.left)
     if isinstance(p, (MissingPath, RelCompare)):
-        return _last_atoms(schema, p.right)
+        return _last_atoms(p.right)
     if isinstance(p, (PathUnion, PathIntersect)):
-        return _last_atoms(schema, p.left) | _last_atoms(schema, p.right)
+        return _last_atoms(p.left) | _last_atoms(p.right)
     if isinstance(p, PathDiff):
-        return _last_atoms(schema, p.left)
+        return _last_atoms(p.left)
     if isinstance(p, (FrontUnion, FrontIntersect)):
-        return _first_atoms(schema, p.left) | _first_atoms(schema, p.right)
+        return _first_atoms(p.left) | _first_atoms(p.right)
     if isinstance(p, FrontDiff):
-        return _first_atoms(schema, p.left)
+        return _first_atoms(p.left)
     if isinstance(p, Shuffle):
         return {(_ATTR, p.attrs[-1])}
     if isinstance(p, MixFix):
@@ -749,12 +683,12 @@ def _last_atoms(schema: Schema, p: PathExpr) -> set:
     if isinstance(p, SubExpr):
         out = set()
         for q in p.items:
-            out |= _first_atoms(schema, q)
+            out |= _first_atoms(q)
         return out
     if isinstance(p, Denote):
         return {(_TYPE, p.tid)}
     if isinstance(p, Confluence):
-        return _last_atoms(schema, p.of)
+        return _last_atoms(p.of)
     return set()
 
 
@@ -783,12 +717,12 @@ def typing_pairs(schema: Schema, p: Any) -> set:
 
     def scan(node):
         if isinstance(node, Concat):
-            for le in _last_atoms(schema, node.left):
-                for re in _first_atoms(schema, node.right):
+            for le in _last_atoms(node.left):
+                for re in _first_atoms(node.right):
                     out.update(_junction_pairs(schema, le, re))
         if isinstance(node, MixFix):
             for r, q in node.middles:
-                for re in _first_atoms(schema, q):
+                for re in _first_atoms(q):
                     out.update(_junction_pairs(schema, (_EXIT, r), re))
         if isinstance(node, Denote):
             out.update(typing_pairs(schema, expand_denote(schema, node)))
@@ -1370,15 +1304,14 @@ def normalise(schema: Schema, p: Any) -> Any:
     because dropping it would change the semantics.
     """
     while True:
-        q = _normalise_once(schema, p)
+        q = _normalise_once(p, schema)
         if q == p:
             return q
         p = q
 
 
-def _normalise_once(schema: Schema, p: Any) -> Any:
-    kids = [_normalise_once(schema, c) for c in children(p)]
-    p = _rebuild(p, kids)
+def _normalise_once(p: Any, schema: Schema) -> Any:
+    p = map_children(p, _normalise_once, schema)
     if isinstance(p, Concat):
         parts = flatten_concat(p)
         parts = _rewrite_windows(schema, parts)
@@ -1573,8 +1506,7 @@ def _subst(node: Any, mapping: dict[AttrName, Any]) -> Any:
     if isinstance(node, Denote) and isinstance(node.den, Abstract) and node.den.attr in mapping:
         rep = mapping[node.den.attr]
         return Concat(TypeAtom(node.tid), rep if not isinstance(rep, PeScalar.__args__) else Scalar(rep))
-    kids = [_subst(c, mapping) for c in children(node)]
-    return _rebuild(node, kids)
+    return map_children(node, _subst, mapping)
 
 
 def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:

@@ -140,6 +140,26 @@ class TestSalaryQuery:
         assert load_records(dump_records(records)) == records
 
 
+# a role access keeps its role id, a negation its tilde and a selection its
+# surface form through a dump and a reload
+DUMP_FIELD_QUERIES = [
+    (fig6_doc, "Election-result e WHERE e.are of = e.are of"),
+    (salary_doc, "Person x WHERE ~ (x = x)"),
+    (salary_doc, "IF SOME Person THEN Person ELSE Company"),
+    (salary_doc, "Person IF SOME Person"),
+    (salary_doc, "IF SOME Person THEN Person"),
+]
+
+
+@pytest.mark.parametrize("doc, text", DUMP_FIELD_QUERIES, ids=[t for _, t in DUMP_FIELD_QUERIES])
+def test_dump_round_trip_keeps_every_field(doc, text):
+    schema = load_schema(doc())
+    for interp in parse(text, schema).interpretations:
+        back = load_records(dump_records(interp.records))
+        assert back == interp.records
+        assert _interpret(schema, back).path == interp.path
+
+
 class TestDisambiguation:
     def make_homonym_schema(self):
         # two roles named "owns" with different players; context resolves

@@ -1,0 +1,75 @@
+"""Every top-level function and class and every method of the package is
+used by the package itself or by the benchmark.
+
+A use is a name, an attribute or an identifier string (the benchmark wraps
+functions by name, and ``__all__`` lists exports) anywhere in ``src/`` or
+``bench/`` outside the definition itself; a recursive call is no use.
+Dunder methods are called by Python and are not checked.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "conquer"
+FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+
+# entry points that only the tests call
+TEST_ONLY = {
+    "paths.py:tl_coerce",  # tail coercion on its own; translation coerces both ends
+    "paths.py:bind",  # the binder of every typed attribute at once
+    "frontend/records.py:load_records",  # the inverse of dump_records
+    "bag.py:Bag.frequency",  # the multiset's frequency function, read by the bag laws
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class and of
+    each non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    m.name.startswith("__") and m.name.endswith("__")
+                ):
+                    yield f"{node.name}.{m.name}", m
+
+
+def uses(tree: ast.Module):
+    """(name, line) of each name, attribute and identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def unused() -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in FILES}
+    used: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in uses(tree):
+            used.setdefault(name, []).append((path, line))
+    out = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        for qualified, node in definitions(tree):
+            name = qualified.rsplit(".", 1)[-1]
+            outside = [
+                (p, line) for p, line in used.get(name, [])
+                if not (p == path and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                out.append(f"{path.relative_to(SRC).as_posix()}:{qualified}")
+    return sorted(out)
+
+
+def test_every_definition_is_used():
+    assert unused() == sorted(TEST_ONLY)
