@@ -219,7 +219,9 @@ def cmd_dump_records(session: Session, text: str) -> str:
     schema = session.loaded_schema()
     result = disambiguate(schema, parse_list(text, schema))
     interp = _pick_interpretation(session, result)
-    records = interp.records.inf if hasattr(interp.records, "inf") else interp.records
+    records = interp.records
+    if records.projection is None and records.order is None:
+        records = records.inf  # a bare descriptor: its LIST I adds nothing
     return dump_records(records)
 
 

@@ -16,6 +16,7 @@ from .. import paths as P
 from ..errors import AmbiguityError, ConquerError, MacroError, ParseError, TranslateError
 from ..schema import AttrName, Macro, FactRule, Schema, TypeRule
 from ..values import Bool
+from ..walk import children
 from . import records as R
 from .lexer import tokenize
 from .parser import parse_list_records, parse_records
@@ -458,7 +459,7 @@ def _setwise_symbol_count(rec: Any) -> int:
     """Comparator symbols read as set comparisons; the scalar reading of the
     same symbol is preferred when both exist."""
     own = 1 if isinstance(rec, R.InfDescrComp) and rec.op in ("sub", "subeq", "=", "<>", "supeq", "sup") else 0
-    return own + sum(_setwise_symbol_count(c) for c in P.children(rec, R.RECORD_KINDS))
+    return own + sum(_setwise_symbol_count(c) for c in children(rec, R.RECORD_KINDS))
 
 
 def _dedup_interpretations(interps: list[Interpretation]) -> list[Interpretation]:

@@ -3,7 +3,7 @@
 A parse produces a tree of these records; ``dump_records`` prints it as a
 numbered, depth-first listing with stable two-digit ids, strings quoted
 and schema object ids bare.  A record's children are its fields in
-declaration order, as ``paths.children`` finds them with ``RECORD_KINDS``.
+declaration order, as ``walk.children`` finds them with ``RECORD_KINDS``.
 A role access's role id, a negation's tilde and a selection's surface form
 are printed only when set, after the fields every dump has.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from ..paths import children
 from ..values import format_number
+from ..walk import children
 
 
 @dataclass(frozen=True)
@@ -454,6 +454,16 @@ def load_records(text: str) -> Any:
             return CondFunction(args[0].strip('"'), tuple(build(i) for i in ids(args[1])))
         if name == "NEGATION":
             return Negation(ref(args[0]), len(args) > 1)
+        if name == "LIST":
+            projection = tuple(build(i) for i in ids(args[0])) if args[0] != "NULL" else None
+            if args[2] == "NULL":
+                order = None
+            elif args[2].startswith("{"):
+                inner = _split_args(args[2][1:-1])
+                order = OrderClause("items", tuple((n.strip('"'), d.lower()) for n, d in zip(inner[::2], inner[1::2])))
+            else:
+                order = OrderClause("whole_asc" if args[2] == '"ASCENDING"' else "whole_desc")
+            return ListStatement(projection, ref(args[1]), order)
         raise ValueError(f"unknown record {name!r}")
 
     return build(0)

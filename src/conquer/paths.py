@@ -14,22 +14,20 @@ columns, ``hd`` and ``tl``.  This module provides:
 * normalisation rewrites, derivation-rule application, constraint
   checking, and result ordering.
 
-A node's children are its fields in declaration order: the field values
-that are nodes themselves, whether directly, in a tuple or in a pair or
-triple inside a tuple.  ``children`` and ``map_children`` read them off the
-dataclass fields, so adding a node kind needs no walker case.
+A node's children are its fields that hold one of ``PATH_KINDS``, as
+``walk.children`` and ``walk.map_children`` find them, so adding a node
+kind needs no walker case.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Union as TUnion
 
 from . import relalg as ra
 from .bag import Bag
-from .errors import EvalError, MacroError, TranslateError, TypingError
+from .errors import EvalError, MacroError, SchemaError, TranslateError, TypingError
 from .population import Population
 from .schema import (
     ANY_VALUE_TYPE,
@@ -42,6 +40,7 @@ from .schema import (
     TypeId,
 )
 from .values import NULL, TRUE, Bool, FactInstance, sort_key
+from .walk import children, map_children
 
 HD: AttrName = "hd"
 TL: AttrName = "tl"
@@ -422,64 +421,6 @@ PATH_KINDS = frozenset(
 )
 
 
-@functools.cache
-def _field_names(kind: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(kind))
-
-
-def children(p: Any, kinds: frozenset = PATH_KINDS) -> list:
-    """The direct sub-nodes of ``p``, in field order: each field value of one
-    of ``kinds``, whether it sits in the field itself, in a tuple field, or
-    in a pair or triple inside a tuple field."""
-    out = []
-    for name in _field_names(type(p)):
-        v = getattr(p, name)
-        if type(v) in kinds:
-            out.append(v)
-        elif type(v) is tuple:
-            for x in v:
-                if type(x) in kinds:
-                    out.append(x)
-                elif type(x) is tuple:
-                    out.extend(y for y in x if type(y) in kinds)
-    return out
-
-
-def map_children(p: Any, f, *args, kinds: frozenset = PATH_KINDS) -> Any:
-    """``p`` with ``f(c, *args)`` in place of each child ``c`` found as
-    ``children`` finds it, rebuilt with ``dataclasses.replace``; ``p`` itself
-    when ``f`` returns every child unchanged.  ``f`` is called straight from
-    these loops, so a recursive ``f`` costs two stack frames per tree level."""
-    changes = {}
-    for name in _field_names(type(p)):
-        v = getattr(p, name)
-        if type(v) in kinds:
-            w = f(v, *args)
-            if w is not v:
-                changes[name] = w
-        elif type(v) is tuple:
-            items = []
-            changed = False
-            for x in v:
-                if type(x) in kinds:
-                    w = f(x, *args)
-                    changed |= w is not x
-                    x = w
-                elif type(x) is tuple:
-                    parts = []
-                    for y in x:
-                        if type(y) in kinds:
-                            w = f(y, *args)
-                            changed |= w is not y
-                            y = w
-                        parts.append(y)
-                    x = tuple(parts)
-                items.append(x)
-            if changed:
-                changes[name] = tuple(items)
-    return replace(p, **changes) if changes else p
-
-
 def attr_uses(p: Any) -> set[AttrName]:
     """Variable attributes used by an expression (binding positions).
 
@@ -495,7 +436,7 @@ def attr_uses(p: Any) -> set[AttrName]:
             out.add(node.attr)
         elif isinstance(node, Denote) and isinstance(node.den, Abstract):
             out.add(node.den.attr)
-        for c in children(node):
+        for c in children(node, PATH_KINDS):
             walk(c)
 
     walk(p)
@@ -513,7 +454,7 @@ def canonical(p: Any) -> Any:
     if isinstance(p, Concat):
         parts = [canonical(x) for x in flatten_concat(p)]
         return concat(*parts)
-    return map_children(p, canonical)
+    return map_children(p, canonical, kinds=PATH_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +668,7 @@ def typing_pairs(schema: Schema, p: Any) -> set:
         if isinstance(node, Denote):
             out.update(typing_pairs(schema, expand_denote(schema, node)))
             return  # the expansion covers the nested denotations
-        for c in children(node):
+        for c in children(node, PATH_KINDS):
             scan(c)
 
     scan(p)
@@ -786,21 +727,15 @@ def _compose(a: set, b: set) -> set:
 
 
 def _scalar_result_types(schema: Schema, e: PeScalar, typing: Typing) -> set[TypeId]:
-    if isinstance(e, SConst):
-        if isinstance(e.value, Bool):
-            return {BOOL_TYPE}
-        return {ANY_VALUE_TYPE}
-    if isinstance(e, SAgg):
-        return {ANY_VALUE_TYPE}
+    if isinstance(e, SConst) and isinstance(e.value, Bool):
+        return {BOOL_TYPE}
     if isinstance(e, SVar):
         return attr_types(typing, e.attr) or {ANY_VALUE_TYPE}
     if isinstance(e, SVarRole):
         try:
             return {schema.player(e.role)}
-        except Exception:
-            return {ANY_VALUE_TYPE}
-    if isinstance(e, SApply):
-        return {ANY_VALUE_TYPE}
+        except SchemaError:  # an unknown role
+            pass
     return {ANY_VALUE_TYPE}
 
 
@@ -930,7 +865,9 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
     raise TranslateError(f"no head/tail rule for {p!r}")
 
 
-_PATH_CLASSES = tuple(c for c in PathExpr.__args__ if c is not Empty)
+# every path kind but ``Empty``; a set lookup of a node's type is much
+# faster than ``isinstance`` against the 29 classes
+_CHECKED_PATHS = frozenset(PathExpr.__args__) - {Empty}
 
 
 def has_empty_subpath(schema: Schema, p: Any, typing: Typing, memo: dict | None = None) -> bool:
@@ -939,10 +876,10 @@ def has_empty_subpath(schema: Schema, p: Any, typing: Typing, memo: dict | None 
     sub-expression's pairs are worked out once."""
     if memo is None:
         memo = {}
-    if isinstance(p, _PATH_CLASSES):
+    if type(p) in _CHECKED_PATHS:
         if not head_tail_combos(schema, p, typing, memo):
             return True
-    return any(has_empty_subpath(schema, c, typing, memo) for c in children(p))
+    return any(has_empty_subpath(schema, c, typing, memo) for c in children(p, PATH_KINDS))
 
 
 def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing) -> PathExpr:
@@ -1184,7 +1121,7 @@ class Translator:
                 inner = ra.Distinct(inner)
             marker = self.fresh()
             grouped = ra.Group(set(p.by), ra.Extend({marker: ra.Const(1)}, inner))
-            value: ra.RaScalar = ra.Apply("bag_card", [ra.Attr(marker)])
+            value: ra.RaScalar = ra.Apply("bag_count", [ra.Attr(marker)])
         else:
             target = p.target
             if target not in header:
@@ -1192,17 +1129,10 @@ class Translator:
             if target in p.by:
                 raise TranslateError(f"group target attribute {target!r} is a grouping attribute")
             grouped = ra.Group(set(p.by), inner)
-            fn = {
-                "sum": ("bag_sum", False),
-                "dssum": ("bag_sum", True),
-                "min": ("bag_min", False),
-                "max": ("bag_max", False),
-                "avg": ("bag_avg", False),
-            }[kind]
             arg: ra.RaScalar = ra.Attr(target)
-            if fn[1]:
-                arg = ra.Apply("bag_distinct", [arg])
-            value = ra.Apply(fn[0], [arg])
+            if kind == "dssum":
+                kind, arg = "sum", ra.Apply("bag_distinct", [arg])
+            value = ra.Apply(f"bag_{kind}", [arg])
         a = self.fresh()
         return ra.Project({HD: ra.Attr(a), TL: ra.Attr(a)}, ra.Project({a: value}, grouped))
 
@@ -1225,9 +1155,7 @@ class Translator:
             return ra.Const(e.value)
         if isinstance(e, SAgg):
             inner = self.path(_agg_operand(self.schema, e, self.typing), B)
-            if e.kind == "count":
-                return ra.Count(inner)
-            return {"sum": ra.Sum, "min": ra.Min, "max": ra.Max, "avg": ra.Avg}[e.kind](inner, HD)
+            return ra.Aggregate(e.kind, inner, None if e.kind == "count" else HD)
         if isinstance(e, SVar):
             return ra.Attr(e.attr)
         if isinstance(e, SVarRole):
@@ -1246,7 +1174,7 @@ class Translator:
     def cond(self, c: PeCond, B: frozenset) -> ra.RaCond:
         if isinstance(c, CSome):
             inner = self.path(c.of, B)
-            return ra.Compare(ra.Count(inner), ">", ra.Const(0))
+            return ra.Compare(ra.Aggregate("count", inner), ">", ra.Const(0))
         if isinstance(c, CBagComp):
             lp = ra.Project({HD: ra.Attr(HD)}, self.path(c.left, B))
             rp = ra.Project({HD: ra.Attr(HD)}, self.path(c.right, B))
@@ -1311,7 +1239,7 @@ def normalise(schema: Schema, p: Any) -> Any:
 
 
 def _normalise_once(p: Any, schema: Schema) -> Any:
-    p = map_children(p, _normalise_once, schema)
+    p = map_children(p, _normalise_once, schema, kinds=PATH_KINDS)
     if isinstance(p, Concat):
         parts = flatten_concat(p)
         parts = _rewrite_windows(schema, parts)
@@ -1390,7 +1318,7 @@ def _referenced_types(schema: Schema, p: Any) -> set[TypeId]:
                 out.add(schema.player(r))
         elif isinstance(node, Denote):
             out.add(node.tid)
-        for c in children(node):
+        for c in children(node, PATH_KINDS):
             walk(c)
 
     walk(p)
@@ -1506,7 +1434,7 @@ def _subst(node: Any, mapping: dict[AttrName, Any]) -> Any:
     if isinstance(node, Denote) and isinstance(node.den, Abstract) and node.den.attr in mapping:
         rep = mapping[node.den.attr]
         return Concat(TypeAtom(node.tid), rep if not isinstance(rep, PeScalar.__args__) else Scalar(rep))
-    return map_children(node, _subst, mapping)
+    return map_children(node, _subst, mapping, kinds=PATH_KINDS)
 
 
 def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:

@@ -1,6 +1,9 @@
 """Bag relational algebra.
 
-Expressions form a small AST.  Each relational node works out its header
+Expressions form a small AST of ``RA_KINDS``: five scalar kinds (one
+``Aggregate`` for count, sum, min, max and average), four condition kinds
+and twelve relational kinds.  A node's children are its fields, as
+``walk.children`` finds them.  Each relational node works out its header
 (``sch``) when it is built, from its own fields and its operands'
 headers, so an ill-formed set operation or grouping is refused there;
 ``evaluate`` materialises a node's bag of rows against a population.
@@ -32,7 +35,7 @@ bag of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -44,6 +47,7 @@ from .population import Population
 from .schema import Schema
 from .tri import UNKNOWN, Tri, is_true, t_and, t_implies, t_not, t_or, t_xor
 from .values import NULL, FactInstance, GroupedBag, is_number
+from .walk import children, map_children
 
 AttrName = str
 
@@ -129,34 +133,15 @@ class AttrRole(_Node):
 
 
 @dataclass(frozen=True)
-class Count(_Node):
+class Aggregate(_Node):
+    """The aggregate ``fn`` (count, sum, min, max or avg) of column ``attr``
+    of the rows of ``of``.  A count counts the rows and reads no column;
+    the others skip NULLs, SQL-92 style, so an average is the sum over the
+    count of the non-NULL values."""
+
+    fn: str
     of: "RelExpr"
-
-
-@dataclass(frozen=True)
-class Sum(_Node):
-    of: "RelExpr"
-    attr: AttrName
-
-
-@dataclass(frozen=True)
-class Min(_Node):
-    of: "RelExpr"
-    attr: AttrName
-
-
-@dataclass(frozen=True)
-class Max(_Node):
-    of: "RelExpr"
-    attr: AttrName
-
-
-@dataclass(frozen=True)
-class Avg(_Node):
-    """Sum over count, SQL-92 style: NULLs are ignored on both sides."""
-
-    of: "RelExpr"
-    attr: AttrName
+    attr: AttrName | None = None
 
 
 @dataclass(frozen=True)
@@ -169,7 +154,7 @@ class Apply(_Node):
         object.__setattr__(self, "args", tuple(args))
 
 
-RaScalar = TUnion[Const, Attr, AttrRole, Count, Sum, Min, Max, Avg, Apply]
+RaScalar = TUnion[Const, Attr, AttrRole, Aggregate, Apply]
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +176,6 @@ class BagCompare(_Node):
 
 
 @dataclass(frozen=True)
-class Member(_Node):
-    elem: RaScalar
-    of: "RelExpr"
-    attr: AttrName
-
-
-@dataclass(frozen=True)
 class Not(_Node):
     of: "RaCond"
 
@@ -209,7 +187,7 @@ class Connect(_Node):
     right: "RaCond"
 
 
-RaCond = TUnion[Compare, BagCompare, Member, Not, Connect]
+RaCond = TUnion[Compare, BagCompare, Not, Connect]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +271,7 @@ class ScalarTable(_Rel):
 
 @dataclass(frozen=True)
 class Literal(_Rel):
-    """Leaf for a pre-materialised relation (LIST post-processing, tests)."""
+    """Leaf for a pre-materialised relation, built by tests."""
 
     relation: Relation
 
@@ -302,6 +280,10 @@ RelExpr = TUnion[
     Project, Select, TypeTable, Distinct, Group,
     Join, LeftJoin, Union, Intersect, Diff, ScalarTable, Literal,
 ]
+
+# every kind of node in a plan; a node's children are the field values of
+# these kinds, as ``walk.children`` finds them
+RA_KINDS = frozenset(RaScalar.__args__ + RaCond.__args__ + RelExpr.__args__)
 
 
 def def_map(attrs: Iterable[AttrName]) -> dict[AttrName, RaScalar]:
@@ -353,9 +335,11 @@ def sch(e: RelExpr) -> frozenset:
 # (``_Rewriter._drop_semi_join``), by the closure invariant that the module
 # docstring states.
 #
-# The pass memoises by node identity, so a sub-plan shared by two parents
-# stays one object, and it rewrites the subquery plans inside scalars and
-# conditions too.
+# Only projections and joins have rules; every other node is rebuilt
+# around its rewritten children by ``walk.map_children``.  The pass
+# memoises by node identity, so a sub-plan shared by two parents stays one
+# object, and it rewrites the subquery plans inside scalars and conditions
+# too.
 
 
 _LEAVES = (Attr, AttrRole, Const, TypeTable, Literal)
@@ -386,38 +370,17 @@ class _Rewriter:
         hit = self.done.get(k)
         if hit is not None:
             return hit[1]
-        out = x
         if isinstance(x, Project):
             out = self._projection({a: self.node(s) for a, s in x.assigns}, self.node(x.of), x)
-        elif isinstance(x, Select):
-            cond, of = self.node(x.cond), self.node(x.of)
-            if cond is not x.cond or of is not x.of:
-                out = Select(cond, of)
-        elif isinstance(x, (Distinct, Group, Count, Sum, Min, Max, Avg, Not)):
-            of = self.node(x.of)
-            if of is not x.of:
-                out = replace(x, of=of)
-        elif isinstance(x, (Join, LeftJoin, Union, Intersect, Diff, Compare, BagCompare, Connect)):
+        elif isinstance(x, Join):
             left, right = self.node(x.left), self.node(x.right)
-            merged = self._join(left, right) if isinstance(x, Join) else None
+            merged = self._join(left, right)
             if merged is not None:
                 out = self._projection(*merged)
-            elif left is not x.left or right is not x.right:
-                out = replace(x, left=left, right=right)
-        elif isinstance(x, Member):
-            elem, of = self.node(x.elem), self.node(x.of)
-            if elem is not x.elem or of is not x.of:
-                out = Member(elem, of, x.attr)
-        elif isinstance(x, ScalarTable):
-            expr = self.node(x.expr)
-            if expr is not x.expr:
-                out = ScalarTable(x.attr, expr)
-        elif isinstance(x, Apply):
-            args = []
-            for a in x.args:
-                args.append(self.node(a))
-            if any(a is not b for a, b in zip(args, x.args)):
-                out = Apply(x.func, args)
+            else:
+                out = x if left is x.left and right is x.right else Join(left, right)
+        else:
+            out = map_children(x, self.node, kinds=RA_KINDS)
         self.done[k] = (x, out)
         return out
 
@@ -644,29 +607,19 @@ def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: It
 
 # the nodes whose results are memoised: relational expressions, and the
 # scalars and conditions that evaluate one
-_SUBQUERY = RelExpr.__args__ + (Count, Sum, Min, Max, Avg, BagCompare, Member)
-_AGGREGATES = (Count, Sum, Min, Max, Avg)
+_SUBQUERY = RelExpr.__args__ + (Aggregate, BagCompare)
 _MISSING = object()
 
 
-def _parts(x) -> tuple[tuple, tuple]:
+def _parts(x) -> tuple:
     """The expressions directly inside ``x``: those evaluated against x's
-    own outer binding, and those evaluated once per row of x's operand."""
+    own outer binding, and those evaluated once per row of x's operand
+    (a projection's assignments and a selection's condition)."""
     if isinstance(x, Project):
         return (x.of,), tuple(s for _, s in x.assigns)
     if isinstance(x, Select):
         return (x.of,), (x.cond,)
-    if isinstance(x, (Distinct, Group, Count, Sum, Min, Max, Avg, Not)):
-        return (x.of,), ()
-    if isinstance(x, (Join, LeftJoin, Union, Intersect, Diff, Compare, BagCompare, Connect)):
-        return (x.left, x.right), ()
-    if isinstance(x, Member):
-        return (x.elem, x.of), ()
-    if isinstance(x, ScalarTable):
-        return (x.expr,), ()
-    if isinstance(x, Apply):
-        return x.args, ()
-    return (), ()
+    return children(x, RA_KINDS), ()
 
 
 def _repeatable(roots: list, per_row: bool) -> set[int]:
@@ -839,35 +792,26 @@ class _Context:
             if expr.role not in v:
                 raise EvalError(f"relationship instance not defined for role {expr.role!r}")
             return v[expr.role]
-        if isinstance(expr, _AGGREGATES):
+        if isinstance(expr, Aggregate):
             return self._cached(self._aggregate, expr, _binding(row, pos, outer))
         if isinstance(expr, Apply):
             return _apply(expr.func, [self.scalar(a, row, pos, outer) for a in expr.args])
         raise EvalError(f"unknown scalar expression {expr!r}")
 
-    def _aggregate(self, expr: Count | Sum | Min | Max | Avg, outer: dict) -> Any:
+    def _aggregate(self, expr: Aggregate, outer: dict) -> Any:
         body = self.body(expr.of, outer)
-        if isinstance(expr, Count):
-            return body.cardinality()
-        i = expr.of.slots.get(expr.attr)
-        if i is None:
-            raise EvalError(f"unbound attribute {expr.attr!r}")
-        bag = Bag.from_counts((u[i], n) for u, n in body.items())
-        if isinstance(expr, Sum):
-            return bag_sum(bag)
-        if isinstance(expr, Min):
-            return bag_min(bag)
-        if isinstance(expr, Max):
-            return bag_max(bag)
-        return bag_avg(bag)
+        if expr.fn != "count":
+            i = expr.of.slots.get(expr.attr)
+            if i is None:
+                raise EvalError(f"unbound attribute {expr.attr!r}")
+            body = Bag.from_counts((u[i], n) for u, n in body.items())
+        return _reduce(expr.fn, body)
 
     def cond(self, cond: RaCond, row: tuple, pos: dict, outer: dict) -> Tri:
         if isinstance(cond, Compare):
             return _compare(self.scalar(cond.left, row, pos, outer), cond.op, self.scalar(cond.right, row, pos, outer))
         if isinstance(cond, BagCompare):
             return self._cached(self._bag_compare, cond, _binding(row, pos, outer))
-        if isinstance(cond, Member):
-            return self._cached(self._member, cond, _binding(row, pos, outer))
         if isinstance(cond, Not):
             return t_not(self.cond(cond.of, row, pos, outer))
         if isinstance(cond, Connect):
@@ -882,29 +826,31 @@ class _Context:
     def _bag_compare(self, cond: BagCompare, outer: dict) -> Tri:
         return _bag_compare(self.body(cond.left, outer), cond.op, self.body(cond.right, outer))
 
-    def _member(self, cond: Member, outer: dict) -> Tri:
-        v = self.scalar(cond.elem, (), {}, outer)
-        if v is NULL:
-            return UNKNOWN
-        body = self.body(cond.of, outer)
-        i = cond.of.slots.get(cond.attr)
-        if i is None:
-            raise EvalError(f"unbound attribute {cond.attr!r}")
-        saw_null = False
-        for u, _ in body.items():
-            x = u[i]
-            if x is NULL:
-                saw_null = True
-            elif x == v:
-                return True
-        return UNKNOWN if saw_null else False
-
 
 # ---------------------------------------------------------------------------
 # Expr
+#
+# A subquery's ``Aggregate`` and the ``bag_count``, ``bag_sum``, ``bag_min``,
+# ``bag_max`` and ``bag_avg`` functions of a grouped bag reduce through the
+# one ``_reduce``.
 
 _ARITH = {"+", "-", "*", "/"}
 _CONNECTIVES = {"and": t_and, "or": t_or, "xor": t_xor, "implies": t_implies}
+
+
+def _reduce(fn: str, bag: Bag) -> Any:
+    """The aggregate ``fn`` of a bag: the count of its elements, NULLs
+    included, or the sum, minimum, maximum or average of its non-NULL
+    values.  The reductions are read from this module's globals at each
+    call, so that one replaced here (as the benchmark's self-test does) is
+    the one used."""
+    if fn == "count":
+        return bag.cardinality()
+    reduction = {"sum": bag_sum, "min": bag_min, "max": bag_max, "avg": bag_avg}.get(fn)
+    if reduction is None:
+        raise EvalError(f"unknown aggregate {fn!r}")
+    return reduction(bag)
+
 
 def _apply(func: str, args: list[Any]) -> Any:
     if func in _ARITH:
@@ -924,23 +870,15 @@ def _apply(func: str, args: list[Any]) -> Any:
         if b == 0:
             raise EvalError("division by zero")
         return Fraction(a) / Fraction(b)
-    if func in ("bag_sum", "bag_min", "bag_max", "bag_avg", "bag_card", "bag_distinct"):
+    if func.startswith("bag_"):
         if len(args) != 1:
             raise EvalError(f"{func} expects 1 argument")
         (v,) = args
         if not isinstance(v, GroupedBag):
             raise EvalError(f"{func} needs a grouped bag, got {v!r}")
-        if func == "bag_sum":
-            return bag_sum(v.bag)
-        if func == "bag_min":
-            return bag_min(v.bag)
-        if func == "bag_max":
-            return bag_max(v.bag)
-        if func == "bag_avg":
-            return bag_avg(v.bag)
-        if func == "bag_card":
-            return v.bag.cardinality()
-        return GroupedBag(v.bag.to_set())
+        if func == "bag_distinct":
+            return GroupedBag(v.bag.to_set())
+        return _reduce(func[4:], v.bag)
     raise EvalError(f"unknown function {func!r}")
 
 

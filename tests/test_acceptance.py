@@ -47,6 +47,7 @@ from conquer.paths import (
 )
 from conquer.population import load_population
 from conquer.relalg import (
+    Aggregate,
     Apply,
     Attr,
     Extend,
@@ -55,19 +56,14 @@ from conquer.relalg import (
     Project,
     Rename,
     DropAttrs,
-    Sum,
     evaluate,
     eval_cond,
     eval_scalar,
     Compare,
     Connect,
     Const,
-    Count,
     Not,
     Select,
-    Min,
-    Max,
-    Avg,
 )
 from conquer.schema import FactRule, load_schema
 from conquer.tri import UNKNOWN
@@ -135,7 +131,7 @@ def test_criterion_02_relational_algebra_goldens():
     drop = DropAttrs({"x"}, src)
     assert evaluate(drop, pop) == rel(["y", "z"], (2, "a"), (4, "b"))
 
-    sums = Project({"a": Sum(src, "x"), "b": Apply("+", [Sum(src, "x"), Attr("y")])}, src)
+    sums = Project({"a": Aggregate("sum", src, "x"), "b": Apply("+", [Aggregate("sum", src, "x"), Attr("y")])}, src)
     assert evaluate(sums, pop) == rel(["a", "b"], (3, 5), (3, 7))
 
     grouped = Group({"a"}, Literal(rel(["a", "b"], (1, "a"), (2, "b"), (1, "c"), (2, "b"))))
@@ -478,11 +474,11 @@ def test_criterion_11_null_policy():
     check(15, kept == rel(["a"], (1,), (3,)), True)
 
     # aggregates skip NULLs; counting counts every tuple
-    check(16, eval_scalar(Sum(src, "a"), pop, t), 4)
-    check(17, eval_scalar(Min(src, "a"), pop, t), 1)
-    check(18, eval_scalar(Avg(src, "a"), pop, t), Fraction(2))
-    check(19, eval_scalar(Count(src), pop, t), 3)
-    check(20, eval_scalar(Max(Literal(rel(["a"], (NULL,))), "a"), pop, t), NULL)
+    check(16, eval_scalar(Aggregate("sum", src, "a"), pop, t), 4)
+    check(17, eval_scalar(Aggregate("min", src, "a"), pop, t), 1)
+    check(18, eval_scalar(Aggregate("avg", src, "a"), pop, t), Fraction(2))
+    check(19, eval_scalar(Aggregate("count", src), pop, t), 3)
+    check(20, eval_scalar(Aggregate("max", Literal(rel(["a"], (NULL,))), "a"), pop, t), NULL)
 
     assert len(cases) == 20 and all(ok for _, ok in cases)
     report(11, "NULL policy conformance (20 cases)")

@@ -5,17 +5,17 @@ import pytest
 from conquer.bag import Bag
 from conquer.errors import EvalError, SchemaError
 from conquer import relalg
+from conquer.paths import translate
 from conquer.population import Population
 from conquer.relalg import (
+    Aggregate,
     Apply,
     Attr,
     AttrRole,
-    Avg,
     BagCompare,
     Compare,
     Connect,
     Const,
-    Count,
     Diff,
     Distinct,
     DropAttrs,
@@ -25,16 +25,12 @@ from conquer.relalg import (
     Join,
     LeftJoin,
     Literal,
-    Max,
-    Member,
-    Min,
     Not,
     Project,
     Relation,
     Rename,
     ScalarTable,
     Select,
-    Sum,
     TypeTable,
     Union,
     def_map,
@@ -48,6 +44,7 @@ from conquer.relalg import (
 from conquer.tri import UNKNOWN
 from conquer.values import NULL, FactInstance, GroupedBag
 
+from .test_oracle_corpus import all_cases
 from .test_scaling import CORRELATED, TWO_FACT_JOIN, demo_session, plan_objects, translated_plan
 from .util import empty_pop, make_population, make_schema, rel, row
 
@@ -125,7 +122,7 @@ class TestProjectionFamily:
 class TestScalars:
     def test_sum_projection_example(self, pop, example_p):
         e = Project(
-            {"a": Sum(example_p, "x"), "b": Apply("+", [Sum(example_p, "x"), Attr("y")])},
+            {"a": Aggregate("sum", example_p, "x"), "b": Apply("+", [Aggregate("sum", example_p, "x"), Attr("y")])},
             example_p,
         )
         expected = rel(["a", "b"], (3, 5), (3, 7))
@@ -135,32 +132,33 @@ class TestScalars:
         assert eval_scalar(Const(42), pop, {}) == 42
 
     def test_avg_weighted(self, pop):
-        e = Avg(lit(["v"], (9,), (10,), (12,), (12,)), "v")
+        e = Aggregate("avg", lit(["v"], (9,), (10,), (12,), (12,)), "v")
         assert eval_scalar(e, pop, {}) == Fraction(43, 4)
 
     def test_count_counts_all_rows(self, pop):
-        e = Count(lit(["v"], (1,), (NULL,), (2,)))
+        e = Aggregate("count", lit(["v"], (1,), (NULL,), (2,)))
         assert eval_scalar(e, pop, {}) == 3
 
     def test_aggregates_skip_nulls(self, pop):
         src = lit(["v"], (1,), (NULL,), (2,))
-        assert eval_scalar(Sum(src, "v"), pop, {}) == 3
-        assert eval_scalar(Min(src, "v"), pop, {}) == 1
-        assert eval_scalar(Max(src, "v"), pop, {}) == 2
-        assert eval_scalar(Avg(src, "v"), pop, {}) == Fraction(3, 2)
+        assert eval_scalar(Aggregate("sum", src, "v"), pop, {}) == 3
+        assert eval_scalar(Aggregate("min", src, "v"), pop, {}) == 1
+        assert eval_scalar(Aggregate("max", src, "v"), pop, {}) == 2
+        assert eval_scalar(Aggregate("avg", src, "v"), pop, {}) == Fraction(3, 2)
 
     def test_empty_aggregates_are_null(self, pop):
         src = lit(["v"])
-        assert eval_scalar(Sum(src, "v"), pop, {}) is NULL
-        assert eval_scalar(Avg(src, "v"), pop, {}) is NULL
+        assert eval_scalar(Aggregate("sum", src, "v"), pop, {}) is NULL
+        assert eval_scalar(Aggregate("avg", src, "v"), pop, {}) is NULL
 
     def test_aggregates_call_the_module_reductions(self, pop, monkeypatch):
         # the benchmark's self-test replaces relalg.bag_avg to check that its
         # answer checker rejects a wrong average
         src = lit(["v"], (1,), (2,))
-        for agg, name in ((Sum, "bag_sum"), (Min, "bag_min"), (Max, "bag_max"), (Avg, "bag_avg")):
+        for fn in ("sum", "min", "max", "avg"):
+            name = "bag_" + fn
             monkeypatch.setattr(relalg, name, lambda bag, name=name: name)
-            assert eval_scalar(agg(src, "v"), pop, {}) == name
+            assert eval_scalar(Aggregate(fn, src, "v"), pop, {}) == name
 
     def test_role_access(self, pop):
         fact = FactInstance({"p": 1, "q": "a"})
@@ -176,7 +174,7 @@ class TestScalars:
     def test_correlated_subquery(self, pop):
         # the outer tuple is visible inside aggregates unless shadowed
         inner = Select(Compare(Attr("k"), "=", Attr("outer_k")), lit(["k"], (1,), (2,)))
-        e = Count(inner)
+        e = Aggregate("count", inner)
         assert eval_scalar(e, pop, {"outer_k": 1}) == 1
 
 
@@ -313,15 +311,6 @@ class TestConditions:
         assert eval_cond(Compare(Const(NULL), "=", Const(NULL)), pop, {}) is UNKNOWN
         assert eval_cond(Compare(Const(NULL), "<", Const(2)), pop, {}) is UNKNOWN
 
-    def test_member(self, pop, example_p):
-        assert eval_cond(Member(Const(2), example_p, "x"), pop, {}) is True
-        assert eval_cond(Member(Const(9), example_p, "x"), pop, {}) is False
-
-    def test_member_null_semantics(self, pop):
-        src = lit(["a"], (1,), (NULL,))
-        assert eval_cond(Member(Const(9), src, "a"), pop, {}) is UNKNOWN
-        assert eval_cond(Member(Const(1), src, "a"), pop, {}) is True
-
     def test_bag_compare(self, pop):
         p = lit(["a"], (1,), (2,))
         q = lit(["a"], (1,), (2,), (2,))
@@ -357,7 +346,7 @@ class TestRepeatedSubPlans:
         outer = lit(["a", "c"], *[(a, a % 3) for a in range(1, 10)])
         # how many instances k are at least the outer row's c
         sub = Select(Compare(Attr("k"), ">=", Attr("c")), TypeTable("k", "X"))
-        e = Select(Compare(Count(sub), ">", Const(2)), outer)
+        e = Select(Compare(Aggregate("count", sub), ">", Const(2)), outer)
         assert evaluate(e, pop) == rel(["a", "c"], (3, 0), (6, 0), (9, 0), (1, 1), (4, 1), (7, 1))
         assert len(calls) == 1
 
@@ -370,7 +359,7 @@ class TestRepeatedSubPlans:
         assert len(calls) == 1
 
     def test_memo_keys_on_the_type_of_a_value(self, pop):
-        expr = Max(ScalarTable("v", Attr("a")), "v")
+        expr = Aggregate("max", ScalarTable("v", Attr("a")), "v")
         outer = [row(a=1), row(a=1.0), row(a=Fraction(1))]
         values = [v for (v,) in eval_scalars([expr], pop, ("a",), outer)]
         assert values == [1, 1, 1]
@@ -385,7 +374,7 @@ class TestRepeatedSubPlans:
 
     def test_an_error_in_a_subquery_is_raised_every_time(self, pop):
         sub = Select(Compare(Attr("missing"), "=", Const(1)), lit(["k"], (1,)))
-        e = Select(Compare(Count(sub), ">", Const(0)), lit(["a"], (1,), (2,)))
+        e = Select(Compare(Aggregate("count", sub), ">", Const(0)), lit(["a"], (1,), (2,)))
         for _ in range(2):
             with pytest.raises(EvalError, match="unbound attribute 'missing'"):
                 evaluate(e, pop)
@@ -440,8 +429,8 @@ class TestRewrite:
         # renames the operand's own `a` to `b`
         inner = Rename({"b": "a"}, lit(["a"], (1,), (2,), (3,)))
         e = Project({"s": Apply("+", [Attr("b"), Attr("a")])}, inner)
-        assert eval_scalar(Sum(e, "s"), pop, {"a": 10}) == 36
-        assert eval_scalar(Count(Select(Compare(Attr("s"), ">", Const(12)), e)), pop, {"a": 10}) == 1
+        assert eval_scalar(Aggregate("sum", e, "s"), pop, {"a": 10}) == 36
+        assert eval_scalar(Aggregate("count", Select(Compare(Attr("s"), ">", Const(12)), e)), pop, {"a": 10}) == 1
 
     def test_dropped_unbound_attribute_still_raises(self, pop):
         inner = Project({"b": Attr("x"), "c": Attr("nope")}, lit(["x"], (1,)))
@@ -564,3 +553,12 @@ class TestHeaders:
                 assert all(len(u) == len(node.header) for u, _ in out.rows())
                 evaluated += 1
         assert evaluated > len(nodes) // 2
+
+
+def test_every_node_kind_occurs_in_a_translated_plan():
+    # a kind that no translation builds is dead code, even though the
+    # evaluator's isinstance tests still name it; only tests build Literal
+    seen = set()
+    for _, schema, _, expr, typing in all_cases():
+        seen.update(type(x) for x in plan_objects(translate(schema, expr, typing)))
+    assert relalg.RA_KINDS - seen == {Literal}

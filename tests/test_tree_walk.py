@@ -1,9 +1,12 @@
-"""The field-driven tree walkers ``paths.children`` and ``paths.map_children``
-see every child of every path kind and every record kind.
+"""The field-driven tree walkers ``walk.children`` and ``walk.map_children``
+see every child of every path kind, every record kind and every plan node
+kind.
 
 Each kind is built with distinct marker nodes in its child positions, in
 field order.  A kind whose children sit in a field shape the walkers do not
-look into fails here, and so does a kind that has no builder below.
+look into fails here, and so does a kind that has no builder below.  A plan
+node rebuilt around new children has the header that building it around
+them gives.
 """
 
 import itertools
@@ -11,9 +14,13 @@ import itertools
 import pytest
 
 from conquer import paths as P
+from conquer import relalg as RA
+from conquer.bag import Bag
 from conquer.frontend import records as R
-from conquer.paths import PATH_KINDS, children, map_children
 from conquer.frontend.records import RECORD_KINDS
+from conquer.paths import PATH_KINDS
+from conquer.relalg import RA_KINDS
+from conquer.walk import children, map_children
 
 
 def unary(kind):
@@ -89,26 +96,64 @@ RECORD_BUILDERS = {
     ),
 }
 
+# a plan builder asks for a marker of the family its position holds
+RA_BUILDERS = {
+    RA.Const: lambda m: RA.Const(1),
+    RA.Attr: lambda m: RA.Attr("a"),
+    RA.AttrRole: lambda m: RA.AttrRole("a", "r"),
+    RA.Aggregate: lambda m: RA.Aggregate("sum", m("rel"), "m"),
+    RA.Apply: lambda m: RA.Apply("+", [m("scalar"), m("scalar")]),
+    RA.Compare: lambda m: RA.Compare(m("scalar"), "<", m("scalar")),
+    RA.BagCompare: lambda m: RA.BagCompare(m("rel"), "sub", m("rel")),
+    RA.Not: lambda m: RA.Not(m("cond")),
+    RA.Connect: lambda m: RA.Connect(m("cond"), "and", m("cond")),
+    RA.Project: lambda m: RA.Project({"a": m("scalar"), "b": m("scalar")}, m("rel")),
+    RA.Select: lambda m: RA.Select(m("cond"), m("rel")),
+    RA.TypeTable: lambda m: RA.TypeTable("a", "T"),
+    RA.Distinct: lambda m: RA.Distinct(m("rel")),
+    RA.Group: lambda m: RA.Group((), m("rel")),
+    RA.ScalarTable: lambda m: RA.ScalarTable("a", m("scalar")),
+    RA.Literal: lambda m: RA.Literal(RA.Relation(("a",), Bag())),
+}
+for kind in (RA.Join, RA.LeftJoin, RA.Union, RA.Intersect, RA.Diff):
+    RA_BUILDERS[kind] = lambda m, kind=kind: kind(m("rel"), m("rel"))
+
+
+def ra_marker(name, family):
+    """A plan node of one family.  A relation marker's column is its name
+    without the digits: markers made together share it, as set operations
+    need, and the swapped-in ones ("new…") have another column than the
+    first ones ("m…"), so that a header left over from before a swap shows."""
+    if family == "rel":
+        return RA.TypeTable(name.rstrip("0123456789"), name)
+    if family == "scalar":
+        return RA.Attr(name)
+    return RA.Compare(RA.Attr(name), "=", RA.Const(0))
+
+
 CASES = [(kind, build, PATH_KINDS, P.AttrAtom) for kind, build in PATH_BUILDERS.items()]
 CASES += [(kind, build, RECORD_KINDS, R.VarName) for kind, build in RECORD_BUILDERS.items()]
+CASES += [(kind, build, RA_KINDS, ra_marker) for kind, build in RA_BUILDERS.items()]
 
 
 def test_every_kind_has_a_builder():
     assert set(PATH_BUILDERS) == PATH_KINDS
     assert set(RECORD_BUILDERS) == RECORD_KINDS
+    assert set(RA_BUILDERS) == RA_KINDS
 
 
 def build_with_markers(build, marker):
-    """An instance of one kind and the markers in its child positions, in
-    the order they were made (field order)."""
-    made = []
+    """An instance of one kind, the markers in its child positions in the
+    order they were made (field order), and the family of each."""
+    made, families = [], []
     names = itertools.count()
 
-    def m():
-        made.append(marker(f"m{next(names)}"))
+    def m(*family):
+        made.append(marker(f"m{next(names)}", *family))
+        families.append(family)
         return made[-1]
 
-    return build(m), made
+    return build(m), made, families
 
 
 def ids(nodes):
@@ -122,20 +167,25 @@ def case_id(kind) -> str:
 @pytest.mark.parametrize("kind, build, kinds, marker", CASES, ids=[case_id(c[0]) for c in CASES])
 class TestWalkers:
     def test_children_are_the_markers_in_field_order(self, kind, build, kinds, marker):
-        p, made = build_with_markers(build, marker)
+        p, made, _ = build_with_markers(build, marker)
         assert type(p) is kind
         assert ids(children(p, kinds)) == ids(made)
 
     def test_map_children_replaces_each_marker(self, kind, build, kinds, marker):
-        p, made = build_with_markers(build, marker)
-        swap = {id(c): marker(f"new{i}") for i, c in enumerate(made)}
+        p, made, families = build_with_markers(build, marker)
+        new = [marker(f"new{i}", *family) for i, family in enumerate(families)]
+        swap = {id(c): n for c, n in zip(made, new)}
         q = map_children(p, lambda c: swap[id(c)], kinds=kinds)
         assert type(q) is kind
-        assert ids(children(q, kinds)) == ids(swap.values())
+        assert ids(children(q, kinds)) == ids(new)
+        if kind in RA.RelExpr.__args__:
+            rest = iter(new)
+            fresh = build(lambda *family: next(rest))
+            assert (q.header, q.slots) == (fresh.header, fresh.slots)
         # nothing but the children changed
-        back = {id(n): c for c, n in zip(made, swap.values())}
+        back = {id(n): c for c, n in zip(made, new)}
         assert map_children(q, lambda c: back[id(c)], kinds=kinds) == p
 
     def test_identity_map_returns_the_node_itself(self, kind, build, kinds, marker):
-        p, _ = build_with_markers(build, marker)
+        p, _, _ = build_with_markers(build, marker)
         assert map_children(p, lambda c: c, kinds=kinds) is p
