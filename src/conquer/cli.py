@@ -19,7 +19,7 @@ from typing import Any
 from . import paths as P
 from . import relalg as ra
 from .errors import AmbiguityError, ConquerError
-from .frontend import compile_schema_queries, disambiguate, dump_records, parse_list
+from .frontend import compile_macro, compile_schema_queries, disambiguate, dump_records, parse_list
 from .frontend.lower import Interpretation
 from .population import Population, denote_instance, load_population
 from .schema import Schema, load_schema, validate_schema
@@ -113,11 +113,23 @@ def _render_table(header: list[str], rows: list[list[str]], out_format: str) -> 
     return "\n".join(lines)
 
 
+def _verbalised(schema: Schema, result) -> list[str]:
+    """The text of each surviving reading, for a command that shows them; a
+    reading that cannot be verbalised shows the error instead."""
+    texts = []
+    for interp in result.interpretations:
+        try:
+            texts.append(verbalise_interpretation(schema, interp))
+        except ConquerError as e:
+            texts.append(f"<{e}>")
+    return texts
+
+
 def _pick_interpretation(session: Session, result) -> Interpretation:
     if len(result.interpretations) == 1:
         return result.interpretations[0]
     if session.ambiguity == "fail":
-        alts = [i.verbalisation or "" for i in result.interpretations]
+        alts = _verbalised(session.loaded_schema(), result)
         raise AmbiguityError("ambiguous query", alternatives=alts)
     return result.interpretations[0]
 
@@ -129,7 +141,7 @@ def run_query(session: Session, text: str) -> str:
     result = disambiguate(schema, parse_list(text, schema))
     if result.ambiguous and session.ambiguity == "list":
         lines = ["ambiguous query; interpretations:"]
-        lines.extend(f"  {i + 1}. {interp.verbalisation}" for i, interp in enumerate(result.interpretations))
+        lines.extend(f"  {i + 1}. {reading}" for i, reading in enumerate(_verbalised(schema, result)))
         return "\n".join(lines)
     interp = _pick_interpretation(session, result)
 
@@ -182,9 +194,7 @@ def cmd_macro(session: Session, definition: str) -> str:
         params = tuple(p.strip() for p in params_text.rstrip(") ").split(",") if p.strip())
     else:
         name, params = head, ()
-    schema.raw_macros = [{"name": name.strip(), "params": list(params), "body": body.strip()}]
-    compile_schema_queries(schema)
-    schema.raw_macros = []
+    compile_macro(schema, name.strip(), params, body.strip())
     return f"macro {name.strip()!r} defined"
 
 
@@ -236,9 +246,7 @@ def cmd_explain(session: Session, text: str) -> str:
     schema = session.loaded_schema()
     result = disambiguate(schema, parse_list(text, schema))
     lines = [f"{len(result.interpretations)} interpretation(s):"]
-    for i, interp in enumerate(result.interpretations):
-        rendered = interp.verbalisation or verbalise_interpretation(schema, interp)
-        lines.append(f"  {i + 1}. {rendered}")
+    lines.extend(f"  {i + 1}. {reading}" for i, reading in enumerate(_verbalised(schema, result)))
     return "\n".join(lines)
 
 

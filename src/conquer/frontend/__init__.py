@@ -2,6 +2,7 @@ from .lexer import Token, tokenize
 from .lower import (
     Interpretation,
     ParseResult,
+    compile_macro,
     compile_schema_queries,
     disambiguate,
     lower_denotation,
@@ -19,6 +20,7 @@ __all__ = [
     "lower_denotation",
     "lower_query",
     "disambiguate",
+    "compile_macro",
     "compile_schema_queries",
     "Interpretation",
     "ParseResult",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from .. import paths as P
 from ..errors import AmbiguityError, ConquerError, MacroError, ParseError, TranslateError
@@ -22,13 +22,15 @@ from .lexer import tokenize
 from .parser import parse_list_records, parse_records
 
 UNARY_MAP = {"THE REVERSE OF": P.Reverse, "ONLY": P.Front, "DISTINCT": P.DistinctPath}
+# each set-operation word: its ``SetOp`` operator, and whether it acts on
+# the operands' fronts (their ONLY)
 SETOP_MAP = {
-    "UNITED WITH": P.PathUnion,
-    "INTERSECTED WITH": P.PathIntersect,
-    "MINUS": P.PathDiff,
-    "OR OTHERWISE": P.FrontUnion,
-    "AND ALSO": P.FrontIntersect,
-    "BUT NOT": P.FrontDiff,
+    "UNITED WITH": ("union", False),
+    "INTERSECTED WITH": ("intersect", False),
+    "MINUS": ("minus", False),
+    "OR OTHERWISE": ("union", True),
+    "AND ALSO": ("intersect", True),
+    "BUT NOT": ("minus", True),
 }
 SETCMP_MAP = {
     "WHICH ARE ALL IN": "all_in",
@@ -195,7 +197,11 @@ class Lowerer:
         if op == "":
             return P.Concat(self.descr(rec.left), self.descr(rec.right))
         if op in SETOP_MAP:
-            return SETOP_MAP[op](self.descr(rec.left), self.descr(rec.right))
+            setop, fronts = SETOP_MAP[op]
+            left, right = self.descr(rec.left), self.descr(rec.right)
+            if fronts:
+                left, right = P.Front(left), P.Front(right)
+            return P.SetOp(left, setop, right)
         if op in SETCMP_MAP:
             return P.SetCompare(self.descr(rec.left), SETCMP_MAP[op], self.descr(rec.right))
         if op == "MISSING":
@@ -252,9 +258,7 @@ class Lowerer:
         macro = self.schema.macros.get(rec.name)
         if macro is not None:
             return self.expand_macro_call(macro, rec.args)
-        if rec.name in self.env.active_macros or any(
-            m.get("name") == rec.name for m in self.schema.raw_macros
-        ):
+        if rec.name in self.env.active_macros:
             raise MacroError(f"recursive macro {rec.name!r}")
         scalars = [self.try_scalar(a) for a in rec.args]
         if all(s is not None for s in scalars):
@@ -332,10 +336,7 @@ class Lowerer:
             if macro is not None and macro.kind == "scalar":
                 lowered = [self.scalar(a) for a in rec.args]
                 return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh)
-            if macro is None and (
-                rec.name in self.env.active_macros
-                or any(m.get("name") == rec.name for m in self.schema.raw_macros)
-            ):
+            if macro is None and rec.name in self.env.active_macros:
                 raise MacroError(f"recursive macro {rec.name!r}")
             args = [self.try_scalar(a) for a in rec.args]
             if any(a is None for a in args):
@@ -396,7 +397,6 @@ class Interpretation:
     vnm: dict[AttrName, str]
     projection: tuple | None = None  # lowered projection scalars, with labels
     order: tuple = ()  # OrderKey sequence
-    verbalisation: str | None = None
 
 
 @dataclass
@@ -511,7 +511,7 @@ def _lower_all(schema: Schema, records: list) -> ParseResult:
 
 def disambiguate(schema: Schema, result: ParseResult) -> ParseResult:
     """Drop structurally empty interpretations; flag multiple survivors as
-    ambiguous and attach their re-verbalisations for the user to choose."""
+    ambiguous."""
     # each reading's head/tail memo serves both of its checks
     checked = []
     for interp in result.interpretations:
@@ -527,20 +527,44 @@ def disambiguate(schema: Schema, result: ParseResult) -> ParseResult:
     # readings whose pieces can never hold instances
     clean = [i for i, memo in checked if not P.has_empty_subpath(schema, i.path, i.typing, memo)]
     survivors = clean or [i for i, _ in checked]
-    ambiguous = len(survivors) > 1
-    if ambiguous:
-        from ..verbalise import verbalise_interpretation
-
-        for interp in survivors:
-            try:
-                interp.verbalisation = verbalise_interpretation(schema, interp)
-            except ConquerError as e:
-                interp.verbalisation = f"<{e}>"
-    return ParseResult(survivors, result.diagnostics, ambiguous)
+    return ParseResult(survivors, result.diagnostics, len(survivors) > 1)
 
 
 # ---------------------------------------------------------------------------
 # compiling the query texts embedded in a schema file
+
+
+def compile_macro(schema: Schema, name: str, params: tuple, body_text: str, undefined: Iterable[str] = ()) -> None:
+    """Parse one macro body and add the macro to the schema.  The body may
+    call the schema's macros, but not itself or a macro named in
+    ``undefined``."""
+    env = NameEnv(schema)
+    for param in params:
+        env.resolve(param)
+    env.active_macros = {name, *undefined}
+    tokens = tokenize(body_text)
+    records = parse_records(tokens, schema)
+    body = None
+    errors = []
+    for rec in records:
+        try:
+            lowerer = Lowerer(schema, env)
+            if isinstance(rec, R.CONDITION_KINDS):
+                candidate: Any = lowerer.cond(rec)
+                kind = "condition"
+            else:
+                scalar = lowerer.try_scalar(rec)
+                if scalar is not None:
+                    candidate, kind = scalar, "scalar"
+                else:
+                    candidate, kind = lowerer.descr(rec), "path"
+            body = (candidate, kind)
+            break
+        except ConquerError as e:
+            errors.append(str(e))
+    if body is None:
+        raise MacroError(f"cannot compile macro {name!r}: {'; '.join(errors)}")
+    schema.macros[name] = Macro(name, params, body[0], body[1])
 
 
 def compile_schema_queries(schema: Schema) -> Schema:
@@ -549,37 +573,8 @@ def compile_schema_queries(schema: Schema) -> Schema:
     themselves."""
     pending = {m["name"] for m in schema.raw_macros}
     for spec in schema.raw_macros:
-        name = spec["name"]
-        params = tuple(spec.get("params", ()))
-        body_text = spec["body"]
-        env = NameEnv(schema)
-        for param in params:
-            env.resolve(param)
-        env.active_macros = pending
-        tokens = tokenize(body_text)
-        records = parse_records(tokens, schema)
-        body = None
-        errors = []
-        for rec in records:
-            try:
-                lowerer = Lowerer(schema, env)
-                if isinstance(rec, R.CONDITION_KINDS):
-                    candidate: Any = lowerer.cond(rec)
-                    kind = "condition"
-                else:
-                    scalar = lowerer.try_scalar(rec)
-                    if scalar is not None:
-                        candidate, kind = scalar, "scalar"
-                    else:
-                        candidate, kind = lowerer.descr(rec), "path"
-                body = (candidate, kind)
-                break
-            except ConquerError as e:
-                errors.append(str(e))
-        if body is None:
-            raise MacroError(f"cannot compile macro {name!r}: {'; '.join(errors)}")
-        pending.discard(name)
-        schema.macros[name] = Macro(name, params, body[0], body[1])
+        pending.discard(spec["name"])
+        compile_macro(schema, spec["name"], tuple(spec.get("params", ())), spec["body"], pending)
 
     for spec in schema.raw_derivations:
         body_text = spec["body"]

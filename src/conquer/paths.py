@@ -39,7 +39,7 @@ from .schema import (
     Schema,
     TypeId,
 )
-from .values import NULL, TRUE, Bool, FactInstance, sort_key
+from .values import NULL, TRUE, Bool, FactInstance, format_number, sort_key
 from .walk import children, map_children
 
 HD: AttrName = "hd"
@@ -111,38 +111,13 @@ class MissingPath:
 
 
 @dataclass(frozen=True)
-class PathUnion:
+class SetOp:
+    """Union, intersection or difference of two paths on their common
+    columns.  OR OTHERWISE, AND ALSO and BUT NOT are the same operations
+    over ``Front`` operands."""
+
     left: "PathExpr"
-    right: "PathExpr"
-
-
-@dataclass(frozen=True)
-class PathIntersect:
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@dataclass(frozen=True)
-class PathDiff:
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@dataclass(frozen=True)
-class FrontUnion:
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@dataclass(frozen=True)
-class FrontIntersect:
-    left: "PathExpr"
-    right: "PathExpr"
-
-
-@dataclass(frozen=True)
-class FrontDiff:
-    left: "PathExpr"
+    op: str  # union | intersect | minus
     right: "PathExpr"
 
 
@@ -378,8 +353,7 @@ PeDenotation = TUnion[ByPath, Abstract, Composite]
 
 PathExpr = TUnion[
     Empty, TypeAtom, RoleEntry, AttrAtom, Reverse, Concat, Front, DistinctPath,
-    Product, SetCompare, MissingPath, PathUnion, PathIntersect, PathDiff,
-    FrontUnion, FrontIntersect, FrontDiff, RelCompare, Shuffle, MixFix,
+    Product, SetCompare, MissingPath, SetOp, RelCompare, Shuffle, MixFix,
     FuncApp, Where, Confluence, GroupFn, SubExpr, Denote, HdCoerce, TlCoerce,
     Scalar, CondPath,
 ]
@@ -471,7 +445,7 @@ def expand_mixfix(schema: Schema, m: MixFix) -> PathExpr:
     if middle_terms:
         term = middle_terms[0]
         for t in middle_terms[1:]:
-            term = PathIntersect(term, t)
+            term = SetOp(term, "intersect", t)
         parts.append(term)
     parts.append(role_exit(m.last))
     return concat(*parts)
@@ -482,7 +456,7 @@ def expand_subexpr(s: SubExpr) -> PathExpr:
         raise TranslateError("empty sub-expression")
     term: PathExpr = Front(s.items[0])
     for q in s.items[1:]:
-        term = PathIntersect(term, Front(q))
+        term = SetOp(term, "intersect", Front(q))
     return DistinctPath(term)
 
 
@@ -565,10 +539,10 @@ def _first_atoms(p: PathExpr) -> set:
         return _first_atoms(p.of)
     if isinstance(p, (Product, MissingPath, SetCompare, RelCompare)):
         return _first_atoms(p.left)
-    if isinstance(p, (PathUnion, PathIntersect, FrontUnion, FrontIntersect)):
+    if isinstance(p, SetOp):
+        if p.op == "minus":
+            return _first_atoms(p.left)
         return _first_atoms(p.left) | _first_atoms(p.right)
-    if isinstance(p, (PathDiff, FrontDiff)):
-        return _first_atoms(p.left)
     if isinstance(p, Shuffle):
         return {(_ATTR, p.attrs[0])}
     if isinstance(p, MixFix):
@@ -609,14 +583,10 @@ def _last_atoms(p: PathExpr) -> set:
         return _last_atoms(p.left)
     if isinstance(p, (MissingPath, RelCompare)):
         return _last_atoms(p.right)
-    if isinstance(p, (PathUnion, PathIntersect)):
+    if isinstance(p, SetOp):
+        if p.op == "minus":
+            return _last_atoms(p.left)
         return _last_atoms(p.left) | _last_atoms(p.right)
-    if isinstance(p, PathDiff):
-        return _last_atoms(p.left)
-    if isinstance(p, (FrontUnion, FrontIntersect)):
-        return _first_atoms(p.left) | _first_atoms(p.right)
-    if isinstance(p, FrontDiff):
-        return _first_atoms(p.left)
     if isinstance(p, Shuffle):
         return {(_ATTR, p.attrs[-1])}
     if isinstance(p, MixFix):
@@ -799,19 +769,12 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
         if not lp or not rp:
             return set()
         return {(u, x) for (u, _) in lp for (_, x) in rp}
-    if isinstance(p, PathUnion):
-        return L(p.left) | L(p.right)
-    if isinstance(p, PathIntersect):
+    if isinstance(p, SetOp):
+        if p.op == "minus":
+            return L(p.left)
+        if p.op == "union":
+            return L(p.left) | L(p.right)
         return L(p.left) & L(p.right)
-    if isinstance(p, PathDiff):
-        return L(p.left)
-    if isinstance(p, (FrontUnion, FrontIntersect, FrontDiff)):
-        fl, fr = _diag(L(p.left)), _diag(L(p.right))
-        if isinstance(p, FrontUnion):
-            return fl | fr
-        if isinstance(p, FrontIntersect):
-            return fl & fr
-        return fl
     if isinstance(p, RelCompare):
         lp, rp = L(p.left), L(p.right)
         if p.op == "=":
@@ -866,7 +829,7 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
 
 
 # every path kind but ``Empty``; a set lookup of a node's type is much
-# faster than ``isinstance`` against the 29 classes
+# faster than ``isinstance`` against the 24 classes
 _CHECKED_PATHS = frozenset(PathExpr.__args__) - {Empty}
 
 
@@ -991,14 +954,9 @@ class Translator:
             rp = self.path(p.right, B)
             pairs = ra.Join(ra.DropAttrs({TL}, lp), ra.DropAttrs({HD}, rp))
             return ra.Diff(pairs, self.path(Concat(p.left, p.right), B))
-        if isinstance(p, (PathUnion, PathIntersect, PathDiff)):
-            return self._path_set_op(p, B)
-        if isinstance(p, FrontUnion):
-            return self.path(PathUnion(Front(p.left), Front(p.right)), B)
-        if isinstance(p, FrontIntersect):
-            return self.path(PathIntersect(Front(p.left), Front(p.right)), B)
-        if isinstance(p, FrontDiff):
-            return self.path(PathDiff(Front(p.left), Front(p.right)), B)
+        if isinstance(p, SetOp):
+            op = {"union": ra.Union, "intersect": ra.Intersect, "minus": ra.Diff}[p.op]
+            return _set_op(op, self.path(p.left, B), self.path(p.right, B))
         if isinstance(p, RelCompare):
             a, b = self.fresh(), self.fresh()
             lp = ra.Rename({a: TL}, self.path(p.left, B))
@@ -1050,10 +1008,6 @@ class Translator:
         cond = ra.BagCompare(tails_of_head, op, heads_of_right)
         selected = ra.Select(cond, ra.Extend({a: ra.Attr(HD)}, lp))
         return ra.Project(ra.def_map(sorted(ra.sch(lp))), selected)
-
-    def _path_set_op(self, p, B: frozenset) -> ra.RelExpr:
-        op = {PathUnion: ra.Union, PathIntersect: ra.Intersect, PathDiff: ra.Diff}[type(p)]
-        return _set_op(op, self.path(p.left, B), self.path(p.right, B))
 
     def _func_app(self, p: FuncApp, B: frozenset) -> ra.RelExpr:
         if not p.args:
@@ -1191,7 +1145,7 @@ class Translator:
         if isinstance(c, CNot):
             return ra.Not(self.cond(c.of, B))
         if isinstance(c, CExclusion):
-            return self.cond(CNot(CSome(FrontIntersect(c.left, c.right))), B)
+            return self.cond(CNot(CSome(SetOp(Front(c.left), "intersect", Front(c.right)))), B)
         raise TranslateError(f"cannot translate condition {c!r}")
 
 
@@ -1226,8 +1180,7 @@ def normalise(schema: Schema, p: Any) -> Any:
     """Bottom-up rewriting to a fixpoint.
 
     Rewrites: role-entry/fact-type/role-exit windows into binary mix-fix
-    connections, value-type/scalar adjacency into denotations, and
-    front-projected set operations into their fused operators.  A type
+    connections and value-type/scalar adjacency into denotations.  A type
     between the roles that merely relates to the fact type is left alone,
     because dropping it would change the semantics.
     """
@@ -1244,12 +1197,6 @@ def _normalise_once(p: Any, schema: Schema) -> Any:
         parts = flatten_concat(p)
         parts = _rewrite_windows(schema, parts)
         p = concat(*parts)
-    if isinstance(p, PathUnion) and isinstance(p.left, Front) and isinstance(p.right, Front):
-        return FrontUnion(p.left.of, p.right.of)
-    if isinstance(p, PathIntersect) and isinstance(p.left, Front) and isinstance(p.right, Front):
-        return FrontIntersect(p.left.of, p.right.of)
-    if isinstance(p, PathDiff) and isinstance(p.left, Front) and isinstance(p.right, Front):
-        return FrontDiff(p.left.of, p.right.of)
     return p
 
 
@@ -1499,19 +1446,7 @@ def path_text(p: Any) -> str:
         return f"({path_text(p.left)} {op} {path_text(p.right)})"
     if isinstance(p, MissingPath):
         return f"({path_text(p.left)} excl {path_text(p.right)})"
-    if isinstance(p, PathUnion):
-        return f"({path_text(p.left)} union {path_text(p.right)})"
-    if isinstance(p, PathIntersect):
-        return f"({path_text(p.left)} intersect {path_text(p.right)})"
-    if isinstance(p, PathDiff):
-        return f"({path_text(p.left)} minus {path_text(p.right)})"
-    if isinstance(p, FrontUnion):
-        return f"({path_text(p.left)} fr-union {path_text(p.right)})"
-    if isinstance(p, FrontIntersect):
-        return f"({path_text(p.left)} fr-intersect {path_text(p.right)})"
-    if isinstance(p, FrontDiff):
-        return f"({path_text(p.left)} fr-minus {path_text(p.right)})"
-    if isinstance(p, RelCompare):
+    if isinstance(p, (SetOp, RelCompare)):
         return f"({path_text(p.left)} {p.op} {path_text(p.right)})"
     if isinstance(p, Shuffle):
         return f"Path({path_text(p.of)}, {', '.join(p.attrs)})"
@@ -1557,8 +1492,6 @@ def path_text(p: Any) -> str:
             return f"'{v}'"
         if isinstance(v, Bool):
             return "true" if v.value else "false"
-        from .values import format_number
-
         return format_number(v)
     if isinstance(p, SAgg):
         name = {"count": "Count", "sum": "Sum", "min": "Min", "max": "Max", "avg": "Avg"}[p.kind]

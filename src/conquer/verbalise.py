@@ -134,12 +134,14 @@ def _pverb(p: Any, ctx: VerbCtx, left: frozenset) -> str:
         return "DISTINCT " + _unary_operand(p.of, ctx, left)
     if isinstance(p, (P.HdCoerce, P.TlCoerce)):
         return _pverb(p.of, ctx, left)
-    if isinstance(p, (P.FrontUnion, P.FrontIntersect, P.FrontDiff)):
-        word = {P.FrontUnion: "OR OTHERWISE", P.FrontIntersect: "AND ALSO", P.FrontDiff: "BUT NOT"}[type(p)]
-        return f"{_operand(p.left, ctx, left)} {word} {_operand(p.right, ctx, left)}"
-    if isinstance(p, (P.PathUnion, P.PathIntersect, P.PathDiff)):
-        word = {P.PathUnion: "UNITED WITH", P.PathIntersect: "INTERSECTED WITH", P.PathDiff: "MINUS"}[type(p)]
-        return f"{_operand(p.left, ctx, left)} {word} {_operand(p.right, ctx, left)}"
+    if isinstance(p, P.SetOp):
+        a, b = p.left, p.right
+        if isinstance(a, P.Front) and isinstance(b, P.Front):
+            a, b = a.of, b.of
+            word = {"union": "OR OTHERWISE", "intersect": "AND ALSO", "minus": "BUT NOT"}[p.op]
+        else:
+            word = {"union": "UNITED WITH", "intersect": "INTERSECTED WITH", "minus": "MINUS"}[p.op]
+        return f"{_operand(a, ctx, left)} {word} {_operand(b, ctx, left)}"
     if isinstance(p, P.SetCompare):
         word = {"all_in": "WHICH ARE ALL IN", "includes_all": "THAT INCLUDES ALL", "match_all": "MATCHING ALL"}[p.op]
         return f"{_operand(p.left, ctx, left)} {word} {_operand(p.right, ctx, left)}"
@@ -202,8 +204,7 @@ def _operand(p: Any, ctx: VerbCtx, left: frozenset) -> str:
     compound = isinstance(
         p,
         (
-            P.PathUnion, P.PathIntersect, P.PathDiff, P.FrontUnion, P.FrontIntersect,
-            P.FrontDiff, P.SetCompare, P.MissingPath, P.Product, P.RelCompare,
+            P.SetOp, P.SetCompare, P.MissingPath, P.Product, P.RelCompare,
             P.Where, P.Confluence, P.FuncApp,
         ),
     )

@@ -28,18 +28,12 @@ from conquer.paths import (
     Denote,
     DistinctPath,
     Front,
-    FrontDiff,
-    FrontIntersect,
-    FrontUnion,
     FuncApp,
     GroupFn,
     HD,
     HdCoerce,
     MissingPath,
     MixFix,
-    PathDiff,
-    PathIntersect,
-    PathUnion,
     Product,
     RelCompare,
     Reverse,
@@ -51,6 +45,7 @@ from conquer.paths import (
     SVarRole,
     Scalar,
     SetCompare,
+    SetOp,
     Shuffle,
     SubExpr,
     TL,
@@ -229,14 +224,8 @@ class Oracle:
                         pair_rows.append((Row(merged), n * m))
             _, composed = self.path(Concat(p.left, p.right), env)
             return header, _collect(pair_rows).difference(composed)
-        if isinstance(p, (PathUnion, PathIntersect, PathDiff)):
+        if isinstance(p, SetOp):
             return self._set_op(p, env)
-        if isinstance(p, FrontUnion):
-            return self.path(PathUnion(Front(p.left), Front(p.right)), env)
-        if isinstance(p, FrontIntersect):
-            return self.path(PathIntersect(Front(p.left), Front(p.right)), env)
-        if isinstance(p, FrontDiff):
-            return self.path(PathDiff(Front(p.left), Front(p.right)), env)
         if isinstance(p, RelCompare):
             lh, lb = self.path(p.left, env)
             rh, rb = self.path(p.right, env)
@@ -350,14 +339,12 @@ class Oracle:
     def _set_op(self, p, env: dict) -> Table:
         left = self.path(p.left, env)
         right = self.path(p.right, env)
+        if p.op == "union":
+            return self._union_reattach(left, right)
         common = left[0] & right[0]
         lc = self._project_common(left, common)
         rc = self._project_common(right, common)
-        if isinstance(p, PathUnion):
-            core = (frozenset(common), lc[1].union(rc[1]))
-            out = self._left_join(core, (left[0], left[1].to_set()))
-            return self._left_join(out, (right[0], right[1].to_set()))
-        if isinstance(p, PathIntersect):
+        if p.op == "intersect":
             core = (frozenset(common), lc[1].intersect(rc[1]))
             out = self._join(core, (left[0], left[1].to_set()))
             return self._join(out, (right[0], right[1].to_set()))
@@ -481,7 +468,7 @@ class Oracle:
         if isinstance(c, CNot):
             return t_not(self.cond(c.of, env))
         if isinstance(c, CExclusion):
-            return t_not(self.cond(CSome(FrontIntersect(c.left, c.right)), env))
+            return t_not(self.cond(CSome(SetOp(Front(c.left), "intersect", Front(c.right))), env))
         raise NotImplementedError(f"oracle condition {c!r}")
 
 

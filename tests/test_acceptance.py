@@ -17,13 +17,10 @@ from conquer.paths import (
     CSome,
     DistinctPath,
     Front,
-    FrontIntersect,
     FuncApp,
     HdCoerce,
     MissingPath,
     MixFix,
-    PathIntersect,
-    PathUnion,
     Product,
     RelCompare,
     RoleEntry,
@@ -33,6 +30,7 @@ from conquer.paths import (
     SVar,
     Scalar,
     SetCompare,
+    SetOp,
     TypeAtom,
     Where,
     apply_derivations,
@@ -257,8 +255,8 @@ def test_criterion_03_path_expression_goldens():
 
     # fused front operators versus the plain set operators
     pop = pop_of(F1=[(1, 2), (2, 3), (2, 4), (1, 8), (3, 4)], F2=[(1, 2), (2, 9), (8, 3), (3, 1)])
-    assert run_path(schema, pop, PathIntersect(p1, p2)) == rel(["hd", "tl"], (1, 2))
-    assert run_path(schema, pop, FrontIntersect(p1, p2)) == rel(
+    assert run_path(schema, pop, SetOp(p1, "intersect", p2)) == rel(["hd", "tl"], (1, 2))
+    assert run_path(schema, pop, SetOp(Front(p1), "intersect", Front(p2))) == rel(
         ["hd", "tl"], (1, 1), (2, 2), (3, 3)
     )
 
@@ -268,7 +266,7 @@ def test_criterion_03_path_expression_goldens():
 
     # the exact average: heads 1, 2, 8, 8 give 19/4
     pop = pop_of(F1=[(1, 9), (2, 10), (8, 12)], F2=[(8, 12)])
-    union = PathUnion(pair_path(1), pair_path(2))
+    union = SetOp(pair_path(1), "union", pair_path(2))
     assert run_path(schema, pop, Scalar(SAgg("avg", union))) == rel(
         ["hd", "tl"], (Fraction(19, 4), Fraction(19, 4))
     )
@@ -343,7 +341,7 @@ def test_criterion_07_parser_golden():
         TypeAtom("y"), MixFix("p2", (), "p1"), TypeAtom("x"), MixFix("q1", (), "q2"), AttrAtom("c")
     )
     cond = CScalarComp(SVar("x"), ">", SAgg("avg", HdCoerce(inner)))
-    expected = Where(((FrontIntersect(left, right), cond),), None, True)
+    expected = Where(((SetOp(Front(left), "intersect", Front(right)), cond),), None, True)
     assert canonical(interp.path) == canonical(expected)
     report(7, "record dump and lowering golden")
 

@@ -8,6 +8,7 @@ import pytest
 from conquer import cli
 from conquer.cli import Session, execute, load_full_schema, main, run_query
 from conquer.errors import AmbiguityError, ConquerError, ParseError
+from conquer.frontend import disambiguate, parse_list
 from conquer.frontend.parser import MAX_DEPTH, MAX_NESTING
 from conquer.population import load_population
 from conquer.schema import load_schema
@@ -170,6 +171,21 @@ class TestRunQuery:
         assert run_query(session, q) == run_query(session, q)
 
 
+def derive_session() -> Session:
+    """The CLI schema with one derivation rule, BigCo as ONLY a Company, and
+    one constraint."""
+    doc = eval_schema_doc()
+    doc["types"]["BigCo"] = "entity"
+    doc["specialises"] = {"BigCo": "Company"}
+    doc["naming"]["tnm"]["BigCo"] = "BigCompany"
+    doc["derivations"] = [{"type": "BigCo", "body": "ONLY a Company"}]
+    doc["constraints"] = ["SOME a Person"]
+    session = Session()
+    session.schema = load_full_schema(doc)
+    session.base_pop = load_population(session.schema, eval_pop_doc())
+    return session
+
+
 class TestCommands:
     def test_dump_records(self, session):
         out = execute(session, "\\dump-records " + SALARY_QUERY)
@@ -207,16 +223,21 @@ class TestCommands:
         assert "6" in out
 
     def test_derive(self):
-        doc = eval_schema_doc()
-        doc["types"]["BigCo"] = "entity"
-        doc["specialises"] = {"BigCo": "Company"}
-        doc["naming"]["tnm"]["BigCo"] = "BigCompany"
-        doc["derivations"] = [{"type": "BigCo", "body": "ONLY a Company"}]
-        session = Session()
-        session.schema = load_full_schema(doc)
-        session.base_pop = load_population(session.schema, eval_pop_doc())
+        session = derive_session()
         out = execute(session, "\\derive")
         assert out == "derived BigCo: 2 instances"
+
+    def test_macro_compiles_only_itself(self):
+        session = derive_session()
+        before = execute(session, "\\derive"), execute(session, "\\constraints")
+        execute(session, "\\macro Doubled(n) ::= n * 2")
+        assert (execute(session, "\\derive"), execute(session, "\\constraints")) == before
+        with pytest.raises(ConquerError):
+            execute(session, "\\macro Broken(n) ::= a Nonexistent")
+        # the failed definition leaves no trace: the name is an unknown
+        # function, not a macro that calls itself
+        with pytest.raises(ConquerError, match="unknown function 'Broken'"):
+            run_query(session, "LIST Broken(3)")
 
     def test_unknown_command(self, session):
         with pytest.raises(ConquerError, match="unknown command"):
@@ -421,3 +442,17 @@ class TestInternalErrors:
         out = capsys.readouterr().out.splitlines()
         assert "[internal] RecursionError: maximum recursion depth exceeded" in out
         assert out[-1] == "(6 rows)"
+
+
+@pytest.mark.parametrize(
+    "word, plain",
+    [("OR OTHERWISE", "UNITED WITH"), ("AND ALSO", "INTERSECTED WITH"), ("BUT NOT", "MINUS")],
+)
+def test_front_word_is_the_set_operation_over_only_operands(session, word, plain):
+    left, right = "(a Person who works for the Company: 'acme')", "(a Person who earns a Salary: 1000)"
+    fronts, only = f"{left} {word} {right}", f"ONLY {left} {plain} ONLY {right}"
+    schema = session.schema
+    (a,), (b,) = (disambiguate(schema, parse_list(q, schema)).interpretations for q in (fronts, only))
+    assert a.path == b.path
+    assert run_query(session, fronts) == run_query(session, only)
+    assert execute(session, "\\explain " + fronts) == execute(session, "\\explain " + only)

@@ -16,7 +16,7 @@ from conquer.paths import (
     CScalarComp,
     Concat,
     Denote,
-    FrontIntersect,
+    Front,
     HdCoerce,
     MixFix,
     OrderKey,
@@ -25,6 +25,7 @@ from conquer.paths import (
     SConst,
     SVar,
     Scalar,
+    SetOp,
     TypeAtom,
     Where,
     canonical,
@@ -32,7 +33,7 @@ from conquer.paths import (
     role_exit,
 )
 from conquer.schema import load_schema
-from conquer.verbalise import VerbCtx, verbalise
+from conquer.verbalise import VerbCtx, verbalise, verbalise_interpretation
 
 from .conftest import SALARY_DUMP, SALARY_QUERY, fig6_doc, salary_doc
 from .test_cli import eval_schema_doc, plus_chain
@@ -131,7 +132,7 @@ class TestSalaryQuery:
             TypeAtom("y"), MixFix("p2", (), "p1"), TypeAtom("x"), MixFix("q1", (), "q2"), AttrAtom("c")
         )
         cond = CScalarComp(SVar("x"), ">", SAgg("avg", HdCoerce(inner)))
-        expected = Where(((FrontIntersect(left, right), cond),), None, True)
+        expected = Where(((SetOp(Front(left), "intersect", Front(right)), cond),), None, True)
         assert canonical(path) == canonical(expected)
 
     def test_dump_round_trip(self, schema):
@@ -278,7 +279,7 @@ class TestDisambiguation:
         result = disambiguate(schema, parse("Person owns", schema))
         assert len(result.interpretations) == 2
         assert result.ambiguous
-        assert all(i.verbalisation for i in result.interpretations)
+        assert all(verbalise_interpretation(schema, i) for i in result.interpretations)
 
     def test_all_empty_is_an_incorrect_query(self):
         schema = self.make_homonym_schema()
@@ -471,13 +472,13 @@ class TestMixFixHomonym:
     def test_explained_readings_parse_back(self):
         schema = load_full_schema(homonym_reading_doc())
         result = disambiguate(schema, parse_list("Company c employs a Person p", schema))
-        readings = sorted(i.verbalisation for i in result.interpretations)
+        readings = sorted(verbalise_interpretation(schema, i) for i in result.interpretations)
         assert readings == [
             "a Company c employs.Contract a Person p",
             "a Company c employs.Employment a Person p",
         ]
         for interp in result.interpretations:
-            (back,) = parse_list(interp.verbalisation, schema).interpretations
+            (back,) = parse_list(verbalise_interpretation(schema, interp), schema).interpretations
             assert canonical(back.path) == canonical(interp.path)
 
     def test_qualifier_must_name_the_reading_fact_type(self):

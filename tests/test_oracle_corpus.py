@@ -29,15 +29,9 @@ from conquer.paths import (
     CondPath,
     DistinctPath,
     Front,
-    FrontDiff,
-    FrontIntersect,
-    FrontUnion,
     FuncApp,
     GroupFn,
     MissingPath,
-    PathDiff,
-    PathIntersect,
-    PathUnion,
     Product,
     RelCompare,
     Reverse,
@@ -47,6 +41,7 @@ from conquer.paths import (
     SVar,
     Scalar,
     SetCompare,
+    SetOp,
     Shuffle,
     SubExpr,
     TypeAtom,
@@ -207,17 +202,17 @@ class Gen:
         if kind == "product":
             return Product(sub(), sub())
         if kind == "union":
-            return PathUnion(sub(), sub())
+            return SetOp(sub(), "union", sub())
         if kind == "intersect":
-            return PathIntersect(sub(), sub())
+            return SetOp(sub(), "intersect", sub())
         if kind == "diff":
-            return PathDiff(sub(), sub())
+            return SetOp(sub(), "minus", sub())
         if kind == "frunion":
-            return FrontUnion(sub(), sub())
+            return SetOp(Front(sub()), "union", Front(sub()))
         if kind == "frintersect":
-            return FrontIntersect(sub(), sub())
+            return SetOp(Front(sub()), "intersect", Front(sub()))
         if kind == "frdiff":
-            return FrontDiff(sub(), sub())
+            return SetOp(Front(sub()), "minus", Front(sub()))
         if kind == "setcmp":
             op = rng.choice(["all_in", "includes_all", "match_all"])
             return SetCompare(sub(), op, sub())

@@ -14,15 +14,10 @@ from conquer.paths import (
     Denote,
     DistinctPath,
     Front,
-    FrontDiff,
-    FrontIntersect,
-    FrontUnion,
     FuncApp,
     GroupFn,
     MissingPath,
     MixFix,
-    PathIntersect,
-    PathUnion,
     Product,
     RelCompare,
     Reverse,
@@ -32,6 +27,7 @@ from conquer.paths import (
     SVar,
     Scalar,
     SetCompare,
+    SetOp,
     Shuffle,
     SubExpr,
     TypeAtom,
@@ -212,22 +208,22 @@ class TestComplex:
         pop = pop_of(schema, F1=p_pairs, F2=q_pairs)
         p, q = pair_path(1), pair_path(2)
 
-        assert run_path(schema, pop, PathIntersect(p, q)) == rel(["hd", "tl"], (1, 2))
-        assert run_path(schema, pop, FrontIntersect(p, q)) == rel(
+        assert run_path(schema, pop, SetOp(p, "intersect", q)) == rel(["hd", "tl"], (1, 2))
+        assert run_path(schema, pop, SetOp(Front(p), "intersect", Front(q))) == rel(
             ["hd", "tl"], (1, 1), (2, 2), (3, 3)
         )
 
     def test_front_union_and_diff(self, schema):
         pop = pop_of(schema, F1=[(1, 2), (2, 3)], F2=[(2, 9), (4, 4)])
         p, q = pair_path(1), pair_path(2)
-        assert run_path(schema, pop, FrontUnion(p, q)) == rel(
+        assert run_path(schema, pop, SetOp(Front(p), "union", Front(q))) == rel(
             ["hd", "tl"], (1, 1), (2, 2), (2, 2), (4, 4)
         )
-        assert run_path(schema, pop, FrontDiff(p, q)) == rel(["hd", "tl"], (1, 1))
+        assert run_path(schema, pop, SetOp(Front(p), "minus", Front(q))) == rel(["hd", "tl"], (1, 1))
 
     def test_union_of_plain_pair_paths(self, schema):
         pop = pop_of(schema, F1=[(1, 9)], F2=[(2, 8), (2, 7)])
-        out = run_path(schema, pop, PathUnion(pair_path(1), pair_path(2)))
+        out = run_path(schema, pop, SetOp(pair_path(1), "union", pair_path(2)))
         assert out == rel(["hd", "tl"], (1, 9), (2, 8), (2, 7))
 
     def test_union_coercion_pads_one_sided_attributes(self, schema):
@@ -237,7 +233,7 @@ class TestComplex:
         pop = pop_of(schema, F1=[(1, 9)], F2=[(9, 5), (2, 8)])
         left = concat(pair_path(1), AttrAtom("x"), pair_path(2))  # (1, x=9, 5)
         right = pair_path(2)  # (9, 5), (2, 8)
-        out = run_path(schema, pop, PathUnion(left, right))
+        out = run_path(schema, pop, SetOp(left, "union", right))
         assert out.header == ("hd", "tl", "x")
         assert out == rel(
             ["hd", "x", "tl"], (1, 9, 5), (9, NULL, 5), (2, NULL, 8)
@@ -248,7 +244,7 @@ class TestScalarEmbedding:
     def test_avg_example(self, schema):
         # heads 1, 2, 8, 8: the duplicate comes from uniting two fact paths
         pop = pop_of(schema, F1=[(1, 9), (2, 10), (8, 12)], F2=[(8, 12)])
-        p = PathUnion(pair_path(1), pair_path(2))
+        p = SetOp(pair_path(1), "union", pair_path(2))
         out = run_path(schema, pop, Scalar(SAgg("avg", p)))
         assert out == rel(["hd", "tl"], (Fraction(19, 4), Fraction(19, 4)))
 
@@ -256,7 +252,7 @@ class TestScalarEmbedding:
         from conquer.paths import SApply
 
         pop = pop_of(schema, F1=[(1, 9), (2, 10), (8, 12)], F2=[(8, 12)])
-        p = PathUnion(pair_path(1), pair_path(2))
+        p = SetOp(pair_path(1), "union", pair_path(2))
         expr = Scalar(SApply("+", [SConst(1), SAgg("avg", p)]))
         out = run_path(schema, pop, expr)
         assert out == rel(["hd", "tl"], (Fraction(23, 4), Fraction(23, 4)))
@@ -338,7 +334,7 @@ class TestStructuredOps:
     def test_group_sum_and_distinct_sum(self, schema):
         # the a-group holds the value 1 twice (through two different facts)
         pop = pop_of(schema, F1=[("a", 1), ("b", 3)], F2=[("a", 1)])
-        p = PathUnion(concat(pair_path(1), AttrAtom("v")), concat(pair_path(2), AttrAtom("v")))
+        p = SetOp(concat(pair_path(1), AttrAtom("v")), "union", concat(pair_path(2), AttrAtom("v")))
         out = run_path(schema, pop, GroupFn("sum", p, ["hd"], "v"))
         assert out == rel(["hd", "tl"], (2, 2), (3, 3))
         ds = run_path(schema, pop, GroupFn("dssum", p, ["hd"], "v"))

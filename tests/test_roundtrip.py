@@ -17,19 +17,14 @@ from conquer.paths import (
     Concat,
     DistinctPath,
     Front,
-    FrontDiff,
-    FrontIntersect,
-    FrontUnion,
     GroupFn,
     HdCoerce,
     MixFix,
-    PathDiff,
-    PathIntersect,
-    PathUnion,
     Reverse,
     RoleEntry,
     SAgg,
     SConst,
+    SetOp,
     Shuffle,
     SubExpr,
     TypeAtom,
@@ -192,15 +187,15 @@ class Gen:
             rid = rng.choice(["p1", "p2", "q1", "q2"])
             return RoleEntry(rid) if rng.random() < 0.5 else role_exit(rid)
         if kind == "setop":
-            node = rng.choice([PathUnion, PathIntersect, PathDiff])
+            op = rng.choice(["union", "intersect", "minus"])
             a, s, e = self.chain()
             b, _, _ = self.chain(start=s)
-            return node(a, b)
+            return SetOp(a, op, b)
         if kind == "frontop":
-            node = rng.choice([FrontUnion, FrontIntersect, FrontDiff])
+            op = rng.choice(["union", "intersect", "minus"])
             a, s, _ = self.chain()
             b, _, _ = self.chain(start=s)
-            return node(a, b)
+            return SetOp(Front(a), op, Front(b))
         if kind == "where":
             body, _, end = self.chain()
             return Where(((body, self.cond(end)),), None, True)

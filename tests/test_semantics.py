@@ -17,10 +17,8 @@ from conquer.paths import (
     Concat,
     Denote,
     Front,
-    FrontUnion,
     MixFix,
     OrderKey,
-    PathUnion,
     RelCompare,
     Reverse,
     RoleEntry,
@@ -28,6 +26,7 @@ from conquer.paths import (
     SConst,
     SVar,
     Scalar,
+    SetOp,
     TypeAtom,
     Where,
     apply_derivations,
@@ -174,8 +173,9 @@ class TestTyping:
             infer_typing(work_schema, p)
 
     def test_related_double_typing_allowed(self, work_schema):
-        p = PathUnion(
+        p = SetOp(
             Concat(TypeAtom("Student"), AttrAtom("a")),
+            "union",
             Concat(TypeAtom("Employee"), AttrAtom("a")),
         )
         t = infer_typing(work_schema, p)
@@ -246,7 +246,7 @@ class TestCoercion:
         assert tl_coerce(work_schema, p, frozenset()) == p
 
     def test_ambiguous_tail_is_identity(self, work_schema):
-        p = PathUnion(TypeAtom("Person"), TypeAtom("Person"))
+        p = SetOp(TypeAtom("Person"), "union", TypeAtom("Person"))
         # heads relate to Student and Employee as well: not a singleton
         assert tl_coerce(work_schema, p, frozenset()) == p
 
@@ -299,10 +299,6 @@ class TestNormalise:
         p = Concat(TypeAtom("Amount"), AttrAtom("x"))
         assert normalise(work_schema, p) == p
 
-    def test_front_ops_fuse(self, work_schema):
-        p = PathUnion(Front(TypeAtom("Person")), Front(TypeAtom("Student")))
-        assert normalise(work_schema, p) == FrontUnion(TypeAtom("Person"), TypeAtom("Student"))
-
     def test_fixpoint_stable(self, work_schema):
         p = concat(TypeAtom("Person"), MixFix("e1", (), "e2"), TypeAtom("Salary"))
         assert normalise(work_schema, p) == p
@@ -332,14 +328,14 @@ class TestMacros:
         assert expand_macro(work_schema, "everyone", []) == body
 
     def test_path_macro_threads_fresh_attr(self, work_schema):
-        body = PathUnion(AttrAtom("a"), AttrAtom("a"))
+        body = SetOp(AttrAtom("a"), "union", AttrAtom("a"))
         work_schema.macros["both"] = Macro("both", ("a",), body, "path")
         arg = TypeAtom("Person")
         out = expand_macro(work_schema, "both", [arg], fresh=lambda: "~b1")
-        assert out == PathUnion(Concat(AttrAtom("~b1"), arg), Concat(AttrAtom("~b1"), arg))
+        assert out == SetOp(Concat(AttrAtom("~b1"), arg), "union", Concat(AttrAtom("~b1"), arg))
 
     def test_default_fresh_names_restart_per_expansion(self, work_schema):
-        work_schema.macros["both"] = Macro("both", ("a",), PathUnion(AttrAtom("a"), AttrAtom("a")), "path")
+        work_schema.macros["both"] = Macro("both", ("a",), SetOp(AttrAtom("a"), "union", AttrAtom("a")), "path")
         first = expand_macro(work_schema, "both", [TypeAtom("Person")])
         assert first == expand_macro(work_schema, "both", [TypeAtom("Person")])
 

@@ -39,6 +39,7 @@ PATH_BUILDERS = {
     P.RoleEntry: lambda m: P.RoleEntry("r"),
     P.AttrAtom: lambda m: P.AttrAtom("a"),
     P.SetCompare: binary(P.SetCompare, "all_in"),
+    P.SetOp: binary(P.SetOp, "union"),
     P.RelCompare: binary(P.RelCompare, "<"),
     P.Shuffle: lambda m: P.Shuffle(m(), ["a", "b"]),
     P.MixFix: lambda m: P.MixFix("r1", [("r2", m()), ("r3", m())], "r4"),
@@ -62,8 +63,7 @@ PATH_BUILDERS = {
 for kind in (P.Reverse, P.Front, P.DistinctPath, P.HdCoerce, P.TlCoerce,
              P.Scalar, P.CondPath, P.CSome, P.CNot, P.ByPath):
     PATH_BUILDERS[kind] = unary(kind)
-for kind in (P.Concat, P.Product, P.MissingPath, P.PathUnion, P.PathIntersect,
-             P.PathDiff, P.FrontUnion, P.FrontIntersect, P.FrontDiff, P.CExclusion):
+for kind in (P.Concat, P.Product, P.MissingPath, P.CExclusion):
     PATH_BUILDERS[kind] = binary(kind)
 
 RECORD_BUILDERS = {

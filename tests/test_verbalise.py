@@ -16,12 +16,10 @@ from conquer.paths import (
     DistinctPath,
     Empty,
     Front,
-    FrontIntersect,
     ByPath,
     GroupFn,
     HdCoerce,
     MixFix,
-    PathUnion,
     RelCompare,
     Reverse,
     RoleEntry,
@@ -30,6 +28,7 @@ from conquer.paths import (
     SConst,
     SVar,
     Scalar,
+    SetOp,
     Shuffle,
     SubExpr,
     TypeAtom,
@@ -142,11 +141,11 @@ class TestOperators:
         return load_schema(salary_doc())
 
     def test_front_ops(self, schema):
-        p = FrontIntersect(TypeAtom("x"), TypeAtom("x"))
+        p = SetOp(Front(TypeAtom("x")), "intersect", Front(TypeAtom("x")))
         assert verbalise(p, ctx_for(schema, p)) == "a Person AND ALSO a Person"
 
     def test_set_ops_and_unaries(self, schema):
-        p = PathUnion(DistinctPath(TypeAtom("x")), Front(TypeAtom("x")))
+        p = SetOp(DistinctPath(TypeAtom("x")), "union", Front(TypeAtom("x")))
         assert verbalise(p, ctx_for(schema, p)) == "DISTINCT a Person UNITED WITH ONLY a Person"
 
     def test_reverse(self, schema):
