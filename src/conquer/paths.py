@@ -38,6 +38,7 @@ from .schema import (
     RoleId,
     Schema,
     TypeId,
+    TypeRule,
 )
 from .values import NULL, TRUE, Bool, FactInstance, format_number, sort_key
 from .walk import children, map_children
@@ -1303,18 +1304,11 @@ def apply_derivations(schema: Schema, pop: Population) -> Population:
 
     current = Population(pop.schema, {t: pop.instances(t) for t in pop.types()})
     for rule in order:
+        relation = ra.evaluate(_kept_plan(schema, rule), current)
         if isinstance(rule, FactRule):
-            extra = [(a, schema.player(r)) for r, a in rule.role_attrs]
-            typing = infer_typing(schema, rule.body, extra)
-            body = translate(schema, rule.body, typing)
-            projected = ra.Project({r: ra.Attr(a) for r, a in rule.role_attrs}, body)
-            relation = ra.evaluate(projected, current)
             facts = Bag.from_counts((FactInstance(dict(zip(relation.header, u))), n) for u, n in relation.rows())
             current = current.with_population(rule.rel, facts)
         else:
-            typing = infer_typing(schema, rule.body)
-            body = translate(schema, rule.body, typing)
-            relation = ra.evaluate(body, current)
             i = relation.header.index(HD)
             heads = Bag.from_counts((u[i], n) for u, n in relation.rows()).to_set()
             current = current.with_population(rule.tid, heads)
@@ -1326,9 +1320,45 @@ def apply_derivations(schema: Schema, pop: Population) -> Population:
 
 
 def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
-    typing = infer_typing(schema, p)
-    expr = translate(schema, p, typing)
-    return bool(ra.evaluate(expr, pop).body)
+    """Whether constraint ``p`` holds on ``pop``: its path has an answer.
+    The plan of one of the schema's own constraints is kept on the schema;
+    any other path is compiled again on every call."""
+    kept = any(p is q for _, q in schema.constraints)
+    return bool(ra.evaluate(_kept_plan(schema, p) if kept else _expr_of(schema, p), pop).body)
+
+
+# ---------------------------------------------------------------------------
+# the plans of derivation rules and constraints
+#
+# A rule's or a constraint's plan depends on the schema alone, so it is
+# built on first use and kept in ``schema.plans`` for every population
+# after.  An entry is keyed by the id of the rule or constraint path and
+# holds that object too, so the id stays its own.  The rewrite leaves the
+# derived types out of its join rules, so a plan built before a rule was
+# added is built again.
+
+
+def _expr_of(schema: Schema, x: Any) -> ra.RelExpr:
+    """The relational expression of ``x``: a derivation rule's body, a fact
+    rule's projected onto the roles it defines, or a constraint path."""
+    if isinstance(x, FactRule):
+        extra = [(a, schema.player(r)) for r, a in x.role_attrs]
+        body = translate(schema, x.body, infer_typing(schema, x.body, extra))
+        return ra.Project({r: ra.Attr(a) for r, a in x.role_attrs}, body)
+    body = x.body if isinstance(x, TypeRule) else x
+    return translate(schema, body, infer_typing(schema, body))
+
+
+def _kept_plan(schema: Schema, x: Any) -> ra.Plan:
+    """The plan of ``x``, a derivation rule or constraint path of
+    ``schema``: the kept one while the schema's derived types are those it
+    was built with, else a new one, kept."""
+    hit = schema.plans.get(id(x))
+    if hit is not None and hit[1].derived == schema.derived_types():
+        return hit[1]
+    plan = ra.compile_plan(_expr_of(schema, x), schema)
+    schema.plans[id(x)] = (x, plan)
+    return plan
 
 
 # ---------------------------------------------------------------------------

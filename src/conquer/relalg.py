@@ -16,12 +16,15 @@ in the order of the attribute names sorted, so relations with the same
 header share one layout.  An outer binding is a dict from attribute
 names to values.
 
-Each entry point first rewrites its plan (``rewrite``) against the
-population's schema: stacked projections fuse into one, identity
-projections go, two projections of one type table joined on its instance
-column become one, and a join with a type table that a column's role
-filler already belongs to goes.  The plans that ``paths.translate`` builds
-are left as they are.
+``evaluate`` runs a ``Plan``: an expression rewritten (``rewrite``) for
+one schema, with the set of its nodes that one evaluation can reach more
+than once.  ``compile_plan`` builds one; a plan built once runs against
+every population of its schema, and ``evaluate`` turns a plain expression
+into a plan for the population's schema on the spot.  The rewrite fuses
+stacked projections into one, drops identity projections, makes two
+projections of one type table joined on its instance column one, and drops
+a join with a type table that a column's role filler already belongs to.
+The plans that ``paths.translate`` builds are left as they are.
 
 The last rule rests on the closure invariant that ``load_population``
 establishes: every filler of a role is in the population of the role's
@@ -567,30 +570,59 @@ def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
 # Val
 #
 # Every top-level call evaluates in one private context.  The context
-# memoises the results of the nodes that can be reached more than once:
-# nodes with more than one parent and nodes under a per-row scalar or
-# condition.  A result depends on the outer binding only through the node's
-# free attributes (``free``), so it is computed once per distinct binding of
-# them.  The context, memo included, is dropped when the call returns.
+# memoises the results of the nodes that can be reached more than once
+# (``_repeatable``): nodes with more than one parent and nodes under a
+# per-row scalar or condition.  A result depends on the outer binding only
+# through the node's free attributes (``free``), so it is computed once per
+# distinct binding of them.  The context, memo included, is dropped when the
+# call returns; the caller keeps the plan's nodes alive meanwhile, so no id
+# in the memo is reused.
 #
 # Scalars and conditions read a row through its operand's slots and fall
 # back to the outer binding; a subquery under a row sees the row's
 # attributes over the outer binding as its own outer binding.
 
 
-def evaluate(e: RelExpr, pop: Population) -> Relation:
-    e = rewrite(e, pop.schema)
-    return Relation(e.header, _Context(pop, [e], per_row=False).body(e, {}))
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A relational expression ready to run against any population of
+    ``schema``: ``root`` is its rewrite for that schema, ``repeatable`` the
+    ids of the nodes of ``root`` that one evaluation can reach more than
+    once, and ``derived`` the schema's derived types when it was rewritten.
+    The plan holds ``root``, so those ids stay its nodes'."""
+
+    root: RelExpr
+    repeatable: frozenset
+    schema: Schema
+    derived: frozenset
+
+
+def compile_plan(e: RelExpr, schema: Schema) -> Plan:
+    """The plan of ``e`` for populations of ``schema``."""
+    rewriter = _Rewriter(schema)
+    root = rewriter.node(e)
+    return Plan(root, frozenset(_repeatable([root], per_row=False)), schema, rewriter.derived)
+
+
+def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
+    """The relation of a plan, or of an expression compiled for the
+    population's schema, on ``pop``.  A plan built for another schema
+    object raises ``EvalError``."""
+    plan = e if isinstance(e, Plan) else compile_plan(e, pop.schema)
+    if plan.schema is not pop.schema:
+        raise EvalError("the plan was built for another schema than the population's")
+    root = plan.root
+    return Relation(root.header, _Context(pop, plan.repeatable).body(root, {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
     expr = rewrite(expr, pop.schema)
-    return _Context(pop, [expr], per_row=False).scalar(expr, (), {}, env)
+    return _Context(pop, _repeatable([expr], per_row=False)).scalar(expr, (), {}, env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
     cond = rewrite(cond, pop.schema)
-    return _Context(pop, [cond], per_row=False).cond(cond, (), {}, env)
+    return _Context(pop, _repeatable([cond], per_row=False)).cond(cond, (), {}, env)
 
 
 def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: Iterable[tuple]) -> Iterator[list[Any]]:
@@ -599,7 +631,7 @@ def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: It
     evaluated again for every row."""
     rewriter = _Rewriter(pop.schema)
     exprs = [rewriter.node(e) for e in exprs]
-    ctx = _Context(pop, exprs, per_row=True)
+    ctx = _Context(pop, _repeatable(exprs, per_row=True))
     pos = {a: i for i, a in enumerate(header)}
     for row in rows:
         yield [ctx.scalar(e, row, pos, {}) for e in exprs]
@@ -669,11 +701,10 @@ def _binding(row: tuple, pos: dict, outer: dict) -> dict:
 
 
 class _Context:
-    def __init__(self, pop: Population, roots: list, per_row: bool):
+    def __init__(self, pop: Population, repeatable: set | frozenset):
         self.pop = pop
-        self.roots = roots  # keeps every node alive, so no id is reused
         self.memo: dict[tuple, Any] = {}
-        self.repeatable = _repeatable(roots, per_row)
+        self.repeatable = repeatable
 
     def _cached(self, compute, x, outer: dict) -> Any:
         """``compute(x, outer)``, memoised on x and the values of outer on

@@ -4,7 +4,9 @@ A schema holds the type universe (entity, value and relationship types),
 the roles that make up relationship types, the type-relatedness relation,
 reference schemes, and all the naming tables the parser and verbaliser
 work from.  Schemas are immutable once loaded and safe to share between
-concurrent readers.
+concurrent readers; only the plans that ``paths`` keeps of the derivation
+rules and constraints are added on first use, and two readers that both
+build one build the same.
 
 Type relatedness is stored extensionally: the loader closes the declared
 specialisation hierarchy (types sharing a root are related unless an
@@ -130,6 +132,9 @@ class Schema:
     raw_macros: list = field(default_factory=list)
     raw_derivations: list = field(default_factory=list)
     raw_constraints: list = field(default_factory=list)
+    # the plans of the derivation rules and constraints, which ``paths``
+    # builds on first use: id of the rule or constraint path -> (it, plan)
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- basic accessors -------------------------------------------------
 

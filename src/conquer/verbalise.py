@@ -199,13 +199,15 @@ def _unary_operand(p: Any, ctx: VerbCtx, left: frozenset) -> str:
 
 
 def _operand(p: Any, ctx: VerbCtx, left: frozenset) -> str:
-    """Verbalise a binary operand, parenthesised when it is itself compound."""
+    """Verbalise a binary operand, parenthesised when it is itself compound.
+    A chain is: unbracketed, its last element could take the operator after
+    it as part of its own operand (``the Company: 'acme' BUT NOT ...``)."""
     text = _pverb(p, ctx, left)
     compound = isinstance(
         p,
         (
             P.SetOp, P.SetCompare, P.MissingPath, P.Product, P.RelCompare,
-            P.Where, P.Confluence, P.FuncApp,
+            P.Where, P.Confluence, P.FuncApp, P.Concat,
         ),
     )
     if isinstance(p, (P.HdCoerce, P.TlCoerce)):

@@ -7,7 +7,7 @@ import pytest
 
 from conquer import cli
 from conquer.cli import Session, execute, load_full_schema, main, run_query
-from conquer.errors import AmbiguityError, ConquerError, ParseError
+from conquer.errors import AmbiguityError, ConquerError, ParseError, TranslateError
 from conquer.frontend import disambiguate, parse_list
 from conquer.frontend.parser import MAX_DEPTH, MAX_NESTING
 from conquer.population import load_population
@@ -216,6 +216,21 @@ class TestCommands:
         assert "pass: SOME a Person" in out
         assert "FAIL: SOME a Person who earns a Salary: 77777" in out
         assert out.endswith("2 constraints checked, 1 failed")
+
+    def test_constraint_that_fails_to_translate(self, tmp_path, monkeypatch, capsys):
+        doc = eval_schema_doc()
+        doc["constraints"] = ["SOME a Person", "SOME THE COUNT OF a Person GROUPED BY x"]
+        session = Session(schema=load_full_schema(doc))
+        # a failed build keeps no plan, so the second run fails the same way
+        for _ in range(2):
+            with pytest.raises(TranslateError, match="grouping attributes not in header"):
+                execute(session, "\\constraints")
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc))
+        lines = iter(["\\constraints", "\\quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt: next(lines))
+        assert main(["--schema", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "[translate] grouping attributes not in header: ['x']"
 
     def test_macro_definition_and_use(self, session):
         execute(session, "\\macro Doubled(n) ::= n * 2")
@@ -456,3 +471,21 @@ def test_front_word_is_the_set_operation_over_only_operands(session, word, plain
     assert a.path == b.path
     assert run_query(session, fronts) == run_query(session, only)
     assert execute(session, "\\explain " + fronts) == execute(session, "\\explain " + only)
+
+
+ACME, EARNS = "(a Person who works for the Company: 'acme')", "(a Person who earns a Salary: 1000)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"{ACME} {word} {EARNS}" for word in ("OR OTHERWISE", "AND ALSO", "BUT NOT", "UNITED WITH", "MINUS")]
+    + [f"{EARNS} BUT NOT {ACME}", "a Person who works for the Company: 'acme' AND ALSO earns a Salary x"],
+)
+def test_explained_set_operation_reads_back_as_itself(session, text):
+    """Each operand chain is bracketed, so that its last element does not
+    take the operator after it."""
+    schema = session.schema
+    (reading,) = disambiguate(schema, parse_list(text, schema)).interpretations
+    explained = execute(session, "\\explain " + text).splitlines()[1].split(". ", 1)[1]
+    (back,) = disambiguate(schema, parse_list(explained, schema)).interpretations
+    assert back.path == reading.path

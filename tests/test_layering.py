@@ -1,6 +1,8 @@
 """The layers import only downwards: the front end does not reach the
-verbaliser or the command line, and the relational algebra does not reach
-the path expressions or anything built on them.
+verbaliser or the command line, the relational algebra does not reach
+the path expressions or anything built on them, and the schema, which
+holds the plans of its rules and constraints, reaches none of the layers
+that build or run them.
 
 Imports are read with ``ast``, those inside functions included, and a
 relative import is resolved against the module that makes it.
@@ -20,6 +22,7 @@ MODULES = sorted((SRC / "conquer").rglob("*.py"))
 RULES = [
     ("conquer.frontend", {"conquer.verbalise", "conquer.cli"}),
     ("conquer.relalg", {"conquer.paths", "conquer.frontend", "conquer.verbalise", "conquer.cli"}),
+    ("conquer.schema", {"conquer.relalg", "conquer.paths", "conquer.frontend"}),
 ]
 
 
