@@ -135,8 +135,8 @@ def _pick_interpretation(session: Session, result) -> Interpretation:
 
 
 def run_query(session: Session, text: str) -> str:
-    """The full pipeline: parse, disambiguate, normalise, translate,
-    evaluate, project, order, denote and render."""
+    """The full pipeline: parse, disambiguate, translate, evaluate,
+    project, order, denote and render."""
     schema = session.loaded_schema()
     result = disambiguate(schema, parse_list(text, schema))
     if result.ambiguous and session.ambiguity == "list":
@@ -145,9 +145,8 @@ def run_query(session: Session, text: str) -> str:
         return "\n".join(lines)
     interp = _pick_interpretation(session, result)
 
-    norm = P.normalise(schema, interp.path)
-    typing = P.infer_typing(schema, norm)
-    expr = P.translate(schema, norm, typing)
+    typing = interp.typing
+    expr = P.translate(schema, interp.path, typing)
     pop = session.population()
     relation = ra.evaluate(expr, pop)
 

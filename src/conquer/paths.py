@@ -52,11 +52,6 @@ TL: AttrName = "tl"
 
 
 @dataclass(frozen=True)
-class Empty:
-    """The empty path; it verbalises but never evaluates."""
-
-
-@dataclass(frozen=True)
 class TypeAtom:
     tid: TypeId
 
@@ -353,7 +348,7 @@ class Composite:
 PeDenotation = TUnion[ByPath, Abstract, Composite]
 
 PathExpr = TUnion[
-    Empty, TypeAtom, RoleEntry, AttrAtom, Reverse, Concat, Front, DistinctPath,
+    TypeAtom, RoleEntry, AttrAtom, Reverse, Concat, Front, DistinctPath,
     Product, SetCompare, MissingPath, SetOp, RelCompare, Shuffle, MixFix,
     FuncApp, Where, Confluence, GroupFn, SubExpr, Denote, HdCoerce, TlCoerce,
     Scalar, CondPath,
@@ -518,90 +513,54 @@ def _flip(end: tuple) -> tuple:
     return end
 
 
-def _first_atoms(p: PathExpr) -> set:
-    if isinstance(p, TypeAtom):
-        return {(_TYPE, p.tid)}
-    if isinstance(p, RoleEntry):
-        return {(_ENTRY, p.rid)}
-    if isinstance(p, AttrAtom):
-        return {(_ATTR, p.attr)}
-    if isinstance(p, Reverse):
-        return {_flip(e) for e in _last_atoms(p.of)}
-    if isinstance(p, Concat):
-        return _first_atoms(p.left)
-    if isinstance(p, (Front, DistinctPath, Where, HdCoerce, TlCoerce)):
-        if isinstance(p, Where):
-            out = set()
-            for body, _ in p.branches:
-                out |= _first_atoms(body)
-            if p.default is not None:
-                out |= _first_atoms(p.default)
-            return out
-        return _first_atoms(p.of)
-    if isinstance(p, (Product, MissingPath, SetCompare, RelCompare)):
-        return _first_atoms(p.left)
-    if isinstance(p, SetOp):
-        if p.op == "minus":
-            return _first_atoms(p.left)
-        return _first_atoms(p.left) | _first_atoms(p.right)
-    if isinstance(p, Shuffle):
-        return {(_ATTR, p.attrs[0])}
-    if isinstance(p, MixFix):
-        return {(_ENTRY, p.first)}
-    if isinstance(p, SubExpr):
-        out = set()
-        for q in p.items:
-            out |= _first_atoms(q)
-        return out
-    if isinstance(p, Denote):
-        return {(_TYPE, p.tid)}
-    if isinstance(p, Confluence):
-        return _first_atoms(p.of)
-    return set()
-
-
-def _last_atoms(p: PathExpr) -> set:
-    if isinstance(p, (TypeAtom, RoleEntry, AttrAtom)):
-        return _first_atoms(p)
-    if isinstance(p, Reverse):
-        return {_flip(e) for e in _first_atoms(p.of)}
-    if isinstance(p, Concat):
-        return _last_atoms(p.right)
-    if isinstance(p, (DistinctPath, Where, HdCoerce, TlCoerce)):
-        if isinstance(p, Where):
-            out = set()
-            for body, _ in p.branches:
-                out |= _last_atoms(body)
-            if p.default is not None:
-                out |= _last_atoms(p.default)
-            return out
-        return _last_atoms(p.of)
-    if isinstance(p, Front):
-        return _first_atoms(p.of)
-    if isinstance(p, Product):
-        return _first_atoms(p.right)
-    if isinstance(p, SetCompare):
-        return _last_atoms(p.left)
-    if isinstance(p, (MissingPath, RelCompare)):
-        return _last_atoms(p.right)
-    if isinstance(p, SetOp):
-        if p.op == "minus":
-            return _last_atoms(p.left)
-        return _last_atoms(p.left) | _last_atoms(p.right)
-    if isinstance(p, Shuffle):
-        return {(_ATTR, p.attrs[-1])}
-    if isinstance(p, MixFix):
-        return {(_EXIT, p.last)}
-    if isinstance(p, SubExpr):
-        out = set()
-        for q in p.items:
-            out |= _first_atoms(q)
-        return out
-    if isinstance(p, Denote):
-        return {(_TYPE, p.tid)}
-    if isinstance(p, Confluence):
-        return _last_atoms(p.of)
-    return set()
+def _ends(p: PathExpr, memo: dict | None = None) -> tuple[set, set]:
+    """The atoms a path can start with and those it can end with.  ``memo``
+    maps the id of each path already worked out to the path and its ends,
+    so that a walk that asks for the ends of every sub-path does each once."""
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(p))
+    if hit is not None:
+        return hit[1]
+    if isinstance(p, (TypeAtom, Denote)):
+        first = last = {(_TYPE, p.tid)}
+    elif isinstance(p, RoleEntry):
+        first = last = {(_ENTRY, p.rid)}
+    elif isinstance(p, AttrAtom):
+        first = last = {(_ATTR, p.attr)}
+    elif isinstance(p, Shuffle):
+        first, last = {(_ATTR, p.attrs[0])}, {(_ATTR, p.attrs[-1])}
+    elif isinstance(p, MixFix):
+        first, last = {(_ENTRY, p.first)}, {(_EXIT, p.last)}
+    elif isinstance(p, Reverse):
+        f, l = _ends(p.of, memo)
+        first, last = {_flip(e) for e in l}, {_flip(e) for e in f}
+    elif isinstance(p, (Concat, Product, MissingPath, RelCompare)):
+        first, right = _ends(p.left, memo)[0], _ends(p.right, memo)
+        # a product ends where its right operand starts
+        last = right[0] if isinstance(p, Product) else right[1]
+    elif isinstance(p, (DistinctPath, HdCoerce, TlCoerce, Confluence, SetCompare)):
+        first, last = _ends(p.left if isinstance(p, SetCompare) else p.of, memo)
+    elif isinstance(p, Front):
+        first = last = _ends(p.of, memo)[0]
+    elif isinstance(p, (SetOp, Where, SubExpr)):
+        if isinstance(p, SetOp):
+            parts = [p.left] if p.op == "minus" else [p.left, p.right]
+        elif isinstance(p, Where):
+            parts = [body for body, _ in p.branches] + ([] if p.default is None else [p.default])
+        else:
+            parts = p.items
+        first, last = set(), set()
+        for q in parts:
+            f, l = _ends(q, memo)
+            first |= f
+            last |= l
+        if isinstance(p, SubExpr):
+            last = first  # a filter: it ends where its items start
+    else:
+        first = last = set()
+    memo[id(p)] = (p, (first, last))
+    return first, last
 
 
 def _junction_pairs(schema: Schema, left: tuple, right: tuple) -> set:
@@ -626,15 +585,16 @@ def _junction_pairs(schema: Schema, left: tuple, right: tuple) -> set:
 def typing_pairs(schema: Schema, p: Any) -> set:
     """Scan the tree for the binding patterns relating variables to types."""
     out: set = set()
+    ends: dict = {}
 
     def scan(node):
         if isinstance(node, Concat):
-            for le in _last_atoms(node.left):
-                for re in _first_atoms(node.right):
+            for le in _ends(node.left, ends)[1]:
+                for re in _ends(node.right, ends)[0]:
                     out.update(_junction_pairs(schema, le, re))
         if isinstance(node, MixFix):
             for r, q in node.middles:
-                for re in _first_atoms(q):
+                for re in _ends(q, ends)[0]:
                     out.update(_junction_pairs(schema, (_EXIT, r), re))
         if isinstance(node, Denote):
             out.update(typing_pairs(schema, expand_denote(schema, node)))
@@ -727,9 +687,6 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
         memo[id(q)] = (q, out)
         return out
 
-    if isinstance(p, Empty):
-        tids = list(schema.types)
-        return {(u, v) for u in tids for v in tids}
     if isinstance(p, TypeAtom):
         return _related_pairs(schema, p.tid)
     if isinstance(p, RoleEntry):
@@ -829,9 +786,9 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
     raise TranslateError(f"no head/tail rule for {p!r}")
 
 
-# every path kind but ``Empty``; a set lookup of a node's type is much
-# faster than ``isinstance`` against the 24 classes
-_CHECKED_PATHS = frozenset(PathExpr.__args__) - {Empty}
+# every path kind; a set lookup of a node's type is much faster than
+# ``isinstance`` against the 24 classes
+_CHECKED_PATHS = frozenset(PathExpr.__args__)
 
 
 def has_empty_subpath(schema: Schema, p: Any, typing: Typing, memo: dict | None = None) -> bool:
@@ -893,7 +850,7 @@ def bind_attr(schema: Schema, typing: Typing, a: AttrName) -> ra.RelExpr:
                 roots.append(y)
     expr: ra.RelExpr = ra.TypeTable(a, roots[0])
     for y in roots[1:]:
-        expr = ra.Union(expr, ra.TypeTable(a, y))
+        expr = ra.SetOp(expr, "union", ra.TypeTable(a, y))
     return expr
 
 
@@ -914,8 +871,6 @@ class Translator:
 
     def path(self, p: PathExpr, B: frozenset) -> ra.RelExpr:
         schema = self.schema
-        if isinstance(p, Empty):
-            raise TranslateError("the empty path cannot be evaluated")
         if isinstance(p, TypeAtom):
             schema.check_type(p.tid)
             a = self.fresh()
@@ -954,10 +909,9 @@ class Translator:
             lp = self.path(p.left, B)
             rp = self.path(p.right, B)
             pairs = ra.Join(ra.DropAttrs({TL}, lp), ra.DropAttrs({HD}, rp))
-            return ra.Diff(pairs, self.path(Concat(p.left, p.right), B))
+            return ra.SetOp(pairs, "minus", self.path(Concat(p.left, p.right), B))
         if isinstance(p, SetOp):
-            op = {"union": ra.Union, "intersect": ra.Intersect, "minus": ra.Diff}[p.op]
-            return _set_op(op, self.path(p.left, B), self.path(p.right, B))
+            return _set_op(p.op, self.path(p.left, B), self.path(p.right, B))
         if isinstance(p, RelCompare):
             a, b = self.fresh(), self.fresh()
             lp = ra.Rename({a: TL}, self.path(p.left, B))
@@ -1047,7 +1001,7 @@ class Translator:
             parts.append(self._where_one(p.default, negated, B))
         out = parts[0]
         for nxt in parts[1:]:
-            out = _set_op(ra.Union, out, nxt)
+            out = _set_op("union", out, nxt)
         return out
 
     def _confluence(self, p: Confluence, B: frozenset) -> ra.RelExpr:
@@ -1094,7 +1048,7 @@ class Translator:
     def _scalar_path(self, e: PeScalar, B: frozenset) -> ra.RelExpr:
         free = attr_uses(e) - B
         if not free:
-            table: ra.RelExpr = ra.ScalarTable(HD, self.scalar(e, B))
+            table = ra.Project({HD: self.scalar(e, B)}, ra.UNIT)
             return ra.Extend({TL: ra.Attr(HD)}, table)
         joined: ra.RelExpr | None = None
         for a in sorted(free):
@@ -1150,16 +1104,16 @@ class Translator:
         raise TranslateError(f"cannot translate condition {c!r}")
 
 
-def _set_op(op, lp: ra.RelExpr, rp: ra.RelExpr) -> ra.RelExpr:
-    """Union, intersection or difference (``op`` is the RA node class) of
-    two relations on their common attributes, joined back to the distinct
-    rows of each operand for the rest: outer joins for a union, and only the
-    left operand for a difference."""
+def _set_op(op: str, lp: ra.RelExpr, rp: ra.RelExpr) -> ra.RelExpr:
+    """Union, intersection or difference (``op`` is union, intersect or
+    minus) of two relations on their common attributes, joined back to the
+    distinct rows of each operand for the rest: outer joins for a union, and
+    only the left operand for a difference."""
     common = ra.def_map(sorted(ra.sch(lp) & ra.sch(rp)))
-    core = op(ra.Project(common, lp), ra.Project(common, rp))
-    if op is ra.Diff:
+    core = ra.SetOp(ra.Project(common, lp), op, ra.Project(common, rp))
+    if op == "minus":
         return ra.Join(core, ra.Distinct(lp))
-    join = ra.LeftJoin if op is ra.Union else ra.Join
+    join = ra.LeftJoin if op == "union" else ra.Join
     return join(join(core, ra.Distinct(lp)), ra.Distinct(rp))
 
 
@@ -1453,8 +1407,6 @@ def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:
 
 def path_text(p: Any) -> str:
     """Fully parenthesised concrete rendering of an expression tree."""
-    if isinstance(p, Empty):
-        return "eps"
     if isinstance(p, TypeAtom):
         return p.tid
     if isinstance(p, RoleEntry):

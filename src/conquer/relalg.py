@@ -2,7 +2,8 @@
 
 Expressions form a small AST of ``RA_KINDS``: five scalar kinds (one
 ``Aggregate`` for count, sum, min, max and average), four condition kinds
-and twelve relational kinds.  A node's children are its fields, as
+and nine relational kinds (one ``SetOp`` for union, intersection and
+difference).  A node's children are its fields, as
 ``walk.children`` finds them.  Each relational node works out its header
 (``sch``) when it is built, from its own fields and its operands'
 headers, so an ill-formed set operation or grouping is refused there;
@@ -100,11 +101,13 @@ class _Rel(_Node):
             header, slots = self.of.header, self.of.slots
             if isinstance(self, Group) and not self.by.issubset(slots):
                 raise EvalError(f"grouping attributes not in header: {sorted(self.by.difference(slots))}")
-        elif isinstance(self, (TypeTable, ScalarTable)):
+        elif isinstance(self, TypeTable):
             header = (self.attr,)
         elif isinstance(self, (Join, LeftJoin)):
             header = tuple(sorted(self.left.slots.keys() | self.right.slots.keys()))
-        elif isinstance(self, (Union, Intersect, Diff)):
+        elif isinstance(self, SetOp):
+            if self.op not in _SET_OPS:
+                raise EvalError(f"unknown set operation {self.op!r}")
             header, slots = self.left.header, self.left.slots
             if header != self.right.header:
                 missing = sorted(set(header).symmetric_difference(self.right.header))
@@ -248,41 +251,33 @@ class LeftJoin(_Rel):
     right: "RelExpr"
 
 
+# each set operation's ``Bag`` method: multiplicities summed, the least of
+# the two, or the left's less the right's
+_SET_OPS = {"union": "union", "intersect": "intersect", "minus": "difference"}
+
+
 @dataclass(frozen=True)
-class Union(_Rel):
+class SetOp(_Rel):
+    """Bag union, intersection or difference of two relations with one
+    header."""
+
     left: "RelExpr"
+    op: str  # union | intersect | minus
     right: "RelExpr"
-
-
-@dataclass(frozen=True)
-class Intersect(_Rel):
-    left: "RelExpr"
-    right: "RelExpr"
-
-
-@dataclass(frozen=True)
-class Diff(_Rel):
-    left: "RelExpr"
-    right: "RelExpr"
-
-
-@dataclass(frozen=True)
-class ScalarTable(_Rel):
-    attr: AttrName
-    expr: RaScalar
 
 
 @dataclass(frozen=True)
 class Literal(_Rel):
-    """Leaf for a pre-materialised relation, built by tests."""
+    """Leaf for a pre-materialised relation."""
 
     relation: Relation
 
 
-RelExpr = TUnion[
-    Project, Select, TypeTable, Distinct, Group,
-    Join, LeftJoin, Union, Intersect, Diff, ScalarTable, Literal,
-]
+RelExpr = TUnion[Project, Select, TypeTable, Distinct, Group, Join, LeftJoin, SetOp, Literal]
+
+# the relation with no attributes and one row: a scalar's one-row table is
+# a projection of it
+UNIT = Literal(Relation((), Bag([()])))
 
 # every kind of node in a plan; a node's children are the field values of
 # these kinds, as ``walk.children`` finds them
@@ -454,14 +449,18 @@ class _Rewriter:
             out = self._domain(e.of, a)
         elif isinstance(e, Group) and a in e.by:
             out = self._domain(e.of, a)
-        elif isinstance(e, (Join, Intersect)):
+        elif isinstance(e, Join):
             for side in (e.left, e.right):
                 if a in side.slots:
                     out |= self._domain(side, a)
-        elif isinstance(e, (LeftJoin, Diff)) and a in e.left.slots:
+        elif isinstance(e, LeftJoin) and a in e.left.slots:
             out = self._domain(e.left, a)
-        elif isinstance(e, Union):
-            out = self._domain(e.left, a) & self._domain(e.right, a)
+        elif isinstance(e, SetOp):
+            out = self._domain(e.left, a)
+            if e.op == "union":
+                out &= self._domain(e.right, a)
+            elif e.op == "intersect":
+                out |= self._domain(e.right, a)
         self.domains[k] = (e, out)
         return out
 
@@ -748,16 +747,11 @@ class _Context:
             return self._group(e, outer)
         if isinstance(e, (Join, LeftJoin)):
             return self._join(e, outer)
-        if isinstance(e, (Union, Intersect, Diff)):
-            lb = self.body(e.left, outer)
-            rb = self.body(e.right, outer)
-            if isinstance(e, Union):
-                return lb.union(rb)
-            if isinstance(e, Intersect):
-                return lb.intersect(rb)
-            return lb.difference(rb)
-        if isinstance(e, ScalarTable):
-            return Bag([(self.scalar(e.expr, (), {}, outer),)])
+        if isinstance(e, SetOp):
+            # the method is looked up on each call, so that one replaced on
+            # ``Bag`` is the one used
+            combine = getattr(self.body(e.left, outer), _SET_OPS[e.op])
+            return combine(self.body(e.right, outer))
         if isinstance(e, Literal):
             return e.relation.body
         raise EvalError(f"unknown relational expression {e!r}")

@@ -424,8 +424,14 @@ def load_schema(data: dict | str) -> Schema:
     for sub, supers in data.get("specialises", {}).items():
         schema.specialises[sub] = tuple(supers) if isinstance(supers, list) else (supers,)
 
-    schema.roots = _compute_roots(schema, data.get("roots", {}))
     schema.ancestors = _compute_ancestors(schema)
+    # a declared root set, otherwise the ancestors that specialise nothing
+    explicit = data.get("roots", {})
+    schema.roots = {
+        tid: frozenset(explicit[tid]) if tid in explicit
+        else frozenset(a for a in schema.ancestors[tid] if not schema.specialises.get(a))
+        for tid in schema.types
+    }
     schema.related = _compute_related(schema, data.get("related", []), data.get("unrelated", []))
 
     for tid, spec in data.get("idf", {}).items():
@@ -459,29 +465,6 @@ def load_schema(data: dict | str) -> Schema:
     schema.raw_derivations = list(data.get("derivations", []))
     schema.raw_constraints = list(data.get("constraints", []))
     return schema
-
-
-def _compute_roots(schema: Schema, explicit: dict) -> dict[TypeId, frozenset]:
-    roots: dict[TypeId, frozenset] = {}
-    for tid in schema.types:
-        if tid in explicit:
-            roots[tid] = frozenset(explicit[tid])
-            continue
-        reached: set[TypeId] = set()
-        stack = [tid]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            supers = schema.specialises.get(cur, ())
-            if not supers:
-                reached.add(cur)
-            else:
-                stack.extend(supers)
-        roots[tid] = frozenset(reached)
-    return roots
 
 
 def _compute_ancestors(schema: Schema) -> dict[TypeId, frozenset]:

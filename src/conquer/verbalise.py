@@ -118,8 +118,6 @@ def verbalise(p: Any, ctx: VerbCtx, left: frozenset | None = None) -> str:
 
 def _pverb(p: Any, ctx: VerbCtx, left: frozenset) -> str:
     schema = ctx.schema
-    if isinstance(p, P.Empty):
-        return "start"
     if isinstance(p, P.Concat):
         return _chain(P.flatten_concat(p), ctx, left)
     if isinstance(p, (P.TypeAtom, P.Denote, P.RoleEntry, P.MixFix, P.AttrAtom)) or (

@@ -104,7 +104,9 @@ def test_shared_intersections_are_evaluated_once_each(monkeypatch):
     out = run_query(session, "Person who works for a Company c" + " AND ALSO earns a Salary x" * 8)
     assert out.splitlines()[-1] == "(6 rows)"
     (plan,) = plans
-    intersections = distinct_nodes(plan, ra.Intersect)
+    intersections = sum(
+        isinstance(node, ra.SetOp) and node.op == "intersect" for node in plan_objects(plan)
+    )
     assert 0 < intersections < 2**8 - 1
     assert len(calls) == intersections
 
@@ -155,7 +157,7 @@ def test_rewrite_fuses_the_projections_of_a_two_fact_join(monkeypatch):
 
 def test_rewrite_fuses_the_projections_of_a_correlated_query(monkeypatch):
     before, after = rewritten_projections(monkeypatch, CORRELATED)
-    assert before == 65
+    assert before == 66
     assert after <= 31
 
 

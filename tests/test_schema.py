@@ -140,6 +140,20 @@ class TestRelatedness:
         schema = load_schema(doc)
         assert schema.roots_of("M") == frozenset({"A", "B"})
 
+    def test_roots_are_the_ancestors_that_specialise_nothing(self):
+        doc = fig_doc()
+        for tid in ("S", "T", "C1", "C2", "R"):
+            doc["types"][tid] = "entity"
+        # a diamond under A and an undeclared Agent; a cycle; a declared set
+        doc["specialises"] = {"S": ["A", "T"], "T": ["A", "Agent"], "C1": "C2", "C2": "C1", "R": "A"}
+        doc["roots"] = {"R": ["B"]}
+        schema = load_schema(doc)
+        assert schema.roots["S"] == frozenset({"A", "Agent"})
+        assert schema.roots["A"] == frozenset({"A"})
+        assert schema.roots["R"] == frozenset({"B"})
+        assert schema.roots["C1"] == frozenset()
+        assert "type 'C1' has an empty root set" in validate_schema(schema)
+
     def test_ancestors_of_every_named_type(self):
         doc = fig_doc()
         doc["types"]["Student"] = "entity"

@@ -34,7 +34,6 @@ def binary(kind, op=None):
 
 
 PATH_BUILDERS = {
-    P.Empty: lambda m: P.Empty(),
     P.TypeAtom: lambda m: P.TypeAtom("t"),
     P.RoleEntry: lambda m: P.RoleEntry("r"),
     P.AttrAtom: lambda m: P.AttrAtom("a"),
@@ -112,11 +111,17 @@ RA_BUILDERS = {
     RA.TypeTable: lambda m: RA.TypeTable("a", "T"),
     RA.Distinct: lambda m: RA.Distinct(m("rel")),
     RA.Group: lambda m: RA.Group((), m("rel")),
-    RA.ScalarTable: lambda m: RA.ScalarTable("a", m("scalar")),
     RA.Literal: lambda m: RA.Literal(RA.Relation(("a",), Bag())),
 }
-for kind in (RA.Join, RA.LeftJoin, RA.Union, RA.Intersect, RA.Diff):
+for kind in (RA.Join, RA.LeftJoin):
     RA_BUILDERS[kind] = lambda m, kind=kind: kind(m("rel"), m("rel"))
+
+# ``SetOp`` has one case per operator, each named after the plan kind that
+# the operator had before ``SetOp`` replaced the three
+SET_OP_BUILDERS = {
+    f"relalg.{name}": lambda m, op=op: RA.SetOp(m("rel"), op, m("rel"))
+    for name, op in (("Union", "union"), ("Intersect", "intersect"), ("Diff", "minus"))
+}
 
 
 def ra_marker(name, family):
@@ -131,15 +136,22 @@ def ra_marker(name, family):
     return RA.Compare(RA.Attr(name), "=", RA.Const(0))
 
 
+def case_id(kind) -> str:
+    return f"{kind.__module__.rsplit('.', 1)[1]}.{kind.__qualname__}"
+
+
 CASES = [(kind, build, PATH_KINDS, P.AttrAtom) for kind, build in PATH_BUILDERS.items()]
 CASES += [(kind, build, RECORD_KINDS, R.VarName) for kind, build in RECORD_BUILDERS.items()]
 CASES += [(kind, build, RA_KINDS, ra_marker) for kind, build in RA_BUILDERS.items()]
+CASE_IDS = [case_id(c[0]) for c in CASES]
+CASES += [(RA.SetOp, build, RA_KINDS, ra_marker) for build in SET_OP_BUILDERS.values()]
+CASE_IDS += list(SET_OP_BUILDERS)
 
 
 def test_every_kind_has_a_builder():
     assert set(PATH_BUILDERS) == PATH_KINDS
     assert set(RECORD_BUILDERS) == RECORD_KINDS
-    assert set(RA_BUILDERS) == RA_KINDS
+    assert set(RA_BUILDERS) | {RA.SetOp} == RA_KINDS
 
 
 def build_with_markers(build, marker):
@@ -160,11 +172,7 @@ def ids(nodes):
     return [id(n) for n in nodes]
 
 
-def case_id(kind) -> str:
-    return f"{kind.__module__.rsplit('.', 1)[1]}.{kind.__qualname__}"
-
-
-@pytest.mark.parametrize("kind, build, kinds, marker", CASES, ids=[case_id(c[0]) for c in CASES])
+@pytest.mark.parametrize("kind, build, kinds, marker", CASES, ids=CASE_IDS)
 class TestWalkers:
     def test_children_are_the_markers_in_field_order(self, kind, build, kinds, marker):
         p, made, _ = build_with_markers(build, marker)

@@ -14,7 +14,6 @@ from conquer.paths import (
     Concat,
     Denote,
     DistinctPath,
-    Empty,
     Front,
     ByPath,
     GroupFn,
@@ -75,10 +74,6 @@ class TestNamingStages:
         assert norm == concat(TypeAtom("A"), MixFix("p", (), "q"), TypeAtom("B"))
         text = verbalise(norm, ctx_for(schema, norm))
         assert text == "some President who has participated in an election leading in some Result"
-
-    def test_empty_path(self):
-        schema = load_schema(fig6_doc("bare"))
-        assert verbalise(Empty(), ctx_for(schema, Empty())) == "start"
 
 
 class TestGuards:
