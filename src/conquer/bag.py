@@ -38,6 +38,14 @@ class Bag:
                 freq[e] = freq.get(e, 0) + n
         return bag
 
+    @classmethod
+    def from_freq(cls, freq: dict[Any, int]) -> "Bag":
+        """The bag with these frequencies, which must all be positive; the
+        dict becomes the bag's own, not a copy."""
+        bag = cls.__new__(cls)
+        bag._freq = freq
+        return bag
+
     # -- inspection ----------------------------------------------------
 
     def frequency(self, e: Any) -> int:
@@ -77,27 +85,26 @@ class Bag:
     # -- set-theoretic operations ---------------------------------------
 
     def union(self, other: "Bag") -> "Bag":
-        out = Bag()
-        out._freq = dict(self._freq)
+        freq = dict(self._freq)
         for e, n in other._freq.items():
-            out._freq[e] = out._freq.get(e, 0) + n
-        return out
+            freq[e] = freq.get(e, 0) + n
+        return Bag.from_freq(freq)
 
     def intersect(self, other: "Bag") -> "Bag":
-        out = Bag()
+        freq = {}
         for e, n in self._freq.items():
             m = other._freq.get(e, 0)
             if m:
-                out._freq[e] = min(n, m)
-        return out
+                freq[e] = min(n, m)
+        return Bag.from_freq(freq)
 
     def difference(self, other: "Bag") -> "Bag":
-        out = Bag()
+        freq = {}
         for e, n in self._freq.items():
             k = n - other._freq.get(e, 0)
             if k > 0:
-                out._freq[e] = k
-        return out
+                freq[e] = k
+        return Bag.from_freq(freq)
 
     def subbag(self, other: "Bag") -> bool:
         return all(n <= other._freq.get(e, 0) for e, n in self._freq.items())
@@ -106,9 +113,7 @@ class Bag:
         return self.subbag(other) and self != other
 
     def to_set(self) -> "Bag":
-        out = Bag()
-        out._freq = {e: 1 for e in self._freq}
-        return out
+        return Bag.from_freq(dict.fromkeys(self._freq, 1))
 
 
 def _arith_elements(bag: Bag) -> list[tuple[Any, int]]:

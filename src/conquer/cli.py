@@ -94,6 +94,24 @@ def _cell_text(value: Any, pop: Population, null_token: str) -> str:
     return str(value)
 
 
+def _cell_texts(pop: Population, null_token: str):
+    """``_cell_text`` for the cells of one result, rendering each entity or
+    relationship instance, whose text goes through its denotation, once
+    however often it occurs.  Other values are rendered each time: equal
+    grouped bags can list their elements in different orders."""
+    done: dict = {}
+
+    def text(value: Any) -> str:
+        if not isinstance(value, (EntityInstance, FactInstance)):
+            return _cell_text(value, pop, null_token)
+        out = done.get(value)
+        if out is None:
+            out = done[value] = _cell_text(value, pop, null_token)
+        return out
+
+    return text
+
+
 def _render_table(header: list[str], rows: list[list[str]], out_format: str) -> str:
     if out_format == "csv":
         buf = io.StringIO()
@@ -154,6 +172,7 @@ def run_query(session: Session, text: str) -> str:
         t for t, n in relation.rows() for _ in range(n)
     ]
 
+    cell = _cell_texts(pop, session.null_token)
     named = [
         attr
         for attr in interp.vnm
@@ -167,13 +186,13 @@ def run_query(session: Session, text: str) -> str:
         compiled = [translator.scalar(e, frozenset(relation.header)) for e in interp.projection]
         header = labels
         rows = [
-            [_cell_text(value, pop, session.null_token) for value in values]
+            [cell(value) for value in values]
             for values in ra.eval_scalars(compiled, pop, relation.header, ordered)
         ]
     else:
         header = ["HEAD"] + [interp.vnm[a] for a in named] + ["TAIL"]
         slots = [relation.header.index(a) for a in [P.HD] + named + [P.TL]]
-        rows = [[_cell_text(t[i], pop, session.null_token) for i in slots] for t in ordered]
+        rows = [[cell(t[i]) for i in slots] for t in ordered]
 
     return _render_table(header, rows, session.out_format)
 

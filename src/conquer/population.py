@@ -106,31 +106,50 @@ def load_population(schema: Schema, data: dict | str) -> Population:
             freq[inst] = freq.get(inst, 0) + 1
 
     _close_population(schema, counts)
-    return Population(schema, {tid: Bag.from_counts(freq.items()) for tid, freq in counts.items()})
-
-
-def _add_once(counts: dict[TypeId, dict[Any, int]], tid: str, value: Any) -> bool:
-    freq = counts.setdefault(tid, {})
-    if value in freq:
-        return False
-    freq[value] = 1
-    return True
+    return Population(schema, {tid: Bag.from_freq(freq) for tid, freq in counts.items()})
 
 
 def _close_population(schema: Schema, counts: dict[TypeId, dict[Any, int]]) -> None:
     """Close the loaded document, given as instance frequencies by type,
     under the population invariants: role fillers belong to their player's
     population, subtype instances to their supertypes', and entity
-    denotations imply their reference facts."""
+    denotations imply their reference facts.
+
+    Each pass takes three steps in turn, one for each invariant, and passes
+    repeat until one adds nothing.  A step handles each instance once: it
+    keeps, for each type, how many of the type's instances, in the order
+    they were added, it has handled, and goes on from there in the next
+    pass.  What a step adds for an instance depends on the instance alone,
+    so each type's instances come out in the order that handling every
+    instance again in every pass would give."""
+    added = {tid: list(freq) for tid, freq in counts.items()}
+    handled: list[dict[TypeId, int]] = [{}, {}, {}]
+
+    def add(tid: TypeId, value: Any) -> bool:
+        freq = counts.setdefault(tid, {})
+        if value in freq:
+            return False
+        freq[value] = 1
+        added.setdefault(tid, []).append(value)
+        return True
+
+    def fresh(step: int, tid: TypeId) -> list:
+        """The instances of ``tid`` that ``step`` has not handled yet, from
+        now on counted as handled."""
+        items = added.get(tid, [])
+        start = handled[step].get(tid, 0)
+        handled[step][tid] = len(items)
+        return items[start:]
+
     changed = True
     while changed:
         changed = False
         for sub, supers in schema.specialises.items():
-            for inst in list(counts.get(sub, ())):
+            for inst in fresh(0, sub):
                 for sup in supers:
-                    changed |= _add_once(counts, sup, inst)
+                    changed |= add(sup, inst)
         for ftid, rids in schema.roles_of.items():
-            for fact in list(counts.get(ftid, ())):
+            for fact in fresh(1, ftid):
                 if not isinstance(fact, FactInstance):
                     continue
                 for rid in rids:
@@ -138,7 +157,7 @@ def _close_population(schema: Schema, counts: dict[TypeId, dict[Any, int]]) -> N
                         continue
                     filler = fact[rid]
                     for t in schema.ancestors[schema.player(rid)]:
-                        changed |= _add_once(counts, t, filler)
+                        changed |= add(t, filler)
         for tid in list(counts):
             info = schema.types.get(tid)
             if info is None or info.is_value_type or info.is_relationship:
@@ -146,11 +165,11 @@ def _close_population(schema: Schema, counts: dict[TypeId, dict[Any, int]]) -> N
             scheme = schema.idf.get(tid)
             if scheme is None or scheme.kind != "pairs":
                 continue
-            for inst in list(counts[tid]):
+            for inst in fresh(2, tid):
                 if not isinstance(inst, EntityInstance) or len(inst.key) != len(scheme.entries):
                     continue
                 for (r, s), component in zip(scheme.entries, inst.key):
-                    changed |= _add_once(counts, schema.rel(r), FactInstance({r: inst, s: component}))
+                    changed |= add(schema.rel(r), FactInstance({r: inst, s: component}))
 
 
 def denote_instance(i: Any, pop: Population) -> list[Any]:

@@ -18,10 +18,12 @@ header share one layout.  An outer binding is a dict from attribute
 names to values.
 
 ``evaluate`` runs a ``Plan``: an expression rewritten (``rewrite``) for
-one schema, with the set of its nodes that one evaluation can reach more
-than once.  ``compile_plan`` builds one; a plan built once runs against
-every population of its schema, and ``evaluate`` turns a plain expression
-into a plan for the population's schema on the spot.  The rewrite fuses
+one schema and compiled once into closures, one for each distinct node,
+which run without looking at a node's kind again.  ``compile_plan``
+builds one; a plan built once runs against every population of its
+schema, and ``evaluate`` turns a plain expression into a plan for the
+population's schema on the spot.  ``eval_scalar``, ``eval_cond`` and
+``eval_scalars`` compile their expressions the same way.  The rewrite fuses
 stacked projections into one, drops identity projections, makes two
 projections of one type table joined on its instance column one, and drops
 a join with a type table that a column's role filler already belongs to.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Union as TUnion
+from typing import Any, Callable, Iterable, Iterator, Union as TUnion
 
 from .bag import Bag, bag_avg, bag_max, bag_min, bag_sum
 from .errors import EvalError
@@ -340,7 +342,7 @@ def sch(e: RelExpr) -> frozenset:
 # too.
 
 
-_LEAVES = (Attr, AttrRole, Const, TypeTable, Literal)
+_LEAVES = frozenset({Attr, AttrRole, Const, TypeTable, Literal})
 
 
 def rewrite(x, schema: Schema):
@@ -362,7 +364,7 @@ class _Rewriter:
         self.domains: dict[tuple[int, AttrName], tuple] = {}
 
     def node(self, x):
-        if isinstance(x, _LEAVES):
+        if type(x) in _LEAVES:
             return x
         k = id(x)
         hit = self.done.get(k)
@@ -568,30 +570,42 @@ def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
 # ---------------------------------------------------------------------------
 # Val
 #
-# Every top-level call evaluates in one private context.  The context
-# memoises the results of the nodes that can be reached more than once
-# (``_repeatable``): nodes with more than one parent and nodes under a
-# per-row scalar or condition.  A result depends on the outer binding only
-# through the node's free attributes (``free``), so it is computed once per
-# distinct binding of them.  The context, memo included, is dropped when the
-# call returns; the caller keeps the plan's nodes alive meanwhile, so no id
-# in the memo is reused.
+# A plan is compiled once into closures, one for each distinct node, and the
+# closures are what run (after Neumann, "Efficiently Compiling Efficient
+# Query Plans for Modern Hardware", VLDB 2011).  Compilation works out
+# everything that depends on the plan alone: an attribute becomes a slot of
+# the operand's rows or a read of the outer binding, a join's keys and a
+# group's key become picks of slots, and each operator's loop builds its
+# bag's frequency dict directly.  A relational node compiles to
+# ``run(ctx, outer) -> Bag``; a scalar or condition compiles, for the layout
+# of the rows it reads, to ``run(ctx, row, outer)``.  ``ctx`` is the one
+# evaluation's ``_Context``; no closure keeps it.
 #
-# Scalars and conditions read a row through its operand's slots and fall
+# Each evaluation memoises the results of the nodes that can be reached more
+# than once (``_repeatable``): nodes with more than one parent and nodes
+# under a per-row scalar or condition.  A result depends on the outer
+# binding only through the node's free attributes (``free``), so it is
+# computed once per distinct binding of them.  The memo is dropped with the
+# context when the call returns; the caller keeps the plan's nodes alive
+# meanwhile, so no id in the memo is reused.
+#
+# A scalar or condition reads a row through its operand's slots and falls
 # back to the outer binding; a subquery under a row sees the row's
-# attributes over the outer binding as its own outer binding.
+# attributes over the outer binding as its own outer binding.  A compiled
+# node raises what it raises only when it runs, so an operator over an empty
+# operand raises nothing.
 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A relational expression ready to run against any population of
-    ``schema``: ``root`` is its rewrite for that schema, ``repeatable`` the
-    ids of the nodes of ``root`` that one evaluation can reach more than
-    once, and ``derived`` the schema's derived types when it was rewritten.
-    The plan holds ``root``, so those ids stay its nodes'."""
+    ``schema``: ``root`` is its rewrite for that schema, ``run`` the root
+    compiled, and ``derived`` the schema's derived types when it was
+    rewritten.  The plan holds ``root``, so the ids the compiled code keys
+    its memo on stay its nodes'."""
 
     root: RelExpr
-    repeatable: frozenset
+    run: Callable
     schema: Schema
     derived: frozenset
 
@@ -600,7 +614,8 @@ def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
     rewriter = _Rewriter(schema)
     root = rewriter.node(e)
-    return Plan(root, frozenset(_repeatable([root], per_row=False)), schema, rewriter.derived)
+    run = _Compiler(_repeatable([root], per_row=False)).rel(root)
+    return Plan(root, run, schema, rewriter.derived)
 
 
 def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
@@ -610,18 +625,17 @@ def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
     plan = e if isinstance(e, Plan) else compile_plan(e, pop.schema)
     if plan.schema is not pop.schema:
         raise EvalError("the plan was built for another schema than the population's")
-    root = plan.root
-    return Relation(root.header, _Context(pop, plan.repeatable).body(root, {}))
+    return Relation(plan.root.header, plan.run(_Context(pop), {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
     expr = rewrite(expr, pop.schema)
-    return _Context(pop, _repeatable([expr], per_row=False)).scalar(expr, (), {}, env)
+    return _Compiler(_repeatable([expr], per_row=False)).scalar(expr, ())(_Context(pop), (), env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
     cond = rewrite(cond, pop.schema)
-    return _Context(pop, _repeatable([cond], per_row=False)).cond(cond, (), {}, env)
+    return _Compiler(_repeatable([cond], per_row=False)).cond(cond, ())(_Context(pop), (), env)
 
 
 def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: Iterable[tuple]) -> Iterator[list[Any]]:
@@ -630,15 +644,16 @@ def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: It
     evaluated again for every row."""
     rewriter = _Rewriter(pop.schema)
     exprs = [rewriter.node(e) for e in exprs]
-    ctx = _Context(pop, _repeatable(exprs, per_row=True))
-    pos = {a: i for i, a in enumerate(header)}
+    compiler = _Compiler(_repeatable(exprs, per_row=True))
+    runs = [compiler.scalar(e, tuple(header)) for e in exprs]
+    ctx, outer = _Context(pop), {}
     for row in rows:
-        yield [ctx.scalar(e, row, pos, {}) for e in exprs]
+        yield [run(ctx, row, outer) for run in runs]
 
 
 # the nodes whose results are memoised: relational expressions, and the
 # scalars and conditions that evaluate one
-_SUBQUERY = RelExpr.__args__ + (Aggregate, BagCompare)
+_SUBQUERY = frozenset(RelExpr.__args__ + (Aggregate, BagCompare))
 _MISSING = object()
 
 
@@ -665,191 +680,387 @@ def _repeatable(roots: list, per_row: bool) -> set[int]:
     while stack:
         x, under = stack.pop()
         k = id(x)
-        if isinstance(x, _SUBQUERY):
-            parents[k] = parents.get(k, 0) + 1
-            if under or parents[k] > 1:
+        if type(x) in _SUBQUERY:
+            n = parents[k] = parents.get(k, 0) + 1
+            if under or n > 1:
                 out.add(k)
-        if (k, under) in expanded:
+        if type(x) in _LEAVES or (k, under) in expanded:
             continue
         expanded.add((k, under))
         direct, per_row_parts = _parts(x)
-        stack.extend((c, under) for c in direct)
-        stack.extend((c, True) for c in per_row_parts)
+        for c in direct:
+            stack.append((c, under))
+        for c in per_row_parts:
+            stack.append((c, True))
     return out
 
 
-def _read(a: AttrName, row: tuple, pos: dict, outer: dict) -> Any:
-    """The value of ``a``: the row's own, else the outer binding's."""
-    i = pos.get(a)
-    if i is not None:
-        return row[i]
-    try:
-        return outer[a]
-    except KeyError:
-        raise EvalError(f"unbound attribute {a!r}") from None
-
-
-def _binding(row: tuple, pos: dict, outer: dict) -> dict:
-    """The outer binding of a subquery evaluated under ``row``: the row's
-    attributes over the outer binding's."""
-    if not pos:
-        return outer
-    env = dict(outer)
-    env.update(zip(pos, row))
-    return env
-
-
 class _Context:
-    def __init__(self, pop: Population, repeatable: set | frozenset):
+    """What one evaluation's compiled code shares: the population and the
+    memo."""
+
+    __slots__ = ("pop", "memo")
+
+    def __init__(self, pop: Population):
         self.pop = pop
         self.memo: dict[tuple, Any] = {}
-        self.repeatable = repeatable
 
-    def _cached(self, compute, x, outer: dict) -> Any:
-        """``compute(x, outer)``, memoised on x and the values of outer on
-        x's free attributes when x is repeatable.  A value is keyed with its
-        type, so that 1, 1.0 and Fraction(1) get entries of their own."""
-        if id(x) not in self.repeatable:
-            return compute(x, outer)
-        key = (id(x), tuple((type(v), v) for v in (outer.get(a, _MISSING) for a in x.free)))
-        out = self.memo.get(key, _MISSING)
-        if out is _MISSING:
-            out = self.memo[key] = compute(x, outer)
-        return out
+
+def _picker(slots: list[int]):
+    """The function from a row to the tuple of its values at ``slots``."""
+    if len(slots) == 1:
+        (i,) = slots
+        return lambda u: (u[i],)
+    if not slots:
+        return lambda u: ()
+    return itemgetter(*slots)
+
+
+def _key(slots: list[int]):
+    """The function from a row to its join key on ``slots``: for one slot
+    the value itself, since two values are equal exactly when their
+    1-tuples are."""
+    if len(slots) == 1:
+        return itemgetter(slots[0])
+    return _picker(slots)
+
+
+def _column(rows: Iterable[tuple[tuple, int]], i: int) -> Bag:
+    """The bag of the values at slot ``i`` of rows with multiplicities."""
+    freq: dict = {}
+    for u, n in rows:
+        v = u[i]
+        freq[v] = freq.get(v, 0) + n
+    return Bag.from_freq(freq)
+
+
+def _raiser(message: str):
+    """Compiled code for a node that cannot run: it raises when it does."""
+
+    def run(*_):
+        raise EvalError(message)
+
+    return run
+
+
+class _Compiler:
+    """Compiles the nodes of one plan, each distinct node once for each
+    layout of the rows it reads; ``repeatable`` holds the ids of the nodes
+    whose results one evaluation memoises."""
+
+    def __init__(self, repeatable: set | frozenset):
+        self.repeatable = repeatable
+        # (kind, id, layout) -> (node, its code); holding the node keeps
+        # its id unique
+        self.done: dict[tuple, tuple] = {}
+
+    def rel(self, e: RelExpr):
+        """``run(ctx, outer) -> Bag`` for relational expression ``e``."""
+        return self._compiled("relational expression", e, None)
+
+    def scalar(self, x: RaScalar, layout: tuple):
+        """``run(ctx, row, outer)`` for scalar ``x`` over rows laid out as
+        ``layout``."""
+        return self._compiled("scalar expression", x, layout)
+
+    def cond(self, x: RaCond, layout: tuple):
+        """``run(ctx, row, outer) -> Tri`` for condition ``x`` over rows
+        laid out as ``layout``."""
+        return self._compiled("condition", x, layout)
+
+    def _compiled(self, kind: str, x, layout: tuple | None):
+        key = (kind, id(x), layout)
+        hit = self.done.get(key)
+        if hit is not None:
+            return hit[1]
+        build = _BUILDERS[kind].get(type(x))
+        run = _raiser(f"unknown {kind} {x!r}") if build is None else build(self, x, layout)
+        if layout is None and id(x) in self.repeatable:
+            run = _memoised(x, run)
+        self.done[key] = (x, run)
+        return run
 
     # -- relational expressions ------------------------------------------
 
-    def body(self, e: RelExpr, outer: dict) -> Bag:
-        return self._cached(self._body, e, outer)
+    def project(self, e: Project, _):
+        of, pos = self.rel(e.of), e.of.slots
+        exprs = [s for _, s in e.assigns]
+        if exprs and all(isinstance(s, Attr) and s.attr in pos for s in exprs):
+            # every column is moved from a slot of the operand's rows
+            pick = _picker([pos[s.attr] for s in exprs])
 
-    def _body(self, e: RelExpr, outer: dict) -> Bag:
-        if isinstance(e, Project):
-            rows = self.body(e.of, outer).items()
-            pos, scalar = e.of.slots, self.scalar
-            exprs = [s for _, s in e.assigns]
-            if exprs and all(isinstance(s, Attr) and s.attr in pos for s in exprs):
-                # every column is moved from a slot of the operand's rows
-                get = itemgetter(*[pos[s.attr] for s in exprs])
-                if len(exprs) == 1:
-                    return Bag.from_counts(((get(u),), n) for u, n in rows)
-                return Bag.from_counts((get(u), n) for u, n in rows)
-            return Bag.from_counts((tuple([scalar(s, u, pos, outer) for s in exprs]), n) for u, n in rows)
-        if isinstance(e, Select):
-            rows = self.body(e.of, outer).items()
-            pos, cond = e.of.slots, self.cond
-            return Bag.from_counts((u, n) for u, n in rows if is_true(cond(e.cond, u, pos, outer)))
-        if isinstance(e, TypeTable):
-            self.pop.schema.check_type(e.tid)
-            return Bag.from_counts(((i,), 1) for i in self.pop.instances(e.tid).distinct())
-        if isinstance(e, Distinct):
-            return self.body(e.of, outer).to_set()
-        if isinstance(e, Group):
-            return self._group(e, outer)
-        if isinstance(e, (Join, LeftJoin)):
-            return self._join(e, outer)
-        if isinstance(e, SetOp):
-            # the method is looked up on each call, so that one replaced on
-            # ``Bag`` is the one used
-            combine = getattr(self.body(e.left, outer), _SET_OPS[e.op])
-            return combine(self.body(e.right, outer))
-        if isinstance(e, Literal):
-            return e.relation.body
-        raise EvalError(f"unknown relational expression {e!r}")
+            def run(ctx, outer):
+                freq: dict = {}
+                for u, n in of(ctx, outer).items():
+                    w = pick(u)
+                    freq[w] = freq.get(w, 0) + n
+                return Bag.from_freq(freq)
 
-    def _group(self, e: Group, outer: dict) -> Bag:
-        body = self.body(e.of, outer)
-        pos = e.of.slots
-        keys = [i for a, i in pos.items() if a in e.by]
+            return run
+        columns = [self.scalar(s, e.of.header) for s in exprs]
+
+        def run(ctx, outer):
+            freq: dict = {}
+            for u, n in of(ctx, outer).items():
+                w = tuple([f(ctx, u, outer) for f in columns])
+                freq[w] = freq.get(w, 0) + n
+            return Bag.from_freq(freq)
+
+        return run
+
+    def select(self, e: Select, _):
+        of, cond = self.rel(e.of), self.cond(e.cond, e.of.header)
+
+        def run(ctx, outer):
+            return Bag.from_freq({u: n for u, n in of(ctx, outer).items() if is_true(cond(ctx, u, outer))})
+
+        return run
+
+    def type_table(self, e: TypeTable, _):
+        tid = e.tid
+
+        def run(ctx, outer):
+            ctx.pop.schema.check_type(tid)
+            return Bag.from_freq({(i,): 1 for i in ctx.pop.instances(tid).distinct()})
+
+        return run
+
+    def distinct(self, e: Distinct, _):
+        of = self.rel(e.of)
+        return lambda ctx, outer: of(ctx, outer).to_set()
+
+    def group(self, e: Group, _):
+        of, pos = self.rel(e.of), e.of.slots
+        key = _picker([i for a, i in pos.items() if a in e.by])
         rest = [i for a, i in pos.items() if a not in e.by]
-        groups: dict[tuple, list[tuple[tuple, int]]] = {}
-        for u, n in body.items():
-            groups.setdefault(tuple([u[i] for i in keys]), []).append((u, n))
-        out = []
-        for rows in groups.values():
-            row = list(rows[0][0])  # holds the group's values on the keys
-            for i in rest:
-                row[i] = GroupedBag(Bag.from_counts((u[i], n) for u, n in rows))
-            out.append(tuple(row))
-        return Bag(out)
 
-    def _join(self, e: Join | LeftJoin, outer: dict) -> Bag:
+        def run(ctx, outer):
+            groups: dict[tuple, list[tuple[tuple, int]]] = {}
+            for u, n in of(ctx, outer).items():
+                groups.setdefault(key(u), []).append((u, n))
+            out = []
+            for rows in groups.values():
+                row = list(rows[0][0])  # holds the group's values on the keys
+                for i in rest:
+                    row[i] = GroupedBag(_column(rows, i))
+                out.append(tuple(row))
+            return Bag(out)
+
+        return run
+
+    def join(self, e: Join | LeftJoin, _):
         """Hash join on the shared attributes: the right operand is indexed
         by its values on them and probed with each left row, so the rows
         come out in nested-loop order.  NULL matches NULL; with nothing
         shared, every row matches every row.  Each output value is picked
         from the left row followed by the right row, a shared attribute's
         from the right, or from the left row followed by NULLs for a left
-        row that matches nothing."""
-        lb = self.body(e.left, outer)
-        rb = self.body(e.right, outer)
+        row that matches nothing.  An output row keeps every attribute of
+        both rows, so no two pairs give the same row, and each row is stored
+        once, without a lookup."""
+        left, right = self.rel(e.left), self.rel(e.right)
         lpos, rpos = e.left.slots, e.right.slots
-        lkey = [i for a, i in lpos.items() if a in rpos]
-        rkey = [rpos[a] for a in lpos if a in rpos]
-        pick = [len(lpos) + rpos[a] if a in rpos else lpos[a] for a in e.header]
-        pad_pick = [lpos[a] if a in lpos else len(lpos) + rpos[a] for a in e.header]
-        index: dict[tuple, list[tuple[tuple, int]]] = {}
-        for v, m in rb.items():
-            index.setdefault(tuple([v[i] for i in rkey]), []).append((v, m))
+        lkey = _key([i for a, i in lpos.items() if a in rpos])
+        rkey = _key([rpos[a] for a in lpos if a in rpos])
+        pick = _picker([len(lpos) + rpos[a] if a in rpos else lpos[a] for a in e.header])
+        pad_pick = _picker([lpos[a] if a in lpos else len(lpos) + rpos[a] for a in e.header])
         pad = (NULL,) * len(rpos) if isinstance(e, LeftJoin) else None
-        rows = []
-        for u, n in lb.items():
-            matches = index.get(tuple([u[i] for i in lkey])) if index else None
-            if matches:
-                for v, m in matches:
-                    w = u + v
-                    rows.append((tuple([w[i] for i in pick]), n * m))
-            elif pad is not None:
-                w = u + pad
-                rows.append((tuple([w[i] for i in pad_pick]), n))
-        return Bag.from_counts(rows)
+
+        def run(ctx, outer):
+            lb = left(ctx, outer)
+            index: dict[tuple, list[tuple[tuple, int]]] = {}
+            for v, m in right(ctx, outer).items():
+                index.setdefault(rkey(v), []).append((v, m))
+            freq: dict = {}
+            for u, n in lb.items():
+                matches = index.get(lkey(u))
+                if matches:
+                    for v, m in matches:
+                        freq[pick(u + v)] = n * m
+                elif pad is not None:
+                    freq[pad_pick(u + pad)] = n
+            return Bag.from_freq(freq)
+
+        return run
+
+    def set_op(self, e: SetOp, _):
+        left, right, method = self.rel(e.left), self.rel(e.right), _SET_OPS[e.op]
+        # the method is looked up on each call, so that one replaced on
+        # ``Bag`` is the one used
+        return lambda ctx, outer: getattr(left(ctx, outer), method)(right(ctx, outer))
+
+    def literal(self, e: Literal, _):
+        body = e.relation.body
+        return lambda ctx, outer: body
 
     # -- scalars and conditions ----------------------------------------------
 
-    def scalar(self, expr: RaScalar, row: tuple, pos: dict, outer: dict) -> Any:
-        if isinstance(expr, Attr):
-            return _read(expr.attr, row, pos, outer)
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, AttrRole):
-            v = _read(expr.attr, row, pos, outer)
+    def attr(self, x: Attr, layout: tuple):
+        i, a = _slot(layout, x.attr), x.attr
+        if i is not None:
+            return lambda ctx, row, outer: row[i]
+
+        def run(ctx, row, outer):
+            try:
+                return outer[a]
+            except KeyError:
+                raise EvalError(f"unbound attribute {a!r}") from None
+
+        return run
+
+    def const(self, x: Const, _):
+        v = x.value
+        return lambda ctx, row, outer: v
+
+    def attr_role(self, x: AttrRole, layout: tuple):
+        a, role = x.attr, x.role
+
+        def checked(v):
             if not isinstance(v, FactInstance):
-                raise EvalError(f"attribute {expr.attr!r} is not a relationship instance")
-            if expr.role not in v:
-                raise EvalError(f"relationship instance not defined for role {expr.role!r}")
-            return v[expr.role]
-        if isinstance(expr, Aggregate):
-            return self._cached(self._aggregate, expr, _binding(row, pos, outer))
-        if isinstance(expr, Apply):
-            return _apply(expr.func, [self.scalar(a, row, pos, outer) for a in expr.args])
-        raise EvalError(f"unknown scalar expression {expr!r}")
+                raise EvalError(f"attribute {a!r} is not a relationship instance")
+            if role not in v:
+                raise EvalError(f"relationship instance not defined for role {role!r}")
+            return v[role]
 
-    def _aggregate(self, expr: Aggregate, outer: dict) -> Any:
-        body = self.body(expr.of, outer)
-        if expr.fn != "count":
-            i = expr.of.slots.get(expr.attr)
-            if i is None:
-                raise EvalError(f"unbound attribute {expr.attr!r}")
-            body = Bag.from_counts((u[i], n) for u, n in body.items())
-        return _reduce(expr.fn, body)
+        i = _slot(layout, a)
+        if i is None:
+            read = self.attr(Attr(a), layout)
+            return lambda ctx, row, outer: checked(read(ctx, row, outer))
 
-    def cond(self, cond: RaCond, row: tuple, pos: dict, outer: dict) -> Tri:
-        if isinstance(cond, Compare):
-            return _compare(self.scalar(cond.left, row, pos, outer), cond.op, self.scalar(cond.right, row, pos, outer))
-        if isinstance(cond, BagCompare):
-            return self._cached(self._bag_compare, cond, _binding(row, pos, outer))
-        if isinstance(cond, Not):
-            return t_not(self.cond(cond.of, row, pos, outer))
-        if isinstance(cond, Connect):
-            a = self.cond(cond.left, row, pos, outer)
-            b = self.cond(cond.right, row, pos, outer)
-            op = _CONNECTIVES.get(cond.op)
-            if op is None:
-                raise EvalError(f"unknown connective {cond.op!r}")
-            return op(a, b)
-        raise EvalError(f"unknown condition {cond!r}")
+        def run(ctx, row, outer):
+            # only a fact instance with the role reads it; anything else
+            # raises, and the checked read says why
+            try:
+                return row[i][role]
+            except (TypeError, KeyError):
+                return checked(row[i])
 
-    def _bag_compare(self, cond: BagCompare, outer: dict) -> Tri:
-        return _bag_compare(self.body(cond.left, outer), cond.op, self.body(cond.right, outer))
+        return run
+
+    def aggregate(self, x: Aggregate, layout: tuple):
+        of, fn, attr = self.rel(x.of), x.fn, x.attr
+        i = x.of.slots.get(attr)
+
+        def compute(ctx, outer):
+            body = of(ctx, outer)
+            if fn != "count":
+                if i is None:
+                    raise EvalError(f"unbound attribute {attr!r}")
+                body = _column(body.items(), i)
+            return _reduce(fn, body)
+
+        return self.subquery(x, layout, compute)
+
+    def apply(self, x: Apply, layout: tuple):
+        func, args = x.func, [self.scalar(a, layout) for a in x.args]
+        return lambda ctx, row, outer: _apply(func, [f(ctx, row, outer) for f in args])
+
+    def compare(self, x: Compare, layout: tuple):
+        left, op, right = self.scalar(x.left, layout), x.op, self.scalar(x.right, layout)
+        return lambda ctx, row, outer: _compare(left(ctx, row, outer), op, right(ctx, row, outer))
+
+    def bag_compare(self, x: BagCompare, layout: tuple):
+        left, op, right = self.rel(x.left), x.op, self.rel(x.right)
+        return self.subquery(x, layout, lambda ctx, outer: _bag_compare(left(ctx, outer), op, right(ctx, outer)))
+
+    def not_(self, x: Not, layout: tuple):
+        of = self.cond(x.of, layout)
+        return lambda ctx, row, outer: t_not(of(ctx, row, outer))
+
+    def connect(self, x: Connect, layout: tuple):
+        left, right = self.cond(x.left, layout), self.cond(x.right, layout)
+        connective = _CONNECTIVES.get(x.op)
+        if connective is None:
+            message = f"unknown connective {x.op!r}"
+
+            def run(ctx, row, outer):
+                left(ctx, row, outer)
+                right(ctx, row, outer)
+                raise EvalError(message)
+
+            return run
+        return lambda ctx, row, outer: connective(left(ctx, row, outer), right(ctx, row, outer))
+
+    def subquery(self, x: Aggregate | BagCompare, layout: tuple, compute):
+        """Code that runs ``compute(ctx, binding)`` under a row: the binding
+        is the row's attributes over the outer binding's.  For a repeatable
+        node the result is memoised on the values of its free attributes,
+        read from the row's slots or the outer binding, and the binding is
+        built only on a miss.  A value is keyed with its type, so that 1,
+        1.0 and Fraction(1) get entries of their own."""
+        if layout:
+            def binding(row, outer):
+                env = dict(outer)
+                env.update(zip(layout, row))
+                return env
+        else:
+            def binding(row, outer):
+                return outer
+        if id(x) not in self.repeatable:
+            return lambda ctx, row, outer: compute(ctx, binding(row, outer))
+        k = id(x)
+        reads = [(_slot(layout, a), a) for a in x.free]
+
+        def run(ctx, row, outer):
+            values = [outer.get(a, _MISSING) if i is None else row[i] for i, a in reads]
+            key = (k, tuple([(type(v), v) for v in values]))
+            memo = ctx.memo
+            out = memo.get(key, _MISSING)
+            if out is _MISSING:
+                out = memo[key] = compute(ctx, binding(row, outer))
+            return out
+
+        return run
+
+
+def _slot(layout: tuple, a: AttrName) -> int | None:
+    """The position of ``a`` in rows laid out as ``layout``, or None."""
+    return {b: i for i, b in enumerate(layout)}.get(a)
+
+
+def _memoised(e: RelExpr, run):
+    """``run`` memoised on ``e`` and the values of the outer binding on e's
+    free attributes, each keyed with its type."""
+    k, free = id(e), tuple(e.free)
+
+    def memoised(ctx, outer):
+        key = (k, tuple([(type(v), v) for v in [outer.get(a, _MISSING) for a in free]]))
+        memo = ctx.memo
+        out = memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = memo[key] = run(ctx, outer)
+        return out
+
+    return memoised
+
+
+# each node kind's builder, by what the node stands for where it is read
+_BUILDERS = {
+    "relational expression": {
+        Project: _Compiler.project,
+        Select: _Compiler.select,
+        TypeTable: _Compiler.type_table,
+        Distinct: _Compiler.distinct,
+        Group: _Compiler.group,
+        Join: _Compiler.join,
+        LeftJoin: _Compiler.join,
+        SetOp: _Compiler.set_op,
+        Literal: _Compiler.literal,
+    },
+    "scalar expression": {
+        Attr: _Compiler.attr,
+        Const: _Compiler.const,
+        AttrRole: _Compiler.attr_role,
+        Aggregate: _Compiler.aggregate,
+        Apply: _Compiler.apply,
+    },
+    "condition": {
+        Compare: _Compiler.compare,
+        BagCompare: _Compiler.bag_compare,
+        Not: _Compiler.not_,
+        Connect: _Compiler.connect,
+    },
+}
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from conquer.relalg import (
     sch,
 )
 from conquer.tri import UNKNOWN
-from conquer.values import NULL, FactInstance, GroupedBag
+from conquer.values import NULL, EntityInstance, FactInstance, GroupedBag
 
 from .test_oracle_corpus import all_cases
 from .test_scaling import CORRELATED, TWO_FACT_JOIN, demo_session, plan_objects, translated_plan
@@ -381,6 +381,77 @@ class TestRepeatedSubPlans:
         for _ in range(2):
             with pytest.raises(EvalError, match="unbound attribute 'missing'"):
                 evaluate(e, pop)
+
+
+# (id, the operand's value of ``a``, a plan over an operand, the message
+# its row raises) for each error that compiled code raises when a row
+# reaches it
+_EQ = Compare(Attr("a"), "=", Const(1))
+_UNIT_A = Project({"w": Attr("a")}, UNIT)  # a subquery reading the row's a
+PER_ROW_ERRORS = [
+    ("unbound attribute", 1, lambda of: Project({"v": Attr("nope")}, of), "unbound attribute 'nope'"),
+    (
+        "role of an entity instance",
+        EntityInstance("P", ("x",)),
+        lambda of: Project({"v": AttrRole("a", "p")}, of),
+        "attribute 'a' is not a relationship instance",
+    ),
+    (
+        "fact instance without the role",
+        FactInstance({"p": 1}),
+        lambda of: Project({"v": AttrRole("a", "q")}, of),
+        "relationship instance not defined for role 'q'",
+    ),
+    (
+        "arithmetic on a non-number",
+        "x",
+        lambda of: Project({"v": Apply("+", [Attr("a"), Const(1)])}, of),
+        "operator '+' needs numbers, got 'x' and 1",
+    ),
+    ("division by zero", 1, lambda of: Project({"v": Apply("/", [Attr("a"), Const(0)])}, of), "division by zero"),
+    ("unknown function", 1, lambda of: Project({"v": Apply("pow", [Attr("a")])}, of), "unknown function 'pow'"),
+    (
+        "unorderable comparison",
+        "x",
+        lambda of: Select(Compare(Attr("a"), "<", Const(1)), of),
+        "cannot order 'x' and 1",
+    ),
+    ("unknown comparison", 1, lambda of: Select(Compare(Attr("a"), "~", Const(1)), of), "unknown comparison '~'"),
+    ("unknown connective", 1, lambda of: Select(Connect(_EQ, "nand", _EQ), of), "unknown connective 'nand'"),
+    (
+        "unknown scalar kind",
+        1,
+        lambda of: Project({"v": _EQ}, of),
+        "unknown scalar expression Compare(left=Attr(attr='a'), op='=', right=Const(value=1))",
+    ),
+    ("unknown condition kind", 1, lambda of: Select(Attr("a"), of), "unknown condition Attr(attr='a')"),
+    (
+        "unknown aggregate",
+        1,
+        lambda of: Project({"v": Aggregate("median", _UNIT_A, "w")}, of),
+        "unknown aggregate 'median'",
+    ),
+    (
+        "aggregate of a missing column",
+        1,
+        lambda of: Project({"v": Aggregate("sum", _UNIT_A, "zz")}, of),
+        "unbound attribute 'zz'",
+    ),
+]
+
+
+class TestCompiledErrors:
+    """A plan is compiled before it runs, and its compiled code raises what
+    a row raises when that row reaches it, with the message the engine has
+    always given; over an empty operand nothing raises."""
+
+    @pytest.mark.parametrize("value, make, message", [c[1:] for c in PER_ROW_ERRORS], ids=[c[0] for c in PER_ROW_ERRORS])
+    def test_a_row_raises_and_an_empty_operand_does_not(self, pop, value, make, message):
+        with pytest.raises(EvalError) as raised:
+            evaluate(make(lit(["a"], (value,))), pop)
+        assert raised.value.message == message
+        e = make(lit(["a"]))
+        assert evaluate(e, pop) == Relation(e.header, Bag())
 
 
 def fact_pop():

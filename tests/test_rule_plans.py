@@ -95,10 +95,14 @@ def counting(calls: Counter, name: str, fn):
 
 
 def count_calls(monkeypatch) -> Counter:
-    """Calls of the compiling stages and of ``evaluate`` from now on."""
+    """Calls of the compiling stages and of ``evaluate`` from now on, and
+    the plan nodes compiled, as ``node``."""
     calls: Counter = Counter()
-    for module, name in [(P, "infer_typing"), (P, "translate"), (ra, "rewrite"), (ra, "evaluate")]:
+    for module, name in [(P, "infer_typing"), (P, "translate"), (ra, "rewrite"), (ra, "compile_plan"), (ra, "evaluate")]:
         monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    for builders in ra._BUILDERS.values():
+        for kind, build in builders.items():
+            monkeypatch.setitem(builders, kind, counting(calls, "node", build))
     return calls
 
 
@@ -117,6 +121,7 @@ def test_a_second_population_compiles_nothing(monkeypatch):
     calls = count_calls(monkeypatch)
     session.base_pop = load_population(session.schema, population_doc(2))
     one_round(session)
+    # nothing is translated, rewritten or compiled, not even one node
     assert dict(calls) == {"evaluate": 8}
 
 
@@ -144,6 +149,8 @@ def test_an_added_rule_rebuilds_the_plans(monkeypatch):
     calls = count_calls(monkeypatch)
     derived, verdicts = one_round(session)
     assert calls["translate"] == 9 and calls["evaluate"] == 9
+    # every kept plan is compiled again, and its nodes with it
+    assert calls["compile_plan"] == len(schema.plans) == 9 and calls["node"] > 9
     assert all(plan.derived == schema.derived_types() for _, plan in schema.plans.values())
     assert "derived BigCompany: " in derived
     assert "FAIL: SOME a BigCompany sponsors a Person" in verdicts
