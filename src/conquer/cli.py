@@ -276,7 +276,7 @@ queries are entered directly; commands:
   \\derive                 apply derivation rules
   \\constraints            check the stored constraints
   \\dump-records <query>   print the record tree of a parse
-  \\dump-path <query>      print the canonical path expression
+  \\dump-path <query>      print the chosen reading's path as lowered
   \\explain <query>        verbalise the surviving interpretations
   \\quit                   leave"""
 

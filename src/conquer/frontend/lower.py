@@ -3,7 +3,10 @@
 Variables scope over the whole query except under the path shuffler, which
 opens a fresh frame.  Each interpretation carries its own lowered tree,
 typing and variable-name table; structurally empty interpretations are
-dropped by ``disambiguate``.
+dropped by ``disambiguate``.  The record trees of one parse are lowered
+through one ``paths.PathMemo``, kept on the ``ParseResult``, so their
+readings share equal sub-paths and each distinct sub-path is typed and
+checked once.
 """
 
 from __future__ import annotations
@@ -142,36 +145,42 @@ class NameEnv:
 
 
 class Lowerer:
-    def __init__(self, schema: Schema, env: NameEnv | None = None):
+    """Builds path expressions from parse records, each node through
+    ``memo``, so the trees lowered with one memo share their equal
+    sub-paths."""
+
+    def __init__(self, schema: Schema, env: NameEnv | None = None, memo: P.PathMemo | None = None):
         self.schema = schema
         self.env = env or NameEnv(schema)
+        self.memo = P.PathMemo() if memo is None else memo
+        self.node = self.memo.node
 
     # -- descriptors -----------------------------------------------------
 
     def descr(self, rec: Any) -> P.PathExpr:
         schema = self.schema
         if isinstance(rec, R.TypeSpec):
-            base: P.PathExpr = P.TypeAtom(rec.tid)
+            base: P.PathExpr = self.node(P.TypeAtom, rec.tid)
             if rec.var_name is not None:
-                return P.Concat(base, P.AttrAtom(self.env.resolve(rec.var_name)))
+                return self.node(P.Concat, base, self.node(P.AttrAtom, self.env.resolve(rec.var_name)))
             if rec.denot is not None:
-                return P.Denote(rec.tid, self.denot(rec.denot))
+                return self.node(P.Denote, rec.tid, self.denot(rec.denot))
             return base
         if isinstance(rec, R.RoleRef):
-            return P.RoleEntry(rec.rid) if rec.kind == "entry" else P.role_exit(rec.rid)
+            return self.node(P.RoleEntry, rec.rid) if rec.kind == "entry" else P.role_exit(rec.rid, self.node)
         if isinstance(rec, (R.Const, R.ScConst)):
-            return P.Scalar(self.scalar(rec))
+            return self.node(P.Scalar, self.scalar(rec))
         if isinstance(rec, R.VarName):
             if rec.role_name is not None:
-                return P.Scalar(self.scalar(rec))
-            return P.AttrAtom(self.env.resolve(rec.name))
+                return self.node(P.Scalar, self.scalar(rec))
+            return self.node(P.AttrAtom, self.env.resolve(rec.name))
         if isinstance(rec, R.MFix):
             middles = tuple((role, self.descr(d)) for _, role, d in rec.items[:-1])
             last_part, last_role, continuation = rec.items[-1]
-            node = P.MixFix(rec.start_role, middles, last_role)
-            return P.Concat(node, self.descr(continuation))
+            node = self.node(P.MixFix, rec.start_role, middles, last_role)
+            return self.node(P.Concat, node, self.descr(continuation))
         if isinstance(rec, R.UnaryOp):
-            return UNARY_MAP[rec.op](self.descr(rec.inf))
+            return self.node(UNARY_MAP[rec.op], self.descr(rec.inf))
         if isinstance(rec, R.BinaryOp):
             return self.binary(rec)
         if isinstance(rec, R.Shuffler):
@@ -185,60 +194,61 @@ class Lowerer:
         if isinstance(rec, R.GroupAcct):
             return self.group_acct(rec)
         if isinstance(rec, R.SubExpr):
-            return P.SubExpr(tuple(self.descr(i) for i in rec.items))
+            return self.node(P.SubExpr, tuple(self.descr(i) for i in rec.items))
         if isinstance(rec, R.CoerceFunction):
-            return P.Scalar(self.scalar(rec))
+            return self.node(P.Scalar, self.scalar(rec))
         if isinstance(rec, R.CONDITION_KINDS):
-            return P.CondPath(self.cond(rec))
+            return self.node(P.CondPath, self.cond(rec))
         raise TranslateError(f"cannot lower {type(rec).__name__}")
 
     def binary(self, rec: R.BinaryOp) -> P.PathExpr:
         op = rec.op
         if op == "":
-            return P.Concat(self.descr(rec.left), self.descr(rec.right))
+            return self.node(P.Concat, self.descr(rec.left), self.descr(rec.right))
         if op in SETOP_MAP:
             setop, fronts = SETOP_MAP[op]
             left, right = self.descr(rec.left), self.descr(rec.right)
             if fronts:
-                left, right = P.Front(left), P.Front(right)
-            return P.SetOp(left, setop, right)
+                left, right = self.node(P.Front, left), self.node(P.Front, right)
+            return self.node(P.SetOp, left, setop, right)
         if op in SETCMP_MAP:
-            return P.SetCompare(self.descr(rec.left), SETCMP_MAP[op], self.descr(rec.right))
+            return self.node(P.SetCompare, self.descr(rec.left), SETCMP_MAP[op], self.descr(rec.right))
         if op == "MISSING":
-            return P.MissingPath(self.descr(rec.left), self.descr(rec.right))
+            return self.node(P.MissingPath, self.descr(rec.left), self.descr(rec.right))
         if op == "WITH":
-            return P.Product(self.descr(rec.left), self.descr(rec.right))
+            return self.node(P.Product, self.descr(rec.left), self.descr(rec.right))
         if op == "IS":
             return self.subtype_glue(rec)
         if op in VALUECOMP_MAP:
             left = self.descr(rec.left)
             right = self.descr(rec.right)
-            return P.RelCompare(P.TlCoerce(left), VALUECOMP_MAP[op], P.HdCoerce(right))
+            return self.node(P.RelCompare, self.node(P.TlCoerce, left), VALUECOMP_MAP[op], self.node(P.HdCoerce, right))
         if op in ARITH:
             ls = self.try_scalar(rec.left)
             rs = self.try_scalar(rec.right)
             if ls is not None and rs is not None:
-                return P.Scalar(P.SApply(op, [ls, rs]))
-            return P.FuncApp(op, [P.HdCoerce(self.descr(rec.left)), P.HdCoerce(self.descr(rec.right))])
+                return self.node(P.Scalar, self.node(P.SApply, op, [ls, rs]))
+            args = [self.node(P.HdCoerce, self.descr(rec.left)), self.node(P.HdCoerce, self.descr(rec.right))]
+            return self.node(P.FuncApp, op, args)
         raise TranslateError(f"unknown binary operator {op!r}")
 
     def subtype_glue(self, rec: R.BinaryOp) -> P.PathExpr:
         left = self.descr(rec.left)
         right = self.descr(rec.right)
-        last = {e for e in P._ends(left)[1] if e[0] == "type"}
-        first = {e for e in P._ends(right)[0] if e[0] == "type"}
+        last = {e for e in P._ends(left, self.memo.ends)[1] if e[0] == "type"}
+        first = {e for e in P._ends(right, self.memo.ends)[0] if e[0] == "type"}
         ok = any(
             self.schema.type_related(x[1], y[1]) for x in last for y in first
         )
         if not last or not first or not ok:
             raise TranslateError("IS must connect two related types")
-        return P.Concat(left, right)
+        return self.node(P.Concat, left, right)
 
     def shuffler(self, rec: R.Shuffler) -> P.PathExpr:
         self.env.push()
         try:
             if isinstance(rec.inf, R.CONDITION_KINDS):
-                body: P.PathExpr = P.CondPath(self.cond(rec.inf))
+                body: P.PathExpr = self.node(P.CondPath, self.cond(rec.inf))
             else:
                 body = self.descr(rec.inf)
             attrs = []
@@ -252,7 +262,7 @@ class Lowerer:
                 attrs.append(attr)
         finally:
             self.env.pop()
-        return P.Shuffle(body, attrs)
+        return self.node(P.Shuffle, body, attrs)
 
     def function(self, rec: R.Function) -> P.PathExpr:
         macro = self.schema.macros.get(rec.name)
@@ -262,8 +272,8 @@ class Lowerer:
             raise MacroError(f"recursive macro {rec.name!r}")
         scalars = [self.try_scalar(a) for a in rec.args]
         if all(s is not None for s in scalars):
-            return P.Scalar(P.SApply(rec.name, scalars))
-        return P.FuncApp(rec.name, [P.HdCoerce(self.descr(a)) for a in rec.args])
+            return self.node(P.Scalar, self.node(P.SApply, rec.name, scalars))
+        return self.node(P.FuncApp, rec.name, [self.node(P.HdCoerce, self.descr(a)) for a in rec.args])
 
     def expand_macro_call(self, macro: Macro, args: tuple) -> Any:
         if macro.kind == "scalar":
@@ -272,18 +282,18 @@ class Lowerer:
             lowered = [self.cond(a) for a in args]
         else:
             lowered = [self.descr(a) for a in args]
-        expansion = P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh)
+        expansion = P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh, memo=self.memo)
         if macro.kind == "scalar":
-            return P.Scalar(expansion)
+            return self.node(P.Scalar, expansion)
         if macro.kind == "condition":
-            return P.CondPath(expansion)
+            return self.node(P.CondPath, expansion)
         return expansion
 
     def selection(self, rec: R.Selection) -> P.PathExpr:
         pairs = tuple((self.descr(d), self.cond(c)) for d, c in rec.pairs)
         default = self.descr(rec.default) if rec.default is not None else None
         simple = rec.form in ("where", "ifthen", "ifthenelse")
-        return P.Where(pairs, default, simple)
+        return self.node(P.Where, pairs, default, simple)
 
     def confluence(self, rec: R.Confluence) -> P.PathExpr:
         base = self.descr(rec.base)
@@ -298,7 +308,7 @@ class Lowerer:
             else:
                 x = P.HD
             elements.append((a, q, x))
-        return P.Confluence(elements, base)
+        return self.node(P.Confluence, elements, base)
 
     def group_acct(self, rec: R.GroupAcct) -> P.PathExpr:
         kind = GROUP_MAP[rec.func]
@@ -307,9 +317,9 @@ class Lowerer:
         if kind in ("count", "dscount"):
             if rec.var_name is not None:
                 raise TranslateError("counting group functions take no target variable")
-            return P.GroupFn(kind, body, by)
+            return self.node(P.GroupFn, kind, body, by)
         target = self.env.resolve(rec.var_name) if rec.var_name is not None else P.HD
-        return P.GroupFn(kind, body, by, target)
+        return self.node(P.GroupFn, kind, body, by, target)
 
     # -- scalars -----------------------------------------------------------
 
@@ -322,67 +332,67 @@ class Lowerer:
     def try_scalar(self, rec: Any) -> P.PeScalar | None:
         if isinstance(rec, (R.Const, R.ScConst)):
             value = Bool(rec.value) if isinstance(rec.value, bool) else rec.value
-            return P.SConst(value)
+            return self.node(P.SConst, value)
         if isinstance(rec, R.VarName):
             attr = self.env.resolve(rec.name)
             if rec.role_name is not None:
-                return P.SVarRole(attr, rec.rid)
-            return P.SVar(attr)
+                return self.node(P.SVarRole, attr, rec.rid)
+            return self.node(P.SVar, attr)
         if isinstance(rec, R.CoerceFunction):
             kind = AGG_MAP[rec.func]
-            return P.SAgg(kind, P.HdCoerce(self.descr(rec.inf)))
+            return self.node(P.SAgg, kind, self.node(P.HdCoerce, self.descr(rec.inf)))
         if isinstance(rec, (R.ScFunction, R.Function)):
             macro = self.schema.macros.get(rec.name)
             if macro is not None and macro.kind == "scalar":
                 lowered = [self.scalar(a) for a in rec.args]
-                return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh)
+                return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh, memo=self.memo)
             if macro is None and rec.name in self.env.active_macros:
                 raise MacroError(f"recursive macro {rec.name!r}")
             args = [self.try_scalar(a) for a in rec.args]
             if any(a is None for a in args):
                 return None
-            return P.SApply(rec.name, args)
+            return self.node(P.SApply, rec.name, args)
         if isinstance(rec, (R.ScBinaryOp, R.BinaryOp)) and getattr(rec, "op", None) in ARITH:
             left = self.try_scalar(rec.left)
             right = self.try_scalar(rec.right)
             if left is None or right is None:
                 return None
-            return P.SApply(rec.op, [left, right])
+            return self.node(P.SApply, rec.op, [left, right])
         return None
 
     # -- conditions ----------------------------------------------------------
 
     def cond(self, rec: Any) -> P.PeCond:
         if isinstance(rec, R.Conditioner):
-            return P.CSome(self.descr(rec.inf))
+            return self.node(P.CSome, self.descr(rec.inf))
         if isinstance(rec, R.InfDescrComp):
             left = self.descr(rec.left)
             right = self.descr(rec.right)
             if rec.op == "disjoint":
-                return P.CExclusion(left, right)
-            return P.CBagComp(left, rec.op, right)
+                return self.node(P.CExclusion, left, right)
+            return self.node(P.CBagComp, left, rec.op, right)
         if isinstance(rec, R.ScaleExprComp):
-            return P.CScalarComp(self.scalar(rec.left), VALUECOMP_MAP[rec.op], self.scalar(rec.right))
+            return self.node(P.CScalarComp, self.scalar(rec.left), VALUECOMP_MAP[rec.op], self.scalar(rec.right))
         if isinstance(rec, R.BinCondComp):
-            return P.CLogic(self.cond(rec.left), LOGIC_MAP[rec.conn], self.cond(rec.right))
+            return self.node(P.CLogic, self.cond(rec.left), LOGIC_MAP[rec.conn], self.cond(rec.right))
         if isinstance(rec, R.Negation):
-            return P.CNot(self.cond(rec.cond))
+            return self.node(P.CNot, self.cond(rec.cond))
         if isinstance(rec, R.CondFunction):
             macro = self.schema.macros.get(rec.name)
             if macro is None or macro.kind != "condition":
                 raise TranslateError(f"unknown condition function {rec.name!r}")
             lowered = [self.cond(a) for a in rec.conds]
-            return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh)
+            return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh, memo=self.memo)
         raise TranslateError(f"cannot lower condition {type(rec).__name__}")
 
     # -- denotations ------------------------------------------------------------
 
     def denot(self, rec: R.Denot) -> P.PeDenotation:
         if rec.var_name is not None:
-            return P.Abstract(self.env.resolve(rec.var_name))
+            return self.node(P.Abstract, self.env.resolve(rec.var_name))
         if rec.parts:
-            return P.Composite(tuple(self.denot(p) for p in rec.parts))
-        return P.ByPath(self.descr(rec.inf))
+            return self.node(P.Composite, tuple(self.denot(p) for p in rec.parts))
+        return self.node(P.ByPath, self.descr(rec.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -404,35 +414,40 @@ class ParseResult:
     interpretations: list[Interpretation]
     diagnostics: list[str] = field(default_factory=list)
     ambiguous: bool = False
+    # the parse's path nodes and their analyses, shared by its readings
+    memo: P.PathMemo = field(default_factory=P.PathMemo)
 
 
 def lower_denotation(schema: Schema, tid: str, denot: R.Denot, env: NameEnv | None = None) -> P.PathExpr:
     """Expand an instance denotation under a type into its guarded path."""
     lowerer = Lowerer(schema, env or NameEnv(schema))
-    return P.expand_denote(schema, P.Denote(tid, lowerer.denot(denot)))
+    return P.expand_denote(schema, lowerer.node(P.Denote, tid, lowerer.denot(denot)), lowerer.node)
 
 
-def lower_query(schema: Schema, rec: Any, env: NameEnv | None = None) -> tuple[P.PathExpr, NameEnv]:
+def lower_query(
+    schema: Schema, rec: Any, env: NameEnv | None = None, memo: P.PathMemo | None = None
+) -> tuple[P.PathExpr, NameEnv]:
     env = env or NameEnv(schema)
-    lowerer = Lowerer(schema, env)
+    lowerer = Lowerer(schema, env, memo)
     if isinstance(rec, R.CONDITION_KINDS):
-        return P.CondPath(lowerer.cond(rec)), env
+        return lowerer.node(P.CondPath, lowerer.cond(rec)), env
     return lowerer.descr(rec), env
 
 
-def _interpret(schema: Schema, rec: Any) -> Interpretation:
+def _interpret(schema: Schema, rec: Any, memo: P.PathMemo | None = None) -> Interpretation:
+    memo = P.PathMemo() if memo is None else memo
     if isinstance(rec, R.ListStatement):
         env = NameEnv(schema)
-        path, env = lower_query(schema, rec.inf, env)
-        typing = P.infer_typing(schema, path)
+        path, env = lower_query(schema, rec.inf, env, memo)
+        typing = P.infer_typing(schema, path, memo=memo)
         projection = None
         if rec.projection is not None:
-            lowerer = Lowerer(schema, env)
+            lowerer = Lowerer(schema, env, memo)
             projection = tuple(lowerer.scalar(s) for s in rec.projection)
         order = _lower_order(rec.order, env)
         return Interpretation(rec, path, typing, env.vnm(), projection, order)
-    path, env = lower_query(schema, rec)
-    typing = P.infer_typing(schema, path)
+    path, env = lower_query(schema, rec, memo=memo)
+    typing = P.infer_typing(schema, path, memo=memo)
     return Interpretation(rec, path, typing, env.vnm())
 
 
@@ -455,24 +470,35 @@ def _lower_order(order: R.OrderClause | None, env: NameEnv) -> tuple:
 _SYMBOL_COMPARATORS = {"<", "<=", "=", "<>", ">=", ">"}
 
 
-def _setwise_symbol_count(rec: Any) -> int:
+def _setwise_symbol_count(rec: Any, memo: dict) -> int:
     """Comparator symbols read as set comparisons; the scalar reading of the
-    same symbol is preferred when both exist."""
+    same symbol is preferred when both exist.  The record trees of one parse
+    share sub-records, so ``memo`` keeps each sub-record's count by id."""
+    hit = memo.get(id(rec))
+    if hit is not None:
+        return hit[1]
     own = 1 if isinstance(rec, R.InfDescrComp) and rec.op in ("sub", "subeq", "=", "<>", "supeq", "sup") else 0
-    return own + sum(_setwise_symbol_count(c) for c in children(rec, R.RECORD_KINDS))
+    out = own + sum(_setwise_symbol_count(c, memo) for c in children(rec, R.RECORD_KINDS))
+    memo[id(rec)] = (rec, out)
+    return out
 
 
-def _dedup_interpretations(interps: list[Interpretation]) -> list[Interpretation]:
+def _dedup_interpretations(interps: list[Interpretation], memo: P.PathMemo) -> list[Interpretation]:
     # the parser gives one record tree per reading; the key still keeps two
     # record trees that happen to lower alike from being offered as two
     # readings.  Readings that take a comparator symbol as a scalar
     # comparison come first, so the pick-first policy and the first listed
     # reading are the scalar ones
-    ranked = sorted(interps, key=lambda i: _setwise_symbol_count(i.records))
+    if len(interps) < 2:
+        return interps
+    counts: dict = {}
+    ranked = sorted(interps, key=lambda i: _setwise_symbol_count(i.records, counts))
     seen = set()
     out = []
     for i in ranked:
-        key = (P.canonical(i.path), i.projection, i.order)
+        # canonical forms built through one memo are equal exactly when
+        # they are one object
+        key = (id(P.canonical(i.path, memo)), i.projection, i.order)
         if key not in seen:
             seen.add(key)
             out.append(i)
@@ -494,30 +520,31 @@ def parse_list(text: str, schema: Schema) -> ParseResult:
 
 
 def _lower_all(schema: Schema, records: list) -> ParseResult:
+    # one memo for every record tree of the parse: their readings share
+    # sub-paths, and each distinct one is built and analysed once
+    memo = P.PathMemo()
     interps: list[Interpretation] = []
     diagnostics: list[str] = []
     for rec in records:
         try:
-            interps.append(_interpret(schema, rec))
+            interps.append(_interpret(schema, rec, memo))
         except ConquerError as e:
             diagnostics.append(str(e))
-    interps = _dedup_interpretations(interps)
+    interps = _dedup_interpretations(interps, memo)
     if not interps:
         if diagnostics:
             raise ParseError("; ".join(sorted(set(diagnostics))))
         raise ParseError("no valid interpretation")
-    return ParseResult(interps, diagnostics)
+    return ParseResult(interps, diagnostics, memo=memo)
 
 
 def disambiguate(schema: Schema, result: ParseResult) -> ParseResult:
     """Drop structurally empty interpretations; flag multiple survivors as
     ambiguous."""
-    # each reading's head/tail memo serves both of its checks
-    checked = []
-    for interp in result.interpretations:
-        memo: dict = {}
-        if P.head_tail_combos(schema, interp.path, interp.typing, memo):
-            checked.append((interp, memo))
+    # the parse's memo serves both checks of every reading, once per
+    # distinct sub-path and typing; it is dropped with the parse
+    memo = result.memo
+    checked = [i for i in result.interpretations if P.head_tail_combos(schema, i.path, i.typing, memo)]
     if not checked:
         raise AmbiguityError(
             "incorrect query: every interpretation is structurally empty"
@@ -525,8 +552,8 @@ def disambiguate(schema: Schema, result: ParseResult) -> ParseResult:
     # a reading with a provably empty sub-expression loses to one without:
     # the same schema reasoning that dismisses empty queries dismisses
     # readings whose pieces can never hold instances
-    clean = [i for i, memo in checked if not P.has_empty_subpath(schema, i.path, i.typing, memo)]
-    survivors = clean or [i for i, _ in checked]
+    clean = [i for i in checked if not P.has_empty_subpath(schema, i.path, i.typing, memo)]
+    survivors = clean or checked
     return ParseResult(survivors, result.diagnostics, len(survivors) > 1)
 
 

@@ -5,6 +5,8 @@ columns, ``hd`` and ``tl``.  This module provides:
 
 * the expression tree itself (plus its scalar, condition and denotation
   sub-families),
+* ``PathMemo``, one parse's intern table of nodes and the analyses worked
+  out for each distinct node,
 * typing inference for the variables occurring in a tree,
 * the head/tail type analysis used for disambiguation (an empty result
   proves the expression evaluates empty on every population),
@@ -41,7 +43,7 @@ from .schema import (
     TypeRule,
 )
 from .values import NULL, TRUE, Bool, FactInstance, format_number, sort_key
-from .walk import children, map_children
+from .walk import children, field_names, map_children
 
 HD: AttrName = "hd"
 TL: AttrName = "tl"
@@ -366,18 +368,24 @@ class OrderKey:
 OrderSpec = tuple  # of OrderKey
 
 
-def concat(*parts: PathExpr) -> PathExpr:
+def _new(kind: type, *fields: Any) -> Any:
+    """A path node built directly: the builder of code that keeps no
+    ``PathMemo``."""
+    return kind(*fields)
+
+
+def concat(*parts: PathExpr, node=_new) -> PathExpr:
     """Right-nested concatenation of one or more paths."""
     if not parts:
         raise ValueError("concat of nothing")
     out = parts[-1]
     for p in reversed(parts[:-1]):
-        out = Concat(p, out)
+        out = node(Concat, p, out)
     return out
 
 
-def role_exit(rid: RoleId) -> PathExpr:
-    return Reverse(RoleEntry(rid))
+def role_exit(rid: RoleId, node=_new) -> PathExpr:
+    return node(Reverse, node(RoleEntry, rid))
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +399,100 @@ PATH_KINDS = frozenset(
 )
 
 
-def attr_uses(p: Any) -> set[AttrName]:
+_SEQUENCES = (tuple, list)
+
+
+def _key_part(v: Any) -> Any:
+    """A field value as it goes into an intern key: a node by its identity,
+    a sequence item by item, any other value as it is."""
+    t = type(v)
+    if t in PATH_KINDS:
+        return id(v)
+    if t in _SEQUENCES:
+        return tuple([_key_part(x) for x in v])
+    return v
+
+
+class PathMemo:
+    """The path nodes of one parse, and what has been worked out about them.
+
+    ``node`` builds a node through an intern table keyed by its kind, its
+    scalar fields and the identities of its children, so that nodes built
+    through one memo from equal parts are one object, and readings of a
+    parse share their equal sub-paths.  Nodes keep their structural
+    ``==`` and ``hash``, so a node built elsewhere (a schema macro body, a
+    test's expected path) still compares equal to an interned one.
+
+    Each analysis is kept by the id of the node it was worked out for, next
+    to that node, so that the id stays its own while the memo lives.  The
+    head/tail analysis depends on the typing as well, so it is kept per
+    typing.  A memo lives as long as the parse, or the verbalisation, that
+    made it; nothing in it outlives that.
+    """
+
+    def __init__(self):
+        self.nodes: dict = {}  # intern key -> node
+        self.ends: dict = {}  # ``_ends``
+        self.pairs: dict = {}  # ``typing_pairs``
+        self.uses: dict = {}  # ``attr_uses``
+        self.canon: dict = {}  # ``canonical``
+        self.typed: dict = {}  # typing -> (``head_tail_combos``, ``has_empty_subpath``)
+
+    def node(self, kind: type, *fields: Any) -> Any:
+        """The node ``kind(*fields)``: the one this memo already holds, or a
+        new one, kept.  ``_key_part``'s cases are written out here: this runs
+        for every node a parse builds."""
+        parts = [kind]
+        for f in fields:
+            t = type(f)
+            parts.append(id(f) if t in PATH_KINDS else f if t not in _SEQUENCES else _key_part(f))
+        key = tuple(parts)
+        hit = self.nodes.get(key)
+        if hit is None:
+            hit = self.nodes[key] = kind(*fields)
+        return hit
+
+    def adopt(self, p: Any) -> Any:
+        """``p`` as this memo's node: the equal one it holds, or ``p``, kept.
+        An equal node is found only when ``p``'s children are this memo's."""
+        kind = type(p)
+        key = (kind, *[_key_part(getattr(p, name)) for name in field_names(kind)])
+        return self.nodes.setdefault(key, p)
+
+    def for_typing(self, typing: Typing) -> tuple[dict, dict]:
+        return self.typed.setdefault(typing, ({}, {}))
+
+
+def attr_uses(p: Any, memo: PathMemo | None = None) -> frozenset[AttrName]:
     """Variable attributes used by an expression (binding positions).
 
     The structural columns hd and tl are not variables and never require
     binding.
     """
-    out: set[AttrName] = set()
+    return _uses(PathMemo() if memo is None else memo, p)
 
-    def walk(node):
-        if isinstance(node, AttrAtom):
-            out.add(node.attr)
-        elif isinstance(node, (SVar, SVarRole)):
-            out.add(node.attr)
-        elif isinstance(node, Denote) and isinstance(node.den, Abstract):
-            out.add(node.den.attr)
-        for c in children(node, PATH_KINDS):
-            walk(c)
 
-    walk(p)
-    return out - {HD, TL}
+def _uses(memo: PathMemo, node: Any) -> frozenset[AttrName]:
+    hit = memo.uses.get(id(node))
+    if hit is not None:
+        return hit[1]
+    if isinstance(node, (AttrAtom, SVar, SVarRole)):
+        own = {node.attr} - {HD, TL}
+    elif isinstance(node, Denote) and isinstance(node.den, Abstract):
+        own = {node.den.attr} - {HD, TL}
+    else:
+        own = set()
+    out = _union(own, [_uses(memo, c) for c in children(node, PATH_KINDS)])
+    memo.uses[id(node)] = (node, out)
+    return out
+
+
+def _union(own: set, parts: list) -> frozenset:
+    """``own`` and every part together; the one part itself when it holds
+    them all, so that a chain of nodes keeps one set."""
+    if not own and len(parts) == 1:
+        return parts[0]
+    return frozenset(own.union(*parts))
 
 
 def flatten_concat(p: PathExpr) -> list[PathExpr]:
@@ -419,62 +501,73 @@ def flatten_concat(p: PathExpr) -> list[PathExpr]:
     return [p]
 
 
-def canonical(p: Any) -> Any:
-    """Right-nest every concatenation chain; used for structural comparison."""
+def canonical(p: Any, memo: PathMemo | None = None) -> Any:
+    """Right-nest every concatenation chain; used for structural comparison.
+    The result is built through ``memo``, so two canonical forms from one
+    memo are equal exactly when they are the same object."""
+    return _canonical(p, PathMemo() if memo is None else memo)
+
+
+def _canonical(p: Any, memo: PathMemo) -> Any:
+    hit = memo.canon.get(id(p))
+    if hit is not None:
+        return hit[1]
     if isinstance(p, Concat):
-        parts = [canonical(x) for x in flatten_concat(p)]
-        return concat(*parts)
-    return map_children(p, canonical, kinds=PATH_KINDS)
+        out = concat(*[_canonical(x, memo) for x in flatten_concat(p)], node=memo.node)
+    else:
+        out = memo.adopt(map_children(p, _canonical, memo, kinds=PATH_KINDS))
+    memo.canon[id(p)] = (p, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # abbreviation expansion (mix-fix, sub-expressions, denotations)
 
 
-def expand_mixfix(schema: Schema, m: MixFix) -> PathExpr:
+def expand_mixfix(schema: Schema, m: MixFix, node=_new) -> PathExpr:
     """A mix-fix connection is the role entry, a filter over the shared fact
     instances for each middle argument, and the exit through the last role."""
-    parts: list[PathExpr] = [RoleEntry(m.first)]
+    parts: list[PathExpr] = [node(RoleEntry, m.first)]
     middle_terms = [
-        DistinctPath(Front(Concat(role_exit(r), q))) for r, q in m.middles
+        node(DistinctPath, node(Front, node(Concat, role_exit(r, node), q))) for r, q in m.middles
     ]
     if middle_terms:
         term = middle_terms[0]
         for t in middle_terms[1:]:
-            term = SetOp(term, "intersect", t)
+            term = node(SetOp, term, "intersect", t)
         parts.append(term)
-    parts.append(role_exit(m.last))
-    return concat(*parts)
+    parts.append(role_exit(m.last, node))
+    return concat(*parts, node=node)
 
 
-def expand_subexpr(s: SubExpr) -> PathExpr:
+def expand_subexpr(s: SubExpr, node=_new) -> PathExpr:
     if not s.items:
         raise TranslateError("empty sub-expression")
-    term: PathExpr = Front(s.items[0])
+    term: PathExpr = node(Front, s.items[0])
     for q in s.items[1:]:
-        term = SetOp(term, "intersect", Front(q))
-    return DistinctPath(term)
+        term = node(SetOp, term, "intersect", node(Front, q))
+    return node(DistinctPath, term)
 
 
-def denotation_path(schema: Schema, den: PeDenotation, context: TypeId) -> PathExpr:
+def denotation_path(schema: Schema, den: PeDenotation, context: TypeId, node=_new) -> PathExpr:
     if isinstance(den, ByPath):
         return den.path
     if isinstance(den, Abstract):
-        return AttrAtom(den.attr)
+        return node(AttrAtom, den.attr)
     if isinstance(den, Composite):
-        return expand_denote(schema, Denote(context, den))
+        return expand_denote(schema, node(Denote, context, den), node)
     raise TranslateError(f"unknown denotation {den!r}")
 
 
-def expand_denote(schema: Schema, d: Denote) -> PathExpr:
+def expand_denote(schema: Schema, d: Denote, node=_new) -> PathExpr:
     x = d.tid
     schema.check_type(x)
     den = d.den
     if isinstance(den, Abstract):
-        return Concat(TypeAtom(x), AttrAtom(den.attr))
+        return node(Concat, node(TypeAtom, x), node(AttrAtom, den.attr))
     if schema.is_value(x):
         if isinstance(den, ByPath):
-            return Concat(TypeAtom(x), den.path)
+            return node(Concat, node(TypeAtom, x), den.path)
         raise TranslateError(f"value type {x!r} takes a single denotation")
     scheme = schema.idf.get(x)
     if scheme is None:
@@ -487,13 +580,13 @@ def expand_denote(schema: Schema, d: Denote) -> PathExpr:
     filters: list[PathExpr] = []
     if scheme.kind == "pairs":
         for (p, q), part in zip(scheme.entries, parts):
-            inner = expand_denote(schema, Denote(schema.player(q), part))
-            filters.append(concat(RoleEntry(p), role_exit(q), inner))
+            inner = expand_denote(schema, node(Denote, schema.player(q), part), node)
+            filters.append(concat(node(RoleEntry, p), role_exit(q, node), inner, node=node))
     else:
         for p, part in zip(scheme.entries, parts):
-            inner = denotation_path(schema, part, schema.player(p))
-            filters.append(Concat(role_exit(p), inner))
-    return Concat(TypeAtom(x), SubExpr(filters))
+            inner = denotation_path(schema, part, schema.player(p), node)
+            filters.append(node(Concat, role_exit(p, node), inner))
+    return node(Concat, node(TypeAtom, x), node(SubExpr, filters))
 
 
 # ---------------------------------------------------------------------------
@@ -582,36 +675,47 @@ def _junction_pairs(schema: Schema, left: tuple, right: tuple) -> set:
     return pairs
 
 
-def typing_pairs(schema: Schema, p: Any) -> set:
-    """Scan the tree for the binding patterns relating variables to types."""
-    out: set = set()
-    ends: dict = {}
+def typing_pairs(schema: Schema, p: Any, memo: PathMemo | None = None) -> frozenset:
+    """Scan the tree for the binding patterns relating variables to types.
+    ``memo`` keeps each sub-path's pairs, so a sub-path shared by several
+    trees is scanned once."""
+    return _pairs(schema, PathMemo() if memo is None else memo, p)
 
-    def scan(node):
-        if isinstance(node, Concat):
-            for le in _ends(node.left, ends)[1]:
-                for re in _ends(node.right, ends)[0]:
-                    out.update(_junction_pairs(schema, le, re))
-        if isinstance(node, MixFix):
-            for r, q in node.middles:
-                for re in _ends(q, ends)[0]:
-                    out.update(_junction_pairs(schema, (_EXIT, r), re))
-        if isinstance(node, Denote):
-            out.update(typing_pairs(schema, expand_denote(schema, node)))
-            return  # the expansion covers the nested denotations
-        for c in children(node, PATH_KINDS):
-            scan(c)
 
-    scan(p)
+def _pairs(schema: Schema, memo: PathMemo, node: Any) -> frozenset:
+    hit = memo.pairs.get(id(node))
+    if hit is not None:
+        return hit[1]
+    out = _pairs_of(schema, memo, node)
+    memo.pairs[id(node)] = (node, out)
     return out
 
 
-def infer_typing(schema: Schema, p: Any, extra: Iterable = ()) -> Typing:
-    """Derive the typing relation of an expression and check it.
+def _pairs_of(schema: Schema, memo: PathMemo, node: Any) -> frozenset:
+    """The pairs of one node: its own junctions and its children's pairs."""
+    if isinstance(node, Denote):
+        # the expansion covers the nested denotations
+        return _pairs(schema, memo, expand_denote(schema, node, memo.node))
+    own: set = set()
+    if isinstance(node, Concat):
+        for le in _ends(node.left, memo.ends)[1]:
+            for re in _ends(node.right, memo.ends)[0]:
+                own.update(_junction_pairs(schema, le, re))
+    if isinstance(node, MixFix):
+        for r, q in node.middles:
+            for re in _ends(q, memo.ends)[0]:
+                own.update(_junction_pairs(schema, (_EXIT, r), re))
+    return _union(own, [_pairs(schema, memo, c) for c in children(node, PATH_KINDS)])
+
+
+def infer_typing(schema: Schema, p: Any, extra: Iterable = (), memo: PathMemo | None = None) -> Typing:
+    """Derive the typing relation of an expression and check it.  ``memo``
+    keeps what the scan works out for each sub-path.
 
     Raises when a variable is typed by unrelated types or not typed at all.
     """
-    pairs = set(typing_pairs(schema, p)) | set(extra)
+    memo = PathMemo() if memo is None else memo
+    pairs = typing_pairs(schema, p, memo) | set(extra)
     by_attr: dict[AttrName, set[TypeId]] = {}
     for a, x in pairs:
         by_attr.setdefault(a, set()).add(x)
@@ -623,7 +727,7 @@ def infer_typing(schema: Schema, p: Any, extra: Iterable = ()) -> Typing:
                     raise TypingError(
                         f"incompatible variable typing: {a!r} is both {x!r} and {y!r}"
                     )
-    untyped = sorted(attr_uses(p) - set(by_attr))
+    untyped = sorted(attr_uses(p, memo) - set(by_attr))
     if untyped:
         raise TypingError(f"untypable variables: {', '.join(repr(a) for a in untyped)}")
     return frozenset(pairs)
@@ -670,22 +774,29 @@ def _scalar_result_types(schema: Schema, e: PeScalar, typing: Typing) -> set[Typ
     return {ANY_VALUE_TYPE}
 
 
-def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None = None) -> set:
+def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: PathMemo | None = None) -> set:
     """All possible (start type, end type) pairs; empty means the expression
-    is structurally empty.  ``memo`` maps the id of each sub-expression
-    already worked out, under this schema and typing, to the sub-expression
-    and its pairs; holding the sub-expression keeps a temporary expansion
-    alive, so that its id is not reused."""
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(p))
+    is structurally empty.  ``memo`` keeps each sub-expression's pairs under
+    this typing, so a sub-expression shared by several readings, or asked
+    about again, is worked out once."""
+    memo = PathMemo() if memo is None else memo
+    return _combos(schema, typing, memo, memo.for_typing(typing)[0], p)
+
+
+def _combos(schema: Schema, typing: Typing, memo: PathMemo, table: dict, p: Any) -> set:
+    hit = table.get(id(p))
     if hit is not None:
         return hit[1]
+    out = _combos_of(schema, typing, memo, table, p)
+    table[id(p)] = (p, out)
+    return out
+
+
+def _combos_of(schema: Schema, typing: Typing, memo: PathMemo, table: dict, p: Any) -> set:
+    """The pairs of one node, from its children's (kept in ``table``)."""
 
     def L(q):
-        out = head_tail_combos(schema, q, typing, memo)
-        memo[id(q)] = (q, out)
-        return out
+        return _combos(schema, typing, memo, table, q)
 
     if isinstance(p, TypeAtom):
         return _related_pairs(schema, p.tid)
@@ -749,7 +860,7 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
                 out |= {(u, v) for u in schema.related_to(x) for v in schema.related_to(y)}
         return out
     if isinstance(p, MixFix):
-        return L(expand_mixfix(schema, p))
+        return L(expand_mixfix(schema, p, memo.node))
     if isinstance(p, FuncApp):
         if any(not L(q) for q in p.args):
             return set()
@@ -771,11 +882,11 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
             out |= _related_pairs(schema, x)
         return out or _related_pairs(schema, ANY_VALUE_TYPE)
     if isinstance(p, SubExpr):
-        return L(expand_subexpr(p))
+        return L(expand_subexpr(p, memo.node))
     if isinstance(p, Denote):
-        return L(expand_denote(schema, p))
+        return L(expand_denote(schema, p, memo.node))
     if isinstance(p, (HdCoerce, TlCoerce)):
-        return L(_expand_coerce(schema, p, typing))
+        return L(_expand_coerce(schema, p, typing, memo))
     if isinstance(p, Scalar):
         out = set()
         for r in _scalar_result_types(schema, p.expr, typing):
@@ -791,23 +902,32 @@ def head_tail_combos(schema: Schema, p: Any, typing: Typing, memo: dict | None =
 _CHECKED_PATHS = frozenset(PathExpr.__args__)
 
 
-def has_empty_subpath(schema: Schema, p: Any, typing: Typing, memo: dict | None = None) -> bool:
+def has_empty_subpath(schema: Schema, p: Any, typing: Typing, memo: PathMemo | None = None) -> bool:
     """True when the expression or any path inside it is structurally empty.
-    One ``head_tail_combos`` memo serves the whole walk, so each
-    sub-expression's pairs are worked out once."""
-    if memo is None:
-        memo = {}
-    if type(p) in _CHECKED_PATHS:
-        if not head_tail_combos(schema, p, typing, memo):
-            return True
-    return any(has_empty_subpath(schema, c, typing, memo) for c in children(p, PATH_KINDS))
+    ``memo`` keeps each sub-expression's answer and pairs under this typing,
+    so each is worked out once."""
+    memo = PathMemo() if memo is None else memo
+    return _has_empty(schema, typing, memo, *memo.for_typing(typing), p)
 
 
-def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing) -> PathExpr:
+def _has_empty(schema: Schema, typing: Typing, memo: PathMemo, table: dict, empty: dict, p: Any) -> bool:
+    hit = empty.get(id(p))
+    if hit is not None:
+        return hit[1]
+    out = (type(p) in _CHECKED_PATHS and not _combos(schema, typing, memo, table, p)) or any(
+        _has_empty(schema, typing, memo, table, empty, c) for c in children(p, PATH_KINDS)
+    )
+    empty[id(p)] = (p, out)
+    return out
+
+
+def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing, memo: PathMemo | None = None) -> PathExpr:
+    memo = PathMemo() if memo is None else memo
+    table = memo.for_typing(typing)[0]
     at_head = isinstance(p, HdCoerce)
     inner = p.of
     while True:
-        combos = head_tail_combos(schema, inner, typing)
+        combos = _combos(schema, typing, memo, table, inner)
         ends = {u for (u, _) in combos} if at_head else {v for (_, v) in combos}
         if len(ends) != 1:
             return inner
@@ -818,10 +938,11 @@ def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing) -> PathExpr:
         if scheme is None or scheme.kind != "pairs" or len(scheme.entries) != 1:
             return inner
         r, s = scheme.entries[0]
+        node = memo.node
         if at_head:
-            inner = concat(RoleEntry(s), role_exit(r), inner)
+            inner = concat(node(RoleEntry, s), role_exit(r, node), inner, node=node)
         else:
-            inner = concat(inner, RoleEntry(r), role_exit(s))
+            inner = concat(inner, node(RoleEntry, r), role_exit(s, node), node=node)
 
 
 def hd_coerce(schema: Schema, p: PathExpr, typing: Typing) -> PathExpr:
@@ -1347,31 +1468,33 @@ def order_result(relation: ra.Relation, spec: Iterable[OrderKey]) -> list[tuple]
 # macro expansion
 
 
-def _subst(node: Any, mapping: dict[AttrName, Any]) -> Any:
-    if isinstance(node, AttrAtom) and node.attr in mapping:
-        rep = mapping[node.attr]
+def _subst(p: Any, mapping: dict[AttrName, Any], memo: PathMemo) -> Any:
+    node = memo.node
+    if isinstance(p, AttrAtom) and p.attr in mapping:
+        rep = mapping[p.attr]
         if isinstance(rep, PeCond.__args__):
-            return CondPath(rep)
+            return node(CondPath, rep)
         if isinstance(rep, PeScalar.__args__):
-            return Scalar(rep)
+            return node(Scalar, rep)
         return rep
-    if isinstance(node, (SVar, SVarRole)) and node.attr in mapping:
-        rep = mapping[node.attr]
-        if isinstance(node, SVarRole):
-            raise MacroError(f"cannot substitute into role access {node.attr!r}.{node.role!r}")
+    if isinstance(p, (SVar, SVarRole)) and p.attr in mapping:
+        rep = mapping[p.attr]
+        if isinstance(p, SVarRole):
+            raise MacroError(f"cannot substitute into role access {p.attr!r}.{p.role!r}")
         if not isinstance(rep, PeScalar.__args__):
-            raise MacroError(f"macro argument for {node.attr!r} must be a scalar here")
+            raise MacroError(f"macro argument for {p.attr!r} must be a scalar here")
         return rep
-    if isinstance(node, Denote) and isinstance(node.den, Abstract) and node.den.attr in mapping:
-        rep = mapping[node.den.attr]
-        return Concat(TypeAtom(node.tid), rep if not isinstance(rep, PeScalar.__args__) else Scalar(rep))
-    return map_children(node, _subst, mapping, kinds=PATH_KINDS)
+    if isinstance(p, Denote) and isinstance(p.den, Abstract) and p.den.attr in mapping:
+        rep = mapping[p.den.attr]
+        return node(Concat, node(TypeAtom, p.tid), rep if not isinstance(rep, PeScalar.__args__) else node(Scalar, rep))
+    return memo.adopt(map_children(p, _subst, mapping, memo, kinds=PATH_KINDS))
 
 
-def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:
+def expand_macro(schema: Schema, name: str, args: list, fresh=None, memo: PathMemo | None = None) -> Any:
     """Apply a macro: capture-avoiding simultaneous substitution of the
     parameters.  Duplicate parameter names substitute positionally, first
-    occurrence wins."""
+    occurrence wins.  The expansion is built through ``memo``, the body's
+    own nodes included."""
     macro = schema.macros.get(name)
     if macro is None:
         raise MacroError(f"unknown macro {name!r}")
@@ -1382,6 +1505,7 @@ def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:
     if fresh is None:
         counter = itertools.count(1)
         fresh = lambda: f"{FRESH_PREFIX}m{next(counter)}"
+    memo = PathMemo() if memo is None else memo
     mapping: dict[AttrName, Any] = {}
     for param, arg in zip(macro.params, args):
         if param in mapping:
@@ -1396,9 +1520,9 @@ def expand_macro(schema: Schema, name: str, args: list, fresh=None) -> Any:
             mapping[param] = arg
         else:
             if isinstance(arg, (PeScalar.__args__, PeCond.__args__)):
-                arg = Scalar(arg) if isinstance(arg, PeScalar.__args__) else CondPath(arg)
-            mapping[param] = Concat(AttrAtom(fresh()), arg)
-    return _subst(macro.body, mapping)
+                arg = memo.node(Scalar, arg) if isinstance(arg, PeScalar.__args__) else memo.node(CondPath, arg)
+            mapping[param] = memo.node(Concat, memo.node(AttrAtom, fresh()), arg)
+    return _subst(macro.body, mapping, memo)
 
 
 # ---------------------------------------------------------------------------

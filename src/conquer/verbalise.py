@@ -26,6 +26,9 @@ class VerbCtx:
     schema: Schema
     typing: P.Typing = frozenset()
     vnm: dict = field(default_factory=dict)
+    # one verbalisation's head/tail analyses, so each sub-path's is worked
+    # out once however often the guards ask
+    memo: P.PathMemo = field(default_factory=P.PathMemo)
 
     def all_types(self) -> frozenset:
         return frozenset(self.schema.types)
@@ -42,12 +45,12 @@ class VerbCtx:
 
 
 def _tail_types(ctx: VerbCtx, p: Any) -> frozenset:
-    combos = P.head_tail_combos(ctx.schema, p, ctx.typing)
+    combos = P.head_tail_combos(ctx.schema, p, ctx.typing, ctx.memo)
     return frozenset(v for (_, v) in combos)
 
 
 def _head_types(ctx: VerbCtx, p: Any) -> frozenset:
-    combos = P.head_tail_combos(ctx.schema, p, ctx.typing)
+    combos = P.head_tail_combos(ctx.schema, p, ctx.typing, ctx.memo)
     return frozenset(u for (u, _) in combos)
 
 
@@ -226,7 +229,7 @@ def _chain(elems: list, ctx: VerbCtx, left: frozenset) -> str:
                 prev = back
                 break
         suffix = elems[i + 1 :]
-        right = _head_types(ctx, P.concat(*suffix)) if suffix else ctx.all_types()
+        right = _head_types(ctx, P.concat(*suffix, node=ctx.memo.node)) if suffix else ctx.all_types()
         if prev is not None and _is_typeish(prev) and not isinstance(e, P.AttrAtom):
             if _is_typeish(e):
                 words.append("IS")
@@ -447,6 +450,7 @@ def verbalise_cond(c: Any, ctx: VerbCtx, left: frozenset | None = None) -> str:
 def verbalise_interpretation(schema: Schema, interp) -> str:
     """Render one parse interpretation back to normalised text."""
     norm = P.normalise(schema, interp.path)
-    typing = P.infer_typing(schema, norm)
-    ctx = VerbCtx(schema, typing, interp.vnm)
+    memo = P.PathMemo()
+    typing = P.infer_typing(schema, norm, memo=memo)
+    ctx = VerbCtx(schema, typing, interp.vnm, memo)
     return verbalise(norm, ctx)

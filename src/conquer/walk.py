@@ -10,7 +10,7 @@ from typing import Any
 
 
 @functools.cache
-def _field_names(kind: type) -> tuple[str, ...]:
+def field_names(kind: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(kind))
 
 
@@ -19,7 +19,7 @@ def children(p: Any, kinds: frozenset) -> list:
     of ``kinds``, whether it sits in the field itself, in a tuple field, or
     in a pair or triple inside a tuple field."""
     out = []
-    for name in _field_names(type(p)):
+    for name in field_names(type(p)):
         v = getattr(p, name)
         if type(v) in kinds:
             out.append(v)
@@ -39,7 +39,7 @@ def map_children(p: Any, f, *args, kinds: frozenset) -> Any:
     child unchanged.  ``f`` is called straight from these loops, so a
     recursive ``f`` costs two stack frames per tree level."""
     changes = {}
-    for name in _field_names(type(p)):
+    for name in field_names(type(p)):
         v = getattr(p, name)
         if type(v) in kinds:
             w = f(v, *args)

@@ -5,7 +5,7 @@ import pytest
 from conquer.cli import load_full_schema
 from conquer.errors import AmbiguityError, ConquerError, LexError, ParseError, TranslateError
 from conquer.frontend import disambiguate, dump_records, parse, parse_list, tokenize
-from conquer.frontend.lower import _interpret
+from conquer.frontend.lower import Interpretation, _dedup_interpretations, _interpret
 from conquer.frontend.parser import parse_list_records, parse_records
 from conquer.frontend.records import Confluence, ListStatement, load_records
 from conquer.paths import (
@@ -20,6 +20,7 @@ from conquer.paths import (
     HdCoerce,
     MixFix,
     OrderKey,
+    PathMemo,
     RoleEntry,
     SAgg,
     SConst,
@@ -532,3 +533,24 @@ def test_no_two_record_trees_lower_to_one_path(doc, texts, records):
             keys.append((canonical(interp.path), interp.projection, interp.order))
         assert keys, text
         assert len(set(keys)) == len(keys), text
+
+
+def test_macro_bodies_and_hand_built_paths_are_one_reading_with_interned_ones():
+    doc = salary_doc()
+    doc["macros"] = [{"name": "Earner", "params": [], "body": "a Person who earns a Salary"}]
+    schema = load_full_schema(doc)
+    expected = concat(TypeAtom("x"), MixFix("p1", (), "p2"), TypeAtom("y"))
+    # one parse: the macro body's nodes are interned with the lowered ones
+    (reading,) = parse_list("a Person who earns a Salary AND ALSO Earner()", schema).interpretations
+    assert reading.path == SetOp(Front(expected), "intersect", Front(expected))
+    assert reading.path.left.of is reading.path.right.of
+    # trees lowered through one memo, and a hand-built path, deduplicate
+    memo = PathMemo()
+    by_macro, spelled = (
+        _interpret(schema, parse_list_records(tokenize(text), schema)[0], memo)
+        for text in ("Earner()", "a Person who earns a Salary")
+    )
+    hand_built = Interpretation(spelled.records, expected, spelled.typing, spelled.vnm)
+    assert by_macro.path is spelled.path
+    assert hand_built.path == by_macro.path and hand_built.path is not by_macro.path
+    assert _dedup_interpretations([hand_built, by_macro, spelled], memo) == [hand_built]

@@ -8,11 +8,13 @@ from pathlib import Path
 
 from conquer import paths as P
 from conquer import relalg as ra
+from conquer import walk
 from conquer.bag import Bag
 from conquer.cli import Session, run_query
 from conquer.frontend import disambiguate, parse_list, tokenize
 from conquer.frontend.parser import parse_list_records
 from conquer.population import Population, load_population
+from conquer.verbalise import verbalise_interpretation
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 TWO_FACT_JOIN = "Person who works for a Company c AND ALSO earns a Salary x"
@@ -59,6 +61,20 @@ def recording(monkeypatch, owner, name: str) -> list:
     def wrapper(*args, **kwargs):
         calls.append(original(*args, **kwargs))
         return calls[-1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def recording_args(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call of ``owner.name`` in the returned
+    list."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
@@ -202,3 +218,44 @@ def test_disambiguation_works_out_each_sub_path_once(monkeypatch):
         counts.append(len(calls))
     steps = {b - a for a, b in zip(counts, counts[1:])}
     assert len(steps) == 1
+
+
+MIXED_CHAIN = (
+    "Person who earns a Salary x AND ALSO works for a Company c AND ALSO works for a Company: 'acme' "
+    "AND ALSO earns a Salary: 3000 AND ALSO earns a Salary x AND ALSO works for a Company c"
+)
+
+
+def test_readings_share_sub_paths_and_each_is_analysed_once(monkeypatch):
+    schema = demo_session().schema
+    combos = recording_args(monkeypatch, P, "_combos_of")
+    scans = recording_args(monkeypatch, P, "_pairs_of")
+    parsed = parse_list(MIXED_CHAIN, schema)
+    assert len(disambiguate(schema, parsed).interpretations) == 1
+    # the chain has 16 readings, all with one typing
+    readings = parsed.interpretations
+    assert len(readings) == 16 and len({i.typing for i in readings}) == 1
+    tree, distinct = 0, set()
+    stack = [i.path for i in readings]
+    while stack:
+        node = stack.pop()
+        tree += 1
+        distinct.add(id(node))
+        stack.extend(walk.children(node, P.PATH_KINDS))
+    assert (tree, len(distinct)) == (784, 161)
+    # memo misses, not calls: no sub-path is worked out twice.  Besides the
+    # readings' own sub-paths, the misses cover the expansions of mix-fix
+    # connections and denotations, and the trees that fail to type
+    for name, misses in (("head/tail", combos), ("typing scan", scans)):
+        ids = [id(args[-1]) for args in misses]
+        assert len(ids) == len(set(ids)), name
+        assert len(ids) < tree / 2, name
+
+
+def test_verbalisation_works_out_each_sub_path_once(monkeypatch):
+    schema = demo_session().schema
+    (reading,) = disambiguate(schema, parse_list(MIXED_CHAIN, schema)).interpretations
+    combos = recording_args(monkeypatch, P, "_combos_of")
+    verbalise_interpretation(schema, reading)
+    ids = [(args[1], id(args[-1])) for args in combos]
+    assert ids and len(ids) == len(set(ids))
