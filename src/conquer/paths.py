@@ -926,14 +926,16 @@ def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing, memo: PathMemo |
     table = memo.for_typing(typing)[0]
     at_head = isinstance(p, HdCoerce)
     inner = p.of
+    seen = set()  # a cyclic chain of reference schemes stops where it closes
     while True:
         combos = _combos(schema, typing, memo, table, inner)
         ends = {u for (u, _) in combos} if at_head else {v for (_, v) in combos}
         if len(ends) != 1:
             return inner
         (x,) = ends
-        if schema.is_value(x):
+        if schema.is_value(x) or x in seen:
             return inner
+        seen.add(x)
         scheme = schema.idf.get(x)
         if scheme is None or scheme.kind != "pairs" or len(scheme.entries) != 1:
             return inner
@@ -983,6 +985,7 @@ class Translator:
     def __init__(self, schema: Schema, typing: Typing):
         self.schema = schema
         self.typing = typing
+        self.joins = ra.JoinRules(schema)
         self._counter = itertools.count(1)
 
     def fresh(self) -> AttrName:
@@ -995,10 +998,10 @@ class Translator:
         if isinstance(p, TypeAtom):
             schema.check_type(p.tid)
             a = self.fresh()
-            return ra.Project({HD: ra.Attr(a), TL: ra.Attr(a)}, ra.TypeTable(a, p.tid))
+            return ra.project({HD: ra.Attr(a), TL: ra.Attr(a)}, ra.TypeTable(a, p.tid))
         if isinstance(p, RoleEntry):
             a = self.fresh()
-            return ra.Project(
+            return ra.project(
                 {HD: ra.AttrRole(a, p.rid), TL: ra.Attr(a)},
                 ra.TypeTable(a, schema.rel(p.rid)),
             )
@@ -1010,7 +1013,7 @@ class Translator:
             a = self.fresh()
             left = ra.Rename({a: TL}, self.path(p.left, B))
             right = ra.Rename({a: HD}, self.path(p.right, B))
-            return ra.DropAttrs({a}, ra.Join(left, right))
+            return ra.DropAttrs({a}, self.joins.join(left, right))
         if isinstance(p, Front):
             return ra.Extend({TL: ra.Attr(HD)}, self.path(p.of, B))
         if isinstance(p, DistinctPath):
@@ -1019,17 +1022,17 @@ class Translator:
             lp = self.path(p.left, B)
             rp = self.path(p.right, B)
             target = ra.sch(lp) | ra.sch(rp)
-            joined = ra.Join(
+            joined = self.joins.join(
                 ra.DropAttrs({TL}, lp),
                 ra.DropAttrs({HD}, ra.Rename({TL: HD}, rp)),
             )
-            return ra.Project(ra.def_map(sorted(target)), joined)
+            return ra.project(ra.def_map(sorted(target)), joined)
         if isinstance(p, SetCompare):
             return self._set_compare(p, B)
         if isinstance(p, MissingPath):
             lp = self.path(p.left, B)
             rp = self.path(p.right, B)
-            pairs = ra.Join(ra.DropAttrs({TL}, lp), ra.DropAttrs({HD}, rp))
+            pairs = self.joins.join(ra.DropAttrs({TL}, lp), ra.DropAttrs({HD}, rp))
             return ra.SetOp(pairs, "minus", self.path(Concat(p.left, p.right), B))
         if isinstance(p, SetOp):
             return _set_op(p.op, self.path(p.left, B), self.path(p.right, B))
@@ -1037,9 +1040,9 @@ class Translator:
             a, b = self.fresh(), self.fresh()
             lp = ra.Rename({a: TL}, self.path(p.left, B))
             rp = ra.Rename({b: HD}, self.path(p.right, B))
-            selected = ra.Select(ra.Compare(ra.Attr(a), p.op, ra.Attr(b)), ra.Join(lp, rp))
+            selected = ra.Select(ra.Compare(ra.Attr(a), p.op, ra.Attr(b)), self.joins.join(lp, rp))
             target = (ra.sch(lp) - {a}) | {TL} | (ra.sch(rp) - {b}) | {HD}
-            return ra.Project(ra.def_map(sorted(target)), selected)
+            return ra.project(ra.def_map(sorted(target)), selected)
         if isinstance(p, Shuffle):
             if len(p.attrs) < 2:
                 raise TranslateError("a path shuffle needs at least two attributes")
@@ -1047,7 +1050,7 @@ class Translator:
             missing = set(p.attrs) - ra.sch(inner)
             if missing:
                 raise TranslateError(f"shuffle attributes not in operand header: {sorted(missing)}")
-            projected = ra.Project(ra.def_map(p.attrs), inner)
+            projected = ra.project(ra.def_map(p.attrs), inner)
             return ra.Rename({HD: p.attrs[0], TL: p.attrs[-1]}, projected)
         if isinstance(p, MixFix):
             return self.path(expand_mixfix(self.schema, p), B)
@@ -1076,14 +1079,14 @@ class Translator:
         a, b = self.fresh(), self.fresh()
         lp = self.path(p.left, B)
         rp = self.path(p.right, B)
-        tails_of_head = ra.Project(
+        tails_of_head = ra.project(
             {b: ra.Attr(TL)}, ra.Select(ra.Compare(ra.Attr(HD), "=", ra.Attr(a)), lp)
         )
-        heads_of_right = ra.Project({b: ra.Attr(HD)}, rp)
+        heads_of_right = ra.project({b: ra.Attr(HD)}, rp)
         op = {"all_in": "subeq", "includes_all": "supeq", "match_all": "="}[p.op]
         cond = ra.BagCompare(tails_of_head, op, heads_of_right)
         selected = ra.Select(cond, ra.Extend({a: ra.Attr(HD)}, lp))
-        return ra.Project(ra.def_map(sorted(ra.sch(lp))), selected)
+        return ra.project(ra.def_map(sorted(ra.sch(lp))), selected)
 
     def _func_app(self, p: FuncApp, B: frozenset) -> ra.RelExpr:
         if not p.args:
@@ -1097,7 +1100,7 @@ class Translator:
             terms.append(ra.Rename({a: HD}, pq))
         joined = terms[0]
         for t in terms[1:]:
-            joined = ra.Join(joined, t)
+            joined = self.joins.join(joined, t)
         applied = ra.Extend({HD: ra.Apply(p.func, [ra.Attr(a) for a in attrs])}, joined)
         return ra.DropAttrs(set(attrs), applied)
 
@@ -1106,7 +1109,7 @@ class Translator:
         inner = self.path(body, B)
         joined = inner
         for v in sorted(cond_attrs - B - ra.sch(inner)):
-            joined = ra.Join(joined, bind_attr(self.schema, self.typing, v))
+            joined = self.joins.join(joined, bind_attr(self.schema, self.typing, v))
         compiled = self.cond(cond, B | cond_attrs | ra.sch(joined))
         return ra.Select(compiled, joined)
 
@@ -1134,10 +1137,10 @@ class Translator:
             if x not in base_sch:
                 raise TranslateError(f"confluence connection attribute {x!r} not in base header")
             arm = ra.Rename({a: HD, x: TL}, self.path(q, B))
-            joined = ra.Join(joined, arm)
+            joined = self.joins.join(joined, arm)
             names.append(a)
         target = sorted(base_sch | set(names))
-        return ra.Project(ra.def_map(target), joined)
+        return ra.project(ra.def_map(target), joined)
 
     def _group_fn(self, p: GroupFn, B: frozenset) -> ra.RelExpr:
         inner = self.path(p.of, B)
@@ -1164,17 +1167,17 @@ class Translator:
                 kind, arg = "sum", ra.Apply("bag_distinct", [arg])
             value = ra.Apply(f"bag_{kind}", [arg])
         a = self.fresh()
-        return ra.Project({HD: ra.Attr(a), TL: ra.Attr(a)}, ra.Project({a: value}, grouped))
+        return ra.project({HD: ra.Attr(a), TL: ra.Attr(a)}, ra.project({a: value}, grouped))
 
     def _scalar_path(self, e: PeScalar, B: frozenset) -> ra.RelExpr:
         free = attr_uses(e) - B
         if not free:
-            table = ra.Project({HD: self.scalar(e, B)}, ra.UNIT)
+            table = ra.project({HD: self.scalar(e, B)}, ra.UNIT)
             return ra.Extend({TL: ra.Attr(HD)}, table)
         joined: ra.RelExpr | None = None
         for a in sorted(free):
             binder = bind_attr(self.schema, self.typing, a)
-            joined = binder if joined is None else ra.Join(joined, binder)
+            joined = binder if joined is None else self.joins.join(joined, binder)
         extended = ra.Extend({HD: self.scalar(e, B | free)}, joined)
         return ra.Extend({TL: ra.Attr(HD)}, extended)
 
@@ -1184,7 +1187,9 @@ class Translator:
         if isinstance(e, SConst):
             return ra.Const(e.value)
         if isinstance(e, SAgg):
-            inner = self.path(_agg_operand(self.schema, e, self.typing), B)
+            # an aggregate reads the head column, so a simply identified
+            # entity head is coerced down to its identifying value
+            inner = self.path(hd_coerce(self.schema, e.of, self.typing), B)
             return ra.Aggregate(e.kind, inner, None if e.kind == "count" else HD)
         if isinstance(e, SVar):
             return ra.Attr(e.attr)
@@ -1206,8 +1211,8 @@ class Translator:
             inner = self.path(c.of, B)
             return ra.Compare(ra.Aggregate("count", inner), ">", ra.Const(0))
         if isinstance(c, CBagComp):
-            lp = ra.Project({HD: ra.Attr(HD)}, self.path(c.left, B))
-            rp = ra.Project({HD: ra.Attr(HD)}, self.path(c.right, B))
+            lp = ra.project({HD: ra.Attr(HD)}, self.path(c.left, B))
+            rp = ra.project({HD: ra.Attr(HD)}, self.path(c.right, B))
             return ra.BagCompare(lp, c.op, rp)
         if isinstance(c, CLogic):
             if c.op == "iff":
@@ -1229,19 +1234,14 @@ def _set_op(op: str, lp: ra.RelExpr, rp: ra.RelExpr) -> ra.RelExpr:
     """Union, intersection or difference (``op`` is union, intersect or
     minus) of two relations on their common attributes, joined back to the
     distinct rows of each operand for the rest: outer joins for a union, and
-    only the left operand for a difference."""
+    only the left operand for a difference.  No join rule applies to a join
+    of a set operation with a ``Distinct``."""
     common = ra.def_map(sorted(ra.sch(lp) & ra.sch(rp)))
-    core = ra.SetOp(ra.Project(common, lp), op, ra.Project(common, rp))
+    core = ra.SetOp(ra.project(common, lp), op, ra.project(common, rp))
     if op == "minus":
         return ra.Join(core, ra.Distinct(lp))
     join = ra.LeftJoin if op == "union" else ra.Join
     return join(join(core, ra.Distinct(lp)), ra.Distinct(rp))
-
-
-def _agg_operand(schema: Schema, e: SAgg, typing: Typing) -> PathExpr:
-    # aggregates read the head column, so coerce simply identified entity
-    # heads down to their identifying values
-    return hd_coerce(schema, e.of, typing)
 
 
 def translate(schema: Schema, p: PathExpr, typing: Typing, bound: Iterable[AttrName] = ()) -> ra.RelExpr:
@@ -1408,9 +1408,9 @@ def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
 # A rule's or a constraint's plan depends on the schema alone, so it is
 # built on first use and kept in ``schema.plans`` for every population
 # after.  An entry is keyed by the id of the rule or constraint path and
-# holds that object too, so the id stays its own.  The rewrite leaves the
-# derived types out of its join rules, so a plan built before a rule was
-# added is built again.
+# holds that object too, so the id stays its own.  The join rules that
+# translation applies leave the derived types out, so a plan built before
+# a rule was added is built again.
 
 
 def _expr_of(schema: Schema, x: Any) -> ra.RelExpr:
@@ -1419,7 +1419,7 @@ def _expr_of(schema: Schema, x: Any) -> ra.RelExpr:
     if isinstance(x, FactRule):
         extra = [(a, schema.player(r)) for r, a in x.role_attrs]
         body = translate(schema, x.body, infer_typing(schema, x.body, extra))
-        return ra.Project({r: ra.Attr(a) for r, a in x.role_attrs}, body)
+        return ra.project({r: ra.Attr(a) for r, a in x.role_attrs}, body)
     body = x.body if isinstance(x, TypeRule) else x
     return translate(schema, body, infer_typing(schema, body))
 

@@ -14,6 +14,7 @@ Salary-has-Amount fact that the coercion paths walk through.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -49,13 +50,18 @@ def _decode_scalar(raw: Any) -> Any:
     if isinstance(raw, bool):
         return Bool(raw)
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise PopulationError(f"cannot decode the non-finite number {raw!r}")
         return Fraction(str(raw))
     if isinstance(raw, (int, str, Fraction)):
         return raw
     raise PopulationError(f"cannot decode scalar {raw!r}")
 
 
-def decode_instance(schema: Schema, tid: TypeId, raw: Any) -> Any:
+def decode_instance(schema: Schema, tid: TypeId, raw: Any, within: tuple = ()) -> Any:
+    """The instance of ``tid`` that ``raw`` writes.  ``within`` holds the
+    entity types whose denotations this one is a component of; a type among
+    them identifies itself through itself, and no denotation of it ends."""
     info = schema.types.get(tid)
     if info is None:
         raise PopulationError(f"unknown type {tid!r} in population")
@@ -68,6 +74,8 @@ def decode_instance(schema: Schema, tid: TypeId, raw: Any) -> Any:
             raise PopulationError(f"instance of {tid!r} must fill roles {sorted(expected)}, got {sorted(given)}")
         return FactInstance({r: decode_instance(schema, schema.player(r), v) for r, v in raw.items()})
     # entity instance, written as its denotation
+    if tid in within:
+        raise PopulationError(f"cannot decode {raw!r}: the reference scheme of {tid!r} is cyclic")
     roots = schema.roots_of(tid)
     if len(roots) != 1:
         raise PopulationError(f"cannot build instances for multi-rooted type {tid!r}")
@@ -81,7 +89,7 @@ def decode_instance(schema: Schema, tid: TypeId, raw: Any) -> Any:
             _, s = scheme.entries[i]
             comp_type = schema.player(s)
         if comp_type is not None and not schema.is_value(comp_type):
-            components.append(decode_instance(schema, comp_type, part))
+            components.append(decode_instance(schema, comp_type, part, within + (tid,)))
         else:
             components.append(_decode_scalar(part))
     return EntityInstance(root, tuple(components))

@@ -17,24 +17,28 @@ in the order of the attribute names sorted, so relations with the same
 header share one layout.  An outer binding is a dict from attribute
 names to values.
 
-``evaluate`` runs a ``Plan``: an expression rewritten (``rewrite``) for
-one schema and compiled once into closures, one for each distinct node,
-which run without looking at a node's kind again.  ``compile_plan``
-builds one; a plan built once runs against every population of its
-schema, and ``evaluate`` turns a plain expression into a plan for the
-population's schema on the spot.  ``eval_scalar``, ``eval_cond`` and
-``eval_scalars`` compile their expressions the same way.  The rewrite fuses
-stacked projections into one, drops identity projections, makes two
-projections of one type table joined on its instance column one, and drops
-a join with a type table that a column's role filler already belongs to.
-The plans that ``paths.translate`` builds are left as they are.
+``evaluate`` runs a ``Plan``: an expression compiled once into closures,
+one for each distinct node, which run without looking at a node's kind
+again.  ``compile_plan`` builds one; a plan built once runs against every
+population of its schema, and ``evaluate`` turns a plain expression into a
+plan for the population's schema on the spot.  ``eval_scalar``,
+``eval_cond`` and ``eval_scalars`` compile their expressions the same way.
+
+Four bag-algebra rules apply as nodes are built, in the builders that
+``paths.Translator`` builds its plans with.  ``project`` (and
+``Extend``, ``Rename`` and ``DropAttrs``, which go through it) fuses
+stacked projections into one and drops identity projections, and
+``JoinRules.join`` makes two projections of one type table joined on its
+instance column one, and drops a join with a type table that a column's
+role filler already belongs to.  The ``Project`` and ``Join``
+constructors apply no rule, so a plan built with them runs as built.
 
 The last rule rests on the closure invariant that ``load_population``
 establishes: every filler of a role is in the population of the role's
 player and of each of the player's supertypes.  The types a derivation rule
 defines do not keep that invariant, so the rule never drops a join with
 the table of a derived type or through a role of a derived fact type.  A
-population built by hand must keep the invariant too.  Rewriting may
+population built by hand must keep the invariant too.  The rules may
 change the order in which an unordered result lists its rows, never the
 bag of rows.
 """
@@ -53,7 +57,7 @@ from .population import Population
 from .schema import Schema
 from .tri import UNKNOWN, Tri, is_true, t_and, t_implies, t_not, t_or, t_xor
 from .values import NULL, FactInstance, GroupedBag, is_number
-from .walk import children, map_children
+from .walk import children
 
 AttrName = str
 
@@ -294,22 +298,22 @@ def def_map(attrs: Iterable[AttrName]) -> dict[AttrName, RaScalar]:
 # assignments follow from the operand's header.
 
 
-def Extend(assigns, of: RelExpr) -> Project:
+def Extend(assigns, of: RelExpr) -> RelExpr:
     """Keep every attribute of ``of`` and add ``assigns``; later
     assignments win."""
-    return Project({**def_map(of.header), **dict(assigns)}, of)
+    return project({**def_map(of.header), **dict(assigns)}, of)
 
 
-def Rename(mapping, of: RelExpr) -> Project:
+def Rename(mapping, of: RelExpr) -> RelExpr:
     """Rename by (new, old) pairs; the other attributes are kept."""
     renames = dict(mapping)
     keep = def_map(a for a in of.header if a not in renames.values())
-    return Project({**keep, **{new: Attr(old) for new, old in renames.items()}}, of)
+    return project({**keep, **{new: Attr(old) for new, old in renames.items()}}, of)
 
 
-def DropAttrs(attrs, of: RelExpr) -> Project:
+def DropAttrs(attrs, of: RelExpr) -> RelExpr:
     drop = frozenset(attrs)
-    return Project(def_map(a for a in of.header if a not in drop), of)
+    return project(def_map(a for a in of.header if a not in drop), of)
 
 
 def sch(e: RelExpr) -> frozenset:
@@ -318,11 +322,13 @@ def sch(e: RelExpr) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite
+# Rules applied as nodes are built
 #
-# Before evaluation a plan is rewritten by bag-algebra laws.  Stacked
-# projections fuse, pi_A(pi_B(x)) = pi_(A.B)(x), and a projection that keeps
-# every attribute of its operand unchanged is dropped.  ``paths.translate``
+# Plans are built bottom-up, so a rule that reads only the node it builds
+# and its operands, as built, sees the operands in their final form, and
+# each rule runs once per node.  Stacked projections fuse,
+# pi_A(pi_B(x)) = pi_(A.B)(x), and a projection that keeps every attribute
+# of its operand unchanged is dropped (``project``).  ``paths.translate``
 # glues each path step on with a rename or an extension, so most of its
 # projections sit directly on another projection.
 #
@@ -332,78 +338,43 @@ def sch(e: RelExpr) -> frozenset:
 # its instance column are one projection of it (``_merge_self_join``).  And
 # a join with a projection that only copies a type table's column, on a
 # column whose values fill a role that type plays, keeps every row once
-# (``_Rewriter._drop_semi_join``), by the closure invariant that the module
-# docstring states.
-#
-# Only projections and joins have rules; every other node is rebuilt
-# around its rewritten children by ``walk.map_children``.  The pass
-# memoises by node identity, so a sub-plan shared by two parents stays one
-# object, and it rewrites the subquery plans inside scalars and conditions
-# too.
+# (``JoinRules._drop_semi_join``), by the closure invariant that the module
+# docstring states.  A sub-plan built once and used by two parents stays
+# one object, since it is built once.
 
 
-_LEAVES = frozenset({Attr, AttrRole, Const, TypeTable, Literal})
+def project(assigns, of: RelExpr) -> RelExpr:
+    """The projection of ``of`` on ``assigns`` (attribute to scalar): fused
+    with ``of`` when that is a projection, or ``of`` itself when it is the
+    identity."""
+    assigns = dict(assigns)
+    if _keeps_every_attribute(assigns, of):
+        return of
+    if isinstance(of, Project):
+        fused = _fuse(assigns, of)
+        if fused is not None:
+            assigns, of = fused, of.of
+            if _keeps_every_attribute(assigns, of):
+                return of
+    return Project(assigns, of)
 
 
-def rewrite(x, schema: Schema):
-    """The relational expression, scalar or condition ``x`` with its
-    stacked projections fused, its identity projections removed, its
-    self-joins of a type table merged and its joins that only repeat a
-    role's player table removed.  ``schema`` is the schema of the
-    population that ``x`` is evaluated against."""
-    return _Rewriter(schema).node(x)
+class JoinRules:
+    """The join builder of one translation for populations of ``schema``:
+    the join rules need the schema's types, roles and derived types, and
+    keep the column domains they work out."""
 
-
-class _Rewriter:
     def __init__(self, schema: Schema):
         self.schema = schema
         self.derived = schema.derived_types()
-        # id -> (node, its rewrite); holding the node keeps its id unique
-        self.done: dict[int, tuple] = {}
         # (id, attribute) -> (node, the types its column ranges over)
         self.domains: dict[tuple[int, AttrName], tuple] = {}
 
-    def node(self, x):
-        if type(x) in _LEAVES:
-            return x
-        k = id(x)
-        hit = self.done.get(k)
-        if hit is not None:
-            return hit[1]
-        if isinstance(x, Project):
-            out = self._projection({a: self.node(s) for a, s in x.assigns}, self.node(x.of), x)
-        elif isinstance(x, Join):
-            left, right = self.node(x.left), self.node(x.right)
-            merged = self._join(left, right)
-            if merged is not None:
-                out = self._projection(*merged)
-            else:
-                out = x if left is x.left and right is x.right else Join(left, right)
-        else:
-            out = map_children(x, self.node, kinds=RA_KINDS)
-        self.done[k] = (x, out)
-        return out
-
-    def _projection(self, assigns: dict, of: RelExpr, e: Project | None = None) -> RelExpr:
-        """Project(assigns, of) fused with ``of`` when that is a projection,
-        or ``of`` itself when it is the identity; ``e`` when it is the
-        same projection."""
-        if _keeps_every_attribute(assigns, of):
-            return of
-        if isinstance(of, Project):
-            fused = _fuse(assigns, of)
-            if fused is not None:
-                assigns, of = fused, of.of
-                if _keeps_every_attribute(assigns, of):
-                    return of
-        if e is not None and of is e.of and all(s is t for (_, s), t in zip(e.assigns, assigns.values())):
-            return e
-        return Project(assigns, of)
-
-    def _join(self, left: RelExpr, right: RelExpr) -> tuple | None:
-        """The assignments and operand of one projection equal to
-        Join(left, right), or None when no join rule applies."""
-        return _merge_self_join(left, right) or self._drop_semi_join(left, right) or self._drop_semi_join(right, left)
+    def join(self, left: RelExpr, right: RelExpr) -> RelExpr:
+        """The join of ``left`` and ``right``, as one projection when a
+        join rule applies."""
+        merged = _merge_self_join(left, right) or self._drop_semi_join(left, right) or self._drop_semi_join(right, left)
+        return Join(left, right) if merged is None else project(*merged)
 
     def _drop_semi_join(self, x: RelExpr, table: RelExpr) -> tuple | None:
         """Join(x, table) as a projection of x, when ``table`` is a type
@@ -599,10 +570,10 @@ def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A relational expression ready to run against any population of
-    ``schema``: ``root`` is its rewrite for that schema, ``run`` the root
-    compiled, and ``derived`` the schema's derived types when it was
-    rewritten.  The plan holds ``root``, so the ids the compiled code keys
-    its memo on stay its nodes'."""
+    ``schema``: ``root`` is the expression, ``run`` the root compiled, and
+    ``derived`` the schema's derived types when it was compiled.  The plan
+    holds ``root``, so the ids the compiled code keys its memo on stay its
+    nodes'."""
 
     root: RelExpr
     run: Callable
@@ -612,10 +583,8 @@ class Plan:
 
 def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
-    rewriter = _Rewriter(schema)
-    root = rewriter.node(e)
-    run = _Compiler(_repeatable([root], per_row=False)).rel(root)
-    return Plan(root, run, schema, rewriter.derived)
+    run = _Compiler(_repeatable([e], per_row=False)).rel(e)
+    return Plan(e, run, schema, schema.derived_types())
 
 
 def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
@@ -629,12 +598,10 @@ def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
-    expr = rewrite(expr, pop.schema)
     return _Compiler(_repeatable([expr], per_row=False)).scalar(expr, ())(_Context(pop), (), env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
-    cond = rewrite(cond, pop.schema)
     return _Compiler(_repeatable([cond], per_row=False)).cond(cond, ())(_Context(pop), (), env)
 
 
@@ -642,8 +609,6 @@ def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: It
     """``eval_scalar`` of every expression on each row of a relation with
     this header in turn, all in one context, so that a subquery is not
     evaluated again for every row."""
-    rewriter = _Rewriter(pop.schema)
-    exprs = [rewriter.node(e) for e in exprs]
     compiler = _Compiler(_repeatable(exprs, per_row=True))
     runs = [compiler.scalar(e, tuple(header)) for e in exprs]
     ctx, outer = _Context(pop), {}
@@ -654,6 +619,8 @@ def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: It
 # the nodes whose results are memoised: relational expressions, and the
 # scalars and conditions that evaluate one
 _SUBQUERY = frozenset(RelExpr.__args__ + (Aggregate, BagCompare))
+# the nodes with no sub-plan inside
+_LEAVES = frozenset({Attr, AttrRole, Const, TypeTable, Literal})
 _MISSING = object()
 
 

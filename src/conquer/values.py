@@ -176,11 +176,13 @@ _KIND_RANK = {"number": 0, "string": 1, "bool": 2, "entity": 3, "fact": 4, "bag"
 
 
 def sort_key(v: Any) -> tuple:
-    """A total order over all values, for deterministic result ordering."""
+    """A total order over all values, for deterministic result ordering.
+    A number is kept as it is: ``int``, ``float`` and ``Fraction`` compare
+    with each other exactly."""
     if v is NULL:
         return (_KIND_RANK["null"],)
     if is_number(v):
-        return (_KIND_RANK["number"], Fraction(v))
+        return (_KIND_RANK["number"], v)
     if isinstance(v, str):
         return (_KIND_RANK["string"], v)
     if isinstance(v, Bool):

@@ -3,10 +3,11 @@
 This walks the set-comprehension definitions of each operator directly
 with Python loops over enumerated populations, without building or
 evaluating relational algebra.  It shares only the primitive data types
-(bags and values) and the definitional abbreviation expansions with the
-engine, so agreement between the two is meaningful evidence.  Its rows are
-its own maps from attribute names to values; ``oracle_eval`` lays them out
-as the engine does only at the end.
+(bags and values) and the definitional abbreviation expansions (mix-fix,
+sub-expressions, denotations and head/tail coercion) with the engine, so
+agreement between the two is meaningful evidence.  Its rows are its own
+maps from attribute names to values; ``oracle_eval`` lays them out as the
+engine does only at the end.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from conquer.paths import (
     expand_denote,
     expand_mixfix,
     expand_subexpr,
+    hd_coerce,
+    tl_coerce,
 )
 from conquer.population import Population
 from conquer.schema import Schema
@@ -295,7 +298,8 @@ class Oracle:
         if isinstance(p, Denote):
             return self.path(expand_denote(self.schema, p), env)
         if isinstance(p, (HdCoerce, TlCoerce)):
-            raise NotImplementedError("coercion markers are outside the oracle corpus")
+            coerce = hd_coerce if isinstance(p, HdCoerce) else tl_coerce
+            return self.path(coerce(self.schema, p.of, self.typing), env)
         if isinstance(p, Scalar):
             return self._scalar_path(p.expr, env)
         if isinstance(p, CondPath):

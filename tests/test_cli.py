@@ -349,6 +349,13 @@ class TestBatchMode:
         assert code == 1
         assert "syntax error" in capsys.readouterr().err
 
+    def test_non_finite_number_is_a_population_error(self, tmp_path, capsys):
+        schema_file, _ = self.write_files(tmp_path)
+        pop_file = tmp_path / "nan.json"
+        pop_file.write_text('{"Salary": [NaN]}')
+        assert main(["--schema", schema_file, "--pop", str(pop_file), "--query", "a Salary"]) == 1
+        assert capsys.readouterr().err.strip() == "[population] cannot decode the non-finite number nan"
+
     def test_ambiguity_exit_code(self, tmp_path, capsys):
         schema_file = tmp_path / "schema.json"
         doc = TestAmbiguityPolicies().make_ambiguous_session().schema

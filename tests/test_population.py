@@ -1,6 +1,7 @@
 """Population loading, closure, and instance denotation."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from conquer.schema import load_schema
 from conquer.values import EntityInstance, FactInstance
 
 from .conftest import run_path
+from .test_scaling import DEMO
+from .util import time_limit
 
 
 def person_doc():
@@ -90,6 +93,26 @@ class TestLoading:
         schema = load_schema(person_doc())
         with pytest.raises(PopulationError, match="must fill roles"):
             load_population(schema, {"SN": [{"sn1": ["a", "b"]}]})
+
+    @pytest.mark.parametrize("raw, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"), (float("nan"), "nan"),
+    ])
+    def test_non_finite_number_rejected(self, raw, shown):
+        schema = load_schema(person_doc())
+        doc = '{"Surname": [%s]}' % raw if isinstance(raw, str) else {"Surname": [raw]}
+        with pytest.raises(PopulationError, match=f"non-finite number {shown}$"):
+            load_population(schema, doc)
+
+    def test_cyclic_reference_scheme_rejected(self):
+        # a Person identified by a Person: no denotation of one ends
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["player"]["pn2"] = "Person"
+        schema = load_schema(doc)
+        with time_limit(10), pytest.raises(PopulationError, match="reference scheme of 'Person' is cyclic"):
+            load_population(schema, (DEMO / "population.json").read_text())
+        with time_limit(10), pytest.raises(PopulationError, match="cannot decode 'ann'"):
+            load_population(schema, {"F": [{"p1": "ann", "p2": 1000}]})
+        assert list(load_population(schema, {"Salary": [1000]}).instances("Salary").elements()) == [1000]
 
 
 class TestDenote:

@@ -21,6 +21,7 @@ from conquer.relalg import (
     Extend,
     Group,
     Join,
+    JoinRules,
     LeftJoin,
     Literal,
     Not,
@@ -36,7 +37,7 @@ from conquer.relalg import (
     eval_scalar,
     eval_scalars,
     evaluate,
-    rewrite,
+    project,
     sch,
 )
 from conquer.tri import UNKNOWN
@@ -469,118 +470,128 @@ def fact_pop():
 
 
 class TestRewrite:
-    """``evaluate`` fuses stacked projections, drops identity projections,
-    merges two projections of one type table joined on its instance column
-    and drops a join with a type table whose instances the other side's
-    column already fills a role of; a rewritten plan gives the same
-    relation and raises where the plan as built does."""
+    """The builders fuse stacked projections (``project``, and ``Extend``,
+    ``Rename`` and ``DropAttrs`` through it), drop identity projections,
+    merge two projections of one type table joined on its instance column
+    and drop a join with a type table whose instances the other side's
+    column already fills a role of (``JoinRules.join``); a plan they build
+    gives the same relation, and raises where, the same plan built with the
+    raw ``Project`` and ``Join`` constructors does."""
 
     def test_rename_extend_drop_chain_fuses(self, pop):
         src = lit(["x", "y", "z"], (1, 2, "a"), (1, 2, "b"), (1, 2, "b"), (3, 4, "c"))
-        e = Rename({"w": "x"}, Extend({"k": Const(7), "v": Attr("y")}, DropAttrs({"z"}, src)))
-        fused = rewrite(e, pop.schema)
+        fused = Rename({"w": "x"}, Extend({"k": Const(7), "v": Attr("y")}, DropAttrs({"z"}, src)))
         assert isinstance(fused, Project) and fused.of is src
+        extended = Project({"k": Const(7), "v": Attr("y"), "x": Attr("x"), "y": Attr("y")}, Project(def_map("xy"), src))
+        raw = Project({"k": Attr("k"), "v": Attr("v"), "w": Attr("x"), "y": Attr("y")}, extended)
         expected = Relation(
             ("k", "v", "w", "y"), Bag.from_counts([((7, 2, 1, 2), 3), ((7, 4, 3, 4), 1)])
         )
-        assert evaluate(e, pop) == expected
+        assert evaluate(fused, pop) == evaluate(raw, pop) == expected
 
     def test_outer_role_over_inner_attribute(self, pop):
         src = lit(["f", "n"], (FactInstance({"p": 1, "q": "a"}), 5), (FactInstance({"p": 2, "q": "b"}), 5))
-        e = Project({"v": AttrRole("g", "p"), "m": Attr("n")}, Rename({"g": "f"}, src))
-        fused = rewrite(e, pop.schema)
+        fused = project({"v": AttrRole("g", "p"), "m": Attr("n")}, Rename({"g": "f"}, src))
         assert fused == Project({"v": AttrRole("f", "p"), "m": Attr("n")}, src)
-        assert evaluate(e, pop) == rel(["m", "v"], (5, 1), (5, 2))
+        raw = Project({"v": AttrRole("g", "p"), "m": Attr("n")}, Project({"g": Attr("f"), "n": Attr("n")}, src))
+        assert evaluate(fused, pop) == evaluate(raw, pop) == rel(["m", "v"], (5, 1), (5, 2))
 
     def test_inner_constant(self, pop):
         src = lit(["x"], (1,), (2,), (2,))
-        e = Project({"a": Attr("k"), "b": Apply("+", [Attr("x"), Attr("k")])}, Extend({"k": Const(10)}, src))
-        assert rewrite(e, pop.schema).of is src
-        assert evaluate(e, pop) == rel(["a", "b"], (10, 11), (10, 12), (10, 12))
+        outer = {"a": Attr("k"), "b": Apply("+", [Attr("x"), Attr("k")])}
+        fused = project(outer, Extend({"k": Const(10)}, src))
+        assert fused.of is src
+        raw = Project(outer, Project({"k": Const(10), "x": Attr("x")}, src))
+        assert evaluate(fused, pop) == evaluate(raw, pop) == rel(["a", "b"], (10, 11), (10, 12), (10, 12))
 
     def test_outer_binding_read_is_not_sent_to_the_operand(self, pop):
         # the outer projection's `a` is the outer binding's; the inner one
         # renames the operand's own `a` to `b`
         inner = Rename({"b": "a"}, lit(["a"], (1,), (2,), (3,)))
-        e = Project({"s": Apply("+", [Attr("b"), Attr("a")])}, inner)
+        e = project({"s": Apply("+", [Attr("b"), Attr("a")])}, inner)
         assert eval_scalar(Aggregate("sum", e, "s"), pop, {"a": 10}) == 36
         assert eval_scalar(Aggregate("count", Select(Compare(Attr("s"), ">", Const(12)), e)), pop, {"a": 10}) == 1
 
     def test_dropped_unbound_attribute_still_raises(self, pop):
         inner = Project({"b": Attr("x"), "c": Attr("nope")}, lit(["x"], (1,)))
         with pytest.raises(EvalError, match="unbound attribute 'nope'"):
-            evaluate(Project({"a": Attr("b")}, inner), pop)
+            evaluate(project({"a": Attr("b")}, inner), pop)
 
     def test_identity_projection_is_removed(self, pop, example_p):
-        e = Distinct(Project(def_map(["x", "y", "z"]), example_p))
-        assert rewrite(e, pop.schema) == Distinct(example_p)
+        e = Distinct(project(def_map(["x", "y", "z"]), example_p))
+        assert e == Distinct(example_p)
+        assert evaluate(e, pop) == evaluate(Distinct(Project(def_map(["x", "y", "z"]), example_p)), pop)
         assert evaluate(e, pop) == example_p.relation
 
     def test_shared_rewritten_sub_plan_is_evaluated_once(self, counted):
         pop, calls = counted
-        # the identity projection goes, so the shared Distinct is rebuilt
-        shared = Distinct(Project({"m": Attr("k")}, Project(def_map(["k"]), TypeTable("k", "X"))))
+        # the identity projection goes, so the shared Distinct is built over
+        # the fused projection
+        shared = Distinct(project({"m": Attr("k")}, project(def_map(["k"]), TypeTable("k", "X"))))
         e = SetOp(shared, "union", SetOp(shared, "intersect", shared))
-        out = rewrite(e, pop.schema)
-        assert out.left is out.right.left is out.right.right
+        assert e.left is e.right.left is e.right.right
         assert evaluate(e, pop) == Relation(("m",), Bag.from_counts([((m,), 2) for m in (1, 2, 3)]))
         assert len(calls) == 1
 
     def test_self_join_merge_keeps_multiplicities(self):
         pop = fact_pop()
+        rules = JoinRules(pop.schema)
         left = Project({"h": AttrRole("a", "q1"), "k": Attr("a")}, TypeTable("a", "G"))
         right = Project({"t": AttrRole("b", "q2"), "k": Attr("b")}, TypeTable("b", "G"))
-        e = Project({"h": Attr("h")}, Join(left, right))
-        out = rewrite(e, pop.schema)
-        assert not any(isinstance(x, Join) for x in plan_objects(out))
-        assert evaluate(e, pop) == Relation(("h",), Bag.from_counts([((1,), 2), ((2,), 1)]))
-        assert sorted(u[0] for u, _ in evaluate(DropAttrs({"k"}, Join(left, right)), pop).rows()) == [1, 1, 2]
+        e = project({"h": Attr("h")}, rules.join(left, right))
+        assert not any(isinstance(x, Join) for x in plan_objects(e))
+        expected = Relation(("h",), Bag.from_counts([((1,), 2), ((2,), 1)]))
+        assert evaluate(e, pop) == evaluate(Project({"h": Attr("h")}, Join(left, right)), pop) == expected
+        for joined in (rules.join(left, right), Join(left, right)):
+            assert sorted(u[0] for u, _ in evaluate(DropAttrs({"k"}, joined), pop).rows()) == [1, 1, 2]
 
     def test_merged_self_join_still_raises_on_a_role(self):
         pop = fact_pop()
-        on_value = Join(
+        rules = JoinRules(pop.schema)
+        value_sides = (
             Project({"h": AttrRole("a", "q1"), "k": Attr("a")}, TypeTable("a", "V")),
             Project({"k": Attr("b")}, TypeTable("b", "V")),
         )
-        assert isinstance(rewrite(on_value, pop.schema), Project)
-        with pytest.raises(EvalError, match="not a relationship instance"):
-            evaluate(on_value, pop)
-        no_role = Join(
+        no_role_sides = (
             Project({"h": AttrRole("a", "nope"), "k": Attr("a")}, TypeTable("a", "G")),
             TypeTable("k", "G"),
         )
-        assert isinstance(rewrite(no_role, pop.schema), Project)
-        with pytest.raises(EvalError, match="not defined for role 'nope'"):
-            evaluate(no_role, pop)
+        for sides, message in ((value_sides, "not a relationship instance"), (no_role_sides, "not defined for role 'nope'")):
+            merged = rules.join(*sides)
+            assert isinstance(merged, Project)
+            for e in (merged, Join(*sides)):
+                with pytest.raises(EvalError, match=message):
+                    evaluate(e, pop)
 
     def test_self_join_on_a_role_is_kept(self):
         pop = fact_pop()
         # facts that share their first filler: a many-to-many join
-        e = Join(
+        e = JoinRules(pop.schema).join(
             Project({"h": AttrRole("a", "q1"), "x": Attr("a")}, TypeTable("a", "G")),
             Project({"h": AttrRole("b", "q1"), "y": Attr("b")}, TypeTable("b", "G")),
         )
-        assert isinstance(rewrite(e, pop.schema), Join)
+        assert isinstance(e, Join)
         assert evaluate(e, pop).body.cardinality() == 5
 
     def test_semi_join_with_a_subtype_table_is_kept(self):
         pop = fact_pop()
+        rules = JoinRules(pop.schema)
         fillers = Project({"p": AttrRole("f", "q1")}, TypeTable("f", "G"))
-        small = Join(fillers, TypeTable("p", "Small"))
-        assert isinstance(rewrite(small, pop.schema), Join)
+        small = rules.join(fillers, TypeTable("p", "Small"))
+        assert isinstance(small, Join)
         assert evaluate(small, pop) == rel(["p"], (1,), (1,))
         # the player's own table filters nothing, so its join goes
-        player = Join(TypeTable("p", "V"), fillers)
-        assert rewrite(player, pop.schema) is fillers
-        assert evaluate(player, pop) == rel(["p"], (1,), (1,), (2,))
+        player = rules.join(TypeTable("p", "V"), fillers)
+        assert player is fillers
+        assert evaluate(player, pop) == evaluate(Join(TypeTable("p", "V"), fillers), pop) == rel(["p"], (1,), (1,), (2,))
 
     def test_semi_join_on_a_padded_column_is_kept(self):
         pop = fact_pop()
         # 5 and 6 fill no first role, so their rows are padded with NULL
         facts = Project({"a": AttrRole("f", "q1"), "p": AttrRole("f", "q2")}, TypeTable("f", "G"))
         padded = LeftJoin(TypeTable("a", "V"), facts)
-        e = Join(padded, TypeTable("p", "V"))
-        assert isinstance(rewrite(e, pop.schema), Join)
+        e = JoinRules(pop.schema).join(padded, TypeTable("p", "V"))
+        assert isinstance(e, Join)
         assert evaluate(e, pop) == rel(["a", "p"], (1, 5), (1, 6), (2, 5))
 
     def test_join_with_an_undeclared_supertype_still_raises(self):
@@ -591,17 +602,16 @@ class TestRewrite:
             "player": {"q1": "V", "q2": "V"},
         })
         pop = make_population(schema, {"G": [{"q1": 1, "q2": 2}]})
-        e = Join(Project({"p": AttrRole("f", "q1")}, TypeTable("f", "G")), TypeTable("p", "Ghost"))
+        e = JoinRules(schema).join(Project({"p": AttrRole("f", "q1")}, TypeTable("f", "G")), TypeTable("p", "Ghost"))
         with pytest.raises(SchemaError, match="unknown type 'Ghost'"):
             evaluate(e, pop)
 
     def test_merged_shared_sub_plan_is_evaluated_once(self, counted):
         pop, calls = counted
-        shared = Join(TypeTable("k", "X"), Project({"k": Attr("j"), "m": Attr("j")}, TypeTable("j", "X")))
+        shared = JoinRules(pop.schema).join(TypeTable("k", "X"), Project({"k": Attr("j"), "m": Attr("j")}, TypeTable("j", "X")))
         e = SetOp(shared, "union", SetOp(shared, "intersect", shared))
-        out = rewrite(e, pop.schema)
-        assert isinstance(out.left, Project)
-        assert out.left is out.right.left is out.right.right
+        assert isinstance(e.left, Project)
+        assert e.left is e.right.left is e.right.right
         assert evaluate(e, pop) == Relation(("k", "m"), Bag.from_counts([((v, v), 2) for v in (1, 2, 3)]))
         assert len(calls) == 1
 
@@ -611,9 +621,9 @@ class TestHeaders:
     attributes from the moment it is built."""
 
     @pytest.mark.parametrize("text", [TWO_FACT_JOIN, CORRELATED])
-    def test_every_node_of_a_rewritten_plan(self, monkeypatch, text):
+    def test_every_node_of_a_translated_plan(self, monkeypatch, text):
         pop = demo_session().base_pop
-        plan = rewrite(translated_plan(monkeypatch, text), pop.schema)
+        plan = translated_plan(monkeypatch, text)
         nodes = [x for x in plan_objects(plan) if isinstance(x, relalg.RelExpr.__args__)]
         evaluated = 0
         for node in nodes:

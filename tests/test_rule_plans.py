@@ -98,7 +98,7 @@ def count_calls(monkeypatch) -> Counter:
     """Calls of the compiling stages and of ``evaluate`` from now on, and
     the plan nodes compiled, as ``node``."""
     calls: Counter = Counter()
-    for module, name in [(P, "infer_typing"), (P, "translate"), (ra, "rewrite"), (ra, "compile_plan"), (ra, "evaluate")]:
+    for module, name in [(P, "infer_typing"), (P, "translate"), (ra, "compile_plan"), (ra, "evaluate")]:
         monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
     for builders in ra._BUILDERS.values():
         for kind, build in builders.items():
@@ -121,7 +121,7 @@ def test_a_second_population_compiles_nothing(monkeypatch):
     calls = count_calls(monkeypatch)
     session.base_pop = load_population(session.schema, population_doc(2))
     one_round(session)
-    # nothing is translated, rewritten or compiled, not even one node
+    # nothing is translated or compiled, not even one node
     assert dict(calls) == {"evaluate": 8}
 
 

@@ -158,46 +158,29 @@ def translated_plan(monkeypatch, text: str):
     return plan
 
 
-def rewritten_projections(monkeypatch, text: str) -> tuple[int, int]:
-    """The distinct ``Project`` nodes of the demo query's plan as
-    ``translate`` gives it and after the evaluator's rewrite."""
-    plan = translated_plan(monkeypatch, text)
-    return distinct_nodes(plan, ra.Project), distinct_nodes(ra.rewrite(plan, demo_session().schema), ra.Project)
+def test_translation_fuses_the_projections_of_a_two_fact_join(monkeypatch):
+    assert distinct_nodes(translated_plan(monkeypatch, TWO_FACT_JOIN), ra.Project) <= 18
 
 
-def test_rewrite_fuses_the_projections_of_a_two_fact_join(monkeypatch):
-    before, after = rewritten_projections(monkeypatch, TWO_FACT_JOIN)
-    assert before == 38
-    assert after <= 18
+def test_translation_fuses_the_projections_of_a_correlated_query(monkeypatch):
+    assert distinct_nodes(translated_plan(monkeypatch, CORRELATED), ra.Project) <= 31
 
 
-def test_rewrite_fuses_the_projections_of_a_correlated_query(monkeypatch):
-    before, after = rewritten_projections(monkeypatch, CORRELATED)
-    assert before == 66
-    assert after <= 31
-
-
-def schema_rewritten_plan(monkeypatch, text: str):
-    """The demo query's plan after the rewrite that ``evaluate`` makes
-    against the demo population's schema."""
-    return ra.rewrite(translated_plan(monkeypatch, text), demo_session().schema)
-
-
-def test_rewrite_drops_the_type_table_joins_of_a_two_fact_join(monkeypatch):
-    plan = schema_rewritten_plan(monkeypatch, TWO_FACT_JOIN)
+def test_translation_drops_the_type_table_joins_of_a_two_fact_join(monkeypatch):
+    plan = translated_plan(monkeypatch, TWO_FACT_JOIN)
     assert distinct_nodes(plan, ra.Join) <= 2
     assert distinct_nodes(plan, ra.TypeTable) <= 2
     assert distinct_nodes(plan, ra.Project) <= 6
 
 
-def test_rewrite_drops_the_type_table_joins_of_a_correlated_query(monkeypatch):
-    plan = schema_rewritten_plan(monkeypatch, CORRELATED)
+def test_translation_drops_the_type_table_joins_of_a_correlated_query(monkeypatch):
+    plan = translated_plan(monkeypatch, CORRELATED)
     assert distinct_nodes(plan, ra.Join) <= 4
     assert distinct_nodes(plan, ra.Project) <= 11
 
 
 def test_two_fact_join_reads_each_remaining_type_table_once(monkeypatch):
-    tables = distinct_nodes(schema_rewritten_plan(monkeypatch, TWO_FACT_JOIN), ra.TypeTable)
+    tables = distinct_nodes(translated_plan(monkeypatch, TWO_FACT_JOIN), ra.TypeTable)
     session = demo_session()
     calls = recording(monkeypatch, Population, "instances")
     assert run_query(session, TWO_FACT_JOIN).splitlines()[-1] == "(6 rows)"

@@ -53,7 +53,7 @@ from conquer.values import NULL
 from .conftest import run_path
 from .oracle import oracle_eval
 from .test_scaling import DEMO
-from .util import rel
+from .util import rel, time_limit
 
 
 @pytest.fixture
@@ -264,6 +264,19 @@ class TestCoercion:
         from conquer.values import EntityInstance
 
         assert heads == Bag([EntityInstance("Person", ("bob",))])
+
+    def test_cyclic_reference_scheme_stops_after_one_hop(self):
+        # a Person identified by a Person: the coercion stops where the
+        # chain of reference schemes closes
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["player"]["pn2"] = "Person"
+        session = Session(schema=load_full_schema(doc))
+        session.base_pop = load_population(session.schema, {"Salary": [1000]})
+        with time_limit(10):
+            coerced = hd_coerce(session.schema, TypeAtom("Person"), frozenset())
+            out = run_query(session, "THE COUNT OF a Person")
+        assert coerced == concat(RoleEntry("pn2"), role_exit("pn1"), TypeAtom("Person"))
+        assert out.splitlines()[-2:] == ["0    | 0", "(1 row)"]
 
 
 class TestNormalise:
@@ -565,6 +578,16 @@ class TestOrdering:
         assert [t[0] for t in asc] == [1, 2, NULL]
         desc = order_result(r, [OrderKey("hd", "desc")])
         assert [t[0] for t in desc] == [NULL, 2, 1]
+
+    def test_mixed_numbers_order_by_value_and_keep_their_type(self):
+        # 1 and Fraction(1) tie, so the canonical tiebreak on k orders them
+        r = rel(["k", "x"], ("a", Fraction(3, 2)), ("b", NULL), ("c", 2), ("d", Fraction(1)), ("e", 1))
+        asc = order_result(r, [OrderKey("x", "asc")])
+        assert [k for k, _ in asc] == ["d", "e", "a", "c", "b"]
+        desc = order_result(r, [OrderKey("x", "desc")])
+        assert [k for k, _ in desc] == ["b", "c", "a", "d", "e"]
+        for rows in (asc, desc):
+            assert {k: type(x) for k, x in rows} == {"a": Fraction, "b": type(NULL), "c": int, "d": Fraction, "e": int}
 
     def test_two_key_sort(self):
         r = rel(["hd", "x"], ("a", 1), ("b", 5), ("a", 3), ("a", 3))

@@ -1,0 +1,84 @@
+"""The engine from the text end against the oracle.
+
+Each path that ``test_roundtrip`` generates is verbalised, and the text
+goes the way a query goes: ``parse_list``, ``disambiguate`` (the first
+survivor is the reading taken), ``translate`` and ``evaluate``, on a
+generated population.  The answer must be the oracle's for the original
+path.  A text whose every reading is structurally empty must be rejected,
+and then the original path must be structurally empty too.
+
+The paths are generated for the round-trip schema and for a variant in
+which Salary is a value type, as in the demo schema: an aggregate of
+salaries is then a salary too, so some texts keep two readings, and the
+first must be the one the text was made from.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+from conquer.errors import AmbiguityError
+from conquer.frontend import disambiguate, parse_list
+from conquer.paths import has_empty_subpath, translate
+from conquer.population import load_population
+from conquer.relalg import evaluate
+from conquer.schema import load_schema
+from conquer.verbalise import VerbCtx, verbalise
+
+from .oracle import oracle_eval
+from .test_roundtrip import CASES, make_case, rich_doc
+
+PERSONS = [f"p{i}" for i in range(7)]
+SALARIES = [1000, 1500, 2000, 2500, 3000]
+COMPANIES = ["acme", "bolt", "core", "dyna"]
+
+
+def value_salary_doc() -> dict:
+    """The round-trip schema with Salary (``y``) a value type."""
+    doc = rich_doc()
+    doc["types"]["y"] = "value"
+    for table, names in (("types", ["SN", "SAmt"]), ("roles_of", ["SN"]), ("player", ["sn1", "sn2"]), ("idf", ["SN", "y"])):
+        for name in names:
+            del doc[table][name]
+    return doc
+
+
+def population(schema, seed: int):
+    """Persons, salaries and companies, with earnings and employments drawn
+    with repetition, so that some facts occur twice, some persons have none
+    and some salaries and companies are nobody's."""
+    rng = random.Random(seed)
+    return load_population(schema, {
+        "Person": PERSONS,
+        "Salary": SALARIES,
+        "Company": COMPANIES,
+        "Earning": [{"p1": rng.choice(PERSONS), "p2": rng.choice(SALARIES[:-1])} for _ in range(8)],
+        "Employment": [{"q1": rng.choice(PERSONS[:-1]), "q2": rng.choice(COMPANIES[:-1])} for _ in range(7)],
+    })
+
+
+def test_text_end_agrees_with_the_oracle():
+    seen = Counter()
+    for doc in (rich_doc(), value_salary_doc()):
+        schema = load_schema(doc)
+        pops = [population(schema, seed) for seed in range(2)]
+        for i in range(CASES):
+            p, typing, vnm = make_case(schema, i)
+            text = verbalise(p, VerbCtx(schema, typing, vnm))
+            pop = pops[i % len(pops)]
+            try:
+                result = disambiguate(schema, parse_list(text, schema))
+            except AmbiguityError:
+                assert has_empty_subpath(schema, p, typing), (i, text)
+                seen["empty"] += 1
+                continue
+            reading = result.interpretations[0]
+            got = evaluate(translate(schema, reading.path, reading.typing), pop)
+            assert (got.header, got.body) == oracle_eval(schema, pop, typing, p), (i, text)
+            seen["answered"] += 1
+            seen["ambiguous"] += result.ambiguous
+            seen["rows"] += got.body.cardinality()
+    assert seen["answered"] + seen["empty"] == 2 * CASES
+    # the texts reach the rejection, ambiguity and non-empty answers
+    assert seen["empty"] > 0 and seen["ambiguous"] > 0 and seen["rows"] > 2 * CASES, dict(seen)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 from conquer.bag import Bag
 from conquer.population import Population, load_population
 from conquer.relalg import Relation
@@ -34,3 +37,20 @@ def empty_pop(schema: Schema | None = None) -> Population:
     if schema is None:
         schema = load_schema({"types": {}})
     return Population(schema)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``
+    seconds, so that a test of a loop that might not end fails instead."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
