@@ -95,18 +95,20 @@ def _cell_text(value: Any, pop: Population, null_token: str) -> str:
 
 
 def _cell_texts(pop: Population, null_token: str):
-    """``_cell_text`` for the cells of one result, rendering each entity or
-    relationship instance, whose text goes through its denotation, once
-    however often it occurs.  Other values are rendered each time: equal
-    grouped bags can list their elements in different orders."""
+    """``_cell_text`` for the cells of one result, rendering each distinct
+    value once however often it occurs.  Values are told apart by type as
+    well, so ``1``, ``1.0`` and ``Fraction(1)`` keep their own texts.  A
+    grouped bag is rendered each time: equal grouped bags can list their
+    elements in different orders."""
     done: dict = {}
 
     def text(value: Any) -> str:
-        if not isinstance(value, (EntityInstance, FactInstance)):
-            return _cell_text(value, pop, null_token)
-        out = done.get(value)
+        key = (type(value), value)
+        out = done.get(key)
         if out is None:
-            out = done[value] = _cell_text(value, pop, null_token)
+            out = _cell_text(value, pop, null_token)
+            if key[0] is not GroupedBag:
+                done[key] = out
         return out
 
     return text

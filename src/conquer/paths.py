@@ -42,7 +42,7 @@ from .schema import (
     TypeId,
     TypeRule,
 )
-from .values import NULL, TRUE, Bool, FactInstance, format_number, sort_key
+from .values import TRUE, Bool, FactInstance, format_number, sort_key
 from .walk import children, field_names, map_children
 
 HD: AttrName = "hd"
@@ -1441,27 +1441,39 @@ def _kept_plan(schema: Schema, x: Any) -> ra.Plan:
 
 
 def order_result(relation: ra.Relation, spec: Iterable[OrderKey]) -> list[tuple]:
-    spec = list(spec)
+    """The rows of ``relation``, each as often as it occurs, ordered by the
+    keys of ``spec`` in turn (NULL ranks above every value: ascending puts it
+    last, descending first), then by the rows' cells under ``sort_key``,
+    then in the relation's order.  ``sort_key`` runs once per distinct value,
+    and the rows are sorted once, by the ranks of their cells."""
+    header = relation.header
+    keys = []
     for key in spec:
-        if key.attr not in relation.header:
+        if key.attr not in header:
             raise EvalError(f"unknown order attribute {key.attr!r}")
-    rows: list[tuple] = []
-    for t, n in relation.rows():
-        rows.extend([t] * n)
-    # canonical tiebreak on the row itself first, then stable per-key sorts from last to first
-    rows.sort(key=lambda t: tuple(map(sort_key, t)))
-    for key in reversed(spec):
-        descending = key.direction == "desc"
+        keys.append((header.index(key.attr), -1 if key.direction == "desc" else 1))
+    items = list(relation.rows())
+    rank = _ranks({v for t, _ in items for v in t}).__getitem__
 
-        # NULL ranks above every value: ascending puts it last, descending first
-        def keyfun(t, i=relation.header.index(key.attr)):
-            v = t[i]
-            if v is NULL:
-                return (1,)
-            return (0,) + sort_key(v)
+    def row_key(item: tuple) -> list:
+        cells = list(map(rank, item[0]))
+        return [sign * cells[i] for i, sign in keys] + cells
 
-        rows.sort(key=keyfun, reverse=descending)
-    return rows
+    items.sort(key=row_key)
+    return [t for t, n in items for _ in range(n)]
+
+
+def _ranks(values: set) -> dict:
+    """Each value's place among ``values`` in the order of ``sort_key``;
+    values whose sort keys are equal share a place."""
+    keyed = {v: sort_key(v) for v in values}
+    ranks: dict = {}
+    rank, last = -1, None
+    for v in sorted(keyed, key=keyed.__getitem__):
+        if keyed[v] != last:
+            rank, last = rank + 1, keyed[v]
+        ranks[v] = rank
+    return ranks
 
 
 # ---------------------------------------------------------------------------

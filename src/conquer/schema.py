@@ -333,26 +333,23 @@ def _role_name_diags(schema: Schema, table: dict[RoleId, str], what: str) -> lis
 
 
 def _idf_cycle_diags(schema: Schema) -> list[str]:
-    # follow single-pair reference chains; a cycle would make head/tail
-    # coercion diverge
-    diags = []
-    for tid in sorted(schema.idf):
-        seen = {tid}
-        cur = tid
-        while True:
-            scheme = schema.idf.get(cur)
-            if scheme is None or scheme.kind != "pairs" or len(scheme.entries) != 1:
-                break
-            _, s = scheme.entries[0]
-            if s not in schema.roles:
-                break
-            nxt = schema.roles[s].player
-            if nxt in seen:
-                diags.append(f"reference scheme chain starting at {tid!r} is cyclic")
-                break
-            seen.add(nxt)
-            cur = nxt
-    return diags
+    # follow every component of every pair of a reference scheme; a type
+    # whose chains reach a cycle has no finite denotation, and head/tail
+    # coercion through it would diverge
+    follows = {
+        tid: {schema.roles[s].player for _, s in scheme.entries if s in schema.roles}
+        for tid, scheme in schema.idf.items()
+        if scheme.kind == "pairs"
+    }
+    ends: set[TypeId] = set()  # types every chain from which ends
+    grew = True
+    while grew:
+        grew = False
+        for tid, nxt in follows.items():
+            if tid not in ends and all(t in ends or t not in follows for t in nxt):
+                ends.add(tid)
+                grew = True
+    return [f"reference scheme chain starting at {tid!r} is cyclic" for tid in sorted(follows) if tid not in ends]
 
 
 # ---------------------------------------------------------------------------

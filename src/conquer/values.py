@@ -9,7 +9,9 @@ hashable: tables are bags of tuples and tuples are bags keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -24,9 +26,6 @@ class _Null:
 
     def __repr__(self) -> str:
         return "NULL"
-
-    def __hash__(self) -> int:
-        return hash("conquer-null")
 
 
 NULL = _Null()
@@ -46,28 +45,48 @@ TRUE = Bool(True)
 FALSE = Bool(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class EntityInstance:
     """Surrogate for a non-value type instance.
 
-    Identity is the root type plus the denotation tuple: two surrogates are
-    the same instance exactly when both components agree.  The hash is
-    computed once, when the instance is built.
+    Identity is the root type plus the denotation tuple, and instances are
+    interned: ``EntityInstance(root, key)`` returns the one live instance
+    whose root and key equal these, so two surrogates are the same instance
+    exactly when they are the same object.  The class keeps ``object``'s
+    identity hash and equality, which dicts and row tuples compute without
+    calling into Python.  An entity component of the key is itself interned,
+    being built before its owner.  Keys are matched by value equality, so
+    ``P(1)`` and ``P(Fraction(1))`` are one instance, holding the key it was
+    first built with.
     """
 
+    __slots__ = ("root", "key", "__weakref__")
     root: str
     key: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.root, self.key)))
+    def __new__(cls, root: str, key: tuple):
+        ident = (root, key)
+        with _INTERN_LOCK:
+            self = _INTERNED.get(ident)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "root", root)
+                object.__setattr__(self, "key", key)
+                _INTERNED[ident] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return EntityInstance, (self.root, self.key)
 
     def __repr__(self) -> str:
         inner = ", ".join(render_value(k) for k in self.key)
         return f"{self.root}({inner})"
+
+
+# The live entity instances by (root, key); an instance leaves the table when
+# nothing else refers to it.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
 class FactInstance:
@@ -121,12 +140,18 @@ class GroupedBag:
         return "{" + ", ".join(parts) + "}"
 
 
+_NUMBER_TYPES = frozenset({int, float, Fraction})
+_ATOMIC_TYPES = _NUMBER_TYPES | {str, Bool}
+
+
 def is_number(v: Any) -> bool:
-    return isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
+    """Whether ``v`` is a number; tested on its exact type, so ``bool`` is
+    not one."""
+    return type(v) in _NUMBER_TYPES
 
 
 def is_atomic(v: Any) -> bool:
-    return is_number(v) or isinstance(v, (str, Bool))
+    return type(v) in _ATOMIC_TYPES
 
 
 def format_number(v) -> str:
@@ -172,27 +197,29 @@ def render_value(v: Any, null_token: str = "NULL") -> str:
     return repr(v)
 
 
-_KIND_RANK = {"number": 0, "string": 1, "bool": 2, "entity": 3, "fact": 4, "bag": 5, "null": 6}
+def _number_key(v) -> tuple:
+    return (0, v)
+
+
+# Each kind's place in the order, by the exact type of the value
+_SORT_KEYS = {
+    int: _number_key,
+    float: _number_key,
+    Fraction: _number_key,
+    str: lambda v: (1, v),
+    Bool: lambda v: (2, v.value),
+    EntityInstance: lambda v: (3, v.root, tuple(map(sort_key, v.key))),
+    FactInstance: lambda v: (4, tuple((r, sort_key(x)) for r, x in sorted(v.roles().items()))),
+    GroupedBag: lambda v: (5, tuple(sorted((sort_key(e), n) for e, n in v.bag.items()))),
+    _Null: lambda v: (6,),
+}
 
 
 def sort_key(v: Any) -> tuple:
-    """A total order over all values, for deterministic result ordering.
-    A number is kept as it is: ``int``, ``float`` and ``Fraction`` compare
-    with each other exactly."""
-    if v is NULL:
-        return (_KIND_RANK["null"],)
-    if is_number(v):
-        return (_KIND_RANK["number"], v)
-    if isinstance(v, str):
-        return (_KIND_RANK["string"], v)
-    if isinstance(v, Bool):
-        return (_KIND_RANK["bool"], v.value)
-    if isinstance(v, EntityInstance):
-        return (_KIND_RANK["entity"], v.root, tuple(sort_key(k) for k in v.key))
-    if isinstance(v, FactInstance):
-        items = sorted(v.roles().items())
-        return (_KIND_RANK["fact"], tuple((r, sort_key(x)) for r, x in items))
-    if isinstance(v, GroupedBag):
-        items = sorted(((sort_key(e), n) for e, n in v.bag.items()))
-        return (_KIND_RANK["bag"], tuple(items))
-    raise TypeError(f"unorderable value {v!r}")
+    """A total order over all values, for deterministic result ordering;
+    NULL comes after every other value.  A number is kept as it is:
+    ``int``, ``float`` and ``Fraction`` compare with each other exactly."""
+    key = _SORT_KEYS.get(type(v))
+    if key is None:
+        raise TypeError(f"unorderable value {v!r}")
+    return key(v)

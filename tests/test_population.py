@@ -191,3 +191,11 @@ class TestEntityHash:
         assert replaced == EntityInstance("P", ("b",))
         assert hash(replaced) == hash(EntityInstance("P", ("b",)))
         assert repr(replaced) == "P('b')"
+
+
+class TestInternedLoad:
+    def test_two_loads_give_the_same_instances(self):
+        schema = load_schema(person_doc())
+        doc = {"Person": [["Halpin", "Terry"], ["Smith", "Ann"]]}
+        first, second = (list(load_population(schema, doc).instances("Person").elements()) for _ in range(2))
+        assert len(first) == 2 and all(a is b for a, b in zip(first, second))

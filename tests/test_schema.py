@@ -1,8 +1,10 @@
+import json
 from pathlib import Path
 
 import pytest
 
-from conquer.errors import SchemaError
+from conquer.errors import PopulationError, SchemaError
+from conquer.population import load_population
 from conquer.schema import load_schema, validate_schema
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -104,6 +106,19 @@ class TestValidation:
         }
         diags = validate_schema(load_schema(doc))
         assert any("cyclic" in d for d in diags)
+
+    def test_cycle_through_a_composite_reference_scheme(self):
+        # Person is identified by a name and by another Person: no instance
+        # of it can be written down, which loading reports too
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["types"]["PA"] = "relationship"
+        doc["roles_of"]["PA"] = ["pa1", "pa2"]
+        doc["player"].update({"pa1": "Person", "pa2": "Person"})
+        doc["idf"].update({"Person": [["pn1", "pn2"], ["pa1", "pa2"]], "PA": ["pa1", "pa2"]})
+        schema = load_schema(doc)
+        assert validate_schema(schema) == ["reference scheme chain starting at 'Person' is cyclic"]
+        with pytest.raises(PopulationError, match="cyclic"):
+            load_population(schema, {"Person": [["ann", "bob"]]})
 
     def test_asymmetric_relatedness(self):
         schema = load_schema(fig_doc())
