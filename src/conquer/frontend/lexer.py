@@ -1,4 +1,4 @@
-"""Tokeniser for the concrete query syntax.
+"""Tokeniser for the concrete query syntax, and its operator vocabulary.
 
 Keywords are fixed uppercase word sequences and are fused greedily by
 longest match, so "INTERSECTED WITH" is one token while the lowercase
@@ -16,78 +16,127 @@ from typing import Any
 
 from ..errors import LexError
 
-KEYWORD_PHRASES = [
-    "THE DISTINCT COUNT OF",
-    "THE DISTINCT SUM OF",
-    "IS A SUBSET OF OR EQUAL TO",
-    "IS A SUPERSET OF OR EQUAL TO",
-    "IS LESS THAN OR EQUAL TO",
-    "IS GREATER THAN OR EQUAL TO",
-    "THE REVERSE OF",
-    "THE PATH FROM",
-    "THE COUNT OF",
-    "THE SUM OF",
-    "THE MINIMUM OF",
-    "THE MAXIMUM OF",
-    "THE AVERAGE OF",
-    "THE MINIMUM",
-    "THE MAXIMUM",
-    "THE AVERAGE",
-    "WHICH ARE ALL IN",
-    "THAT INCLUDES ALL",
-    "MATCHING ALL",
-    "UNITED WITH",
-    "INTERSECTED WITH",
-    "OR OTHERWISE",
-    "AND ALSO",
-    "BUT NOT",
-    "IS EQUAL TO",
-    "IS NOT EQUAL TO",
-    "IS LESS THAN",
-    "IS GREATER THAN",
-    "IS A SUBSET OF",
-    "IS A SUPERSET OF",
-    "IS DISJOINT FROM",
-    "DOES NOT EQUAL",
-    "EXCLUSIVE OR",
-    "GROUPED BY",
-    "ORDERED WITH",
-    "ORDERED",
-    "ASCENDING",
-    "DESCENDING",
-    "MISSING",
-    "MINUS",
-    "EQUALS",
-    "IMPLIES",
-    "OTHERWISE",
-    "DISTINCT",
-    "ONLY",
-    "WHERE",
-    "SELECT",
-    "LIST",
-    "FROM",
-    "EACH",
-    "SOME",
-    "THEN",
-    "ELSE",
-    "HEAD",
-    "TAIL",
-    "AND",
-    "NOT",
-    "IFF",
-    "VIA",
-    "OF",
-    "TO",
-    "AS",
-    "IF",
-    "IN",
-    "IS",
-    "OR",
-]
+# The operator vocabulary: one table per operator family, from each word or
+# symbol to the name the path expressions give its operator.  The parser,
+# lowering and verbalisation all read these tables; verbalisation writes
+# each operator with its first word in its family's table.
 
-_PHRASES = sorted((tuple(p.split()) for p in KEYWORD_PHRASES), key=len, reverse=True)
+# set operations: ``SetOp.op``, and whether the operands are their fronts
+SET_OPS = {
+    "UNITED WITH": ("union", False),
+    "INTERSECTED WITH": ("intersect", False),
+    "MINUS": ("minus", False),
+    "OR OTHERWISE": ("union", True),
+    "AND ALSO": ("intersect", True),
+    "BUT NOT": ("minus", True),
+}
+# ``SetCompare.op``, and the MISSING and WITH path operators
+PATH_OPS = {
+    "WHICH ARE ALL IN": "all_in",
+    "THAT INCLUDES ALL": "includes_all",
+    "MATCHING ALL": "match_all",
+    "MISSING": "missing",
+    "WITH": "product",
+}
+# value comparisons: ``RelCompare.op`` and ``CScalarComp.op``
+VALUE_COMPARISONS = {
+    "=": "=",
+    "<>": "<>",
+    "<": "<",
+    "<=": "<=",
+    ">": ">",
+    ">=": ">=",
+    "IS EQUAL TO": "=",
+    "IS NOT EQUAL TO": "<>",
+    "IS LESS THAN": "<",
+    "IS LESS THAN OR EQUAL TO": "<=",
+    "IS GREATER THAN": ">",
+    "IS GREATER THAN OR EQUAL TO": ">=",
+}
+# bag comparisons: ``CBagComp.op``, and ``disjoint`` for ``CExclusion``
+BAG_COMPARISONS = {
+    "EQUALS": "=",
+    "DOES NOT EQUAL": "<>",
+    "IS A SUBSET OF": "sub",
+    "IS A SUBSET OF OR EQUAL TO": "subeq",
+    "IS A SUPERSET OF": "sup",
+    "IS A SUPERSET OF OR EQUAL TO": "supeq",
+    "IS DISJOINT FROM": "disjoint",
+    "=": "=",
+    "<>": "<>",
+    "<": "sub",
+    "<=": "subeq",
+    ">": "sup",
+    ">=": "supeq",
+}
+# ``CLogic.op``
+CONNECTIVES = {
+    "AND": "and",
+    "OR": "or",
+    "EXCLUSIVE OR": "xor",
+    "IMPLIES": "implies",
+    "IFF": "iff",
+    "&": "and",
+    "=>": "implies",
+    "<=>": "iff",
+}
+# ``SAgg.kind``
+AGGREGATES = {
+    "THE COUNT OF": "count",
+    "THE SUM OF": "sum",
+    "THE MINIMUM OF": "min",
+    "THE MAXIMUM OF": "max",
+    "THE AVERAGE OF": "avg",
+    "THE MINIMUM": "min",
+    "THE MAXIMUM": "max",
+    "THE AVERAGE": "avg",
+}
+# ``GroupFn.kind``
+GROUP_FUNCTIONS = {
+    "THE COUNT OF": "count",
+    "THE DISTINCT COUNT OF": "dscount",
+    "THE SUM OF": "sum",
+    "THE DISTINCT SUM OF": "dssum",
+    "THE MINIMUM OF": "min",
+    "THE MAXIMUM OF": "max",
+    "THE AVERAGE OF": "avg",
+}
+# the unary path operators ``Reverse``, ``Front`` and ``DistinctPath``
+UNARY_OPS = {"THE REVERSE OF": "reverse", "ONLY": "front", "DISTINCT": "distinct"}
+# ``SApply.func``
+ARITHMETIC = {"+": "+", "-": "-", "*": "*", "/": "/"}
 
-_SYMBOLS = ["<=>", "::=", "=>", "<>", "<=", ">=", "=", "<", ">", "~", "&", "*", "+", "-", "/"]
+OPERATOR_TABLES = (
+    SET_OPS,
+    PATH_OPS,
+    VALUE_COMPARISONS,
+    BAG_COMPARISONS,
+    CONNECTIVES,
+    AGGREGATES,
+    GROUP_FUNCTIONS,
+    UNARY_OPS,
+    ARITHMETIC,
+)
+_OPERATORS = {w for table in OPERATOR_TABLES for w in table}
+# the other keywords, which the grammar matches literally
+_STRUCTURAL = {
+    "THE PATH FROM", "GROUPED BY", "ORDERED WITH", "ORDERED", "ASCENDING", "DESCENDING", "OTHERWISE",
+    "WHERE", "SELECT", "LIST", "FROM", "EACH", "SOME", "THEN", "ELSE", "HEAD", "TAIL", "NOT",
+    "VIA", "OF", "TO", "AS", "IF", "IN", "IS",
+}
+
+# longest first, so that a phrase is fused before any phrase it starts with
+KEYWORD_PHRASES = sorted(
+    {w for w in _OPERATORS if w[0].isalpha()} | _STRUCTURAL, key=lambda p: (-len(p.split()), p)
+)
+# the phrases by their first word, longest first
+_PHRASES: dict[str, list[tuple[str, ...]]] = {}
+for _phrase in KEYWORD_PHRASES:
+    _PHRASES.setdefault(_phrase.split()[0], []).append(tuple(_phrase.split()))
+
+# longest first too; besides the operators' symbols, the negation "~" and
+# the macro definition sign "::="
+_SYMBOLS = sorted({w for w in _OPERATORS if not w[0].isalpha()} | {"::=", "~"}, key=lambda s: (-len(s), s))
 _PUNCT = set("():!,;.[]")
 
 _WORD_RE = re.compile(r"[A-Za-z_](?:[A-Za-z0-9_]|-(?=[A-Za-z0-9_]))*")
@@ -167,9 +216,9 @@ def _fuse_keywords(tokens: list[Token]) -> list[Token]:
     i = 0
     while i < len(tokens):
         t = tokens[i]
-        if t.kind == "word" and t.text.isupper():
+        if t.kind == "word" and t.text in _PHRASES:
             fused = None
-            for phrase in _PHRASES:
+            for phrase in _PHRASES[t.text]:
                 k = len(phrase)
                 window = tokens[i : i + k]
                 if len(window) == k and all(

@@ -21,69 +21,27 @@ from ..schema import AttrName, Macro, FactRule, Schema, TypeRule
 from ..values import Bool
 from ..walk import children
 from . import records as R
-from .lexer import tokenize
+from .lexer import (
+    AGGREGATES,
+    ARITHMETIC,
+    CONNECTIVES,
+    GROUP_FUNCTIONS,
+    PATH_OPS,
+    SET_OPS,
+    UNARY_OPS,
+    VALUE_COMPARISONS,
+    tokenize,
+)
 from .parser import parse_list_records, parse_records
 
-UNARY_MAP = {"THE REVERSE OF": P.Reverse, "ONLY": P.Front, "DISTINCT": P.DistinctPath}
-# each set-operation word: its ``SetOp`` operator, and whether it acts on
-# the operands' fronts (their ONLY)
-SETOP_MAP = {
-    "UNITED WITH": ("union", False),
-    "INTERSECTED WITH": ("intersect", False),
-    "MINUS": ("minus", False),
-    "OR OTHERWISE": ("union", True),
-    "AND ALSO": ("intersect", True),
-    "BUT NOT": ("minus", True),
+# the path class of each operator that has no operator field of its own
+_PATH_CLASSES = {
+    "reverse": P.Reverse,
+    "front": P.Front,
+    "distinct": P.DistinctPath,
+    "missing": P.MissingPath,
+    "product": P.Product,
 }
-SETCMP_MAP = {
-    "WHICH ARE ALL IN": "all_in",
-    "THAT INCLUDES ALL": "includes_all",
-    "MATCHING ALL": "match_all",
-}
-VALUECOMP_MAP = {
-    "=": "=",
-    "IS EQUAL TO": "=",
-    "<>": "<>",
-    "IS NOT EQUAL TO": "<>",
-    "<": "<",
-    "IS LESS THAN": "<",
-    "<=": "<=",
-    "IS LESS THAN OR EQUAL TO": "<=",
-    ">": ">",
-    "IS GREATER THAN": ">",
-    ">=": ">=",
-    "IS GREATER THAN OR EQUAL TO": ">=",
-}
-LOGIC_MAP = {
-    "AND": "and",
-    "&": "and",
-    "OR": "or",
-    "EXCLUSIVE OR": "xor",
-    "IMPLIES": "implies",
-    "=>": "implies",
-    "IFF": "iff",
-    "<=>": "iff",
-}
-AGG_MAP = {
-    "THE COUNT OF": "count",
-    "THE SUM OF": "sum",
-    "THE MINIMUM OF": "min",
-    "THE MINIMUM": "min",
-    "THE MAXIMUM OF": "max",
-    "THE MAXIMUM": "max",
-    "THE AVERAGE OF": "avg",
-    "THE AVERAGE": "avg",
-}
-GROUP_MAP = {
-    "THE COUNT OF": "count",
-    "THE DISTINCT COUNT OF": "dscount",
-    "THE SUM OF": "sum",
-    "THE DISTINCT SUM OF": "dssum",
-    "THE MINIMUM OF": "min",
-    "THE MAXIMUM OF": "max",
-    "THE AVERAGE OF": "avg",
-}
-ARITH = {"+", "-", "*", "/"}
 
 
 class NameEnv:
@@ -180,7 +138,7 @@ class Lowerer:
             node = self.node(P.MixFix, rec.start_role, middles, last_role)
             return self.node(P.Concat, node, self.descr(continuation))
         if isinstance(rec, R.UnaryOp):
-            return self.node(UNARY_MAP[rec.op], self.descr(rec.inf))
+            return self.node(_PATH_CLASSES[UNARY_OPS[rec.op]], self.descr(rec.inf))
         if isinstance(rec, R.BinaryOp):
             return self.binary(rec)
         if isinstance(rec, R.Shuffler):
@@ -205,31 +163,33 @@ class Lowerer:
         op = rec.op
         if op == "":
             return self.node(P.Concat, self.descr(rec.left), self.descr(rec.right))
-        if op in SETOP_MAP:
-            setop, fronts = SETOP_MAP[op]
+        if op in SET_OPS:
+            setop, fronts = SET_OPS[op]
             left, right = self.descr(rec.left), self.descr(rec.right)
             if fronts:
                 left, right = self.node(P.Front, left), self.node(P.Front, right)
             return self.node(P.SetOp, left, setop, right)
-        if op in SETCMP_MAP:
-            return self.node(P.SetCompare, self.descr(rec.left), SETCMP_MAP[op], self.descr(rec.right))
-        if op == "MISSING":
-            return self.node(P.MissingPath, self.descr(rec.left), self.descr(rec.right))
-        if op == "WITH":
-            return self.node(P.Product, self.descr(rec.left), self.descr(rec.right))
+        if op in PATH_OPS:
+            name = PATH_OPS[op]
+            left, right = self.descr(rec.left), self.descr(rec.right)
+            if name in _PATH_CLASSES:
+                return self.node(_PATH_CLASSES[name], left, right)
+            return self.node(P.SetCompare, left, name, right)
         if op == "IS":
             return self.subtype_glue(rec)
-        if op in VALUECOMP_MAP:
+        if op in VALUE_COMPARISONS:
             left = self.descr(rec.left)
             right = self.descr(rec.right)
-            return self.node(P.RelCompare, self.node(P.TlCoerce, left), VALUECOMP_MAP[op], self.node(P.HdCoerce, right))
-        if op in ARITH:
+            return self.node(
+                P.RelCompare, self.node(P.TlCoerce, left), VALUE_COMPARISONS[op], self.node(P.HdCoerce, right)
+            )
+        if op in ARITHMETIC:
             ls = self.try_scalar(rec.left)
             rs = self.try_scalar(rec.right)
             if ls is not None and rs is not None:
-                return self.node(P.Scalar, self.node(P.SApply, op, [ls, rs]))
+                return self.node(P.Scalar, self.node(P.SApply, ARITHMETIC[op], [ls, rs]))
             args = [self.node(P.HdCoerce, self.descr(rec.left)), self.node(P.HdCoerce, self.descr(rec.right))]
-            return self.node(P.FuncApp, op, args)
+            return self.node(P.FuncApp, ARITHMETIC[op], args)
         raise TranslateError(f"unknown binary operator {op!r}")
 
     def subtype_glue(self, rec: R.BinaryOp) -> P.PathExpr:
@@ -311,7 +271,7 @@ class Lowerer:
         return self.node(P.Confluence, elements, base)
 
     def group_acct(self, rec: R.GroupAcct) -> P.PathExpr:
-        kind = GROUP_MAP[rec.func]
+        kind = GROUP_FUNCTIONS[rec.func]
         body = self.descr(rec.inf)
         by = tuple(self.env.resolve(n) for n in rec.grouping)
         if kind in ("count", "dscount"):
@@ -339,7 +299,7 @@ class Lowerer:
                 return self.node(P.SVarRole, attr, rec.rid)
             return self.node(P.SVar, attr)
         if isinstance(rec, R.CoerceFunction):
-            kind = AGG_MAP[rec.func]
+            kind = AGGREGATES[rec.func]
             return self.node(P.SAgg, kind, self.node(P.HdCoerce, self.descr(rec.inf)))
         if isinstance(rec, (R.ScFunction, R.Function)):
             macro = self.schema.macros.get(rec.name)
@@ -352,12 +312,12 @@ class Lowerer:
             if any(a is None for a in args):
                 return None
             return self.node(P.SApply, rec.name, args)
-        if isinstance(rec, (R.ScBinaryOp, R.BinaryOp)) and getattr(rec, "op", None) in ARITH:
+        if isinstance(rec, (R.ScBinaryOp, R.BinaryOp)) and rec.op in ARITHMETIC:
             left = self.try_scalar(rec.left)
             right = self.try_scalar(rec.right)
             if left is None or right is None:
                 return None
-            return self.node(P.SApply, rec.op, [left, right])
+            return self.node(P.SApply, ARITHMETIC[rec.op], [left, right])
         return None
 
     # -- conditions ----------------------------------------------------------
@@ -372,9 +332,10 @@ class Lowerer:
                 return self.node(P.CExclusion, left, right)
             return self.node(P.CBagComp, left, rec.op, right)
         if isinstance(rec, R.ScaleExprComp):
-            return self.node(P.CScalarComp, self.scalar(rec.left), VALUECOMP_MAP[rec.op], self.scalar(rec.right))
+            # the parser keeps a scalar comparison's operator name
+            return self.node(P.CScalarComp, self.scalar(rec.left), rec.op, self.scalar(rec.right))
         if isinstance(rec, R.BinCondComp):
-            return self.node(P.CLogic, self.cond(rec.left), LOGIC_MAP[rec.conn], self.cond(rec.right))
+            return self.node(P.CLogic, self.cond(rec.left), CONNECTIVES[rec.conn], self.cond(rec.right))
         if isinstance(rec, R.Negation):
             return self.node(P.CNot, self.cond(rec.cond))
         if isinstance(rec, R.CondFunction):
@@ -467,9 +428,6 @@ def _lower_order(order: R.OrderClause | None, env: NameEnv) -> tuple:
     return tuple(keys)
 
 
-_SYMBOL_COMPARATORS = {"<", "<=", "=", "<>", ">=", ">"}
-
-
 def _setwise_symbol_count(rec: Any, memo: dict) -> int:
     """Comparator symbols read as set comparisons; the scalar reading of the
     same symbol is preferred when both exist.  The record trees of one parse
@@ -477,7 +435,7 @@ def _setwise_symbol_count(rec: Any, memo: dict) -> int:
     hit = memo.get(id(rec))
     if hit is not None:
         return hit[1]
-    own = 1 if isinstance(rec, R.InfDescrComp) and rec.op in ("sub", "subeq", "=", "<>", "supeq", "sup") else 0
+    own = 1 if isinstance(rec, R.InfDescrComp) and rec.op != "disjoint" else 0
     out = own + sum(_setwise_symbol_count(c, memo) for c in children(rec, R.RECORD_KINDS))
     memo[id(rec)] = (rec, out)
     return out

@@ -20,64 +20,24 @@ from typing import Any, Callable
 from ..errors import ParseError
 from ..schema import Schema
 from . import records as R
-from .lexer import Token
+from .lexer import (
+    AGGREGATES,
+    ARITHMETIC,
+    BAG_COMPARISONS,
+    CONNECTIVES,
+    GROUP_FUNCTIONS,
+    PATH_OPS,
+    SET_OPS,
+    UNARY_OPS,
+    VALUE_COMPARISONS,
+    Token,
+)
 
-VALUECOMP_WORDS = {
-    "IS EQUAL TO": "=",
-    "IS NOT EQUAL TO": "<>",
-    "IS LESS THAN": "<",
-    "IS LESS THAN OR EQUAL TO": "<=",
-    "IS GREATER THAN": ">",
-    "IS GREATER THAN OR EQUAL TO": ">=",
-}
-VALUECOMP_SYMS = {"=", "<>", "<", "<=", ">", ">="}
-SETOP_WORDS = [
-    "UNITED WITH",
-    "INTERSECTED WITH",
-    "MINUS",
-    "WHICH ARE ALL IN",
-    "THAT INCLUDES ALL",
-    "MATCHING ALL",
-    "MISSING",
-    "WITH",
-    "OR OTHERWISE",
-    "AND ALSO",
-    "BUT NOT",
-]
-SETCOMP_WORDS = {
-    "EQUALS": "=",
-    "DOES NOT EQUAL": "<>",
-    "IS DISJOINT FROM": "disjoint",
-    "IS A SUBSET OF": "sub",
-    "IS A SUBSET OF OR EQUAL TO": "subeq",
-    "IS A SUPERSET OF": "sup",
-    "IS A SUPERSET OF OR EQUAL TO": "supeq",
-}
-SETCOMP_SYMS = {"<": "sub", "<=": "subeq", "=": "=", "<>": "<>", ">": "sup", ">=": "supeq"}
-LOGIC_WORDS = {"AND": "and", "OR": "or", "EXCLUSIVE OR": "xor", "IMPLIES": "implies", "IFF": "iff"}
-LOGIC_SYMS = {"&": "and", "=>": "implies", "<=>": "iff"}
-ARITH_SYMS = {"*", "+", "-", "/"}
-COERCE_FUNCS = [
-    "THE COUNT OF",
-    "THE SUM OF",
-    "THE MINIMUM OF",
-    "THE MAXIMUM OF",
-    "THE AVERAGE OF",
-    "THE MINIMUM",
-    "THE MAXIMUM",
-    "THE AVERAGE",
-]
-GROUP_FUNCS = [
-    "THE COUNT OF",
-    "THE DISTINCT COUNT OF",
-    "THE SUM OF",
-    "THE DISTINCT SUM OF",
-    "THE MINIMUM OF",
-    "THE MAXIMUM OF",
-    "THE AVERAGE OF",
-]
-
-_SCALARISABLE = (R.Const, R.ScConst, R.VarName, R.CoerceFunction, R.Function, R.ScFunction, R.BinaryOp, R.ScBinaryOp)
+# the operators between two descriptors, and between two comparison
+# operands.  Only keyword and symbol tokens have the text of a vocabulary
+# word: the lexer fuses every word that is a keyword
+_BINARY_OPS = {*SET_OPS, *PATH_OPS, *VALUE_COMPARISONS, *ARITHMETIC, "IS"}
+_COMPARATORS = {*VALUE_COMPARISONS, *BAG_COMPARISONS}
 
 
 def to_scalar_record(rec: Any) -> Any | None:
@@ -91,7 +51,7 @@ def to_scalar_record(rec: Any) -> Any | None:
         if all(a is not None for a in args):
             return R.ScFunction(rec.name, tuple(args))
         return None
-    if isinstance(rec, R.BinaryOp) and rec.op in ARITH_SYMS:
+    if isinstance(rec, R.BinaryOp) and rec.op in ARITHMETIC:
         left = to_scalar_record(rec.left)
         right = to_scalar_record(rec.right)
         if left is not None and right is not None:
@@ -338,9 +298,7 @@ class Parser:
         t = self.tok(pos)
         if t is None:
             return None
-        if t.kind == "keyword" and (t.text in SETOP_WORDS or t.text in VALUECOMP_WORDS or t.text == "IS"):
-            return t.text, pos + 1
-        if t.kind == "symbol" and (t.text in VALUECOMP_SYMS or t.text in ARITH_SYMS):
+        if t.text in _BINARY_OPS:
             return t.text, pos + 1
         # a type's postfix may precede the subtype selector: "... who IS ..."
         for post in self.postfixes:
@@ -404,11 +362,11 @@ class Parser:
             out.extend(self._sub_expr(pos))
 
         # unary operators
-        for word, opname in (("THE REVERSE OF", "THE REVERSE OF"), ("ONLY", "ONLY"), ("DISTINCT", "DISTINCT")):
+        for word in UNARY_OPS:
             p = self.kw(pos, word)
             if p is not None:
                 for inner, p2, final in self.unit(p):
-                    out.append((R.UnaryOp(opname, inner), p2, final))
+                    out.append((R.UnaryOp(word, inner), p2, final))
 
         # aggregate / group functions
         out.extend(self._coerce_or_group(pos))
@@ -455,7 +413,7 @@ class Parser:
         if t is None or t.kind != "keyword":
             return []
         out = []
-        if t.text in GROUP_FUNCS:
+        if t.text in GROUP_FUNCTIONS:
             # optional "v IN" selects the accounted column
             starts = [(None, pos + 1)]
             v = self.is_variable(pos + 1)
@@ -468,7 +426,7 @@ class Parser:
                         continue
                     for names, p2 in self._var_list(p_g):
                         out.append((R.GroupAcct(t.text, var, inner, names), p2, False))
-        if t.text in COERCE_FUNCS:
+        if t.text in AGGREGATES:
             for inner, p in self.concat(pos + 1):
                 out.append((R.CoerceFunction(t.text, inner), p, False))
         return out
@@ -675,15 +633,10 @@ class Parser:
     def _condition_tail(self, acc: Any, pos: int) -> list:
         out = [(acc, pos)]
         t = self.tok(pos)
-        conn = None
-        if t is not None and t.kind == "keyword" and t.text in LOGIC_WORDS:
-            conn = t.text
-        elif t is not None and t.kind == "symbol" and t.text in LOGIC_SYMS:
-            conn = t.text
-        if conn is None:
+        if t is None or t.text not in CONNECTIVES:
             return out
         for right, p2 in self.cond_atom(pos + 1):
-            out.extend(self._condition_tail(R.BinCondComp(acc, right, conn), p2))
+            out.extend(self._condition_tail(R.BinCondComp(acc, right, t.text), p2))
         return out
 
     def cond_atom(self, pos: int) -> list:
@@ -721,9 +674,7 @@ class Parser:
         t = self.tok(pos)
         if t is None:
             return None
-        if t.kind == "keyword" and (t.text in VALUECOMP_WORDS or t.text in SETCOMP_WORDS):
-            return t.text, pos + 1
-        if t.kind == "symbol" and t.text in VALUECOMP_SYMS:
+        if t.text in _COMPARATORS:
             return t.text, pos + 1
         return None
 
@@ -748,12 +699,10 @@ class Parser:
     def _comparison_record(self, left: Any, op: str, right: Any):
         ls = to_scalar_record(left)
         rs = to_scalar_record(right)
-        if ls is not None and rs is not None and (op in VALUECOMP_SYMS or op in VALUECOMP_WORDS):
-            return R.ScaleExprComp(ls, rs, VALUECOMP_WORDS.get(op, op))
-        if op in SETCOMP_WORDS:
-            return R.InfDescrComp(left, right, SETCOMP_WORDS[op])
-        if op in SETCOMP_SYMS:
-            return R.InfDescrComp(left, right, SETCOMP_SYMS[op])
+        if ls is not None and rs is not None and op in VALUE_COMPARISONS:
+            return R.ScaleExprComp(ls, rs, VALUE_COMPARISONS[op])
+        if op in BAG_COMPARISONS:
+            return R.InfDescrComp(left, right, BAG_COMPARISONS[op])
         return None
 
     # -- list statements ----------------------------------------------------
@@ -835,7 +784,7 @@ class Parser:
 MAX_NESTING = 50
 MAX_DEPTH = 210
 
-_OPERATOR_WORDS = {"NOT", "IS", *VALUECOMP_WORDS, *SETOP_WORDS, *SETCOMP_WORDS, *LOGIC_WORDS}
+_OPERATOR_WORDS = {"NOT", "IS", *VALUE_COMPARISONS, *SET_OPS, *PATH_OPS, *BAG_COMPARISONS, *CONNECTIVES}
 
 
 def _check_nesting(tokens: list[Token]) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from ..values import format_number
+from ..values import Bool, render_value
 from ..walk import children
 
 
@@ -221,13 +221,8 @@ def _s(text: str | None) -> str:
 
 
 def _const_text(v: Any) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return f"'{v}'"
-    if isinstance(v, (int, Fraction)):
-        return format_number(v)
-    return str(v)
+    # a record keeps the lexer's Python bool
+    return render_value(Bool(v) if isinstance(v, bool) else v)
 
 
 def dump_records(root: Any) -> str:

@@ -42,7 +42,7 @@ from .schema import (
     TypeId,
     TypeRule,
 )
-from .values import TRUE, Bool, FactInstance, format_number, sort_key
+from .values import TRUE, Bool, FactInstance, render_value, sort_key
 from .walk import children, field_names, map_children
 
 HD: AttrName = "hd"
@@ -1605,12 +1605,7 @@ def path_text(p: Any) -> str:
     if isinstance(p, CondPath):
         return path_text(p.cond)
     if isinstance(p, SConst):
-        v = p.value
-        if isinstance(v, str):
-            return f"'{v}'"
-        if isinstance(v, Bool):
-            return "true" if v.value else "false"
-        return format_number(v)
+        return render_value(p.value)
     if isinstance(p, SAgg):
         name = {"count": "Count", "sum": "Sum", "min": "Min", "max": "Max", "avg": "Avg"}[p.kind]
         return f"{name}({path_text(p.of)})"

@@ -82,6 +82,11 @@ def decode_instance(schema: Schema, tid: TypeId, raw: Any, within: tuple = ()) -
     root = next(iter(roots))
     key_raw = raw if isinstance(raw, list) else [raw]
     scheme = schema.idf.get(tid) or schema.idf.get(root)
+    if scheme is not None and scheme.kind == "pairs" and len(key_raw) != len(scheme.entries):
+        raise PopulationError(
+            f"cannot decode {raw!r}: the reference scheme of {tid!r} has length {len(scheme.entries)},"
+            f" the denotation length {len(key_raw)}"
+        )
     components = []
     for i, part in enumerate(key_raw):
         comp_type = None

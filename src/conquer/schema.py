@@ -333,11 +333,17 @@ def _role_name_diags(schema: Schema, table: dict[RoleId, str], what: str) -> lis
 
 
 def _idf_cycle_diags(schema: Schema) -> list[str]:
-    # follow every component of every pair of a reference scheme; a type
-    # whose chains reach a cycle has no finite denotation, and head/tail
-    # coercion through it would diverge
+    # follow every component of every pair of a reference scheme, to the
+    # type whose scheme identifies the component: its own type, or the root
+    # whose scheme a subtype without one inherits.  A type whose chains
+    # reach a cycle has no finite denotation, and head/tail coercion through
+    # it would diverge
+    def identified_by(t: TypeId) -> TypeId:
+        roots = schema.roots.get(t, ())
+        return next(iter(roots)) if t not in schema.idf and len(roots) == 1 else t
+
     follows = {
-        tid: {schema.roles[s].player for _, s in scheme.entries if s in schema.roles}
+        tid: {identified_by(schema.roles[s].player) for _, s in scheme.entries if s in schema.roles}
         for tid, scheme in schema.idf.items()
         if scheme.kind == "pairs"
     }

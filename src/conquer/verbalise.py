@@ -17,8 +17,39 @@ from typing import Any
 
 from . import paths as P
 from .errors import VerbaliseError
+from .frontend.lexer import (
+    AGGREGATES,
+    ARITHMETIC,
+    BAG_COMPARISONS,
+    CONNECTIVES,
+    GROUP_FUNCTIONS,
+    PATH_OPS,
+    SET_OPS,
+    UNARY_OPS,
+    VALUE_COMPARISONS,
+)
 from .schema import MFixEntry, Schema
-from .values import Bool, format_number
+from .values import render_value
+
+
+def _words(table: dict) -> dict:
+    """Each operator of a vocabulary table with the word it is written
+    with: its first word in the table."""
+    out: dict = {}
+    for word, op in table.items():
+        out.setdefault(op, word)
+    return out
+
+
+_SET_OP_WORDS = _words(SET_OPS)
+_PATH_OP_WORDS = _words(PATH_OPS)
+_VALUE_COMP_WORDS = _words(VALUE_COMPARISONS)
+_BAG_COMP_WORDS = _words(BAG_COMPARISONS)
+_CONNECTIVE_WORDS = _words(CONNECTIVES)
+_AGG_WORDS = _words(AGGREGATES)
+_GROUP_WORDS = _words(GROUP_FUNCTIONS)
+_UNARY_WORDS = _words(UNARY_OPS)
+_ARITH_WORDS = _words(ARITHMETIC)
 
 
 @dataclass
@@ -128,30 +159,27 @@ def _pverb(p: Any, ctx: VerbCtx, left: frozenset) -> str:
     ):
         return _chain([p], ctx, left)
     if isinstance(p, P.Reverse):
-        return "THE REVERSE OF " + _unary_operand(p.of, ctx, left)
+        return f"{_UNARY_WORDS['reverse']} {_unary_operand(p.of, ctx, left)}"
     if isinstance(p, P.Front):
-        return "ONLY " + _unary_operand(p.of, ctx, left)
+        return f"{_UNARY_WORDS['front']} {_unary_operand(p.of, ctx, left)}"
     if isinstance(p, P.DistinctPath):
-        return "DISTINCT " + _unary_operand(p.of, ctx, left)
+        return f"{_UNARY_WORDS['distinct']} {_unary_operand(p.of, ctx, left)}"
     if isinstance(p, (P.HdCoerce, P.TlCoerce)):
         return _pverb(p.of, ctx, left)
     if isinstance(p, P.SetOp):
         a, b = p.left, p.right
-        if isinstance(a, P.Front) and isinstance(b, P.Front):
+        fronts = isinstance(a, P.Front) and isinstance(b, P.Front)
+        if fronts:
             a, b = a.of, b.of
-            word = {"union": "OR OTHERWISE", "intersect": "AND ALSO", "minus": "BUT NOT"}[p.op]
-        else:
-            word = {"union": "UNITED WITH", "intersect": "INTERSECTED WITH", "minus": "MINUS"}[p.op]
-        return f"{_operand(a, ctx, left)} {word} {_operand(b, ctx, left)}"
+        return f"{_operand(a, ctx, left)} {_SET_OP_WORDS[p.op, fronts]} {_operand(b, ctx, left)}"
     if isinstance(p, P.SetCompare):
-        word = {"all_in": "WHICH ARE ALL IN", "includes_all": "THAT INCLUDES ALL", "match_all": "MATCHING ALL"}[p.op]
-        return f"{_operand(p.left, ctx, left)} {word} {_operand(p.right, ctx, left)}"
+        return _infix(p, _PATH_OP_WORDS[p.op], ctx, left)
     if isinstance(p, P.MissingPath):
-        return f"{_operand(p.left, ctx, left)} MISSING {_operand(p.right, ctx, left)}"
+        return _infix(p, _PATH_OP_WORDS["missing"], ctx, left)
     if isinstance(p, P.Product):
-        return f"{_operand(p.left, ctx, left)} WITH {_operand(p.right, ctx, left)}"
+        return _infix(p, _PATH_OP_WORDS["product"], ctx, left)
     if isinstance(p, P.RelCompare):
-        return f"{_operand(p.left, ctx, left)} {p.op} {_operand(p.right, ctx, left)}"
+        return _infix(p, _VALUE_COMP_WORDS[p.op], ctx, left)
     if isinstance(p, P.Shuffle):
         names = [ctx.var(a) for a in p.attrs]
         body = _pverb(p.of, ctx, ctx.all_types())
@@ -161,8 +189,8 @@ def _pverb(p: Any, ctx: VerbCtx, left: frozenset) -> str:
         return f"THE PATH FROM {names[0]} VIA {via} TO {names[-1]} OF {body}"
     if isinstance(p, P.FuncApp):
         args = [_operand(a, ctx, left) for a in p.args]
-        if p.func in ("+", "-", "*", "/") and len(args) == 2:
-            return f"{args[0]} {p.func} {args[1]}"
+        if p.func in _ARITH_WORDS and len(args) == 2:
+            return f"{args[0]} {_ARITH_WORDS[p.func]} {args[1]}"
         return f"{p.func}({', '.join(args)})"
     if isinstance(p, P.Where):
         return _selection(p, ctx, left)
@@ -186,6 +214,10 @@ def _pverb(p: Any, ctx: VerbCtx, left: frozenset) -> str:
     if isinstance(p, P.CondPath):
         return verbalise_cond(p.cond, ctx, left)
     raise VerbaliseError(f"no verbalisation rule for {type(p).__name__}")
+
+
+def _infix(p: Any, word: str, ctx: VerbCtx, left: frozenset) -> str:
+    return f"{_operand(p.left, ctx, left)} {word} {_operand(p.right, ctx, left)}"
 
 
 def _unary_operand(p: Any, ctx: VerbCtx, left: frozenset) -> str:
@@ -339,15 +371,7 @@ def _selection(p: P.Where, ctx: VerbCtx, left: frozenset) -> str:
 def _grouping(p: P.GroupFn, ctx: VerbCtx, left: frozenset) -> str:
     names = ", ".join(ctx.var(a) for a in p.by)
     body = _pverb(p.of, ctx, left)
-    word = {
-        "count": "THE COUNT OF",
-        "dscount": "THE DISTINCT COUNT OF",
-        "sum": "THE SUM OF",
-        "dssum": "THE DISTINCT SUM OF",
-        "min": "THE MINIMUM OF",
-        "max": "THE MAXIMUM OF",
-        "avg": "THE AVERAGE OF",
-    }[p.kind]
+    word = _GROUP_WORDS[p.kind]
     if p.kind in ("count", "dscount") or p.target == P.HD:
         return f"{word} {body} GROUPED BY {names}"
     return f"{word} {ctx.var(p.target)} IN {body} GROUPED BY {names}"
@@ -370,25 +394,11 @@ def _den_verb(d: Any, ctx: VerbCtx, left: frozenset) -> str:
 # scalars and conditions
 
 
-_AGG_WORDS = {
-    "count": "THE COUNT OF",
-    "sum": "THE SUM OF",
-    "min": "THE MINIMUM OF",
-    "max": "THE MAXIMUM OF",
-    "avg": "THE AVERAGE OF",
-}
-
-
 def verbalise_scalar(e: Any, ctx: VerbCtx, left: frozenset | None = None) -> str:
     if left is None:
         left = ctx.all_types()
     if isinstance(e, P.SConst):
-        v = e.value
-        if isinstance(v, str):
-            return f"'{v}'"
-        if isinstance(v, Bool):
-            return "true" if v.value else "false"
-        return format_number(v)
+        return render_value(e.value)
     if isinstance(e, P.SAgg):
         return f"{_AGG_WORDS[e.kind]} {_pverb(e.of, ctx, left)}"
     if isinstance(e, P.SVar):
@@ -400,26 +410,14 @@ def verbalise_scalar(e: Any, ctx: VerbCtx, left: frozenset | None = None) -> str
         return f"{ctx.var(e.attr)}.{rname}"
     if isinstance(e, P.SApply):
         args = [verbalise_scalar(a, ctx, left) for a in e.args]
-        if e.func in ("+", "-", "*", "/") and len(args) == 2:
+        if e.func in _ARITH_WORDS and len(args) == 2:
             wrapped = [
                 f"({a})" if isinstance(x, P.SApply) else a
                 for a, x in zip(args, e.args)
             ]
-            return f"{wrapped[0]} {e.func} {wrapped[1]}"
+            return f"{wrapped[0]} {_ARITH_WORDS[e.func]} {wrapped[1]}"
         return f"{e.func}({', '.join(args)})"
     raise VerbaliseError(f"cannot verbalise scalar {e!r}")
-
-
-_BAGCOMP_WORDS = {
-    "=": "EQUALS",
-    "<>": "DOES NOT EQUAL",
-    "sub": "IS A SUBSET OF",
-    "subeq": "IS A SUBSET OF OR EQUAL TO",
-    "sup": "IS A SUPERSET OF",
-    "supeq": "IS A SUPERSET OF OR EQUAL TO",
-}
-
-_LOGIC_WORDS = {"and": "AND", "or": "OR", "xor": "EXCLUSIVE OR", "implies": "IMPLIES", "iff": "IFF"}
 
 
 def verbalise_cond(c: Any, ctx: VerbCtx, left: frozenset | None = None) -> str:
@@ -428,17 +426,17 @@ def verbalise_cond(c: Any, ctx: VerbCtx, left: frozenset | None = None) -> str:
     if isinstance(c, P.CSome):
         return f"SOME {_pverb(c.of, ctx, left)}"
     if isinstance(c, P.CBagComp):
-        return f"{_operand(c.left, ctx, left)} {_BAGCOMP_WORDS[c.op]} {_operand(c.right, ctx, left)}"
+        return _infix(c, _BAG_COMP_WORDS[c.op], ctx, left)
     if isinstance(c, P.CExclusion):
-        return f"{_operand(c.left, ctx, left)} IS DISJOINT FROM {_operand(c.right, ctx, left)}"
+        return _infix(c, _BAG_COMP_WORDS["disjoint"], ctx, left)
     if isinstance(c, P.CLogic):
         lhs = verbalise_cond(c.left, ctx, left)
         rhs = verbalise_cond(c.right, ctx, left)
         if isinstance(c.right, P.CLogic):
             rhs = f"({rhs})"
-        return f"{lhs} {_LOGIC_WORDS[c.op]} {rhs}"
+        return f"{lhs} {_CONNECTIVE_WORDS[c.op]} {rhs}"
     if isinstance(c, P.CScalarComp):
-        return f"{verbalise_scalar(c.left, ctx, left)} {c.op} {verbalise_scalar(c.right, ctx, left)}"
+        return f"{verbalise_scalar(c.left, ctx, left)} {_VALUE_COMP_WORDS[c.op]} {verbalise_scalar(c.right, ctx, left)}"
     if isinstance(c, P.CNot):
         inner = verbalise_cond(c.of, ctx, left)
         if isinstance(c.of, P.CLogic):

@@ -14,6 +14,7 @@ from conquer.schema import load_schema
 from conquer.values import EntityInstance, FactInstance
 
 from .conftest import run_path
+from .test_schema import student_pa_doc
 from .test_scaling import DEMO
 from .util import time_limit
 
@@ -115,6 +116,19 @@ class TestLoading:
         assert list(load_population(schema, {"Salary": [1000]}).instances("Salary").elements()) == [1000]
 
 
+    def test_denotation_with_too_few_components_rejected(self):
+        # Student inherits Person's two-component scheme, so "bob" alone
+        # does not denote one
+        schema = load_schema(student_pa_doc())
+        message = "'bob': the reference scheme of 'Student' has length 2, the denotation length 1$"
+        with pytest.raises(PopulationError, match=message):
+            load_population(schema, {"Person": [["ann", "bob"]]})
+        demo = load_schema(json.loads((DEMO / "schema.json").read_text()))
+        message = "the reference scheme of 'Person' has length 1, the denotation length 2$"
+        with pytest.raises(PopulationError, match=message):
+            load_population(demo, {"Person": [["ann", "bob"]]})
+
+
 class TestDenote:
     def test_atomic_value(self):
         schema = load_schema(person_doc())
@@ -181,7 +195,12 @@ class TestMacroCompilation:
 
 class TestEntityHash:
     def test_equal_instances_hash_equal(self):
-        assert hash(EntityInstance("P", ("a", 1))) == hash(EntityInstance("P", ("a", 1)))
+        # the first instance is kept alive: once freed, a new one may reuse
+        # its address, and an identity hash would agree by accident
+        a = EntityInstance("P", ("a", 1))
+        EntityInstance("Z", ("z",))
+        b = EntityInstance("P", ("a", 1))
+        assert a is b and hash(a) == hash(b)
         one, fraction_one = EntityInstance("P", (1,)), EntityInstance("P", (Fraction(1),))
         assert one == fraction_one and hash(one) == hash(fraction_one)
         assert len({one, fraction_one, EntityInstance("Q", (1,))}) == 2

@@ -63,6 +63,18 @@ def fig_doc():
     }
 
 
+def student_pa_doc():
+    """The demo schema, with Student a subtype of Person, and Person
+    identified by its name and by the Student it is paired with in PA."""
+    doc = json.loads((DEMO / "schema.json").read_text())
+    doc["types"].update({"Student": "entity", "PA": "relationship"})
+    doc["specialises"] = {"Student": "Person"}
+    doc["roles_of"]["PA"] = ["pa1", "pa2"]
+    doc["player"].update({"pa1": "Person", "pa2": "Student"})
+    doc["idf"].update({"Person": [["pn1", "pn2"], ["pa1", "pa2"]], "PA": ["pa1", "pa2"]})
+    return doc
+
+
 class TestValidation:
     def test_valid_schema_has_no_diagnostics(self):
         schema = load_schema(fig_doc())
@@ -119,6 +131,14 @@ class TestValidation:
         assert validate_schema(schema) == ["reference scheme chain starting at 'Person' is cyclic"]
         with pytest.raises(PopulationError, match="cyclic"):
             load_population(schema, {"Person": [["ann", "bob"]]})
+
+    def test_cycle_through_a_subtypes_inherited_scheme(self):
+        # a Student has no scheme of its own and is identified through
+        # Person's, which names a Student
+        schema = load_schema(student_pa_doc())
+        assert validate_schema(schema) == ["reference scheme chain starting at 'Person' is cyclic"]
+        with pytest.raises(PopulationError, match="'Student' is cyclic"):
+            load_population(schema, {"Person": [["ann", ["bob", "cy"]]]})
 
     def test_asymmetric_relatedness(self):
         schema = load_schema(fig_doc())
