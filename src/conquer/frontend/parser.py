@@ -777,14 +777,19 @@ class Parser:
 
 
 # The parser and the tree walks after it recurse once per nesting level:
-# once per bracket, and once per operator of a chain such as "x + x + x" or
-# "NOT NOT c".  Brackets nested more than MAX_NESTING deep, and trees that
-# can be more than MAX_DEPTH levels deep, are refused before they can
-# exhaust the Python stack.
+# once per bracket, and once per operator of a chain such as "x + x + x",
+# "NOT NOT c" or "ONLY ONLY a Person".  Brackets nested more than
+# MAX_NESTING deep, and trees that can be more than MAX_DEPTH levels deep,
+# are refused before they can exhaust the Python stack.
 MAX_NESTING = 50
 MAX_DEPTH = 210
 
-_OPERATOR_WORDS = {"NOT", "IS", *VALUE_COMPARISONS, *SET_OPS, *PATH_OPS, *BAG_COMPARISONS, *CONNECTIVES}
+# the levels each operator word adds, a symbol one: a subquery (under an
+# aggregate, a grouping or SOME) takes about five times the stack
+_DEPTH_COST = {
+    **dict.fromkeys(["NOT", "IS", *VALUE_COMPARISONS, *SET_OPS, *PATH_OPS, *BAG_COMPARISONS, *CONNECTIVES, *UNARY_OPS], 1),
+    **dict.fromkeys(["SOME", *AGGREGATES, *GROUP_FUNCTIONS], 5),
+}
 
 
 def _check_nesting(tokens: list[Token]) -> None:
@@ -801,8 +806,8 @@ def _check_nesting(tokens: list[Token]) -> None:
         elif t.kind == "punct" and t.text in ")]" and len(levels) > 1:
             ops, inner = levels.pop()
             levels[-1][1] = max(levels[-1][1], 1 + ops + inner)
-        elif t.kind == "symbol" or (t.kind == "keyword" and t.text in _OPERATOR_WORDS):
-            levels[-1][0] += 1
+        elif t.kind == "symbol" or (t.kind == "keyword" and t.text in _DEPTH_COST):
+            levels[-1][0] += _DEPTH_COST.get(t.text, 1)
             # a level is at most as deep as its operators plus its deepest
             # bracket, and an open bracket may still end up the deepest
             depth = -1

@@ -10,7 +10,7 @@ are printed only when set, after the fields every dump has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -19,7 +19,28 @@ from ..walk import children
 
 
 @dataclass(frozen=True)
-class TypeSpec:
+class _Record:
+    # a record keeps its hash once worked out: ``parser._dedup`` hashes
+    # every tree of a parse, and the trees share their sub-records
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _record(cls: type) -> type:
+    """A frozen record dataclass that keeps its hash in ``_hash``."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", fields_hash(self))
+        return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_record
+class TypeSpec(_Record):
     prefix: str | None
     type_name: str
     tid: str
@@ -27,162 +48,162 @@ class TypeSpec:
     denot: "Denot | None" = None
 
 
-@dataclass(frozen=True)
-class Denot:
+@_record
+class Denot(_Record):
     inf: Any = None  # information descriptor record
     var_name: str | None = None  # the !v form
     parts: tuple = ()  # composite denotations
 
 
-@dataclass(frozen=True)
-class RoleRef:
+@_record
+class RoleRef(_Record):
     postfix: str | None
     kind: str  # entry | exit
     role_name: str
     rid: str
 
 
-@dataclass(frozen=True)
-class Const:
+@_record
+class Const(_Record):
     value: Any
 
 
-@dataclass(frozen=True)
-class MFix:
+@_record
+class MFix(_Record):
     postfix: str | None
     start_role: str
     items: tuple  # (part, role, descriptor record) triples
 
 
-@dataclass(frozen=True)
-class UnaryOp:
+@_record
+class UnaryOp(_Record):
     op: str  # THE REVERSE OF | ONLY | DISTINCT
     inf: Any
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+@_record
+class BinaryOp(_Record):
     op: str  # "" for concatenation, otherwise the surface operator
     left: Any
     right: Any
 
 
-@dataclass(frozen=True)
-class Shuffler:
+@_record
+class Shuffler(_Record):
     var_names: tuple
     inf: Any
 
 
-@dataclass(frozen=True)
-class Function:
+@_record
+class Function(_Record):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Selection:
+@_record
+class Selection(_Record):
     pairs: tuple  # (descriptor, condition) pairs
     default: Any = None
     form: str = "where"  # where | ifthen | ifthenelse | alts | alts_default
 
 
-@dataclass(frozen=True)
-class Confluence:
+@_record
+class Confluence(_Record):
     base: Any
     elements: tuple  # (aspect record, as name | None, via name | None)
 
 
-@dataclass(frozen=True)
-class GroupAcct:
+@_record
+class GroupAcct(_Record):
     func: str
     var_name: str | None
     inf: Any
     grouping: tuple
 
 
-@dataclass(frozen=True)
-class SubExpr:
+@_record
+class SubExpr(_Record):
     items: tuple
 
 
-@dataclass(frozen=True)
-class ScConst:
+@_record
+class ScConst(_Record):
     value: Any
 
 
-@dataclass(frozen=True)
-class CoerceFunction:
+@_record
+class CoerceFunction(_Record):
     func: str
     inf: Any
 
 
-@dataclass(frozen=True)
-class VarName:
+@_record
+class VarName(_Record):
     name: str
     role_name: str | None = None
     rid: str | None = None
 
 
-@dataclass(frozen=True)
-class ScFunction:
+@_record
+class ScFunction(_Record):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class ScBinaryOp:
+@_record
+class ScBinaryOp(_Record):
     op: str
     left: Any
     right: Any
 
 
-@dataclass(frozen=True)
-class Conditioner:
+@_record
+class Conditioner(_Record):
     inf: Any
 
 
-@dataclass(frozen=True)
-class InfDescrComp:
+@_record
+class InfDescrComp(_Record):
     left: Any
     right: Any
     op: str
 
 
-@dataclass(frozen=True)
-class ScaleExprComp:
+@_record
+class ScaleExprComp(_Record):
     left: Any
     right: Any
     op: str
 
 
-@dataclass(frozen=True)
-class BinCondComp:
+@_record
+class BinCondComp(_Record):
     left: Any
     right: Any
     conn: str
 
 
-@dataclass(frozen=True)
-class CondFunction:
+@_record
+class CondFunction(_Record):
     name: str
     conds: tuple
 
 
-@dataclass(frozen=True)
-class Negation:
+@_record
+class Negation(_Record):
     cond: Any
     tilde: bool = False
 
 
-@dataclass(frozen=True)
-class ListStatement:
+@_record
+class ListStatement(_Record):
     projection: tuple | None
     inf: Any
     order: "OrderClause | None"
 
 
-@dataclass(frozen=True)
-class OrderClause:
+@_record
+class OrderClause(_Record):
     kind: str  # whole_asc | whole_desc | items
     items: tuple = ()  # (var name, "asc" | "desc") pairs
 

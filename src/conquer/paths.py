@@ -982,11 +982,18 @@ def bind(schema: Schema, typing: Typing) -> dict[AttrName, ra.RelExpr]:
 
 
 class Translator:
+    """Translates the paths of one reading, each path object once per set
+    ``B`` of bound attributes: a translation's header is hd, tl and the
+    attributes its path names, never a fresh name, so the sub-paths that
+    lowering interned into one object share one sub-plan."""
+
     def __init__(self, schema: Schema, typing: Typing):
         self.schema = schema
         self.typing = typing
         self.joins = ra.JoinRules(schema)
         self._counter = itertools.count(1)
+        # (id, B) -> (path, its plan); holding the path keeps its id unique
+        self._done: dict[tuple[int, frozenset], tuple] = {}
 
     def fresh(self) -> AttrName:
         return f"{FRESH_PREFIX}{next(self._counter)}"
@@ -994,6 +1001,13 @@ class Translator:
     # -- paths --------------------------------------------------------
 
     def path(self, p: PathExpr, B: frozenset) -> ra.RelExpr:
+        key = (id(p), B)
+        hit = self._done.get(key)
+        if hit is None:
+            hit = self._done[key] = (p, self._path(p, B))
+        return hit[1]
+
+    def _path(self, p: PathExpr, B: frozenset) -> ra.RelExpr:
         schema = self.schema
         if isinstance(p, TypeAtom):
             schema.check_type(p.tid)
@@ -1015,7 +1029,12 @@ class Translator:
             right = ra.Rename({a: HD}, self.path(p.right, B))
             return ra.DropAttrs({a}, self.joins.join(left, right))
         if isinstance(p, Front):
-            return ra.Extend({TL: ra.Attr(HD)}, self.path(p.of, B))
+            inner = self.path(p.of, B)
+            if isinstance(p.of, SetOp) and isinstance(p.of.left, Front) and isinstance(p.of.right, Front):
+                # each row of a set operation is a row of an operand, whose
+                # tl is its hd already
+                return inner
+            return ra.Extend({TL: ra.Attr(HD)}, inner)
         if isinstance(p, DistinctPath):
             return ra.Distinct(self.path(p.of, B))
         if isinstance(p, Product):
@@ -1035,7 +1054,7 @@ class Translator:
             pairs = self.joins.join(ra.DropAttrs({TL}, lp), ra.DropAttrs({HD}, rp))
             return ra.SetOp(pairs, "minus", self.path(Concat(p.left, p.right), B))
         if isinstance(p, SetOp):
-            return _set_op(p.op, self.path(p.left, B), self.path(p.right, B))
+            return ra.SetOp(self.path(p.left, B), p.op, self.path(p.right, B))
         if isinstance(p, RelCompare):
             a, b = self.fresh(), self.fresh()
             lp = ra.Rename({a: TL}, self.path(p.left, B))
@@ -1125,7 +1144,7 @@ class Translator:
             parts.append(self._where_one(p.default, negated, B))
         out = parts[0]
         for nxt in parts[1:]:
-            out = _set_op("union", out, nxt)
+            out = ra.SetOp(out, "union", nxt)
         return out
 
     def _confluence(self, p: Confluence, B: frozenset) -> ra.RelExpr:
@@ -1228,20 +1247,6 @@ class Translator:
         if isinstance(c, CExclusion):
             return self.cond(CNot(CSome(SetOp(Front(c.left), "intersect", Front(c.right)))), B)
         raise TranslateError(f"cannot translate condition {c!r}")
-
-
-def _set_op(op: str, lp: ra.RelExpr, rp: ra.RelExpr) -> ra.RelExpr:
-    """Union, intersection or difference (``op`` is union, intersect or
-    minus) of two relations on their common attributes, joined back to the
-    distinct rows of each operand for the rest: outer joins for a union, and
-    only the left operand for a difference.  No join rule applies to a join
-    of a set operation with a ``Distinct``."""
-    common = ra.def_map(sorted(ra.sch(lp) & ra.sch(rp)))
-    core = ra.SetOp(ra.project(common, lp), op, ra.project(common, rp))
-    if op == "minus":
-        return ra.Join(core, ra.Distinct(lp))
-    join = ra.LeftJoin if op == "union" else ra.Join
-    return join(join(core, ra.Distinct(lp)), ra.Distinct(rp))
 
 
 def translate(schema: Schema, p: PathExpr, typing: Typing, bound: Iterable[AttrName] = ()) -> ra.RelExpr:

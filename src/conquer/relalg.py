@@ -2,7 +2,7 @@
 
 Expressions form a small AST of ``RA_KINDS``: five scalar kinds (one
 ``Aggregate`` for count, sum, min, max and average), four condition kinds
-and nine relational kinds (one ``SetOp`` for union, intersection and
+and eight relational kinds (one ``SetOp`` for union, intersection and
 difference).  A node's children are its fields, as
 ``walk.children`` finds them.  Each relational node works out its header
 (``sch``) when it is built, from its own fields and its operands'
@@ -101,6 +101,11 @@ class _Rel(_Node):
 
     def __post_init__(self):
         slots = None
+        if isinstance(self, SetOp):
+            if self.op not in _SET_OPS:
+                raise EvalError(f"unknown set operation {self.op!r}")
+            if not self.left.slots.keys() & self.right.slots.keys():
+                raise EvalError(f"incompatible headers: {sorted(set(self.left.header) ^ set(self.right.header))}")
         if isinstance(self, Project):
             header = tuple(a for a, _ in self.assigns)
         elif isinstance(self, (Select, Distinct, Group)):
@@ -109,15 +114,10 @@ class _Rel(_Node):
                 raise EvalError(f"grouping attributes not in header: {sorted(self.by.difference(slots))}")
         elif isinstance(self, TypeTable):
             header = (self.attr,)
-        elif isinstance(self, (Join, LeftJoin)):
-            header = tuple(sorted(self.left.slots.keys() | self.right.slots.keys()))
-        elif isinstance(self, SetOp):
-            if self.op not in _SET_OPS:
-                raise EvalError(f"unknown set operation {self.op!r}")
+        elif isinstance(self, SetOp) and (self.op == "minus" or self.left.header == self.right.header):
             header, slots = self.left.header, self.left.slots
-            if header != self.right.header:
-                missing = sorted(set(header).symmetric_difference(self.right.header))
-                raise EvalError(f"incompatible headers: {missing}")
+        elif isinstance(self, (Join, SetOp)):
+            header = tuple(sorted(self.left.slots.keys() | self.right.slots.keys()))
         else:  # Literal
             header = self.relation.header
         object.__setattr__(self, "header", header)
@@ -251,12 +251,6 @@ class Join(_Rel):
     right: "RelExpr"
 
 
-@dataclass(frozen=True)
-class LeftJoin(_Rel):
-    left: "RelExpr"
-    right: "RelExpr"
-
-
 # each set operation's ``Bag`` method: multiplicities summed, the least of
 # the two, or the left's less the right's
 _SET_OPS = {"union": "union", "intersect": "intersect", "minus": "difference"}
@@ -264,8 +258,12 @@ _SET_OPS = {"union": "union", "intersect": "intersect", "minus": "difference"}
 
 @dataclass(frozen=True)
 class SetOp(_Rel):
-    """Bag union, intersection or difference of two relations with one
-    header."""
+    """Bag union, intersection or difference of two relations on the
+    attributes they share: a key (a row's values on those) has the
+    operation on its multiplicities in the operands, and each of its
+    distinct left rows with each of its distinct right rows, a shared
+    attribute from the right, occurs that often; a union pads a key of
+    one operand only with NULLs, a difference keeps the left rows."""
 
     left: "RelExpr"
     op: str  # union | intersect | minus
@@ -279,7 +277,7 @@ class Literal(_Rel):
     relation: Relation
 
 
-RelExpr = TUnion[Project, Select, TypeTable, Distinct, Group, Join, LeftJoin, SetOp, Literal]
+RelExpr = TUnion[Project, Select, TypeTable, Distinct, Group, Join, SetOp, Literal]
 
 # the relation with no attributes and one row: a scalar's one-row table is
 # a projection of it
@@ -422,18 +420,15 @@ class JoinRules:
             out = self._domain(e.of, a)
         elif isinstance(e, Group) and a in e.by:
             out = self._domain(e.of, a)
-        elif isinstance(e, Join):
+        elif isinstance(e, Join) or (isinstance(e, SetOp) and e.op == "intersect"):
             for side in (e.left, e.right):
                 if a in side.slots:
                     out |= self._domain(side, a)
-        elif isinstance(e, LeftJoin) and a in e.left.slots:
+        elif isinstance(e, SetOp) and e.op == "minus":
             out = self._domain(e.left, a)
-        elif isinstance(e, SetOp):
-            out = self._domain(e.left, a)
-            if e.op == "union":
-                out &= self._domain(e.right, a)
-            elif e.op == "intersect":
-                out |= self._domain(e.right, a)
+        elif isinstance(e, SetOp) and a in e.left.slots and a in e.right.slots:
+            # a union pads an attribute of one operand only with NULLs
+            out = self._domain(e.left, a) & self._domain(e.right, a)
         self.domains[k] = (e, out)
         return out
 
@@ -701,6 +696,17 @@ def _column(rows: Iterable[tuple[tuple, int]], i: int) -> Bag:
     return Bag.from_freq(freq)
 
 
+def _grouped(bag: Bag, key) -> tuple[dict, dict]:
+    """The distinct rows of ``bag`` by their ``key``, and each key's count."""
+    rows: dict = {}
+    counts: dict = {}
+    for u, n in bag.items():
+        k = key(u)
+        rows.setdefault(k, []).append(u)
+        counts[k] = counts.get(k, 0) + n
+    return rows, counts
+
+
 def _raiser(message: str):
     """Compiled code for a node that cannot run: it raises when it does."""
 
@@ -815,23 +821,20 @@ class _Compiler:
 
         return run
 
-    def join(self, e: Join | LeftJoin, _):
+    def join(self, e: Join, _):
         """Hash join on the shared attributes: the right operand is indexed
         by its values on them and probed with each left row, so the rows
         come out in nested-loop order.  NULL matches NULL; with nothing
         shared, every row matches every row.  Each output value is picked
         from the left row followed by the right row, a shared attribute's
-        from the right, or from the left row followed by NULLs for a left
-        row that matches nothing.  An output row keeps every attribute of
-        both rows, so no two pairs give the same row, and each row is stored
-        once, without a lookup."""
+        from the right.  An output row keeps every attribute of both rows,
+        so no two pairs give the same row, and each row is stored once,
+        without a lookup."""
         left, right = self.rel(e.left), self.rel(e.right)
         lpos, rpos = e.left.slots, e.right.slots
         lkey = _key([i for a, i in lpos.items() if a in rpos])
         rkey = _key([rpos[a] for a in lpos if a in rpos])
         pick = _picker([len(lpos) + rpos[a] if a in rpos else lpos[a] for a in e.header])
-        pad_pick = _picker([lpos[a] if a in lpos else len(lpos) + rpos[a] for a in e.header])
-        pad = (NULL,) * len(rpos) if isinstance(e, LeftJoin) else None
 
         def run(ctx, outer):
             lb = left(ctx, outer)
@@ -844,17 +847,43 @@ class _Compiler:
                 if matches:
                     for v, m in matches:
                         freq[pick(u + v)] = n * m
-                elif pad is not None:
-                    freq[pad_pick(u + pad)] = n
             return Bag.from_freq(freq)
 
         return run
 
     def set_op(self, e: SetOp, _):
+        """One hash pass: the operation combines the operands' bags of keys,
+        and each key's distinct rows are paired.  With equal headers a key
+        is a whole row, and the combined bag is the result."""
         left, right, method = self.rel(e.left), self.rel(e.right), _SET_OPS[e.op]
+        lpos, rpos = e.left.slots, e.right.slots
         # the method is looked up on each call, so that one replaced on
         # ``Bag`` is the one used
-        return lambda ctx, outer: getattr(left(ctx, outer), method)(right(ctx, outer))
+        if lpos.keys() == rpos.keys():
+            return lambda ctx, outer: getattr(left(ctx, outer), method)(right(ctx, outer))
+        lkey = _key([i for a, i in lpos.items() if a in rpos])
+        rkey = _key([rpos[a] for a in lpos if a in rpos])
+        # picked from the left row followed by the right row, a shared
+        # attribute from the right one, or from the left one and NULLs
+        pick = _picker([len(lpos) + rpos[a] if a in rpos else lpos[a] for a in e.header])
+        left_pick = _picker([lpos[a] if a in lpos else len(lpos) + rpos[a] for a in e.header])
+        lpad, rpad, minus = [(NULL,) * len(lpos)], (NULL,) * len(rpos), e.op == "minus"
+
+        def run(ctx, outer):
+            lrows, lcount = _grouped(left(ctx, outer), lkey)
+            rrows, rcount = _grouped(right(ctx, outer), rkey)
+            freq: dict = {}
+            for k, m in getattr(Bag.from_freq(lcount), method)(Bag.from_freq(rcount)).items():
+                if minus or k not in rrows:
+                    for u in lrows[k]:
+                        freq[left_pick(u + rpad)] = m
+                else:
+                    for u in lrows.get(k, lpad):
+                        for v in rrows[k]:
+                            freq[pick(u + v)] = m
+            return Bag.from_freq(freq)
+
+        return run
 
     def literal(self, e: Literal, _):
         body = e.relation.body
@@ -1010,7 +1039,6 @@ _BUILDERS = {
         Distinct: _Compiler.distinct,
         Group: _Compiler.group,
         Join: _Compiler.join,
-        LeftJoin: _Compiler.join,
         SetOp: _Compiler.set_op,
         Literal: _Compiler.literal,
     },

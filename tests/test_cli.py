@@ -428,6 +428,24 @@ class TestDeepInput:
         out = run_query(demo, "Person who earns a Salary x WHERE " + "NOT " * 200 + "x > 1200")
         assert out.splitlines()[-1] == "(3 rows)"
 
+    @pytest.mark.parametrize(
+        "chain", ["ONLY " * 400, "DISTINCT " * 400, "THE REVERSE OF " * 300, "THE COUNT OF " * 200, "NOT SOME " * 150]
+    )
+    def test_too_many_unary_operators_are_a_parse_error(self, demo, capsys, chain):
+        with pytest.raises(ParseError, match="nested more than"):
+            run_query(demo, chain + "a Person")
+        assert main(DEMO_FILES + ["--query", chain + "a Person"]) == 1
+        assert capsys.readouterr().err.startswith("[parse] operators nested more than")
+
+    def test_unary_chains_within_the_limit_answer(self, demo):
+        assert run_query(demo, "ONLY " * MAX_DEPTH + "a Person").splitlines()[-1] == "(6 rows)"
+        assert run_query(demo, "THE REVERSE OF " * MAX_DEPTH + "a Person").splitlines()[-1] == "(6 rows)"
+        # an aggregate, a grouping or SOME opens a subquery, and counts for
+        # five levels
+        assert run_query(demo, "THE COUNT OF " * (MAX_DEPTH // 5) + "a Person").splitlines()[-1] == "(1 row)"
+        with pytest.raises(ParseError, match="nested more than"):
+            run_query(demo, "THE COUNT OF " * (MAX_DEPTH // 5 + 1) + "a Person")
+
     def test_batch_mode_reports_deep_input(self, capsys):
         assert main(DEMO_FILES + ["--query", plus_chain(250)]) == 1
         assert capsys.readouterr().err.startswith("[parse] operators nested more than")

@@ -22,7 +22,6 @@ from conquer.relalg import (
     Group,
     Join,
     JoinRules,
-    LeftJoin,
     Literal,
     Not,
     Project,
@@ -210,12 +209,14 @@ class TestJoins:
         assert out.header == ("a", "b", "c")
         assert out.body == Bag.from_counts([(row(a=1, b="x", c=9), 2)])
 
-    def test_left_join_pads_with_null(self, pop):
+    def test_union_pads_with_null(self, pop):
+        # a union on the common attribute b: the key x counts once on each
+        # side, and the key y, on the left only, is padded
         left = lit(["a", "b"], (1, "x"), (2, "y"))
         right = lit(["b", "c"], ("x", 9))
-        out = evaluate(LeftJoin(left, right), pop)
+        out = evaluate(SetOp(left, "union", right), pop)
         assert out.header == ("a", "b", "c")
-        assert out.body == Bag([row(a=1, b="x", c=9), row(a=2, b="y", c=NULL)])
+        assert out.body == Bag([row(a=1, b="x", c=9), row(a=1, b="x", c=9), row(a=2, b="y", c=NULL)])
 
     def test_null_joins_null(self, pop):
         left = lit(["a", "b"], (1, NULL), (2, "x"))
@@ -231,12 +232,12 @@ class TestJoins:
         assert out.header == ("a", "b", "c")
         assert out.body == Bag.from_counts([(row(a=1, b="x", c=9), 6), (row(a=2, b="y", c=8), 1)])
 
-    def test_left_join_pads_and_keeps_multiplicity(self, pop):
+    def test_union_pads_and_keeps_multiplicity(self, pop):
         left = lit(["a", "b"], (1, "x"), (2, "y"), (2, "y"), (2, "y"))
         right = lit(["b", "c"], ("x", 9))
-        out = evaluate(LeftJoin(left, right), pop)
+        out = evaluate(SetOp(left, "union", right), pop)
         assert out.header == ("a", "b", "c")
-        assert out.body == Bag.from_counts([(row(a=1, b="x", c=9), 1), (row(a=2, b="y", c=NULL), 3)])
+        assert out.body == Bag.from_counts([(row(a=1, b="x", c=9), 2), (row(a=2, b="y", c=NULL), 3)])
 
     def test_nothing_shared_is_the_cross_product(self, pop):
         left = lit(["a"], (1,), (1,), (2,))
@@ -266,12 +267,12 @@ class TestJoins:
         assert out.header == ("a", "b", "c")
         assert out.body == Bag([(7, "x", 1)])
 
-    def test_left_join_pad_between_left_attributes(self, pop):
+    def test_union_pad_between_left_attributes(self, pop):
         left = lit(["a", "c"], (1, "x"), (2, "y"))
         right = lit(["b", "c"], (9, "x"))
-        out = evaluate(LeftJoin(left, right), pop)
+        out = evaluate(SetOp(left, "union", right), pop)
         assert out.header == ("a", "b", "c")
-        assert out.body == Bag([(1, 9, "x"), (2, NULL, "y")])
+        assert out.body == Bag([(1, 9, "x"), (1, 9, "x"), (2, NULL, "y")])
 
     def test_union_family(self, pop):
         p = lit(["a"], (1,), (1,), (2,))
@@ -279,6 +280,46 @@ class TestJoins:
         assert evaluate(SetOp(p, "union", q), pop) == rel(["a"], (1,), (1,), (1,), (2,), (3,))
         assert evaluate(SetOp(p, "intersect", q), pop) == rel(["a"], (1,))
         assert evaluate(SetOp(p, "minus", q), pop) == rel(["a"], (1,), (2,))
+
+    def test_union_pads_a_key_of_the_right_operand_only(self, pop):
+        left = lit(["a", "b"], (1, "x"))
+        right = lit(["b", "c"], ("y", 8), ("y", 8))
+        out = evaluate(SetOp(left, "union", right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag.from_counts([((1, "x", NULL), 1), ((NULL, "y", 8), 2)])
+
+    def test_intersection_pairs_each_keys_distinct_rows_with_the_least_count(self, pop):
+        # the key x occurs three times on the left, in two distinct rows,
+        # and twice on the right; the key y only on the left
+        left = lit(["a", "b"], (1, "x"), (2, "x"), (2, "x"), (3, "y"))
+        right = lit(["b", "c"], ("x", 9), ("x", 9))
+        out = evaluate(SetOp(left, "intersect", right), pop)
+        assert out.header == ("a", "b", "c")
+        assert out.body == Bag.from_counts([((1, "x", 9), 2), ((2, "x", 9), 2)])
+
+    def test_difference_keeps_the_left_rows_and_header(self, pop):
+        left = lit(["a", "b"], (1, "x"), (2, "x"), (2, "x"), (3, "y"))
+        right = lit(["b", "c"], ("x", 9), ("z", 7))
+        out = evaluate(SetOp(left, "minus", right), pop)
+        assert out.header == ("a", "b")
+        # the key x: three on the left less one on the right
+        assert out.body == Bag.from_counts([((1, "x"), 2), ((2, "x"), 2), ((3, "y"), 1)])
+
+    def test_common_attribute_takes_the_right_rows_value(self, pop):
+        left = lit(["a", "b"], (1, "x"))
+        right = lit(["a", "c"], (Fraction(1), 9))
+        out = evaluate(SetOp(left, "intersect", right), pop)
+        assert out.body == Bag([(1, "x", 9)])
+        assert [type(u[0]) for u, _ in out.rows()] == [Fraction]
+
+    def test_set_operation_combines_the_keys_once(self, pop, monkeypatch):
+        calls = []
+        intersect = Bag.intersect
+        monkeypatch.setattr(Bag, "intersect", lambda self, other: calls.append(1) or intersect(self, other))
+        left = lit(["a", "b"], (1, "x"), (2, "x"), (3, "y"))
+        right = lit(["b", "c"], ("x", 9), ("y", 8))
+        assert evaluate(SetOp(left, "intersect", right), pop).body.cardinality() == 3
+        assert len(calls) == 1
 
     def test_header_mismatch(self):
         # refused when the node is built, before anything is evaluated
@@ -587,12 +628,16 @@ class TestRewrite:
 
     def test_semi_join_on_a_padded_column_is_kept(self):
         pop = fact_pop()
-        # 5 and 6 fill no first role, so their rows are padded with NULL
+        # p is on one operand of the union only; 5 and 6 fill no first
+        # role, so their rows are padded with NULL
         facts = Project({"a": AttrRole("f", "q1"), "p": AttrRole("f", "q2")}, TypeTable("f", "G"))
-        padded = LeftJoin(TypeTable("a", "V"), facts)
+        padded = SetOp(TypeTable("a", "V"), "union", facts)
+        assert evaluate(padded, pop) == rel(
+            ["a", "p"], *[(1, 5)] * 3, *[(1, 6)] * 3, (2, 5), (2, 5), (5, NULL), (6, NULL)
+        )
         e = JoinRules(pop.schema).join(padded, TypeTable("p", "V"))
         assert isinstance(e, Join)
-        assert evaluate(e, pop) == rel(["a", "p"], (1, 5), (1, 6), (2, 5))
+        assert evaluate(e, pop) == rel(["a", "p"], *[(1, 5)] * 3, *[(1, 6)] * 3, (2, 5), (2, 5))
 
     def test_join_with_an_undeclared_supertype_still_raises(self):
         schema = make_schema({

@@ -6,6 +6,8 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import pytest
+
 from conquer import paths as P
 from conquer import relalg as ra
 from conquer import walk
@@ -14,6 +16,7 @@ from conquer.cli import Session, run_query
 from conquer.frontend import disambiguate, parse_list, tokenize
 from conquer.frontend.parser import parse_list_records
 from conquer.population import Population, load_population
+from conquer.schema import FRESH_PREFIX, load_schema
 from conquer.verbalise import verbalise_interpretation
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -177,6 +180,62 @@ def test_translation_drops_the_type_table_joins_of_a_correlated_query(monkeypatc
     plan = translated_plan(monkeypatch, CORRELATED)
     assert distinct_nodes(plan, ra.Join) <= 4
     assert distinct_nodes(plan, ra.Project) <= 11
+
+
+def test_two_fact_join_has_no_join(monkeypatch):
+    # the AND ALSO is one set operation over the two facts' projections
+    assert distinct_nodes(translated_plan(monkeypatch, TWO_FACT_JOIN), ra.Join) == 0
+
+
+def reading_plan(session: Session, text: str):
+    """The plan of the first reading of ``text``."""
+    reading = disambiguate(session.schema, parse_list(text, session.schema)).interpretations[0]
+    return P.translate(session.schema, reading.path, reading.typing)
+
+
+@pytest.mark.parametrize("term", ["earns a Salary x", "works for a Company c"])
+def test_each_term_of_a_chain_adds_one_set_operation(term):
+    session = demo_session()
+    counts = []
+    for k in (2, 5, 10):
+        plan = reading_plan(session, "Person who " + " AND ALSO ".join([term] * (k + 1)))
+        counts.append((distinct_nodes(plan, ra.RelExpr.__args__), distinct_nodes(plan, ra.SetOp)))
+    (nodes2, sets2), (nodes5, sets5), (nodes10, sets10) = counts
+    assert (nodes5 - nodes2, nodes10 - nodes5) == (3, 5)
+    assert (sets5 - sets2, sets10 - sets5) == (3, 5)
+
+
+def test_a_translation_names_only_its_paths_attributes(monkeypatch):
+    """A path's translation has hd, tl and the attributes the path names,
+    and no fresh name of the translator, on every path and sub-path of the
+    oracle corpus and of the text differential, so one sub-plan serves
+    every occurrence of its path."""
+    from .test_oracle_corpus import all_cases
+    from .test_roundtrip import CASES, make_case, rich_doc
+    from .test_text_differential import demo_set_texts, value_salary_doc
+
+    checked = []
+    path = P.Translator.path
+
+    def checking(self, p, B):
+        out = path(self, p, B)
+        assert set(out.header) <= {P.HD, P.TL} | P.attr_uses(p), p
+        assert not any(a.startswith(FRESH_PREFIX) for a in out.header), p
+        checked.append(p)
+        return out
+
+    monkeypatch.setattr(P.Translator, "path", checking)
+    for _, schema, _, expr, typing in all_cases():
+        P.translate(schema, expr, typing)
+    for doc in (rich_doc(), value_salary_doc()):
+        schema = load_schema(doc)
+        for i in range(CASES):
+            p, typing, _ = make_case(schema, i)
+            P.translate(schema, p, typing)
+    session = demo_session()
+    for text in demo_set_texts():
+        reading_plan(session, text)
+    assert len(checked) > 10_000
 
 
 def test_two_fact_join_reads_each_remaining_type_table_once(monkeypatch):

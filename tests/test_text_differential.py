@@ -15,19 +15,24 @@ first must be the one the text was made from.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
+from conquer.cli import load_full_schema
 from conquer.errors import AmbiguityError
 from conquer.frontend import disambiguate, parse_list
 from conquer.paths import has_empty_subpath, translate
 from conquer.population import load_population
 from conquer.relalg import evaluate
 from conquer.schema import load_schema
+from conquer.values import NULL
 from conquer.verbalise import VerbCtx, verbalise
 
 from .oracle import oracle_eval
+from .test_oracle_large import demo_population_doc
 from .test_roundtrip import CASES, make_case, rich_doc
+from .test_scaling import DEMO
 
 PERSONS = [f"p{i}" for i in range(7)]
 SALARIES = [1000, 1500, 2000, 2500, 3000]
@@ -82,3 +87,50 @@ def test_text_end_agrees_with_the_oracle():
     assert seen["answered"] + seen["empty"] == 2 * CASES
     # the texts reach the rejection, ambiguity and non-empty answers
     assert seen["empty"] > 0 and seen["ambiguous"] > 0 and seen["rows"] > 2 * CASES, dict(seen)
+
+
+# set-operation operands on the demo schema, by the variables they bind
+DEMO_OPERANDS = {
+    "c": "works for a Company c",
+    "x": "earns a Salary x",
+    "neither": "works for a Company",
+    "neither, a constant": "earns a Salary: 1000",
+}
+DEMO_SET_WORDS = ["AND ALSO", "OR OTHERWISE", "BUT NOT"]
+
+
+def demo_set_texts() -> list[str]:
+    """Each set word between each pair of operands; three-term chains, whose
+    left operand binds what its two terms bind; the same with the last two
+    terms bracketed, so that the right operand binds both; and filters of
+    companies, the last of which has no employees."""
+    texts = []
+    ops = list(DEMO_OPERANDS.values())
+    for word in DEMO_SET_WORDS:
+        texts += [f"Person who {left} {word} {right}" for left in ops for right in ops]
+        for other in DEMO_SET_WORDS:
+            for a, b, c in [("c", "x", "c"), ("x", "c", "neither"), ("c", "x", "neither, a constant")]:
+                a, b, c = DEMO_OPERANDS[a], DEMO_OPERANDS[b], DEMO_OPERANDS[c]
+                texts.append(f"Person who {a} {word} {b} {other} {c}")
+                texts.append(f"Person who {c} {word} ({a} {other} {b})")
+        texts.append(f"Company c WHERE SOME Person who works for c {word} earns a Salary x")
+    return texts
+
+
+def test_text_end_agrees_with_the_oracle_on_demo_populations():
+    """The demo schema's set operations from the text end, on the demo
+    family of populations: NULL salaries, persons without a salary and a
+    company without employees."""
+    schema = load_full_schema(json.loads((DEMO / "schema.json").read_text()))
+    pops = [load_population(schema, demo_population_doc(random.Random(seed), n, 5)) for seed, n in ((4, 24), (5, 60))]
+    rows = padded = 0
+    for text in demo_set_texts():
+        (reading, *_) = disambiguate(schema, parse_list(text, schema)).interpretations
+        plan = translate(schema, reading.path, reading.typing)
+        for pop in pops:
+            got = evaluate(plan, pop)
+            assert (got.header, got.body) == oracle_eval(schema, pop, reading.typing, reading.path), text
+            rows += got.body.cardinality()
+            padded += any(v is NULL for t, _ in got.rows() for v in t)
+    # the answers include rows with NULL, padded or earned
+    assert rows > 1000 and padded > 10

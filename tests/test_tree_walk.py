@@ -113,8 +113,7 @@ RA_BUILDERS = {
     RA.Group: lambda m: RA.Group((), m("rel")),
     RA.Literal: lambda m: RA.Literal(RA.Relation(("a",), Bag())),
 }
-for kind in (RA.Join, RA.LeftJoin):
-    RA_BUILDERS[kind] = lambda m, kind=kind: kind(m("rel"), m("rel"))
+RA_BUILDERS[RA.Join] = lambda m: RA.Join(m("rel"), m("rel"))
 
 # ``SetOp`` has one case per operator, each named after the plan kind that
 # the operator had before ``SetOp`` replaced the three
