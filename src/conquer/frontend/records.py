@@ -10,7 +10,7 @@ are printed only when set, after the fields every dump has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -18,29 +18,25 @@ from ..values import Bool, render_value
 from ..walk import children
 
 
-@dataclass(frozen=True)
-class _Record:
-    # a record keeps its hash once worked out: ``parser._dedup`` hashes
-    # every tree of a parse, and the trees share their sub-records
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-
 def _record(cls: type) -> type:
-    """A frozen record dataclass that keeps its hash in ``_hash``."""
+    """A frozen dataclass that keeps its hash in the instance ``__dict__``
+    once worked out: ``parser._dedup`` hashes every tree of a parse, and the
+    trees share their sub-records."""
     cls = dataclass(frozen=True)(cls)
     fields_hash = cls.__hash__
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", fields_hash(self))
-        return self._hash
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = fields_hash(self)
+        return h
 
     cls.__hash__ = __hash__
     return cls
 
 
 @_record
-class TypeSpec(_Record):
+class TypeSpec:
     prefix: str | None
     type_name: str
     tid: str
@@ -49,14 +45,14 @@ class TypeSpec(_Record):
 
 
 @_record
-class Denot(_Record):
+class Denot:
     inf: Any = None  # information descriptor record
     var_name: str | None = None  # the !v form
     parts: tuple = ()  # composite denotations
 
 
 @_record
-class RoleRef(_Record):
+class RoleRef:
     postfix: str | None
     kind: str  # entry | exit
     role_name: str
@@ -64,57 +60,57 @@ class RoleRef(_Record):
 
 
 @_record
-class Const(_Record):
+class Const:
     value: Any
 
 
 @_record
-class MFix(_Record):
+class MFix:
     postfix: str | None
     start_role: str
     items: tuple  # (part, role, descriptor record) triples
 
 
 @_record
-class UnaryOp(_Record):
+class UnaryOp:
     op: str  # THE REVERSE OF | ONLY | DISTINCT
     inf: Any
 
 
 @_record
-class BinaryOp(_Record):
+class BinaryOp:
     op: str  # "" for concatenation, otherwise the surface operator
     left: Any
     right: Any
 
 
 @_record
-class Shuffler(_Record):
+class Shuffler:
     var_names: tuple
     inf: Any
 
 
 @_record
-class Function(_Record):
+class Function:
     name: str
     args: tuple
 
 
 @_record
-class Selection(_Record):
+class Selection:
     pairs: tuple  # (descriptor, condition) pairs
     default: Any = None
     form: str = "where"  # where | ifthen | ifthenelse | alts | alts_default
 
 
 @_record
-class Confluence(_Record):
+class Confluence:
     base: Any
     elements: tuple  # (aspect record, as name | None, via name | None)
 
 
 @_record
-class GroupAcct(_Record):
+class GroupAcct:
     func: str
     var_name: str | None
     inf: Any
@@ -122,88 +118,88 @@ class GroupAcct(_Record):
 
 
 @_record
-class SubExpr(_Record):
+class SubExpr:
     items: tuple
 
 
 @_record
-class ScConst(_Record):
+class ScConst:
     value: Any
 
 
 @_record
-class CoerceFunction(_Record):
+class CoerceFunction:
     func: str
     inf: Any
 
 
 @_record
-class VarName(_Record):
+class VarName:
     name: str
     role_name: str | None = None
     rid: str | None = None
 
 
 @_record
-class ScFunction(_Record):
+class ScFunction:
     name: str
     args: tuple
 
 
 @_record
-class ScBinaryOp(_Record):
+class ScBinaryOp:
     op: str
     left: Any
     right: Any
 
 
 @_record
-class Conditioner(_Record):
+class Conditioner:
     inf: Any
 
 
 @_record
-class InfDescrComp(_Record):
+class InfDescrComp:
     left: Any
     right: Any
     op: str
 
 
 @_record
-class ScaleExprComp(_Record):
+class ScaleExprComp:
     left: Any
     right: Any
     op: str
 
 
 @_record
-class BinCondComp(_Record):
+class BinCondComp:
     left: Any
     right: Any
     conn: str
 
 
 @_record
-class CondFunction(_Record):
+class CondFunction:
     name: str
     conds: tuple
 
 
 @_record
-class Negation(_Record):
+class Negation:
     cond: Any
     tilde: bool = False
 
 
 @_record
-class ListStatement(_Record):
+class ListStatement:
     projection: tuple | None
     inf: Any
     order: "OrderClause | None"
 
 
 @_record
-class OrderClause(_Record):
+class OrderClause:
     kind: str  # whole_asc | whole_desc | items
     items: tuple = ()  # (var name, "asc" | "desc") pairs
 

@@ -114,7 +114,7 @@ class _Rel(_Node):
                 raise EvalError(f"grouping attributes not in header: {sorted(self.by.difference(slots))}")
         elif isinstance(self, TypeTable):
             header = (self.attr,)
-        elif isinstance(self, SetOp) and (self.op == "minus" or self.left.header == self.right.header):
+        elif isinstance(self, SetOp) and self.op == "minus":
             header, slots = self.left.header, self.left.slots
         elif isinstance(self, (Join, SetOp)):
             header = tuple(sorted(self.left.slots.keys() | self.right.slots.keys()))
@@ -853,14 +853,10 @@ class _Compiler:
 
     def set_op(self, e: SetOp, _):
         """One hash pass: the operation combines the operands' bags of keys,
-        and each key's distinct rows are paired.  With equal headers a key
-        is a whole row, and the combined bag is the result."""
+        their values on the shared attributes, and each key's distinct rows
+        are paired.  With equal headers a key is a whole row."""
         left, right, method = self.rel(e.left), self.rel(e.right), _SET_OPS[e.op]
         lpos, rpos = e.left.slots, e.right.slots
-        # the method is looked up on each call, so that one replaced on
-        # ``Bag`` is the one used
-        if lpos.keys() == rpos.keys():
-            return lambda ctx, outer: getattr(left(ctx, outer), method)(right(ctx, outer))
         lkey = _key([i for a, i in lpos.items() if a in rpos])
         rkey = _key([rpos[a] for a in lpos if a in rpos])
         # picked from the left row followed by the right row, a shared
@@ -873,6 +869,8 @@ class _Compiler:
             lrows, lcount = _grouped(left(ctx, outer), lkey)
             rrows, rcount = _grouped(right(ctx, outer), rkey)
             freq: dict = {}
+            # the method is looked up on each call, so that one replaced on
+            # ``Bag`` is the one used
             for k, m in getattr(Bag.from_freq(lcount), method)(Bag.from_freq(rcount)).items():
                 if minus or k not in rrows:
                     for u in lrows[k]:

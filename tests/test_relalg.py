@@ -311,6 +311,10 @@ class TestJoins:
         out = evaluate(SetOp(left, "intersect", right), pop)
         assert out.body == Bag([(1, "x", 9)])
         assert [type(u[0]) for u, _ in out.rows()] == [Fraction]
+        # equal headers are the same pass with the whole row as key
+        for op in ("union", "intersect"):
+            out = evaluate(SetOp(lit(["a"], (1,)), op, lit(["a"], (Fraction(1),))), pop)
+            assert [(type(u[0]), n) for u, n in out.rows()] == [(Fraction, 2 if op == "union" else 1)]
 
     def test_set_operation_combines_the_keys_once(self, pop, monkeypatch):
         calls = []
