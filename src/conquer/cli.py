@@ -13,14 +13,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from . import paths as P
 from . import relalg as ra
 from .errors import AmbiguityError, ConquerError
 from .frontend import compile_macro, compile_schema_queries, disambiguate, dump_records, parse_list
-from .frontend.lower import Interpretation
+from .frontend.lower import Interpretation, ParseResult
 from .population import Population, denote_instance, load_population
 from .schema import Schema, load_schema, validate_schema
 from .values import NULL, Bool, EntityInstance, FactInstance, GroupedBag, format_number, is_number
@@ -133,11 +133,11 @@ def _render_table(header: list[str], rows: list[list[str]], out_format: str) -> 
     return "\n".join(lines)
 
 
-def _verbalised(schema: Schema, result) -> list[str]:
-    """The text of each surviving reading, for a command that shows them; a
-    reading that cannot be verbalised shows the error instead."""
+def _verbalised(schema: Schema, readings) -> list[str]:
+    """The text of each reading, for a command that shows them; a reading
+    that cannot be verbalised shows the error instead."""
     texts = []
-    for interp in result.interpretations:
+    for interp in readings:
         try:
             texts.append(verbalise_interpretation(schema, interp))
         except ConquerError as e:
@@ -145,58 +145,135 @@ def _verbalised(schema: Schema, result) -> list[str]:
     return texts
 
 
-def _pick_interpretation(session: Session, result) -> Interpretation:
-    if len(result.interpretations) == 1:
-        return result.interpretations[0]
-    if session.ambiguity == "fail":
-        alts = _verbalised(session.loaded_schema(), result)
-        raise AmbiguityError("ambiguous query", alternatives=alts)
-    return result.interpretations[0]
+def _listing(title: str, texts: list[str]) -> str:
+    return "\n".join([title] + [f"  {i + 1}. {text}" for i, text in enumerate(texts)])
+
+
+# ---------------------------------------------------------------------------
+# prepared queries
+#
+# A query text is prepared once per schema: its readings are worked out on
+# its first run and kept in ``schema.prepared``, and so, each on first need,
+# are their verbalised texts and the chosen reading's stage, its plan and
+# output columns.  None of that reads the population, so every later run of
+# the text on any population of the schema starts at evaluation.  An entry
+# is served only while the schema's macros and derived types are those it
+# was prepared with; a text whose parse raises is not kept.
+
+# the most texts a schema keeps prepared; past it, the one prepared first
+# is dropped
+PREPARED_CAP = 64
+
+
+def _readings(schema: Schema, text: str) -> ParseResult:
+    """The readings of ``text`` that survive disambiguation."""
+    return disambiguate(schema, parse_list(text, schema))
+
+
+@dataclass(frozen=True, eq=False)
+class _Stage:
+    """What a run of the chosen reading needs besides the population: its
+    plan, its order keys and its output columns.  The columns are either
+    the projection's labels with its compiled scalars, or HEAD, the named
+    variables and TAIL with the slots of the plan's rows they read."""
+
+    plan: ra.Plan
+    order: tuple
+    header: list[str]
+    scalars: ra.ScalarPlan | None
+    slots: list[int] | None
+
+
+class Prepared:
+    """A query text made ready for every population of one schema: its
+    readings without their record trees, the schema's macros and derived
+    types they were read with, and, worked out on first need, the readings'
+    verbalised texts and the stage of the chosen one, the first."""
+
+    def __init__(self, schema: Schema, result: ParseResult):
+        self.macros = tuple(schema.macros.items())
+        self.derived = schema.derived_types()
+        # the readings after the first are kept for their texts alone,
+        # which read their paths and variable names
+        first, *rest = result.interpretations
+        self.readings = (replace(first, records=None),) + tuple(
+            replace(i, records=None, typing=None) for i in rest
+        )
+        self._texts: list[str] | None = None
+        self._stage: _Stage | None = None
+
+    def current(self, schema: Schema) -> bool:
+        """Whether the readings still hold: ``schema`` has the macros and
+        derived types they were read with."""
+        return self.derived == schema.derived_types() and self.macros == tuple(schema.macros.items())
+
+    def texts(self, schema: Schema) -> list[str]:
+        if self._texts is None:
+            self._texts = _verbalised(schema, self.readings)
+        return self._texts
+
+    def chosen(self, schema: Schema, ambiguity: str) -> Interpretation:
+        """The reading that runs; several are an error under ``fail``."""
+        if len(self.readings) > 1 and ambiguity == "fail":
+            raise AmbiguityError("ambiguous query", alternatives=list(self.texts(schema)))
+        return self.readings[0]
+
+    def stage(self, schema: Schema) -> _Stage:
+        if self._stage is None:
+            interp = self.readings[0]
+            expr = P.translate(schema, interp.path, interp.typing)
+            plan, header = ra.compile_plan(expr, schema), expr.header
+            if interp.projection:
+                ctx = VerbCtx(schema, interp.typing, interp.vnm)
+                labels = [verbalise_scalar(e, ctx) for e in interp.projection]
+                translator = P.Translator(schema, interp.typing)
+                exprs = [translator.scalar(e, frozenset(header)) for e in interp.projection]
+                self._stage = _Stage(plan, interp.order, labels, ra.compile_scalars(exprs, header), None)
+            else:
+                named = [a for a in interp.vnm if a not in (P.HD, P.TL) and a in header]
+                labels = ["HEAD"] + [interp.vnm[a] for a in named] + ["TAIL"]
+                slots = [header.index(a) for a in [P.HD] + named + [P.TL]]
+                self._stage = _Stage(plan, interp.order, labels, None, slots)
+        return self._stage
+
+
+def prepared(schema: Schema, text: str) -> Prepared:
+    """The prepared query of ``text``: the one ``schema`` keeps while it is
+    current, else a new one, kept in place of the oldest once the schema
+    keeps ``PREPARED_CAP`` texts."""
+    table = schema.prepared
+    entry = table.get(text)
+    if entry is None or not entry.current(schema):
+        entry = Prepared(schema, _readings(schema, text))
+        table.pop(text, None)
+        if len(table) >= PREPARED_CAP:
+            table.pop(next(iter(table)), None)
+        table[text] = entry
+    return entry
 
 
 def run_query(session: Session, text: str) -> str:
-    """The full pipeline: parse, disambiguate, translate, evaluate,
-    project, order, denote and render."""
+    """The full pipeline: prepare the text (or take it prepared), then
+    evaluate, project, order, denote and render."""
     schema = session.loaded_schema()
-    result = disambiguate(schema, parse_list(text, schema))
-    if result.ambiguous and session.ambiguity == "list":
-        lines = ["ambiguous query; interpretations:"]
-        lines.extend(f"  {i + 1}. {reading}" for i, reading in enumerate(_verbalised(schema, result)))
-        return "\n".join(lines)
-    interp = _pick_interpretation(session, result)
-
-    typing = interp.typing
-    expr = P.translate(schema, interp.path, typing)
+    query = prepared(schema, text)
+    if len(query.readings) > 1 and session.ambiguity == "list":
+        return _listing("ambiguous query; interpretations:", query.texts(schema))
+    query.chosen(schema, session.ambiguity)  # several readings raise under fail
+    stage = query.stage(schema)
     pop = session.population()
-    relation = ra.evaluate(expr, pop)
+    relation = ra.evaluate(stage.plan, pop)
 
-    ordered = P.order_result(relation, interp.order) if interp.order else [
+    ordered = P.order_result(relation, stage.order) if stage.order else [
         t for t, n in relation.rows() for _ in range(n)
     ]
 
     cell = _cell_texts(pop, session.null_token)
-    named = [
-        attr
-        for attr in interp.vnm
-        if attr not in (P.HD, P.TL) and attr in relation.header
-    ]
-
-    if interp.projection:
-        ctx = VerbCtx(schema, typing, interp.vnm)
-        labels = [verbalise_scalar(e, ctx) for e in interp.projection]
-        translator = P.Translator(schema, typing)
-        compiled = [translator.scalar(e, frozenset(relation.header)) for e in interp.projection]
-        header = labels
-        rows = [
-            [cell(value) for value in values]
-            for values in ra.eval_scalars(compiled, pop, relation.header, ordered)
-        ]
+    if stage.scalars is not None:
+        rows = [[cell(value) for value in values] for values in ra.eval_scalars(stage.scalars, pop, ordered)]
     else:
-        header = ["HEAD"] + [interp.vnm[a] for a in named] + ["TAIL"]
-        slots = [relation.header.index(a) for a in [P.HD] + named + [P.TL]]
-        rows = [[cell(t[i]) for i in slots] for t in ordered]
-
-    return _render_table(header, rows, session.out_format)
+        rows = [[cell(t[i]) for i in stage.slots] for t in ordered]
+    return _render_table(stage.header, rows, session.out_format)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +324,10 @@ def cmd_constraints(session: Session) -> str:
 
 def cmd_dump_records(session: Session, text: str) -> str:
     schema = session.loaded_schema()
-    result = disambiguate(schema, parse_list(text, schema))
-    interp = _pick_interpretation(session, result)
-    records = interp.records
+    # a prepared query keeps no record tree, so this parse is not kept
+    result = _readings(schema, text)
+    Prepared(schema, result).chosen(schema, session.ambiguity)
+    records = result.interpretations[0].records
     if records.projection is None and records.order is None:
         records = records.inf  # a bare descriptor: its LIST I adds nothing
     return dump_records(records)
@@ -257,17 +335,13 @@ def cmd_dump_records(session: Session, text: str) -> str:
 
 def cmd_dump_path(session: Session, text: str) -> str:
     schema = session.loaded_schema()
-    result = disambiguate(schema, parse_list(text, schema))
-    interp = _pick_interpretation(session, result)
-    return P.path_text(interp.path)
+    return P.path_text(prepared(schema, text).chosen(schema, session.ambiguity).path)
 
 
 def cmd_explain(session: Session, text: str) -> str:
     schema = session.loaded_schema()
-    result = disambiguate(schema, parse_list(text, schema))
-    lines = [f"{len(result.interpretations)} interpretation(s):"]
-    lines.extend(f"  {i + 1}. {reading}" for i, reading in enumerate(_verbalised(schema, result)))
-    return "\n".join(lines)
+    query = prepared(schema, text)
+    return _listing(f"{len(query.readings)} interpretation(s):", query.texts(schema))
 
 
 HELP = """\

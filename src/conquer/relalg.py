@@ -21,8 +21,10 @@ names to values.
 one for each distinct node, which run without looking at a node's kind
 again.  ``compile_plan`` builds one; a plan built once runs against every
 population of its schema, and ``evaluate`` turns a plain expression into a
-plan for the population's schema on the spot.  ``eval_scalar``,
-``eval_cond`` and ``eval_scalars`` compile their expressions the same way.
+plan for the population's schema on the spot.  ``eval_scalar`` and
+``eval_cond`` compile their expressions the same way, and
+``compile_scalars`` builds the plan of the scalars that ``eval_scalars``
+runs.
 
 Four bag-algebra rules apply as nodes are built, in the builders that
 ``paths.Translator`` builds its plans with.  ``project`` (and
@@ -600,13 +602,27 @@ def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
     return _Compiler(_repeatable([cond], per_row=False)).cond(cond, ())(_Context(pop), (), env)
 
 
-def eval_scalars(exprs: list[RaScalar], pop: Population, header: tuple, rows: Iterable[tuple]) -> Iterator[list[Any]]:
-    """``eval_scalar`` of every expression on each row of a relation with
-    this header in turn, all in one context, so that a subquery is not
-    evaluated again for every row."""
+@dataclass(frozen=True, eq=False)
+class ScalarPlan:
+    """Scalar expressions over the rows of relations with one header,
+    compiled once to run against any population: ``runs`` holds each
+    expression's code.  The plan holds ``exprs``, so the ids their code
+    keys its memo on stay their nodes'."""
+
+    exprs: tuple
+    runs: tuple
+
+
+def compile_scalars(exprs: list[RaScalar], header: tuple) -> ScalarPlan:
+    """The plan of ``exprs`` over rows of a relation with ``header``."""
     compiler = _Compiler(_repeatable(exprs, per_row=True))
-    runs = [compiler.scalar(e, tuple(header)) for e in exprs]
-    ctx, outer = _Context(pop), {}
+    return ScalarPlan(tuple(exprs), tuple(compiler.scalar(e, tuple(header)) for e in exprs))
+
+
+def eval_scalars(plan: ScalarPlan, pop: Population, rows: Iterable[tuple]) -> Iterator[list[Any]]:
+    """Every expression of ``plan`` on each row in turn, all in one
+    context, so that a subquery is not evaluated again for every row."""
+    runs, ctx, outer = plan.runs, _Context(pop), {}
     for row in rows:
         yield [run(ctx, row, outer) for run in runs]
 
@@ -702,8 +718,12 @@ def _grouped(bag: Bag, key) -> tuple[dict, dict]:
     counts: dict = {}
     for u, n in bag.items():
         k = key(u)
-        rows.setdefault(k, []).append(u)
-        counts[k] = counts.get(k, 0) + n
+        if k in counts:
+            rows[k].append(u)
+            counts[k] += n
+        else:
+            rows[k] = [u]
+            counts[k] = n
     return rows, counts
 
 

@@ -31,6 +31,7 @@ from conquer.relalg import (
     SetOp,
     TypeTable,
     UNIT,
+    compile_scalars,
     def_map,
     eval_cond,
     eval_scalar,
@@ -410,7 +411,7 @@ class TestRepeatedSubPlans:
     def test_memo_keys_on_the_type_of_a_value(self, pop):
         expr = Aggregate("max", Project({"v": Attr("a")}, UNIT), "v")
         outer = [row(a=1), row(a=1.0), row(a=Fraction(1))]
-        values = [v for (v,) in eval_scalars([expr], pop, ("a",), outer)]
+        values = [v for (v,) in eval_scalars(compile_scalars([expr], ("a",)), pop, outer)]
         assert values == [1, 1, 1]
         assert [type(v) for v in values] == [int, float, Fraction]
 
