@@ -37,6 +37,8 @@ class Session:
     schema: Schema | None = None
     base_pop: Population | None = None
     derived_pop: Population | None = None
+    # the base population and the derivation rules of derived_pop
+    derived_from: tuple | None = None
     out_format: str = "table"
     null_token: str = "NULL"
     ambiguity: str = "pick-first"  # fail | list | pick-first
@@ -48,7 +50,6 @@ class Session:
         diags = validate_schema(schema)
         self.schema = schema
         self.base_pop = None
-        self.derived_pop = None
         lines = [f"schema loaded: {len(schema.user_types())} types, {len(schema.roles)} roles"]
         lines.extend(f"warning: {d}" for d in diags)
         return "\n".join(lines)
@@ -64,7 +65,6 @@ class Session:
         with open(path) as f:
             doc = json.load(f)
         self.base_pop = load_population(schema, doc)
-        self.derived_pop = None
         return f"population loaded: {sum(1 for _ in self.base_pop.types())} populated types"
 
     def population(self) -> Population:
@@ -72,8 +72,10 @@ class Session:
         if self.base_pop is None:
             self.base_pop = Population(schema)
         if schema.derivations:
-            if self.derived_pop is None:
+            source = (self.base_pop, tuple(schema.derivations))
+            if self.derived_pop is None or self.derived_from != source:
                 self.derived_pop = P.apply_derivations(schema, self.base_pop)
+                self.derived_from = source
             return self.derived_pop
         return self.base_pop
 

@@ -983,16 +983,17 @@ def bind(schema: Schema, typing: Typing) -> dict[AttrName, ra.RelExpr]:
 
 class Translator:
     """Translates the paths of one reading, each path object once per set
-    ``B`` of bound attributes: a translation's header is hd, tl and the
-    attributes its path names, never a fresh name, so the sub-paths that
-    lowering interned into one object share one sub-plan."""
+    ``B`` of bound attributes, into a pending column map (``ra.Columns``)
+    that a parent edits or builds: a translation's attributes are hd, tl
+    and the attributes its path names, never a fresh name, so the
+    sub-paths that lowering interned into one object share one sub-plan."""
 
     def __init__(self, schema: Schema, typing: Typing):
         self.schema = schema
         self.typing = typing
-        self.joins = ra.JoinRules(schema)
+        self.rules = ra.JoinRules(schema)
         self._counter = itertools.count(1)
-        # (id, B) -> (path, its plan); holding the path keeps its id unique
+        # (id, B) -> (path, its columns); holding the path keeps its id unique
         self._done: dict[tuple[int, frozenset], tuple] = {}
 
     def fresh(self) -> AttrName:
@@ -1000,77 +1001,68 @@ class Translator:
 
     # -- paths --------------------------------------------------------
 
-    def path(self, p: PathExpr, B: frozenset) -> ra.RelExpr:
+    def path(self, p: PathExpr, B: frozenset) -> ra.Columns:
         key = (id(p), B)
         hit = self._done.get(key)
         if hit is None:
             hit = self._done[key] = (p, self._path(p, B))
         return hit[1]
 
-    def _path(self, p: PathExpr, B: frozenset) -> ra.RelExpr:
-        schema = self.schema
+    def _path(self, p: PathExpr, B: frozenset) -> ra.Columns:
+        schema, rules = self.schema, self.rules
         if isinstance(p, TypeAtom):
             schema.check_type(p.tid)
             a = self.fresh()
-            return ra.project({HD: ra.Attr(a), TL: ra.Attr(a)}, ra.TypeTable(a, p.tid))
+            return rules.columns(ra.TypeTable(a, p.tid), {HD: ra.Attr(a), TL: ra.Attr(a)})
         if isinstance(p, RoleEntry):
             a = self.fresh()
-            return ra.project(
-                {HD: ra.AttrRole(a, p.rid), TL: ra.Attr(a)},
-                ra.TypeTable(a, schema.rel(p.rid)),
-            )
+            return rules.columns(ra.TypeTable(a, schema.rel(p.rid)), {HD: ra.AttrRole(a, p.rid), TL: ra.Attr(a)})
         if isinstance(p, AttrAtom):
             return self.path(Scalar(SVar(p.attr)), B)
         if isinstance(p, Reverse):
-            return ra.Rename({HD: TL, TL: HD}, self.path(p.of, B))
+            return self.path(p.of, B).rename({HD: TL, TL: HD})
         if isinstance(p, Concat):
             a = self.fresh()
-            left = ra.Rename({a: TL}, self.path(p.left, B))
-            right = ra.Rename({a: HD}, self.path(p.right, B))
-            return ra.DropAttrs({a}, self.joins.join(left, right))
+            left = self.path(p.left, B).rename({a: TL})
+            right = self.path(p.right, B).rename({a: HD})
+            return rules.join(left, right).drop({a})
         if isinstance(p, Front):
             inner = self.path(p.of, B)
             if isinstance(p.of, SetOp) and isinstance(p.of.left, Front) and isinstance(p.of.right, Front):
                 # each row of a set operation is a row of an operand, whose
                 # tl is its hd already
                 return inner
-            return ra.Extend({TL: ra.Attr(HD)}, inner)
+            return inner.extend({TL: ra.Attr(HD)})
         if isinstance(p, DistinctPath):
-            return ra.Distinct(self.path(p.of, B))
+            return rules.columns(ra.Distinct(self.path(p.of, B).rel))
         if isinstance(p, Product):
+            # the right operand's hd becomes the pair's tl
             lp = self.path(p.left, B)
             rp = self.path(p.right, B)
-            target = ra.sch(lp) | ra.sch(rp)
-            joined = self.joins.join(
-                ra.DropAttrs({TL}, lp),
-                ra.DropAttrs({HD}, ra.Rename({TL: HD}, rp)),
-            )
-            return ra.project(ra.def_map(sorted(target)), joined)
+            return rules.join(lp.drop({TL}), rp.rename({TL: HD}))
         if isinstance(p, SetCompare):
             return self._set_compare(p, B)
         if isinstance(p, MissingPath):
             lp = self.path(p.left, B)
             rp = self.path(p.right, B)
-            pairs = self.joins.join(ra.DropAttrs({TL}, lp), ra.DropAttrs({HD}, rp))
-            return ra.SetOp(pairs, "minus", self.path(Concat(p.left, p.right), B))
+            pairs = rules.join(lp.drop({TL}), rp.drop({HD}))
+            return rules.columns(ra.SetOp(pairs.rel, "minus", self.path(Concat(p.left, p.right), B).rel))
         if isinstance(p, SetOp):
-            return ra.SetOp(self.path(p.left, B), p.op, self.path(p.right, B))
+            return rules.columns(ra.SetOp(self.path(p.left, B).rel, p.op, self.path(p.right, B).rel))
         if isinstance(p, RelCompare):
             a, b = self.fresh(), self.fresh()
-            lp = ra.Rename({a: TL}, self.path(p.left, B))
-            rp = ra.Rename({b: HD}, self.path(p.right, B))
-            selected = ra.Select(ra.Compare(ra.Attr(a), p.op, ra.Attr(b)), self.joins.join(lp, rp))
-            target = (ra.sch(lp) - {a}) | {TL} | (ra.sch(rp) - {b}) | {HD}
-            return ra.project(ra.def_map(sorted(target)), selected)
+            lp = self.path(p.left, B).rename({a: TL})
+            rp = self.path(p.right, B).rename({b: HD})
+            selected = ra.Select(ra.Compare(ra.Attr(a), p.op, ra.Attr(b)), rules.join(lp, rp).rel)
+            return rules.columns(selected).drop({a, b})
         if isinstance(p, Shuffle):
             if len(p.attrs) < 2:
                 raise TranslateError("a path shuffle needs at least two attributes")
             inner = self.path(p.of, B - set(p.attrs))
-            missing = set(p.attrs) - ra.sch(inner)
+            missing = set(p.attrs) - inner.assigns.keys()
             if missing:
                 raise TranslateError(f"shuffle attributes not in operand header: {sorted(missing)}")
-            projected = ra.project(ra.def_map(p.attrs), inner)
-            return ra.Rename({HD: p.attrs[0], TL: p.attrs[-1]}, projected)
+            return inner.project(ra.def_map(p.attrs)).rename({HD: p.attrs[0], TL: p.attrs[-1]})
         if isinstance(p, MixFix):
             return self.path(expand_mixfix(self.schema, p), B)
         if isinstance(p, FuncApp):
@@ -1094,20 +1086,17 @@ class Translator:
             return self._where(Where([(true_path, p.cond)], None, True), B)
         raise TranslateError(f"cannot translate {p!r}")
 
-    def _set_compare(self, p: SetCompare, B: frozenset) -> ra.RelExpr:
+    def _set_compare(self, p: SetCompare, B: frozenset) -> ra.Columns:
         a, b = self.fresh(), self.fresh()
         lp = self.path(p.left, B)
-        rp = self.path(p.right, B)
-        tails_of_head = ra.project(
-            {b: ra.Attr(TL)}, ra.Select(ra.Compare(ra.Attr(HD), "=", ra.Attr(a)), lp)
-        )
-        heads_of_right = ra.project({b: ra.Attr(HD)}, rp)
+        tails_of_head = ra.Project({b: ra.Attr(TL)}, ra.Select(ra.Compare(ra.Attr(HD), "=", ra.Attr(a)), lp.rel))
+        heads_of_right = self.path(p.right, B).project({b: ra.Attr(HD)}).rel
         op = {"all_in": "subeq", "includes_all": "supeq", "match_all": "="}[p.op]
         cond = ra.BagCompare(tails_of_head, op, heads_of_right)
-        selected = ra.Select(cond, ra.Extend({a: ra.Attr(HD)}, lp))
-        return ra.project(ra.def_map(sorted(ra.sch(lp))), selected)
+        selected = ra.Select(cond, lp.extend({a: ra.Attr(HD)}).rel)
+        return self.rules.columns(selected).drop({a})
 
-    def _func_app(self, p: FuncApp, B: frozenset) -> ra.RelExpr:
+    def _func_app(self, p: FuncApp, B: frozenset) -> ra.Columns:
         if not p.args:
             raise TranslateError("function application needs arguments")
         attrs = [self.fresh() for _ in p.args]
@@ -1115,24 +1104,23 @@ class Translator:
         for i, (q, a) in enumerate(zip(p.args, attrs)):
             pq = self.path(q, B)
             if i < len(p.args) - 1:
-                pq = ra.DropAttrs({TL}, pq)
-            terms.append(ra.Rename({a: HD}, pq))
+                pq = pq.drop({TL})
+            terms.append(pq.rename({a: HD}))
         joined = terms[0]
         for t in terms[1:]:
-            joined = self.joins.join(joined, t)
-        applied = ra.Extend({HD: ra.Apply(p.func, [ra.Attr(a) for a in attrs])}, joined)
-        return ra.DropAttrs(set(attrs), applied)
+            joined = self.rules.join(joined, t)
+        kept = ra.def_map(a for a in joined.assigns if a not in attrs)
+        return joined.project({**kept, HD: ra.Apply(p.func, [ra.Attr(a) for a in attrs])})
 
     def _where_one(self, body: PathExpr, cond: PeCond, B: frozenset) -> ra.RelExpr:
         cond_attrs = attr_uses(cond)
-        inner = self.path(body, B)
-        joined = inner
-        for v in sorted(cond_attrs - B - ra.sch(inner)):
-            joined = self.joins.join(joined, bind_attr(self.schema, self.typing, v))
-        compiled = self.cond(cond, B | cond_attrs | ra.sch(joined))
-        return ra.Select(compiled, joined)
+        joined = self.path(body, B)
+        for v in sorted(cond_attrs - B - joined.assigns.keys()):
+            joined = self.rules.join(joined, self.rules.columns(bind_attr(self.schema, self.typing, v)))
+        compiled = self.cond(cond, B.union(cond_attrs, joined.assigns))
+        return ra.Select(compiled, joined.rel)
 
-    def _where(self, p: Where, B: frozenset) -> ra.RelExpr:
+    def _where(self, p: Where, B: frozenset) -> ra.Columns:
         branches = list(p.branches)
         if not branches:
             raise TranslateError("selection without branches")
@@ -1145,34 +1133,32 @@ class Translator:
         out = parts[0]
         for nxt in parts[1:]:
             out = ra.SetOp(out, "union", nxt)
-        return out
+        return self.rules.columns(out)
 
-    def _confluence(self, p: Confluence, B: frozenset) -> ra.RelExpr:
+    def _confluence(self, p: Confluence, B: frozenset) -> ra.Columns:
         base = self.path(p.of, B)
-        base_sch = ra.sch(base)
         joined = base
         names = []
         for a, q, x in p.elements:
-            if x not in base_sch:
+            if x not in base.assigns:
                 raise TranslateError(f"confluence connection attribute {x!r} not in base header")
-            arm = ra.Rename({a: HD, x: TL}, self.path(q, B))
-            joined = self.joins.join(joined, arm)
+            arm = self.path(q, B).rename({a: HD, x: TL})
+            joined = self.rules.join(joined, arm)
             names.append(a)
-        target = sorted(base_sch | set(names))
-        return ra.project(ra.def_map(target), joined)
+        return joined.project(ra.def_map(base.assigns.keys() | set(names)))
 
-    def _group_fn(self, p: GroupFn, B: frozenset) -> ra.RelExpr:
+    def _group_fn(self, p: GroupFn, B: frozenset) -> ra.Columns:
         inner = self.path(p.of, B)
-        header = ra.sch(inner)
+        header = inner.assigns.keys()
         missing = set(p.by) - header
         if missing:
             raise TranslateError(f"grouping attributes not in header: {sorted(missing)}")
         kind = p.kind
         if kind in ("count", "dscount"):
             if kind == "dscount":
-                inner = ra.Distinct(inner)
+                inner = self.rules.columns(ra.Distinct(inner.rel))
             marker = self.fresh()
-            grouped = ra.Group(set(p.by), ra.Extend({marker: ra.Const(1)}, inner))
+            grouped = ra.Group(set(p.by), inner.extend({marker: ra.Const(1)}).rel)
             value: ra.RaScalar = ra.Apply("bag_count", [ra.Attr(marker)])
         else:
             target = p.target
@@ -1180,25 +1166,23 @@ class Translator:
                 raise TranslateError(f"group target attribute {target!r} not in header")
             if target in p.by:
                 raise TranslateError(f"group target attribute {target!r} is a grouping attribute")
-            grouped = ra.Group(set(p.by), inner)
+            grouped = ra.Group(set(p.by), inner.rel)
             arg: ra.RaScalar = ra.Attr(target)
             if kind == "dssum":
                 kind, arg = "sum", ra.Apply("bag_distinct", [arg])
             value = ra.Apply(f"bag_{kind}", [arg])
         a = self.fresh()
-        return ra.project({HD: ra.Attr(a), TL: ra.Attr(a)}, ra.project({a: value}, grouped))
+        return self.rules.columns(ra.Project({a: value}, grouped), {HD: ra.Attr(a), TL: ra.Attr(a)})
 
-    def _scalar_path(self, e: PeScalar, B: frozenset) -> ra.RelExpr:
+    def _scalar_path(self, e: PeScalar, B: frozenset) -> ra.Columns:
         free = attr_uses(e) - B
         if not free:
-            table = ra.project({HD: self.scalar(e, B)}, ra.UNIT)
-            return ra.Extend({TL: ra.Attr(HD)}, table)
-        joined: ra.RelExpr | None = None
+            return self.rules.columns(ra.UNIT, {HD: self.scalar(e, B)}).extend({TL: ra.Attr(HD)})
+        joined: ra.Columns | None = None
         for a in sorted(free):
-            binder = bind_attr(self.schema, self.typing, a)
-            joined = binder if joined is None else self.joins.join(joined, binder)
-        extended = ra.Extend({HD: self.scalar(e, B | free)}, joined)
-        return ra.Extend({TL: ra.Attr(HD)}, extended)
+            binder = self.rules.columns(bind_attr(self.schema, self.typing, a))
+            joined = binder if joined is None else self.rules.join(joined, binder)
+        return joined.extend({HD: self.scalar(e, B | free)}).extend({TL: ra.Attr(HD)})
 
     # -- scalars --------------------------------------------------------
 
@@ -1208,7 +1192,7 @@ class Translator:
         if isinstance(e, SAgg):
             # an aggregate reads the head column, so a simply identified
             # entity head is coerced down to its identifying value
-            inner = self.path(hd_coerce(self.schema, e.of, self.typing), B)
+            inner = self.path(hd_coerce(self.schema, e.of, self.typing), B).rel
             return ra.Aggregate(e.kind, inner, None if e.kind == "count" else HD)
         if isinstance(e, SVar):
             return ra.Attr(e.attr)
@@ -1227,11 +1211,10 @@ class Translator:
 
     def cond(self, c: PeCond, B: frozenset) -> ra.RaCond:
         if isinstance(c, CSome):
-            inner = self.path(c.of, B)
-            return ra.Compare(ra.Aggregate("count", inner), ">", ra.Const(0))
+            return ra.Compare(ra.Aggregate("count", self.path(c.of, B).rel), ">", ra.Const(0))
         if isinstance(c, CBagComp):
-            lp = ra.project({HD: ra.Attr(HD)}, self.path(c.left, B))
-            rp = ra.project({HD: ra.Attr(HD)}, self.path(c.right, B))
+            lp = self.path(c.left, B).project({HD: ra.Attr(HD)}).rel
+            rp = self.path(c.right, B).project({HD: ra.Attr(HD)}).rel
             return ra.BagCompare(lp, c.op, rp)
         if isinstance(c, CLogic):
             if c.op == "iff":
@@ -1250,7 +1233,7 @@ class Translator:
 
 
 def translate(schema: Schema, p: PathExpr, typing: Typing, bound: Iterable[AttrName] = ()) -> ra.RelExpr:
-    return Translator(schema, typing).path(p, frozenset(bound))
+    return Translator(schema, typing).path(p, frozenset(bound)).rel
 
 
 # ---------------------------------------------------------------------------
@@ -1424,7 +1407,7 @@ def _expr_of(schema: Schema, x: Any) -> ra.RelExpr:
     if isinstance(x, FactRule):
         extra = [(a, schema.player(r)) for r, a in x.role_attrs]
         body = translate(schema, x.body, infer_typing(schema, x.body, extra))
-        return ra.project({r: ra.Attr(a) for r, a in x.role_attrs}, body)
+        return ra.Project({r: ra.Attr(a) for r, a in x.role_attrs}, body)
     body = x.body if isinstance(x, TypeRule) else x
     return translate(schema, body, infer_typing(schema, body))
 

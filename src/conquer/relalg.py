@@ -4,8 +4,8 @@ Expressions form a small AST of ``RA_KINDS``: five scalar kinds (one
 ``Aggregate`` for count, sum, min, max and average), four condition kinds
 and eight relational kinds (one ``SetOp`` for union, intersection and
 difference).  A node's children are its fields, as
-``walk.children`` finds them.  Each relational node works out its header
-(``sch``) when it is built, from its own fields and its operands'
+``walk.children`` finds them.  Each relational node works out its
+``header`` when it is built, from its own fields and its operands'
 headers, so an ill-formed set operation or grouping is refused there;
 ``evaluate`` materialises a node's bag of rows against a population.
 Scalar expressions and three-valued conditions are evaluated by
@@ -26,23 +26,27 @@ plan for the population's schema on the spot.  ``eval_scalar`` and
 ``compile_scalars`` builds the plan of the scalars that ``eval_scalars``
 runs.
 
-Four bag-algebra rules apply as nodes are built, in the builders that
-``paths.Translator`` builds its plans with.  ``project`` (and
-``Extend``, ``Rename`` and ``DropAttrs``, which go through it) fuses
-stacked projections into one and drops identity projections, and
-``JoinRules.join`` makes two projections of one type table joined on its
-instance column one, and drops a join with a type table that a column's
-role filler already belongs to.  The ``Project`` and ``Join``
-constructors apply no rule, so a plan built with them runs as built.
+Five bag-algebra rules apply as plans are built, in the builders that
+``paths.Translator`` builds its plans with.  A ``Columns`` is a projection
+not built yet: renaming, extension and attribute removal edit its column
+map, so stacked projections compose into one, an identity projection is
+never built, and a role read that nothing reads is dropped from the table
+of a fact type that no rule derives.  ``JoinRules.join`` makes two maps
+over one type table joined on its instance column one, and drops a join
+with a type table that a column's role filler already belongs to.  The
+``Project`` and ``Join`` constructors, and ``Extend``, ``Rename`` and
+``DropAttrs``, which build one ``Project``, apply no rule, so a plan built
+with them runs as built.
 
-The last rule rests on the closure invariant that ``load_population``
-establishes: every filler of a role is in the population of the role's
-player and of each of the player's supertypes.  The types a derivation rule
-defines do not keep that invariant, so the rule never drops a join with
-the table of a derived type or through a role of a derived fact type.  A
-population built by hand must keep the invariant too.  The rules may
-change the order in which an unordered result lists its rows, never the
-bag of rows.
+Dropping a role read and dropping a join rest on invariants that
+``load_population`` establishes: each instance of a fact type fills every
+role of it, and every filler of a role is in the population of the role's
+player and of each of the player's supertypes.  The types a derivation
+rule defines do not keep them, so the rules never drop a role read from
+the table of a derived type, a join with it or a join through a role of a
+derived fact type.  A population built by hand must keep the invariants
+too.  The rules may change the order in which an unordered result lists
+its rows, never the bag of rows.
 """
 
 from __future__ import annotations
@@ -301,68 +305,92 @@ def def_map(attrs: Iterable[AttrName]) -> dict[AttrName, RaScalar]:
 def Extend(assigns, of: RelExpr) -> RelExpr:
     """Keep every attribute of ``of`` and add ``assigns``; later
     assignments win."""
-    return project({**def_map(of.header), **dict(assigns)}, of)
+    return Project({**def_map(of.header), **dict(assigns)}, of)
 
 
 def Rename(mapping, of: RelExpr) -> RelExpr:
     """Rename by (new, old) pairs; the other attributes are kept."""
     renames = dict(mapping)
     keep = def_map(a for a in of.header if a not in renames.values())
-    return project({**keep, **{new: Attr(old) for new, old in renames.items()}}, of)
+    return Project({**keep, **{new: Attr(old) for new, old in renames.items()}}, of)
 
 
 def DropAttrs(attrs, of: RelExpr) -> RelExpr:
     drop = frozenset(attrs)
-    return project(def_map(a for a in of.header if a not in drop), of)
-
-
-def sch(e: RelExpr) -> frozenset:
-    """The header of ``e`` as a set of attribute names."""
-    return frozenset(e.slots)
+    return Project(def_map(a for a in of.header if a not in drop), of)
 
 
 # ---------------------------------------------------------------------------
-# Rules applied as nodes are built
+# Rules applied as plans are built
 #
-# Plans are built bottom-up, so a rule that reads only the node it builds
-# and its operands, as built, sees the operands in their final form, and
-# each rule runs once per node.  Stacked projections fuse,
-# pi_A(pi_B(x)) = pi_(A.B)(x), and a projection that keeps every attribute
-# of its operand unchanged is dropped (``project``).  ``paths.translate``
-# glues each path step on with a rename or an extension, so most of its
-# projections sit directly on another projection.
-#
-# Each step also joins a type table of its fact type or its player type,
-# and two join rules take most of those joins out again.  A type table
-# holds each instance once, so two projections of one type table joined on
-# its instance column are one projection of it (``_merge_self_join``).  And
-# a join with a projection that only copies a type table's column, on a
-# column whose values fill a role that type plays, keeps every row once
-# (``JoinRules._drop_semi_join``), by the closure invariant that the module
-# docstring states.  A sub-plan built once and used by two parents stays
-# one object, since it is built once.
+# ``paths.Translator`` carries each path step as a ``Columns`` and edits
+# its map by substitution, pi_A(pi_B(x)) = pi_(A.B)(x).  A ``Project`` is
+# built only where an operator needs a header: a join that no rule
+# removes, a set operation, a grouping, a selection, a subquery's operand
+# and the root.  A composition reads a computed assignment (anything but
+# an attribute, a role of one or a constant) at most once, so no row
+# computes it twice, and leaves out an assignment that nothing reads only
+# where reading it cannot raise; otherwise the old map is built and the
+# new one reads its header.  Each step also joins a type table of its fact
+# type or its player type, and the two join rules (``_merge_self_join``
+# and ``JoinRules._drop_semi_join``) take most of those joins out again
+# before either side is built.  A map used by two parents builds one
+# projection, since ``Columns.rel`` is kept.
 
 
-def project(assigns, of: RelExpr) -> RelExpr:
-    """The projection of ``of`` on ``assigns`` (attribute to scalar): fused
-    with ``of`` when that is a projection, or ``of`` itself when it is the
-    identity."""
-    assigns = dict(assigns)
-    if _keeps_every_attribute(assigns, of):
-        return of
-    if isinstance(of, Project):
-        fused = _fuse(assigns, of)
-        if fused is not None:
-            assigns, of = fused, of.of
-            if _keeps_every_attribute(assigns, of):
-                return of
-    return Project(assigns, of)
+class Columns:
+    """A projection not built yet: ``assigns`` maps each attribute to a
+    scalar over the relation ``of``; ``rules`` are the join rules of the
+    translation, whose schema says which reads cannot raise."""
+
+    def __init__(self, assigns: dict, of: RelExpr, rules: JoinRules):
+        self.assigns, self.of, self.rules = assigns, of, rules
+
+    @cached_property
+    def rel(self) -> RelExpr:
+        """The projection, built on first use: ``of`` itself when the map
+        keeps every attribute of it unchanged."""
+        if self.assigns.keys() == self.of.slots.keys() and all(
+            isinstance(s, Attr) and s.attr == a for a, s in self.assigns.items()
+        ):
+            return self.of
+        return Project(self.assigns, self.of)
+
+    def project(self, assigns: dict) -> Columns:
+        """The projection of this map on ``assigns`` (attribute to scalar
+        over this map's attributes), as one map over ``of`` when the
+        composition can read and raise as the two projections do, else as
+        a map over ``rel``."""
+        reads: list = []
+        out = {a: _substitute(s, self.assigns, reads) for a, s in assigns.items()}
+        read = set(reads)
+        computed = [a for a in reads if not isinstance(self.assigns.get(a), _SIMPLE)]
+        if (
+            any(s is None for s in out.values())
+            or len(computed) > len(set(computed))
+            or not all(a in read or self.rules.cannot_raise(s, self.of) for a, s in self.assigns.items())
+        ):
+            return Columns(assigns, self.rel, self.rules)
+        return Columns(out, self.of, self.rules)
+
+    def extend(self, assigns: dict) -> Columns:
+        """Keep every attribute and add ``assigns``; later assignments win."""
+        return self.project({**def_map(self.assigns), **assigns})
+
+    def rename(self, mapping: dict) -> Columns:
+        """Rename by (new, old) pairs; the other attributes are kept."""
+        keep = def_map(a for a in self.assigns if a not in mapping.values())
+        return self.project({**keep, **{new: Attr(old) for new, old in mapping.items()}})
+
+    def drop(self, attrs) -> Columns:
+        return self.project(def_map(a for a in self.assigns if a not in attrs))
 
 
 class JoinRules:
-    """The join builder of one translation for populations of ``schema``:
-    the join rules need the schema's types, roles and derived types, and
-    keep the column domains they work out."""
+    """The rules of one translation for populations of ``schema``: which
+    reads cannot raise and which joins go need the schema's types, roles
+    and derived types, and the rules keep the column domains they work
+    out."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -370,25 +398,40 @@ class JoinRules:
         # (id, attribute) -> (node, the types its column ranges over)
         self.domains: dict[tuple[int, AttrName], tuple] = {}
 
-    def join(self, left: RelExpr, right: RelExpr) -> RelExpr:
-        """The join of ``left`` and ``right``, as one projection when a
-        join rule applies."""
-        merged = _merge_self_join(left, right) or self._drop_semi_join(left, right) or self._drop_semi_join(right, left)
-        return Join(left, right) if merged is None else project(*merged)
+    def columns(self, e: RelExpr, assigns: dict | None = None) -> Columns:
+        """The map ``assigns`` over ``e``, by default every attribute of
+        ``e`` unchanged."""
+        return Columns(def_map(e.header) if assigns is None else assigns, e, self)
 
-    def _drop_semi_join(self, x: RelExpr, table: RelExpr) -> tuple | None:
-        """Join(x, table) as a projection of x, when ``table`` is a type
-        table T(b, t) whose columns all copy b, the two share one attribute
-        s, and x's column s ranges over t: each row of x then matches the
-        one row of its instance and gains the table's columns as copies of
-        s."""
-        split = _table_projection(table)
-        if split is None:
+    def join(self, left: Columns, right: Columns) -> Columns:
+        """The join of ``left`` and ``right``: one map when a join rule
+        applies, else a map over the join of the two built."""
+        merged = _merge_self_join(left, right) or self._drop_semi_join(left, right) or self._drop_semi_join(right, left)
+        return merged or self.columns(Join(left.rel, right.rel))
+
+    def cannot_raise(self, s: RaScalar, of: RelExpr) -> bool:
+        """Whether reading ``s`` from a row of ``of`` never raises: a
+        constant, a column of ``of``, or a role of the column of the table
+        of a fact type that no rule derives."""
+        if isinstance(s, Const):
+            return True
+        if not isinstance(s, (Attr, AttrRole)) or s.attr not in of.slots:
+            return False
+        if isinstance(s, Attr):
+            return True
+        role = self.schema.roles.get(s.role)
+        return isinstance(of, TypeTable) and role is not None and role.rel == of.tid and of.tid not in self.derived
+
+    def _drop_semi_join(self, x: Columns, table: Columns) -> Columns | None:
+        """Join(x, table) as a map over x's relation, when ``table`` is a
+        map over a type table T(b, t) whose columns all copy b, the two
+        share one attribute s, and x's column s ranges over t: each row of
+        x then matches the one row of its instance and gains the table's
+        columns as copies of s."""
+        tt = table.of
+        if not isinstance(tt, TypeTable) or any(s != Attr(tt.attr) for s in table.assigns.values()):
             return None
-        assigns, tt = split
-        if any(s != Attr(tt.attr) for s in assigns.values()):
-            return None
-        shared = x.slots.keys() & assigns.keys()
+        shared = x.assigns.keys() & table.assigns.keys()
         if len(shared) != 1:
             return None
         (s,) = shared
@@ -396,9 +439,9 @@ class JoinRules:
         # its table still raises
         if tt.tid not in self._domain(x, s) or tt.tid not in self.schema.types:
             return None
-        return {**def_map(x.header), **{k: Attr(s) for k in assigns}}, x
+        return x.extend({k: Attr(s) for k in table.assigns})
 
-    def _domain(self, e: RelExpr, a: AttrName) -> frozenset:
+    def _domain(self, e: RelExpr | Columns, a: AttrName) -> frozenset:
         """Types whose population holds every value of column ``a`` of
         ``e``, by the population invariant; derived types are never
         included.  Memoised on the node and the attribute."""
@@ -410,7 +453,7 @@ class JoinRules:
         if isinstance(e, TypeTable):
             if e.tid not in self.derived:
                 out = self.schema.ancestors.get(e.tid, frozenset()) - self.derived
-        elif isinstance(e, Project):
+        elif isinstance(e, (Project, Columns)):
             s = dict(e.assigns).get(a)
             if isinstance(s, Attr) and s.attr in e.of.slots:
                 out = self._domain(e.of, s.attr)
@@ -435,40 +478,30 @@ class JoinRules:
         return out
 
 
-def _keeps_every_attribute(assigns: dict, of: RelExpr) -> bool:
-    return assigns.keys() == of.slots.keys() and all(isinstance(s, Attr) and s.attr == a for a, s in assigns.items())
+# the scalars a composition may copy: reading one is no computation
+_SIMPLE = (Attr, AttrRole, Const)
 
 
-def _table_projection(e: RelExpr) -> tuple[dict, TypeTable] | None:
-    """The assignments and type table of a projection of a type table, a
-    bare type table being its identity projection; None for anything else."""
-    if isinstance(e, TypeTable):
-        return {e.attr: Attr(e.attr)}, e
-    if isinstance(e, Project) and isinstance(e.of, TypeTable):
-        return dict(e.assigns), e.of
-    return None
-
-
-def _merge_self_join(left: RelExpr, right: RelExpr) -> tuple | None:
-    """Join(Project(A, T(a)), Project(B, T(b))) over one type table T as
-    Project(A and B with b read as a, T(a)), when both sides are built from
-    their table's column, its roles and constants, one shared attribute is
-    the column on both sides and every other shared attribute is assigned
-    the same on both sides.  T holds each instance once, so each row
-    matches itself alone.  None when the join is not of that form."""
-    lsplit, rsplit = _table_projection(left), _table_projection(right)
-    if lsplit is None or rsplit is None or lsplit[1].tid != rsplit[1].tid:
+def _merge_self_join(left: Columns, right: Columns) -> Columns | None:
+    """Join(A over T(a), B over T(b)) of two maps over one type table T as
+    the map A and B with b read as a over T(a), when both maps are built
+    from their table's column, its roles and constants, one shared
+    attribute is the column on both sides and every other shared attribute
+    is assigned the same on both sides.  T holds each instance once, so
+    each row matches itself alone.  None when the join is not of that
+    form."""
+    table, other = left.of, right.of
+    if not isinstance(table, TypeTable) or not isinstance(other, TypeTable) or table.tid != other.tid:
         return None
-    (lassigns, table), (rassigns, other) = lsplit, rsplit
     col = table.attr
-    ours = {k: _on_column(s, col, col) for k, s in lassigns.items()}
-    theirs = {k: _on_column(s, other.attr, col) for k, s in rassigns.items()}
+    ours = {k: _on_column(s, col, col) for k, s in left.assigns.items()}
+    theirs = {k: _on_column(s, other.attr, col) for k, s in right.assigns.items()}
     if None in ours.values() or None in theirs.values():
         return None
     shared = ours.keys() & theirs.keys()
     if not any(ours[k] == Attr(col) for k in shared) or any(ours[k] != theirs[k] for k in shared):
         return None
-    return {**ours, **theirs}, table
+    return Columns({**ours, **theirs}, table, left.rules)
 
 
 def _on_column(s: RaScalar, col: AttrName, new: AttrName) -> RaScalar | None:
@@ -483,55 +516,24 @@ def _on_column(s: RaScalar, col: AttrName, new: AttrName) -> RaScalar | None:
     return None
 
 
-def _fuse(outer: dict, inner: Project) -> dict | None:
-    """The assignments of Project(outer, inner) written over inner's
-    operand, or None when the fused projection could read or raise
-    differently: ``outer`` must read only inner's attributes, through
-    attributes, roles of an attribute, constants and arithmetic, inner must
-    assign only attributes, roles and constants, and what ``outer`` leaves
-    unread must be a constant or an attribute of the operand."""
-    sub = dict(inner.assigns)
-    if not all(isinstance(s, (Attr, AttrRole, Const)) for s in sub.values()):
-        return None
-    used: set = set()
-    fused = {}
-    for a, s in outer.items():
-        s = _substitute(s, sub, used)
-        if s is None:
-            return None
-        fused[a] = s
-    for a, s in sub.items():
-        if a not in used and not isinstance(s, Const) and not (isinstance(s, Attr) and s.attr in inner.of.slots):
-            return None
-    return fused
-
-
-def _substitute(s: RaScalar, sub: dict, used: set) -> RaScalar | None:
+def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
     """``s`` with each attribute it reads replaced by its assignment in
-    ``sub``, adding the attributes read to ``used``; None when s reads an
-    attribute outside sub, takes a role of anything but an attribute, or
-    is not built from attributes, roles, constants and ``Apply``."""
+    ``sub``, adding each attribute read to ``reads``; None when s reads an
+    attribute outside sub (the outer binding's), takes a role of anything
+    but an attribute, or is not built from attributes, roles, constants
+    and ``Apply``."""
     if isinstance(s, Const):
         return s
     if isinstance(s, Attr):
-        t = sub.get(s.attr)
-        if t is not None:
-            used.add(s.attr)
-        return t
+        reads.append(s.attr)
+        return sub.get(s.attr)
     if isinstance(s, AttrRole):
         t = sub.get(s.attr)
-        if not isinstance(t, Attr):
-            return None
-        used.add(s.attr)
-        return AttrRole(t.attr, s.role)
+        reads.append(s.attr)
+        return AttrRole(t.attr, s.role) if isinstance(t, Attr) else None
     if isinstance(s, Apply):
-        args = []
-        for a in s.args:
-            a = _substitute(a, sub, used)
-            if a is None:
-                return None
-            args.append(a)
-        return Apply(s.func, args)
+        args = [_substitute(a, sub, reads) for a in s.args]
+        return None if any(a is None for a in args) else Apply(s.func, args)
     return None
 
 

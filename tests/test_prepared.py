@@ -6,6 +6,7 @@ types, or a new schema, makes the next run prepare the text again."""
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -191,7 +192,6 @@ def test_an_appended_derivation_rule_prepares_again(calls):
     text = "a BigCompany"
     assert run_query(session, text).endswith("(0 rows)")
     schema.derivations.append(TypeRule("BigCompany", path_of(schema, RULES[1]["body"])))
-    session.derived_pop = None
     parsed, compiled = calls["parse_list"], calls["compile_plan"]
     out = run_query(session, text)
     assert calls["parse_list"] == parsed + 1 and calls["compile_plan"] > compiled
@@ -199,6 +199,21 @@ def test_an_appended_derivation_rule_prepares_again(calls):
     fresh_schema = load_full_schema(fresh_doc)
     fresh = Session(schema=fresh_schema, base_pop=load_population(fresh_schema, population_doc(4)))
     assert out == run_query(fresh, text) and not out.endswith("(0 rows)")
+
+
+def test_a_loaded_population_is_derived_again(tmp_path):
+    """The derived population follows the base population it was derived
+    from."""
+    schema = load_full_schema(schema_doc())
+    session = Session(schema=schema, base_pop=load_population(schema, population_doc(1)))
+    text = "a HighEarner"
+    before = run_query(session, text)
+    doc = tmp_path / "population.json"
+    doc.write_text(json.dumps(population_doc(9)))
+    session.load_population_file(str(doc))
+    after = run_query(session, text)
+    assert after == run_query(Session(schema=schema, base_pop=session.base_pop), text)
+    assert after != before
 
 
 def test_a_reloaded_schema_starts_with_an_empty_table(calls):

@@ -7,6 +7,7 @@ from conquer.errors import EvalError, SchemaError
 from conquer import relalg
 from conquer.paths import translate
 from conquer.population import Population
+from conquer.schema import TypeRule
 from conquer.relalg import (
     Aggregate,
     Apply,
@@ -37,8 +38,7 @@ from conquer.relalg import (
     eval_scalar,
     eval_scalars,
     evaluate,
-    project,
-    sch,
+    Columns,
 )
 from conquer.tri import UNKNOWN
 from conquer.values import NULL, EntityInstance, FactInstance, GroupedBag
@@ -78,7 +78,7 @@ def counted(monkeypatch):
 class TestProjectionFamily:
     def test_project_example(self, pop, example_p):
         e = Project({"a": Apply("+", [Attr("x"), Attr("y")]), "b": Attr("z")}, example_p)
-        assert sch(e) == frozenset({"a", "b"})
+        assert e.header == ("a", "b")
         assert evaluate(e, pop) == rel(["a", "b"], (3, "a"), (6, "b"))
 
     def test_extend_example(self, pop, example_p):
@@ -91,7 +91,7 @@ class TestProjectionFamily:
 
     def test_rename_example(self, pop, example_p):
         e = Rename({"a": "x", "b": "y"}, example_p)
-        assert sch(e) == frozenset({"a", "b", "z"})
+        assert e.header == ("a", "b", "z")
         expected = rel(["a", "b", "z"], (1, 2, "a"), (2, 4, "b"))
         assert evaluate(e, pop) == expected
 
@@ -168,7 +168,7 @@ class TestScalars:
     def test_scalar_table(self, pop):
         # a scalar's one-row table is a projection of the unit relation
         e = Project({"x": Const(7)}, UNIT)
-        assert sch(e) == frozenset({"x"})
+        assert e.header == ("x",)
         assert evaluate(e, pop) == rel(["x"], (7,))
 
     def test_correlated_subquery(self, pop):
@@ -516,64 +516,77 @@ def fact_pop():
 
 
 class TestRewrite:
-    """The builders fuse stacked projections (``project``, and ``Extend``,
-    ``Rename`` and ``DropAttrs`` through it), drop identity projections,
-    merge two projections of one type table joined on its instance column
-    and drop a join with a type table whose instances the other side's
-    column already fills a role of (``JoinRules.join``); a plan they build
-    gives the same relation, and raises where, the same plan built with the
-    raw ``Project`` and ``Join`` constructors does."""
+    """A ``Columns`` composes renaming, extension, attribute removal and
+    projection into one map and builds no identity projection, and
+    ``JoinRules.join`` merges two maps over one type table joined on its
+    instance column and drops a join with a type table whose instances the
+    other side's column already fills a role of; a plan they build gives
+    the same relation, and raises where, the same plan built with the raw
+    ``Project`` and ``Join`` constructors does."""
 
-    def test_rename_extend_drop_chain_fuses(self, pop):
+    def test_rename_extend_drop_chain_composes(self, pop):
         src = lit(["x", "y", "z"], (1, 2, "a"), (1, 2, "b"), (1, 2, "b"), (3, 4, "c"))
-        fused = Rename({"w": "x"}, Extend({"k": Const(7), "v": Attr("y")}, DropAttrs({"z"}, src)))
-        assert isinstance(fused, Project) and fused.of is src
+        cols = JoinRules(pop.schema).columns(src)
+        composed = cols.drop({"z"}).extend({"k": Const(7), "v": Attr("y")}).rename({"w": "x"}).rel
+        assert isinstance(composed, Project) and composed.of is src
         extended = Project({"k": Const(7), "v": Attr("y"), "x": Attr("x"), "y": Attr("y")}, Project(def_map("xy"), src))
         raw = Project({"k": Attr("k"), "v": Attr("v"), "w": Attr("x"), "y": Attr("y")}, extended)
         expected = Relation(
             ("k", "v", "w", "y"), Bag.from_counts([((7, 2, 1, 2), 3), ((7, 4, 3, 4), 1)])
         )
-        assert evaluate(fused, pop) == evaluate(raw, pop) == expected
+        assert evaluate(composed, pop) == evaluate(raw, pop) == expected
 
     def test_outer_role_over_inner_attribute(self, pop):
         src = lit(["f", "n"], (FactInstance({"p": 1, "q": "a"}), 5), (FactInstance({"p": 2, "q": "b"}), 5))
-        fused = project({"v": AttrRole("g", "p"), "m": Attr("n")}, Rename({"g": "f"}, src))
-        assert fused == Project({"v": AttrRole("f", "p"), "m": Attr("n")}, src)
-        raw = Project({"v": AttrRole("g", "p"), "m": Attr("n")}, Project({"g": Attr("f"), "n": Attr("n")}, src))
-        assert evaluate(fused, pop) == evaluate(raw, pop) == rel(["m", "v"], (5, 1), (5, 2))
+        outer = {"v": AttrRole("g", "p"), "m": Attr("n")}
+        composed = JoinRules(pop.schema).columns(src).rename({"g": "f"}).project(outer).rel
+        assert composed == Project({"v": AttrRole("f", "p"), "m": Attr("n")}, src)
+        raw = Project(outer, Project({"g": Attr("f"), "n": Attr("n")}, src))
+        assert evaluate(composed, pop) == evaluate(raw, pop) == rel(["m", "v"], (5, 1), (5, 2))
 
     def test_inner_constant(self, pop):
         src = lit(["x"], (1,), (2,), (2,))
         outer = {"a": Attr("k"), "b": Apply("+", [Attr("x"), Attr("k")])}
-        fused = project(outer, Extend({"k": Const(10)}, src))
-        assert fused.of is src
+        composed = JoinRules(pop.schema).columns(src).extend({"k": Const(10)}).project(outer).rel
+        assert composed.of is src
         raw = Project(outer, Project({"k": Const(10), "x": Attr("x")}, src))
-        assert evaluate(fused, pop) == evaluate(raw, pop) == rel(["a", "b"], (10, 11), (10, 12), (10, 12))
+        assert evaluate(composed, pop) == evaluate(raw, pop) == rel(["a", "b"], (10, 11), (10, 12), (10, 12))
 
     def test_outer_binding_read_is_not_sent_to_the_operand(self, pop):
         # the outer projection's `a` is the outer binding's; the inner one
         # renames the operand's own `a` to `b`
-        inner = Rename({"b": "a"}, lit(["a"], (1,), (2,), (3,)))
-        e = project({"s": Apply("+", [Attr("b"), Attr("a")])}, inner)
+        inner = JoinRules(pop.schema).columns(lit(["a"], (1,), (2,), (3,))).rename({"b": "a"})
+        e = inner.project({"s": Apply("+", [Attr("b"), Attr("a")])}).rel
         assert eval_scalar(Aggregate("sum", e, "s"), pop, {"a": 10}) == 36
         assert eval_scalar(Aggregate("count", Select(Compare(Attr("s"), ">", Const(12)), e)), pop, {"a": 10}) == 1
 
     def test_dropped_unbound_attribute_still_raises(self, pop):
-        inner = Project({"b": Attr("x"), "c": Attr("nope")}, lit(["x"], (1,)))
+        inner = Columns({"b": Attr("x"), "c": Attr("nope")}, lit(["x"], (1,)), JoinRules(pop.schema))
         with pytest.raises(EvalError, match="unbound attribute 'nope'"):
-            evaluate(project({"a": Attr("b")}, inner), pop)
+            evaluate(inner.project({"a": Attr("b")}).rel, pop)
+
+    def test_computed_column_read_twice_is_built_once(self, pop):
+        src = lit(["x"], (1,), (2,))
+        summed = JoinRules(pop.schema).columns(src).extend({"s": Apply("+", [Attr("x"), Const(1)])})
+        copied = summed.extend({"t": Attr("s")})
+        assert copied.of is summed.rel
+        assert evaluate(copied.rel, pop) == rel(["s", "t", "x"], (2, 2, 1), (3, 3, 2))
+        # read once, it moves into the one map
+        assert summed.rename({"t": "s"}).of is src
 
     def test_identity_projection_is_removed(self, pop, example_p):
-        e = Distinct(project(def_map(["x", "y", "z"]), example_p))
+        e = Distinct(JoinRules(pop.schema).columns(example_p).project(def_map(["x", "y", "z"])).rel)
         assert e == Distinct(example_p)
         assert evaluate(e, pop) == evaluate(Distinct(Project(def_map(["x", "y", "z"]), example_p)), pop)
         assert evaluate(e, pop) == example_p.relation
 
-    def test_shared_rewritten_sub_plan_is_evaluated_once(self, counted):
+    def test_shared_composed_sub_plan_is_evaluated_once(self, counted):
         pop, calls = counted
-        # the identity projection goes, so the shared Distinct is built over
-        # the fused projection
-        shared = Distinct(project({"m": Attr("k")}, project(def_map(["k"]), TypeTable("k", "X"))))
+        # no identity projection is built, so the shared Distinct is built
+        # over the one composed projection
+        cols = JoinRules(pop.schema).columns(TypeTable("k", "X"))
+        shared = Distinct(cols.project(def_map(["k"])).project({"m": Attr("k")}).rel)
+        assert shared.of.of == TypeTable("k", "X")
         e = SetOp(shared, "union", SetOp(shared, "intersect", shared))
         assert e.left is e.right.left is e.right.right
         assert evaluate(e, pop) == Relation(("m",), Bag.from_counts([((m,), 2) for m in (1, 2, 3)]))
@@ -582,57 +595,60 @@ class TestRewrite:
     def test_self_join_merge_keeps_multiplicities(self):
         pop = fact_pop()
         rules = JoinRules(pop.schema)
-        left = Project({"h": AttrRole("a", "q1"), "k": Attr("a")}, TypeTable("a", "G"))
-        right = Project({"t": AttrRole("b", "q2"), "k": Attr("b")}, TypeTable("b", "G"))
-        e = project({"h": Attr("h")}, rules.join(left, right))
+        left = rules.columns(TypeTable("a", "G"), {"h": AttrRole("a", "q1"), "k": Attr("a")})
+        right = rules.columns(TypeTable("b", "G"), {"t": AttrRole("b", "q2"), "k": Attr("b")})
+        e = rules.join(left, right).project({"h": Attr("h")}).rel
         assert not any(isinstance(x, Join) for x in plan_objects(e))
         expected = Relation(("h",), Bag.from_counts([((1,), 2), ((2,), 1)]))
-        assert evaluate(e, pop) == evaluate(Project({"h": Attr("h")}, Join(left, right)), pop) == expected
-        for joined in (rules.join(left, right), Join(left, right)):
-            assert sorted(u[0] for u, _ in evaluate(DropAttrs({"k"}, joined), pop).rows()) == [1, 1, 2]
+        assert evaluate(e, pop) == evaluate(Project({"h": Attr("h")}, Join(left.rel, right.rel)), pop) == expected
+        for joined in (rules.join(left, right).drop({"k"}).rel, DropAttrs({"k"}, Join(left.rel, right.rel))):
+            assert sorted(u[0] for u, _ in evaluate(joined, pop).rows()) == [1, 1, 2]
 
     def test_merged_self_join_still_raises_on_a_role(self):
         pop = fact_pop()
         rules = JoinRules(pop.schema)
         value_sides = (
-            Project({"h": AttrRole("a", "q1"), "k": Attr("a")}, TypeTable("a", "V")),
-            Project({"k": Attr("b")}, TypeTable("b", "V")),
+            rules.columns(TypeTable("a", "V"), {"h": AttrRole("a", "q1"), "k": Attr("a")}),
+            rules.columns(TypeTable("b", "V"), {"k": Attr("b")}),
         )
         no_role_sides = (
-            Project({"h": AttrRole("a", "nope"), "k": Attr("a")}, TypeTable("a", "G")),
-            TypeTable("k", "G"),
+            rules.columns(TypeTable("a", "G"), {"h": AttrRole("a", "nope"), "k": Attr("a")}),
+            rules.columns(TypeTable("k", "G")),
         )
         for sides, message in ((value_sides, "not a relationship instance"), (no_role_sides, "not defined for role 'nope'")):
             merged = rules.join(*sides)
-            assert isinstance(merged, Project)
-            for e in (merged, Join(*sides)):
+            assert isinstance(merged.of, TypeTable)
+            # the role read raises whether its column is kept or not
+            for e in (merged.rel, merged.drop({"h"}).rel, Join(*(side.rel for side in sides))):
                 with pytest.raises(EvalError, match=message):
                     evaluate(e, pop)
 
     def test_self_join_on_a_role_is_kept(self):
         pop = fact_pop()
+        rules = JoinRules(pop.schema)
         # facts that share their first filler: a many-to-many join
-        e = JoinRules(pop.schema).join(
-            Project({"h": AttrRole("a", "q1"), "x": Attr("a")}, TypeTable("a", "G")),
-            Project({"h": AttrRole("b", "q1"), "y": Attr("b")}, TypeTable("b", "G")),
+        e = rules.join(
+            rules.columns(TypeTable("a", "G"), {"h": AttrRole("a", "q1"), "x": Attr("a")}),
+            rules.columns(TypeTable("b", "G"), {"h": AttrRole("b", "q1"), "y": Attr("b")}),
         )
-        assert isinstance(e, Join)
-        assert evaluate(e, pop).body.cardinality() == 5
+        assert isinstance(e.rel, Join)
+        assert evaluate(e.rel, pop).body.cardinality() == 5
 
     def test_semi_join_with_a_subtype_table_is_kept(self):
         pop = fact_pop()
         rules = JoinRules(pop.schema)
-        fillers = Project({"p": AttrRole("f", "q1")}, TypeTable("f", "G"))
-        small = rules.join(fillers, TypeTable("p", "Small"))
-        assert isinstance(small, Join)
-        assert evaluate(small, pop) == rel(["p"], (1,), (1,))
+        fillers = rules.columns(TypeTable("f", "G"), {"p": AttrRole("f", "q1")})
+        small = rules.join(fillers, rules.columns(TypeTable("p", "Small")))
+        assert isinstance(small.rel, Join)
+        assert evaluate(small.rel, pop) == rel(["p"], (1,), (1,))
         # the player's own table filters nothing, so its join goes
-        player = rules.join(TypeTable("p", "V"), fillers)
-        assert player is fillers
-        assert evaluate(player, pop) == evaluate(Join(TypeTable("p", "V"), fillers), pop) == rel(["p"], (1,), (1,), (2,))
+        player = rules.join(rules.columns(TypeTable("p", "V")), fillers)
+        assert player.of is fillers.of and player.assigns == fillers.assigns
+        assert evaluate(player.rel, pop) == evaluate(Join(TypeTable("p", "V"), fillers.rel), pop) == rel(["p"], (1,), (1,), (2,))
 
     def test_semi_join_on_a_padded_column_is_kept(self):
         pop = fact_pop()
+        rules = JoinRules(pop.schema)
         # p is on one operand of the union only; 5 and 6 fill no first
         # role, so their rows are padded with NULL
         facts = Project({"a": AttrRole("f", "q1"), "p": AttrRole("f", "q2")}, TypeTable("f", "G"))
@@ -640,9 +656,9 @@ class TestRewrite:
         assert evaluate(padded, pop) == rel(
             ["a", "p"], *[(1, 5)] * 3, *[(1, 6)] * 3, (2, 5), (2, 5), (5, NULL), (6, NULL)
         )
-        e = JoinRules(pop.schema).join(padded, TypeTable("p", "V"))
-        assert isinstance(e, Join)
-        assert evaluate(e, pop) == rel(["a", "p"], *[(1, 5)] * 3, *[(1, 6)] * 3, (2, 5), (2, 5))
+        e = rules.join(rules.columns(padded), rules.columns(TypeTable("p", "V")))
+        assert isinstance(e.rel, Join)
+        assert evaluate(e.rel, pop) == rel(["a", "p"], *[(1, 5)] * 3, *[(1, 6)] * 3, (2, 5), (2, 5))
 
     def test_join_with_an_undeclared_supertype_still_raises(self):
         schema = make_schema({
@@ -652,18 +668,50 @@ class TestRewrite:
             "player": {"q1": "V", "q2": "V"},
         })
         pop = make_population(schema, {"G": [{"q1": 1, "q2": 2}]})
-        e = JoinRules(schema).join(Project({"p": AttrRole("f", "q1")}, TypeTable("f", "G")), TypeTable("p", "Ghost"))
+        rules = JoinRules(schema)
+        e = rules.join(rules.columns(TypeTable("f", "G"), {"p": AttrRole("f", "q1")}), rules.columns(TypeTable("p", "Ghost")))
         with pytest.raises(SchemaError, match="unknown type 'Ghost'"):
-            evaluate(e, pop)
+            evaluate(e.rel, pop)
 
     def test_merged_shared_sub_plan_is_evaluated_once(self, counted):
         pop, calls = counted
-        shared = JoinRules(pop.schema).join(TypeTable("k", "X"), Project({"k": Attr("j"), "m": Attr("j")}, TypeTable("j", "X")))
+        rules = JoinRules(pop.schema)
+        shared = rules.join(rules.columns(TypeTable("k", "X")), rules.columns(TypeTable("j", "X"), {"k": Attr("j"), "m": Attr("j")})).rel
         e = SetOp(shared, "union", SetOp(shared, "intersect", shared))
         assert isinstance(e.left, Project)
         assert e.left is e.right.left is e.right.right
         assert evaluate(e, pop) == Relation(("k", "m"), Bag.from_counts([((v, v), 2) for v in (1, 2, 3)]))
         assert len(calls) == 1
+
+
+class TestRoleTotality:
+    """An unread role read from the table of a fact type that no rule
+    derives is dropped, since each of its instances fills every role; read
+    from anything else, it still raises."""
+
+    SIDES = {"h": AttrRole("f", "q1"), "t": AttrRole("f", "q2")}
+
+    def test_dropped_over_a_base_fact_types_table(self):
+        pop = fact_pop()
+        e = JoinRules(pop.schema).columns(TypeTable("f", "G"), dict(self.SIDES)).drop({"t"}).rel
+        assert e == Project({"h": AttrRole("f", "q1")}, TypeTable("f", "G"))
+        assert evaluate(e, pop) == rel(["h"], (1,), (1,), (2,))
+
+    def test_kept_over_a_derived_types_table(self):
+        schema = fact_pop().schema
+        schema.derivations.append(TypeRule("G", None))
+        # a derived fact type's instances are what its rule gives, so one
+        # may lack a role
+        pop = Population(schema, {"G": Bag([FactInstance({"q1": 1})])})
+        e = JoinRules(schema).columns(TypeTable("f", "G"), dict(self.SIDES)).drop({"t"}).rel
+        with pytest.raises(EvalError, match="not defined for role 'q2'"):
+            evaluate(e, pop)
+
+    def test_kept_over_a_literal_of_facts(self, pop):
+        facts = lit(["f"], (FactInstance({"q1": 1}),))
+        e = JoinRules(pop.schema).columns(facts, dict(self.SIDES)).drop({"t"}).rel
+        with pytest.raises(EvalError, match="not defined for role 'q2'"):
+            evaluate(e, pop)
 
 
 class TestHeaders:

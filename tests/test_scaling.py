@@ -162,24 +162,44 @@ def translated_plan(monkeypatch, text: str):
 
 
 def test_translation_fuses_the_projections_of_a_two_fact_join(monkeypatch):
-    assert distinct_nodes(translated_plan(monkeypatch, TWO_FACT_JOIN), ra.Project) <= 18
+    assert distinct_nodes(translated_plan(monkeypatch, TWO_FACT_JOIN), ra.Project) == 2
 
 
 def test_translation_fuses_the_projections_of_a_correlated_query(monkeypatch):
-    assert distinct_nodes(translated_plan(monkeypatch, CORRELATED), ra.Project) <= 31
+    assert distinct_nodes(translated_plan(monkeypatch, CORRELATED), ra.Project) <= 7
 
 
 def test_translation_drops_the_type_table_joins_of_a_two_fact_join(monkeypatch):
     plan = translated_plan(monkeypatch, TWO_FACT_JOIN)
     assert distinct_nodes(plan, ra.Join) <= 2
     assert distinct_nodes(plan, ra.TypeTable) <= 2
-    assert distinct_nodes(plan, ra.Project) <= 6
+    # one projection over each fact type's table
+    projections = [x for x in plan_objects(plan) if isinstance(x, ra.Project)]
+    assert sorted(x.of.tid for x in projections if isinstance(x.of, ra.TypeTable)) == ["F", "G"]
+    assert len(projections) == 2
 
 
 def test_translation_drops_the_type_table_joins_of_a_correlated_query(monkeypatch):
     plan = translated_plan(monkeypatch, CORRELATED)
-    assert distinct_nodes(plan, ra.Join) <= 4
-    assert distinct_nodes(plan, ra.Project) <= 11
+    assert distinct_nodes(plan, ra.Join) <= 2
+    assert distinct_nodes(plan, ra.Project) <= 7
+
+
+@pytest.mark.parametrize("text", [TWO_FACT_JOIN, CORRELATED])
+def test_translation_builds_only_the_projections_it_keeps(monkeypatch, text):
+    schema = demo_session().schema
+    reading = disambiguate(schema, parse_list(text, schema)).interpretations[0]
+    built = []
+    init = ra.Project.__init__
+
+    def recording_init(self, assigns, of):
+        init(self, assigns, of)
+        built.append(self)
+
+    monkeypatch.setattr(ra.Project, "__init__", recording_init)
+    plan = P.translate(schema, reading.path, reading.typing)
+    kept = {id(x) for x in plan_objects(plan)}
+    assert built and all(id(x) in kept for x in built)
 
 
 def test_two_fact_join_has_no_join(monkeypatch):
@@ -219,8 +239,8 @@ def test_a_translation_names_only_its_paths_attributes(monkeypatch):
 
     def checking(self, p, B):
         out = path(self, p, B)
-        assert set(out.header) <= {P.HD, P.TL} | P.attr_uses(p), p
-        assert not any(a.startswith(FRESH_PREFIX) for a in out.header), p
+        assert set(out.assigns) <= {P.HD, P.TL} | P.attr_uses(p), p
+        assert not any(a.startswith(FRESH_PREFIX) for a in out.assigns), p
         checked.append(p)
         return out
 
