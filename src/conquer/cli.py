@@ -175,15 +175,14 @@ def _readings(schema: Schema, text: str) -> ParseResult:
 @dataclass(frozen=True, eq=False)
 class _Stage:
     """What a run of the chosen reading needs besides the population: its
-    plan, its order keys and its output columns.  The columns are either
-    the projection's labels with its compiled scalars, or HEAD, the named
-    variables and TAIL with the slots of the plan's rows they read."""
+    plan, its order keys, the labels of its output columns and the slot of
+    each in the plan's rows.  The columns are the projection's, which the
+    plan computes, or HEAD, the named variables and TAIL."""
 
     plan: ra.Plan
     order: tuple
-    header: list[str]
-    scalars: ra.ScalarPlan | None
-    slots: list[int] | None
+    labels: list[str]
+    slots: list[int]
 
 
 class Prepared:
@@ -223,19 +222,24 @@ class Prepared:
     def stage(self, schema: Schema) -> _Stage:
         if self._stage is None:
             interp = self.readings[0]
-            expr = P.translate(schema, interp.path, interp.typing)
-            plan, header = ra.compile_plan(expr, schema), expr.header
-            if interp.projection:
+            # the projection's columns are named to sort after every
+            # attribute of the path (letters, an @N suffix, and the fresh
+            # ~N, ~qN and ~mN), since ordering breaks ties by the rows'
+            # cells in header order: a column computed from the path's
+            # cells then never decides between rows that they leave tied
+            outputs = [(f"~~{i}", e) for i, e in enumerate(interp.projection or ())]
+            expr = P.translate(schema, interp.path, interp.typing, outputs=outputs)
+            header = expr.header
+            if outputs:
                 ctx = VerbCtx(schema, interp.typing, interp.vnm)
                 labels = [verbalise_scalar(e, ctx) for e in interp.projection]
-                translator = P.Translator(schema, interp.typing)
-                exprs = [translator.scalar(e, frozenset(header)) for e in interp.projection]
-                self._stage = _Stage(plan, interp.order, labels, ra.compile_scalars(exprs, header), None)
+                columns = [a for a, _ in outputs]
             else:
                 named = [a for a in interp.vnm if a not in (P.HD, P.TL) and a in header]
                 labels = ["HEAD"] + [interp.vnm[a] for a in named] + ["TAIL"]
-                slots = [header.index(a) for a in [P.HD] + named + [P.TL]]
-                self._stage = _Stage(plan, interp.order, labels, None, slots)
+                columns = [P.HD] + named + [P.TL]
+            slots = [header.index(a) for a in columns]
+            self._stage = _Stage(ra.compile_plan(expr, schema), interp.order, labels, slots)
         return self._stage
 
 
@@ -256,7 +260,7 @@ def prepared(schema: Schema, text: str) -> Prepared:
 
 def run_query(session: Session, text: str) -> str:
     """The full pipeline: prepare the text (or take it prepared), then
-    evaluate, project, order, denote and render."""
+    evaluate, order, denote and render."""
     schema = session.loaded_schema()
     query = prepared(schema, text)
     if len(query.readings) > 1 and session.ambiguity == "list":
@@ -271,11 +275,8 @@ def run_query(session: Session, text: str) -> str:
     ]
 
     cell = _cell_texts(pop, session.null_token)
-    if stage.scalars is not None:
-        rows = [[cell(value) for value in values] for values in ra.eval_scalars(stage.scalars, pop, ordered)]
-    else:
-        rows = [[cell(t[i]) for i in stage.slots] for t in ordered]
-    return _render_table(stage.header, rows, session.out_format)
+    rows = [[cell(t[i]) for i in stage.slots] for t in ordered]
+    return _render_table(stage.labels, rows, session.out_format)
 
 
 # ---------------------------------------------------------------------------

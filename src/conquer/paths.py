@@ -1232,8 +1232,18 @@ class Translator:
         raise TranslateError(f"cannot translate condition {c!r}")
 
 
-def translate(schema: Schema, p: PathExpr, typing: Typing, bound: Iterable[AttrName] = ()) -> ra.RelExpr:
-    return Translator(schema, typing).path(p, frozenset(bound)).rel
+def translate(
+    schema: Schema, p: PathExpr, typing: Typing, bound: Iterable[AttrName] = (), outputs: Iterable[tuple] = ()
+) -> ra.RelExpr:
+    """The plan of ``p`` with ``bound`` read from outside, plus a column
+    for each (attribute, scalar) pair of ``outputs``, computed from the
+    path's attributes in the plan's last projection."""
+    translator = Translator(schema, typing)
+    root = translator.path(p, frozenset(bound))
+    if outputs:
+        B = frozenset(root.assigns)
+        root = root.extend({a: translator.scalar(e, B) for a, e in outputs})
+    return root.rel
 
 
 # ---------------------------------------------------------------------------
@@ -1369,7 +1379,12 @@ def apply_derivations(schema: Schema, pop: Population) -> Population:
     for rule in order:
         relation = ra.evaluate(_kept_plan(schema, rule), current)
         if isinstance(rule, FactRule):
-            facts = Bag.from_counts((FactInstance(dict(zip(relation.header, u))), n) for u, n in relation.rows())
+            header = relation.header
+            unbound = [a for _, a in rule.role_attrs if a not in header]
+            if unbound and relation.body:
+                raise EvalError(f"unbound attribute {unbound[0]!r}")
+            slots = [(r, header.index(a)) for r, a in rule.role_attrs if a in header]
+            facts = Bag.from_counts((FactInstance({r: u[i] for r, i in slots}), n) for u, n in relation.rows())
             current = current.with_population(rule.rel, facts)
         else:
             i = relation.header.index(HD)
@@ -1402,12 +1417,13 @@ def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
 
 
 def _expr_of(schema: Schema, x: Any) -> ra.RelExpr:
-    """The relational expression of ``x``: a derivation rule's body, a fact
-    rule's projected onto the roles it defines, or a constraint path."""
+    """The relational expression of ``x``: the translation of a derivation
+    rule's body or of a constraint path.  A fact rule's body is typed with
+    the players of its role attributes, whose columns ``apply_derivations``
+    reads."""
     if isinstance(x, FactRule):
         extra = [(a, schema.player(r)) for r, a in x.role_attrs]
-        body = translate(schema, x.body, infer_typing(schema, x.body, extra))
-        return ra.Project({r: ra.Attr(a) for r, a in x.role_attrs}, body)
+        return translate(schema, x.body, infer_typing(schema, x.body, extra))
     body = x.body if isinstance(x, TypeRule) else x
     return translate(schema, body, infer_typing(schema, body))
 

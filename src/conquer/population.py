@@ -4,7 +4,8 @@ The population file maps type names to instance lists.  Value type
 instances are written directly; entity instances are written as their
 denotation (a scalar, or a list for composite reference schemes) and
 become surrogate values; relationship instances are written as role-id to
-value maps.
+value maps.  The loader refuses a type's entry that is not a list and a
+relationship instance that is not a map.
 
 Reference facts implied by entity denotations are synthesised
 automatically, so a population that says Salary "1000" also contains the
@@ -67,7 +68,9 @@ def decode_instance(schema: Schema, tid: TypeId, raw: Any, within: tuple = ()) -
         raise PopulationError(f"unknown type {tid!r} in population")
     if info.is_value_type:
         return _decode_scalar(raw)
-    if info.is_relationship and isinstance(raw, dict):
+    if info.is_relationship:
+        if not isinstance(raw, dict):
+            raise PopulationError(f"instance of {tid!r} must be a dict of its roles, got {raw!r}")
         expected = set(schema.roles_of.get(tid, ()))
         given = set(raw)
         if expected and given != expected:
@@ -113,6 +116,8 @@ def load_population(schema: Schema, data: dict | str) -> Population:
             tid = key
         if tid is None:
             raise PopulationError(f"unknown type name {key!r} in population")
+        if not isinstance(instances, list):
+            raise PopulationError(f"the instances of {key!r} must be a list, got {instances!r}")
         freq = counts.setdefault(tid, {})
         for raw in instances:
             inst = decode_instance(schema, tid, raw)

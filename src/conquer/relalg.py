@@ -22,9 +22,7 @@ one for each distinct node, which run without looking at a node's kind
 again.  ``compile_plan`` builds one; a plan built once runs against every
 population of its schema, and ``evaluate`` turns a plain expression into a
 plan for the population's schema on the spot.  ``eval_scalar`` and
-``eval_cond`` compile their expressions the same way, and
-``compile_scalars`` builds the plan of the scalars that ``eval_scalars``
-runs.
+``eval_cond`` compile their expressions the same way.
 
 Five bag-algebra rules apply as plans are built, in the builders that
 ``paths.Translator`` builds its plans with.  A ``Columns`` is a projection
@@ -55,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Union as TUnion
+from typing import Any, Callable, Iterable, Union as TUnion
 
 from .bag import Bag, bag_avg, bag_max, bag_min, bag_sum
 from .errors import EvalError
@@ -582,7 +580,7 @@ class Plan:
 
 def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
-    run = _Compiler(_repeatable([e], per_row=False)).rel(e)
+    run = _Compiler(_repeatable(e)).rel(e)
     return Plan(e, run, schema, schema.derived_types())
 
 
@@ -597,36 +595,11 @@ def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
-    return _Compiler(_repeatable([expr], per_row=False)).scalar(expr, ())(_Context(pop), (), env)
+    return _Compiler(_repeatable(expr)).scalar(expr, ())(_Context(pop), (), env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
-    return _Compiler(_repeatable([cond], per_row=False)).cond(cond, ())(_Context(pop), (), env)
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarPlan:
-    """Scalar expressions over the rows of relations with one header,
-    compiled once to run against any population: ``runs`` holds each
-    expression's code.  The plan holds ``exprs``, so the ids their code
-    keys its memo on stay their nodes'."""
-
-    exprs: tuple
-    runs: tuple
-
-
-def compile_scalars(exprs: list[RaScalar], header: tuple) -> ScalarPlan:
-    """The plan of ``exprs`` over rows of a relation with ``header``."""
-    compiler = _Compiler(_repeatable(exprs, per_row=True))
-    return ScalarPlan(tuple(exprs), tuple(compiler.scalar(e, tuple(header)) for e in exprs))
-
-
-def eval_scalars(plan: ScalarPlan, pop: Population, rows: Iterable[tuple]) -> Iterator[list[Any]]:
-    """Every expression of ``plan`` on each row in turn, all in one
-    context, so that a subquery is not evaluated again for every row."""
-    runs, ctx, outer = plan.runs, _Context(pop), {}
-    for row in rows:
-        yield [run(ctx, row, outer) for run in runs]
+    return _Compiler(_repeatable(cond)).cond(cond, ())(_Context(pop), (), env)
 
 
 # the nodes whose results are memoised: relational expressions, and the
@@ -648,15 +621,15 @@ def _parts(x) -> tuple:
     return children(x, RA_KINDS), ()
 
 
-def _repeatable(roots: list, per_row: bool) -> set[int]:
-    """Ids of the subquery nodes under ``roots`` that one context can reach
+def _repeatable(root) -> set[int]:
+    """Ids of the subquery nodes under ``root`` that one context can reach
     more than once: those with more than one parent and those under a
     per-row scalar or condition.  Each distinct node is expanded at most
     twice, once outside and once under a per-row expression."""
     parents: dict[int, int] = {}
     out: set[int] = set()
     expanded: set[tuple[int, bool]] = set()
-    stack = [(r, per_row) for r in roots]
+    stack = [(root, False)]
     while stack:
         x, under = stack.pop()
         k = id(x)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,22 @@ class TestLoading:
         schema = load_schema(person_doc())
         with pytest.raises(PopulationError, match="must fill roles"):
             load_population(schema, {"SN": [{"sn1": ["a", "b"]}]})
+
+    def test_fact_written_as_a_list_rejected(self):
+        # a list would otherwise load as an entity with no roles, which
+        # every query over G fails on
+        demo = load_schema(json.loads((DEMO / "schema.json").read_text()))
+        message = r"instance of 'G' must be a dict of its roles, got \['ann', 'acme'\]$"
+        with pytest.raises(PopulationError, match=message):
+            load_population(demo, {"Person": ["ann"], "Company": ["acme"], "G": [["ann", "acme"]]})
+
+    @pytest.mark.parametrize("entry", ["ann", {"x": 1}, 5, None])
+    def test_entry_that_is_not_a_list_rejected(self, entry):
+        # a string would load one Person per character, a dict one per key
+        demo = load_schema(json.loads((DEMO / "schema.json").read_text()))
+        message = re.escape(f"the instances of 'Person' must be a list, got {entry!r}") + "$"
+        with pytest.raises(PopulationError, match=message):
+            load_population(demo, {"Person": entry})
 
     @pytest.mark.parametrize("raw, shown", [
         ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"), (float("nan"), "nan"),

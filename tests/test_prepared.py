@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conquer import cli
+from conquer import paths as P
 from conquer import relalg as ra
 from conquer.cli import PREPARED_CAP, Session, execute, load_full_schema, run_query
 from conquer.errors import AmbiguityError, ConquerError, EvalError, ParseError, TranslateError
@@ -150,6 +151,38 @@ def test_an_entry_keeps_no_record_tree_and_no_parse_memo():
     entry = session.schema.prepared[README_QUERIES[0]]
     assert all(reading.records is None for reading in entry.readings)
     assert not hasattr(entry, "memo")
+
+
+# ---------------------------------------------------------------------------
+# a projection is columns of the query's one plan
+
+
+def test_a_projection_is_translated_and_compiled_with_its_path(monkeypatch, calls):
+    """A LIST projection with an aggregate in it is translated with its
+    path, through one ``Translator``, into one plan."""
+    translated, translators = [], []
+    translate, init = P.translate, P.Translator.__init__
+    monkeypatch.setattr(P, "translate", lambda *args, **kwargs: translated.append(args) or translate(*args, **kwargs))
+    monkeypatch.setattr(P.Translator, "__init__", lambda self, *args: translators.append(self) or init(self, *args))
+    text = "LIST c, THE AVERAGE Salary of a Person who works for c OF " + README_QUERIES[0]
+    assert run_query(demo_session(), text) == "\n".join([
+        "c    | THE AVERAGE OF a Salary of a Person who works for c",
+        "-----+----------------------------------------------------",
+        "acme | 2000",
+        "beta | 1000",
+        "(2 rows)",
+    ])
+    assert len(translated) == 1 and len(translators) == 1 and calls["compile_plan"] == 1
+
+
+def test_a_projected_column_does_not_break_ties():
+    """Rows that tie on the order key keep the order of the path's own
+    cells (here the persons' names) although the projected 0 - x orders
+    them the other way."""
+    text = "LIST 0 - x, HEAD OF a Person who works for a Company c AND ALSO earns a Salary x ORDERED WITH c ASCENDING"
+    assert run_query(demo_session(out_format="csv"), text).splitlines() == [
+        "0 - x,HEAD", "-1000,ann", "-2000,bob", "-3000,cy", "-500,dee", "-1500,eli", "-1000,fay",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,9 @@ from conquer.relalg import (
     SetOp,
     TypeTable,
     UNIT,
-    compile_scalars,
     def_map,
     eval_cond,
     eval_scalar,
-    eval_scalars,
     evaluate,
     Columns,
 )
@@ -410,8 +408,9 @@ class TestRepeatedSubPlans:
 
     def test_memo_keys_on_the_type_of_a_value(self, pop):
         expr = Aggregate("max", Project({"v": Attr("a")}, UNIT), "v")
-        outer = [row(a=1), row(a=1.0), row(a=Fraction(1))]
-        values = [v for (v,) in eval_scalars(compile_scalars([expr], ("a",)), pop, outer)]
+        outer = lit(["a", "b"], (1, "x"), (1.0, "y"), (Fraction(1), "z"))
+        out = evaluate(Project({"b": Attr("b"), "v": expr}, outer), pop)
+        values = [v for _, v in sorted(t for t, _ in out.rows())]
         assert values == [1, 1, 1]
         assert [type(v) for v in values] == [int, float, Fraction]
 

@@ -200,6 +200,39 @@ def test_kept_plans_agree_with_fresh_compilation():
     assert all(seen[i, True] and seen[i, False] for i in range(1, len(CONSTRAINTS)))
 
 
+def staff_session(body: str) -> Session:
+    """A session on population 3 of the schema whose one rule derives
+    Staff, filling st1 with c and st2 with p of ``body``."""
+    doc = schema_doc()
+    doc["derivations"] = [{"fact": "Staff", "roles": {"st1": "c", "st2": "p"}, "body": body}]
+    doc["constraints"] = []
+    return session_on(doc, 3)
+
+
+def test_a_fact_rules_plan_is_its_bodys_translation():
+    """The plan of a fact rule is its body's, with no projection onto the
+    roles stacked on it: here one projection over the table of G, whose
+    columns c and p fill the roles."""
+    session = staff_session("a Person p who works for a Company c")
+    execute(session, "\\derive")
+    ((_, plan),) = session.schema.plans.values()
+    assert isinstance(plan.root, ra.Project) and isinstance(plan.root.of, ra.TypeTable)
+    assert plan.root.of.tid == "G"
+    base = session.base_pop
+    employer = {(f["q2"], f["q1"]) for f in base.instances("G").elements()}
+    staff = session.population().instances("Staff")
+    assert {(f["st1"], f["st2"]) for f in staff.elements()} == employer
+    assert staff.cardinality() == len(employer) > 0
+
+
+def test_a_role_variable_outside_the_bodys_columns_raises():
+    """A grouped count's columns are hd and tl alone, so the rule's c and p
+    are unbound: the rule raises on a population where the body has rows."""
+    session = staff_session("THE COUNT OF (Person p who works for a Company c) GROUPED BY c")
+    with pytest.raises(EvalError, match="unbound attribute 'c'"):
+        execute(session, "\\derive")
+
+
 def test_a_plan_runs_only_on_its_own_schema():
     schema = load_full_schema(schema_doc())
     plan = ra.compile_plan(ra.TypeTable("p", "Person"), schema)
