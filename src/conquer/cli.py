@@ -40,7 +40,6 @@ class Session:
     # the base population and the derivation rules of derived_pop
     derived_from: tuple | None = None
     out_format: str = "table"
-    null_token: str = "NULL"
     ambiguity: str = "pick-first"  # fail | list | pick-first
 
     def load_schema_file(self, path: str) -> str:
@@ -80,14 +79,14 @@ class Session:
         return self.base_pop
 
 
-def _cell_text(value: Any, pop: Population, null_token: str) -> str:
+def _cell_text(value: Any, pop: Population) -> str:
     if value is NULL:
-        return null_token
+        return "NULL"
     if isinstance(value, (EntityInstance, FactInstance)):
         parts = denote_instance(value, pop)
-        return ",".join(_cell_text(v, pop, null_token) for v in parts)
+        return ",".join(_cell_text(v, pop) for v in parts)
     if isinstance(value, GroupedBag):
-        inner = ", ".join(_cell_text(v, pop, null_token) for v in value.bag.elements())
+        inner = ", ".join(_cell_text(v, pop) for v in value.bag.elements())
         return "{" + inner + "}"
     if isinstance(value, Bool):
         return "true" if value.value else "false"
@@ -96,7 +95,7 @@ def _cell_text(value: Any, pop: Population, null_token: str) -> str:
     return str(value)
 
 
-def _cell_texts(pop: Population, null_token: str):
+def _cell_texts(pop: Population):
     """``_cell_text`` for the cells of one result, rendering each distinct
     value once however often it occurs.  Values are told apart by type as
     well, so ``1``, ``1.0`` and ``Fraction(1)`` keep their own texts.  A
@@ -108,7 +107,7 @@ def _cell_texts(pop: Population, null_token: str):
         key = (type(value), value)
         out = done.get(key)
         if out is None:
-            out = _cell_text(value, pop, null_token)
+            out = _cell_text(value, pop)
             if key[0] is not GroupedBag:
                 done[key] = out
         return out
@@ -274,7 +273,7 @@ def run_query(session: Session, text: str) -> str:
         t for t, n in relation.rows() for _ in range(n)
     ]
 
-    cell = _cell_texts(pop, session.null_token)
+    cell = _cell_texts(pop)
     rows = [[cell(t[i]) for i in stage.slots] for t in ordered]
     return _render_table(stage.labels, rows, session.out_format)
 

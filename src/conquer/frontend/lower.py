@@ -574,7 +574,14 @@ def compile_schema_queries(schema: Schema) -> Schema:
                 if var not in inverse:
                     raise ParseError(f"derivation rule for {spec['fact']!r} names unknown variable {var!r}")
                 role_attrs.append((rid, inverse[var]))
-            schema.derivations.append(FactRule(spec["fact"], tuple(role_attrs), interp.path, body_text))
+            rule = FactRule(spec["fact"], tuple(role_attrs), interp.path, body_text)
+            columns = P.expr_of(schema, rule).header
+            for var in spec["roles"].values():
+                if inverse[var] not in columns:
+                    raise ParseError(
+                        f"derivation rule for {spec['fact']!r}: variable {var!r} is not a column of its body"
+                    )
+            schema.derivations.append(rule)
         else:
             schema.derivations.append(TypeRule(spec["type"], interp.path, body_text))
 

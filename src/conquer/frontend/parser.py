@@ -11,6 +11,16 @@ tighter than named binary operators, and named binary operators associate
 to the left at a single precedence level.  Parentheses and brackets
 override.  A word can only be read as a variable name if it occurs nowhere
 in the naming tables.
+
+Each shape that several productions share is one combinator: ``items``
+(comma lists), ``chain`` (left-associated operator chains), ``starts`` (an
+optional prefix or postfix before a name), ``fact_suffixes`` (a
+``.FactTypeName`` qualifier) and ``names`` (a greedy list of variable
+names).  A syntax error names the furthest position a probe failed at and
+every label that failed there, so a combinator makes the same ``kw``,
+``punct`` and ``fail`` probes, at the same positions, as the productions
+written out would, and returns its parses in their order, which is the
+order the first reading is picked in.
 """
 
 from __future__ import annotations
@@ -138,6 +148,77 @@ class Parser:
         self.memo[key] = result
         return result
 
+    # -- combinators --------------------------------------------------------
+
+    def items(self, pos: int, item: Callable[[int], list], close: str | None = None) -> list:
+        """Every comma list of ``item`` parses from ``pos``, as (tuple, end)
+        pairs: a list's continuations come before the list itself.  With a
+        ``close`` mark, a list ends after that mark."""
+        out = []
+        for x, p in item(pos):
+            p_comma = self.punct(p, ",")
+            if p_comma is not None:
+                out.extend(((x,) + rest, p2) for rest, p2 in self.items(p_comma, item, close))
+            if close is None:
+                out.append(((x,), p))
+            else:
+                p_close = self.punct(p, close)
+                if p_close is not None:
+                    out.append(((x,), p_close))
+        return out
+
+    def chain(self, pos: int, operand: Callable[[int], list], operator: Callable, make: Callable) -> list:
+        """Every left-associated chain of ``operand`` parses joined by
+        ``operator`` (a (word, end) pair or None), each prefix before its
+        extensions; ``make(word, left, right)`` builds one link."""
+
+        def extend(acc: Any, p: int) -> list:
+            out = [(acc, p)]
+            op = operator(p)
+            if op is not None:
+                word, p1 = op
+                for right, p2 in operand(p1):
+                    out.extend(extend(make(word, acc, right), p2))
+            return out
+
+        return [link for first, p in operand(pos) for link in extend(first, p)]
+
+    def starts(self, pos: int, options: list) -> list:
+        """``(None, pos)``, then (words, end) for each optional word sequence
+        of ``options`` that matches at ``pos``."""
+        out: list = [(None, pos)]
+        for words in options:
+            p = self.match_words(pos, words)
+            if p is not None:
+                out.append((" ".join(words), p))
+        return out
+
+    def fact_suffixes(self, pos: int) -> list:
+        """(fact type, end) for each type name after a ``.`` at ``pos``."""
+        p_dot = self.punct(pos, ".")
+        if p_dot is None:
+            return []
+        out = []
+        for words, ftid in self.type_names:
+            p = self.match_words(p_dot, words)
+            if p is not None:
+                out.append((ftid, p))
+        return out
+
+    def names(self, pos: int) -> tuple[tuple, int] | None:
+        """The greedy comma list of variable names at ``pos``, and its end."""
+        out = []
+        while True:
+            v = self.is_variable(pos)
+            if v is None:
+                self.fail(pos, "variable name")
+                return None
+            out.append(v)
+            p_comma = self.punct(pos + 1, ",")
+            if p_comma is None:
+                return tuple(out), pos + 1
+            pos = p_comma
+
     # -- descriptor grammar ----------------------------------------------
 
     def selection(self, pos: int) -> list:
@@ -164,6 +245,7 @@ class Parser:
         return out
 
     def _alternatives(self, pairs: tuple, pos: int) -> list:
+        # not ``items``: each ";" prefix comes before its continuations
         out = [(R.Selection(pairs, None, "alts"), pos)]
         p_semi = self.punct(pos, ";")
         if p_semi is None:
@@ -186,56 +268,37 @@ class Parser:
         if first is None:
             return self.fail(p, "variable name")
         p += 1
-        names = [first]
+        names = (first,)
         p_via = self.kw(p, "VIA")
         if p_via is not None:
-            p2 = p_via
-            while True:
-                v = self.is_variable(p2)
-                if v is None:
-                    return self.fail(p2, "variable name")
-                names.append(v)
-                p2 += 1
-                p_comma = self.punct(p2, ",")
-                if p_comma is None:
-                    break
-                p2 = p_comma
-            p = p2
+            via = self.names(p_via)
+            if via is None:
+                return []
+            middle, p = via
+            names += middle
         p_to = self.kw(p, "TO")
         if p_to is None:
             return []
         last = self.is_variable(p_to)
         if last is None:
             return self.fail(p_to, "variable name")
-        names.append(last)
         p_of = self.kw(p_to + 1, "OF")
         if p_of is None:
             return []
-        return [
-            (R.Shuffler(tuple(names), body), p2) for body, p2 in self.selection(p_of)
-        ]
+        return [(R.Shuffler(names + (last,), body), p2) for body, p2 in self.selection(p_of)]
 
     def _select_where(self, pos: int) -> list:
         p = self.kw(pos, "SELECT")
         if p is None:
             return []
-        names = []
-        while True:
-            v = self.is_variable(p)
-            if v is None:
-                return self.fail(p, "variable name")
-            names.append(v)
-            p += 1
-            p_comma = self.punct(p, ",")
-            if p_comma is None:
-                break
-            p = p_comma
+        selected = self.names(p)
+        if selected is None:
+            return []
+        names, p = selected
         p_where = self.kw(p, "WHERE")
         if p_where is None:
             return []
-        return [
-            (R.Shuffler(tuple(names), cond), p2) for cond, p2 in self.condition(p_where)
-        ]
+        return [(R.Shuffler(names, cond), p2) for cond, p2 in self.condition(p_where)]
 
     def _if_then(self, pos: int) -> list:
         p = self.kw(pos, "IF")
@@ -255,44 +318,36 @@ class Parser:
         return out
 
     def _confluence(self, pos: int) -> list:
-        def elements(p: int, acc: tuple) -> list:
-            out = []
-            for d, p1 in self.binary(p):
-                as_name = None
-                via_name = None
-                p2 = p1
-                p_as = self.kw(p2, "AS")
-                if p_as is not None:
-                    v = self.is_variable(p_as)
-                    if v is not None:
-                        as_name = v
-                        p2 = p_as + 1
-                p_via = self.kw(p2, "VIA")
-                if p_via is not None:
-                    v = self.is_variable(p_via)
-                    if v is not None:
-                        via_name = v
-                        p2 = p_via + 1
-                elem = (d, as_name, via_name)
-                p_comma = self.punct(p2, ",")
-                if p_comma is not None:
-                    out.extend(elements(p_comma, acc + (elem,)))
-                p_each = self.kw(p2, "EACH")
-                if p_each is not None:
-                    for base, p3 in self.selection(p_each):
-                        out.append((R.Confluence(base, acc + (elem,)), p3))
-            return out
+        out = []
+        for aspects, p in self.items(pos, self._aspect):
+            p_each = self.kw(p, "EACH")
+            if p_each is not None:
+                out.extend((R.Confluence(base, aspects), p2) for base, p2 in self.selection(p_each))
+        return out
 
-        return elements(pos, ())
+    def _aspect(self, pos: int) -> list:
+        """One descriptor of a confluence, with its AS and VIA names."""
+        out = []
+        for d, p in self.binary(pos):
+            as_name = via_name = None
+            p_as = self.kw(p, "AS")
+            if p_as is not None:
+                as_name = self.is_variable(p_as)
+                if as_name is not None:
+                    p = p_as + 1
+            p_via = self.kw(p, "VIA")
+            if p_via is not None:
+                via_name = self.is_variable(p_via)
+                if via_name is not None:
+                    p = p_via + 1
+            out.append(((d, as_name, via_name), p))
+        return out
 
     def binary(self, pos: int) -> list:
         return self.rule("binary", pos, self._binary)
 
     def _binary(self, pos: int) -> list:
-        out = []
-        for first, p in self.concat(pos):
-            out.extend(self._binary_tail(first, p))
-        return out
+        return self.chain(pos, self.concat, self._binop, R.BinaryOp)
 
     def _binop(self, pos: int) -> tuple[str, int] | None:
         t = self.tok(pos)
@@ -306,16 +361,6 @@ class Parser:
             if p is not None and self.kw(p, "IS") is not None:
                 return "IS", p + 1
         return None
-
-    def _binary_tail(self, acc: Any, pos: int) -> list:
-        out = [(acc, pos)]
-        op = self._binop(pos)
-        if op is None:
-            return out
-        text, p = op
-        for right, p2 in self.concat(p):
-            out.extend(self._binary_tail(R.BinaryOp(text, acc, right), p2))
-        return out
 
     def concat(self, pos: int) -> list:
         return self.rule("concat", pos, self._concat)
@@ -359,7 +404,8 @@ class Parser:
 
         # sub-expression
         if t.kind == "punct" and t.text == "[":
-            out.extend(self._sub_expr(pos))
+            for parts, p in self.items(pos + 1, self.selection, "]"):
+                out.append((R.SubExpr(parts), p, False))
 
         # unary operators
         for word in UNARY_OPS:
@@ -393,21 +439,6 @@ class Parser:
             self.fail(pos, "descriptor")
         return out
 
-    def _sub_expr(self, pos: int) -> list:
-        out = []
-
-        def items(p: int, acc: tuple):
-            for d, p1 in self.selection(p):
-                p_comma = self.punct(p1, ",")
-                if p_comma is not None:
-                    items(p_comma, acc + (d,))
-                p_close = self.punct(p1, "]")
-                if p_close is not None:
-                    out.append((R.SubExpr(acc + (d,)), p_close, False))
-
-        items(pos + 1, ())
-        return out
-
     def _coerce_or_group(self, pos: int) -> list:
         t = self.tok(pos)
         if t is None or t.kind != "keyword":
@@ -432,6 +463,7 @@ class Parser:
         return out
 
     def _var_list(self, pos: int) -> list:
+        # not ``items``: GROUPED BY lists come shortest first
         v = self.is_variable(pos)
         if v is None:
             return self.fail(pos, "variable name")
@@ -444,12 +476,7 @@ class Parser:
 
     def _type_spec(self, pos: int) -> list:
         out = []
-        starts = [(None, pos)]
-        for pre in self.prefixes:
-            p = self.match_words(pos, pre)
-            if p is not None:
-                starts.append((" ".join(pre), p))
-        for prefix, p0 in starts:
+        for prefix, p0 in self.starts(pos, self.prefixes):
             for words, tid in self.type_names:
                 p = self.match_words(p0, words)
                 if p is None:
@@ -474,16 +501,8 @@ class Parser:
                 out.append((R.Denot(var_name=v), pos + 2))
             return out
         if t is not None and t.kind == "punct" and t.text == "(":
-            def parts(p: int, acc: tuple):
-                for den, p1 in self._denotation(p, ""):
-                    p_comma = self.punct(p1, ",")
-                    if p_comma is not None:
-                        parts(p_comma, acc + (den,))
-                    p_close = self.punct(p1, ")")
-                    if p_close is not None:
-                        out.append((R.Denot(parts=acc + (den,)), p_close))
-
-            parts(pos + 1, ())
+            for parts, p in self.items(pos + 1, lambda p: self._denotation(p, ""), ")"):
+                out.append((R.Denot(parts=parts), p))
             if out:
                 return out
         for d, p in self.binary(pos):
@@ -491,6 +510,8 @@ class Parser:
         # unparenthesised composite, for multi-part reference schemes
         scheme = self.schema.idf.get(tid)
         if scheme is not None and scheme.arity > 1:
+            # not ``items``: the list stops at the scheme's arity, so no part
+            # is parsed after its last one
             def flat(p: int, acc: tuple, remaining: int):
                 if remaining == 0:
                     if len(acc) == scheme.arity:
@@ -515,36 +536,23 @@ class Parser:
 
     def _role_ref(self, pos: int) -> list:
         out = []
-        starts = [(None, pos)]
-        for post in self.postfixes:
-            p = self.match_words(pos, post)
-            if p is not None:
-                starts.append((" ".join(post), p))
-        for postfix, p0 in starts:
+        for postfix, p0 in self.starts(pos, self.postfixes):
             for index, kind in ((self.entry_names, "entry"), (self.exit_names, "exit")):
                 for words, rid in index:
                     p = self.match_words(p0, words)
                     if p is None:
                         continue
-                    name = " ".join(words)
+                    ref = R.RoleRef(postfix, kind, " ".join(words), rid)
                     # dotted disambiguation: name.FactTypeName
-                    p_dot = self.punct(p, ".")
-                    if p_dot is not None:
-                        for twords, ftid in self.type_names:
-                            p2 = self.match_words(p_dot, twords)
-                            if p2 is not None and self.schema.rel(rid) == ftid:
-                                out.append((R.RoleRef(postfix, kind, name, rid), p2, False))
-                    out.append((R.RoleRef(postfix, kind, name, rid), p, False))
+                    for ftid, p2 in self.fact_suffixes(p):
+                        if self.schema.rel(rid) == ftid:
+                            out.append((ref, p2, False))
+                    out.append((ref, p, False))
         return out
 
     def _mfix(self, pos: int) -> list:
         out = []
-        starts = [(None, pos)]
-        for post in self.postfixes:
-            p = self.match_words(pos, post)
-            if p is not None:
-                starts.append((" ".join(post), p))
-        for postfix, p0 in starts:
+        for postfix, p0 in self.starts(pos, self.postfixes):
             for entry in self.mfix_entries:
                 first_part = tuple(entry.parts[0].split())
                 p = self.match_words(p0, first_part)
@@ -552,12 +560,9 @@ class Parser:
                     continue
                 self._mfix_rest(entry, 1, p, (), postfix, out)
                 # dotted disambiguation: first part.FactTypeName
-                p_dot = self.punct(p, ".")
-                if p_dot is not None:
-                    for twords, ftid in self.type_names:
-                        p2 = self.match_words(p_dot, twords)
-                        if p2 is not None and entry.rel == ftid:
-                            self._mfix_rest(entry, 1, p2, (), postfix, out)
+                for ftid, p2 in self.fact_suffixes(p):
+                    if entry.rel == ftid:
+                        self._mfix_rest(entry, 1, p2, (), postfix, out)
         return out
 
     def _mfix_rest(self, entry, part_index: int, pos: int, triples: tuple, postfix, out):
@@ -593,17 +598,8 @@ class Parser:
         p_close = self.punct(p_open, ")")
         if p_close is not None:
             out.append((R.Function(t.text, ()), p_close, False))
-
-        def args(p: int, acc: tuple):
-            for d, p1 in self.selection(p):
-                p_comma = self.punct(p1, ",")
-                if p_comma is not None:
-                    args(p_comma, acc + (d,))
-                p_end = self.punct(p1, ")")
-                if p_end is not None:
-                    out.append((R.Function(t.text, acc + (d,)), p_end, False))
-
-        args(p_open, ())
+        for args, p in self.items(p_open, self.selection, ")"):
+            out.append((R.Function(t.text, args), p, False))
         return out
 
     def _var_name(self, pos: int) -> list:
@@ -625,19 +621,13 @@ class Parser:
         return self.rule("condition", pos, self._condition)
 
     def _condition(self, pos: int) -> list:
-        out = []
-        for first, p in self.cond_atom(pos):
-            out.extend(self._condition_tail(first, p))
-        return out
+        return self.chain(pos, self.cond_atom, self._connective, lambda word, l, r: R.BinCondComp(l, r, word))
 
-    def _condition_tail(self, acc: Any, pos: int) -> list:
-        out = [(acc, pos)]
+    def _connective(self, pos: int) -> tuple[str, int] | None:
         t = self.tok(pos)
-        if t is None or t.text not in CONNECTIVES:
-            return out
-        for right, p2 in self.cond_atom(pos + 1):
-            out.extend(self._condition_tail(R.BinCondComp(acc, right, t.text), p2))
-        return out
+        if t is not None and t.text in CONNECTIVES:
+            return t.text, pos + 1
+        return None
 
     def cond_atom(self, pos: int) -> list:
         return self.rule("cond_atom", pos, self._cond_atom)
@@ -713,7 +703,7 @@ class Parser:
             return []
         out = []
         starts: list[tuple[tuple | None, int]] = [(None, p)]
-        for scalars, p1 in self._projection(p):
+        for scalars, p1 in self.items(p, self._scalar):
             for sep in ("OF", "FROM"):
                 p2 = self.kw(p1, sep)
                 if p2 is not None:
@@ -725,20 +715,12 @@ class Parser:
                     out.append((R.ListStatement(projection, body, order), p2))
         return _dedup(out)
 
-    def _projection(self, pos: int) -> list:
+    def _scalar(self, pos: int) -> list:
         out = []
-
-        def items(p: int, acc: tuple):
-            for d, p1 in self.binary(p):
-                sc = to_scalar_record(d)
-                if sc is None:
-                    continue
-                p_comma = self.punct(p1, ",")
-                if p_comma is not None:
-                    items(p_comma, acc + (sc,))
-                out.append((acc + (sc,), p1))
-
-        items(pos, ())
+        for d, p in self.binary(pos):
+            sc = to_scalar_record(d)
+            if sc is not None:
+                out.append((sc, p))
         return out
 
     def _order_clause(self, pos: int) -> list:
@@ -751,14 +733,8 @@ class Parser:
                 out.append((R.OrderClause("whole_desc"), p + 1))
         p = self.kw(pos, "ORDERED WITH")
         if p is not None:
-            def items(p1: int, acc: tuple):
-                for item, p2 in self._order_item(p1):
-                    p_comma = self.punct(p2, ",")
-                    if p_comma is not None:
-                        items(p_comma, acc + (item,))
-                    out.append((R.OrderClause("items", acc + (item,)), p2))
-
-            items(p, ())
+            for order, p2 in self.items(p, self._order_item):
+                out.append((R.OrderClause("items", order), p2))
         return out
 
     def _order_item(self, pos: int) -> list:
@@ -839,8 +815,7 @@ def parse_list_records(tokens: list[Token], schema: Schema) -> list:
     else:
         # a bare descriptor (with an optional order clause) is LIST I
         results = []
-        for kind in ("selection", "condition"):
-            rule = parser.selection if kind == "selection" else parser.condition
+        for rule in (parser.selection, parser.condition):
             for rec, p in rule(0):
                 if p == len(tokens):
                     results.append(R.ListStatement(None, rec, None))

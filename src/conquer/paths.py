@@ -549,16 +549,6 @@ def expand_subexpr(s: SubExpr, node=_new) -> PathExpr:
     return node(DistinctPath, term)
 
 
-def denotation_path(schema: Schema, den: PeDenotation, context: TypeId, node=_new) -> PathExpr:
-    if isinstance(den, ByPath):
-        return den.path
-    if isinstance(den, Abstract):
-        return node(AttrAtom, den.attr)
-    if isinstance(den, Composite):
-        return expand_denote(schema, node(Denote, context, den), node)
-    raise TranslateError(f"unknown denotation {den!r}")
-
-
 def expand_denote(schema: Schema, d: Denote, node=_new) -> PathExpr:
     x = d.tid
     schema.check_type(x)
@@ -583,8 +573,16 @@ def expand_denote(schema: Schema, d: Denote, node=_new) -> PathExpr:
             inner = expand_denote(schema, node(Denote, schema.player(q), part), node)
             filters.append(concat(node(RoleEntry, p), role_exit(q, node), inner, node=node))
     else:
+        # a variable binds the role's player and a descriptor is read as
+        # written; a value or a composite denotes the player through its
+        # reference scheme
         for p, part in zip(scheme.entries, parts):
-            inner = denotation_path(schema, part, schema.player(p), node)
+            if isinstance(part, Abstract):
+                inner = node(AttrAtom, part.attr)
+            elif isinstance(part, ByPath) and not isinstance(part.path, Scalar):
+                inner = part.path
+            else:
+                inner = expand_denote(schema, node(Denote, schema.player(p), part), node)
             filters.append(node(Concat, role_exit(p, node), inner))
     return node(Concat, node(TypeAtom, x), node(SubExpr, filters))
 
@@ -1402,7 +1400,7 @@ def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
     The plan of one of the schema's own constraints is kept on the schema;
     any other path is compiled again on every call."""
     kept = any(p is q for _, q in schema.constraints)
-    return bool(ra.evaluate(_kept_plan(schema, p) if kept else _expr_of(schema, p), pop).body)
+    return bool(ra.evaluate(_kept_plan(schema, p) if kept else expr_of(schema, p), pop).body)
 
 
 # ---------------------------------------------------------------------------
@@ -1416,7 +1414,7 @@ def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
 # a rule was added is built again.
 
 
-def _expr_of(schema: Schema, x: Any) -> ra.RelExpr:
+def expr_of(schema: Schema, x: Any) -> ra.RelExpr:
     """The relational expression of ``x``: the translation of a derivation
     rule's body or of a constraint path.  A fact rule's body is typed with
     the players of its role attributes, whose columns ``apply_derivations``
@@ -1435,7 +1433,7 @@ def _kept_plan(schema: Schema, x: Any) -> ra.Plan:
     hit = schema.plans.get(id(x))
     if hit is not None and hit[1].derived == schema.derived_types():
         return hit[1]
-    plan = ra.compile_plan(_expr_of(schema, x), schema)
+    plan = ra.compile_plan(expr_of(schema, x), schema)
     schema.plans[id(x)] = (x, plan)
     return plan
 

@@ -187,9 +187,9 @@ def format_number(v) -> str:
     return str(v)
 
 
-def render_value(v: Any, null_token: str = "NULL") -> str:
+def render_value(v: Any) -> str:
     if v is NULL:
-        return null_token
+        return "NULL"
     if isinstance(v, str):
         return f"'{v}'"
     if is_number(v):

@@ -514,3 +514,14 @@ def test_explained_set_operation_reads_back_as_itself(session, text):
     explained = execute(session, "\\explain " + text).splitlines()[1].split(". ", 1)[1]
     (back,) = disambiguate(schema, parse_list(explained, schema)).interpretations
     assert back.path == reading.path
+
+
+@pytest.mark.parametrize("text", ["Earning: ('ann', 1000)", "Earning: 'ann', 1000", "Earning: (Person: 'ann', 1000)"])
+def test_a_fact_type_is_denoted_by_its_roles(text):
+    """A bare value denotes its role's player, as the player's own
+    denotation ``Person: 'ann'`` does."""
+    doc = json.loads((DEMO / "schema.json").read_text())
+    doc["naming"]["tnm"]["F"] = "Earning"
+    session = Session(schema=load_full_schema(doc), out_format="csv")
+    session.load_population_file(str(DEMO / "population.json"))
+    assert run_query(session, text) == 'HEAD,TAIL\n"ann,1000","ann,1000"'

@@ -20,7 +20,7 @@ from conquer import paths as P
 from conquer import relalg as ra
 from conquer.bag import Bag
 from conquer.cli import Session, execute, load_full_schema
-from conquer.errors import EvalError
+from conquer.errors import EvalError, ParseError
 from conquer.frontend import disambiguate, parse_list
 from conquer.population import Population, load_population
 from conquer.schema import FactRule, TypeRule
@@ -227,8 +227,20 @@ def test_a_fact_rules_plan_is_its_bodys_translation():
 
 def test_a_role_variable_outside_the_bodys_columns_raises():
     """A grouped count's columns are hd and tl alone, so the rule's c and p
-    are unbound: the rule raises on a population where the body has rows."""
-    session = staff_session("THE COUNT OF (Person p who works for a Company c) GROUPED BY c")
+    are unbound: loading the schema refuses the rule."""
+    with pytest.raises(ParseError, match="rule for 'Staff': variable 'c' is not a column of its body"):
+        staff_session("THE COUNT OF (Person p who works for a Company c) GROUPED BY c")
+
+
+def test_an_appended_rule_with_a_role_variable_outside_its_body_raises_at_derive():
+    """A rule appended to a loaded schema is not checked at load: it raises
+    on a population where its body has rows."""
+    session = staff_session("a Person p who works for a Company c")
+    text = "THE COUNT OF (Person p who works for a Company c) GROUPED BY c"
+    (reading,) = disambiguate(session.schema, parse_list(text, session.schema)).interpretations
+    attr = {name: a for a, name in reading.vnm.items()}
+    rule = FactRule("Staff", (("st1", attr["c"]), ("st2", attr["p"])), reading.path, text)
+    session.schema.derivations[:] = [rule]
     with pytest.raises(EvalError, match="unbound attribute 'c'"):
         execute(session, "\\derive")
 

@@ -3,7 +3,9 @@ the scalar/condition renderers."""
 
 import pytest
 
+from conquer.cli import Session, load_full_schema, run_query
 from conquer.errors import VerbaliseError
+from conquer.frontend import disambiguate, parse_list
 from conquer.paths import (
     AttrAtom,
     CBagComp,
@@ -48,6 +50,8 @@ from conquer.verbalise import (
 )
 
 from .conftest import fig6_doc, salary_doc
+from .test_parse_golden import grammar_doc
+from .test_text_differential import grammar_populations
 
 PATH = concat(TypeAtom("A"), RoleEntry("p"), TypeAtom("F"), role_exit("q"), TypeAtom("B"))
 
@@ -242,3 +246,45 @@ class TestScalarsAndConditions:
     def test_internal_attribute_rejected(self, schema):
         with pytest.raises(VerbaliseError):
             verbalise(AttrAtom("~1"), VerbCtx(schema))
+
+
+# readings that verbalise through a confluence, a shuffle through a middle
+# variable, a function application, role access, composite denotations and
+# a mix-fix middle
+ROUND_TRIP_TEXTS = [
+    "Salary of a Person p AS s VIA p, a Company AS k VIA c EACH a Person p who works for a Company c",
+    "THE PATH FROM p VIA x TO c OF a Person p who earns a Salary x AND ALSO works for a Company c",
+    "Salary of a Person who works for a Company: 'beta' + 1",
+    "Employment e WHERE e.at-company = Company: 'acme'",
+    "Earning: 'ann', 1000",
+    "Earning: (Person: 'ann', 1000)",
+    "Earning: (!p, !x)",
+    "Company c offers a Salary x to a Person p",
+]
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_TEXTS)
+def test_a_reading_verbalises_to_a_text_with_its_answer(text):
+    schema = load_full_schema(grammar_doc())
+    session = Session(schema=schema, base_pop=grammar_populations(schema)[0], out_format="csv")
+    (reading, *_) = disambiguate(schema, parse_list(text, schema)).interpretations
+    back = verbalise(reading.path, VerbCtx(schema, reading.typing, reading.vnm))
+    answer = run_query(session, text)
+    assert run_query(session, back) == answer
+    assert len(answer.splitlines()) > 1
+
+
+def test_a_confluence_answers_each_persons_salary_and_company():
+    """The oracle has no confluence, so its answer is written out: each
+    person of the demo population with their salary and company."""
+    schema = load_full_schema(grammar_doc())
+    session = Session(schema=schema, base_pop=grammar_populations(schema)[0], out_format="csv")
+    assert run_query(session, ROUND_TRIP_TEXTS[0]) == "\n".join([
+        "HEAD,p,c,s,k,TAIL",
+        "ann,ann,acme,1000,acme,acme",
+        "bob,bob,acme,2000,acme,acme",
+        "cy,cy,acme,3000,acme,acme",
+        "dee,dee,beta,500,beta,beta",
+        "eli,eli,beta,1500,beta,beta",
+        "fay,fay,beta,1000,beta,beta",
+    ])
