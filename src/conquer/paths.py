@@ -567,24 +567,28 @@ def expand_denote(schema: Schema, d: Denote, node=_new) -> PathExpr:
         raise TranslateError(
             f"denotation arity {len(parts)} does not match the reference scheme of {x!r} ({scheme.arity})"
         )
-    filters: list[PathExpr] = []
     if scheme.kind == "pairs":
-        for (p, q), part in zip(scheme.entries, parts):
-            inner = expand_denote(schema, node(Denote, schema.player(q), part), node)
-            filters.append(concat(node(RoleEntry, p), role_exit(q, node), inner, node=node))
+        filters = [
+            concat(node(RoleEntry, p), role_exit(q, node), _denote_part(schema, q, part, node), node=node)
+            for (p, q), part in zip(scheme.entries, parts)
+        ]
     else:
-        # a variable binds the role's player and a descriptor is read as
-        # written; a value or a composite denotes the player through its
-        # reference scheme
-        for p, part in zip(scheme.entries, parts):
-            if isinstance(part, Abstract):
-                inner = node(AttrAtom, part.attr)
-            elif isinstance(part, ByPath) and not isinstance(part.path, Scalar):
-                inner = part.path
-            else:
-                inner = expand_denote(schema, node(Denote, schema.player(p), part), node)
-            filters.append(node(Concat, role_exit(p, node), inner))
+        filters = [
+            node(Concat, role_exit(p, node), _denote_part(schema, p, part, node))
+            for p, part in zip(scheme.entries, parts)
+        ]
     return node(Concat, node(TypeAtom, x), node(SubExpr, filters))
+
+
+def _denote_part(schema: Schema, role: str, part, node) -> PathExpr:
+    """One part of a denotation, the filler of ``role``: a variable binds the
+    role's player and a descriptor is read as written; a value or a
+    composite denotes the player through its reference scheme."""
+    if isinstance(part, Abstract):
+        return node(AttrAtom, part.attr)
+    if isinstance(part, ByPath) and not isinstance(part.path, Scalar):
+        return part.path
+    return expand_denote(schema, node(Denote, schema.player(role), part), node)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ the roles that make up relationship types, the type-relatedness relation,
 reference schemes, and all the naming tables the parser and verbaliser
 work from.  Schemas are immutable once loaded and safe to share between
 concurrent readers; only the plans that ``paths`` keeps of the derivation
-rules and constraints, and the query texts that ``cli`` prepares, are added
-on first use, and two readers that both build one build the same.
+rules and constraints, the query texts that ``cli`` prepares and the
+population loader are added on first use, and two readers that both build
+one build the same.
 
 Type relatedness is stored extensionally: the loader closes the declared
 specialisation hierarchy (types sharing a root are related unless an
@@ -137,6 +138,8 @@ class Schema:
     plans: dict = field(default_factory=dict, compare=False, repr=False)
     # the query texts that ``cli`` has prepared: text -> its prepared query
     prepared: dict = field(default_factory=dict, compare=False, repr=False)
+    # the population loader, which ``population`` builds on the first load
+    loader: Any = field(default=None, compare=False, repr=False)
 
     # -- basic accessors -------------------------------------------------
 

@@ -13,7 +13,7 @@ from conquer.frontend.parser import MAX_DEPTH, MAX_NESTING
 from conquer.population import load_population
 from conquer.schema import load_schema
 
-from .conftest import SALARY_DUMP, SALARY_QUERY
+from .conftest import SALARY_DUMP, SALARY_QUERY, salary_doc
 
 
 def eval_schema_doc() -> dict:
@@ -525,3 +525,14 @@ def test_a_fact_type_is_denoted_by_its_roles(text):
     session = Session(schema=load_full_schema(doc), out_format="csv")
     session.load_population_file(str(DEMO / "population.json"))
     assert run_query(session, text) == 'HEAD,TAIL\n"ann,1000","ann,1000"'
+
+
+@pytest.mark.parametrize("text", ["the Person: ('Erik', the Company: 'Asymetrix')", "the Person: ('Erik', 'Asymetrix')"])
+def test_a_pairs_scheme_part_is_read_as_written(text):
+    """A descriptor part of a pairs denotation is read as written, and a
+    value part denotes its role's player, as in a roles scheme."""
+    doc = salary_doc()
+    doc["idf"]["x"] = [["pn1", "pn2"], ["q1", "q2"]]
+    session = Session(schema=load_full_schema(doc), out_format="csv")
+    session.base_pop = load_population(session.schema, {"x": [["Erik", "Asymetrix"]], "z": ["Asymetrix"]})
+    assert run_query(session, text) == 'HEAD,TAIL\n"Erik,Asymetrix","Erik,Asymetrix"'
