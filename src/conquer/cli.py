@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import dataclass, replace
 from typing import Any
@@ -44,8 +43,8 @@ class Session:
 
     def load_schema_file(self, path: str) -> str:
         with open(path) as f:
-            doc = json.load(f)
-        schema = load_full_schema(doc)
+            text = f.read()
+        schema = load_full_schema(text)
         diags = validate_schema(schema)
         self.schema = schema
         self.base_pop = None
@@ -62,8 +61,8 @@ class Session:
     def load_population_file(self, path: str) -> str:
         schema = self.loaded_schema()
         with open(path) as f:
-            doc = json.load(f)
-        self.base_pop = load_population(schema, doc)
+            text = f.read()
+        self.base_pop = load_population(schema, text)
         return f"population loaded: {sum(1 for _ in self.base_pop.types())} populated types"
 
     def population(self) -> Population:
@@ -95,13 +94,19 @@ def _cell_text(value: Any, pop: Population) -> str:
     return str(value)
 
 
+# the most cell texts a population keeps; past it, they are all dropped
+TEXTS_CAP = 1 << 14
+
+
 def _cell_texts(pop: Population):
-    """``_cell_text`` for the cells of one result, rendering each distinct
-    value once however often it occurs.  Values are told apart by type as
-    well, so ``1``, ``1.0`` and ``Fraction(1)`` keep their own texts.  A
-    grouped bag is rendered each time: equal grouped bags can list their
-    elements in different orders."""
-    done: dict = {}
+    """``_cell_text`` for the cells of results on ``pop``, rendering each
+    distinct value once for every result on it: the texts are kept in
+    ``pop.texts``, which is emptied when it holds ``TEXTS_CAP`` of them.
+    Values are told apart by type as well, so ``1``, ``1.0`` and
+    ``Fraction(1)`` keep their own texts.  A grouped bag is rendered each
+    time: equal grouped bags can list their elements in different
+    orders."""
+    done = pop.texts
 
     def text(value: Any) -> str:
         key = (type(value), value)
@@ -109,6 +114,8 @@ def _cell_texts(pop: Population):
         if out is None:
             out = _cell_text(value, pop)
             if key[0] is not GroupedBag:
+                if len(done) >= TEXTS_CAP:
+                    done.clear()
                 done[key] = out
         return out
 
@@ -433,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
             msg = session.load_population_file(args.pop)
             if args.query is None:
                 print(msg)
-    except (ConquerError, OSError, json.JSONDecodeError) as e:
+    except (ConquerError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 1
     except Exception as e:

@@ -7,6 +7,23 @@ eval/...).
 
 from __future__ import annotations
 
+from typing import Any
+
+# the most characters of a value that an error message shows
+SHOWN_CHARS = 80
+
+
+def shown(value: Any) -> str:
+    """``value`` as an error message shows it: its ``repr``, cut short past
+    ``SHOWN_CHARS`` characters, or only its type's name when it has no
+    ``repr`` (an int of more than 4300 digits, or nesting too deep to
+    write)."""
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__}>"
+    return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
+
 
 class ConquerError(Exception):
     stage = "general"

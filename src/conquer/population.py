@@ -22,31 +22,88 @@ distinct scalar that the document writes for a type is decoded once,
 however often the document names it, so an entity named in many facts is
 built once; nothing of a load is kept for the next.  Each type's instances
 come out in the order of the document, followed by what the closure adds,
-in the order ``_Loader._close`` describes.
+in the order ``_Loader._close`` describes.  A document that is not JSON, or
+not one that writes a population, is refused with a ``PopulationError``,
+whose message shows each value of the document cut short.
+
+A population is an immutable value, and the queries run on it keep work
+on it for the ones after: ``results``, the bag of each uncorrelated
+sub-plan that ``relalg`` has evaluated on it, by the sub-plan's token,
+at most ``RESULTS_CAP`` of them, the one used least recently dropped
+first; and ``texts``, the text that ``cli`` renders for each cell value.
+So a population must not be changed once a query has run on it:
+``with_population`` makes a new one, which starts with nothing kept.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from itertools import islice
 from typing import Any, Iterable
 
 from .bag import Bag
-from .errors import EvalError, PopulationError
-from .schema import Schema, TypeId
+from .errors import EvalError, PopulationError, shown
+from .schema import Schema, TypeId, parse_document
 from .values import NULL, Bool, EntityInstance, FactInstance, GroupedBag, is_atomic
+
+
+# the most sub-plan results a population keeps; past it, the one used least
+# recently is dropped
+RESULTS_CAP = 256
+
+# the bag of a type with no instances
+_EMPTY = Bag()
+
+
+class Results(OrderedDict):
+    """The bags of uncorrelated sub-plans evaluated on one population, by
+    token, the one used least recently first.  They are served while the
+    schema's derived types are ``derived``, those they were computed
+    under; ``hits`` and ``misses`` count the lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.derived: frozenset | None = None
+        self.hits = self.misses = 0
+
+    def under(self, derived: frozenset) -> Results:
+        """These results for a plan compiled under ``derived``: emptied
+        first when they were computed under other derived types."""
+        if derived != self.derived:
+            self.clear()
+            self.derived = derived
+        return self
+
+    def find(self, token) -> Bag | None:
+        """The kept bag of ``token``, now the one used last, or None."""
+        out = self.pop(token, None)
+        if out is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self[token] = out
+        return out
+
+    def keep(self, token, bag: Bag) -> Bag:
+        """Keep ``bag`` as the result of ``token``, dropping the result used
+        least recently past ``RESULTS_CAP``."""
+        self[token] = bag
+        if len(self) > RESULTS_CAP:
+            self.popitem(last=False)
+        return bag
 
 
 class Population:
     def __init__(self, schema: Schema, pops: dict[TypeId, Bag] | None = None):
         self.schema = schema
         self._pops: dict[TypeId, Bag] = dict(pops or {})
+        self.results = Results()
+        self.texts: dict = {}
 
     def instances(self, tid: TypeId) -> Bag:
-        return self._pops.get(tid, Bag())
+        return self._pops.get(tid, _EMPTY)
 
     def types(self) -> list[TypeId]:
         return list(self._pops)
@@ -67,11 +124,11 @@ def _decode_scalar(raw: Any) -> Any:
         return Bool(raw)
     if isinstance(raw, float):
         if not math.isfinite(raw):
-            raise PopulationError(f"cannot decode the non-finite number {raw!r}")
+            raise PopulationError(f"cannot decode the non-finite number {shown(raw)}")
         return Fraction(str(raw))
     if isinstance(raw, (int, str, Fraction)):
         return raw
-    raise PopulationError(f"cannot decode scalar {raw!r}")
+    raise PopulationError(f"cannot decode scalar {shown(raw)}")
 
 
 # The raw scalars whose decodes a load keeps, by exact type, so that 1, True
@@ -83,7 +140,7 @@ def load_population(schema: Schema, data: dict | str) -> Population:
     """The population that the document ``data`` writes, closed under the
     population invariants."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = parse_document(data, PopulationError)
     if not isinstance(data, dict):
         raise PopulationError("population document must be a JSON object")
     loader = schema.loader
@@ -165,9 +222,12 @@ class _Loader:
 
         def decode_fact(raw: Any, within: tuple, memo: dict) -> FactInstance:
             if not isinstance(raw, dict):
-                raise PopulationError(f"instance of {tid!r} must be a dict of its roles, got {raw!r}")
+                raise PopulationError(f"instance of {tid!r} must be a dict of its roles, got {shown(raw)}")
             if expected and raw.keys() != expected:
-                raise PopulationError(f"instance of {tid!r} must fill roles {sorted(expected)}, got {sorted(raw)}")
+                # a document's keys are strings; a dict built in Python may
+                # have keys that do not sort
+                got = sorted(raw) if all(type(r) is str for r in raw) else list(raw)
+                raise PopulationError(f"instance of {tid!r} must fill roles {sorted(expected)}, got {shown(got)}")
             roles = {}
             for r, v in raw.items():
                 roles[r] = _decode(decoders, memo, players[r] if r in players else schema.player(r), v)
@@ -187,7 +247,7 @@ class _Loader:
 
         def decode_entity(raw: Any, within: tuple, memo: dict) -> EntityInstance:
             if tid in within:
-                raise PopulationError(f"cannot decode {raw!r}: the reference scheme of {tid!r} is cyclic")
+                raise PopulationError(f"cannot decode {shown(raw)}: the reference scheme of {tid!r} is cyclic")
             if root is None:
                 raise PopulationError(f"cannot build instances for multi-rooted type {tid!r}")
             key_raw = raw if isinstance(raw, list) else [raw]
@@ -195,7 +255,7 @@ class _Loader:
                 return EntityInstance(root, tuple(map(_decode_scalar, key_raw)))
             if len(key_raw) != len(parts):
                 raise PopulationError(
-                    f"cannot decode {raw!r}: the reference scheme of {tid!r} has length {len(parts)},"
+                    f"cannot decode {shown(raw)}: the reference scheme of {tid!r} has length {len(parts)},"
                     f" the denotation length {len(key_raw)}"
                 )
             within += (tid,)
@@ -222,9 +282,9 @@ class _Loader:
         for key, instances in data.items():
             tid = self.tids.get(key)
             if tid is None:
-                raise PopulationError(f"unknown type name {key!r} in population")
+                raise PopulationError(f"unknown type name {shown(key)} in population")
             if not isinstance(instances, list):
-                raise PopulationError(f"the instances of {key!r} must be a list, got {instances!r}")
+                raise PopulationError(f"the instances of {shown(key)} must be a list, got {shown(instances)}")
             freq = counts[tid]
             for raw in instances:
                 inst = _decode(decoders, memo, tid, raw)

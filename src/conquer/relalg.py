@@ -22,7 +22,9 @@ one for each distinct node, which run without looking at a node's kind
 again.  ``compile_plan`` builds one; a plan built once runs against every
 population of its schema, and ``evaluate`` turns a plain expression into a
 plan for the population's schema on the spot.  ``eval_scalar`` and
-``eval_cond`` compile their expressions the same way.
+``eval_cond`` compile their expressions the same way.  The result of each
+uncorrelated sub-plan is kept on the population it ran on, so every plan
+of the schema that holds the same sub-plan reads it there.
 
 Five bag-algebra rules apply as plans are built, in the builders that
 ``paths.Translator`` builds its plans with.  A ``Columns`` is a projection
@@ -54,6 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Union as TUnion
+from weakref import WeakValueDictionary
 
 from .bag import Bag, bag_avg, bag_max, bag_min, bag_sum
 from .errors import EvalError
@@ -61,7 +64,7 @@ from .population import Population
 from .schema import Schema
 from .tri import UNKNOWN, Tri, is_true, t_and, t_implies, t_not, t_or, t_xor
 from .values import NULL, FactInstance, GroupedBag, is_number
-from .walk import children
+from .walk import children, field_names
 
 AttrName = str
 
@@ -549,13 +552,33 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 # of the rows it reads, to ``run(ctx, row, outer)``.  ``ctx`` is the one
 # evaluation's ``_Context``; no closure keeps it.
 #
-# Each evaluation memoises the results of the nodes that can be reached more
-# than once (``_repeatable``): nodes with more than one parent and nodes
-# under a per-row scalar or condition.  A result depends on the outer
-# binding only through the node's free attributes (``free``), so it is
-# computed once per distinct binding of them.  The memo is dropped with the
-# context when the call returns; the caller keeps the plan's nodes alive
-# meanwhile, so no id in the memo is reused.
+# A relational node that reads no outer attribute (its ``free`` is empty)
+# has one result on a population, and every query on the population keeps
+# it for the next (after Sellis, "Multiple-Query Optimization", TODS 1988,
+# and Ivanova et al., "An Architecture for Recycling Intermediates in a
+# Column-store", SIGMOD 2009).  Compiling gives each such node the token of
+# its structure in the schema's table, ``Schema.subplans``, which every plan
+# of the schema shares; its compiled code looks in the population's
+# ``results`` under the token and computes only on a miss.  The key of a
+# structure is the node's kind and its fields, each child by its token, a
+# constant together with its type (so that 1, 1.0 and Fraction(1) stay
+# apart), and a literal's relation by identity; keys are built bottom-up,
+# so compiling stays linear.  A token holds the first node of its
+# structure, so the relation of a literal keyed by identity stays alive
+# with it; the table holds tokens weakly, and a plan's compiled code holds
+# the tokens of its nodes, so an entry goes once no plan and no
+# population's results hold its token.  A result whose computation raises
+# is not kept, and the results are served only while the schema's derived
+# types are those the plan was compiled under.  Bags are immutable values,
+# so a kept result is the bag a fresh run builds, rows in the same order.
+#
+# Within one evaluation, the correlated nodes that can be reached more than
+# once (``_repeatable``): nodes with more than one parent and nodes under a
+# per-row scalar or condition, are memoised.  Such a result depends on the
+# outer binding only through the node's free attributes, so it is computed
+# once per distinct binding of them.  The memo is dropped with the context
+# when the call returns; the caller keeps the plan's nodes alive meanwhile,
+# so no id in the memo is reused.
 #
 # A scalar or condition reads a row through its operand's slots and falls
 # back to the outer binding; a subquery under a row sees the row's
@@ -570,7 +593,8 @@ class Plan:
     ``schema``: ``root`` is the expression, ``run`` the root compiled, and
     ``derived`` the schema's derived types when it was compiled.  The plan
     holds ``root``, so the ids the compiled code keys its memo on stay its
-    nodes'."""
+    nodes', and ``run`` holds the tokens of its uncorrelated nodes, so the
+    schema's table keeps them while the plan lives."""
 
     root: RelExpr
     run: Callable
@@ -580,7 +604,7 @@ class Plan:
 
 def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
-    run = _Compiler(_repeatable(e)).rel(e)
+    run = _Compiler(_repeatable(e), schema.subplans).rel(e)
     return Plan(e, run, schema, schema.derived_types())
 
 
@@ -591,15 +615,17 @@ def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
     plan = e if isinstance(e, Plan) else compile_plan(e, pop.schema)
     if plan.schema is not pop.schema:
         raise EvalError("the plan was built for another schema than the population's")
-    return Relation(plan.root.header, plan.run(_Context(pop), {}))
+    return Relation(plan.root.header, plan.run(_Context(pop, plan.derived), {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
-    return _Compiler(_repeatable(expr)).scalar(expr, ())(_Context(pop), (), env)
+    compiler = _Compiler(_repeatable(expr), pop.schema.subplans)
+    return compiler.scalar(expr, ())(_Context(pop, pop.schema.derived_types()), (), env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
-    return _Compiler(_repeatable(cond)).cond(cond, ())(_Context(pop), (), env)
+    compiler = _Compiler(_repeatable(cond), pop.schema.subplans)
+    return compiler.cond(cond, ())(_Context(pop, pop.schema.derived_types()), (), env)
 
 
 # the nodes whose results are memoised: relational expressions, and the
@@ -624,7 +650,9 @@ def _parts(x) -> tuple:
 def _repeatable(root) -> set[int]:
     """Ids of the subquery nodes under ``root`` that one context can reach
     more than once: those with more than one parent and those under a
-    per-row scalar or condition.  Each distinct node is expanded at most
+    per-row scalar or condition.  Of the relational ones, only those that
+    read outer attributes are memoised on the context; the others are kept
+    on the population, literals aside, which hold their bags already.  Each distinct node is expanded at most
     twice, once outside and once under a per-row expression."""
     parents: dict[int, int] = {}
     out: set[int] = set()
@@ -649,14 +677,26 @@ def _repeatable(root) -> set[int]:
 
 
 class _Context:
-    """What one evaluation's compiled code shares: the population and the
-    memo."""
+    """What one evaluation's compiled code shares: the population, the memo
+    and the population's results kept for plans compiled under the derived
+    types ``derived``."""
 
-    __slots__ = ("pop", "memo")
+    __slots__ = ("pop", "memo", "results")
 
-    def __init__(self, pop: Population):
+    def __init__(self, pop: Population, derived: frozenset):
         self.pop = pop
         self.memo: dict[tuple, Any] = {}
+        self.results = pop.results.under(derived)
+
+
+class _Token:
+    """The token of one structure of node in a schema's table; it holds
+    the first node of that structure."""
+
+    __slots__ = ("node", "__weakref__")
+
+    def __init__(self, node):
+        self.node = node
 
 
 def _picker(slots: list[int]):
@@ -714,13 +754,16 @@ def _raiser(message: str):
 class _Compiler:
     """Compiles the nodes of one plan, each distinct node once for each
     layout of the rows it reads; ``repeatable`` holds the ids of the nodes
-    whose results one evaluation memoises."""
+    that one evaluation can reach more than once, and ``table`` is the
+    schema's table of tokens."""
 
-    def __init__(self, repeatable: set | frozenset):
-        self.repeatable = repeatable
+    def __init__(self, repeatable: set | frozenset, table: WeakValueDictionary):
+        self.repeatable, self.table = repeatable, table
         # (kind, id, layout) -> (node, its code); holding the node keeps
         # its id unique
         self.done: dict[tuple, tuple] = {}
+        # id of a node -> its token, for the nodes of this plan
+        self.tokens: dict[int, _Token] = {}
 
     def rel(self, e: RelExpr):
         """``run(ctx, outer) -> Bag`` for relational expression ``e``."""
@@ -742,11 +785,56 @@ class _Compiler:
         if hit is not None:
             return hit[1]
         build = _BUILDERS[kind].get(type(x))
-        run = _raiser(f"unknown {kind} {x!r}") if build is None else build(self, x, layout)
-        if layout is None and id(x) in self.repeatable:
-            run = _memoised(x, run)
+        if build is None:
+            run = _raiser(f"unknown {kind} {x!r}")
+        else:
+            run = build(self, x, layout)
+            if layout is None and x.free:
+                if id(x) in self.repeatable:
+                    run = _memoised(x, run)
+            # a literal's code gives the bag it holds, with nothing to keep
+            elif layout is None and type(x) is not Literal:
+                run = _kept(self.token(x), run)
         self.done[key] = (x, run)
         return run
+
+    def token(self, x) -> _Token:
+        """The token of ``x``'s structure: the one the schema's table holds
+        for its key, else a new one, added.  The nodes under ``x`` get
+        theirs first, children before parents, without recursion, since a
+        chain of operators can nest deeper than the Python stack."""
+        tokens, stack = self.tokens, [x]
+        while stack:
+            y = stack[-1]
+            if id(y) in tokens:
+                stack.pop()
+                continue
+            pending = [c for c in children(y, RA_KINDS) if id(c) not in tokens]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            key = (type(y),) + tuple([self._key(getattr(y, name)) for name in field_names(type(y))])
+            tok = self.table.get(key)
+            if tok is None:
+                tok = self.table[key] = _Token(y)
+            tokens[id(y)] = tok
+        return tokens[id(x)]
+
+    def _key(self, v):
+        """A field value as the key of a structure reads it: a node by its
+        token, a tuple by its items', a relation or any other value without
+        a hash by its identity (the token holds it through its node), and
+        anything else together with its type."""
+        if type(v) in RA_KINDS:
+            return self.tokens[id(v)]
+        if type(v) is tuple:
+            return tuple([self._key(w) for w in v])
+        try:
+            hash(v)
+        except TypeError:
+            return id(v)
+        return type(v), v
 
     # -- relational expressions ------------------------------------------
 
@@ -1005,6 +1093,21 @@ class _Compiler:
 def _slot(layout: tuple, a: AttrName) -> int | None:
     """The position of ``a`` in rows laid out as ``layout``, or None."""
     return {b: i for i, b in enumerate(layout)}.get(a)
+
+
+def _kept(token: _Token, run):
+    """``run`` of a node that reads no outer attribute, served from the
+    population's results under the node's ``token``: computed only when
+    they lack it, and kept unless it raises."""
+
+    def kept(ctx, outer):
+        results = ctx.results
+        out = results.find(token)
+        if out is None:
+            out = results.keep(token, run(ctx, outer))
+        return out
+
+    return kept
 
 
 def _memoised(e: RelExpr, run):

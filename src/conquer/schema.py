@@ -5,9 +5,11 @@ the roles that make up relationship types, the type-relatedness relation,
 reference schemes, and all the naming tables the parser and verbaliser
 work from.  Schemas are immutable once loaded and safe to share between
 concurrent readers; only the plans that ``paths`` keeps of the derivation
-rules and constraints, the query texts that ``cli`` prepares and the
-population loader are added on first use, and two readers that both build
-one build the same.
+rules and constraints, the query texts that ``cli`` prepares, the
+population loader and the tokens that ``relalg`` gives the sub-plans its
+plans share are added on first use, and two readers that both build one
+build the same (two that race to add one sub-plan's token may each keep
+their own, which only shares less).
 
 Type relatedness is stored extensionally: the loader closes the declared
 specialisation hierarchy (types sharing a root are related unless an
@@ -18,10 +20,11 @@ closure, and keeps for each type the set of the types related to it.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import SchemaError
+from .errors import SchemaError, shown
 
 TypeId = str
 RoleId = str
@@ -140,12 +143,16 @@ class Schema:
     prepared: dict = field(default_factory=dict, compare=False, repr=False)
     # the population loader, which ``population`` builds on the first load
     loader: Any = field(default=None, compare=False, repr=False)
+    # the token of each structure of plan node that ``relalg`` has
+    # compiled: structural key -> token, held weakly, so an entry goes when
+    # no plan and no population's kept results hold its token
+    subplans: Any = field(default_factory=weakref.WeakValueDictionary, compare=False, repr=False)
 
     # -- basic accessors -------------------------------------------------
 
     def check_type(self, x: TypeId) -> None:
         if x not in self.types:
-            raise SchemaError(f"unknown type {x!r}")
+            raise SchemaError(f"unknown type {shown(x)}")
 
     def is_value(self, x: TypeId) -> bool:
         self.check_type(x)
@@ -157,12 +164,12 @@ class Schema:
 
     def player(self, p: RoleId) -> TypeId:
         if p not in self.roles:
-            raise SchemaError(f"unknown role {p!r}")
+            raise SchemaError(f"unknown role {shown(p)}")
         return self.roles[p].player
 
     def rel(self, p: RoleId) -> TypeId:
         if p not in self.roles:
-            raise SchemaError(f"unknown role {p!r}")
+            raise SchemaError(f"unknown role {shown(p)}")
         return self.roles[p].rel
 
     def type_related(self, x: TypeId, y: TypeId) -> bool:
@@ -375,6 +382,16 @@ _KIND_FLAGS = {
 }
 
 
+def parse_document(text: str, error: type) -> Any:
+    """The JSON value that the document ``text`` writes; ``error``, a
+    ``ConquerError`` kind, when it writes none, nests too deep to read or
+    writes an int of more digits than Python converts."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise error(f"not a JSON document: {e}") from None
+
+
 def load_schema(data: dict | str) -> Schema:
     """Build a schema from its JSON document (structure only).
 
@@ -383,7 +400,7 @@ def load_schema(data: dict | str) -> Schema:
     loaded tables.
     """
     if isinstance(data, str):
-        data = json.loads(data)
+        data = parse_document(data, SchemaError)
     if not isinstance(data, dict):
         raise SchemaError("schema document must be a JSON object")
 

@@ -15,7 +15,6 @@ asks the schema everything again for each instance it decodes.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Any
@@ -66,9 +65,9 @@ from conquer.paths import (
     hd_coerce,
     tl_coerce,
 )
-from conquer.errors import PopulationError
+from conquer.errors import PopulationError, shown
 from conquer.population import Population
-from conquer.schema import Schema, TypeId
+from conquer.schema import Schema, TypeId, parse_document
 from conquer.tri import UNKNOWN, is_true, t_and, t_implies, t_not, t_or, t_xor
 from conquer.values import NULL, TRUE, Bool, EntityInstance, FactInstance, is_number
 
@@ -536,11 +535,11 @@ def _decode_scalar(raw: Any) -> Any:
         return Bool(raw)
     if isinstance(raw, float):
         if not math.isfinite(raw):
-            raise PopulationError(f"cannot decode the non-finite number {raw!r}")
+            raise PopulationError(f"cannot decode the non-finite number {shown(raw)}")
         return Fraction(str(raw))
     if isinstance(raw, (int, str, Fraction)):
         return raw
-    raise PopulationError(f"cannot decode scalar {raw!r}")
+    raise PopulationError(f"cannot decode scalar {shown(raw)}")
 
 
 def decode_instance(schema: Schema, tid: TypeId, raw: Any, within: tuple = ()) -> Any:
@@ -554,15 +553,15 @@ def decode_instance(schema: Schema, tid: TypeId, raw: Any, within: tuple = ()) -
         return _decode_scalar(raw)
     if info.is_relationship:
         if not isinstance(raw, dict):
-            raise PopulationError(f"instance of {tid!r} must be a dict of its roles, got {raw!r}")
+            raise PopulationError(f"instance of {tid!r} must be a dict of its roles, got {shown(raw)}")
         expected = set(schema.roles_of.get(tid, ()))
         given = set(raw)
         if expected and given != expected:
-            raise PopulationError(f"instance of {tid!r} must fill roles {sorted(expected)}, got {sorted(given)}")
+            raise PopulationError(f"instance of {tid!r} must fill roles {sorted(expected)}, got {shown(sorted(given))}")
         return FactInstance({r: decode_instance(schema, schema.player(r), v) for r, v in raw.items()})
     # entity instance, written as its denotation
     if tid in within:
-        raise PopulationError(f"cannot decode {raw!r}: the reference scheme of {tid!r} is cyclic")
+        raise PopulationError(f"cannot decode {shown(raw)}: the reference scheme of {tid!r} is cyclic")
     roots = schema.roots_of(tid)
     if len(roots) != 1:
         raise PopulationError(f"cannot build instances for multi-rooted type {tid!r}")
@@ -571,7 +570,7 @@ def decode_instance(schema: Schema, tid: TypeId, raw: Any, within: tuple = ()) -
     scheme = schema.idf.get(tid) or schema.idf.get(root)
     if scheme is not None and scheme.kind == "pairs" and len(key_raw) != len(scheme.entries):
         raise PopulationError(
-            f"cannot decode {raw!r}: the reference scheme of {tid!r} has length {len(scheme.entries)},"
+            f"cannot decode {shown(raw)}: the reference scheme of {tid!r} has length {len(scheme.entries)},"
             f" the denotation length {len(key_raw)}"
         )
     components = []
@@ -590,7 +589,7 @@ def decode_instance(schema: Schema, tid: TypeId, raw: Any, within: tuple = ()) -
 def reference_load(schema: Schema, data: dict | str) -> Population:
     """What ``population.load_population`` returns, computed the long way."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = parse_document(data, PopulationError)
     if not isinstance(data, dict):
         raise PopulationError("population document must be a JSON object")
 
@@ -600,9 +599,9 @@ def reference_load(schema: Schema, data: dict | str) -> Population:
         if tid is None and key in schema.types:
             tid = key
         if tid is None:
-            raise PopulationError(f"unknown type name {key!r} in population")
+            raise PopulationError(f"unknown type name {shown(key)} in population")
         if not isinstance(instances, list):
-            raise PopulationError(f"the instances of {key!r} must be a list, got {instances!r}")
+            raise PopulationError(f"the instances of {shown(key)} must be a list, got {shown(instances)}")
         freq = counts.setdefault(tid, {})
         for raw in instances:
             inst = decode_instance(schema, tid, raw)

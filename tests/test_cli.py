@@ -356,6 +356,22 @@ class TestBatchMode:
         assert main(["--schema", schema_file, "--pop", str(pop_file), "--query", "a Salary"]) == 1
         assert capsys.readouterr().err.strip() == "[population] cannot decode the non-finite number nan"
 
+    @pytest.mark.parametrize("which", ["schema", "population"])
+    def test_a_file_that_is_not_json_is_a_staged_error(self, tmp_path, capsys, which):
+        schema_file, pop_file = self.write_files(tmp_path)
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"Salary": [1, 2')
+        files = [str(broken), pop_file] if which == "schema" else [schema_file, str(broken)]
+        assert main(["--schema", files[0], "--pop", files[1], "--query", "a Salary"]) == 1
+        assert capsys.readouterr().err.startswith(f"[{which}] not a JSON document: Expecting")
+        session = Session()
+        with pytest.raises(ConquerError, match="not a JSON document"):
+            if which == "schema":
+                session.load_schema_file(str(broken))
+            else:
+                session.load_schema_file(schema_file)
+                session.load_population_file(str(broken))
+
     def test_ambiguity_exit_code(self, tmp_path, capsys):
         schema_file = tmp_path / "schema.json"
         doc = TestAmbiguityPolicies().make_ambiguous_session().schema

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conquer import population
-from conquer.errors import ConquerError
+from conquer.errors import ConquerError, PopulationError
 from conquer.population import load_population
 from conquer.schema import load_schema
 from conquer.values import EntityInstance, FactInstance
@@ -270,6 +271,9 @@ scalars = (
     | st.booleans()
     | st.integers()
     | st.sampled_from([2**64, -(10**100), 10**400])
+    # more digits than Python writes or reads; built when drawn, since the
+    # strategy's repr would write them
+    | st.sampled_from([(1, 4300), (-1, 5000)]).map(lambda sign_digits: sign_digits[0] * 10 ** sign_digits[1])
     | st.floats()
     | st.text(max_size=3)
     | st.sampled_from(["ann", "acme", "per001", "co0"])
@@ -290,8 +294,61 @@ documents = (
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(ROBUSTNESS_SCHEMAS)), documents)
+
+
+def dumped(doc) -> str:
+    """``doc`` as a JSON text, its ints written whatever their length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# documents as JSON texts, whole or cut short, and texts that are not JSON
+json_texts = st.builds(dumped, documents)
+json_texts = json_texts | json_texts.flatmap(lambda t: st.integers(0, len(t) - 1).map(lambda i: t[:i])) | st.text(max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(ROBUSTNESS_SCHEMAS)), documents | json_texts)
 def test_any_document_loads_or_is_refused(name, doc):
     schema = ROBUSTNESS_SCHEMAS[name]
     assert outcome(load_population, schema, doc) == outcome(reference_load, schema, doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        lambda: "{",
+        lambda: "[" * 100_000,
+        lambda: '{"Person": [' + "1" * 5000 + "]}",
+        lambda: {"Person": [[10**5000, 1]]},
+        lambda: {"Person": [{"name": "x" * 10_000}]},
+    ],
+    ids=["cut short", "nested too deep", "an int too long to read", "an int too long to write", "a long string"],
+)
+def test_a_document_python_cannot_read_or_write_is_refused(doc):
+    """A text that is not JSON and a value that Python cannot write are a
+    ``PopulationError``, whose message shows each value cut short."""
+    schema = ROBUSTNESS_SCHEMAS["demo"]
+    with pytest.raises(PopulationError) as refused:
+        load_population(schema, doc())
+    assert len(str(refused.value)) < 300
+    assert outcome(reference_load, schema, doc()) == outcome(load_population, schema, doc())
+
+
+def test_a_role_key_that_is_not_a_string_is_refused():
+    with pytest.raises(PopulationError, match=r"must fill roles \['p1', 'p2'\], got \['p1', 2\]"):
+        load_population(ROBUSTNESS_SCHEMAS["demo"], {"F": [{"p1": "ann", 2: 1000}]})
+
+
+def test_a_role_of_a_fact_type_without_roles_is_refused_with_a_short_message():
+    """A fact type that declares no roles takes its instances' keys as role
+    ids, and the schema refuses one it lacks, showing it cut short."""
+    schema = load_schema({"types": {"R": "relationship"}, "naming": {"tnm": {"R": "R"}}})
+    for key in (10**5000, "x" * 500):
+        with pytest.raises(ConquerError, match="unknown role") as refused:
+            load_population(schema, {"R": [{key: 1}]})
+        assert len(str(refused.value)) < 120
