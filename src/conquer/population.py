@@ -31,8 +31,11 @@ on it for the ones after: ``results``, the bag of each uncorrelated
 sub-plan that ``relalg`` has evaluated on it, by the sub-plan's token,
 at most ``RESULTS_CAP`` of them, the one used least recently dropped
 first; and ``texts``, the text that ``cli`` renders for each cell value.
-So a population must not be changed once a query has run on it:
-``with_population`` makes a new one, which starts with nothing kept.
+A sub-plan's result depends on its structure and the population alone,
+so a change of the schema's derivation rules leaves it kept: the rules'
+types are populated in a new derived population.  A population must not
+be changed once a query has run on it: ``with_population`` makes a new
+one, which starts with nothing kept.
 """
 
 from __future__ import annotations
@@ -59,22 +62,12 @@ _EMPTY = Bag()
 
 class Results(OrderedDict):
     """The bags of uncorrelated sub-plans evaluated on one population, by
-    token, the one used least recently first.  They are served while the
-    schema's derived types are ``derived``, those they were computed
-    under; ``hits`` and ``misses`` count the lookups."""
+    token, the one used least recently first; ``hits`` and ``misses`` count
+    the lookups."""
 
     def __init__(self):
         super().__init__()
-        self.derived: frozenset | None = None
         self.hits = self.misses = 0
-
-    def under(self, derived: frozenset) -> Results:
-        """These results for a plan compiled under ``derived``: emptied
-        first when they were computed under other derived types."""
-        if derived != self.derived:
-            self.clear()
-            self.derived = derived
-        return self
 
     def find(self, token) -> Bag | None:
         """The kept bag of ``token``, now the one used last, or None."""

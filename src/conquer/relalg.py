@@ -24,7 +24,9 @@ population of its schema, and ``evaluate`` turns a plain expression into a
 plan for the population's schema on the spot.  ``eval_scalar`` and
 ``eval_cond`` compile their expressions the same way.  The result of each
 uncorrelated sub-plan is kept on the population it ran on, so every plan
-of the schema that holds the same sub-plan reads it there.
+of the schema that holds the same sub-plan reads it there; every other
+sub-plan, aggregate and bag comparison is computed once per distinct
+binding of the outer attributes it reads within one evaluation.
 
 Five bag-algebra rules apply as plans are built, in the builders that
 ``paths.Translator`` builds its plans with.  A ``Columns`` is a projection
@@ -84,16 +86,19 @@ class _Node:
     @cached_property
     def free(self) -> frozenset:
         """The outer attributes this node reads: those its parts read, less
-        the operand's attributes for the parts evaluated per row of it.
-        Worked out on first use and kept on the node."""
+        the operand's attributes for the parts evaluated per row of it (a
+        projection's assignments and a selection's condition).  Worked out
+        on first use and kept on the node."""
         if isinstance(self, (Attr, AttrRole)):
             return frozenset({self.attr})
-        direct, per_row_parts = _parts(self)
+        if isinstance(self, (Project, Select)):
+            out = self.of.free
+            for p in [s for _, s in self.assigns] if isinstance(self, Project) else [self.cond]:
+                out |= p.free.difference(self.of.slots)
+            return out
         out = frozenset()
-        for p in direct:
+        for p in children(self, RA_KINDS):
             out |= p.free
-        for p in per_row_parts:
-            out |= p.free.difference(self.of.slots)
         return out
 
 
@@ -539,7 +544,7 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 
 
 # ---------------------------------------------------------------------------
-# Val
+# Evaluation
 #
 # A plan is compiled once into closures, one for each distinct node, and the
 # closures are what run (after Neumann, "Efficiently Compiling Efficient
@@ -567,24 +572,27 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 # structure, so the relation of a literal keyed by identity stays alive
 # with it; the table holds tokens weakly, and a plan's compiled code holds
 # the tokens of its nodes, so an entry goes once no plan and no
-# population's results hold its token.  A result whose computation raises
-# is not kept, and the results are served only while the schema's derived
-# types are those the plan was compiled under.  Bags are immutable values,
-# so a kept result is the bag a fresh run builds, rows in the same order.
+# population's results hold its token.  A kept result depends on its
+# node's structure and the population alone, so a change of the schema's
+# derivation rules leaves it standing: the rules' types are populated in a
+# new derived population, which starts with nothing kept.  Bags are
+# immutable values, so a kept result is the bag a fresh run builds, rows in
+# the same order.
 #
-# Within one evaluation, the correlated nodes that can be reached more than
-# once (``_repeatable``): nodes with more than one parent and nodes under a
-# per-row scalar or condition, are memoised.  Such a result depends on the
-# outer binding only through the node's free attributes, so it is computed
-# once per distinct binding of them.  The memo is dropped with the context
-# when the call returns; the caller keeps the plan's nodes alive meanwhile,
-# so no id in the memo is reused.
+# Every other relational node, and every aggregate and bag comparison, is
+# memoised within one evaluation.  Its result depends on the outer binding
+# only through the node's free attributes, so it is computed once per
+# distinct binding of them: the key is the node's id and each free value
+# together with its type.  The memo is dropped with the context when the
+# call returns; the caller keeps the plan's nodes alive meanwhile, so no id
+# in the memo is reused.
 #
-# A scalar or condition reads a row through its operand's slots and falls
-# back to the outer binding; a subquery under a row sees the row's
-# attributes over the outer binding as its own outer binding.  A compiled
-# node raises what it raises only when it runs, so an operator over an empty
-# operand raises nothing.
+# A result whose computation raises is neither kept nor memoised.  A scalar
+# or condition reads a row through its operand's slots and falls back to the
+# outer binding; a subquery under a row sees the row's attributes over the
+# outer binding as its own outer binding.  A compiled node raises what it
+# raises only when it runs, so an operator over an empty operand raises
+# nothing.
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,8 +612,7 @@ class Plan:
 
 def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
-    run = _Compiler(_repeatable(e), schema.subplans).rel(e)
-    return Plan(e, run, schema, schema.derived_types())
+    return Plan(e, _Compiler(schema.subplans).rel(e), schema, schema.derived_types())
 
 
 def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
@@ -615,78 +622,32 @@ def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
     plan = e if isinstance(e, Plan) else compile_plan(e, pop.schema)
     if plan.schema is not pop.schema:
         raise EvalError("the plan was built for another schema than the population's")
-    return Relation(plan.root.header, plan.run(_Context(pop, plan.derived), {}))
+    return Relation(plan.root.header, plan.run(_Context(pop), {}))
 
 
 def eval_scalar(expr: RaScalar, pop: Population, env: dict) -> Any:
-    compiler = _Compiler(_repeatable(expr), pop.schema.subplans)
-    return compiler.scalar(expr, ())(_Context(pop, pop.schema.derived_types()), (), env)
+    return _eval("scalar expression", expr, pop, env)
 
 
 def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
-    compiler = _Compiler(_repeatable(cond), pop.schema.subplans)
-    return compiler.cond(cond, ())(_Context(pop, pop.schema.derived_types()), (), env)
+    return _eval("condition", cond, pop, env)
 
 
-# the nodes whose results are memoised: relational expressions, and the
-# scalars and conditions that evaluate one
-_SUBQUERY = frozenset(RelExpr.__args__ + (Aggregate, BagCompare))
-# the nodes with no sub-plan inside
-_LEAVES = frozenset({Attr, AttrRole, Const, TypeTable, Literal})
-_MISSING = object()
-
-
-def _parts(x) -> tuple:
-    """The expressions directly inside ``x``: those evaluated against x's
-    own outer binding, and those evaluated once per row of x's operand
-    (a projection's assignments and a selection's condition)."""
-    if isinstance(x, Project):
-        return (x.of,), tuple(s for _, s in x.assigns)
-    if isinstance(x, Select):
-        return (x.of,), (x.cond,)
-    return children(x, RA_KINDS), ()
-
-
-def _repeatable(root) -> set[int]:
-    """Ids of the subquery nodes under ``root`` that one context can reach
-    more than once: those with more than one parent and those under a
-    per-row scalar or condition.  Of the relational ones, only those that
-    read outer attributes are memoised on the context; the others are kept
-    on the population, literals aside, which hold their bags already.  Each distinct node is expanded at most
-    twice, once outside and once under a per-row expression."""
-    parents: dict[int, int] = {}
-    out: set[int] = set()
-    expanded: set[tuple[int, bool]] = set()
-    stack = [(root, False)]
-    while stack:
-        x, under = stack.pop()
-        k = id(x)
-        if type(x) in _SUBQUERY:
-            n = parents[k] = parents.get(k, 0) + 1
-            if under or n > 1:
-                out.add(k)
-        if type(x) in _LEAVES or (k, under) in expanded:
-            continue
-        expanded.add((k, under))
-        direct, per_row_parts = _parts(x)
-        for c in direct:
-            stack.append((c, under))
-        for c in per_row_parts:
-            stack.append((c, True))
-    return out
+def _eval(kind: str, x, pop: Population, env: dict):
+    """Scalar or condition ``x``, compiled as ``kind``, on ``pop`` under
+    the outer binding ``env``."""
+    return _Compiler(pop.schema.subplans)._compiled(kind, x, ())(_Context(pop), (), env)
 
 
 class _Context:
-    """What one evaluation's compiled code shares: the population, the memo
-    and the population's results kept for plans compiled under the derived
-    types ``derived``."""
+    """What one evaluation's compiled code shares: the population and the
+    memo."""
 
-    __slots__ = ("pop", "memo", "results")
+    __slots__ = ("pop", "memo")
 
-    def __init__(self, pop: Population, derived: frozenset):
+    def __init__(self, pop: Population):
         self.pop = pop
         self.memo: dict[tuple, Any] = {}
-        self.results = pop.results.under(derived)
 
 
 class _Token:
@@ -753,12 +714,11 @@ def _raiser(message: str):
 
 class _Compiler:
     """Compiles the nodes of one plan, each distinct node once for each
-    layout of the rows it reads; ``repeatable`` holds the ids of the nodes
-    that one evaluation can reach more than once, and ``table`` is the
-    schema's table of tokens."""
+    layout of the rows it reads; ``table`` is the schema's table of
+    tokens."""
 
-    def __init__(self, repeatable: set | frozenset, table: WeakValueDictionary):
-        self.repeatable, self.table = repeatable, table
+    def __init__(self, table: WeakValueDictionary):
+        self.table = table
         # (kind, id, layout) -> (node, its code); holding the node keeps
         # its id unique
         self.done: dict[tuple, tuple] = {}
@@ -789,12 +749,9 @@ class _Compiler:
             run = _raiser(f"unknown {kind} {x!r}")
         else:
             run = build(self, x, layout)
-            if layout is None and x.free:
-                if id(x) in self.repeatable:
-                    run = _memoised(x, run)
             # a literal's code gives the bag it holds, with nothing to keep
-            elif layout is None and type(x) is not Literal:
-                run = _kept(self.token(x), run)
+            if layout is None and type(x) is not Literal:
+                run = _memoised(x, None, run) if x.free else _kept(self.token(x), run)
         self.done[key] = (x, run)
         return run
 
@@ -1059,35 +1016,16 @@ class _Compiler:
         return lambda ctx, row, outer: connective(left(ctx, row, outer), right(ctx, row, outer))
 
     def subquery(self, x: Aggregate | BagCompare, layout: tuple, compute):
-        """Code that runs ``compute(ctx, binding)`` under a row: the binding
-        is the row's attributes over the outer binding's.  For a repeatable
-        node the result is memoised on the values of its free attributes,
-        read from the row's slots or the outer binding, and the binding is
-        built only on a miss.  A value is keyed with its type, so that 1,
-        1.0 and Fraction(1) get entries of their own."""
-        if layout:
-            def binding(row, outer):
-                env = dict(outer)
-                env.update(zip(layout, row))
-                return env
-        else:
-            def binding(row, outer):
-                return outer
-        if id(x) not in self.repeatable:
-            return lambda ctx, row, outer: compute(ctx, binding(row, outer))
-        k = id(x)
-        reads = [(_slot(layout, a), a) for a in x.free]
+        """Code that runs ``compute(ctx, binding)`` under a row, memoised:
+        the binding is the row's attributes over the outer binding's, built
+        only on a miss."""
 
         def run(ctx, row, outer):
-            values = [outer.get(a, _MISSING) if i is None else row[i] for i, a in reads]
-            key = (k, tuple([(type(v), v) for v in values]))
-            memo = ctx.memo
-            out = memo.get(key, _MISSING)
-            if out is _MISSING:
-                out = memo[key] = compute(ctx, binding(row, outer))
-            return out
+            env = dict(outer)
+            env.update(zip(layout, row))
+            return compute(ctx, env)
 
-        return run
+        return _memoised(x, layout, run)
 
 
 def _slot(layout: tuple, a: AttrName) -> int | None:
@@ -1101,7 +1039,7 @@ def _kept(token: _Token, run):
     they lack it, and kept unless it raises."""
 
     def kept(ctx, outer):
-        results = ctx.results
+        results = ctx.pop.results
         out = results.find(token)
         if out is None:
             out = results.keep(token, run(ctx, outer))
@@ -1110,17 +1048,30 @@ def _kept(token: _Token, run):
     return kept
 
 
-def _memoised(e: RelExpr, run):
-    """``run`` memoised on ``e`` and the values of the outer binding on e's
-    free attributes, each keyed with its type."""
-    k, free = id(e), tuple(e.free)
+_MISSING = object()
 
-    def memoised(ctx, outer):
-        key = (k, tuple([(type(v), v) for v in [outer.get(a, _MISSING) for a in free]]))
+
+def _memoised(x, layout: tuple | None, run):
+    """``run`` memoised on the context's memo by ``x`` and the values of x's
+    free attributes, each with its type, so that 1, 1.0 and Fraction(1)
+    get entries of their own.  The code of a relational node (``layout``
+    None) is ``run(ctx, outer)`` and reads each value from the outer
+    binding; a scalar's or condition's is ``run(ctx, row, outer)`` and
+    reads a value from the row's slots where ``layout`` has it.  A run that
+    raises stores nothing."""
+    k = id(x)
+    reads = [(_slot(layout or (), a), a) for a in x.free]
+
+    def memoised(ctx, *args):
+        # ``args`` is (outer,) or (row, outer); a read from a slot is one of
+        # the row's
+        outer = args[-1]
+        values = [outer.get(a, _MISSING) if i is None else args[0][i] for i, a in reads]
+        key = (k, tuple([(type(v), v) for v in values]))
         memo = ctx.memo
         out = memo.get(key, _MISSING)
         if out is _MISSING:
-            out = memo[key] = run(ctx, outer)
+            out = memo[key] = run(ctx, *args)
         return out
 
     return memoised

@@ -403,6 +403,7 @@ def load_schema(data: dict | str) -> Schema:
         data = parse_document(data, SchemaError)
     if not isinstance(data, dict):
         raise SchemaError("schema document must be a JSON object")
+    _check_sections(data)
 
     schema = Schema()
 
@@ -490,6 +491,58 @@ def load_schema(data: dict | str) -> Schema:
     schema.raw_derivations = list(data.get("derivations", []))
     schema.raw_constraints = list(data.get("constraints", []))
     return schema
+
+
+def _texts(*values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
+def _is_macro(m: Any) -> bool:
+    if not isinstance(m, dict) or not isinstance(m.get("params", []), list):
+        return False
+    return _texts(m.get("name"), m.get("body"), *m.get("params", []))
+
+
+def _is_rule(d: Any) -> bool:
+    if not isinstance(d, dict):
+        return False
+    if "fact" not in d:
+        return _texts(d.get("body"), d.get("type"))
+    roles = d.get("roles")
+    return isinstance(roles, dict) and _texts(d.get("body"), d["fact"], *roles, *roles.values())
+
+
+# each list section: what each of its entries must be, and the test of one
+_ENTRIES = {
+    "macros": ("an object with a text 'name' and 'body' and a list of texts 'params'", _is_macro),
+    "derivations": (
+        "an object with a text 'body' and a text 'type', or a text 'fact' and an object 'roles' of texts",
+        _is_rule,
+    ),
+    "constraints": ("a query text", _texts),
+    "roles": ("a role id", _texts),
+}
+
+
+def _check_sections(data: dict) -> None:
+    """Refuse a document whose sections have another shape than the loader
+    and ``compile_schema_queries`` read: the type and role tables are
+    objects, a type spec is a kind or an object of flags, and the macros,
+    derivation rules, constraints and declared roles are lists of their
+    entries."""
+    for key in ("types", "roles_of", "player"):
+        if not isinstance(data.get(key, {}), dict):
+            raise SchemaError(f"schema section {key!r} must be an object, got {shown(data[key])}")
+    for tid, spec in data.get("types", {}).items():
+        if not isinstance(spec, (str, dict)):
+            raise SchemaError(f"type spec for {shown(tid)} must be a kind or an object, got {shown(spec)}")
+    for key, (what, valid) in _ENTRIES.items():
+        section = data.get(key, [])
+        if not isinstance(section, list):
+            raise SchemaError(f"schema section {key!r} must be a list, got {shown(section)}")
+        for entry in section:
+            if not valid(entry):
+                raise SchemaError(f"each entry of {key!r} must be {what}, got {shown(entry)}")
 
 
 def _compute_ancestors(schema: Schema) -> dict[TypeId, frozenset]:

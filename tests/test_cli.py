@@ -356,6 +356,17 @@ class TestBatchMode:
         assert main(["--schema", schema_file, "--pop", str(pop_file), "--query", "a Salary"]) == 1
         assert capsys.readouterr().err.strip() == "[population] cannot decode the non-finite number nan"
 
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"types": []}', '{"types": {"A": 1}}', '{"constraints": [1]}', '{"macros": [{"name": "m"}]}'],
+    )
+    def test_a_section_of_the_wrong_shape_is_a_schema_error(self, tmp_path, capsys, doc):
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(doc)
+        assert main(["--schema", str(schema_file), "--query", "a Person"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[schema] ") and "[internal]" not in err
+
     @pytest.mark.parametrize("which", ["schema", "population"])
     def test_a_file_that_is_not_json_is_a_staged_error(self, tmp_path, capsys, which):
         schema_file, pop_file = self.write_files(tmp_path)

@@ -4,7 +4,8 @@ text of each cell value; every later query on the population reads them.
 A warm population answers byte for byte as a cold one; the work that two
 texts share runs once per population; constants of different types, a
 sub-plan that raises and a change of the schema's rules are never served
-a wrong result; and the kept results stay within their cap."""
+a wrong result, and a result kept before a rule change is served after
+it; and the kept results stay within their cap."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from conquer import relalg as ra
 from conquer.bag import Bag
 from conquer.cli import Session, load_full_schema, run_query
 from conquer.errors import ConquerError, EvalError
+from conquer.paths import expr_of
 from conquer.population import RESULTS_CAP, load_population
 from conquer.schema import TypeRule
 
@@ -180,13 +182,17 @@ def test_a_rule_change_answers_as_a_cold_population(change):
         assert outputs(session, text) == outputs(fresh, text), text
 
 
-def test_results_are_served_only_under_the_derived_types_they_were_computed_under():
-    session = session_on([r for r in RULES if r.get("type") != "BigCompany"])
+def test_a_result_kept_before_a_rule_change_is_served_after_it():
+    """A sub-plan's result depends on its structure and the population
+    alone, so one kept on a base population before a rule is appended is
+    served after it, and answers as a fresh population does."""
+    big = next(r for r in RULES if r.get("type") == "BigCompany")
+    session = session_on([r for r in RULES if r is not big])
     schema, pop = session.schema, session.base_pop
-    e = ra.TypeTable("c", "BigCompany")
-    assert ra.evaluate(e, pop).body == Bag()
-    assert pop.results.misses == 1
-    schema.derivations.append(TypeRule("BigCompany", path_of(schema, RULES[1]["body"])))
-    ra.evaluate(e, pop)
-    # the results were computed under other derived types: emptied first
-    assert pop.results.misses == 2 and pop.results.derived == schema.derived_types()
+    e = expr_of(schema, path_of(schema, "a Company c WHERE THE COUNT OF a Person who works for c >= 2"))
+    kept = ra.evaluate(e, pop)
+    hits, misses = pop.results.hits, pop.results.misses
+    schema.derivations.append(TypeRule("BigCompany", path_of(schema, big["body"])))
+    assert ra.evaluate(e, pop) == kept
+    assert pop.results.hits > hits and pop.results.misses == misses
+    assert kept == ra.evaluate(e, load_population(schema, population_doc(4)))
