@@ -18,12 +18,13 @@ from typing import Any
 from . import paths as P
 from . import relalg as ra
 from .errors import AmbiguityError, ConquerError
-from .frontend import compile_macro, compile_schema_queries, disambiguate, dump_records, parse_list
+from .frontend import Token, compile_macro, compile_schema_queries, disambiguate, dump_records, parse_list, tokenize
 from .frontend.lower import Interpretation, ParseResult
 from .population import Population, denote_instance, load_population
 from .schema import Schema, load_schema, validate_schema
 from .values import NULL, Bool, EntityInstance, FactInstance, GroupedBag, format_number, is_number
 from .verbalise import VerbCtx, verbalise_interpretation, verbalise_scalar
+from .walk import map_children
 
 
 def load_full_schema(doc: dict | str) -> Schema:
@@ -164,18 +165,43 @@ def _listing(title: str, texts: list[str]) -> str:
 # its first run and kept in ``schema.prepared``, and so, each on first need,
 # are their verbalised texts and the chosen reading's stage, its plan and
 # output columns.  None of that reads the population, so every later run of
-# the text on any population of the schema starts at evaluation.  An entry
-# is served only while the schema's macros and derived types are those it
-# was prepared with; a text whose parse raises is not kept.
+# the text on any population of the schema starts at evaluation.
+#
+# The readings are worked out once per shape, the text's tokens with each
+# string and number literal replaced by a slot, equal literals sharing one:
+# ``schema.shapes`` keeps a shape's readings with a ``Param`` in each
+# literal's place, and a text of that shape binds its own literals into
+# them.  Nothing before translation reads a string's or a number's value,
+# so the bound readings are those the text's own parse gives.  Translation
+# and the plan stay per text: ``relalg`` merges self-joins by comparing
+# constants' values, so a plan over placeholders could differ from the
+# text's.  A text with two literals that are equal but of different types
+# (``2`` and ``2.0``) has no shape, since its parse builds them as one
+# constant.
+#
+# An entry, of a text or of a shape, is served only while the schema's
+# macros and derived types are those it was prepared with; a text or shape
+# whose parse raises is not kept, and a text whose shape's parse raises is
+# parsed itself, so that it raises its own error.
 
-# the most texts a schema keeps prepared; past it, the one prepared first
-# is dropped
+# the most texts, and the most shapes, a schema keeps prepared; past it,
+# the one prepared first is dropped
 PREPARED_CAP = 64
 
 
-def _readings(schema: Schema, text: str) -> ParseResult:
-    """The readings of ``text`` that survive disambiguation."""
+def _readings(schema: Schema, text: str | list[Token]) -> ParseResult:
+    """The readings of ``text``, or of its tokens, that survive
+    disambiguation."""
     return disambiguate(schema, parse_list(text, schema))
+
+
+def _kept(result: ParseResult) -> tuple:
+    """The readings a prepared query keeps: without their record trees,
+    and the readings after the first, which are kept for their texts
+    alone (these read their paths and variable names), without their
+    typing."""
+    first, *rest = result.interpretations
+    return (replace(first, records=None),) + tuple(replace(i, records=None, typing=None) for i in rest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,20 +218,15 @@ class _Stage:
 
 
 class Prepared:
-    """A query text made ready for every population of one schema: its
-    readings without their record trees, the schema's macros and derived
-    types they were read with, and, worked out on first need, the readings'
-    verbalised texts and the stage of the chosen one, the first."""
+    """A query text, or shape, made ready for every population of one
+    schema: its kept readings, the schema's macros and derived types they
+    were read with, and, worked out on first need, the readings' verbalised
+    texts and the stage of the chosen one, the first."""
 
-    def __init__(self, schema: Schema, result: ParseResult):
+    def __init__(self, schema: Schema, readings: tuple):
         self.macros = tuple(schema.macros.items())
         self.derived = schema.derived_types()
-        # the readings after the first are kept for their texts alone,
-        # which read their paths and variable names
-        first, *rest = result.interpretations
-        self.readings = (replace(first, records=None),) + tuple(
-            replace(i, records=None, typing=None) for i in rest
-        )
+        self.readings = readings
         self._texts: list[str] | None = None
         self._stage: _Stage | None = None
 
@@ -249,18 +270,98 @@ class Prepared:
         return self._stage
 
 
+@dataclass(frozen=True)
+class Param:
+    """The placeholder of a shape's literal: the slot its value binds."""
+
+    slot: int
+
+
+def _shape(tokens: list[Token]) -> tuple | None:
+    """The shape of a text's tokens: its key, the value of each slot, and
+    the tokens with each string and number literal's value replaced by its
+    slot's ``Param``; literals of one type and value share a slot.  None
+    when two literals are equal but of different types.  A token other
+    than a literal is in the key by its text, which tells its kind as
+    well."""
+    slots: dict = {}
+    key = []
+    shaped = []
+    for t in tokens:
+        if t.kind == "string" or t.kind == "number":
+            slot = slots.setdefault((type(t.value), t.value), len(slots))
+            key.append((t.kind, slot))
+            t = replace(t, value=Param(slot))
+        else:
+            key.append(t.text)
+        shaped.append(t)
+    values = [v for _, v in slots]
+    if len(set(values)) < len(values):
+        return None
+    return tuple(key), values, shaped
+
+
+def _bind(readings: tuple, values: list) -> tuple:
+    """``readings`` with each ``Param`` constant in their paths and
+    projections replaced by its slot's value.  A sub-path the readings
+    share is bound once, so the bound readings share it too."""
+    done: dict = {}
+
+    def bound(p):
+        hit = done.get(id(p))
+        if hit is None:
+            if type(p) is P.SConst and type(p.value) is Param:
+                hit = P.SConst(values[p.value.slot])
+            else:
+                hit = map_children(p, bound, kinds=P.PATH_KINDS)
+            done[id(p)] = hit
+        return hit
+
+    return tuple(
+        replace(r, path=bound(r.path), projection=r.projection and tuple(bound(e) for e in r.projection))
+        for r in readings
+    )
+
+
+def _keep(table: dict, key, entry: Prepared) -> None:
+    """File ``entry`` under ``key``, in place of the entry prepared first
+    once ``table`` holds ``PREPARED_CAP``."""
+    table.pop(key, None)
+    if len(table) >= PREPARED_CAP:
+        table.pop(next(iter(table)), None)
+    table[key] = entry
+
+
+def _shaped_readings(schema: Schema, text: str) -> tuple:
+    """The kept readings of ``text``: its shape's, bound to its literals,
+    or, when it has no shape or its shape's parse raises, its own."""
+    tokens = tokenize(text)
+    shape = _shape(tokens)
+    if shape is None:
+        return _kept(_readings(schema, tokens))
+    key, values, shaped = shape
+    shapes = schema.shapes
+    entry = shapes.get(key)
+    if entry is not None and entry.current(schema):
+        shapes.hits += 1
+    else:
+        shapes.misses += 1
+        try:
+            entry = Prepared(schema, _kept(_readings(schema, shaped)))
+        except ConquerError:
+            return _kept(_readings(schema, tokens))
+        _keep(shapes, key, entry)
+    return _bind(entry.readings, values) if values else entry.readings
+
+
 def prepared(schema: Schema, text: str) -> Prepared:
     """The prepared query of ``text``: the one ``schema`` keeps while it is
     current, else a new one, kept in place of the oldest once the schema
     keeps ``PREPARED_CAP`` texts."""
-    table = schema.prepared
-    entry = table.get(text)
+    entry = schema.prepared.get(text)
     if entry is None or not entry.current(schema):
-        entry = Prepared(schema, _readings(schema, text))
-        table.pop(text, None)
-        if len(table) >= PREPARED_CAP:
-            table.pop(next(iter(table)), None)
-        table[text] = entry
+        entry = Prepared(schema, _shaped_readings(schema, text))
+        _keep(schema.prepared, text, entry)
     return entry
 
 
@@ -335,7 +436,7 @@ def cmd_dump_records(session: Session, text: str) -> str:
     schema = session.loaded_schema()
     # a prepared query keeps no record tree, so this parse is not kept
     result = _readings(schema, text)
-    Prepared(schema, result).chosen(schema, session.ambiguity)
+    Prepared(schema, tuple(result.interpretations)).chosen(schema, session.ambiguity)
     records = result.interpretations[0].records
     if records.projection is None and records.order is None:
         records = records.inf  # a bare descriptor: its LIST I adds nothing

@@ -30,6 +30,7 @@ from .lexer import (
     SET_OPS,
     UNARY_OPS,
     VALUE_COMPARISONS,
+    Token,
     tokenize,
 )
 from .parser import parse_list_records, parse_records
@@ -470,9 +471,10 @@ def parse(text: str, schema: Schema) -> ParseResult:
     return _lower_all(schema, records)
 
 
-def parse_list(text: str, schema: Schema) -> ParseResult:
-    """Parse a LIST statement (a bare descriptor is accepted as LIST I)."""
-    tokens = tokenize(text)
+def parse_list(text: str | list[Token], schema: Schema) -> ParseResult:
+    """Parse a LIST statement (a bare descriptor is accepted as LIST I),
+    given as a text or as its tokens."""
+    tokens = tokenize(text) if isinstance(text, str) else text
     records = parse_list_records(tokens, schema)
     return _lower_all(schema, records)
 

@@ -5,8 +5,8 @@ the roles that make up relationship types, the type-relatedness relation,
 reference schemes, and all the naming tables the parser and verbaliser
 work from.  Schemas are immutable once loaded and safe to share between
 concurrent readers; only the plans that ``paths`` keeps of the derivation
-rules and constraints, the query texts that ``cli`` prepares, the
-population loader and the tokens that ``relalg`` gives the sub-plans its
+rules and constraints, the query texts and shapes that ``cli`` prepares,
+the population loader and the tokens that ``relalg`` gives the sub-plans its
 plans share are added on first use, and two readers that both build one
 build the same (two that race to add one sub-plan's token may each keep
 their own, which only shares less).
@@ -118,6 +118,15 @@ class Macro:
     kind: str  # "path" | "scalar" | "condition"
 
 
+class Shapes(dict):
+    """The query shapes that ``cli`` has prepared: shape -> its prepared
+    readings; ``hits`` and ``misses`` count the lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = self.misses = 0
+
+
 @dataclass
 class Schema:
     types: dict[TypeId, TypeInfo] = field(default_factory=dict)
@@ -141,6 +150,9 @@ class Schema:
     plans: dict = field(default_factory=dict, compare=False, repr=False)
     # the query texts that ``cli`` has prepared: text -> its prepared query
     prepared: dict = field(default_factory=dict, compare=False, repr=False)
+    # the query shapes that ``cli`` has prepared, which serve the texts of
+    # one shape that differ in their literals
+    shapes: Shapes = field(default_factory=Shapes, compare=False, repr=False)
     # the population loader, which ``population`` builds on the first load
     loader: Any = field(default=None, compare=False, repr=False)
     # the token of each structure of plan node that ``relalg`` has
@@ -497,6 +509,10 @@ def _texts(*values) -> bool:
     return all(isinstance(v, str) for v in values)
 
 
+def _text_list(v: Any) -> bool:
+    return isinstance(v, list) and _texts(*v)
+
+
 def _is_macro(m: Any) -> bool:
     if not isinstance(m, dict) or not isinstance(m.get("params", []), list):
         return False
@@ -512,6 +528,12 @@ def _is_rule(d: Any) -> bool:
     return isinstance(roles, dict) and _texts(d.get("body"), d["fact"], *roles, *roles.values())
 
 
+def _is_mfix(e: Any) -> bool:
+    if isinstance(e, dict):
+        e = [e.get("rel"), e.get("parts"), e.get("roles")]
+    return isinstance(e, list) and len(e) == 3 and _texts(e[0]) and _text_list(e[1]) and _text_list(e[2])
+
+
 # each list section: what each of its entries must be, and the test of one
 _ENTRIES = {
     "macros": ("an object with a text 'name' and 'body' and a list of texts 'params'", _is_macro),
@@ -521,23 +543,63 @@ _ENTRIES = {
     ),
     "constraints": ("a query text", _texts),
     "roles": ("a role id", _texts),
+    "related": ("a pair of type ids", lambda e: _text_list(e) and len(e) == 2),
+    "unrelated": ("a pair of type ids", lambda e: _text_list(e) and len(e) == 2),
+    "naming.mfix": ("an object or a list of a fact type id, its parts and its roles", _is_mfix),
 }
+# each object section but ``types`` and ``naming``, whose values have rules
+# of their own: what each of its values must be, and the test of one
+_TABLES = {
+    "roles_of": ("a list of role ids", _text_list),
+    "player": ("a type id", _texts),
+    "idf": (
+        "a list of role ids or of pairs of role ids",
+        lambda v: isinstance(v, list) and (_texts(*v) or all(_text_list(pair) for pair in v)),
+    ),
+    "specialises": ("a type id or a list of type ids", lambda v: _texts(v) or _text_list(v)),
+    "roots": ("a list of type ids", _text_list),
+    "naming.tnm": ("a text", _texts),
+    "naming.pnm": ("a text", _texts),
+    "naming.rnm": ("a text", _texts),
+    "naming.pre": ("an object of texts", lambda v: isinstance(v, dict) and _texts(*v.values())),
+    "naming.post": ("a text", _texts),
+}
+
+
+def _section(data: dict, key: str, default: Any) -> Any:
+    """The section ``key`` of the document (a dotted key names a table of
+    the ``naming`` section), or ``default`` when it is not there."""
+    *outer, last = key.split(".")
+    for k in outer:
+        data = data.get(k, {})
+    return data.get(last, default)
 
 
 def _check_sections(data: dict) -> None:
     """Refuse a document whose sections have another shape than the loader
-    and ``compile_schema_queries`` read: the type and role tables are
-    objects, a type spec is a kind or an object of flags, and the macros,
-    derivation rules, constraints and declared roles are lists of their
-    entries."""
-    for key in ("types", "roles_of", "player"):
+    and ``compile_schema_queries`` read: the type, role, reference scheme,
+    hierarchy and naming tables are objects of their entries, a type spec
+    is a kind or an object of flags with a text kind, and the macros,
+    derivation rules, constraints, declared roles, related and unrelated
+    pairs and mix-fix readings are lists of their entries.  A section is
+    checked after the section it sits in."""
+    for key in ("types", "naming"):
         if not isinstance(data.get(key, {}), dict):
             raise SchemaError(f"schema section {key!r} must be an object, got {shown(data[key])}")
     for tid, spec in data.get("types", {}).items():
         if not isinstance(spec, (str, dict)):
             raise SchemaError(f"type spec for {shown(tid)} must be a kind or an object, got {shown(spec)}")
+        if isinstance(spec, dict) and not _texts(spec.get("kind", "")):
+            raise SchemaError(f"the kind of type {shown(tid)} must be a text, got {shown(spec['kind'])}")
+    for key, (what, valid) in _TABLES.items():
+        table = _section(data, key, {})
+        if not isinstance(table, dict):
+            raise SchemaError(f"schema section {key!r} must be an object, got {shown(table)}")
+        for name, value in table.items():
+            if not valid(value):
+                raise SchemaError(f"each value of {key!r} must be {what}, got {shown(value)} for {shown(name)}")
     for key, (what, valid) in _ENTRIES.items():
-        section = data.get(key, [])
+        section = _section(data, key, [])
         if not isinstance(section, list):
             raise SchemaError(f"schema section {key!r} must be a list, got {shown(section)}")
         for entry in section:

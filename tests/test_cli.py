@@ -358,7 +358,11 @@ class TestBatchMode:
 
     @pytest.mark.parametrize(
         "doc",
-        ['{"types": []}', '{"types": {"A": 1}}', '{"constraints": [1]}', '{"macros": [{"name": "m"}]}'],
+        [
+            '{"types": []}', '{"types": {"A": 1}}', '{"constraints": [1]}', '{"macros": [{"name": "m"}]}',
+            '{"roles_of": {"F": 5}}', '{"types": {"A": {"kind": []}}}', '{"idf": {"A": 5}}', '{"naming": []}',
+            '{"naming": {"mfix": [{"rel": "F"}]}}', '{"related": [["A"]]}', '{"specialises": []}',
+        ],
     )
     def test_a_section_of_the_wrong_shape_is_a_schema_error(self, tmp_path, capsys, doc):
         schema_file = tmp_path / "schema.json"
