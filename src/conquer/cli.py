@@ -21,7 +21,7 @@ from .errors import AmbiguityError, ConquerError
 from .frontend import Token, compile_macro, compile_schema_queries, disambiguate, dump_records, parse_list, tokenize
 from .frontend.lower import Interpretation, ParseResult
 from .population import Population, denote_instance, load_population
-from .schema import Schema, load_schema, validate_schema
+from .schema import PREPARED_CAP, Schema, load_schema, validate_schema
 from .values import NULL, Bool, EntityInstance, FactInstance, GroupedBag, format_number, is_number
 from .verbalise import VerbCtx, verbalise_interpretation, verbalise_scalar
 from .walk import map_children
@@ -37,7 +37,8 @@ class Session:
     schema: Schema | None = None
     base_pop: Population | None = None
     derived_pop: Population | None = None
-    # the base population and the derivation rules of derived_pop
+    # the base population of derived_pop, and the schema generation it was
+    # derived at
     derived_from: tuple | None = None
     out_format: str = "table"
     ambiguity: str = "pick-first"  # fail | list | pick-first
@@ -71,7 +72,7 @@ class Session:
         if self.base_pop is None:
             self.base_pop = Population(schema)
         if schema.derivations:
-            source = (self.base_pop, tuple(schema.derivations))
+            source = (self.base_pop, schema.generation)
             if self.derived_pop is None or self.derived_from != source:
                 self.derived_pop = P.apply_derivations(schema, self.base_pop)
                 self.derived_from = source
@@ -179,14 +180,14 @@ def _listing(title: str, texts: list[str]) -> str:
 # (``2`` and ``2.0``) has no shape, since its parse builds them as one
 # constant.
 #
-# An entry, of a text or of a shape, is served only while the schema's
-# macros and derived types are those it was prepared with; a text or shape
-# whose parse raises is not kept, and a text whose shape's parse raises is
-# parsed itself, so that it raises its own error.
-
-# the most texts, and the most shapes, a schema keeps prepared; past it,
-# the one prepared first is dropped
-PREPARED_CAP = 64
+# Both tables are ``schema.Kept`` tables of at most ``PREPARED_CAP``
+# entries, which drop the entry used least recently past it.  An entry, of
+# a text or of a shape, is served only while the schema is at the
+# generation it was prepared at: ``Schema.revise`` starts a new one on each
+# change of the macros or derivation rules, which the readings depend on.
+# A stale entry counts as a miss.  A text or shape whose parse raises is not
+# kept, and a text whose shape's parse raises is parsed itself, so that it
+# raises its own error.
 
 
 def _readings(schema: Schema, text: str | list[Token]) -> ParseResult:
@@ -219,21 +220,15 @@ class _Stage:
 
 class Prepared:
     """A query text, or shape, made ready for every population of one
-    schema: its kept readings, the schema's macros and derived types they
-    were read with, and, worked out on first need, the readings' verbalised
-    texts and the stage of the chosen one, the first."""
+    schema: its kept readings, the schema generation they were read at, and,
+    worked out on first need, the readings' verbalised texts and the stage
+    of the chosen one, the first."""
 
     def __init__(self, schema: Schema, readings: tuple):
-        self.macros = tuple(schema.macros.items())
-        self.derived = schema.derived_types()
+        self.generation = schema.generation
         self.readings = readings
         self._texts: list[str] | None = None
         self._stage: _Stage | None = None
-
-    def current(self, schema: Schema) -> bool:
-        """Whether the readings still hold: ``schema`` has the macros and
-        derived types they were read with."""
-        return self.derived == schema.derived_types() and self.macros == tuple(schema.macros.items())
 
     def texts(self, schema: Schema) -> list[str]:
         if self._texts is None:
@@ -323,15 +318,6 @@ def _bind(readings: tuple, values: list) -> tuple:
     )
 
 
-def _keep(table: dict, key, entry: Prepared) -> None:
-    """File ``entry`` under ``key``, in place of the entry prepared first
-    once ``table`` holds ``PREPARED_CAP``."""
-    table.pop(key, None)
-    if len(table) >= PREPARED_CAP:
-        table.pop(next(iter(table)), None)
-    table[key] = entry
-
-
 def _shaped_readings(schema: Schema, text: str) -> tuple:
     """The kept readings of ``text``: its shape's, bound to its literals,
     or, when it has no shape or its shape's parse raises, its own."""
@@ -340,28 +326,21 @@ def _shaped_readings(schema: Schema, text: str) -> tuple:
     if shape is None:
         return _kept(_readings(schema, tokens))
     key, values, shaped = shape
-    shapes = schema.shapes
-    entry = shapes.get(key)
-    if entry is not None and entry.current(schema):
-        shapes.hits += 1
-    else:
-        shapes.misses += 1
+    entry = schema.shapes.find(key, schema.generation)
+    if entry is None:
         try:
-            entry = Prepared(schema, _kept(_readings(schema, shaped)))
+            entry = schema.shapes.keep(key, Prepared(schema, _kept(_readings(schema, shaped))))
         except ConquerError:
             return _kept(_readings(schema, tokens))
-        _keep(shapes, key, entry)
     return _bind(entry.readings, values) if values else entry.readings
 
 
 def prepared(schema: Schema, text: str) -> Prepared:
     """The prepared query of ``text``: the one ``schema`` keeps while it is
-    current, else a new one, kept in place of the oldest once the schema
-    keeps ``PREPARED_CAP`` texts."""
-    entry = schema.prepared.get(text)
-    if entry is None or not entry.current(schema):
-        entry = Prepared(schema, _shaped_readings(schema, text))
-        _keep(schema.prepared, text, entry)
+    current, else a new one, kept."""
+    entry = schema.prepared.find(text, schema.generation)
+    if entry is None:
+        entry = schema.prepared.keep(text, Prepared(schema, _shaped_readings(schema, text)))
     return entry
 
 

@@ -551,7 +551,7 @@ def compile_macro(schema: Schema, name: str, params: tuple, body_text: str, unde
             errors.append(str(e))
     if body is None:
         raise MacroError(f"cannot compile macro {name!r}: {'; '.join(errors)}")
-    schema.macros[name] = Macro(name, params, body[0], body[1])
+    schema.revise(macros={**schema.macros, name: Macro(name, params, body[0], body[1])})
 
 
 def compile_schema_queries(schema: Schema) -> Schema:
@@ -583,9 +583,9 @@ def compile_schema_queries(schema: Schema) -> Schema:
                     raise ParseError(
                         f"derivation rule for {spec['fact']!r}: variable {var!r} is not a column of its body"
                     )
-            schema.derivations.append(rule)
         else:
-            schema.derivations.append(TypeRule(spec["type"], interp.path, body_text))
+            rule = TypeRule(spec["type"], interp.path, body_text)
+        schema.revise(derivations=schema.derivations + (rule,))
 
     for text in schema.raw_constraints:
         result = disambiguate(schema, parse(text, schema))

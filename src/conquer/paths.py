@@ -1036,7 +1036,8 @@ class Translator:
                 return inner
             return inner.extend({TL: ra.Attr(HD)})
         if isinstance(p, DistinctPath):
-            return rules.columns(ra.Distinct(self.path(p.of, B).rel))
+            inner = self.path(p.of, B).rel
+            return rules.columns(ra.Group(inner.header, inner))
         if isinstance(p, Product):
             # the right operand's hd becomes the pair's tl
             lp = self.path(p.left, B)
@@ -1158,7 +1159,7 @@ class Translator:
         kind = p.kind
         if kind in ("count", "dscount"):
             if kind == "dscount":
-                inner = self.rules.columns(ra.Distinct(inner.rel))
+                inner = self.rules.columns(ra.Group(inner.rel.header, inner.rel))
             marker = self.fresh()
             grouped = ra.Group(set(p.by), inner.extend({marker: ra.Const(1)}).rel)
             value: ra.RaScalar = ra.Apply("bag_count", [ra.Attr(marker)])
@@ -1352,7 +1353,7 @@ def apply_derivations(schema: Schema, pop: Population) -> Population:
     """Evaluate every derivation rule in dependency order and return the
     population extended with the derived types.  Base populations are left
     untouched."""
-    rules = list(schema.derivations)
+    rules = schema.derivations
     if not rules:
         return pop
     defined = {r.defines: r for r in rules}
@@ -1414,8 +1415,8 @@ def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
 # built on first use and kept in ``schema.plans`` for every population
 # after.  An entry is keyed by the id of the rule or constraint path and
 # holds that object too, so the id stays its own.  The join rules that
-# translation applies leave the derived types out, so a plan built before
-# a rule was added is built again.
+# translation applies leave the derived types out, so a plan built at an
+# older schema generation is built again.
 
 
 def expr_of(schema: Schema, x: Any) -> ra.RelExpr:
@@ -1432,10 +1433,10 @@ def expr_of(schema: Schema, x: Any) -> ra.RelExpr:
 
 def _kept_plan(schema: Schema, x: Any) -> ra.Plan:
     """The plan of ``x``, a derivation rule or constraint path of
-    ``schema``: the kept one while the schema's derived types are those it
-    was built with, else a new one, kept."""
+    ``schema``: the kept one while the schema is at the generation it was
+    built at, else a new one, kept."""
     hit = schema.plans.get(id(x))
-    if hit is not None and hit[1].derived == schema.derived_types():
+    if hit is not None and hit[1].generation == schema.generation:
         return hit[1]
     plan = ra.compile_plan(expr_of(schema, x), schema)
     schema.plans[id(x)] = (x, plan)

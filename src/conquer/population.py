@@ -27,10 +27,12 @@ not one that writes a population, is refused with a ``PopulationError``,
 whose message shows each value of the document cut short.
 
 A population is an immutable value, and the queries run on it keep work
-on it for the ones after: ``results``, the bag of each uncorrelated
-sub-plan that ``relalg`` has evaluated on it, by the sub-plan's token,
-at most ``RESULTS_CAP`` of them, the one used least recently dropped
-first; and ``texts``, the text that ``cli`` renders for each cell value.
+on it for the ones after: ``results``, a ``Kept`` table of the bag of each
+uncorrelated sub-plan that ``relalg`` has evaluated on it, by the
+sub-plan's token, at most ``RESULTS_CAP`` of them; and ``texts``, the text
+that ``cli`` renders for each cell value, a plain dict that ``cli`` empties
+when it is full, since it is read once per cell rendered and a counted
+lookup costs several times a dict's.
 A sub-plan's result depends on its structure and the population alone,
 so a change of the schema's derivation rules leaves it kept: the rules'
 types are populated in a new derived population.  A population must not
@@ -41,14 +43,14 @@ one, which starts with nothing kept.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from itertools import islice
 from typing import Any, Iterable
 
 from .bag import Bag
 from .errors import EvalError, PopulationError, shown
-from .schema import Schema, TypeId, parse_document
+from .schema import Kept, Schema, TypeId, parse_document
 from .values import NULL, Bool, EntityInstance, FactInstance, GroupedBag, is_atomic
 
 
@@ -60,39 +62,11 @@ RESULTS_CAP = 256
 _EMPTY = Bag()
 
 
-class Results(OrderedDict):
-    """The bags of uncorrelated sub-plans evaluated on one population, by
-    token, the one used least recently first; ``hits`` and ``misses`` count
-    the lookups."""
-
-    def __init__(self):
-        super().__init__()
-        self.hits = self.misses = 0
-
-    def find(self, token) -> Bag | None:
-        """The kept bag of ``token``, now the one used last, or None."""
-        out = self.pop(token, None)
-        if out is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self[token] = out
-        return out
-
-    def keep(self, token, bag: Bag) -> Bag:
-        """Keep ``bag`` as the result of ``token``, dropping the result used
-        least recently past ``RESULTS_CAP``."""
-        self[token] = bag
-        if len(self) > RESULTS_CAP:
-            self.popitem(last=False)
-        return bag
-
-
 class Population:
     def __init__(self, schema: Schema, pops: dict[TypeId, Bag] | None = None):
         self.schema = schema
         self._pops: dict[TypeId, Bag] = dict(pops or {})
-        self.results = Results()
+        self.results = Kept(RESULTS_CAP)
         self.texts: dict = {}
 
     def instances(self, tid: TypeId) -> Bag:

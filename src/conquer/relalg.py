@@ -2,8 +2,9 @@
 
 Expressions form a small AST of ``RA_KINDS``: five scalar kinds (one
 ``Aggregate`` for count, sum, min, max and average), four condition kinds
-and eight relational kinds (one ``SetOp`` for union, intersection and
-difference).  A node's children are its fields, as
+and seven relational kinds (one ``SetOp`` for union, intersection and
+difference, and one ``Group`` for grouping and for duplicate removal, a
+grouping by every attribute).  A node's children are its fields, as
 ``walk.children`` finds them.  Each relational node works out its
 ``header`` when it is built, from its own fields and its operands'
 headers, so an ill-formed set operation or grouping is refused there;
@@ -120,7 +121,7 @@ class _Rel(_Node):
                 raise EvalError(f"incompatible headers: {sorted(set(self.left.header) ^ set(self.right.header))}")
         if isinstance(self, Project):
             header = tuple(a for a, _ in self.assigns)
-        elif isinstance(self, (Select, Distinct, Group)):
+        elif isinstance(self, (Select, Group)):
             header, slots = self.of.header, self.of.slots
             if isinstance(self, Group) and not self.by.issubset(slots):
                 raise EvalError(f"grouping attributes not in header: {sorted(self.by.difference(slots))}")
@@ -242,11 +243,6 @@ class TypeTable(_Rel):
 
 
 @dataclass(frozen=True)
-class Distinct(_Rel):
-    of: "RelExpr"
-
-
-@dataclass(frozen=True)
 class Group(_Rel):
     by: frozenset
     of: "RelExpr"
@@ -289,7 +285,7 @@ class Literal(_Rel):
     relation: Relation
 
 
-RelExpr = TUnion[Project, Select, TypeTable, Distinct, Group, Join, SetOp, Literal]
+RelExpr = TUnion[Project, Select, TypeTable, Group, Join, SetOp, Literal]
 
 # the relation with no attributes and one row: a scalar's one-row table is
 # a projection of it
@@ -467,7 +463,7 @@ class JoinRules:
                 role = self.schema.roles.get(s.role)
                 if role is not None and role.rel in self._domain(e.of, s.attr):
                     out = self.schema.ancestors[role.player] - self.derived
-        elif isinstance(e, (Select, Distinct)):
+        elif isinstance(e, Select):
             out = self._domain(e.of, a)
         elif isinstance(e, Group) and a in e.by:
             out = self._domain(e.of, a)
@@ -564,20 +560,21 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 # Column-store", SIGMOD 2009).  Compiling gives each such node the token of
 # its structure in the schema's table, ``Schema.subplans``, which every plan
 # of the schema shares; its compiled code looks in the population's
-# ``results`` under the token and computes only on a miss.  The key of a
-# structure is the node's kind and its fields, each child by its token, a
-# constant together with its type (so that 1, 1.0 and Fraction(1) stay
-# apart), and a literal's relation by identity; keys are built bottom-up,
-# so compiling stays linear.  A token holds the first node of its
+# ``results`` under the token and computes only on a miss; ``results`` is a
+# ``schema.Kept`` table, which drops the result used least recently past
+# ``population.RESULTS_CAP``.  The key of a structure is the node's kind and
+# its fields, each child by its token, a constant together with its type (so
+# that 1, 1.0 and Fraction(1) stay apart), and a literal's relation by
+# identity; keys are built bottom-up, so compiling stays linear.  A token holds the first node of its
 # structure, so the relation of a literal keyed by identity stays alive
 # with it; the table holds tokens weakly, and a plan's compiled code holds
 # the tokens of its nodes, so an entry goes once no plan and no
 # population's results hold its token.  A kept result depends on its
-# node's structure and the population alone, so a change of the schema's
-# derivation rules leaves it standing: the rules' types are populated in a
-# new derived population, which starts with nothing kept.  Bags are
-# immutable values, so a kept result is the bag a fresh run builds, rows in
-# the same order.
+# node's structure and the population alone, so a new schema generation (a
+# change of its macros or derivation rules) leaves it standing: the rules'
+# types are populated in a new derived population, which starts with nothing
+# kept.  Bags are immutable values, so a kept result is the bag a fresh run
+# builds, rows in the same order.
 #
 # Every other relational node, and every aggregate and bag comparison, is
 # memoised within one evaluation.  Its result depends on the outer binding
@@ -599,7 +596,7 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 class Plan:
     """A relational expression ready to run against any population of
     ``schema``: ``root`` is the expression, ``run`` the root compiled, and
-    ``derived`` the schema's derived types when it was compiled.  The plan
+    ``generation`` the schema's generation when it was compiled.  The plan
     holds ``root``, so the ids the compiled code keys its memo on stay its
     nodes', and ``run`` holds the tokens of its uncorrelated nodes, so the
     schema's table keeps them while the plan lives."""
@@ -607,12 +604,12 @@ class Plan:
     root: RelExpr
     run: Callable
     schema: Schema
-    derived: frozenset
+    generation: int
 
 
 def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
-    return Plan(e, _Compiler(schema.subplans).rel(e), schema, schema.derived_types())
+    return Plan(e, _Compiler(schema.subplans).rel(e), schema, schema.generation)
 
 
 def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
@@ -838,14 +835,14 @@ class _Compiler:
 
         return run
 
-    def distinct(self, e: Distinct, _):
-        of = self.rel(e.of)
-        return lambda ctx, outer: of(ctx, outer).to_set()
-
     def group(self, e: Group, _):
+        """Each group's row, holding the bag of each column other than the
+        keys; grouped by every column, the operand's distinct rows."""
         of, pos = self.rel(e.of), e.of.slots
         key = _picker([i for a, i in pos.items() if a in e.by])
         rest = [i for a, i in pos.items() if a not in e.by]
+        if not rest:
+            return lambda ctx, outer: of(ctx, outer).to_set()
 
         def run(ctx, outer):
             groups: dict[tuple, list[tuple[tuple, int]]] = {}
@@ -1083,7 +1080,6 @@ _BUILDERS = {
         Project: _Compiler.project,
         Select: _Compiler.select,
         TypeTable: _Compiler.type_table,
-        Distinct: _Compiler.distinct,
         Group: _Compiler.group,
         Join: _Compiler.join,
         SetOp: _Compiler.set_op,

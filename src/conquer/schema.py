@@ -4,12 +4,14 @@ A schema holds the type universe (entity, value and relationship types),
 the roles that make up relationship types, the type-relatedness relation,
 reference schemes, and all the naming tables the parser and verbaliser
 work from.  Schemas are immutable once loaded and safe to share between
-concurrent readers; only the plans that ``paths`` keeps of the derivation
-rules and constraints, the query texts and shapes that ``cli`` prepares,
-the population loader and the tokens that ``relalg`` gives the sub-plans its
-plans share are added on first use, and two readers that both build one
-build the same (two that race to add one sub-plan's token may each keep
-their own, which only shares less).
+concurrent readers, but for the macros and derivation rules, which
+``Schema.revise`` alone changes, counting each change in ``generation``;
+only the plans that ``paths`` keeps of the derivation rules and constraints,
+the query texts and shapes that ``cli`` prepares, the population loader and
+the tokens that ``relalg`` gives the sub-plans its plans share are added on
+first use, and two readers that both build one build the same (two that
+race to add one sub-plan's token may each keep their own, which only shares
+less).
 
 Type relatedness is stored extensionally: the loader closes the declared
 specialisation hierarchy (types sharing a root are related unless an
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 import json
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping
 
 from .errors import SchemaError, shown
 
@@ -39,6 +43,10 @@ ANY_VALUE_TYPE: TypeId = "~Any"
 # Fresh (system-generated) attribute names carry this prefix so they can
 # never collide with user variables.
 FRESH_PREFIX = "~"
+
+# the most query texts, and the most query shapes, a schema keeps prepared;
+# past it, the one used least recently is dropped
+PREPARED_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -118,13 +126,34 @@ class Macro:
     kind: str  # "path" | "scalar" | "condition"
 
 
-class Shapes(dict):
-    """The query shapes that ``cli`` has prepared: shape -> its prepared
-    readings; ``hits`` and ``misses`` count the lookups."""
+class Kept(OrderedDict):
+    """A table of work kept for later runs, at most ``cap`` entries, the one
+    used least recently first; ``hits`` and ``misses`` count the lookups."""
 
-    def __init__(self):
+    def __init__(self, cap: int):
         super().__init__()
+        self.cap = cap
         self.hits = self.misses = 0
+
+    def find(self, key, generation: int | None = None) -> Any:
+        """The entry of ``key``, now the one used last; None, a miss, when
+        there is none or it was made at another ``generation`` than one given."""
+        out = self.get(key)
+        if out is None or generation is not None and out.generation != generation:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.move_to_end(key)
+        return out
+
+    def keep(self, key, value) -> Any:
+        """File ``value`` under ``key`` as the entry used last, dropping the
+        one used least recently past the cap."""
+        self[key] = value
+        self.move_to_end(key)
+        if len(self) > self.cap:
+            self.popitem(last=False)
+        return value
 
 
 @dataclass
@@ -138,8 +167,11 @@ class Schema:
     roots: dict[TypeId, frozenset] = field(default_factory=dict)
     idf: dict[TypeId, Idf] = field(default_factory=dict)
     naming: NamingTables = field(default_factory=NamingTables)
-    macros: dict[str, Macro] = field(default_factory=dict)
-    derivations: list = field(default_factory=list)
+    # the macros and derivation rules, which only ``revise`` changes
+    macros: Mapping[str, Macro] = field(default_factory=lambda: MappingProxyType({}))
+    derivations: tuple = ()
+    # how many times ``revise`` has changed them
+    generation: int = field(default=0, compare=False)
     constraints: list = field(default_factory=list)
     # raw query texts kept for the frontend compile pass
     raw_macros: list = field(default_factory=list)
@@ -149,10 +181,10 @@ class Schema:
     # builds on first use: id of the rule or constraint path -> (it, plan)
     plans: dict = field(default_factory=dict, compare=False, repr=False)
     # the query texts that ``cli`` has prepared: text -> its prepared query
-    prepared: dict = field(default_factory=dict, compare=False, repr=False)
+    prepared: Kept = field(default_factory=lambda: Kept(PREPARED_CAP), compare=False, repr=False)
     # the query shapes that ``cli`` has prepared, which serve the texts of
     # one shape that differ in their literals
-    shapes: Shapes = field(default_factory=Shapes, compare=False, repr=False)
+    shapes: Kept = field(default_factory=lambda: Kept(PREPARED_CAP), compare=False, repr=False)
     # the population loader, which ``population`` builds on the first load
     loader: Any = field(default=None, compare=False, repr=False)
     # the token of each structure of plan node that ``relalg`` has
@@ -196,6 +228,16 @@ class Schema:
     def roots_of(self, x: TypeId) -> frozenset:
         self.check_type(x)
         return self.roots.get(x, frozenset({x}))
+
+    def revise(self, *, macros: Mapping[str, Macro] | None = None, derivations: Iterable | None = None) -> None:
+        """Replace the macros, the derivation rules or both, and count one
+        more generation.  Work kept on the schema records the generation it
+        was made at, so one compare tells it stale."""
+        if macros is not None:
+            self.macros = MappingProxyType(dict(macros))
+        if derivations is not None:
+            self.derivations = tuple(derivations)
+        self.generation += 1
 
     def derived_types(self) -> frozenset:
         """The types that a derivation rule defines."""
@@ -316,10 +358,6 @@ def validate_schema(schema: Schema) -> list[str]:
     diags.extend(_role_name_diags(schema, schema.naming.rnm, "reverse role name"))
 
     for entry in schema.naming.mfix:
-        if len(entry.parts) + 1 != len(entry.roles):
-            diags.append(
-                f"mix-fix entry {entry.parts!r} has {len(entry.parts)} parts for {len(entry.roles)} roles"
-            )
         rels = {schema.roles[r].rel for r in entry.roles if r in schema.roles}
         if len(rels) > 1 or any(r not in schema.roles for r in entry.roles):
             diags.append(f"mix-fix entry {entry.parts!r} mixes roles of different relationship types")
@@ -531,7 +569,8 @@ def _is_rule(d: Any) -> bool:
 def _is_mfix(e: Any) -> bool:
     if isinstance(e, dict):
         e = [e.get("rel"), e.get("parts"), e.get("roles")]
-    return isinstance(e, list) and len(e) == 3 and _texts(e[0]) and _text_list(e[1]) and _text_list(e[2])
+    ok = isinstance(e, list) and len(e) == 3 and _texts(e[0]) and _text_list(e[1]) and _text_list(e[2])
+    return ok and 0 < len(e[1]) == len(e[2]) - 1
 
 
 # each list section: what each of its entries must be, and the test of one
@@ -545,7 +584,7 @@ _ENTRIES = {
     "roles": ("a role id", _texts),
     "related": ("a pair of type ids", lambda e: _text_list(e) and len(e) == 2),
     "unrelated": ("a pair of type ids", lambda e: _text_list(e) and len(e) == 2),
-    "naming.mfix": ("an object or a list of a fact type id, its parts and its roles", _is_mfix),
+    "naming.mfix": ("a fact type id, one part or more and one role more than parts, in an object or a list", _is_mfix),
 }
 # each object section but ``types`` and ``naming``, whose values have rules
 # of their own: what each of its values must be, and the test of one

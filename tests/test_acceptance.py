@@ -409,7 +409,7 @@ def test_criterion_10_derivations_and_constraints():
     ex_tax_of = concat(RoleEntry("x2"), role_exit("x1"), TypeAtom("Product"), AttrAtom("p"))
     scaled = FuncApp("*", [Scalar(SConst(Fraction(3, 2))), ex_tax_of])
     body = RelCompare(Concat(TypeAtom("MoneyAmt"), AttrAtom("a")), "=", scaled)
-    schema.derivations.append(FactRule("Taxed", (("t1", "p"), ("t2", "a")), body))
+    schema.revise(derivations=[FactRule("Taxed", (("t1", "p"), ("t2", "a")), body)])
 
     prices = {"p1": 10, "p2": 30, "p3": 7, "p4": 100, "p5": 1}
     pop = load_population(

@@ -15,6 +15,17 @@ from conquer.schema import load_schema
 
 from .conftest import SALARY_DUMP, SALARY_QUERY, salary_doc
 
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def demo_with_first_mfix(parts=None, roles=None) -> str:
+    """The demo schema document with its first mix-fix entry's parts or
+    roles replaced."""
+    doc = json.loads((DEMO / "schema.json").read_text())
+    rel, old_parts, old_roles = doc["naming"]["mfix"][0]
+    doc["naming"]["mfix"][0] = [rel, old_parts if parts is None else parts, old_roles if roles is None else roles]
+    return json.dumps(doc)
+
 
 def eval_schema_doc() -> dict:
     """Salary modelled as a value type so amounts compare directly."""
@@ -362,6 +373,9 @@ class TestBatchMode:
             '{"types": []}', '{"types": {"A": 1}}', '{"constraints": [1]}', '{"macros": [{"name": "m"}]}',
             '{"roles_of": {"F": 5}}', '{"types": {"A": {"kind": []}}}', '{"idf": {"A": 5}}', '{"naming": []}',
             '{"naming": {"mfix": [{"rel": "F"}]}}', '{"related": [["A"]]}', '{"specialises": []}',
+            # a mix-fix entry with no parts, or with fewer roles than parts + 1
+            pytest.param(demo_with_first_mfix(parts=[]), id="mfix-with-no-parts"),
+            pytest.param(demo_with_first_mfix(roles=["p1"]), id="mfix-with-too-few-roles"),
         ],
     )
     def test_a_section_of_the_wrong_shape_is_a_schema_error(self, tmp_path, capsys, doc):
@@ -370,6 +384,7 @@ class TestBatchMode:
         assert main(["--schema", str(schema_file), "--query", "a Person"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[schema] ") and "[internal]" not in err
+        assert ("'naming.mfix'" in err) == ("mfix" in doc)
 
     @pytest.mark.parametrize("which", ["schema", "population"])
     def test_a_file_that_is_not_json_is_a_staged_error(self, tmp_path, capsys, which):

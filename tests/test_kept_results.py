@@ -174,9 +174,9 @@ def test_a_rule_change_answers_as_a_cold_population(change):
         run_query(session, text)
     schema = session.schema
     if change == "append":
-        schema.derivations.append(TypeRule("BigCompany", path_of(schema, big["body"])))
+        schema.revise(derivations=schema.derivations + (TypeRule("BigCompany", path_of(schema, big["body"])),))
     else:
-        schema.derivations[:] = [r for r in schema.derivations if r.defines != "BigCompany"]
+        schema.revise(derivations=[r for r in schema.derivations if r.defines != "BigCompany"])
     fresh = session_on(after)
     for text in texts:
         assert outputs(session, text) == outputs(fresh, text), text
@@ -192,7 +192,7 @@ def test_a_result_kept_before_a_rule_change_is_served_after_it():
     e = expr_of(schema, path_of(schema, "a Company c WHERE THE COUNT OF a Person who works for c >= 2"))
     kept = ra.evaluate(e, pop)
     hits, misses = pop.results.hits, pop.results.misses
-    schema.derivations.append(TypeRule("BigCompany", path_of(schema, big["body"])))
+    schema.revise(derivations=schema.derivations + (TypeRule("BigCompany", path_of(schema, big["body"])),))
     assert ra.evaluate(e, pop) == kept
     assert pop.results.hits > hits and pop.results.misses == misses
     assert kept == ra.evaluate(e, load_population(schema, population_doc(4)))

@@ -203,7 +203,7 @@ def test_an_appended_derivation_rule_makes_a_shape_prepare_again(calls):  # noqa
     schema = load_full_schema(doc)
     session = Session(schema=schema, base_pop=load_population(schema, population_doc(4)))
     run_query(session, "a BigCompany UNITED WITH a Company: 'c1'")
-    schema.derivations.append(TypeRule("BigCompany", path_of(schema, RULES[1]["body"])))
+    schema.revise(derivations=schema.derivations + (TypeRule("BigCompany", path_of(schema, RULES[1]["body"])),))
     parsed = calls["parse_list"]
     text = "a BigCompany UNITED WITH a Company: 'c2'"
     out = run_query(session, text)

@@ -17,7 +17,6 @@ from conquer.relalg import (
     Compare,
     Connect,
     Const,
-    Distinct,
     DropAttrs,
     Extend,
     Group,
@@ -380,9 +379,10 @@ class TestConditions:
         assert evaluate(e, pop) == rel(["a"], (1,), (3,))
 
     def test_distinct(self, pop):
+        # grouping by every attribute keeps each distinct row once
         src = lit(["a"], (1,), (1,), (2,))
-        assert evaluate(Distinct(src), pop) == rel(["a"], (1,), (2,))
-        assert evaluate(Distinct(Distinct(src)), pop) == evaluate(Distinct(src), pop)
+        assert evaluate(Group({"a"}, src), pop) == rel(["a"], (1,), (2,))
+        assert evaluate(Group({"a"}, Group({"a"}, src)), pop) == evaluate(Group({"a"}, src), pop)
 
 
 class TestRepeatedSubPlans:
@@ -574,17 +574,17 @@ class TestRewrite:
         assert summed.rename({"t": "s"}).of is src
 
     def test_identity_projection_is_removed(self, pop, example_p):
-        e = Distinct(JoinRules(pop.schema).columns(example_p).project(def_map(["x", "y", "z"])).rel)
-        assert e == Distinct(example_p)
-        assert evaluate(e, pop) == evaluate(Distinct(Project(def_map(["x", "y", "z"]), example_p)), pop)
+        e = Group({"x", "y", "z"}, JoinRules(pop.schema).columns(example_p).project(def_map(["x", "y", "z"])).rel)
+        assert e == Group({"x", "y", "z"}, example_p)
+        assert evaluate(e, pop) == evaluate(Group({"x", "y", "z"}, Project(def_map(["x", "y", "z"]), example_p)), pop)
         assert evaluate(e, pop) == example_p.relation
 
     def test_shared_composed_sub_plan_is_evaluated_once(self, counted):
         pop, calls = counted
-        # no identity projection is built, so the shared Distinct is built
+        # no identity projection is built, so the shared Group is built
         # over the one composed projection
         cols = JoinRules(pop.schema).columns(TypeTable("k", "X"))
-        shared = Distinct(cols.project(def_map(["k"])).project({"m": Attr("k")}).rel)
+        shared = Group({"m"}, cols.project(def_map(["k"])).project({"m": Attr("k")}).rel)
         assert shared.of.of == TypeTable("k", "X")
         e = SetOp(shared, "union", SetOp(shared, "intersect", shared))
         assert e.left is e.right.left is e.right.right
@@ -698,7 +698,7 @@ class TestRoleTotality:
 
     def test_kept_over_a_derived_types_table(self):
         schema = fact_pop().schema
-        schema.derivations.append(TypeRule("G", None))
+        schema.revise(derivations=[TypeRule("G", None)])
         # a derived fact type's instances are what its rule gives, so one
         # may lack a role
         pop = Population(schema, {"G": Bag([FactInstance({"q1": 1})])})

@@ -145,13 +145,13 @@ def test_an_added_rule_rebuilds_the_plans(monkeypatch):
     _, verdicts = one_round(session)
     assert "pass: SOME a BigCompany sponsors a Person" in verdicts
 
-    schema.derivations.append(TypeRule("BigCompany", path_of(schema, RULES[1]["body"])))
+    schema.revise(derivations=schema.derivations + (TypeRule("BigCompany", path_of(schema, RULES[1]["body"])),))
     calls = count_calls(monkeypatch)
     derived, verdicts = one_round(session)
     assert calls["translate"] == 9 and calls["evaluate"] == 9
     # every kept plan is compiled again, and its nodes with it
     assert calls["compile_plan"] == len(schema.plans) == 9 and calls["node"] > 9
-    assert all(plan.derived == schema.derived_types() for _, plan in schema.plans.values())
+    assert all(plan.generation == schema.generation for _, plan in schema.plans.values())
     assert "derived BigCompany: " in derived
     assert "FAIL: SOME a BigCompany sponsors a Person" in verdicts
 
@@ -240,7 +240,7 @@ def test_an_appended_rule_with_a_role_variable_outside_its_body_raises_at_derive
     (reading,) = disambiguate(session.schema, parse_list(text, session.schema)).interpretations
     attr = {name: a for a, name in reading.vnm.items()}
     rule = FactRule("Staff", (("st1", attr["c"]), ("st2", attr["p"])), reading.path, text)
-    session.schema.derivations[:] = [rule]
+    session.schema.revise(derivations=[rule])
     with pytest.raises(EvalError, match="unbound attribute 'c'"):
         execute(session, "\\derive")
 

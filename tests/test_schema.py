@@ -99,8 +99,8 @@ class TestValidation:
     def test_mixfix_arity(self):
         doc = fig_doc()
         doc["naming"]["mfix"] = [["F", ["one part only"], ["p", "q", "r"]]]
-        diags = validate_schema(load_schema(doc))
-        assert any("parts" in d for d in diags)
+        with pytest.raises(SchemaError, match="naming.mfix"):
+            load_schema(doc)
 
     def test_missing_reference_scheme(self):
         doc = fig_doc()

@@ -331,29 +331,29 @@ class TestCanonical:
 
 class TestMacros:
     def test_scalar_macro(self, work_schema):
-        work_schema.macros["twice"] = Macro("twice", ("a",), SApply("*", [SConst(2), SVar("a")]), "scalar")
+        work_schema.revise(macros={"twice": Macro("twice", ("a",), SApply("*", [SConst(2), SVar("a")]), "scalar")})
         out = expand_macro(work_schema, "twice", [SConst(5)])
         assert out == SApply("*", [SConst(2), SConst(5)])
 
     def test_zero_argument_macro(self, work_schema):
         body = TypeAtom("Person")
-        work_schema.macros["everyone"] = Macro("everyone", (), body, "path")
+        work_schema.revise(macros={"everyone": Macro("everyone", (), body, "path")})
         assert expand_macro(work_schema, "everyone", []) == body
 
     def test_path_macro_threads_fresh_attr(self, work_schema):
         body = SetOp(AttrAtom("a"), "union", AttrAtom("a"))
-        work_schema.macros["both"] = Macro("both", ("a",), body, "path")
+        work_schema.revise(macros={"both": Macro("both", ("a",), body, "path")})
         arg = TypeAtom("Person")
         out = expand_macro(work_schema, "both", [arg], fresh=lambda: "~b1")
         assert out == SetOp(Concat(AttrAtom("~b1"), arg), "union", Concat(AttrAtom("~b1"), arg))
 
     def test_default_fresh_names_restart_per_expansion(self, work_schema):
-        work_schema.macros["both"] = Macro("both", ("a",), SetOp(AttrAtom("a"), "union", AttrAtom("a")), "path")
+        work_schema.revise(macros={"both": Macro("both", ("a",), SetOp(AttrAtom("a"), "union", AttrAtom("a")), "path")})
         first = expand_macro(work_schema, "both", [TypeAtom("Person")])
         assert first == expand_macro(work_schema, "both", [TypeAtom("Person")])
 
     def test_arity_mismatch(self, work_schema):
-        work_schema.macros["m"] = Macro("m", ("a",), AttrAtom("a"), "path")
+        work_schema.revise(macros={"m": Macro("m", ("a",), AttrAtom("a"), "path")})
         with pytest.raises(MacroError, match="expects 1"):
             expand_macro(work_schema, "m", [])
 
@@ -396,7 +396,7 @@ class TestDerivations:
 
         scaled = FuncApp("*", [Scalar(SConst(Fraction(3, 2))), ex_tax_of])
         body = RelCompare(Concat(TypeAtom("MoneyAmt"), AttrAtom("a")), "=", scaled)
-        schema.derivations.append(FactRule("Taxed", (("t1", "p"), ("t2", "a")), body))
+        schema.revise(derivations=[FactRule("Taxed", (("t1", "p"), ("t2", "a")), body)])
 
         prices = {"alpha": 10, "beta": 30, "gamma": 7, "delta": 100, "eps": 1}
         pop = load_population(
@@ -444,7 +444,7 @@ class TestDerivations:
                 Scalar(SConst(100000)),
             )
         )
-        schema.derivations.append(TypeRule("Town", body))
+        schema.revise(derivations=[TypeRule("Town", body)])
         pop = load_population(
             schema,
             {
@@ -486,14 +486,14 @@ class TestDerivations:
                 Scalar(SConst(10**9)),
             )
         )
-        schema.derivations.append(TypeRule("Expensive", body))
+        schema.revise(derivations=[TypeRule("Expensive", body)])
         pop = load_population(schema, {"Product": ["a"], "ExTax": [{"x1": "a", "x2": 5}]})
         derived = apply_derivations(schema, pop)
         assert not derived.instances("Expensive")
 
     def test_cyclic_rules_rejected(self):
         schema = self.make_product_schema()
-        schema.derivations.append(TypeRule("Product", Front(TypeAtom("Product"))))
+        schema.revise(derivations=[TypeRule("Product", Front(TypeAtom("Product")))])
         pop = load_population(schema, {})
         with pytest.raises(EvalError, match="cyclic"):
             apply_derivations(schema, pop)

@@ -109,7 +109,6 @@ RA_BUILDERS = {
     RA.Project: lambda m: RA.Project({"a": m("scalar"), "b": m("scalar")}, m("rel")),
     RA.Select: lambda m: RA.Select(m("cond"), m("rel")),
     RA.TypeTable: lambda m: RA.TypeTable("a", "T"),
-    RA.Distinct: lambda m: RA.Distinct(m("rel")),
     RA.Group: lambda m: RA.Group((), m("rel")),
     RA.Literal: lambda m: RA.Literal(RA.Relation(("a",), Bag())),
 }
