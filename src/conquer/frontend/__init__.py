@@ -5,7 +5,6 @@ from .lower import (
     compile_macro,
     compile_schema_queries,
     disambiguate,
-    lower_denotation,
     lower_query,
     parse,
     parse_list,
@@ -17,7 +16,6 @@ __all__ = [
     "tokenize",
     "parse",
     "parse_list",
-    "lower_denotation",
     "lower_query",
     "disambiguate",
     "compile_macro",

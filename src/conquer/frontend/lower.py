@@ -380,12 +380,6 @@ class ParseResult:
     memo: P.PathMemo = field(default_factory=P.PathMemo)
 
 
-def lower_denotation(schema: Schema, tid: str, denot: R.Denot, env: NameEnv | None = None) -> P.PathExpr:
-    """Expand an instance denotation under a type into its guarded path."""
-    lowerer = Lowerer(schema, env or NameEnv(schema))
-    return P.expand_denote(schema, lowerer.node(P.Denote, tid, lowerer.denot(denot)), lowerer.node)
-
-
 def lower_query(
     schema: Schema, rec: Any, env: NameEnv | None = None, memo: P.PathMemo | None = None
 ) -> tuple[P.PathExpr, NameEnv]:
@@ -563,6 +557,7 @@ def compile_schema_queries(schema: Schema) -> Schema:
         pending.discard(spec["name"])
         compile_macro(schema, spec["name"], tuple(spec.get("params", ())), spec["body"], pending)
 
+    rules = []
     for spec in schema.raw_derivations:
         body_text = spec["body"]
         result = disambiguate(schema, parse(body_text, schema))
@@ -576,16 +571,19 @@ def compile_schema_queries(schema: Schema) -> Schema:
                 if var not in inverse:
                     raise ParseError(f"derivation rule for {spec['fact']!r} names unknown variable {var!r}")
                 role_attrs.append((rid, inverse[var]))
-            rule = FactRule(spec["fact"], tuple(role_attrs), interp.path, body_text)
-            columns = P.expr_of(schema, rule).header
-            for var in spec["roles"].values():
-                if inverse[var] not in columns:
+            rules.append(FactRule(spec["fact"], tuple(role_attrs), interp.path, body_text))
+        else:
+            rules.append(TypeRule(spec["type"], interp.path, body_text))
+    schema.revise(derivations=schema.derivations + tuple(rules))
+    # a fact rule's role variables are columns of the plan that derives it
+    for spec, rule in zip(schema.raw_derivations, rules):
+        if isinstance(rule, FactRule):
+            columns = P._kept_plan(schema, rule).root.header
+            for (_, attr), var in zip(rule.role_attrs, spec["roles"].values()):
+                if attr not in columns:
                     raise ParseError(
                         f"derivation rule for {spec['fact']!r}: variable {var!r} is not a column of its body"
                     )
-        else:
-            rule = TypeRule(spec["type"], interp.path, body_text)
-        schema.revise(derivations=schema.derivations + (rule,))
 
     for text in schema.raw_constraints:
         result = disambiguate(schema, parse(text, schema))

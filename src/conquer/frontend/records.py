@@ -5,13 +5,13 @@ numbered, depth-first listing with stable two-digit ids, strings quoted
 and schema object ids bare.  A record's children are its fields in
 declaration order, as ``walk.children`` finds them with ``RECORD_KINDS``.
 A role access's role id, a negation's tilde and a selection's surface form
-are printed only when set, after the fields every dump has.
+are printed only when set, after the fields every dump has.  A dump is
+written for the reader and never read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 from ..values import Bool, render_value
@@ -325,157 +325,3 @@ def _format(r: Any, ref) -> str:
             order = '"ASCENDING"' if r.order.kind == "whole_asc" else '"DESCENDING"'
         return f"LIST({proj}, {ref(r.inf)}, {order})"
     raise TypeError(f"cannot dump {r!r}")
-
-
-# ---------------------------------------------------------------------------
-# reading a dump back
-
-
-def _parse_const(text: str) -> Any:
-    if text.startswith("'") and text.endswith("'"):
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if "." in text or "/" in text:
-        return Fraction(text)
-    return int(text)
-
-
-def _split_args(body: str) -> list[str]:
-    args = []
-    depth = 0
-    cur = []
-    in_str = False
-    for ch in body:
-        if in_str:
-            cur.append(ch)
-            if ch == '"':
-                in_str = False
-            continue
-        if ch == '"':
-            in_str = True
-            cur.append(ch)
-        elif ch in "{(":
-            depth += 1
-            cur.append(ch)
-        elif ch in "})":
-            depth -= 1
-            cur.append(ch)
-        elif ch == "," and depth == 0:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        args.append("".join(cur).strip())
-    return args
-
-
-def load_records(text: str) -> Any:
-    """Rebuild a record tree from its dump; inverse of ``dump_records``."""
-    entries: dict[int, tuple[str, list[str]]] = {}
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        num, rest = line.split(" ", 1)
-        name, body = rest.split("(", 1)
-        entries[int(num)] = (name, _split_args(body.rstrip()[:-1]))
-
-    def opt_str(a: str) -> str | None:
-        return None if a == "NULL" else a.strip('"')
-
-    def ref(a: str) -> Any:
-        return build(int(a))
-
-    def opt_ref(a: str) -> Any:
-        return None if a == "NULL" else build(int(a))
-
-    def ids(a: str) -> list[int]:
-        inner = a.strip()[1:-1].strip()
-        return [int(x) for x in _split_args(inner)] if inner else []
-
-    def build(num: int) -> Any:
-        name, args = entries[num]
-        if name == "TYPE_SPEC":
-            return TypeSpec(opt_str(args[0]), args[1].strip('"'), args[2], opt_str(args[3]), opt_ref(args[4]))
-        if name == "DENOT":
-            inf = None if args[0] == "NULL" else build(int(args[0]))
-            parts = tuple(build(i) for i in ids(args[2])) if args[2] != "NULL" else ()
-            return Denot(inf, opt_str(args[1]), parts)
-        if name == "ROLE_REF":
-            return RoleRef(opt_str(args[0]), args[1], args[2].strip('"'), args[3])
-        if name == "CONST":
-            return Const(_parse_const(args[0].strip('"')))
-        if name == "SC_CONST":
-            return ScConst(_parse_const(args[0].strip('"')))
-        if name == "MFIX":
-            inner = _split_args(args[2].strip()[1:-1])
-            items = tuple(
-                (inner[i].strip('"'), inner[i + 1], build(int(inner[i + 2])))
-                for i in range(0, len(inner), 3)
-            )
-            return MFix(opt_str(args[0]), args[1], items)
-        if name == "UNARY_OP_APPLIC":
-            return UnaryOp(args[0].strip('"'), ref(args[1]))
-        if name == "BINARY_OP_APPLIC":
-            return BinaryOp(args[0].strip('"'), ref(args[1]), ref(args[2]))
-        if name == "SHUFFLE":
-            names = tuple(x.strip('"') for x in _split_args(args[0].strip()[1:-1]))
-            return Shuffler(names, ref(args[1]))
-        if name == "FUNCTION":
-            return Function(args[0].strip('"'), tuple(build(i) for i in ids(args[1])))
-        if name == "SELECTION":
-            inner = args[0].strip()[1:-1]
-            pairs = tuple(
-                (build(int(a)), build(int(b)))
-                for a, b in (pair.strip()[1:-1].split(",") for pair in _split_args(inner))
-            )
-            return Selection(pairs, opt_ref(args[1]), args[2].strip('"') if len(args) > 2 else "where")
-        if name == "CONFLUENCE":
-            inner = _split_args(args[1].strip()[1:-1])
-            elements = tuple(
-                (build(int(inner[i])), opt_str(inner[i + 1]), opt_str(inner[i + 2]))
-                for i in range(0, len(inner), 3)
-            )
-            return Confluence(ref(args[0]), elements)
-        if name == "GROUP_ACCT":
-            grouping = tuple(x.strip('"') for x in _split_args(args[3].strip()[1:-1]))
-            return GroupAcct(args[0].strip('"'), opt_str(args[1]), ref(args[2]), grouping)
-        if name == "SUB_EXPR":
-            return SubExpr(tuple(build(i) for i in ids(args[0])))
-        if name == "COERCE_FUNCTION":
-            return CoerceFunction(args[0].strip('"'), build(ids(args[1])[0]))
-        if name == "VAR_NAME":
-            return VarName(args[0].strip('"'), opt_str(args[1]), args[2] if len(args) > 2 else None)
-        if name == "SC_FUNCTION":
-            return ScFunction(args[0].strip('"'), tuple(build(i) for i in ids(args[1])))
-        if name == "SC_BINARY_OP_APPLIC":
-            return ScBinaryOp(args[0].strip('"'), ref(args[1]), ref(args[2]))
-        if name == "CONDITIONER":
-            return Conditioner(ref(args[0]))
-        if name == "INF_DESCR_COMP":
-            return InfDescrComp(ref(args[0]), ref(args[1]), args[2].strip('"'))
-        if name == "SCALE_EXPR_COMP":
-            return ScaleExprComp(ref(args[0]), ref(args[1]), args[2].strip('"'))
-        if name == "BIN_COND_COMP":
-            return BinCondComp(ref(args[0]), ref(args[1]), args[2].strip('"'))
-        if name == "COND_FUNCTION":
-            return CondFunction(args[0].strip('"'), tuple(build(i) for i in ids(args[1])))
-        if name == "NEGATION":
-            return Negation(ref(args[0]), len(args) > 1)
-        if name == "LIST":
-            projection = tuple(build(i) for i in ids(args[0])) if args[0] != "NULL" else None
-            if args[2] == "NULL":
-                order = None
-            elif args[2].startswith("{"):
-                inner = _split_args(args[2][1:-1])
-                order = OrderClause("items", tuple((n.strip('"'), d.lower()) for n, d in zip(inner[::2], inner[1::2])))
-            else:
-                order = OrderClause("whole_asc" if args[2] == '"ASCENDING"' else "whole_desc")
-            return ListStatement(projection, ref(args[1]), order)
-        raise ValueError(f"unknown record {name!r}")
-
-    return build(0)

@@ -979,10 +979,6 @@ def bind_attr(schema: Schema, typing: Typing, a: AttrName) -> ra.RelExpr:
     return expr
 
 
-def bind(schema: Schema, typing: Typing) -> dict[AttrName, ra.RelExpr]:
-    return {a: bind_attr(schema, typing, a) for a in sorted({b for b, _ in typing})}
-
-
 class Translator:
     """Translates the paths of one reading, each path object once per set
     ``B`` of bound attributes, into a pending column map (``ra.Columns``)
@@ -1415,8 +1411,8 @@ def check_constraint(schema: Schema, p: PathExpr, pop: Population) -> bool:
 # built on first use and kept in ``schema.plans`` for every population
 # after.  An entry is keyed by the id of the rule or constraint path and
 # holds that object too, so the id stays its own.  The join rules that
-# translation applies leave the derived types out, so a plan built at an
-# older schema generation is built again.
+# translation applies leave the derived types out, so ``Schema.revise``
+# drops every plan.
 
 
 def expr_of(schema: Schema, x: Any) -> ra.RelExpr:
@@ -1433,14 +1429,11 @@ def expr_of(schema: Schema, x: Any) -> ra.RelExpr:
 
 def _kept_plan(schema: Schema, x: Any) -> ra.Plan:
     """The plan of ``x``, a derivation rule or constraint path of
-    ``schema``: the kept one while the schema is at the generation it was
-    built at, else a new one, kept."""
+    ``schema``: the kept one, else a new one, kept."""
     hit = schema.plans.get(id(x))
-    if hit is not None and hit[1].generation == schema.generation:
-        return hit[1]
-    plan = ra.compile_plan(expr_of(schema, x), schema)
-    schema.plans[id(x)] = (x, plan)
-    return plan
+    if hit is None:
+        hit = schema.plans[id(x)] = (x, ra.compile_plan(expr_of(schema, x), schema))
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,8 @@ class Schema:
     raw_derivations: list = field(default_factory=list)
     raw_constraints: list = field(default_factory=list)
     # the plans of the derivation rules and constraints, which ``paths``
-    # builds on first use: id of the rule or constraint path -> (it, plan)
+    # builds on first use and ``revise`` drops: id of the rule or
+    # constraint path -> (it, plan)
     plans: dict = field(default_factory=dict, compare=False, repr=False)
     # the query texts that ``cli`` has prepared: text -> its prepared query
     prepared: Kept = field(default_factory=lambda: Kept(PREPARED_CAP), compare=False, repr=False)
@@ -231,13 +232,15 @@ class Schema:
 
     def revise(self, *, macros: Mapping[str, Macro] | None = None, derivations: Iterable | None = None) -> None:
         """Replace the macros, the derivation rules or both, and count one
-        more generation.  Work kept on the schema records the generation it
-        was made at, so one compare tells it stale."""
+        more generation.  The plans of the rules and constraints go; other
+        work kept on the schema records the generation it was made at, so
+        one compare tells it stale."""
         if macros is not None:
             self.macros = MappingProxyType(dict(macros))
         if derivations is not None:
             self.derivations = tuple(derivations)
         self.generation += 1
+        self.plans.clear()
 
     def derived_types(self) -> frozenset:
         """The types that a derivation rule defines."""

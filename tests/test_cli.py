@@ -544,6 +544,29 @@ def test_front_word_is_the_set_operation_over_only_operands(session, word, plain
     assert execute(session, "\\explain " + fronts) == execute(session, "\\explain " + only)
 
 
+@pytest.mark.parametrize(
+    "macro, text, out",
+    [
+        (
+            "Twice(v) ::= v * 2",
+            "a Salary x WHERE x > Twice(500)",
+            "HEAD,x,TAIL\n2000,2000,2000\n3000,3000,3000\n1500,1500,1500",
+        ),
+        ("Twice(v) ::= v * 2", "LIST Twice(x) OF a Salary x", "x * 2\n2000\n4000\n6000\n1000\n3000"),
+        ("Big ::= SOME a Person", "a Person WHERE Big()", "HEAD,TAIL\nann,ann\nbob,bob\ncy,cy\ndee,dee\neli,eli\nfay,fay"),
+    ],
+    ids=["scalar-macro-in-a-condition", "scalar-macro-in-a-projection", "condition-macro"],
+)
+def test_a_macro_call_answers_on_the_demo(macro, text, out):
+    """A scalar macro is called where a scalar is read, and a condition
+    macro where a condition is."""
+    session = Session(out_format="csv")
+    session.load_schema_file(str(DEMO / "schema.json"))
+    session.load_population_file(str(DEMO / "population.json"))
+    execute(session, "\\macro " + macro)
+    assert run_query(session, text) == out
+
+
 ACME, EARNS = "(a Person who works for the Company: 'acme')", "(a Person who earns a Salary: 1000)"
 
 

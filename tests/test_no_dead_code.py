@@ -2,9 +2,10 @@
 used by the package itself or by the benchmark.
 
 A use is a name, an attribute or an identifier string (the benchmark wraps
-functions by name, and ``__all__`` lists exports) anywhere in ``src/`` or
-``bench/`` outside the definition itself; a recursive call is no use.
-Dunder methods are called by Python and are not checked.
+functions by name) anywhere in ``src/`` or ``bench/`` outside the
+definition itself; a recursive call is no use, and neither is a name's
+string in an ``__all__`` list, which only exports it.  Dunder methods are
+called by Python and are not checked.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ FILES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.
 # entry points that only the tests call
 TEST_ONLY = {
     "paths.py:tl_coerce",  # tail coercion on its own; translation coerces both ends
-    "paths.py:bind",  # the binder of every typed attribute at once
-    "frontend/records.py:load_records",  # the inverse of dump_records
     "bag.py:Bag.frequency",  # the multiset's frequency function, read by the bag laws
     "relalg.py:Extend",  # acceptance criterion 02's operators
     "relalg.py:Rename",  # acceptance criterion 02's operators
@@ -43,8 +42,17 @@ def definitions(tree: ast.Module):
 
 
 def uses(tree: ast.Module):
-    """(name, line) of each name, attribute and identifier string."""
+    """(name, line) of each name, attribute and identifier string outside
+    an ``__all__`` list."""
+    exports = {
+        id(n)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for n in ast.walk(node.value)
+    }
     for node in ast.walk(tree):
+        if id(node) in exports:
+            continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):

@@ -259,6 +259,64 @@ def test_a_path_outside_the_schema_is_not_kept():
     checking ad hoc paths does not grow the schema."""
     schema = load_full_schema(schema_doc())
     pop = load_population(schema, population_doc(5))
+    before = dict(schema.plans)
     for _ in range(3):
         assert P.check_constraint(schema, P.TypeAtom("Person"), pop)
-    assert schema.plans == {}
+    assert schema.plans == before
+
+
+def test_revising_the_rules_drops_their_plans():
+    """``Schema.revise`` drops every kept plan, so rounds of rules replaced
+    by fresh copies leave no plan of a rule the schema no longer has."""
+    session = session_on(schema_doc(), 1)
+    schema = session.schema
+    one_round(session)
+    for _ in range(5):
+        schema.revise(derivations=schema.derivations[:1])
+        schema.revise(derivations=load_full_schema(schema_doc()).derivations)
+        execute(session, "\\derive")
+    # the last \derive kept the plans of the three rules alone
+    assert len(schema.plans) == len(schema.derivations) == 3
+
+
+def test_each_rule_body_is_translated_once(monkeypatch):
+    """Loading checks a fact rule's role variables on the plan that
+    ``\\derive`` then runs, so loading and deriving translate each of the
+    three rule bodies once."""
+    calls = count_calls(monkeypatch)
+    session = session_on(schema_doc(), 1)
+    execute(session, "\\derive")
+    assert calls["translate"] == len(RULES) == 3
+
+
+@pytest.mark.parametrize(
+    "rule, error",
+    [
+        (
+            {"fact": "Staff", "roles": {"st1": "c", "st2": "q"}, "body": "a Person p who works for a Company c"},
+            "derivation rule for 'Staff' names unknown variable 'q'",
+        ),
+        (
+            {"type": "HighEarner", "body": "a Company c employs a Person p"},
+            "derivation rule body is ambiguous: 'a Company c employs a Person p'",
+        ),
+        (
+            {
+                "fact": "Staff",
+                "roles": {"st1": "c", "st2": "p"},
+                "body": "THE COUNT OF (Person p who works for a Company c) GROUPED BY c",
+            },
+            "derivation rule for 'Staff': variable 'c' is not a column of its body",
+        ),
+    ],
+    ids=["unknown-variable", "ambiguous-body", "not-a-column"],
+)
+def test_one_faulty_rule_among_good_ones_raises_its_error(rule, error):
+    """A document with one faulty rule among good ones raises that rule's
+    error.  "employs" reads both Contract and, here, Employment."""
+    doc = schema_doc()
+    doc["naming"]["mfix"].append(["G", ["employs"], ["q2", "q1"]])
+    doc["derivations"] = RULES[:1] + [rule] + RULES[1:]
+    with pytest.raises(ParseError) as raised:
+        load_full_schema(doc)
+    assert str(raised.value) == f"[parse] {error}"

@@ -30,7 +30,6 @@ from conquer.paths import (
     TypeAtom,
     Where,
     apply_derivations,
-    bind,
     bind_attr,
     canonical,
     check_constraint,
@@ -230,9 +229,6 @@ class TestBind:
     def test_bind_two_related_types_shared_root_deduplicates(self, work_schema):
         t = frozenset({("a", "Student"), ("a", "Employee")})
         assert bind_attr(work_schema, t, "a") == TypeTable("a", "Person")
-
-    def test_bind_empty_typing(self, work_schema):
-        assert bind(work_schema, frozenset()) == {}
 
 
 class TestCoercion:
