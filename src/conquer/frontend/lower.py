@@ -228,7 +228,9 @@ class Lowerer:
     def function(self, rec: R.Function) -> P.PathExpr:
         macro = self.schema.macros.get(rec.name)
         if macro is not None:
-            return self.expand_macro_call(macro, rec.args)
+            wrap = {"scalar": P.Scalar, "condition": P.CondPath}.get(macro.kind)
+            expansion = self.expansion(macro, rec.args)
+            return expansion if wrap is None else self.node(wrap, expansion)
         if rec.name in self.env.active_macros:
             raise MacroError(f"recursive macro {rec.name!r}")
         scalars = [self.try_scalar(a) for a in rec.args]
@@ -236,19 +238,20 @@ class Lowerer:
             return self.node(P.Scalar, self.node(P.SApply, rec.name, scalars))
         return self.node(P.FuncApp, rec.name, [self.node(P.HdCoerce, self.descr(a)) for a in rec.args])
 
-    def expand_macro_call(self, macro: Macro, args: tuple) -> Any:
-        if macro.kind == "scalar":
-            lowered = [self.scalar(a) for a in args]
-        elif macro.kind == "condition":
-            lowered = [self.cond(a) for a in args]
-        else:
-            lowered = [self.descr(a) for a in args]
-        expansion = P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh, memo=self.memo)
-        if macro.kind == "scalar":
-            return self.node(P.Scalar, expansion)
-        if macro.kind == "condition":
-            return self.node(P.CondPath, expansion)
-        return expansion
+    def expansion(self, macro: Macro, args: tuple) -> Any:
+        """``macro`` applied to ``args``, lowered as the macro's kind, but a
+        condition macro's as its body reads each parameter: as a scalar
+        variable, a path or else a condition."""
+        reads, stack = {}, [macro.body] if macro.kind == "condition" else []
+        while stack:
+            p = stack.pop()
+            if isinstance(p, (P.SVar, P.AttrAtom)):
+                reads.setdefault(p.attr, self.scalar if isinstance(p, P.SVar) else self.descr)
+            stack.extend(children(p, P.PATH_KINDS))
+        lower = {"scalar": self.scalar, "condition": self.cond}.get(macro.kind, self.descr)
+        # an argument past the parameters is lowered too, for expand_macro to refuse
+        lowered = [reads.get(param, lower)(a) for param, a in zip(macro.params + (None,) * len(args), args)]
+        return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh, memo=self.memo)
 
     def selection(self, rec: R.Selection) -> P.PathExpr:
         pairs = tuple((self.descr(d), self.cond(c)) for d, c in rec.pairs)
@@ -305,8 +308,7 @@ class Lowerer:
         if isinstance(rec, (R.ScFunction, R.Function)):
             macro = self.schema.macros.get(rec.name)
             if macro is not None and macro.kind == "scalar":
-                lowered = [self.scalar(a) for a in rec.args]
-                return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh, memo=self.memo)
+                return self.expansion(macro, rec.args)
             if macro is None and rec.name in self.env.active_macros:
                 raise MacroError(f"recursive macro {rec.name!r}")
             args = [self.try_scalar(a) for a in rec.args]
@@ -343,8 +345,7 @@ class Lowerer:
             macro = self.schema.macros.get(rec.name)
             if macro is None or macro.kind != "condition":
                 raise TranslateError(f"unknown condition function {rec.name!r}")
-            lowered = [self.cond(a) for a in rec.conds]
-            return P.expand_macro(self.schema, macro.name, lowered, fresh=self.env.fresh, memo=self.memo)
+            return self.expansion(macro, rec.conds)
         raise TranslateError(f"cannot lower condition {type(rec).__name__}")
 
     # -- denotations ------------------------------------------------------------

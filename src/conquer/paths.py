@@ -1527,7 +1527,8 @@ def expand_macro(schema: Schema, name: str, args: list, fresh=None, memo: PathMe
                 raise MacroError(f"macro {name!r} takes scalar arguments")
             mapping[param] = arg
         elif macro.kind == "condition":
-            if not isinstance(arg, PeCond.__args__):
+            # the body reads each parameter as a condition, a scalar or a path
+            if not isinstance(arg, PeCond.__args__ + PeScalar.__args__ + PathExpr.__args__):
                 raise MacroError(f"macro {name!r} takes condition arguments")
             mapping[param] = arg
         else:

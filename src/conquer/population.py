@@ -28,8 +28,8 @@ whose message shows each value of the document cut short.
 
 A population is an immutable value, and the queries run on it keep work
 on it for the ones after: ``results``, a ``Kept`` table of the bag of each
-uncorrelated sub-plan that ``relalg`` has evaluated on it, by the
-sub-plan's token, at most ``RESULTS_CAP`` of them; and ``texts``, the text
+uncorrelated sub-plan that ``relalg`` has evaluated on it, under the
+sub-plan's code, at most ``RESULTS_CAP`` of them; and ``texts``, the text
 that ``cli`` renders for each cell value, a plain dict that ``cli`` empties
 when it is full, since it is read once per cell rendered and a counted
 lookup costs several times a dict's.

@@ -19,15 +19,14 @@ header share one layout.  An outer binding is a dict from attribute
 names to values.
 
 ``evaluate`` runs a ``Plan``: an expression compiled once into closures,
-one for each distinct node, which run without looking at a node's kind
-again.  ``compile_plan`` builds one; a plan built once runs against every
-population of its schema, and ``evaluate`` turns a plain expression into a
-plan for the population's schema on the spot.  ``eval_scalar`` and
-``eval_cond`` compile their expressions the same way.  The result of each
-uncorrelated sub-plan is kept on the population it ran on, so every plan
-of the schema that holds the same sub-plan reads it there; every other
-sub-plan, aggregate and bag comparison is computed once per distinct
-binding of the outer attributes it reads within one evaluation.
+which run without looking at a node's kind again.  ``compile_plan`` builds
+one; it runs against every population of its schema, and ``evaluate``,
+``eval_scalar`` and ``eval_cond`` compile a plain expression on the spot.
+Each structure of node is one node per schema, compiled once for all its
+plans, and the result of each uncorrelated sub-plan is kept on the
+population it ran on; every other sub-plan, aggregate and bag comparison
+is computed once per distinct binding of the outer attributes it reads
+within one evaluation.
 
 Five bag-algebra rules apply as plans are built, in the builders that
 ``paths.Translator`` builds its plans with.  A ``Columns`` is a projection
@@ -59,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Union as TUnion
-from weakref import WeakValueDictionary
+from weakref import WeakValueDictionary, ref
 
 from .bag import Bag, bag_avg, bag_max, bag_min, bag_sum
 from .errors import EvalError
@@ -67,7 +66,7 @@ from .population import Population
 from .schema import Schema
 from .tri import UNKNOWN, Tri, is_true, t_and, t_implies, t_not, t_or, t_xor
 from .values import NULL, FactInstance, GroupedBag, is_number
-from .walk import children, field_names
+from .walk import children, field_names, map_children
 
 AttrName = str
 
@@ -101,6 +100,11 @@ class _Node:
         for p in children(self, RA_KINDS):
             out |= p.free
         return out
+
+    @cached_property
+    def code(self) -> dict:
+        """The node's code by the kind it is compiled as and its layout."""
+        return {}
 
 
 class _Rel(_Node):
@@ -542,39 +546,42 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# A plan is compiled once into closures, one for each distinct node, and the
-# closures are what run (after Neumann, "Efficiently Compiling Efficient
-# Query Plans for Modern Hardware", VLDB 2011).  Compilation works out
-# everything that depends on the plan alone: an attribute becomes a slot of
-# the operand's rows or a read of the outer binding, a join's keys and a
-# group's key become picks of slots, and each operator's loop builds its
-# bag's frequency dict directly.  A relational node compiles to
-# ``run(ctx, outer) -> Bag``; a scalar or condition compiles, for the layout
-# of the rows it reads, to ``run(ctx, row, outer)``.  ``ctx`` is the one
-# evaluation's ``_Context``; no closure keeps it.
+# A plan is compiled once into closures, and the closures are what run
+# (after Neumann, "Efficiently Compiling Efficient Query Plans for Modern
+# Hardware", VLDB 2011).  Compilation works out everything that depends on
+# the plan alone: an attribute becomes a slot of the operand's rows or a
+# read of the outer binding, a join's keys and a group's key become picks of
+# slots, and each operator's loop builds its bag's frequency dict directly.
+# A relational node compiles to ``run(ctx, outer) -> Bag``; a scalar or
+# condition compiles, for the layout of the rows it reads, to ``run(ctx,
+# row, outer)``.  ``ctx`` is the one evaluation's ``_Context``; no closure
+# keeps it.
+#
+# The nodes of a schema's plans are hash-consed (after Filliâtre and
+# Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006): compiling
+# maps each node, children first, to the one node that the schema's table,
+# ``Schema.subplans``, holds for its structure, adding one over the table's
+# children where it has none.  A structure's key is the node's kind and
+# fields: a child or a value without a hash by its identity, any other value
+# with its type, so that 1, 1.0 and Fraction(1) stay apart.  A table node
+# holds only table nodes, so no identity in its key is reused while it
+# lives; a literal is its own node, with no entry.  Each node keeps its
+# code per kind and layout (``_Node.code``).  The table holds nodes weakly:
+# an entry goes once no plan and no kept result holds it.
 #
 # A relational node that reads no outer attribute (its ``free`` is empty)
 # has one result on a population, and every query on the population keeps
 # it for the next (after Sellis, "Multiple-Query Optimization", TODS 1988,
 # and Ivanova et al., "An Architecture for Recycling Intermediates in a
-# Column-store", SIGMOD 2009).  Compiling gives each such node the token of
-# its structure in the schema's table, ``Schema.subplans``, which every plan
-# of the schema shares; its compiled code looks in the population's
-# ``results`` under the token and computes only on a miss; ``results`` is a
-# ``schema.Kept`` table, which drops the result used least recently past
-# ``population.RESULTS_CAP``.  The key of a structure is the node's kind and
-# its fields, each child by its token, a constant together with its type (so
-# that 1, 1.0 and Fraction(1) stay apart), and a literal's relation by
-# identity; keys are built bottom-up, so compiling stays linear.  A token holds the first node of its
-# structure, so the relation of a literal keyed by identity stays alive
-# with it; the table holds tokens weakly, and a plan's compiled code holds
-# the tokens of its nodes, so an entry goes once no plan and no
-# population's results hold its token.  A kept result depends on its
-# node's structure and the population alone, so a new schema generation (a
-# change of its macros or derivation rules) leaves it standing: the rules'
-# types are populated in a new derived population, which starts with nothing
-# kept.  Bags are immutable values, so a kept result is the bag a fresh run
-# builds, rows in the same order.
+# Column-store", SIGMOD 2009).  Its code looks in the population's
+# ``results``, a ``schema.Kept`` table capped at ``population.RESULTS_CAP``,
+# under its own code, and computes only on a miss; the entry holds the node
+# too, so a later plan of that structure finds both.  A kept result depends
+# on the structure and the population alone, so a change of the schema's
+# macros or derivation rules leaves it standing: the rules' types are
+# populated in a new derived population, which starts with nothing kept.
+# Bags are immutable, so a kept result is the bag a fresh run builds, rows
+# in the same order.
 #
 # Every other relational node, and every aggregate and bag comparison, is
 # memoised within one evaluation.  Its result depends on the outer binding
@@ -595,11 +602,10 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A relational expression ready to run against any population of
-    ``schema``: ``root`` is the expression, ``run`` the root compiled, and
-    ``generation`` the schema's generation when it was compiled.  The plan
-    holds ``root``, so the ids the compiled code keys its memo on stay its
-    nodes', and ``run`` holds the tokens of its uncorrelated nodes, so the
-    schema's table keeps them while the plan lives."""
+    ``schema``: ``root`` is the expression's node in the schema's table,
+    ``run`` its code, and ``generation`` the schema's generation when it
+    was compiled.  The plan holds ``root``, so its nodes stay in the table,
+    and the ids its code keys the memo on stay theirs."""
 
     root: RelExpr
     run: Callable
@@ -609,7 +615,8 @@ class Plan:
 
 def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
-    return Plan(e, _Compiler(schema.subplans).rel(e), schema, schema.generation)
+    root = _interned(e, schema.subplans)
+    return Plan(root, _Compiler().rel(root), schema, schema.generation)
 
 
 def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
@@ -633,7 +640,49 @@ def eval_cond(cond: RaCond, pop: Population, env: dict) -> Tri:
 def _eval(kind: str, x, pop: Population, env: dict):
     """Scalar or condition ``x``, compiled as ``kind``, on ``pop`` under
     the outer binding ``env``."""
-    return _Compiler(pop.schema.subplans)._compiled(kind, x, ())(_Context(pop), (), env)
+    x = _interned(x, pop.schema.subplans)
+    return _Compiler()._compiled(kind, x, ())(_Context(pop), (), env)
+
+
+def _interned(x, table: WeakValueDictionary):
+    """The node that ``table`` holds for the structure of ``x``, else ``x``
+    over the table's nodes for its children, added.  Children are mapped
+    before parents, without recursion, since a chain of operators can nest
+    deeper than the Python stack."""
+    done: dict[int, Any] = {}  # id of a node under x -> the table's node
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if id(y) in done:
+            stack.pop()
+            continue
+        pending = [c for c in children(y, RA_KINDS) if id(c) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        key = (type(y),) + tuple([_field_key(getattr(y, name), done) for name in field_names(type(y))])
+        # a literal is its own node, with no entry
+        z = y if type(y) is Literal else table.get(key)
+        if z is None:
+            z = table[key] = map_children(y, lambda c: done[id(c)], kinds=RA_KINDS)
+        done[id(y)] = z
+    return done[id(x)]
+
+
+def _field_key(v, done: dict):
+    """A field value as a structure's key reads it: a node by the identity
+    of the table's node for it, a tuple by its items', a value without a
+    hash by its identity, and any other value with its type."""
+    if type(v) in RA_KINDS:
+        return id(done[id(v)])
+    if type(v) is tuple:
+        return tuple([_field_key(w, done) for w in v])
+    try:
+        hash(v)
+    except TypeError:
+        return id(v)
+    return type(v), v
 
 
 class _Context:
@@ -647,16 +696,6 @@ class _Context:
         self.memo: dict[tuple, Any] = {}
 
 
-class _Token:
-    """The token of one structure of node in a schema's table; it holds
-    the first node of that structure."""
-
-    __slots__ = ("node", "__weakref__")
-
-    def __init__(self, node):
-        self.node = node
-
-
 def _picker(slots: list[int]):
     """The function from a row to the tuple of its values at ``slots``."""
     if len(slots) == 1:
@@ -667,7 +706,7 @@ def _picker(slots: list[int]):
     return itemgetter(*slots)
 
 
-def _key(slots: list[int]):
+def _join_key(slots: list[int]):
     """The function from a row to its join key on ``slots``: for one slot
     the value itself, since two values are equal exactly when their
     1-tuples are."""
@@ -710,17 +749,8 @@ def _raiser(message: str):
 
 
 class _Compiler:
-    """Compiles the nodes of one plan, each distinct node once for each
-    layout of the rows it reads; ``table`` is the schema's table of
-    tokens."""
-
-    def __init__(self, table: WeakValueDictionary):
-        self.table = table
-        # (kind, id, layout) -> (node, its code); holding the node keeps
-        # its id unique
-        self.done: dict[tuple, tuple] = {}
-        # id of a node -> its token, for the nodes of this plan
-        self.tokens: dict[int, _Token] = {}
+    """Compiles the nodes of a schema's table, each once for each kind and
+    layout of the rows it reads, and keeps the code on the node."""
 
     def rel(self, e: RelExpr):
         """``run(ctx, outer) -> Bag`` for relational expression ``e``."""
@@ -737,58 +767,19 @@ class _Compiler:
         return self._compiled("condition", x, layout)
 
     def _compiled(self, kind: str, x, layout: tuple | None):
-        key = (kind, id(x), layout)
-        hit = self.done.get(key)
-        if hit is not None:
-            return hit[1]
-        build = _BUILDERS[kind].get(type(x))
-        if build is None:
-            run = _raiser(f"unknown {kind} {x!r}")
-        else:
-            run = build(self, x, layout)
-            # a literal's code gives the bag it holds, with nothing to keep
-            if layout is None and type(x) is not Literal:
-                run = _memoised(x, None, run) if x.free else _kept(self.token(x), run)
-        self.done[key] = (x, run)
+        code = getattr(x, "code", {})
+        run = code.get((kind, layout))
+        if run is None:
+            build = _BUILDERS[kind].get(type(x))
+            if build is None:
+                run = _raiser(f"unknown {kind} {x!r}")
+            else:
+                run = build(self, x, layout)
+                # a literal's code gives the bag it holds, with nothing to keep
+                if layout is None and type(x) is not Literal:
+                    run = _memoised(x, None, run) if x.free else _kept(x, run)
+            code[(kind, layout)] = run
         return run
-
-    def token(self, x) -> _Token:
-        """The token of ``x``'s structure: the one the schema's table holds
-        for its key, else a new one, added.  The nodes under ``x`` get
-        theirs first, children before parents, without recursion, since a
-        chain of operators can nest deeper than the Python stack."""
-        tokens, stack = self.tokens, [x]
-        while stack:
-            y = stack[-1]
-            if id(y) in tokens:
-                stack.pop()
-                continue
-            pending = [c for c in children(y, RA_KINDS) if id(c) not in tokens]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            key = (type(y),) + tuple([self._key(getattr(y, name)) for name in field_names(type(y))])
-            tok = self.table.get(key)
-            if tok is None:
-                tok = self.table[key] = _Token(y)
-            tokens[id(y)] = tok
-        return tokens[id(x)]
-
-    def _key(self, v):
-        """A field value as the key of a structure reads it: a node by its
-        token, a tuple by its items', a relation or any other value without
-        a hash by its identity (the token holds it through its node), and
-        anything else together with its type."""
-        if type(v) in RA_KINDS:
-            return self.tokens[id(v)]
-        if type(v) is tuple:
-            return tuple([self._key(w) for w in v])
-        try:
-            hash(v)
-        except TypeError:
-            return id(v)
-        return type(v), v
 
     # -- relational expressions ------------------------------------------
 
@@ -869,8 +860,8 @@ class _Compiler:
         without a lookup."""
         left, right = self.rel(e.left), self.rel(e.right)
         lpos, rpos = e.left.slots, e.right.slots
-        lkey = _key([i for a, i in lpos.items() if a in rpos])
-        rkey = _key([rpos[a] for a in lpos if a in rpos])
+        lkey = _join_key([i for a, i in lpos.items() if a in rpos])
+        rkey = _join_key([rpos[a] for a in lpos if a in rpos])
         pick = _picker([len(lpos) + rpos[a] if a in rpos else lpos[a] for a in e.header])
 
         def run(ctx, outer):
@@ -894,8 +885,8 @@ class _Compiler:
         are paired.  With equal headers a key is a whole row."""
         left, right, method = self.rel(e.left), self.rel(e.right), _SET_OPS[e.op]
         lpos, rpos = e.left.slots, e.right.slots
-        lkey = _key([i for a, i in lpos.items() if a in rpos])
-        rkey = _key([rpos[a] for a in lpos if a in rpos])
+        lkey = _join_key([i for a, i in lpos.items() if a in rpos])
+        rkey = _join_key([rpos[a] for a in lpos if a in rpos])
         # picked from the left row followed by the right row, a shared
         # attribute from the right one, or from the left one and NULLs
         pick = _picker([len(lpos) + rpos[a] if a in rpos else lpos[a] for a in e.header])
@@ -1030,17 +1021,19 @@ def _slot(layout: tuple, a: AttrName) -> int | None:
     return {b: i for i, b in enumerate(layout)}.get(a)
 
 
-def _kept(token: _Token, run):
-    """``run`` of a node that reads no outer attribute, served from the
-    population's results under the node's ``token``: computed only when
-    they lack it, and kept unless it raises."""
+def _kept(x, run):
+    """``run`` of node ``x``, which reads no outer attribute, served from
+    the population's results under ``run``: computed only when they lack it,
+    and kept, with x, unless it raises.  The code holds x weakly, since x
+    holds its code."""
+    node = ref(x)
 
     def kept(ctx, outer):
         results = ctx.pop.results
-        out = results.find(token)
+        out = results.find(run)
         if out is None:
-            out = results.keep(token, run(ctx, outer))
-        return out
+            out = results.keep(run, (node(), run(ctx, outer)))
+        return out[1]
 
     return kept
 

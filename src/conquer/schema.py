@@ -8,10 +8,9 @@ concurrent readers, but for the macros and derivation rules, which
 ``Schema.revise`` alone changes, counting each change in ``generation``;
 only the plans that ``paths`` keeps of the derivation rules and constraints,
 the query texts and shapes that ``cli`` prepares, the population loader and
-the tokens that ``relalg`` gives the sub-plans its plans share are added on
-first use, and two readers that both build one build the same (two that
-race to add one sub-plan's token may each keep their own, which only shares
-less).
+the one plan node per structure that ``relalg`` compiles are added on first
+use, and two readers that both build one build the same (two that race to
+add one structure's node may each keep their own, which only shares less).
 
 Type relatedness is stored extensionally: the loader closes the declared
 specialisation hierarchy (types sharing a root are related unless an
@@ -188,9 +187,9 @@ class Schema:
     shapes: Kept = field(default_factory=lambda: Kept(PREPARED_CAP), compare=False, repr=False)
     # the population loader, which ``population`` builds on the first load
     loader: Any = field(default=None, compare=False, repr=False)
-    # the token of each structure of plan node that ``relalg`` has
-    # compiled: structural key -> token, held weakly, so an entry goes when
-    # no plan and no population's kept results hold its token
+    # the one node of each structure of plan node that ``relalg`` has
+    # compiled, which holds its compiled code: structural key -> node, held
+    # weakly, so an entry goes when no plan and no kept result holds it
     subplans: Any = field(default_factory=weakref.WeakValueDictionary, compare=False, repr=False)
 
     # -- basic accessors -------------------------------------------------
@@ -364,6 +363,10 @@ def validate_schema(schema: Schema) -> list[str]:
         rels = {schema.roles[r].rel for r in entry.roles if r in schema.roles}
         if len(rels) > 1 or any(r not in schema.roles for r in entry.roles):
             diags.append(f"mix-fix entry {entry.parts!r} mixes roles of different relationship types")
+        elif entry.rel not in schema.types:
+            diags.append(f"mix-fix entry {entry.parts!r} names undeclared fact type {entry.rel!r}")
+        elif rels != {entry.rel}:
+            diags.append(f"mix-fix entry {entry.parts!r} names {entry.rel!r} but its roles belong to {rels.pop()!r}")
 
     vnm_names: dict[str, list[AttrName]] = {}
     for a, n in schema.naming.vnm.items():

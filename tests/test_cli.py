@@ -567,6 +567,26 @@ def test_a_macro_call_answers_on_the_demo(macro, text, out):
     assert run_query(session, text) == out
 
 
+@pytest.mark.parametrize(
+    "macro, text, inlined, rows",
+    [
+        ("Pos(v) ::= v > 0 AND v < 100000", "a Salary x WHERE Pos(x)", "a Salary x WHERE x > 0 AND x < 100000", 5),
+        ("Has(p) ::= SOME p", "a Person WHERE Has(a Salary)", "a Person WHERE SOME a Salary", 6),
+    ],
+    ids=["scalar-parameter", "path-parameter"],
+)
+def test_a_condition_macro_takes_each_argument_as_its_body_reads_it(macro, text, inlined, rows):
+    """An argument whose parameter the body reads as a scalar is lowered as
+    a scalar, and one it reads as a path as a path, so the call answers as
+    the inlined body does."""
+    session = Session(out_format="csv")
+    session.load_schema_file(str(DEMO / "schema.json"))
+    session.load_population_file(str(DEMO / "population.json"))
+    execute(session, "\\macro " + macro)
+    out = run_query(session, text)
+    assert out == run_query(session, inlined) and len(out.splitlines()) == rows + 1
+
+
 ACME, EARNS = "(a Person who works for the Company: 'acme')", "(a Person who earns a Salary: 1000)"
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from conquer.bag import Bag
 from conquer.errors import EvalError, SchemaError
-from conquer import relalg
+from conquer import relalg, walk
 from conquer.paths import translate
 from conquer.population import Population
 from conquer.schema import TypeRule
@@ -743,3 +744,51 @@ def test_every_node_kind_occurs_in_a_translated_plan():
     for _, schema, _, expr, typing in all_cases():
         seen.update(type(x) for x in plan_objects(translate(schema, expr, typing)))
     assert relalg.RA_KINDS - seen == set()
+
+
+class TestInterning:
+    """``compile_plan`` maps each node of a plan to the one node that the
+    schema's table holds for its structure, and each such node keeps its
+    compiled code, so a structure is compiled once for all plans."""
+
+    @staticmethod
+    def fresh(e):
+        """A structural copy of ``e`` that shares no node with it but its
+        literals."""
+        if isinstance(e, Literal):
+            return e
+        return dataclasses.replace(walk.map_children(e, TestInterning.fresh, kinds=relalg.RA_KINDS))
+
+    def test_a_second_plan_builds_only_its_new_nodes(self, counted, monkeypatch):
+        pop, _ = counted
+        built = []
+        for builders in relalg._BUILDERS.values():
+            for kind, build in builders.items():
+                monkeypatch.setitem(builders, kind, lambda c, x, layout, build=build: built.append(type(x)) or build(c, x, layout))
+        sub = Select(Compare(Attr("k"), ">", Const(1)), TypeTable("k", "X"))
+        first = relalg.compile_plan(sub, pop.schema)
+        assert sorted(k.__name__ for k in built) == ["Attr", "Compare", "Const", "Select", "TypeTable"]
+        built.clear()
+        second = relalg.compile_plan(Project({"v": Apply("+", [Attr("k"), Const(1)])}, self.fresh(sub)), pop.schema)
+        # the sub-plan, and the scalars it reads over the same rows, were
+        # compiled with the first plan
+        assert built == [Project, Apply] and second.root.of is first.root
+        built.clear()
+        assert relalg.compile_plan(self.fresh(second.root), pop.schema).root is second.root
+        assert built == []
+        assert evaluate(second, pop) == rel(["v"], (3,), (4,))
+
+    def test_every_node_of_a_plan_is_the_tables_node_of_its_structure(self):
+        plans = 0
+        for _, schema, _, expr, typing in all_cases():
+            plan = relalg.compile_plan(translate(schema, expr, typing), schema)
+            held = {id(node) for node in schema.subplans.values()}
+            stack = [plan.root]
+            while stack:
+                node = stack.pop()
+                # a literal is its own node and has no entry
+                assert isinstance(node, Literal) or id(node) in held
+                assert relalg._interned(self.fresh(node), schema.subplans) is node
+                stack.extend(walk.children(node, relalg.RA_KINDS))
+            plans += 1
+        assert plans > 100

@@ -102,6 +102,16 @@ class TestValidation:
         with pytest.raises(SchemaError, match="naming.mfix"):
             load_schema(doc)
 
+    def test_mixfix_roles_of_another_fact_type(self):
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["naming"]["mfix"].append(["F", ["earns"], ["q1", "q2"]])
+        assert validate_schema(load_schema(doc)) == ["mix-fix entry ('earns',) names 'F' but its roles belong to 'G'"]
+
+    def test_mixfix_of_an_undeclared_fact_type(self):
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["naming"]["mfix"].append(["Z", ["earns"], ["p1", "p2"]])
+        assert validate_schema(load_schema(doc)) == ["mix-fix entry ('earns',) names undeclared fact type 'Z'"]
+
     def test_missing_reference_scheme(self):
         doc = fig_doc()
         del doc["idf"]["A"]
