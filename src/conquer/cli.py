@@ -176,9 +176,7 @@ def _listing(title: str, texts: list[str]) -> str:
 # so the bound readings are those the text's own parse gives.  Translation
 # and the plan stay per text: ``relalg`` merges self-joins by comparing
 # constants' values, so a plan over placeholders could differ from the
-# text's.  A text with two literals that are equal but of different types
-# (``2`` and ``2.0``) has no shape, since its parse builds them as one
-# constant.
+# text's.
 #
 # Both tables are ``schema.Kept`` tables of at most ``PREPARED_CAP``
 # entries, which drop the entry used least recently past it.  An entry, of
@@ -272,12 +270,11 @@ class Param:
     slot: int
 
 
-def _shape(tokens: list[Token]) -> tuple | None:
+def _shape(tokens: list[Token]) -> tuple:
     """The shape of a text's tokens: its key, the value of each slot, and
     the tokens with each string and number literal's value replaced by its
-    slot's ``Param``; literals of one type and value share a slot.  None
-    when two literals are equal but of different types.  A token other
-    than a literal is in the key by its text, which tells its kind as
+    slot's ``Param``; literals of one type and value share a slot.  A token
+    other than a literal is in the key by its text, which tells its kind as
     well."""
     slots: dict = {}
     key = []
@@ -290,10 +287,7 @@ def _shape(tokens: list[Token]) -> tuple | None:
         else:
             key.append(t.text)
         shaped.append(t)
-    values = [v for _, v in slots]
-    if len(set(values)) < len(values):
-        return None
-    return tuple(key), values, shaped
+    return tuple(key), [v for _, v in slots], shaped
 
 
 def _bind(readings: tuple, values: list) -> tuple:
@@ -320,12 +314,9 @@ def _bind(readings: tuple, values: list) -> tuple:
 
 def _shaped_readings(schema: Schema, text: str) -> tuple:
     """The kept readings of ``text``: its shape's, bound to its literals,
-    or, when it has no shape or its shape's parse raises, its own."""
+    or, when its shape's parse raises, its own."""
     tokens = tokenize(text)
-    shape = _shape(tokens)
-    if shape is None:
-        return _kept(_readings(schema, tokens))
-    key, values, shaped = shape
+    key, values, shaped = _shape(tokens)
     entry = schema.shapes.find(key, schema.generation)
     if entry is None:
         try:

@@ -281,7 +281,7 @@ class Lowerer:
         if kind in ("count", "dscount"):
             if rec.var_name is not None:
                 raise TranslateError("counting group functions take no target variable")
-            return self.node(P.GroupFn, kind, body, by)
+            return self.node(P.GroupFn, kind, body, by, None)
         target = self.env.resolve(rec.var_name) if rec.var_name is not None else P.HD
         return self.node(P.GroupFn, kind, body, by, target)
 
@@ -290,6 +290,9 @@ class Lowerer:
     def scalar(self, rec: Any) -> P.PeScalar:
         out = self.try_scalar(rec)
         if out is None:
+            macro = self.schema.macros.get(rec.name) if isinstance(rec, (R.ScFunction, R.Function)) else None
+            if macro is not None:
+                raise TranslateError(f"{macro.kind} macro {rec.name!r} is not a scalar expression")
             raise TranslateError(f"{type(rec).__name__} is not a scalar expression")
         return out
 
@@ -307,9 +310,9 @@ class Lowerer:
             return self.node(P.SAgg, kind, self.node(P.HdCoerce, self.descr(rec.inf)))
         if isinstance(rec, (R.ScFunction, R.Function)):
             macro = self.schema.macros.get(rec.name)
-            if macro is not None and macro.kind == "scalar":
-                return self.expansion(macro, rec.args)
-            if macro is None and rec.name in self.env.active_macros:
+            if macro is not None:
+                return self.expansion(macro, rec.args) if macro.kind == "scalar" else None
+            if rec.name in self.env.active_macros:
                 raise MacroError(f"recursive macro {rec.name!r}")
             args = [self.try_scalar(a) for a in rec.args]
             if any(a is None for a in args):
@@ -525,7 +528,9 @@ def compile_macro(schema: Schema, name: str, params: tuple, body_text: str, unde
         env.resolve(param)
     env.active_macros = {name, *undefined}
     tokens = tokenize(body_text)
-    records = parse_records(tokens, schema)
+    # condition trees first: ``v > 0`` parses as a path comparison too, and
+    # a condition macro still serves where a path is read, as a ``CondPath``
+    records = sorted(parse_records(tokens, schema), key=lambda rec: not isinstance(rec, R.CONDITION_KINDS))
     body = None
     errors = []
     for rec in records:

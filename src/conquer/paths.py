@@ -43,7 +43,7 @@ from .schema import (
     TypeRule,
 )
 from .values import TRUE, Bool, FactInstance, render_value, sort_key
-from .walk import children, field_names, map_children
+from .walk import children, field_names, intern_key, map_children
 
 HD: AttrName = "hd"
 TL: AttrName = "tl"
@@ -399,29 +399,17 @@ PATH_KINDS = frozenset(
 )
 
 
-_SEQUENCES = (tuple, list)
-
-
-def _key_part(v: Any) -> Any:
-    """A field value as it goes into an intern key: a node by its identity,
-    a sequence item by item, any other value as it is."""
-    t = type(v)
-    if t in PATH_KINDS:
-        return id(v)
-    if t in _SEQUENCES:
-        return tuple([_key_part(x) for x in v])
-    return v
-
-
 class PathMemo:
     """The path nodes of one parse, and what has been worked out about them.
 
-    ``node`` builds a node through an intern table keyed by its kind, its
-    scalar fields and the identities of its children, so that nodes built
-    through one memo from equal parts are one object, and readings of a
-    parse share their equal sub-paths.  Nodes keep their structural
-    ``==`` and ``hash``, so a node built elsewhere (a schema macro body, a
-    test's expected path) still compares equal to an interned one.
+    ``node`` and ``adopt`` keep each node in an intern table under
+    ``walk.intern_key``: its kind, its children by identity, and its other
+    fields with their types, so that nodes built through one memo from
+    equal parts are one object, readings of a parse share their equal
+    sub-paths, and ``2`` and ``2.0`` stay two constants.  Nodes keep their
+    structural ``==`` and ``hash``, so a node built elsewhere (a schema
+    macro body, a test's expected path) still compares equal to an
+    interned one.
 
     Each analysis is kept by the id of the node it was worked out for, next
     to that node, so that the id stays its own while the memo lives.  The
@@ -436,17 +424,14 @@ class PathMemo:
         self.pairs: dict = {}  # ``typing_pairs``
         self.uses: dict = {}  # ``attr_uses``
         self.canon: dict = {}  # ``canonical``
+        self.normal: dict = {}  # ``normalise``
         self.typed: dict = {}  # typing -> (``head_tail_combos``, ``has_empty_subpath``)
 
     def node(self, kind: type, *fields: Any) -> Any:
         """The node ``kind(*fields)``: the one this memo already holds, or a
-        new one, kept.  ``_key_part``'s cases are written out here: this runs
-        for every node a parse builds."""
-        parts = [kind]
-        for f in fields:
-            t = type(f)
-            parts.append(id(f) if t in PATH_KINDS else f if t not in _SEQUENCES else _key_part(f))
-        key = tuple(parts)
+        new one, kept.  ``fields`` are all of the kind's fields, defaults
+        included, so that the key is the one ``adopt`` makes."""
+        key = intern_key(kind, fields, PATH_KINDS)
         hit = self.nodes.get(key)
         if hit is None:
             hit = self.nodes[key] = kind(*fields)
@@ -456,8 +441,7 @@ class PathMemo:
         """``p`` as this memo's node: the equal one it holds, or ``p``, kept.
         An equal node is found only when ``p``'s children are this memo's."""
         kind = type(p)
-        key = (kind, *[_key_part(getattr(p, name)) for name in field_names(kind)])
-        return self.nodes.setdefault(key, p)
+        return self.nodes.setdefault(intern_key(kind, [getattr(p, name) for name in field_names(kind)], PATH_KINDS), p)
 
     def for_typing(self, typing: Typing) -> tuple[dict, dict]:
         return self.typed.setdefault(typing, ({}, {}))
@@ -505,18 +489,26 @@ def canonical(p: Any, memo: PathMemo | None = None) -> Any:
     """Right-nest every concatenation chain; used for structural comparison.
     The result is built through ``memo``, so two canonical forms from one
     memo are equal exactly when they are the same object."""
-    return _canonical(p, PathMemo() if memo is None else memo)
+    memo = PathMemo() if memo is None else memo
+    return _rebuild(p, memo, memo.canon, None)
 
 
-def _canonical(p: Any, memo: PathMemo) -> Any:
-    hit = memo.canon.get(id(p))
+def _rebuild(p: Any, memo: PathMemo, done: dict, schema: Schema | None) -> Any:
+    """``p`` built through ``memo`` with every concatenation chain
+    right-nested, and, given a schema, its windows rewritten; once per
+    distinct node, kept in ``done``.  A chain is flattened before its parts
+    are rebuilt, so each chain is rebuilt once, not once per link."""
+    hit = done.get(id(p))
     if hit is not None:
         return hit[1]
     if isinstance(p, Concat):
-        out = concat(*[_canonical(x, memo) for x in flatten_concat(p)], node=memo.node)
+        parts = [_rebuild(x, memo, done, schema) for x in flatten_concat(p)]
+        if schema is not None:
+            parts = _rewrite_windows(schema, parts, memo.node)
+        out = concat(*parts, node=memo.node)
     else:
-        out = memo.adopt(map_children(p, _canonical, memo, kinds=PATH_KINDS))
-    memo.canon[id(p)] = (p, out)
+        out = memo.adopt(map_children(p, _rebuild, memo, done, schema, kinds=PATH_KINDS))
+    done[id(p)] = (p, out)
     return out
 
 
@@ -549,7 +541,9 @@ def expand_subexpr(s: SubExpr, node=_new) -> PathExpr:
     return node(DistinctPath, term)
 
 
-def expand_denote(schema: Schema, d: Denote, node=_new) -> PathExpr:
+def expand_denote(schema: Schema, d: Denote, node=_new, within: frozenset = frozenset()) -> PathExpr:
+    """``d`` through its type's reference scheme; ``within`` holds the
+    types whose schemes the denotation of ``d`` is a part of."""
     x = d.tid
     schema.check_type(x)
     den = d.den
@@ -562,6 +556,9 @@ def expand_denote(schema: Schema, d: Denote, node=_new) -> PathExpr:
     scheme = schema.idf.get(x)
     if scheme is None:
         raise TranslateError(f"type {x!r} has no reference scheme to denote through")
+    if x in within:
+        raise TranslateError(f"reference scheme chain starting at {x!r} is cyclic")
+    within |= {x}
     parts = den.parts if isinstance(den, Composite) else (den,)
     if len(parts) != scheme.arity:
         raise TranslateError(
@@ -569,18 +566,18 @@ def expand_denote(schema: Schema, d: Denote, node=_new) -> PathExpr:
         )
     if scheme.kind == "pairs":
         filters = [
-            concat(node(RoleEntry, p), role_exit(q, node), _denote_part(schema, q, part, node), node=node)
+            concat(node(RoleEntry, p), role_exit(q, node), _denote_part(schema, q, part, node, within), node=node)
             for (p, q), part in zip(scheme.entries, parts)
         ]
     else:
         filters = [
-            node(Concat, role_exit(p, node), _denote_part(schema, p, part, node))
+            node(Concat, role_exit(p, node), _denote_part(schema, p, part, node, within))
             for p, part in zip(scheme.entries, parts)
         ]
     return node(Concat, node(TypeAtom, x), node(SubExpr, filters))
 
 
-def _denote_part(schema: Schema, role: str, part, node) -> PathExpr:
+def _denote_part(schema: Schema, role: str, part, node, within: frozenset) -> PathExpr:
     """One part of a denotation, the filler of ``role``: a variable binds the
     role's player and a descriptor is read as written; a value or a
     composite denotes the player through its reference scheme."""
@@ -588,7 +585,7 @@ def _denote_part(schema: Schema, role: str, part, node) -> PathExpr:
         return node(AttrAtom, part.attr)
     if isinstance(part, ByPath) and not isinstance(part.path, Scalar):
         return part.path
-    return expand_denote(schema, node(Denote, schema.player(role), part), node)
+    return expand_denote(schema, node(Denote, schema.player(role), part), node, within)
 
 
 # ---------------------------------------------------------------------------
@@ -1249,35 +1246,23 @@ def translate(
 # normalisation
 
 
-def normalise(schema: Schema, p: Any) -> Any:
-    """Bottom-up rewriting to a fixpoint.
-
-    Rewrites: role-entry/fact-type/role-exit windows into binary mix-fix
-    connections and value-type/scalar adjacency into denotations.  A type
+def normalise(schema: Schema, p: Any, memo: PathMemo | None = None) -> Any:
+    """``p`` with its chains right-nested and rewritten, built through
+    ``memo``: role-entry/fact-type/role-exit windows become binary mix-fix
+    connections and value-type/scalar adjacency becomes denotations.  A type
     between the roles that merely relates to the fact type is left alone,
-    because dropping it would change the semantics.
-    """
-    while True:
-        q = _normalise_once(p, schema)
-        if q == p:
-            return q
-        p = q
-
-
-def _normalise_once(p: Any, schema: Schema) -> Any:
-    p = map_children(p, _normalise_once, schema, kinds=PATH_KINDS)
-    if isinstance(p, Concat):
-        parts = flatten_concat(p)
-        parts = _rewrite_windows(schema, parts)
-        p = concat(*parts)
-    return p
+    because dropping it would change the semantics.  One pass suffices: a
+    rewrite gives a ``MixFix`` or a ``Denote``, and neither starts or
+    continues a window."""
+    memo = PathMemo() if memo is None else memo
+    return _rebuild(p, memo, memo.normal, schema)
 
 
 def _is_role_exit(p: Any) -> bool:
     return isinstance(p, Reverse) and isinstance(p.of, RoleEntry)
 
 
-def _rewrite_windows(schema: Schema, parts: list) -> list:
+def _rewrite_windows(schema: Schema, parts: list, node) -> list:
     out: list = []
     i = 0
     while i < len(parts):
@@ -1292,7 +1277,7 @@ def _rewrite_windows(schema: Schema, parts: list) -> list:
             and schema.rel(a.rid) == b.tid
             and schema.rel(c.of.rid) == b.tid
         ):
-            out.append(MixFix(a.rid, (), c.of.rid))
+            out.append(node(MixFix, a.rid, (), c.of.rid))
             i += 3
             continue
         # role entry directly followed by role exit of the same fact type
@@ -1301,7 +1286,7 @@ def _rewrite_windows(schema: Schema, parts: list) -> list:
             and _is_role_exit(b)
             and schema.rel(a.rid) == schema.rel(b.of.rid)
         ):
-            out.append(MixFix(a.rid, (), b.of.rid))
+            out.append(node(MixFix, a.rid, (), b.of.rid))
             i += 2
             continue
         # value type followed by a scalar becomes a denotation
@@ -1311,7 +1296,7 @@ def _rewrite_windows(schema: Schema, parts: list) -> list:
             and isinstance(b, Scalar)
             and not isinstance(b.expr, SVar)
         ):
-            out.append(Denote(a.tid, ByPath(b)))
+            out.append(node(Denote, a.tid, node(ByPath, b)))
             i += 2
             continue
         out.append(a)

@@ -66,7 +66,7 @@ from .population import Population
 from .schema import Schema
 from .tri import UNKNOWN, Tri, is_true, t_and, t_implies, t_not, t_or, t_xor
 from .values import NULL, FactInstance, GroupedBag, is_number
-from .walk import children, field_names, map_children
+from .walk import children, field_names, intern_key, map_children
 
 AttrName = str
 
@@ -602,21 +602,19 @@ def _substitute(s: RaScalar, sub: dict, reads: list) -> RaScalar | None:
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A relational expression ready to run against any population of
-    ``schema``: ``root`` is the expression's node in the schema's table,
-    ``run`` its code, and ``generation`` the schema's generation when it
-    was compiled.  The plan holds ``root``, so its nodes stay in the table,
-    and the ids its code keys the memo on stay theirs."""
+    ``schema``: ``root`` is the expression's node in the schema's table
+    and ``run`` its code.  The plan holds ``root``, so its nodes stay in the
+    table, and the ids its code keys the memo on stay theirs."""
 
     root: RelExpr
     run: Callable
     schema: Schema
-    generation: int
 
 
 def compile_plan(e: RelExpr, schema: Schema) -> Plan:
     """The plan of ``e`` for populations of ``schema``."""
     root = _interned(e, schema.subplans)
-    return Plan(root, _Compiler().rel(root), schema, schema.generation)
+    return Plan(root, _Compiler().rel(root), schema)
 
 
 def evaluate(e: RelExpr | Plan, pop: Population) -> Relation:
@@ -650,6 +648,10 @@ def _interned(x, table: WeakValueDictionary):
     before parents, without recursion, since a chain of operators can nest
     deeper than the Python stack."""
     done: dict[int, Any] = {}  # id of a node under x -> the table's node
+
+    def ident(c):
+        return id(done[id(c)])
+
     stack = [x]
     while stack:
         y = stack[-1]
@@ -661,28 +663,16 @@ def _interned(x, table: WeakValueDictionary):
             stack.extend(pending)
             continue
         stack.pop()
-        key = (type(y),) + tuple([_field_key(getattr(y, name), done) for name in field_names(type(y))])
         # a literal is its own node, with no entry
-        z = y if type(y) is Literal else table.get(key)
-        if z is None:
-            z = table[key] = map_children(y, lambda c: done[id(c)], kinds=RA_KINDS)
+        if type(y) is Literal:
+            z = y
+        else:
+            key = intern_key(type(y), [getattr(y, name) for name in field_names(type(y))], RA_KINDS, ident)
+            z = table.get(key)
+            if z is None:
+                z = table[key] = map_children(y, lambda c: done[id(c)], kinds=RA_KINDS)
         done[id(y)] = z
     return done[id(x)]
-
-
-def _field_key(v, done: dict):
-    """A field value as a structure's key reads it: a node by the identity
-    of the table's node for it, a tuple by its items', a value without a
-    hash by its identity, and any other value with its type."""
-    if type(v) in RA_KINDS:
-        return id(done[id(v)])
-    if type(v) is tuple:
-        return tuple([_field_key(w, done) for w in v])
-    try:
-        hash(v)
-    except TypeError:
-        return id(v)
-    return type(v), v
 
 
 class _Context:

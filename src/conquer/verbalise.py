@@ -447,8 +447,8 @@ def verbalise_cond(c: Any, ctx: VerbCtx, left: frozenset | None = None) -> str:
 
 def verbalise_interpretation(schema: Schema, interp) -> str:
     """Render one parse interpretation back to normalised text."""
-    norm = P.normalise(schema, interp.path)
     memo = P.PathMemo()
+    norm = P.normalise(schema, interp.path, memo)
     typing = P.infer_typing(schema, norm, memo=memo)
     ctx = VerbCtx(schema, typing, interp.vnm, memo)
     return verbalise(norm, ctx)

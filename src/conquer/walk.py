@@ -1,6 +1,7 @@
 """Field-driven walks over the dataclass trees of the package (path
 expressions, parse records and relational-algebra plans), so that adding a
-node kind needs no walker case."""
+node kind needs no walker case, and the one structural key that path and
+plan trees are hash-consed by."""
 
 from __future__ import annotations
 
@@ -12,6 +13,29 @@ from typing import Any
 @functools.cache
 def field_names(kind: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(kind))
+
+
+def intern_key(kind: type, values, kinds: frozenset, ident=id) -> tuple:
+    """The key of the node ``kind(*values)`` in an intern table: its kind,
+    then each value, a child (a value of one of ``kinds``) by ``ident`` of
+    it, the identity of its interned node, a tuple or list item by item, and
+    any other value together with its exact type, so that ``2``, ``2.0``
+    and ``Fraction(2)`` are three keys."""
+    key = [kind]
+    for v in values:
+        # ``_part``'s cases, written out: this runs for every node built
+        t = type(v)
+        key.append(ident(v) if t in kinds else (t, v) if t is not tuple and t is not list else _part(v, kinds, ident))
+    return tuple(key)
+
+
+def _part(v: Any, kinds: frozenset, ident) -> Any:
+    t = type(v)
+    if t in kinds:
+        return ident(v)
+    if t is tuple or t is list:
+        return tuple([_part(x, kinds, ident) for x in v])
+    return t, v
 
 
 def children(p: Any, kinds: frozenset) -> list:

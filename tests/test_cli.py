@@ -625,3 +625,39 @@ def test_a_pairs_scheme_part_is_read_as_written(text):
     session = Session(schema=load_full_schema(doc), out_format="csv")
     session.base_pop = load_population(session.schema, {"x": [["Erik", "Asymetrix"]], "z": ["Asymetrix"]})
     assert run_query(session, text) == 'HEAD,TAIL\n"Erik,Asymetrix","Erik,Asymetrix"'
+
+
+MACROS = [
+    "\\macro Pos(v) ::= v > 0",
+    "\\macro Pos2(v) ::= v > 0 AND v < 100000",
+    "\\macro Rich ::= a Person who earns a Salary",
+]
+
+
+def test_a_single_comparison_is_a_condition_macro():
+    """``v > 0`` parses as a path comparison too; the macro is a condition
+    macro, so a call where a condition is read answers as the inlined body."""
+    session = Session(out_format="csv")
+    session.load_schema_file(str(DEMO / "schema.json"))
+    session.load_population_file(str(DEMO / "population.json"))
+    assert execute(session, MACROS[0]) == "macro 'Pos' defined"
+    assert session.schema.macros["Pos"].kind == "condition"
+    out = run_query(session, "a Salary x WHERE Pos(x)")
+    assert out == run_query(session, "a Salary x WHERE x > 0") and len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize(
+    "text, kind, name",
+    [
+        ("LIST Pos(x) OF a Salary x", "condition", "Pos"),
+        ("LIST Pos2(x) OF a Salary x", "condition", "Pos2"),
+        ("LIST Rich() OF a Salary x", "path", "Rich"),
+        ("a Salary x WHERE Rich() > 3", "path", "Rich"),
+    ],
+)
+def test_a_path_or_condition_macro_where_a_scalar_is_read_is_a_translate_error(monkeypatch, capsys, text, kind, name):
+    commands = iter(MACROS + [text, "\\quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(commands))
+    assert main(DEMO_FILES) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"[parse] [translate] {kind} macro '{name}' is not a scalar expression"

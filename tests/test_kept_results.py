@@ -1,11 +1,12 @@
 """Every query on a population keeps the result of each uncorrelated
-sub-plan on it, by a token that all plans of the schema share, and the
-text of each cell value; every later query on the population reads them.
-A warm population answers byte for byte as a cold one; the work that two
-texts share runs once per population; constants of different types, a
-sub-plan that raises and a change of the schema's rules are never served
-a wrong result, and a result kept before a rule change is served after
-it; and the kept results stay within their cap."""
+sub-plan on it, under the code of the one node that the schema's plans
+hold for the sub-plan's structure, and the text of each cell value; every
+later query on the population reads them.  A warm population answers byte
+for byte as a cold one; the work that two texts share runs once per
+population; constants of different types, a sub-plan that raises and a
+change of the schema's rules are never served a wrong result, and a
+result kept before a rule change is served after it; and the kept results
+stay within their cap."""
 
 from __future__ import annotations
 
@@ -106,9 +107,9 @@ def test_the_work_two_texts_share_runs_once(monkeypatch):
 
 @pytest.mark.parametrize("value", [1, 1.0, Fraction(1)], ids=["int", "float", "Fraction"])
 def test_constants_of_different_types_are_kept_apart(value):
-    """Plans that differ only in a constant's type get tokens of their
-    own, so each answers with its own type on a population that has run
-    the others."""
+    """Plans that differ only in a constant's type are nodes of their own,
+    so each answers with its own type on a population that has run the
+    others."""
     pop = load_population(load_full_schema(json.loads((DEMO / "schema.json").read_text())), {})
     plans = {type(v): ra.compile_plan(ra.Project({"a": ra.Const(v)}, ra.UNIT), pop.schema) for v in (1, 1.0, Fraction(1))}
     for plan in plans.values():
@@ -143,7 +144,7 @@ def test_the_kept_results_stay_within_the_cap():
     assert pop.results.hits == hits + 1
 
 
-def test_a_token_goes_with_the_last_plan_that_holds_it():
+def test_a_table_node_goes_with_the_last_plan_that_holds_it():
     schema = load_full_schema(json.loads((DEMO / "schema.json").read_text()))
     before = len(schema.subplans)
     plan = ra.compile_plan(ra.Project({"a": ra.Const("only here")}, ra.UNIT), schema)

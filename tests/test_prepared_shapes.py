@@ -16,7 +16,7 @@ import pytest
 from conquer import cli
 from conquer.cli import Session, execute, load_full_schema, run_query
 from conquer.errors import ConquerError
-from conquer.frontend import tokenize
+from conquer.frontend import parse_list, tokenize
 from conquer.population import load_population
 from conquer.schema import TypeRule
 
@@ -75,8 +75,9 @@ def variant(text: str) -> str:
 
 
 def unshaped(monkeypatch) -> None:
-    """From now on no text has a shape: each is parsed itself."""
-    monkeypatch.setattr(cli, "_shape", lambda tokens: None)
+    """From now on no text is served from its shape: each is parsed
+    itself."""
+    monkeypatch.setattr(cli, "_shaped_readings", lambda schema, text: cli._kept(cli._readings(schema, text)))
 
 
 def _has_literal(text: str) -> bool:
@@ -129,15 +130,26 @@ def test_a_text_served_from_its_shape_answers_as_its_own_parse(text, monkeypatch
 # what has a shape, and which shape
 
 
-def test_literals_equal_across_types_give_no_shape(monkeypatch):
-    """``2`` and ``2.0`` are one constant of the text's parse, so the text
-    is parsed itself."""
+HALVES = ["500", "1000", "1500", "250", "750", "500"]
+
+
+def test_literals_equal_across_types_are_two_slots(monkeypatch):
+    """A parse keeps ``2`` and ``2.0`` apart, as the shape's slots do, so
+    the text has a shape with two slots and answers as its own parse."""
     text = "LIST x / 2, x / 2.0 OF a Person who earns a Salary x"
-    assert cli._shape(tokenize(text)) is None
+    key, values, _ = cli._shape(tokenize(text))
+    assert [(type(v), v) for v in values] == [(int, 2), (Fraction, 2)]
+    assert key.count(("number", 0)) == key.count(("number", 1)) == 1
     session = fresh()
+    (reading,) = parse_list(text, session.schema).interpretations
+    assert [type(e.args[1].value) for e in reading.projection] == [int, Fraction]
     out = observe(session, text)
-    assert session.schema.shapes == {} and session.schema.shapes.misses == 0
-    assert "x / 2 | x / 2" in out["pick-first", "table"]
+    assert len(session.schema.shapes) == 1 and session.schema.shapes.misses == 1
+    for ambiguity in AMBIGUITIES:
+        assert out[ambiguity, "table"].splitlines() == (
+            ["x / 2 | x / 2", "------+------"] + [f"{h:<5} | {h}" for h in HALVES] + ["(6 rows)"]
+        )
+        assert out[ambiguity, "csv"].splitlines() == ["x / 2,x / 2"] + [f"{h},{h}" for h in HALVES]
     unshaped(monkeypatch)
     assert out == observe(fresh(), text)
 

@@ -151,7 +151,6 @@ def test_an_added_rule_rebuilds_the_plans(monkeypatch):
     assert calls["translate"] == 9 and calls["evaluate"] == 9
     # every kept plan is compiled again, and its nodes with it
     assert calls["compile_plan"] == len(schema.plans) == 9 and calls["node"] > 9
-    assert all(plan.generation == schema.generation for _, plan in schema.plans.values())
     assert "derived BigCompany: " in derived
     assert "FAIL: SOME a BigCompany sponsors a Person" in verdicts
 

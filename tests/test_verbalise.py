@@ -1,12 +1,16 @@
-"""Verbalisation rules: the naming-stage goldens, uniqueness guards, and
-the scalar/condition renderers."""
+"""Verbalisation rules: the naming-stage goldens, uniqueness guards, the
+scalar/condition renderers, and the normal form that verbalisation reads."""
+
+import random
 
 import pytest
 
+from conquer import paths as P
 from conquer.cli import Session, load_full_schema, run_query
-from conquer.errors import VerbaliseError
+from conquer.errors import ConquerError, VerbaliseError
 from conquer.frontend import disambiguate, parse_list
 from conquer.paths import (
+    PATH_KINDS,
     AttrAtom,
     CBagComp,
     CLogic,
@@ -21,6 +25,7 @@ from conquer.paths import (
     GroupFn,
     HdCoerce,
     MixFix,
+    PathMemo,
     RelCompare,
     Reverse,
     RoleEntry,
@@ -35,6 +40,7 @@ from conquer.paths import (
     TypeAtom,
     Where,
     concat,
+    flatten_concat,
     infer_typing,
     normalise,
     role_exit,
@@ -48,9 +54,12 @@ from conquer.verbalise import (
     verbalise_cond,
     verbalise_scalar,
 )
+from conquer.walk import children, map_children
 
 from .conftest import fig6_doc, salary_doc
 from .test_parse_golden import grammar_doc
+from .test_reading_golden import _golden, _schema
+from .test_roundtrip import CASES, Gen, rich_doc
 from .test_text_differential import grammar_populations
 
 PATH = concat(TypeAtom("A"), RoleEntry("p"), TypeAtom("F"), role_exit("q"), TypeAtom("B"))
@@ -288,3 +297,99 @@ def test_a_confluence_answers_each_persons_salary_and_company():
         "eli,eli,beta,1500,beta,beta",
         "fay,fay,beta,1000,beta,beta",
     ])
+
+
+# ---------------------------------------------------------------------------
+# the normal form: one memoised pass through a parse's memo
+
+
+def fixpoint_normal_form(schema, p):
+    """The normal form as the fixpoint of plain bottom-up passes, each of
+    which rewrites a chain again at every level of its nesting."""
+
+    def once(q):
+        q = map_children(q, once, kinds=PATH_KINDS)
+        if isinstance(q, Concat):
+            q = concat(*P._rewrite_windows(schema, flatten_concat(q), lambda kind, *fields: kind(*fields)))
+        return q
+
+    while (q := once(p)) != p:
+        p = q
+    return q
+
+
+def unfolded(p, schema):
+    """``p`` with each binary mix-fix connection spelled as the window that
+    normalisation folds into it: role entry, fact type, role exit."""
+    if isinstance(p, MixFix) and not p.middles:
+        return concat(RoleEntry(p.first), TypeAtom(schema.rel(p.first)), role_exit(p.last))
+    return map_children(p, unfolded, schema, kinds=PATH_KINDS)
+
+
+def normal_form_cases() -> list:
+    """(schema, memo, paths): each expression of the round-trip generator
+    and its unfolded form, interned in a memo of their own, and the
+    readings of each golden text with their parse's memo."""
+    schema = load_schema(rich_doc())
+    cases = []
+    for i in range(CASES):
+        memo = PathMemo()
+        p = Gen(random.Random(i)).expr(3)
+        cases.append((schema, memo, [P.canonical(q, memo) for q in (p, unfolded(p, schema))]))
+    for entry in _golden():
+        schema = _schema(entry["schema"])
+        try:
+            result = parse_list(entry["query"], schema)
+        except ConquerError:
+            continue
+        cases.append((schema, result.memo, [i.path for i in result.interpretations]))
+    return cases
+
+
+def chain_heads(paths: list) -> set:
+    """The ids of the distinct concatenation chains of ``paths``: each
+    ``Concat`` that is a path itself or a child of another kind of node."""
+    heads, seen = set(), set()
+    stack = [(p, False) for p in paths]
+    while stack:
+        node, in_chain = stack.pop()
+        if (id(node), in_chain) in seen:
+            continue
+        seen.add((id(node), in_chain))
+        is_chain = isinstance(node, Concat)
+        if is_chain and not in_chain:
+            heads.add(id(node))
+        stack.extend((c, is_chain) for c in children(node, PATH_KINDS))
+    return heads
+
+
+def test_normalise_reaches_the_fixpoint_and_gives_a_normal_path_back_itself():
+    """Through the memo that holds a path, ``normalise`` gives the path
+    itself when it is normal already, and its own result when given that."""
+    counts = {True: 0, False: 0}
+    for schema, memo, paths in normal_form_cases():
+        for p in paths:
+            norm = normalise(schema, p, memo)
+            assert norm == fixpoint_normal_form(schema, p)
+            assert normalise(schema, norm, memo) is norm
+            assert (norm is p) == (norm == p)
+            counts[norm is p] += 1
+    assert min(counts.values()) > 100, counts
+
+
+def test_rewrite_windows_runs_once_per_distinct_chain(monkeypatch):
+    calls = []
+    rewrite = P._rewrite_windows
+    monkeypatch.setattr(P, "_rewrite_windows", lambda *args: calls.append(1) or rewrite(*args))
+    shared = 0
+    for schema, memo, paths in normal_form_cases():
+        calls.clear()
+        for p in paths:
+            normalise(schema, p, memo)
+        heads = chain_heads(paths)
+        assert len(calls) == len(heads)
+        normalise(schema, paths[0], memo)
+        assert len(calls) == len(heads)
+        shared += sum(len(chain_heads([p])) for p in paths) - len(heads)
+    # readings of one parse share chains, which are rewritten once
+    assert shared > 0
