@@ -37,8 +37,8 @@ class Session:
     schema: Schema | None = None
     base_pop: Population | None = None
     derived_pop: Population | None = None
-    # the base population of derived_pop, and the schema generation it was
-    # derived at
+    # the base population and the derivation rules that derived_pop was
+    # derived from
     derived_from: tuple | None = None
     out_format: str = "table"
     ambiguity: str = "pick-first"  # fail | list | pick-first
@@ -72,7 +72,7 @@ class Session:
         if self.base_pop is None:
             self.base_pop = Population(schema)
         if schema.derivations:
-            source = (self.base_pop, schema.generation)
+            source = (self.base_pop, schema.derivations)
             if self.derived_pop is None or self.derived_from != source:
                 self.derived_pop = P.apply_derivations(schema, self.base_pop)
                 self.derived_from = source
@@ -179,13 +179,11 @@ def _listing(title: str, texts: list[str]) -> str:
 # text's.
 #
 # Both tables are ``schema.Kept`` tables of at most ``PREPARED_CAP``
-# entries, which drop the entry used least recently past it.  An entry, of
-# a text or of a shape, is served only while the schema is at the
-# generation it was prepared at: ``Schema.revise`` starts a new one on each
-# change of the macros or derivation rules, which the readings depend on.
-# A stale entry counts as a miss.  A text or shape whose parse raises is not
-# kept, and a text whose shape's parse raises is parsed itself, so that it
-# raises its own error.
+# entries, which drop the entry used least recently past it.
+# ``Schema.revise`` empties both on each change of the macros or derivation
+# rules, which the readings depend on.  A text or shape whose parse raises
+# is not kept; a shape keeps the positions of its text's tokens, so a text
+# whose shape's parse raises raises its own error.
 
 
 def _readings(schema: Schema, text: str | list[Token]) -> ParseResult:
@@ -217,13 +215,11 @@ class _Stage:
 
 
 class Prepared:
-    """A query text, or shape, made ready for every population of one
-    schema: its kept readings, the schema generation they were read at, and,
-    worked out on first need, the readings' verbalised texts and the stage
-    of the chosen one, the first."""
+    """A query text made ready for every population of one schema: its kept
+    readings and, worked out on first need, the readings' verbalised texts
+    and the stage of the chosen one, the first."""
 
-    def __init__(self, schema: Schema, readings: tuple):
-        self.generation = schema.generation
+    def __init__(self, readings: tuple):
         self.readings = readings
         self._texts: list[str] | None = None
         self._stage: _Stage | None = None
@@ -313,25 +309,20 @@ def _bind(readings: tuple, values: list) -> tuple:
 
 
 def _shaped_readings(schema: Schema, text: str) -> tuple:
-    """The kept readings of ``text``: its shape's, bound to its literals,
-    or, when its shape's parse raises, its own."""
-    tokens = tokenize(text)
-    key, values, shaped = _shape(tokens)
-    entry = schema.shapes.find(key, schema.generation)
-    if entry is None:
-        try:
-            entry = schema.shapes.keep(key, Prepared(schema, _kept(_readings(schema, shaped))))
-        except ConquerError:
-            return _kept(_readings(schema, tokens))
-    return _bind(entry.readings, values) if values else entry.readings
+    """The kept readings of ``text``: its shape's, bound to its literals."""
+    key, values, shaped = _shape(tokenize(text))
+    readings = schema.shapes.find(key)
+    if readings is None:
+        readings = schema.shapes.keep(key, _kept(_readings(schema, shaped)))
+    return _bind(readings, values) if values else readings
 
 
 def prepared(schema: Schema, text: str) -> Prepared:
-    """The prepared query of ``text``: the one ``schema`` keeps while it is
-    current, else a new one, kept."""
-    entry = schema.prepared.find(text, schema.generation)
+    """The prepared query of ``text``: the one ``schema`` keeps, else a new
+    one, kept."""
+    entry = schema.prepared.find(text)
     if entry is None:
-        entry = schema.prepared.keep(text, Prepared(schema, _shaped_readings(schema, text)))
+        entry = schema.prepared.keep(text, Prepared(_shaped_readings(schema, text)))
     return entry
 
 
@@ -406,7 +397,7 @@ def cmd_dump_records(session: Session, text: str) -> str:
     schema = session.loaded_schema()
     # a prepared query keeps no record tree, so this parse is not kept
     result = _readings(schema, text)
-    Prepared(schema, tuple(result.interpretations)).chosen(schema, session.ambiguity)
+    Prepared(tuple(result.interpretations)).chosen(schema, session.ambiguity)
     records = result.interpretations[0].records
     if records.projection is None and records.order is None:
         records = records.inf  # a bare descriptor: its LIST I adds nothing

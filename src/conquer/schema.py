@@ -5,9 +5,9 @@ the roles that make up relationship types, the type-relatedness relation,
 reference schemes, and all the naming tables the parser and verbaliser
 work from.  Schemas are immutable once loaded and safe to share between
 concurrent readers, but for the macros and derivation rules, which
-``Schema.revise`` alone changes, counting each change in ``generation``;
-only the plans that ``paths`` keeps of the derivation rules and constraints,
-the query texts and shapes that ``cli`` prepares, the population loader and
+``Schema.revise`` alone changes, dropping the work kept on them; only the
+plans that ``paths`` keeps of the derivation rules and constraints, the
+query texts and shapes that ``cli`` prepares, the population loader and
 the one plan node per structure that ``relalg`` compiles are added on first
 use, and two readers that both build one build the same (two that race to
 add one structure's node may each keep their own, which only shares less).
@@ -53,7 +53,6 @@ class TypeInfo:
     tid: TypeId
     is_relationship: bool = False
     is_value_type: bool = False
-    is_nested: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class NamingTables:
     pre: dict[tuple[TypeId, str], str] = field(default_factory=dict)
     post: dict[TypeId, str] = field(default_factory=dict)
     mfix: list[MFixEntry] = field(default_factory=list)
-    vnm: dict[AttrName, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -134,11 +132,11 @@ class Kept(OrderedDict):
         self.cap = cap
         self.hits = self.misses = 0
 
-    def find(self, key, generation: int | None = None) -> Any:
+    def find(self, key) -> Any:
         """The entry of ``key``, now the one used last; None, a miss, when
-        there is none or it was made at another ``generation`` than one given."""
+        there is none."""
         out = self.get(key)
-        if out is None or generation is not None and out.generation != generation:
+        if out is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -169,8 +167,6 @@ class Schema:
     # the macros and derivation rules, which only ``revise`` changes
     macros: Mapping[str, Macro] = field(default_factory=lambda: MappingProxyType({}))
     derivations: tuple = ()
-    # how many times ``revise`` has changed them
-    generation: int = field(default=0, compare=False)
     constraints: list = field(default_factory=list)
     # raw query texts kept for the frontend compile pass
     raw_macros: list = field(default_factory=list)
@@ -180,10 +176,12 @@ class Schema:
     # builds on first use and ``revise`` drops: id of the rule or
     # constraint path -> (it, plan)
     plans: dict = field(default_factory=dict, compare=False, repr=False)
-    # the query texts that ``cli`` has prepared: text -> its prepared query
+    # the query texts that ``cli`` has prepared, which ``revise`` drops:
+    # text -> its prepared query
     prepared: Kept = field(default_factory=lambda: Kept(PREPARED_CAP), compare=False, repr=False)
     # the query shapes that ``cli`` has prepared, which serve the texts of
-    # one shape that differ in their literals
+    # one shape that differ in their literals and which ``revise`` drops:
+    # shape key -> its kept readings
     shapes: Kept = field(default_factory=lambda: Kept(PREPARED_CAP), compare=False, repr=False)
     # the population loader, which ``population`` builds on the first load
     loader: Any = field(default=None, compare=False, repr=False)
@@ -230,16 +228,17 @@ class Schema:
         return self.roots.get(x, frozenset({x}))
 
     def revise(self, *, macros: Mapping[str, Macro] | None = None, derivations: Iterable | None = None) -> None:
-        """Replace the macros, the derivation rules or both, and count one
-        more generation.  The plans of the rules and constraints go; other
-        work kept on the schema records the generation it was made at, so
-        one compare tells it stale."""
+        """Replace the macros, the derivation rules or both, and drop the
+        work kept on them: the plans of the rules and constraints, and the
+        prepared texts and shapes, whose readings the macros and the derived
+        types shape."""
         if macros is not None:
             self.macros = MappingProxyType(dict(macros))
         if derivations is not None:
             self.derivations = tuple(derivations)
-        self.generation += 1
         self.plans.clear()
+        self.prepared.clear()
+        self.shapes.clear()
 
     def derived_types(self) -> frozenset:
         """The types that a derivation rule defines."""
@@ -368,13 +367,6 @@ def validate_schema(schema: Schema) -> list[str]:
         elif rels != {entry.rel}:
             diags.append(f"mix-fix entry {entry.parts!r} names {entry.rel!r} but its roles belong to {rels.pop()!r}")
 
-    vnm_names: dict[str, list[AttrName]] = {}
-    for a, n in schema.naming.vnm.items():
-        vnm_names.setdefault(n, []).append(a)
-    for n in sorted(vnm_names):
-        if len(vnm_names[n]) > 1:
-            diags.append(f"variable name {n!r} is not unique")
-
     for rule in schema.derivations:
         if isinstance(rule, FactRule):
             covered = [r for r, _ in rule.role_attrs]
@@ -401,29 +393,40 @@ def _role_name_diags(schema: Schema, table: dict[RoleId, str], what: str) -> lis
 
 
 def _idf_cycle_diags(schema: Schema) -> list[str]:
-    # follow every component of every pair of a reference scheme, to the
-    # type whose scheme identifies the component: its own type, or the root
-    # whose scheme a subtype without one inherits.  A type whose chains
-    # reach a cycle has no finite denotation, and head/tail coercion through
-    # it would diverge
+    # follow every component of every reference scheme, the second role of
+    # each pair or each role of a roles scheme, to the type whose scheme
+    # identifies it: its player, or the root whose scheme a player without
+    # one inherits.  A type whose pairs chains reach a cycle, or that lies
+    # on a cycle through a roles scheme, has no finite denotation, and
+    # head/tail coercion through it would diverge
     def identified_by(t: TypeId) -> TypeId:
         roots = schema.roots.get(t, ())
         return next(iter(roots)) if t not in schema.idf and len(roots) == 1 else t
 
+    def component_roles(scheme: Idf) -> Iterable[RoleId]:
+        return (s for _, s in scheme.entries) if scheme.kind == "pairs" else scheme.entries
+
     follows = {
-        tid: {identified_by(schema.roles[s].player) for _, s in scheme.entries if s in schema.roles}
+        tid: {identified_by(schema.roles[s].player) for s in component_roles(scheme) if s in schema.roles}
         for tid, scheme in schema.idf.items()
-        if scheme.kind == "pairs"
     }
-    ends: set[TypeId] = set()  # types every chain from which ends
-    grew = True
-    while grew:
-        grew = False
-        for tid, nxt in follows.items():
-            if tid not in ends and all(t in ends or t not in follows for t in nxt):
-                ends.add(tid)
-                grew = True
-    return [f"reference scheme chain starting at {tid!r} is cyclic" for tid in sorted(follows) if tid not in ends]
+
+    def reached(tid: TypeId, through: set) -> set[TypeId]:
+        """The types that the chains from ``tid`` reach, each step to a
+        type of ``through``."""
+        out, stack = set(), [tid]
+        while stack:
+            new = (follows.get(stack.pop(), set()) & through) - out
+            out |= new
+            stack.extend(new)
+        return out
+
+    pairs = {tid for tid, scheme in schema.idf.items() if scheme.kind == "pairs"}
+    by_pairs = {tid: reached(tid, pairs) for tid in pairs}
+    reach = {tid: reached(tid, set(follows)) for tid in follows}
+    cyclic = {tid for tid in pairs if any(t in by_pairs[t] for t in by_pairs[tid] | {tid})}
+    cyclic |= {tid for tid in follows for r in follows.keys() - pairs if r in reach[tid] and tid in reach[r]}
+    return [f"reference scheme chain starting at {tid!r} is cyclic" for tid in sorted(cyclic)]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +483,7 @@ def load_schema(data: dict | str) -> Schema:
             nested = bool(spec.get("is_nested", False))
         if nested and (not is_rel or is_val):
             raise SchemaError(f"nested type {tid!r} must be a non-value relationship type")
-        schema.types[tid] = TypeInfo(tid, is_relationship=is_rel, is_value_type=is_val, is_nested=nested)
+        schema.types[tid] = TypeInfo(tid, is_relationship=is_rel, is_value_type=is_val)
 
     # builtin value types
     schema.types[BOOL_TYPE] = TypeInfo(BOOL_TYPE, is_value_type=True)

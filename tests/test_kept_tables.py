@@ -1,11 +1,12 @@
-"""The tables of kept work and the schema generation.
+"""The tables of kept work and what makes it stale.
 
 ``Schema.prepared``, ``Schema.shapes`` and ``Population.results`` are
-``Kept`` tables: capped, the entry used least recently dropped first.  A
-schema counts one generation more on each change of its macros or
-derivation rules, made through ``Schema.revise`` alone, and each thing kept
-against the schema (a prepared text or shape, a rule's plan, a session's
-derived population) is current while it records the schema's generation."""
+``Kept`` tables: capped, the entry used least recently dropped first.  The
+macros and derivation rules of a schema change through ``Schema.revise``
+alone, which drops the work kept on them: the prepared texts and shapes and
+the rules' and constraints' plans.  A session's derived population is kept
+while its base population and the schema's rules are the ones it was
+derived from."""
 
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ from conquer import relalg as ra
 from conquer.cli import PREPARED_CAP, Session, execute, load_full_schema, run_query
 from conquer.frontend import tokenize
 from conquer.population import load_population
-from conquer.schema import Kept, Schema
+from conquer.schema import Kept, Schema, TypeRule
 
 from .test_prepared_shapes import fresh
-from .test_rule_plans import population_doc, schema_doc
+from .test_rule_plans import path_of, population_doc, schema_doc
 
 TEXT = "a Person who earns a Salary x WHERE x > 1000"
 
@@ -37,7 +38,7 @@ def test_a_kept_table_drops_the_entry_used_least_recently():
     assert table.find("b") is None and (table.hits, table.misses) == (1, 1)
 
 
-def test_an_entry_of_another_generation_is_a_miss():
+def test_a_text_prepared_before_a_macro_is_a_miss():
     session = fresh()
     run_query(session, TEXT)
     prepared = session.schema.prepared
@@ -81,11 +82,13 @@ def test_a_used_shape_outlives_the_older_unused_ones():
 
 @pytest.fixture
 def counts(monkeypatch) -> Counter:
-    """Calls from now on of what builds kept work: ``Prepared``,
-    ``compile_plan``, ``apply_derivations`` and ``Schema.derived_types``."""
+    """Calls from now on of what builds kept work: ``Prepared``, the parse
+    of a shape (``_readings``), ``compile_plan``, ``apply_derivations`` and
+    ``Schema.derived_types``."""
     out: Counter = Counter()
     targets = [
-        (cli.Prepared, "__init__"), (ra, "compile_plan"), (P, "apply_derivations"), (Schema, "derived_types"),
+        (cli.Prepared, "__init__"), (cli, "_readings"), (ra, "compile_plan"), (P, "apply_derivations"),
+        (Schema, "derived_types"),
     ]
     for owner, name in targets:
         fn = getattr(owner, name)
@@ -111,26 +114,54 @@ def test_a_warm_hit_reads_no_derived_types(counts):
     assert counts == Counter()
 
 
-def test_one_change_rebuilds_each_kept_thing_once(counts):
+def test_a_macro_prepares_the_text_again_and_keeps_the_derived_population(counts):
     session = rules_session()
     schema = session.schema
     first = run_query(session, TEXT)
     key = cli._shape(tokenize(TEXT))[0]
-    kept = [schema.prepared[TEXT], schema.shapes[key], session.derived_pop]
-    plans = {id(rule): schema.plans[id(rule)][1] for rule in schema.derivations}
-    generation = schema.generation
+    kept = [schema.prepared[TEXT], schema.shapes[key]]
+    derived = session.derived_pop
     execute(session, "\\macro Doubled(n) ::= n * 2")
-    assert schema.generation == generation + 1
     counts.clear()
     for _ in range(3):
         assert run_query(session, TEXT) == first
-    # the text and its shape are prepared once each, the derived population
-    # is derived once, and each rule's plan and the text's are compiled once
-    assert counts["__init__"] == 2 and counts["apply_derivations"] == 1
-    assert counts["compile_plan"] == len(schema.derivations) + 1
-    now = [schema.prepared[TEXT], schema.shapes[key], session.derived_pop]
+    # the text and its shape are prepared once each and the text's plan is
+    # compiled once; the rules are the same, so nothing is derived again
+    assert counts["__init__"] == 1 and counts["_readings"] == 1 and counts["compile_plan"] == 1
+    assert counts["apply_derivations"] == 0 and session.derived_pop is derived
+    now = [schema.prepared[TEXT], schema.shapes[key]]
     assert all(new is not old for new, old in zip(now, kept))
-    assert all(schema.plans[k][1] is not plan for k, plan in plans.items())
+    # the rules' plans went with the macro and are built on the next derive
+    assert schema.plans == {}
+    execute(session, "\\derive")
+    assert counts["compile_plan"] == 1 + len(schema.derivations) and len(schema.plans) == len(schema.derivations)
+
+
+def test_a_rule_change_derives_the_population_once(counts):
+    session = rules_session()
+    schema = session.schema
+    first = run_query(session, TEXT)
+    derived = session.derived_pop
+    richer = TypeRule("HighEarner", path_of(schema, "a Person who earns a Salary x WHERE x >= 5000"))
+    schema.revise(derivations=(richer,) + schema.derivations[1:])
+    counts.clear()
+    for _ in range(3):
+        assert run_query(session, TEXT) == first
+    # the population is derived once, compiling each rule's plan once, and
+    # the text's plan is compiled once
+    assert counts["apply_derivations"] == 1 and session.derived_pop is not derived
+    assert counts["compile_plan"] == len(schema.derivations) + 1
+
+
+@pytest.mark.parametrize("change", ["macros", "derivations"])
+def test_a_revise_drops_the_kept_plans_texts_and_shapes(change):
+    session = rules_session()
+    schema = session.schema
+    run_query(session, TEXT)
+    execute(session, "\\derive")
+    assert schema.plans and schema.prepared and schema.shapes
+    schema.revise(**{change: getattr(schema, change)})
+    assert schema.plans == {} and schema.prepared == {} and schema.shapes == {}
 
 
 def test_the_rules_refuse_a_direct_write():
@@ -138,6 +169,5 @@ def test_the_rules_refuse_a_direct_write():
     schema = load_full_schema(schema_doc())
     with pytest.raises(AttributeError):
         schema.derivations.append(schema.derivations[0])
-    generation = schema.generation
     schema.revise(derivations=schema.derivations[:1])
-    assert len(schema.derivations) == 1 and schema.generation == generation + 1
+    assert len(schema.derivations) == 1

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from conquer.cli import load_full_schema
 from conquer.errors import PopulationError, SchemaError
 from conquer.population import load_population
-from conquer.schema import load_schema, validate_schema
+from conquer.schema import MFixEntry, load_schema, validate_schema
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -150,6 +151,16 @@ class TestValidation:
         with pytest.raises(PopulationError, match="'Student' is cyclic"):
             load_population(schema, {"Person": [["ann", ["bob", "cy"]]]})
 
+    def test_cycle_through_a_roles_scheme(self):
+        # a Company is identified by the Person of its G fact, and a Person
+        # by the Company of its own: both lie on the cycle
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["idf"].update({"Company": ["q1"], "Person": [["q1", "q2"]]})
+        assert validate_schema(load_schema(doc)) == [
+            "reference scheme chain starting at 'Company' is cyclic",
+            "reference scheme chain starting at 'Person' is cyclic",
+        ]
+
     def test_asymmetric_relatedness(self):
         schema = load_schema(fig_doc())
         schema.related["A"] = schema.related["A"] | {"B"}
@@ -158,6 +169,78 @@ class TestValidation:
     def test_reserved_type_ids(self):
         with pytest.raises(SchemaError, match="reserved"):
             load_schema({"types": {"Bool": "value"}})
+
+
+class TestDocumentInputs:
+    def test_flag_object_type_specs(self):
+        doc = fig_doc()
+        doc["types"].update({
+            "Tag": {"is_value_type": True},
+            "Pair": {"is_relationship": True},
+            "Nest": {"is_relationship": True, "is_nested": True},
+            "Kind": {"kind": "nested"},
+        })
+        schema = load_schema(doc)
+        assert schema.is_value("Tag") and not schema.is_relationship("Tag")
+        assert all(schema.is_relationship(t) and not schema.is_value(t) for t in ("Pair", "Nest", "Kind"))
+
+    @pytest.mark.parametrize("flags", [{"is_nested": True}, {"is_nested": True, "is_relationship": True, "is_value_type": True}])
+    def test_a_nested_type_must_be_a_non_value_relationship(self, flags):
+        doc = fig_doc()
+        doc["types"]["Nest"] = flags
+        with pytest.raises(SchemaError, match="nested type 'Nest' must be a non-value relationship type"):
+            load_schema(doc)
+
+    def test_related_and_unrelated_pairs(self):
+        doc = fig_doc()
+        doc["types"]["Student"] = "entity"
+        doc["specialises"] = {"Student": "A"}
+        doc["related"] = [["A", "B"]]
+        doc["unrelated"] = [["Student", "A"]]
+        schema = load_schema(doc)
+        assert schema.type_related("A", "B") and schema.type_related("B", "A")
+        assert not schema.type_related("Student", "A") and not schema.type_related("A", "Student")
+        assert schema.roots_of("Student") == frozenset({"A"})
+
+    def test_a_declared_role_with_no_player(self):
+        doc = fig_doc()
+        doc["roles"] = ["p", "x"]
+        with pytest.raises(SchemaError, match="role 'x' has no player"):
+            load_schema(doc)
+
+    def test_the_object_form_of_a_mixfix_entry(self):
+        doc = fig_doc()
+        listed = ["F", ["has", "in"], ["p", "q", "r"]]
+        doc["naming"]["mfix"] = [listed, {"rel": "G", "parts": ["of"], "roles": ["g1", "g2"]}]
+        schema = load_schema(doc)
+        assert schema.naming.mfix == [MFixEntry("F", ("has", "in"), ("p", "q", "r")), MFixEntry("G", ("of",), ("g1", "g2"))]
+        assert validate_schema(schema) == []
+
+    def test_a_role_listed_under_two_fact_types(self):
+        # the role declares the fact type that lists it last in the
+        # document, and validation reads the fact types in sorted order
+        doc = fig_doc()
+        roles_of = doc["roles_of"]
+        doc["roles_of"] = {"G": roles_of.pop("G") + ["p"], **roles_of}
+        assert validate_schema(load_schema(doc)) == [
+            "role 'p' appears in both 'F' and 'G'",
+            "role 'p' declares relationship 'F' but is listed under 'G'",
+        ]
+
+    def test_a_fact_rule_that_does_not_cover_its_roles(self):
+        doc = json.loads((DEMO / "schema.json").read_text())
+        doc["types"]["Staff"] = "relationship"
+        doc["roles_of"]["Staff"] = ["st1", "st2"]
+        doc["player"].update({"st1": "Company", "st2": "Person"})
+        doc["idf"]["Staff"] = ["st1", "st2"]
+        doc["derivations"] = [{"fact": "Staff", "roles": {"st2": "p"}, "body": "a Person p who works for a Company c"}]
+        assert validate_schema(load_full_schema(doc)) == ["derivation rule for 'Staff' does not cover its roles exactly once"]
+
+    @pytest.mark.parametrize("table, what", [("pnm", "role name"), ("rnm", "reverse role name")])
+    def test_a_role_name_of_an_unknown_role(self, table, what):
+        doc = fig_doc()
+        doc["naming"][table]["zz"] = "names"
+        assert validate_schema(load_schema(doc)) == [f"{what} given for unknown role 'zz'"]
 
 
 class TestRelatedness:

@@ -135,6 +135,15 @@ def test_a_denotation_through_a_cyclic_reference_scheme_is_refused(scheme):
         run_query(session, "a Person who works for a Company: 'acme'")
 
 
+@pytest.mark.parametrize("scheme", [["q2"], [["q1", "q2"]]], ids=["roles", "pairs"])
+def test_validation_reports_the_cyclic_reference_scheme_that_a_denotation_meets(scheme):
+    """Company is reported, and G, whose roles scheme only reaches the
+    cycle, is not."""
+    doc = copy.deepcopy(SCHEMAS["demo"])
+    doc["idf"]["Company"] = scheme
+    assert validate_schema(load_full_schema(doc)) == ["reference scheme chain starting at 'Company' is cyclic"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(SCHEMAS)), edit_lists, st.sampled_from(QUERIES))
 def test_an_edited_schema_answers_or_is_refused(name, edits, query):
