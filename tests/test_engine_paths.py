@@ -117,7 +117,9 @@ def test_a_macro_argument_in_a_denotation():
 
 
 @pytest.mark.parametrize(
-    "argument, read_as", [("SOME a Company", "Some(Some(Company))"), ("1000", "Some(1000)")], ids=["condition", "scalar"]
+    "argument, read_as",
+    [("SOME a Company", "Some(Some(Company))"), ("1000", "Some(1000)")],
+    ids=["condition", "scalar"],
 )
 def test_a_condition_macro_path_parameter_given_a_condition_or_a_scalar_in_a_text(argument, read_as):
     session = demo_session()

@@ -184,7 +184,9 @@ class TestDocumentInputs:
         assert schema.is_value("Tag") and not schema.is_relationship("Tag")
         assert all(schema.is_relationship(t) and not schema.is_value(t) for t in ("Pair", "Nest", "Kind"))
 
-    @pytest.mark.parametrize("flags", [{"is_nested": True}, {"is_nested": True, "is_relationship": True, "is_value_type": True}])
+    @pytest.mark.parametrize(
+        "flags", [{"is_nested": True}, {"is_nested": True, "is_relationship": True, "is_value_type": True}]
+    )
     def test_a_nested_type_must_be_a_non_value_relationship(self, flags):
         doc = fig_doc()
         doc["types"]["Nest"] = flags
@@ -213,7 +215,9 @@ class TestDocumentInputs:
         listed = ["F", ["has", "in"], ["p", "q", "r"]]
         doc["naming"]["mfix"] = [listed, {"rel": "G", "parts": ["of"], "roles": ["g1", "g2"]}]
         schema = load_schema(doc)
-        assert schema.naming.mfix == [MFixEntry("F", ("has", "in"), ("p", "q", "r")), MFixEntry("G", ("of",), ("g1", "g2"))]
+        assert schema.naming.mfix == [
+            MFixEntry("F", ("has", "in"), ("p", "q", "r")), MFixEntry("G", ("of",), ("g1", "g2")),
+        ]
         assert validate_schema(schema) == []
 
     def test_a_role_listed_under_two_fact_types(self):
@@ -234,7 +238,8 @@ class TestDocumentInputs:
         doc["player"].update({"st1": "Company", "st2": "Person"})
         doc["idf"]["Staff"] = ["st1", "st2"]
         doc["derivations"] = [{"fact": "Staff", "roles": {"st2": "p"}, "body": "a Person p who works for a Company c"}]
-        assert validate_schema(load_full_schema(doc)) == ["derivation rule for 'Staff' does not cover its roles exactly once"]
+        diags = validate_schema(load_full_schema(doc))
+        assert diags == ["derivation rule for 'Staff' does not cover its roles exactly once"]
 
     @pytest.mark.parametrize("table, what", [("pnm", "role name"), ("rnm", "reverse role name")])
     def test_a_role_name_of_an_unknown_role(self, table, what):
