@@ -196,8 +196,8 @@ class Lowerer:
     def subtype_glue(self, rec: R.BinaryOp) -> P.PathExpr:
         left = self.descr(rec.left)
         right = self.descr(rec.right)
-        last = {e for e in P._ends(left, self.memo.ends)[1] if e[0] == "type"}
-        first = {e for e in P._ends(right, self.memo.ends)[0] if e[0] == "type"}
+        last = {e for e in left.ends[1] if e[0] == "type"}
+        first = {e for e in right.ends[0] if e[0] == "type"}
         ok = any(
             self.schema.type_related(x[1], y[1]) for x in last for y in first
         )

@@ -4,15 +4,18 @@ A path expression denotes a derived relation with two distinguished
 columns, ``hd`` and ``tl``.  This module provides:
 
 * the expression tree itself (plus its scalar, condition and denotation
-  sub-families),
-* ``PathMemo``, one parse's intern table of nodes and the analyses worked
-  out for each distinct node,
+  sub-families), each node keeping its own schema-free facts: the
+  variables it uses and the atoms it can start and end with,
+* ``PathMemo``, the intern table of one parse, verbalisation or
+  translation, and the analyses worked out for each distinct node that
+  depend on the schema or the typing,
 * typing inference for the variables occurring in a tree,
 * the head/tail type analysis used for disambiguation (an empty result
   proves the expression evaluates empty on every population),
 * the translation into relational algebra, including head/tail coercion
   through reference schemes, macro expansion, and the binder joins that
-  tie free condition variables to their types,
+  tie free condition variables to their types; every expansion and
+  coercion is built through the translator's one memo,
 * normalisation rewrites, derivation-rule application, constraint
   checking, and result ordering.
 
@@ -23,8 +26,9 @@ kind needs no walker case.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Union as TUnion
 
 from . import relalg as ra
@@ -53,63 +57,159 @@ TL: AttrName = "tl"
 # the expression trees
 
 
+class _Node:
+    """Base of every path, scalar, condition and denotation node.  A node
+    makes each of its ``tuple`` fields a tuple when it is built, so a list
+    given there is one, and works out its schema-free facts, ``uses`` and
+    ``ends``, on first use and keeps them on itself, where they enter
+    neither ``==``, ``hash`` nor ``walk.intern_key``."""
+
+    def __post_init__(self):
+        for name in _tuple_fields(type(self)):
+            v = getattr(self, name)
+            if type(v) is not tuple:
+                object.__setattr__(self, name, tuple(v))
+
+    @functools.cached_property
+    def uses(self) -> frozenset[AttrName]:
+        """The variable attributes the node uses (binding positions).  The
+        structural columns hd and tl are not variables and never require
+        binding."""
+        if isinstance(self, (AttrAtom, SVar, SVarRole)):
+            own = {self.attr} - {HD, TL}
+        elif isinstance(self, Denote) and isinstance(self.den, Abstract):
+            own = {self.den.attr} - {HD, TL}
+        else:
+            own = set()
+        return _union(own, [c.uses for c in children(self, PATH_KINDS)])
+
+    @functools.cached_property
+    def ends(self) -> tuple[frozenset, frozenset]:
+        """The atoms the path can start with and those it can end with, read
+        by typing inference at each junction.  A node may hand back its
+        operand's sets, so they are frozen."""
+        p = self
+        if isinstance(p, (TypeAtom, Denote)):
+            first = last = frozenset({(_TYPE, p.tid)})
+        elif isinstance(p, RoleEntry):
+            first = last = frozenset({(_ENTRY, p.rid)})
+        elif isinstance(p, AttrAtom):
+            first = last = frozenset({(_ATTR, p.attr)})
+        elif isinstance(p, Shuffle):
+            first, last = frozenset({(_ATTR, p.attrs[0])}), frozenset({(_ATTR, p.attrs[-1])})
+        elif isinstance(p, MixFix):
+            first, last = frozenset({(_ENTRY, p.first)}), frozenset({(_EXIT, p.last)})
+        elif isinstance(p, Reverse):
+            f, l = p.of.ends
+            first, last = frozenset(_flip(e) for e in l), frozenset(_flip(e) for e in f)
+        elif isinstance(p, (Concat, Product, MissingPath, RelCompare)):
+            first, right = p.left.ends[0], p.right.ends
+            # a product ends where its right operand starts
+            last = right[0] if isinstance(p, Product) else right[1]
+        elif isinstance(p, (DistinctPath, HdCoerce, TlCoerce, Confluence, SetCompare)):
+            first, last = (p.left if isinstance(p, SetCompare) else p.of).ends
+        elif isinstance(p, Front):
+            first = last = p.of.ends[0]
+        elif isinstance(p, (SetOp, Where, SubExpr)):
+            if isinstance(p, SetOp):
+                parts = [p.left] if p.op == "minus" else [p.left, p.right]
+            elif isinstance(p, Where):
+                parts = [body for body, _ in p.branches] + ([] if p.default is None else [p.default])
+            else:
+                parts = p.items
+            first = frozenset().union(*[q.ends[0] for q in parts])
+            # a filter ends where its items start
+            last = first if isinstance(p, SubExpr) else frozenset().union(*[q.ends[1] for q in parts])
+        else:
+            first = last = frozenset()
+        return first, last
+
+
+@functools.cache
+def _tuple_fields(kind: type) -> tuple[str, ...]:
+    """The fields ``kind`` declares ``tuple`` (annotations are strings in
+    this module)."""
+    return tuple(f.name for f in fields(kind) if f.type == "tuple")
+
+
+def _union(own: set, parts: list) -> frozenset:
+    """``own`` and every part together; the one part itself when it holds
+    them all, so that a chain of nodes keeps one set."""
+    if not own and len(parts) == 1:
+        return parts[0]
+    return frozenset(own.union(*parts))
+
+
+# the ends of a path, used for junction patterns
+_TYPE, _ENTRY, _EXIT, _ATTR = "type", "entry", "exit", "attr"
+
+
+def _flip(end: tuple) -> tuple:
+    kind, payload = end
+    if kind == _ENTRY:
+        return (_EXIT, payload)
+    if kind == _EXIT:
+        return (_ENTRY, payload)
+    return end
+
+
 @dataclass(frozen=True)
-class TypeAtom:
+class TypeAtom(_Node):
     tid: TypeId
 
 
 @dataclass(frozen=True)
-class RoleEntry:
+class RoleEntry(_Node):
     rid: RoleId
 
 
 @dataclass(frozen=True)
-class AttrAtom:
+class AttrAtom(_Node):
     attr: AttrName
 
 
 @dataclass(frozen=True)
-class Reverse:
+class Reverse(_Node):
     of: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(_Node):
     left: "PathExpr"
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Front:
+class Front(_Node):
     of: "PathExpr"
 
 
 @dataclass(frozen=True)
-class DistinctPath:
+class DistinctPath(_Node):
     of: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Node):
     left: "PathExpr"
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class SetCompare:
+class SetCompare(_Node):
     left: "PathExpr"
     op: str  # all_in (subset), includes_all (superset), match_all (equal)
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class MissingPath:
+class MissingPath(_Node):
     left: "PathExpr"
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class SetOp:
+class SetOp(_Node):
     """Union, intersection or difference of two paths on their common
     columns.  OR OTHERWISE, AND ALSO and BUT NOT are the same operations
     over ``Front`` operands."""
@@ -120,32 +220,23 @@ class SetOp:
 
 
 @dataclass(frozen=True)
-class RelCompare:
+class RelCompare(_Node):
     left: "PathExpr"
     op: str  # < <= = <> >= >
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Shuffle:
+class Shuffle(_Node):
     of: "PathExpr"
     attrs: tuple
 
-    def __init__(self, of, attrs):
-        object.__setattr__(self, "of", of)
-        object.__setattr__(self, "attrs", tuple(attrs))
-
 
 @dataclass(frozen=True)
-class MixFix:
+class MixFix(_Node):
     first: RoleId
     middles: tuple  # (RoleId, PathExpr) pairs
     last: RoleId
-
-    def __init__(self, first, middles, last):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "middles", tuple(middles))
-        object.__setattr__(self, "last", last)
 
     @property
     def roles(self) -> tuple:
@@ -153,91 +244,73 @@ class MixFix:
 
 
 @dataclass(frozen=True)
-class FuncApp:
+class FuncApp(_Node):
     func: str
     args: tuple
 
-    def __init__(self, func, args):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "args", tuple(args))
-
 
 @dataclass(frozen=True)
-class Where:
+class Where(_Node):
     branches: tuple  # (PathExpr, PeCond) pairs
-    default: Any  # PathExpr | None
+    default: Any = None  # PathExpr | None
     simple: bool = True
 
-    def __init__(self, branches, default=None, simple=True):
-        object.__setattr__(self, "branches", tuple(branches))
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "simple", simple)
-
 
 @dataclass(frozen=True)
-class Confluence:
+class Confluence(_Node):
     elements: tuple  # (attr, PathExpr, attr) triples: name, gatherer, connection
     of: "PathExpr"
-
-    def __init__(self, elements, of):
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "of", of)
 
 
 GROUP_KINDS = ("count", "dscount", "sum", "dssum", "min", "max", "avg")
 
 
 @dataclass(frozen=True)
-class GroupFn:
+class GroupFn(_Node):
     kind: str
     of: "PathExpr"
     by: tuple
-    target: Any  # AttrName | None; the counting kinds carry none
+    target: Any = None  # AttrName | None; the counting kinds carry none
 
-    def __init__(self, kind, of, by, target=None):
+    def __post_init__(self):
+        kind, target = self.kind, self.target
         if kind not in GROUP_KINDS:
             raise ValueError(f"unknown group function {kind!r}")
         if kind in ("count", "dscount") and target is not None:
             raise ValueError("counting group functions take no target attribute")
         if kind not in ("count", "dscount") and target is None:
             raise ValueError(f"group function {kind!r} needs a target attribute")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "of", of)
-        object.__setattr__(self, "by", tuple(by))
-        object.__setattr__(self, "target", target)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class SubExpr:
+class SubExpr(_Node):
     items: tuple
 
-    def __init__(self, items):
-        object.__setattr__(self, "items", tuple(items))
-
 
 @dataclass(frozen=True)
-class Denote:
+class Denote(_Node):
     tid: TypeId
     den: "PeDenotation"
 
 
 @dataclass(frozen=True)
-class HdCoerce:
+class HdCoerce(_Node):
     of: "PathExpr"
 
 
 @dataclass(frozen=True)
-class TlCoerce:
+class TlCoerce(_Node):
     of: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Scalar:
+class Scalar(_Node):
     expr: "PeScalar"
 
 
 @dataclass(frozen=True)
-class CondPath:
+class CondPath(_Node):
     cond: "PeCond"
 
 
@@ -247,35 +320,31 @@ AGG_KINDS = ("count", "sum", "min", "max", "avg")
 
 
 @dataclass(frozen=True)
-class SConst:
+class SConst(_Node):
     value: Any
 
 
 @dataclass(frozen=True)
-class SAgg:
+class SAgg(_Node):
     kind: str
     of: "PathExpr"
 
 
 @dataclass(frozen=True)
-class SVar:
+class SVar(_Node):
     attr: AttrName
 
 
 @dataclass(frozen=True)
-class SVarRole:
+class SVarRole(_Node):
     attr: AttrName
     role: RoleId
 
 
 @dataclass(frozen=True)
-class SApply:
+class SApply(_Node):
     func: str
     args: tuple
-
-    def __init__(self, func, args):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "args", tuple(args))
 
 
 PeScalar = TUnion[SConst, SAgg, SVar, SVarRole, SApply]
@@ -285,38 +354,38 @@ PeScalar = TUnion[SConst, SAgg, SVar, SVarRole, SApply]
 
 
 @dataclass(frozen=True)
-class CSome:
+class CSome(_Node):
     of: "PathExpr"
 
 
 @dataclass(frozen=True)
-class CBagComp:
+class CBagComp(_Node):
     left: "PathExpr"
     op: str  # sub subeq = <> supeq sup
     right: "PathExpr"
 
 
 @dataclass(frozen=True)
-class CLogic:
+class CLogic(_Node):
     left: "PeCond"
     op: str  # and or xor implies iff
     right: "PeCond"
 
 
 @dataclass(frozen=True)
-class CScalarComp:
+class CScalarComp(_Node):
     left: PeScalar
     op: str  # < <= = <> >= >
     right: PeScalar
 
 
 @dataclass(frozen=True)
-class CNot:
+class CNot(_Node):
     of: "PeCond"
 
 
 @dataclass(frozen=True)
-class CExclusion:
+class CExclusion(_Node):
     """Mutual exclusion of the front elements of two paths."""
 
     left: "PathExpr"
@@ -330,21 +399,18 @@ PeCond = TUnion[CSome, CBagComp, CLogic, CScalarComp, CNot, CExclusion]
 
 
 @dataclass(frozen=True)
-class ByPath:
+class ByPath(_Node):
     path: "PathExpr"
 
 
 @dataclass(frozen=True)
-class Abstract:
+class Abstract(_Node):
     attr: AttrName
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Node):
     parts: tuple
-
-    def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
 
 
 PeDenotation = TUnion[ByPath, Abstract, Composite]
@@ -400,7 +466,8 @@ PATH_KINDS = frozenset(
 
 
 class PathMemo:
-    """The path nodes of one parse, and what has been worked out about them.
+    """The path nodes of one parse, and what has been worked out about them
+    that depends on the schema or the typing, or that builds nodes.
 
     ``node`` and ``adopt`` keep each node in an intern table under
     ``walk.intern_key``: its kind, its children by identity, and its other
@@ -411,18 +478,20 @@ class PathMemo:
     macro body, a test's expected path) still compares equal to an
     interned one.
 
-    Each analysis is kept by the id of the node it was worked out for, next
-    to that node, so that the id stays its own while the memo lives.  The
-    head/tail analysis depends on the typing as well, so it is kept per
-    typing.  A memo lives as long as the parse, or the verbalisation, that
+    The analyses kept are ``typing_pairs``, ``canonical``, ``normalise``
+    and, per typing, ``head_tail_combos`` and ``has_empty_subpath``; the
+    expansions of ``expand_mixfix``, ``expand_subexpr``, ``expand_denote``
+    and ``expand_coerce`` are built through ``node``.  Each analysis is
+    kept by the id of the node it was worked out for, next to that node,
+    so that the id stays its own while the memo lives.  What depends on the
+    node alone, its ``uses`` and ``ends``, the node keeps itself.  A memo
+    lives as long as the parse, the verbalisation or the translation that
     made it; nothing in it outlives that.
     """
 
     def __init__(self):
         self.nodes: dict = {}  # intern key -> node
-        self.ends: dict = {}  # ``_ends``
         self.pairs: dict = {}  # ``typing_pairs``
-        self.uses: dict = {}  # ``attr_uses``
         self.canon: dict = {}  # ``canonical``
         self.normal: dict = {}  # ``normalise``
         self.typed: dict = {}  # typing -> (``head_tail_combos``, ``has_empty_subpath``)
@@ -445,38 +514,6 @@ class PathMemo:
 
     def for_typing(self, typing: Typing) -> tuple[dict, dict]:
         return self.typed.setdefault(typing, ({}, {}))
-
-
-def attr_uses(p: Any, memo: PathMemo | None = None) -> frozenset[AttrName]:
-    """Variable attributes used by an expression (binding positions).
-
-    The structural columns hd and tl are not variables and never require
-    binding.
-    """
-    return _uses(PathMemo() if memo is None else memo, p)
-
-
-def _uses(memo: PathMemo, node: Any) -> frozenset[AttrName]:
-    hit = memo.uses.get(id(node))
-    if hit is not None:
-        return hit[1]
-    if isinstance(node, (AttrAtom, SVar, SVarRole)):
-        own = {node.attr} - {HD, TL}
-    elif isinstance(node, Denote) and isinstance(node.den, Abstract):
-        own = {node.den.attr} - {HD, TL}
-    else:
-        own = set()
-    out = _union(own, [_uses(memo, c) for c in children(node, PATH_KINDS)])
-    memo.uses[id(node)] = (node, out)
-    return out
-
-
-def _union(own: set, parts: list) -> frozenset:
-    """``own`` and every part together; the one part itself when it holds
-    them all, so that a chain of nodes keeps one set."""
-    if not own and len(parts) == 1:
-        return parts[0]
-    return frozenset(own.union(*parts))
 
 
 def flatten_concat(p: PathExpr) -> list[PathExpr]:
@@ -592,69 +629,6 @@ def _denote_part(schema: Schema, role: str, part, node, within: frozenset) -> Pa
 # typing inference
 
 
-# the ends of a path, used for junction patterns
-_TYPE, _ENTRY, _EXIT, _ATTR = "type", "entry", "exit", "attr"
-
-
-def _flip(end: tuple) -> tuple:
-    kind, payload = end
-    if kind == _ENTRY:
-        return (_EXIT, payload)
-    if kind == _EXIT:
-        return (_ENTRY, payload)
-    return end
-
-
-def _ends(p: PathExpr, memo: dict | None = None) -> tuple[set, set]:
-    """The atoms a path can start with and those it can end with.  ``memo``
-    maps the id of each path already worked out to the path and its ends,
-    so that a walk that asks for the ends of every sub-path does each once."""
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(p))
-    if hit is not None:
-        return hit[1]
-    if isinstance(p, (TypeAtom, Denote)):
-        first = last = {(_TYPE, p.tid)}
-    elif isinstance(p, RoleEntry):
-        first = last = {(_ENTRY, p.rid)}
-    elif isinstance(p, AttrAtom):
-        first = last = {(_ATTR, p.attr)}
-    elif isinstance(p, Shuffle):
-        first, last = {(_ATTR, p.attrs[0])}, {(_ATTR, p.attrs[-1])}
-    elif isinstance(p, MixFix):
-        first, last = {(_ENTRY, p.first)}, {(_EXIT, p.last)}
-    elif isinstance(p, Reverse):
-        f, l = _ends(p.of, memo)
-        first, last = {_flip(e) for e in l}, {_flip(e) for e in f}
-    elif isinstance(p, (Concat, Product, MissingPath, RelCompare)):
-        first, right = _ends(p.left, memo)[0], _ends(p.right, memo)
-        # a product ends where its right operand starts
-        last = right[0] if isinstance(p, Product) else right[1]
-    elif isinstance(p, (DistinctPath, HdCoerce, TlCoerce, Confluence, SetCompare)):
-        first, last = _ends(p.left if isinstance(p, SetCompare) else p.of, memo)
-    elif isinstance(p, Front):
-        first = last = _ends(p.of, memo)[0]
-    elif isinstance(p, (SetOp, Where, SubExpr)):
-        if isinstance(p, SetOp):
-            parts = [p.left] if p.op == "minus" else [p.left, p.right]
-        elif isinstance(p, Where):
-            parts = [body for body, _ in p.branches] + ([] if p.default is None else [p.default])
-        else:
-            parts = p.items
-        first, last = set(), set()
-        for q in parts:
-            f, l = _ends(q, memo)
-            first |= f
-            last |= l
-        if isinstance(p, SubExpr):
-            last = first  # a filter: it ends where its items start
-    else:
-        first = last = set()
-    memo[id(p)] = (p, (first, last))
-    return first, last
-
-
 def _junction_pairs(schema: Schema, left: tuple, right: tuple) -> set:
     lk, lp = left
     rk, rp = right
@@ -697,12 +671,12 @@ def _pairs_of(schema: Schema, memo: PathMemo, node: Any) -> frozenset:
         return _pairs(schema, memo, expand_denote(schema, node, memo.node))
     own: set = set()
     if isinstance(node, Concat):
-        for le in _ends(node.left, memo.ends)[1]:
-            for re in _ends(node.right, memo.ends)[0]:
+        for le in node.left.ends[1]:
+            for re in node.right.ends[0]:
                 own.update(_junction_pairs(schema, le, re))
     if isinstance(node, MixFix):
         for r, q in node.middles:
-            for re in _ends(q, memo.ends)[0]:
+            for re in q.ends[0]:
                 own.update(_junction_pairs(schema, (_EXIT, r), re))
     return _union(own, [_pairs(schema, memo, c) for c in children(node, PATH_KINDS)])
 
@@ -726,7 +700,7 @@ def infer_typing(schema: Schema, p: Any, extra: Iterable = (), memo: PathMemo | 
                     raise TypingError(
                         f"incompatible variable typing: {a!r} is both {x!r} and {y!r}"
                     )
-    untyped = sorted(attr_uses(p, memo) - set(by_attr))
+    untyped = sorted(p.uses - set(by_attr))
     if untyped:
         raise TypingError(f"untypable variables: {', '.join(repr(a) for a in untyped)}")
     return frozenset(pairs)
@@ -885,7 +859,7 @@ def _combos_of(schema: Schema, typing: Typing, memo: PathMemo, table: dict, p: A
     if isinstance(p, Denote):
         return L(expand_denote(schema, p, memo.node))
     if isinstance(p, (HdCoerce, TlCoerce)):
-        return L(_expand_coerce(schema, p, typing, memo))
+        return L(expand_coerce(schema, p, typing, memo))
     if isinstance(p, Scalar):
         out = set()
         for r in _scalar_result_types(schema, p.expr, typing):
@@ -920,7 +894,11 @@ def _has_empty(schema: Schema, typing: Typing, memo: PathMemo, table: dict, empt
     return out
 
 
-def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing, memo: PathMemo | None = None) -> PathExpr:
+def expand_coerce(schema: Schema, p: HdCoerce | TlCoerce, typing: Typing, memo: PathMemo | None = None) -> PathExpr:
+    """The operand of ``p`` with reference-scheme hops added at its head
+    (``HdCoerce``) or its tail (``TlCoerce``) while that end is a simply
+    identified entity type, so the path starts or ends at the identifying
+    value.  The hops and the head/tail analysis go through ``memo``."""
     memo = PathMemo() if memo is None else memo
     table = memo.for_typing(typing)[0]
     at_head = isinstance(p, HdCoerce)
@@ -944,16 +922,6 @@ def _expand_coerce(schema: Schema, p: PathExpr, typing: Typing, memo: PathMemo |
             inner = concat(node(RoleEntry, s), role_exit(r, node), inner, node=node)
         else:
             inner = concat(inner, node(RoleEntry, r), role_exit(s, node), node=node)
-
-
-def hd_coerce(schema: Schema, p: PathExpr, typing: Typing) -> PathExpr:
-    """Prepend reference-scheme hops while the head is a simply identified
-    entity type, so the path starts at the identifying value."""
-    return _expand_coerce(schema, HdCoerce(p), typing)
-
-
-def tl_coerce(schema: Schema, p: PathExpr, typing: Typing) -> PathExpr:
-    return _expand_coerce(schema, TlCoerce(p), typing)
 
 
 # ---------------------------------------------------------------------------
@@ -981,11 +949,14 @@ class Translator:
     ``B`` of bound attributes, into a pending column map (``ra.Columns``)
     that a parent edits or builds: a translation's attributes are hd, tl
     and the attributes its path names, never a fresh name, so the
-    sub-paths that lowering interned into one object share one sub-plan."""
+    sub-paths that lowering interned into one object share one sub-plan.
+    Every expansion and coercion is built through the translator's one
+    ``PathMemo``, so a sub-path's head/tail analysis runs once."""
 
     def __init__(self, schema: Schema, typing: Typing):
         self.schema = schema
         self.typing = typing
+        self.memo = PathMemo()
         self.rules = ra.JoinRules(schema)
         self._counter = itertools.count(1)
         # (id, B) -> (path, its columns); holding the path keeps its id unique
@@ -1060,7 +1031,7 @@ class Translator:
                 raise TranslateError(f"shuffle attributes not in operand header: {sorted(missing)}")
             return inner.project(ra.def_map(p.attrs)).rename({HD: p.attrs[0], TL: p.attrs[-1]})
         if isinstance(p, MixFix):
-            return self.path(expand_mixfix(self.schema, p), B)
+            return self.path(expand_mixfix(self.schema, p, self.memo.node), B)
         if isinstance(p, FuncApp):
             return self._func_app(p, B)
         if isinstance(p, Where):
@@ -1070,11 +1041,11 @@ class Translator:
         if isinstance(p, GroupFn):
             return self._group_fn(p, B)
         if isinstance(p, SubExpr):
-            return self.path(expand_subexpr(p), B)
+            return self.path(expand_subexpr(p, self.memo.node), B)
         if isinstance(p, Denote):
-            return self.path(expand_denote(self.schema, p), B)
+            return self.path(expand_denote(self.schema, p, self.memo.node), B)
         if isinstance(p, (HdCoerce, TlCoerce)):
-            return self.path(_expand_coerce(self.schema, p, self.typing), B)
+            return self.path(expand_coerce(self.schema, p, self.typing, self.memo), B)
         if isinstance(p, Scalar):
             return self._scalar_path(p.expr, B)
         if isinstance(p, CondPath):
@@ -1093,6 +1064,7 @@ class Translator:
         return self.rules.columns(selected).drop({a})
 
     def _func_app(self, p: FuncApp, B: frozenset) -> ra.Columns:
+        _check_function(p.func)
         if not p.args:
             raise TranslateError("function application needs arguments")
         attrs = [self.fresh() for _ in p.args]
@@ -1109,7 +1081,7 @@ class Translator:
         return joined.project({**kept, HD: ra.Apply(p.func, [ra.Attr(a) for a in attrs])})
 
     def _where_one(self, body: PathExpr, cond: PeCond, B: frozenset) -> ra.RelExpr:
-        cond_attrs = attr_uses(cond)
+        cond_attrs = cond.uses
         joined = self.path(body, B)
         for v in sorted(cond_attrs - B - joined.assigns.keys()):
             joined = self.rules.join(joined, self.rules.columns(bind_attr(self.schema, self.typing, v)))
@@ -1171,7 +1143,7 @@ class Translator:
         return self.rules.columns(ra.Project({a: value}, grouped), {HD: ra.Attr(a), TL: ra.Attr(a)})
 
     def _scalar_path(self, e: PeScalar, B: frozenset) -> ra.Columns:
-        free = attr_uses(e) - B
+        free = e.uses - B
         if not free:
             return self.rules.columns(ra.UNIT, {HD: self.scalar(e, B)}).extend({TL: ra.Attr(HD)})
         joined: ra.Columns | None = None
@@ -1188,7 +1160,7 @@ class Translator:
         if isinstance(e, SAgg):
             # an aggregate reads the head column, so a simply identified
             # entity head is coerced down to its identifying value
-            inner = self.path(hd_coerce(self.schema, e.of, self.typing), B).rel
+            inner = self.path(expand_coerce(self.schema, HdCoerce(e.of), self.typing, self.memo), B).rel
             return ra.Aggregate(e.kind, inner, None if e.kind == "count" else HD)
         if isinstance(e, SVar):
             return ra.Attr(e.attr)
@@ -1200,6 +1172,7 @@ class Translator:
                 )
             return ra.AttrRole(e.attr, e.role)
         if isinstance(e, SApply):
+            _check_function(e.func)
             return ra.Apply(e.func, [self.scalar(x, B) for x in e.args])
         raise TranslateError(f"cannot translate scalar {e!r}")
 
@@ -1226,6 +1199,13 @@ class Translator:
         if isinstance(c, CExclusion):
             return self.cond(CNot(CSome(SetOp(Front(c.left), "intersect", Front(c.right)))), B)
         raise TranslateError(f"cannot translate condition {c!r}")
+
+
+def _check_function(name: str) -> None:
+    """Refuse a function that is neither a macro, which lowering expands,
+    nor one that the algebra computes."""
+    if name not in ra.FUNCTIONS:
+        raise TranslateError(f"unknown function {name!r}")
 
 
 def translate(

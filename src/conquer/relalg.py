@@ -1092,6 +1092,9 @@ _BUILDERS = {
 # one ``_reduce``.
 
 _ARITH = {"+", "-", "*", "/"}
+# the functions an ``Apply`` computes: the four arithmetic operators and the
+# reductions of a grouped bag
+FUNCTIONS = frozenset(_ARITH | {"bag_count", "bag_sum", "bag_min", "bag_max", "bag_avg", "bag_distinct"})
 _CONNECTIVES = {"and": t_and, "or": t_or, "xor": t_xor, "implies": t_implies}
 
 
@@ -1127,7 +1130,7 @@ def _apply(func: str, args: list[Any]) -> Any:
         if b == 0:
             raise EvalError("division by zero")
         return Fraction(a) / Fraction(b)
-    if func.startswith("bag_"):
+    if func in FUNCTIONS:
         if len(args) != 1:
             raise EvalError(f"{func} expects 1 argument")
         (v,) = args

@@ -295,18 +295,20 @@ def validate_schema(schema: Schema) -> list[str]:
 
     # role structure: every role belongs to exactly one relationship type
     seen: dict[RoleId, TypeId] = {}
+    twice: set[RoleId] = set()  # reported once as listed twice, not again
     for ftid in sorted(schema.roles_of):
         if ftid not in schema.types or not schema.types[ftid].is_relationship:
             diags.append(f"roles_of entry {ftid!r} is not a relationship type")
         for rid in schema.roles_of[ftid]:
             if rid in seen:
                 diags.append(f"role {rid!r} appears in both {seen[rid]!r} and {ftid!r}")
+                twice.add(rid)
             seen[rid] = ftid
     for rid in sorted(schema.roles):
         role = schema.roles[rid]
         if rid not in seen:
             diags.append(f"role {rid!r} belongs to no relationship type")
-        elif seen[rid] != role.rel:
+        elif seen[rid] != role.rel and rid not in twice:
             diags.append(f"role {rid!r} declares relationship {role.rel!r} but is listed under {seen[rid]!r}")
         if role.player not in schema.types:
             diags.append(f"role {rid!r} has unknown player {role.player!r}")

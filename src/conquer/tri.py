@@ -48,9 +48,3 @@ def t_implies(a: Tri, b: Tri) -> Tri:
 def is_true(a: Tri) -> bool:
     """Filter semantics: UNKNOWN excludes."""
     return a is True
-
-
-def render(a: Tri) -> str:
-    if a is UNKNOWN:
-        return "unknown"
-    return "true" if a else "false"

@@ -58,12 +58,10 @@ from conquer.paths import (
     TypeAtom,
     Where,
     attr_types,
-    attr_uses,
+    expand_coerce,
     expand_denote,
     expand_mixfix,
     expand_subexpr,
-    hd_coerce,
-    tl_coerce,
 )
 from conquer.errors import PopulationError, shown
 from conquer.population import Population
@@ -303,8 +301,7 @@ class Oracle:
         if isinstance(p, Denote):
             return self.path(expand_denote(self.schema, p), env)
         if isinstance(p, (HdCoerce, TlCoerce)):
-            coerce = hd_coerce if isinstance(p, HdCoerce) else tl_coerce
-            return self.path(coerce(self.schema, p.of, self.typing), env)
+            return self.path(expand_coerce(self.schema, p, self.typing), env)
         if isinstance(p, Scalar):
             return self._scalar_path(p.expr, env)
         if isinstance(p, CondPath):
@@ -370,7 +367,7 @@ class Oracle:
 
     def _where_one(self, body, cond, env: dict) -> Table:
         header, rows = self.path(body, env)
-        binders = sorted(attr_uses(cond) - set(env) - header)
+        binders = sorted(cond.uses - set(env) - header)
         assignments = [{}]
         for a in binders:
             instances = _binder_instances(self.schema, self.pop, self.typing, a)
@@ -409,7 +406,7 @@ class Oracle:
         return frozenset({HD, TL}), _collect(rows)
 
     def _scalar_path(self, e, env: dict) -> Table:
-        free = sorted(attr_uses(e) - set(env))
+        free = sorted(e.uses - set(env))
         if not free:
             v = self.scalar(e, env)
             return frozenset({HD, TL}), Bag([Row({HD: v, TL: v})])

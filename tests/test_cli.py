@@ -661,3 +661,22 @@ def test_a_path_or_condition_macro_where_a_scalar_is_read_is_a_translate_error(m
     assert main(DEMO_FILES) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"[parse] [translate] {kind} macro '{name}' is not a scalar expression"
+
+
+@pytest.mark.parametrize("pop", ["empty", "demo"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a Person who earns a Salary x WHERE foo(x) > 1",
+        "LIST foo(x) OF a Person who earns a Salary x",
+        "a Person who earns a Salary x WHERE foo(x, a Person) > 1",
+    ],
+)
+def test_an_unknown_function_is_refused_at_translation(tmp_path, capsys, text, pop):
+    """A call of a function that is neither a macro nor computed by the
+    algebra is refused before evaluation, so also where no row reaches it."""
+    pop_file = tmp_path / "pop.json"
+    pop_file.write_text("{}")
+    pop_path = str(DEMO / "population.json") if pop == "demo" else str(pop_file)
+    assert main(["--schema", str(DEMO / "schema.json"), "--pop", pop_path, "--query", text]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "[translate] unknown function 'foo'"

@@ -239,7 +239,7 @@ def test_a_translation_names_only_its_paths_attributes(monkeypatch):
 
     def checking(self, p, B):
         out = path(self, p, B)
-        assert set(out.assigns) <= {P.HD, P.TL} | P.attr_uses(p), p
+        assert set(out.assigns) <= {P.HD, P.TL} | p.uses, p
         assert not any(a.startswith(FRESH_PREFIX) for a in out.assigns), p
         checked.append(p)
         return out

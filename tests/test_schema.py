@@ -6,7 +6,7 @@ import pytest
 from conquer.cli import load_full_schema
 from conquer.errors import PopulationError, SchemaError
 from conquer.population import load_population
-from conquer.schema import MFixEntry, load_schema, validate_schema
+from conquer.schema import MFixEntry, Role, load_schema, validate_schema
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -226,10 +226,12 @@ class TestDocumentInputs:
         doc = fig_doc()
         roles_of = doc["roles_of"]
         doc["roles_of"] = {"G": roles_of.pop("G") + ["p"], **roles_of}
-        assert validate_schema(load_schema(doc)) == [
-            "role 'p' appears in both 'F' and 'G'",
-            "role 'p' declares relationship 'F' but is listed under 'G'",
-        ]
+        assert validate_schema(load_schema(doc)) == ["role 'p' appears in both 'F' and 'G'"]
+
+    def test_a_role_that_declares_another_fact_type(self):
+        schema = load_schema(fig_doc())
+        schema.roles["p"] = Role("p", "A", "AN")
+        assert validate_schema(schema) == ["role 'p' declares relationship 'AN' but is listed under 'F'"]
 
     def test_a_fact_rule_that_does_not_cover_its_roles(self):
         doc = json.loads((DEMO / "schema.json").read_text())

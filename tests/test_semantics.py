@@ -17,6 +17,7 @@ from conquer.paths import (
     Concat,
     Denote,
     Front,
+    HdCoerce,
     MixFix,
     OrderKey,
     RelCompare,
@@ -27,6 +28,7 @@ from conquer.paths import (
     SVar,
     Scalar,
     SetOp,
+    TlCoerce,
     TypeAtom,
     Where,
     apply_derivations,
@@ -34,14 +36,13 @@ from conquer.paths import (
     canonical,
     check_constraint,
     concat,
+    expand_coerce,
     expand_macro,
     head_tail_combos,
-    hd_coerce,
     infer_typing,
     normalise,
     order_result,
     role_exit,
-    tl_coerce,
     translate,
 )
 from conquer.population import load_population
@@ -234,26 +235,26 @@ class TestBind:
 class TestCoercion:
     def test_tail_coercion_descends_to_value(self, work_schema):
         p = concat(TypeAtom("Person"), RoleEntry("e1"), role_exit("e2"))
-        coerced = tl_coerce(work_schema, p, frozenset())
+        coerced = expand_coerce(work_schema, TlCoerce(p), frozenset())
         assert coerced == concat(p, RoleEntry("sa1"), role_exit("sa2"))
 
     def test_value_tail_is_identity(self, work_schema):
         p = TypeAtom("Amount")
-        assert tl_coerce(work_schema, p, frozenset()) == p
+        assert expand_coerce(work_schema, TlCoerce(p), frozenset()) == p
 
     def test_ambiguous_tail_is_identity(self, work_schema):
         p = SetOp(TypeAtom("Person"), "union", TypeAtom("Person"))
         # heads relate to Student and Employee as well: not a singleton
-        assert tl_coerce(work_schema, p, frozenset()) == p
+        assert expand_coerce(work_schema, TlCoerce(p), frozenset()) == p
 
     def test_head_coercion(self, work_schema):
         p = TypeAtom("Salary")
-        coerced = hd_coerce(work_schema, p, frozenset())
+        coerced = expand_coerce(work_schema, HdCoerce(p), frozenset())
         assert coerced == concat(RoleEntry("sa2"), role_exit("sa1"), p)
 
     def test_coerced_comparison_evaluates(self, work_schema, work_pop):
         salary_of = concat(TypeAtom("Person"), RoleEntry("e1"), role_exit("e2"))
-        coerced = tl_coerce(work_schema, salary_of, frozenset())
+        coerced = expand_coerce(work_schema, TlCoerce(salary_of), frozenset())
         p = RelCompare(coerced, ">", Scalar(SConst(1500)))
         out = run_path(work_schema, work_pop, p)
         heads = Bag.from_counts((t[out.header.index("hd")], n) for t, n in out.rows())
@@ -269,7 +270,7 @@ class TestCoercion:
         session = Session(schema=load_full_schema(doc))
         session.base_pop = load_population(session.schema, {"Salary": [1000]})
         with time_limit(10):
-            coerced = hd_coerce(session.schema, TypeAtom("Person"), frozenset())
+            coerced = expand_coerce(session.schema, HdCoerce(TypeAtom("Person")), frozenset())
             out = run_query(session, "THE COUNT OF a Person")
         assert coerced == concat(RoleEntry("pn2"), role_exit("pn1"), TypeAtom("Person"))
         assert out.splitlines()[-2:] == ["0    | 0", "(1 row)"]
